@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet test-race chaos bench-smoke bench joinbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
+.PHONY: all build test vet test-race chaos bench-smoke bench bench-test microbench joinbench exprbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
 
 all: build
 
@@ -18,21 +18,33 @@ test:
 bench-smoke:
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkJoin -benchmem -benchtime 1x
 
-# bench: the recorded numbers (median-of-count comparisons belong in
-# BENCH_joins.json; see cmd/sipbench -joinbench).
+# bench: the repo's benchmark (BENCHMARK.json): every workload, timed and
+# traced, SQL text over loopback TCP; see bench/README.md.
 bench:
+	bash bench/run.sh
+
+# bench-test: the benchmark runner's own smoke test. bench/ is its own
+# module, so the root `go test ./...` cannot see it.
+bench-test:
+	cd bench && $(GO) test ./...
+
+# microbench: the Go join microbenchmark (median-of-count comparisons belong
+# in BENCH_joins.json; see cmd/sipbench -joinbench).
+microbench:
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkJoin -benchmem -benchtime 5x -count 3
 
 # test-race: the executor's concurrency tests (partitioned join/agg
 # determinism, cancellation, the morsel scheduler differentials, the
-# bucket-discard spill differentials), the spill run-file frame codec, the
+# bucket-discard spill differentials, source-side selection: scan-probe
+# differentials, accounting, the 0-alloc chunk path, join reservation), the
+# catalog's column-vector cache, the spill run-file frame codec, the
 # work-stealing pool's park/steal races, the scalar-vs-vectorized
 # expression differential tests, the network fault/breaker tests, the
 # blocked-filter / striped-Partial merge-exactness differentials, and the
 # wire server's concurrent-session soak / disconnect-cancellation / quota
 # tests under the race detector.
 test-race:
-	$(GO) test -race ./internal/exec ./internal/spill ./internal/sched ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
+	$(GO) test -race ./internal/exec ./internal/catalog ./internal/spill ./internal/sched ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
 
 # chaos: the full fault-injection matrix (seeds × fault profiles ×
 # Fail/Partial × strategies) plus the recovery smoke tests, under the race
@@ -96,5 +108,6 @@ serverbench:
 benchdiff:
 	$(GO) run ./cmd/benchdiff
 
-# verify: the tier-1 gate (go vet, build, tests) plus a bench smoke run.
-verify: vet build test bench-smoke
+# verify: the tier-1 gate (go vet, build, tests) plus a bench smoke run and
+# the benchmark runner's own tests.
+verify: vet build test bench-smoke bench-test

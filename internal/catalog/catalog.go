@@ -8,6 +8,7 @@ package catalog
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/types"
@@ -21,6 +22,16 @@ type ForeignKey struct {
 }
 
 // Table is a base relation: schema, data, and optimizer metadata.
+//
+// Rows is the row store and the only authoritative copy of the data. The
+// numeric columns additionally have a typed-vector sidecar (IntVec,
+// FloatVec) that base-table scans select over: each vector is built from
+// Rows on its first use, cached on the Table, and dies with it — replacing
+// a table through Catalog.Add therefore serves fresh vectors, and a dropped
+// catalog pins nothing. Rows must be complete before the first query and
+// must not be mutated in place afterwards (that was already unsupported:
+// compiled plans snapshot the slice); a vector built earlier would go stale.
+// A Table must not be copied by value once used.
 type Table struct {
 	Name        string
 	Schema      *types.Schema
@@ -31,7 +42,78 @@ type Table struct {
 	// DistinctEst maps a column name to an estimated distinct-value count.
 	// Populated by the generator; consulted by the cost modeler.
 	DistinctEst map[string]int64
+
+	vecMu sync.Mutex
+	vecs  map[int]*colVec
 }
+
+// colVec is one column's lazily built typed vector; at most one of ints and
+// floats is non-nil, and both are nil for a column that has no vector.
+type colVec struct {
+	once   sync.Once
+	kind   types.Kind
+	ints   []int64
+	floats []float64
+}
+
+// vec returns the column's vector, building it on first use. The mutex only
+// guards the map; the build runs under the column's own Once, so concurrent
+// first uses of one column build it once and different columns build in
+// parallel.
+func (t *Table) vec(col int) *colVec {
+	t.vecMu.Lock()
+	v := t.vecs[col]
+	if v == nil {
+		if t.vecs == nil {
+			t.vecs = make(map[int]*colVec)
+		}
+		v = &colVec{}
+		t.vecs[col] = v
+	}
+	t.vecMu.Unlock()
+	v.once.Do(func() { v.build(t.Rows, col) })
+	return v
+}
+
+// build fills the vector when every row holds the same integer-backed kind
+// (INT, DATE, BOOL) or every row holds a DECIMAL; a NULL, a string, or a
+// second kind anywhere in the column leaves it without a vector.
+func (v *colVec) build(rows []types.Tuple, col int) {
+	if len(rows) == 0 || col < 0 || col >= len(rows[0]) {
+		return
+	}
+	switch k := rows[0][col].K; k {
+	case types.KindInt, types.KindDate, types.KindBool:
+		ints := make([]int64, len(rows))
+		for i, r := range rows {
+			if r[col].K != k {
+				return
+			}
+			ints[i] = r[col].I
+		}
+		v.kind, v.ints = k, ints
+	case types.KindFloat:
+		floats := make([]float64, len(rows))
+		for i, r := range rows {
+			if r[col].K != k {
+				return
+			}
+			floats[i] = r[col].F
+		}
+		v.kind, v.floats = k, floats
+	}
+}
+
+// IntVec returns column col of every row as one contiguous vector, with the
+// kind all rows share, when the column is integer-backed throughout; nil
+// otherwise. The slice is shared and read-only.
+func (t *Table) IntVec(col int) ([]int64, types.Kind) {
+	v := t.vec(col)
+	return v.ints, v.kind
+}
+
+// FloatVec is IntVec for an all-DECIMAL column.
+func (t *Table) FloatVec(col int) []float64 { return t.vec(col).floats }
 
 // NumRows returns the table cardinality.
 func (t *Table) NumRows() int64 { return int64(len(t.Rows)) }

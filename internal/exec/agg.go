@@ -144,12 +144,14 @@ type aggPart struct {
 
 // Start launches the router and the per-partition fold workers.
 func (h *HashAgg) Start(ctx *Context) <-chan Batch {
-	in := h.Child.Start(ctx)
 	out := make(chan Batch, ctx.pipeDepth())
 	op := ctx.Stats.NewOp("agg:" + h.Name)
 	if h.Point != nil {
 		h.Point.Op = op
 	}
+	// The input starts only now: a scan probing on the point's behalf
+	// accounts its pruning through Point.Op.
+	in := h.Child.Start(ctx)
 
 	P := ctx.partitions()
 	P = clampPartitions(P, pointEstRows(h.Point))

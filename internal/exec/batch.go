@@ -93,18 +93,19 @@ func putSel(s []int32) {
 	selPool.Put(sb)
 }
 
-// identTab is the shared identity selection [0, BatchSize); Live hands out
-// prefixes of it for dense batches. Read-only: callers must never write
-// through a selection they did not allocate.
+// identTab is the shared identity selection [0, scanChunkRows), long enough
+// for a scan chunk; Live hands out prefixes of it for dense batches.
+// Read-only: callers must never write through a selection they did not
+// allocate.
 var identTab = func() []int32 {
-	s := make([]int32, BatchSize)
+	s := make([]int32, scanChunkRows)
 	for i := range s {
 		s[i] = int32(i)
 	}
 	return s
 }()
 
-// identSel returns the identity selection [0, n). For n ≤ BatchSize the
+// identSel returns the identity selection [0, n). For n ≤ scanChunkRows the
 // shared read-only table is returned; oversized batches (rare) allocate.
 func identSel(n int) []int32 {
 	if n <= len(identTab) {

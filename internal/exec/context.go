@@ -14,13 +14,41 @@
 //     taken once per batch and per-operator stat counters are accumulated
 //     in goroutine-locals and flushed once per batch, so the per-tuple path
 //     has no mutex or atomic traffic.
-//   - Predicates and projections are evaluated batch-at-a-time through the
-//     compiled kernels of internal/expr (expr.Compile): Filter narrows a
-//     batch's selection vector in place instead of copying survivors,
-//     Project evaluates expression-at-a-time into arena rows, and the join
-//     residual and aggregation argument paths consume the same EvalBatch /
-//     EvalBool API. See the Batch type for the selection-vector ownership
-//     contract; scalar expr.Eval remains the reference semantics.
+//   - Selection starts at the source. An unpaced, undelayed base-table Scan
+//     works in chunks of scanChunkRows (1024) table rows: it evaluates the
+//     predicate of the Filter directly above it — column ⊕ constant
+//     conjuncts as typed kernels over the table's contiguous column vectors
+//     (expr.VecCmp over catalog.Table.IntVec/FloatVec), the rest through
+//     the row kernels — then probes the FilterBank of the operator input it
+//     feeds (Scan.Point, wired by the optimizer when nothing but Filters
+//     sits in between), hashing integer keys straight from the key vector,
+//     and emits only the survivors, compacted into dense batches. A chunk
+//     with no survivor sends nothing. The bank is read once per chunk, so a
+//     filter published mid-scan applies from the next chunk on; survivors
+//     are probed again by the consumer against whatever is attached by then
+//     (idempotent). Columns without a vector (NULLs, mixed kinds, strings,
+//     multi-column keys) take the row kernels inside the same chunk loop.
+//     Paced, delayed and fault-injected scans select nothing: they emit
+//     every row in BatchSize flushes (Scan.runSequential), because their
+//     flush sequence is the source model. Nor does a remote scan: the Ship
+//     above it prunes at the remote site and charges the link per batch.
+//   - Above the scan, predicates and projections are evaluated
+//     batch-at-a-time through the compiled kernels of internal/expr
+//     (expr.Compile): Filter narrows a batch's selection vector in place
+//     instead of copying survivors, Project evaluates expression-at-a-time
+//     into arena rows, and the join residual and aggregation argument paths
+//     consume the same EvalBatch / EvalBool API. See the Batch type for the
+//     selection-vector ownership contract; scalar expr.Eval remains the
+//     reference semantics.
+//   - Who counts what: a scan's In is the rows it read and its Out the rows
+//     it emitted (Result.TuplesScanned sums In). For a scan probing on a
+//     point's behalf, each row it prunes is added once to the consumer's
+//     Pruned (Point.Op) and once to the point's received count; each row it
+//     emits is counted by the consumer on arrival, as ever — In, received,
+//     and Pruned if a later filter drops it there. So received is still
+//     every row that reached the input before probing, Pruned every row a
+//     filter dropped, each exactly once. Consumers set Point.Op before they
+//     start their inputs.
 //   - Every tuple key is canonically encoded and hashed exactly once per
 //     (tuple, column set) via types.Hasher. The resulting 64-bit hash
 //     drives the join/aggregation/distinct tables (types.KeyTable, open
@@ -85,7 +113,9 @@ const BatchSize = 128
 // narrowing Sel instead of compacting Tuples. Whoever holds the batch owns
 // both slices; PutBatch recycles them together. Operators that materialize
 // rows (Project, the join's output builder, aggregation) emit dense
-// batches, so selections never pile up across pipeline stages.
+// batches, so selections never pile up across pipeline stages; so does a
+// scan, which copies the surviving row headers out of the table (a pooled
+// batch never aliases table storage) and never sends an empty batch.
 type Batch struct {
 	Tuples []types.Tuple
 	Sel    []int32

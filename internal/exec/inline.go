@@ -224,6 +224,7 @@ func inlinePost(ctx *Context, proj *Project, filters []*Filter, rows []types.Tup
 		}
 		chunk := rows[base:end]
 		if leafOp != nil {
+			leafOp.In.Add(int64(len(chunk)))
 			leafOp.Out.Add(int64(len(chunk)))
 		}
 

@@ -78,26 +78,49 @@ type joinTable struct {
 	heads    []int32 // per key id: 1-based index of the newest entry
 	entries  []joinEntry
 	tupBytes int64 // Σ MemSize of stored tuples, for state accounting
+	hint     int   // expected stored tuples; see reserve
 }
 
-// reserve pre-sizes the table for about n stored tuples (the optimizer's
-// cardinality estimate divided by the partition count), avoiding most
-// doubling-growth garbage on the insert path. n <= 0 leaves the lazy
-// defaults.
+// joinFloorRows is the capacity a hinted join table starts with. Under AIP
+// most inputs are pruned to a few hundred rows, so the optimizer's estimate
+// is only worth allocating (and zeroing, and collecting) once arrivals show
+// the input is not one of those. The floor has to cover what the pipeline
+// delivers before the first filter can exist — on Q17 1–4 k lineitem rows
+// reach the join before part completes; at 256 rows half the partitions
+// jumped to the hint — and 4096 entries is still only ~200 KB a table.
+const joinFloorRows = 4096
+
+// reserve records the expected number of stored tuples (the optimizer's
+// cardinality estimate divided by the partition count) without allocating:
+// the table starts at joinFloorRows and the first insert that outgrows the
+// floor grows it straight to the hint (see room), which avoids the
+// doubling-growth rehashes of a big input as well as a big reservation for
+// rows that never arrive.
 func (jt *joinTable) reserve(n int) {
-	if n <= 0 {
+	const maxHint = 1 << 20 // cap mis-estimates: 1M entries ≈ 40MB
+	jt.hint = min(n, maxHint)
+}
+
+// room is called before n entries are inserted: the first insert allocates
+// the floor (or a smaller hint), the first to outgrow the floor the hint.
+// Past the hint, and without one (no estimate, or a table reset by a spill
+// eviction), the slices and the key index grow by amortized doubling on
+// their own.
+func (jt *joinTable) room(n int) {
+	c := min(jt.hint, joinFloorRows)
+	if len(jt.entries)+n > joinFloorRows {
+		c = jt.hint
+	}
+	if c <= cap(jt.entries) {
 		return
 	}
-	const maxHint = 1 << 20 // cap mis-estimates: 1M entries ≈ 40MB
-	if n > maxHint {
-		n = maxHint
-	}
-	jt.idx.Reserve(n)
-	jt.heads = make([]int32, 0, n)
-	jt.entries = make([]joinEntry, 0, n)
+	jt.idx.Reserve(c)
+	jt.heads = append(make([]int32, 0, c), jt.heads...)
+	jt.entries = append(make([]joinEntry, 0, c), jt.entries...)
 }
 
 func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
+	jt.room(1)
 	id, added := jt.idx.Insert(h, key)
 	if added {
 		jt.heads = append(jt.heads, 0)
@@ -113,6 +136,7 @@ func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
 // chained in lane order, which matches the id order InsertBatch assigns, so
 // heads grows in lockstep with the dense id space.
 func (jt *joinTable) insertBatch(sb *scatter, baseSeq uint64, ids []int32, added []bool) {
+	jt.room(len(sb.tuples))
 	jt.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, added)
 	for i, t := range sb.tuples {
 		id := ids[i]
@@ -178,8 +202,6 @@ type joinPart struct {
 // partition; workers emit their own matches, so the operator behaves like
 // Tukwila's multithreaded join with the output thread folded in.
 func (j *HashJoin) Start(ctx *Context) <-chan Batch {
-	lin := j.Left.Start(ctx)
-	rin := j.Right.Start(ctx)
 	out := make(chan Batch, ctx.pipeDepth())
 
 	P := ctx.partitions()
@@ -202,6 +224,10 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			in.point.Op = in.op
 		}
 	}
+	// Inputs start only now: a scan that probes on a point's behalf accounts
+	// its pruning through Point.Op.
+	lin := j.Left.Start(ctx)
+	rin := j.Right.Start(ctx)
 
 	ops := [2]*stats.OpStats{lop, rop}
 	parts := make([]*joinPart, P)
@@ -214,7 +240,6 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 				parts[p].tables[s].reserve(int(in.point.EstRows) / P)
 			}
 		}
-		parts[p].initAccount(ctx, ops)
 	}
 
 	// finish marks one input complete: its state is immutable from here on

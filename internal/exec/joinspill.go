@@ -79,18 +79,6 @@ func (jc *joinCore) memBytes() int64 {
 	return jc.tables[0].memBytes() + jc.tables[1].memBytes()
 }
 
-// initAccount charges the reserved (pre-sized) tables to the query budget so
-// the invariant bytes == memBytes() holds from the first batch on.
-func (jc *joinCore) initAccount(ctx *Context, ops [2]*stats.OpStats) {
-	for s := range jc.tables {
-		if d := jc.tables[s].memBytes(); d > 0 {
-			ctx.account(d)
-			ops[s].StateBytes.Add(d)
-			jc.bytes += d
-		}
-	}
-}
-
 // epochOf returns the eviction epoch of a ticket: the number of boundaries
 // recorded before the entry was stored.
 func epochOf(boundaries []uint64, seq uint64) int {

@@ -6,9 +6,10 @@ package exec
 // state machines (mChain) driven by a work-stealing worker pool
 // (internal/sched). One exec.Batch is one morsel.
 //
-//   - Scans range-split their table into morselScanRows chunks, each a
-//     pool task, so a single big scan uses every worker (the chan
-//     engine's one-goroutine-per-scan bottleneck disappears). Delayed,
+//   - Scans range-split their table into scanChunkRows chunks, each a
+//     pool task running the same source-side selection kernel as the chan
+//     scan (scanWorker.chunk), so a single big scan uses every worker (the
+//     chan engine's one-goroutine-per-scan bottleneck disappears). Delayed,
 //     paced, or fault-injected scans stay sequential — their pacing and
 //     deterministic fault-draw sequence depend on flush order — and run
 //     on a dedicated goroutine with a pseudo worker id, so a sleeping
@@ -44,7 +45,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/network"
@@ -52,11 +52,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/types"
 )
-
-// morselScanRows is the range-split granule of parallel scans: small
-// enough that a table splits across workers, large enough that per-task
-// overhead is amortized over many batches.
-const morselScanRows = 1024
 
 // mChain is one compiled operator stage. push delivers one batch from
 // pool worker (or pseudo-worker) w, consuming it; it returns false only
@@ -92,18 +87,10 @@ type morselSurvey struct {
 	rows int64 // total base-table rows
 }
 
-// scanSequential reports whether a scan must run as a single ordered
-// stream: pacing and delay model flush boundaries, and the deterministic
-// fault injector draws one decision per flush, so range-splitting such a
-// scan would change the failure sequence a seed reproduces.
-func scanSequential(s *Scan) bool {
-	return s.Delay != nil || s.BytesPerSec > 0
-}
-
 func surveyMorsel(op Op, sv *morselSurvey) bool {
 	switch o := op.(type) {
 	case *Scan:
-		if scanSequential(o) {
+		if o.sequential() {
 			sv.seq++
 		}
 		sv.rows += int64(len(o.Rows))
@@ -198,9 +185,14 @@ func startMorsel(ctx *Context, root Op) (<-chan Batch, bool) {
 func (r *morselRun) build(op Op, down mChain) {
 	switch o := op.(type) {
 	case *Scan:
-		r.buildScan(o, down)
+		r.buildScan(o, nil, down)
 	case *Filter:
-		r.build(o.Child, newMFilter(r, o, down))
+		// A scan that selects at the source evaluates the predicate itself.
+		if sc := o.sourceScan(); sc != nil {
+			r.buildScan(sc, o.Pred, down)
+		} else {
+			r.build(o.Child, newMFilter(r, o, down))
+		}
 	case *Project:
 		r.build(o.Child, newMProject(r, o, down))
 	case *Ship:
@@ -279,7 +271,7 @@ func (ib *mInbox) drainLoop(process func(*scatter) bool) {
 // Scans
 
 // mScanRange is a range-split parallel scan of a plain (unpaced,
-// fault-free) table: each morselScanRows chunk is one pool task, and the
+// fault-free) table: each scanChunkRows chunk is one pool task, and the
 // last chunk to finish fires the done cascade.
 type mScanRange struct {
 	run       *morselRun
@@ -288,18 +280,31 @@ type mScanRange struct {
 	down      mChain
 	remaining atomic.Int64
 	partial   bool // PartialOnSourceError: stop when the table is abandoned
+
+	typed []*expr.VecCmp // the fused Filter's predicate, split once
+	rest  expr.Expr
+	ws    []*scanWorker // per worker id, created on first use
 }
 
-func (r *morselRun) buildScan(s *Scan, down mChain) {
+// buildScan compiles a scan; pred is the predicate of a Filter fused into
+// it (nil for none, and always nil for sequential scans).
+func (r *morselRun) buildScan(s *Scan, pred expr.Expr, down mChain) {
 	op := r.ctx.Stats.NewOp("scan:" + s.Name)
-	if scanSequential(s) {
+	if s.sequential() {
 		wid := r.nextSeq
 		r.nextSeq++
 		r.starts = append(r.starts, func() {
 			r.seqWg.Add(1)
+			// The source gets a dedicated goroutine — sleeping out its delay
+			// or backoff never occupies a pool worker — under pseudo-worker
+			// id wid. Every uncancelled exit (exhausted input, partial-mode
+			// abandonment or source failure) completes the input.
 			r.ctx.Spawn(func() {
 				defer r.seqWg.Done()
-				r.runSeqScan(wid, s, op, down)
+				s.runSequential(r.ctx, op, func(b Batch) bool { return down.push(wid, b) })
+				if r.ctx.Err() == nil {
+					down.done(wid)
+				}
 			})
 		})
 		return
@@ -307,17 +312,19 @@ func (r *morselRun) buildScan(s *Scan, down mChain) {
 	node := &mScanRange{
 		run: r, s: s, op: op, down: down,
 		partial: r.ctx.Recovery.Mode == PartialOnSourceError && s.Table != "",
+		ws:      make([]*scanWorker, r.nw),
 	}
+	node.typed, node.rest = s.splitScanPred(pred)
 	n := len(s.Rows)
-	chunks := (n + morselScanRows - 1) / morselScanRows
+	chunks := (n + scanChunkRows - 1) / scanChunkRows
 	if chunks < 1 {
 		chunks = 1 // empty table: one task, just to run the done cascade
 	}
 	node.remaining.Store(int64(chunks))
 	r.starts = append(r.starts, func() {
 		for c := 0; c < chunks; c++ {
-			lo := c * morselScanRows
-			hi := lo + morselScanRows
+			lo := c * scanChunkRows
+			hi := lo + scanChunkRows
 			if hi > n {
 				hi = n
 			}
@@ -329,30 +336,26 @@ func (r *morselRun) buildScan(s *Scan, down mChain) {
 func (n *mScanRange) runChunk(w, lo, hi int) {
 	ctx := n.run.ctx
 	if ctx.Err() == nil && !(n.partial && ctx.SourceAbandoned(n.s.Table)) {
-		ok := true
-		batch := GetBatch()
-		flush := func() bool {
-			nn := int64(len(batch.Tuples))
-			if nn == 0 {
-				return true
-			}
-			if !n.down.push(w, batch) {
-				batch = Batch{}
+		if n.ws[w] == nil {
+			n.ws[w] = n.s.newWorker(n.typed, n.rest)
+		}
+		emit := func(b Batch) bool {
+			nn := int64(len(b.Tuples))
+			if !n.down.push(w, b) {
 				return false
 			}
 			n.op.Out.Add(nn)
-			batch = GetBatch()
 			return true
 		}
-		for _, t := range n.s.Rows[lo:hi] {
-			batch.Tuples = append(batch.Tuples, t)
-			if len(batch.Tuples) == BatchSize && !flush() {
-				ok = false
-				break
+		// Chunks run on whichever worker steals them, so the remainder is
+		// flushed per chunk rather than carried.
+		batch := GetBatch()
+		if n.ws[w].chunk(n.s, n.op, lo, hi, &batch, emit) {
+			if len(batch.Tuples) == 0 {
+				PutBatch(batch)
+			} else {
+				emit(batch)
 			}
-		}
-		if ok && flush() {
-			PutBatch(batch)
 		}
 	}
 	// The last chunk fires the cascade — including after a partial-mode
@@ -361,135 +364,6 @@ func (n *mScanRange) runChunk(w, lo, hi int) {
 	if n.remaining.Add(-1) == 0 && ctx.Err() == nil {
 		n.down.done(w)
 	}
-}
-
-// runSeqScan is the sequential-source body: a line-for-line counterpart
-// of Scan.Start's goroutine (same flush boundaries, pacing, and fault
-// draws, so a seeded failure sequence reproduces identically on both
-// schedulers), pushing into the chain instead of a channel. It runs on a
-// dedicated goroutine — a source sleeping out its delay or backoff never
-// occupies a pool worker — under pseudo-worker id wid.
-func (r *morselRun) runSeqScan(wid int, s *Scan, op *stats.OpStats, down mChain) {
-	ctx := r.ctx
-	var inj *network.FaultInjector
-	var ret *retrier
-	if s.Delay != nil && s.Delay.Fault.Active() {
-		inj = s.Delay.Fault.Injector("scan:" + s.Name)
-		ret = newRetrier(ctx, op, s.Site, "scan:"+s.Name)
-	}
-	partialMode := ctx.Recovery.Mode == PartialOnSourceError && s.Table != ""
-	defer func() {
-		// Every uncancelled exit — exhausted input, partial-mode
-		// abandonment, partial-mode source failure — completes the input.
-		if ctx.Err() == nil {
-			down.done(wid)
-		}
-	}()
-	if s.Delay != nil && s.Delay.Initial > 0 {
-		select {
-		case <-time.After(s.Delay.Initial):
-		case <-ctx.Cancelled():
-			return
-		}
-	}
-	batch := GetBatch()
-	count := 0
-	var cumBytes int64
-	start := time.Now()
-	readAttempt := func(stop <-chan struct{}) error {
-		switch k := inj.Next(); k {
-		case network.FaultNone:
-			return nil
-		case network.FaultStall:
-			<-stop
-			return network.ErrCancelled // timeout converts this to ErrAttemptTimeout
-		default:
-			return &network.FaultError{Kind: k}
-		}
-	}
-	flush := func(last bool) bool {
-		if len(batch.Tuples) == 0 {
-			if last {
-				PutBatch(batch)
-			}
-			return true
-		}
-		if partialMode && ctx.SourceAbandoned(s.Table) {
-			PutBatch(batch)
-			batch = Batch{}
-			return false
-		}
-		if ret != nil {
-			if err := ret.do(readAttempt); err != nil {
-				PutBatch(batch)
-				batch = Batch{}
-				if !errors.Is(err, network.ErrCancelled) {
-					ctx.FailSource(&SourceError{
-						Table: s.Table, Site: s.Site,
-						Attempts: ret.attempts, Cause: err,
-					})
-				}
-				return false
-			}
-		}
-		n := int64(len(batch.Tuples))
-		if !down.push(wid, batch) {
-			batch = Batch{}
-			return false
-		}
-		op.Out.Add(n)
-		if s.BytesPerSec > 0 {
-			target := time.Duration(float64(cumBytes) / float64(s.BytesPerSec) * float64(time.Second))
-			if debt := target - time.Since(start); debt > 2*time.Millisecond {
-				select {
-				case <-time.After(debt):
-				case <-ctx.Cancelled():
-					return false
-				}
-			}
-		}
-		if last {
-			batch = Batch{}
-		} else {
-			batch = GetBatch()
-		}
-		return true
-	}
-	for _, t := range s.Rows {
-		batch.Tuples = append(batch.Tuples, t)
-		count++
-		if s.BytesPerSec > 0 {
-			cumBytes += int64(t.MemSize())
-		}
-		if s.Delay != nil && s.Delay.EveryN > 0 && count%s.Delay.EveryN == 0 {
-			if !flush(false) {
-				return
-			}
-			select {
-			case <-time.After(s.Delay.Pause):
-			case <-ctx.Cancelled():
-				return
-			}
-			continue
-		}
-		if s.Delay != nil && s.Delay.BurstEveryN > 0 && count%s.Delay.BurstEveryN == 0 {
-			if !flush(false) {
-				return
-			}
-			select {
-			case <-time.After(s.Delay.BurstPause):
-			case <-ctx.Cancelled():
-				return
-			}
-			continue
-		}
-		if len(batch.Tuples) == BatchSize {
-			if !flush(false) {
-				return
-			}
-		}
-	}
-	flush(true)
 }
 
 // ---------------------------------------------------------------------------
@@ -785,7 +659,6 @@ func newMJoin(r *morselRun, j *HashJoin, down mChain) *mJoin {
 				pt.tables[s].reserve(int(in.point.EstRows) / P)
 			}
 		}
-		pt.initAccount(r.ctx, [2]*stats.OpStats{lop, rop})
 		m.parts[p] = pt
 	}
 	m.route = make([]mJoinRoute, r.nw)

@@ -217,14 +217,16 @@ func TestMorselRangeScanSplits(t *testing.T) {
 	if len(got) != n/2 {
 		t.Fatalf("filter passed %d rows, want %d", len(got), n/2)
 	}
-	minChunks := int64(n / morselScanRows)
+	minChunks := int64(n / scanChunkRows)
 	if m := reg.SchedMorsels.Load(); m < minChunks {
 		t.Fatalf("scheduler ran %d tasks; a range-split scan of %d rows must yield >= %d",
 			m, n, minChunks)
 	}
 	for _, op := range reg.Ops() {
-		if op.Class == "scan" && op.Out.Load() != n {
-			t.Fatalf("scan Out = %d, want %d", op.Out.Load(), n)
+		// The filter is fused into the scan: it reads n rows and emits the
+		// predicate's survivors.
+		if op.Class == "scan" && (op.In.Load() != n || op.Out.Load() != n/2) {
+			t.Fatalf("scan In/Out = %d/%d, want %d/%d", op.In.Load(), op.Out.Load(), n, n/2)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/expr"
 	"repro/internal/filter"
 	"repro/internal/stats"
 	"repro/internal/types"
@@ -132,6 +133,17 @@ type ProbeScratch struct {
 	altKeyBuf []byte
 	altKeyAt  func(int32) []byte
 
+	// Source-vector state, set by a base-table scan probing on behalf of its
+	// consumer (scanWorker.chunk): vecs is the table's typed-vector view and
+	// the batch being probed is table rows [vecLo, vecLo+len(tuples)). A
+	// filter over one integer-backed column then hashes straight from the
+	// vector and never dereferences a row; exact summaries resolve key bytes
+	// per probed lane through vecKey.
+	vecs  expr.ColumnVectors
+	vecLo int
+	vec   []int64
+	vecAt func(int32) []byte
+
 	// Deferred-materialization state: while computeHashes has skipped the
 	// key-byte pass, exact summaries resolve lanes through lazyKey.
 	lazyTuples []types.Tuple
@@ -200,9 +212,23 @@ func (sc *ProbeScratch) materialize(tuples []types.Tuple, c int, sel []int32) {
 	}
 }
 
-func (sc *ProbeScratch) altCompute(tuples []types.Tuple, cols []int, sel []int32) {
+// altCompute hashes the listed lanes' keys over cols into altHashes and
+// returns the resolver of their canonical key bytes.
+func (sc *ProbeScratch) altCompute(tuples []types.Tuple, cols []int, sel []int32) func(int32) []byte {
 	n := len(tuples)
 	sc.altHashes = growU64(sc.altHashes, n)
+	if sc.vecs != nil && len(cols) == 1 {
+		if vec, _ := sc.vecs.IntVec(cols[0]); vec != nil {
+			sc.vec = vec[sc.vecLo : sc.vecLo+n]
+			for _, i := range sel {
+				sc.altHashes[i] = types.HashIntKey(sc.vec[i])
+			}
+			if sc.vecAt == nil {
+				sc.vecAt = sc.vecKey
+			}
+			return sc.vecAt
+		}
+	}
 	sc.altStarts = growI32(sc.altStarts, n)
 	sc.altEnds = growI32(sc.altEnds, n)
 	sc.altKeyBuf = sc.altKeyBuf[:0]
@@ -213,6 +239,17 @@ func (sc *ProbeScratch) altCompute(tuples []types.Tuple, cols []int, sel []int32
 		sc.altStarts[i] = int32(start)
 		sc.altEnds[i] = int32(len(sc.altKeyBuf))
 	}
+	if sc.altKeyAt == nil {
+		sc.altKeyAt = sc.altKey
+	}
+	return sc.altKeyAt
+}
+
+// vecKey is lazyKey over the source vector: one transient canonical encode
+// per lane an exact summary asks about, valid until the next call.
+func (sc *ProbeScratch) vecKey(i int32) []byte {
+	sc.lazyBuf = types.AppendIntKey(sc.lazyBuf[:0], sc.vec[i])
+	return sc.lazyBuf
 }
 
 // key returns lane i's canonical key bytes from the primary arrays; valid
@@ -227,13 +264,6 @@ func (sc *ProbeScratch) primaryKeyAt() func(int32) []byte {
 }
 
 func (sc *ProbeScratch) altKey(i int32) []byte { return sc.altKeyBuf[sc.altStarts[i]:sc.altEnds[i]] }
-
-func (sc *ProbeScratch) altPrimaryKeyAt() func(int32) []byte {
-	if sc.altKeyAt == nil {
-		sc.altKeyAt = sc.altKey
-	}
-	return sc.altKeyAt
-}
 
 // lazyKey encodes lane i's key on demand while key bytes are deferred
 // (computeHashes mode): exact summaries probed mid-batch still see the
@@ -293,8 +323,8 @@ func (b *FilterBank) ProbeBatch(tuples []types.Tuple, keyCols []int, sel []int32
 				keyAt = sc.primaryKeyAt()
 			}
 		} else {
-			sc.altCompute(tuples, filters[i].cols, live)
-			hashes, keyAt = sc.altHashes, sc.altPrimaryKeyAt()
+			keyAt = sc.altCompute(tuples, filters[i].cols, live)
+			hashes = sc.altHashes
 		}
 		if i == 0 {
 			out = filters[i].sum.MayContainHashBatch(hashes, live, out, keyAt)
@@ -350,7 +380,8 @@ type Point struct {
 	Schema *types.Schema
 
 	// Bank receives injected filters; the owning operator probes it for
-	// every arriving tuple before processing.
+	// every arriving tuple before processing, and so does a base-table scan
+	// feeding the input directly (Scan.Point), one chunk ahead.
 	Bank *FilterBank
 
 	// Stateful marks inputs whose tuples are buffered (hash-join inputs,
@@ -391,10 +422,11 @@ type Point struct {
 	DomainDistinct []float64
 
 	// Op is the owning operator's stats block, set by the operator at Start
-	// before any tuple flows (so every OnStore call observes it).
-	// Controllers attribute per-operator filter memory — published summary
-	// bytes and in-progress working-set bytes — through it; nil skips the
-	// per-operator accounting (registry totals are still kept).
+	// before it starts its inputs (so every OnStore call, and a scan pruning
+	// on the point's behalf, observes it). Controllers attribute
+	// per-operator filter memory — published summary bytes and in-progress
+	// working-set bytes — through it; nil skips the per-operator accounting
+	// (registry totals are still kept).
 	Op *stats.OpStats
 
 	// Runtime counters maintained by the owning operator.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/network"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -32,7 +33,25 @@ type DelayConfig struct {
 	Fault *network.FaultProfile
 }
 
+// scanChunkRows is the granule of source-side selection: a scan evaluates
+// its pushed predicates and probes its consumer's AIP filters over this many
+// table rows at a time (and the morsel engine range-splits scans into tasks
+// of this size). Large enough to amortize the per-chunk bank snapshot and
+// stats flush, small enough that a filter published mid-scan applies almost
+// at once and the lane scratch stays in L1.
+const scanChunkRows = 1024
+
 // Scan streams a base table.
+//
+// An unpaced, undelayed scan is the first place selection happens: per
+// scanChunkRows-row chunk it evaluates the predicate of a Filter directly
+// above it (Filter.sourceScan; typed column ⊕ constant conjuncts over the
+// table's column vectors, anything else through the row kernels), probes the
+// FilterBank of the operator input it feeds (Point), and emits only the
+// surviving rows, compacted into dense batches — a chunk with no survivor
+// sends nothing. A paced, delayed or fault-injected scan (sequential) does
+// none of this: its flush boundaries model the source, so it emits every row
+// and the Filter and the consumer select as they always did.
 type Scan struct {
 	Name  string
 	Rows  []types.Tuple
@@ -51,17 +70,208 @@ type Scan struct {
 	// relations finish proportionally later than small ones, which is what
 	// staggers subexpression completion times. Zero means unpaced.
 	BytesPerSec int64
+
+	// Vecs is the typed-vector view of the table Rows belongs to (row i of
+	// every vector is Rows[i]); nil for synthetic scans, which select with
+	// the row kernels only.
+	Vecs expr.ColumnVectors
+
+	// Point is the operator input this scan feeds when nothing but Filters
+	// sits between them (so rows and columns arrive unchanged): the scan
+	// probes Point.Bank itself and accounts what it drops there — each
+	// pruned row once in Point.Op.Pruned and once in the point's received
+	// count; the consumer counts the survivors when they arrive, so every
+	// row is counted exactly once. The consumer must have set Point.Op
+	// before it starts this scan. Nil when the consumer probes alone.
+	Point *Point
 }
 
 // Schema returns the scan's output schema.
 func (s *Scan) Schema() *types.Schema { return s.Sch }
 
+// sequential reports whether the scan must run as a single ordered stream
+// that emits every row: pacing and delay model flush boundaries, and the
+// deterministic fault injector draws one decision per flush, so selecting at
+// the source (or range-splitting) would change the failure sequence a seed
+// reproduces and the wall time the modeled link is meant to show.
+func (s *Scan) sequential() bool {
+	return s.Delay != nil || s.BytesPerSec > 0
+}
+
+// scanWorker is one goroutine's state for the chunk kernel: the residual
+// predicate (a Compiled carries scratch) and the lane scratch.
+type scanWorker struct {
+	typed []*expr.VecCmp // conjuncts with a vector kernel; stateless, shared
+	rest  *expr.Compiled // the other conjuncts, on the row kernels; may be nil
+	sel   []int32        // chunk-lane selection scratch
+	sc    ProbeScratch
+}
+
+// splitScanPred separates pred's conjuncts into those with a typed vector
+// kernel over s.Vecs and the rest. A conjunct that is not boolean-kinded
+// keeps the whole predicate on the row kernels: AND passes such an operand
+// where a lone predicate drops it, so regrouping conjuncts around it could
+// change the answer.
+func (s *Scan) splitScanPred(pred expr.Expr) (typed []*expr.VecCmp, rest expr.Expr) {
+	if s.Vecs == nil {
+		return nil, pred
+	}
+	var others []expr.Expr
+	for _, c := range expr.SplitConjuncts(pred) {
+		if c.Kind() != types.KindBool {
+			return nil, pred
+		}
+		if k := expr.CompileVecCmp(c, s.Vecs); k != nil {
+			typed = append(typed, k)
+		} else {
+			others = append(others, c)
+		}
+	}
+	return typed, expr.And(others...)
+}
+
+func (s *Scan) newWorker(typed []*expr.VecCmp, rest expr.Expr) *scanWorker {
+	w := &scanWorker{typed: typed, rest: expr.Compile(rest), sel: make([]int32, 0, scanChunkRows)}
+	w.sc.vecs = s.Vecs
+	return w
+}
+
+// chunk is the scan kernel both schedulers run: it selects over table rows
+// [lo, hi) — typed predicates, residual predicate, then the consumer's
+// filter bank, read once for the whole chunk — and appends the survivors'
+// row headers to *batch, handing every full batch to emit (which takes
+// ownership) and leaving the remainder in *batch for the caller to carry or
+// flush. Batches never alias s.Rows: headers are copied, so a recycled
+// batch cannot hand table storage to a writer. It returns false when emit
+// did; *batch is then spent.
+func (w *scanWorker) chunk(s *Scan, op *stats.OpStats, lo, hi int, batch *Batch, emit func(Batch) bool) bool {
+	rows := s.Rows[lo:hi]
+	n := len(rows)
+	var sel []int32 // nil: every lane is live
+	for _, k := range w.typed {
+		sel = k.Sift(lo, hi, sel, w.sel[:0])
+	}
+	if w.rest != nil {
+		if sel == nil {
+			sel = w.rest.EvalBool(rows, identSel(n), w.sel)
+		} else if len(sel) > 0 {
+			sel = w.rest.EvalBool(rows, sel, sel)
+		}
+	}
+	if pt := s.Point; pt != nil && pt.Bank.Len() > 0 && (sel == nil || len(sel) > 0) {
+		live := sel
+		if live == nil {
+			live = identSel(n)
+		}
+		w.sc.vecLo = lo
+		sel = pt.Bank.ProbeBatch(rows, nil, live, w.sel[:0], &w.sc)
+		if pruned := int64(len(live) - len(sel)); pruned > 0 {
+			pt.Op.Pruned.Add(pruned)
+			pt.received.Add(pruned)
+		}
+	}
+	op.In.Add(int64(n))
+	// full hands a filled batch on and starts the next one.
+	full := func() bool {
+		if len(batch.Tuples) < BatchSize {
+			return true
+		}
+		if !emit(*batch) {
+			return false
+		}
+		*batch = GetBatch()
+		return true
+	}
+	if sel == nil { // every row survives: copy headers a run at a time
+		for len(rows) > 0 {
+			take := min(BatchSize-len(batch.Tuples), len(rows))
+			batch.Tuples = append(batch.Tuples, rows[:take]...)
+			rows = rows[take:]
+			if !full() {
+				return false
+			}
+		}
+		return true
+	}
+	for _, l := range sel {
+		batch.Tuples = append(batch.Tuples, rows[l])
+		if !full() {
+			return false
+		}
+	}
+	return true
+}
+
 // Start launches the scan goroutine. All per-run state (the stats handle
 // included) lives in the goroutine, so one Scan value can back many
 // concurrent executions of a prepared plan.
 func (s *Scan) Start(ctx *Context) <-chan Batch {
+	if s.sequential() {
+		return s.startSequential(ctx)
+	}
+	return s.start(ctx, nil)
+}
+
+// start runs the chunk kernel over the whole table on one goroutine, with
+// pred (the Filter above, or nil) evaluated at the source. Survivors carry
+// over from chunk to chunk, so a heavily pruned scan still sends full
+// batches.
+func (s *Scan) start(ctx *Context, pred expr.Expr) <-chan Batch {
 	out := make(chan Batch, ctx.pipeDepth())
 	op := ctx.Stats.NewOp("scan:" + s.Name)
+	partialMode := ctx.Recovery.Mode == PartialOnSourceError && s.Table != ""
+	ctx.Spawn(func() {
+		defer close(out)
+		w := s.newWorker(s.splitScanPred(pred))
+		emit := func(b Batch) bool {
+			n := int64(len(b.Tuples))
+			if !send(ctx, out, b) {
+				return false
+			}
+			op.Out.Add(n)
+			return true
+		}
+		batch := GetBatch()
+		for lo := 0; lo < len(s.Rows); lo += scanChunkRows {
+			// A pruned chunk sends nothing, so cancellation — and a sibling
+			// stream of the same table having been abandoned — is checked
+			// here, not only at the send.
+			if ctx.Err() != nil || partialMode && ctx.SourceAbandoned(s.Table) {
+				PutBatch(batch)
+				return
+			}
+			if !w.chunk(s, op, lo, min(lo+scanChunkRows, len(s.Rows)), &batch, emit) {
+				return
+			}
+		}
+		if len(batch.Tuples) == 0 {
+			PutBatch(batch)
+		} else {
+			emit(batch)
+		}
+	})
+	return out
+}
+
+// startSequential runs a paced, delayed or fault-injected source on its own
+// goroutine, feeding the output channel.
+func (s *Scan) startSequential(ctx *Context) <-chan Batch {
+	out := make(chan Batch, ctx.pipeDepth())
+	op := ctx.Stats.NewOp("scan:" + s.Name)
+	ctx.Spawn(func() {
+		defer close(out)
+		s.runSequential(ctx, op, func(b Batch) bool { return send(ctx, out, b) })
+	})
+	return out
+}
+
+// runSequential is the per-tuple loop of a sequential source, shared by both
+// schedulers so a seeded failure sequence reproduces identically on either:
+// flush boundaries, pacing and fault draws are the source model (see Scan).
+// emit delivers one batch, taking ownership, and reports false when the
+// query was cancelled. It returns on exhausted input, cancellation,
+// partial-mode abandonment, or source failure.
+func (s *Scan) runSequential(ctx *Context, op *stats.OpStats, emit func(Batch) bool) {
 	// Fault plumbing: one deterministic injector and one retry driver per
 	// run, both derived from the scan's name so (plan, seed) reproduces the
 	// same failure sequence.
@@ -72,128 +282,126 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 		ret = newRetrier(ctx, op, s.Site, "scan:"+s.Name)
 	}
 	partialMode := ctx.Recovery.Mode == PartialOnSourceError && s.Table != ""
-	ctx.Spawn(func() {
-		defer close(out)
-		if s.Delay != nil && s.Delay.Initial > 0 {
-			select {
-			case <-time.After(s.Delay.Initial):
-			case <-ctx.Cancelled():
-				return
-			}
+	if s.Delay != nil && s.Delay.Initial > 0 {
+		select {
+		case <-time.After(s.Delay.Initial):
+		case <-ctx.Cancelled():
+			return
 		}
-		batch := GetBatch()
-		count := 0
-		var cumBytes int64
-		start := time.Now()
-		// readAttempt models one read from the flaky source: it draws the
-		// injected fault decision for this attempt. A stalled read blocks on
-		// the retrier's stop channel (per-attempt timeout or cancellation).
-		readAttempt := func(stop <-chan struct{}) error {
-			switch k := inj.Next(); k {
-			case network.FaultNone:
-				return nil
-			case network.FaultStall:
-				<-stop
-				return network.ErrCancelled // timeout converts this to ErrAttemptTimeout
-			default:
-				return &network.FaultError{Kind: k}
-			}
+	}
+	batch := GetBatch()
+	count := 0
+	var cumBytes int64
+	start := time.Now()
+	// readAttempt models one read from the flaky source: it draws the
+	// injected fault decision for this attempt. A stalled read blocks on
+	// the retrier's stop channel (per-attempt timeout or cancellation).
+	readAttempt := func(stop <-chan struct{}) error {
+		switch k := inj.Next(); k {
+		case network.FaultNone:
+			return nil
+		case network.FaultStall:
+			<-stop
+			return network.ErrCancelled // timeout converts this to ErrAttemptTimeout
+		default:
+			return &network.FaultError{Kind: k}
 		}
-		// flush sends the current batch (counting output per flushed batch,
-		// so cancelled or short-circuited scans still report what they
-		// emitted) and pays any accumulated pacing debt. The final flush
-		// passes last=true to recycle instead of refilling the batch.
-		flush := func(last bool) bool {
-			if len(batch.Tuples) == 0 {
-				// Pacing debt was settled by the preceding non-empty flush
-				// (cumBytes is unchanged since), so just recycle.
-				if last {
-					PutBatch(batch)
-				}
-				return true
-			}
-			// A sibling stream of the same table may have been abandoned;
-			// stop producing rather than feed a query that gave up on us.
-			if partialMode && ctx.SourceAbandoned(s.Table) {
-				PutBatch(batch)
-				batch = Batch{}
-				return false
-			}
-			if ret != nil {
-				if err := ret.do(readAttempt); err != nil {
-					PutBatch(batch)
-					batch = Batch{}
-					if !errors.Is(err, network.ErrCancelled) {
-						ctx.FailSource(&SourceError{
-							Table: s.Table, Site: s.Site,
-							Attempts: ret.attempts, Cause: err,
-						})
-					}
-					return false
-				}
-			}
-			n := int64(len(batch.Tuples))
-			if !send(ctx, out, batch) {
-				return false
-			}
-			op.Out.Add(n)
-			if s.BytesPerSec > 0 {
-				// Pace against a cumulative deadline; sleeping only when
-				// the debt exceeds a couple of milliseconds keeps the rate
-				// accurate despite coarse timer granularity.
-				target := time.Duration(float64(cumBytes) / float64(s.BytesPerSec) * float64(time.Second))
-				if debt := target - time.Since(start); debt > 2*time.Millisecond {
-					select {
-					case <-time.After(debt):
-					case <-ctx.Cancelled():
-						return false
-					}
-				}
-			}
+	}
+	// flush sends the current batch (counting output per flushed batch,
+	// so cancelled or short-circuited scans still report what they
+	// emitted) and pays any accumulated pacing debt. The final flush
+	// passes last=true to recycle instead of refilling the batch.
+	flush := func(last bool) bool {
+		if len(batch.Tuples) == 0 {
+			// Pacing debt was settled by the preceding non-empty flush
+			// (cumBytes is unchanged since), so just recycle.
 			if last {
-				batch = Batch{}
-			} else {
-				batch = GetBatch()
+				PutBatch(batch)
 			}
 			return true
 		}
-		for _, t := range s.Rows {
-			batch.Tuples = append(batch.Tuples, t)
-			count++
-			if s.BytesPerSec > 0 {
-				cumBytes += int64(t.MemSize())
-			}
-			if s.Delay != nil && s.Delay.EveryN > 0 && count%s.Delay.EveryN == 0 {
-				if !flush(false) {
-					return
+		// A sibling stream of the same table may have been abandoned;
+		// stop producing rather than feed a query that gave up on us.
+		if partialMode && ctx.SourceAbandoned(s.Table) {
+			PutBatch(batch)
+			batch = Batch{}
+			return false
+		}
+		if ret != nil {
+			if err := ret.do(readAttempt); err != nil {
+				PutBatch(batch)
+				batch = Batch{}
+				if !errors.Is(err, network.ErrCancelled) {
+					ctx.FailSource(&SourceError{
+						Table: s.Table, Site: s.Site,
+						Attempts: ret.attempts, Cause: err,
+					})
 				}
+				return false
+			}
+		}
+		n := int64(len(batch.Tuples))
+		if !emit(batch) {
+			batch = Batch{}
+			return false
+		}
+		op.In.Add(n)
+		op.Out.Add(n)
+		if s.BytesPerSec > 0 {
+			// Pace against a cumulative deadline; sleeping only when
+			// the debt exceeds a couple of milliseconds keeps the rate
+			// accurate despite coarse timer granularity.
+			target := time.Duration(float64(cumBytes) / float64(s.BytesPerSec) * float64(time.Second))
+			if debt := target - time.Since(start); debt > 2*time.Millisecond {
 				select {
-				case <-time.After(s.Delay.Pause):
+				case <-time.After(debt):
 				case <-ctx.Cancelled():
-					return
-				}
-				continue
-			}
-			if s.Delay != nil && s.Delay.BurstEveryN > 0 && count%s.Delay.BurstEveryN == 0 {
-				if !flush(false) {
-					return
-				}
-				select {
-				case <-time.After(s.Delay.BurstPause):
-				case <-ctx.Cancelled():
-					return
-				}
-				continue
-			}
-			if len(batch.Tuples) == BatchSize {
-				if !flush(false) {
-					return
+					return false
 				}
 			}
 		}
-		flush(true)
-	})
-	return out
+		if last {
+			batch = Batch{}
+		} else {
+			batch = GetBatch()
+		}
+		return true
+	}
+	for _, t := range s.Rows {
+		batch.Tuples = append(batch.Tuples, t)
+		count++
+		if s.BytesPerSec > 0 {
+			cumBytes += int64(t.MemSize())
+		}
+		if s.Delay != nil && s.Delay.EveryN > 0 && count%s.Delay.EveryN == 0 {
+			if !flush(false) {
+				return
+			}
+			select {
+			case <-time.After(s.Delay.Pause):
+			case <-ctx.Cancelled():
+				return
+			}
+			continue
+		}
+		if s.Delay != nil && s.Delay.BurstEveryN > 0 && count%s.Delay.BurstEveryN == 0 {
+			if !flush(false) {
+				return
+			}
+			select {
+			case <-time.After(s.Delay.BurstPause):
+			case <-ctx.Cancelled():
+				return
+			}
+			continue
+		}
+		if len(batch.Tuples) == BatchSize {
+			if !flush(false) {
+				return
+			}
+		}
+	}
+	flush(true)
 }
 
 // Filter applies a predicate by narrowing each batch's selection vector:
@@ -210,8 +418,24 @@ type Filter struct {
 // Schema returns the child schema.
 func (f *Filter) Schema() *types.Schema { return f.Child.Schema() }
 
-// Start launches the filter goroutine.
+// sourceScan returns the child scan when it can evaluate the predicate
+// itself, at the source: a local one that is not sequential. A remote scan
+// is left alone — the Ship above it charges the modeled link per batch, and
+// compacting survivors would change the message (and fault-draw) sequence.
+func (f *Filter) sourceScan() *Scan {
+	if sc, ok := f.Child.(*Scan); ok && !sc.sequential() && sc.Site == 0 {
+		return sc
+	}
+	return nil
+}
+
+// Start launches the filter goroutine — unless the child scan takes the
+// predicate (no filter goroutine and no filter:* stats row; the scan's
+// In/Out carry it).
 func (f *Filter) Start(ctx *Context) <-chan Batch {
+	if sc := f.sourceScan(); sc != nil {
+		return sc.start(ctx, f.Pred)
+	}
 	in := f.Child.Start(ctx)
 	out := make(chan Batch, ctx.pipeDepth())
 	op := ctx.Stats.NewOp("filter:" + f.Name)

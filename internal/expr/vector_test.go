@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -287,5 +288,148 @@ func TestEvalBoolSteadyStateAllocs(t *testing.T) {
 func TestCompileNil(t *testing.T) {
 	if Compile(nil) != nil {
 		t.Fatal("Compile(nil) != nil")
+	}
+}
+
+// rowVectors is the test's ColumnVectors over a row batch, with the
+// catalog's rule: a vector exists only when every row holds the same
+// integer-backed kind, or every row a DECIMAL.
+type rowVectors []types.Tuple
+
+func (rv rowVectors) kindOf(col int) types.Kind {
+	if len(rv) == 0 {
+		return types.KindNull
+	}
+	k := rv[0][col].K
+	for _, r := range rv {
+		if r[col].K != k {
+			return types.KindNull
+		}
+	}
+	return k
+}
+
+func (rv rowVectors) IntVec(col int) ([]int64, types.Kind) {
+	k := rv.kindOf(col)
+	if k != types.KindInt && k != types.KindDate && k != types.KindBool {
+		return nil, types.KindNull
+	}
+	v := make([]int64, len(rv))
+	for i, r := range rv {
+		v[i] = r[col].I
+	}
+	return v, k
+}
+
+func (rv rowVectors) FloatVec(col int) []float64 {
+	if rv.kindOf(col) != types.KindFloat {
+		return nil
+	}
+	v := make([]float64, len(rv))
+	for i, r := range rv {
+		v[i] = r[col].F
+	}
+	return v
+}
+
+// TestVecCmpMatchesEvalBool is the typed kernels' acceptance property:
+// over random column ⊕ constant comparisons (either operand order, every
+// constant kind including NULL and cross-kind numerics, NaN and ±Inf in the
+// data), a compiled VecCmp keeps exactly the lanes Compiled.EvalBool keeps,
+// for every chunk window and selection shape, fresh and in place — and it
+// declines to compile whenever the column has no vector.
+func TestVecCmpMatchesEvalBool(t *testing.T) {
+	r := rand.New(rand.NewSource(0x5CA9))
+	cmps := []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
+	// Column 6 keeps its NULLs (no vector); the rest are made NULL-free.
+	table := randBatch(r, 3000)
+	for _, row := range table {
+		for c, k := range genCols {
+			if c == 6 || !row[c].IsNull() {
+				continue
+			}
+			switch k {
+			case types.KindFloat:
+				row[c] = types.Float([]float64{math.NaN(), math.Inf(1), math.Inf(-1), 0}[r.Intn(4)])
+			case types.KindString:
+				row[c] = types.Str("")
+			default:
+				row[c] = types.Value{K: k, I: int64(r.Intn(3))}
+			}
+		}
+	}
+	vecs := rowVectors(table)
+	randConst := func() types.Value {
+		switch r.Intn(6) {
+		case 0:
+			return types.Int(int64(r.Intn(21) - 10))
+		case 1:
+			return types.Float(float64(r.Intn(41)-20) / 4)
+		case 2:
+			return types.Date(int64(r.Intn(40000) - 5000))
+		case 3:
+			return types.Bool(r.Intn(2) == 0)
+		case 4:
+			return types.Float(math.NaN())
+		default:
+			return types.Null()
+		}
+	}
+	compiled := map[types.Kind]int{}
+	for iter := 0; iter < 600; iter++ {
+		col := r.Intn(len(genCols))
+		if genCols[col] == types.KindString {
+			continue // a string column against numeric constants is rejected by the binder
+		}
+		var e Expr = &Binary{Op: cmps[r.Intn(len(cmps))],
+			L: &ColRef{Idx: col, Col: types.Column{Name: "c", Kind: genCols[col]}}, R: &Const{V: randConst()}}
+		if r.Intn(2) == 0 {
+			b := e.(*Binary)
+			b.L, b.R = b.R, b.L
+		}
+		k := CompileVecCmp(e, vecs)
+		if k == nil {
+			continue
+		}
+		if col == 6 {
+			t.Fatalf("%s compiled over a column with NULLs", e)
+		}
+		compiled[genCols[col]]++
+		ref := Compile(e)
+		for _, w := range [][2]int{{0, 0}, {0, 1}, {5, 133}, {1024, 2048}, {2990, 3000}, {0, 3000}} {
+			lo, hi := w[0], w[1]
+			ident := selVariants(r, hi-lo)[0]
+			checkSel(t, e, "dense", ref.EvalBool(table[lo:hi], ident, nil), k.Sift(lo, hi, nil, nil))
+			for _, sel := range selVariants(r, hi-lo) {
+				sel = append([]int32{}, sel...) // nil would mean "every lane" to Sift
+				want := ref.EvalBool(table[lo:hi], sel, nil)
+				checkSel(t, e, "fresh", want, k.Sift(lo, hi, sel, nil))
+				inPlace := append([]int32{}, sel...)
+				checkSel(t, e, "in-place", want, k.Sift(lo, hi, inPlace, inPlace[:0]))
+			}
+		}
+	}
+	for _, kind := range []types.Kind{types.KindInt, types.KindFloat, types.KindDate} {
+		if compiled[kind] == 0 {
+			t.Fatalf("no %v comparison compiled to a vector kernel — test is vacuous (%v)", kind, compiled)
+		}
+	}
+	if compiled[types.KindBool] != 0 {
+		t.Fatal("BOOL columns compare as floats in types.Compare and must stay on the row kernel")
+	}
+	// Shapes that must not compile.
+	for _, e := range []Expr{
+		&Binary{Op: OpLt, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},                    // col ⊕ col
+		&Binary{Op: OpAdd, L: &ColRef{Idx: 0}, R: &Const{V: types.Int(1)}},           // arithmetic
+		&Binary{Op: OpLt, L: &ColRef{Idx: 0}, R: &Const{V: types.Float(1.5)}},        // INT column, DECIMAL constant
+		&Binary{Op: OpEq, L: &ColRef{Idx: 3}, R: &Const{V: types.Str("a")}},          // strings
+		&Binary{Op: OpEq, L: &ColRef{Idx: 2}, R: &Const{V: types.Null()}},            // NULL constant
+		&Like{E: &ColRef{Idx: 3}, Pattern: "a%"},                                     // not a comparison
+		&Binary{Op: OpLt, L: &Const{V: types.Int(1)}, R: &Const{V: types.Int(2)}},    // no column
+		&Binary{Op: OpLt, L: &Year{E: &ColRef{Idx: 4}}, R: &Const{V: types.Int(99)}}, // computed operand
+	} {
+		if CompileVecCmp(e, vecs) != nil {
+			t.Fatalf("%s must stay on the row kernels", e)
+		}
 	}
 }

@@ -93,6 +93,7 @@ func (in *instantiator) op(o exec.Op) (exec.Op, error) {
 	switch v := o.(type) {
 	case *exec.Scan:
 		c := *v // table rows and schema are shared, per-run state is local to Start
+		c.Point = in.point(v.Point)
 		return &c, nil
 
 	case *exec.Filter:

@@ -69,6 +69,12 @@ type component struct {
 	distinct map[int]float64 // global col id -> distinct estimate
 	points   []*exec.Point   // injection points inside this subtree
 	tables   []string        // base tables feeding this subtree
+
+	// scan is the base-table scan whose rows reach this component's output
+	// unchanged in shape (nothing but Filters above it), or nil. The operator
+	// that consumes the component hands such a scan its injection point, so
+	// AIP filters prune at the source (exec.Scan.Point).
+	scan *exec.Scan
 }
 
 func (c *component) mappingFor(cols []int) (map[int]int, bool) {
@@ -235,7 +241,7 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 		if rel.Delayed && o.cfg.Delay != nil {
 			delay = o.cfg.Delay
 		}
-		comp.op = &exec.Scan{
+		comp.scan = &exec.Scan{
 			Name:        name,
 			Rows:        rel.Table.Rows,
 			Sch:         rel.Schema,
@@ -243,7 +249,9 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 			Table:       rel.Table.Name,
 			Site:        rel.Site,
 			BytesPerSec: o.cfg.ScanBytesPerSec,
+			Vecs:        rel.Table,
 		}
+		comp.op = comp.scan
 		comp.tables = []string{rel.Table.Name}
 		comp.est = float64(rel.Table.NumRows())
 		for i, c := range rel.Schema.Cols {
@@ -295,6 +303,7 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 		}
 		comp.op = ship
 		comp.points = append(comp.points, pt)
+		comp.scan = nil // the ship point prunes at the remote site
 	}
 	return comp, nil
 }
@@ -430,6 +439,12 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 	j.LPoint.KeyCols = append([]int(nil), lkeys...)
 	j.RPoint = o.newPoint(name+".right", b, r, true, 0)
 	j.RPoint.KeyCols = append([]int(nil), rkeys...)
+	if l.scan != nil {
+		l.scan.Point = j.LPoint
+	}
+	if r.scan != nil {
+		r.scan.Point = j.RPoint
+	}
 	adopt(l, j.LPoint)
 	adopt(r, j.RPoint)
 	merged.points = append(merged.points, l.points...)
@@ -516,6 +531,10 @@ func (o *builder) buildAgg(b *plan.Block, comp *component, prefix string) error 
 
 	agg := exec.NewHashAgg(prefix, comp.op, groupBy, aggs, b.PostAggSchema())
 	agg.Point = pt
+	if comp.scan != nil {
+		comp.scan.Point = pt
+		comp.scan = nil
+	}
 	adopt(comp, pt)
 	comp.points = append(comp.points, pt)
 	comp.op = agg

@@ -598,8 +598,10 @@ func (b *binder) toPostAgg(e expr.Expr, blk *Block, post *types.Schema) (expr.Ex
 			}
 		}
 		return nil, fmt.Errorf("plan: select item column %s is neither grouped nor aggregated", v.Col.QualifiedName())
-	case *expr.Const:
-		return v, nil
+	case *expr.Const, *expr.Param:
+		// A placeholder is a constant leaf: BindParams lowers it to a Const
+		// before the projection above the aggregation runs.
+		return e, nil
 	case *expr.Binary:
 		l, err := b.toPostAgg(v.L, blk, post)
 		if err != nil {

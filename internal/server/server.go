@@ -105,6 +105,11 @@ type Config struct {
 	// Logf, when set, receives connection-level diagnostics. Per-query
 	// errors are wire responses, not log lines.
 	Logf func(format string, args ...any)
+
+	// decodeHook, set only by this package's tests, runs in the read loop
+	// before each request frame is decoded; a test panics in it to stand in
+	// for a decoder bug.
+	decodeHook func(typ byte, payload []byte)
 }
 
 // Server accepts wire-protocol sessions and serves them against one engine.
@@ -316,6 +321,7 @@ func (s *Server) counters() []counterValue {
 	return []counterValue{
 		{"sip_sessions_active", m.SessionsActive.Load()},
 		{"sip_sessions_total", m.SessionsTotal.Load()},
+		{"sip_session_panics_total", m.SessionPanics.Load()},
 		{"sip_queries_started_total", m.QueriesStarted.Load()},
 		{"sip_queries_ok_total", m.QueriesOK.Load()},
 		{"sip_queries_failed_total", m.QueriesFailed.Load()},
@@ -346,6 +352,7 @@ func (s *Server) counters() []counterValue {
 type Metrics struct {
 	SessionsActive  atomic.Int64
 	SessionsTotal   atomic.Int64
+	SessionPanics   atomic.Int64 // read loops that panicked; each cost only its session
 	QueriesStarted  atomic.Int64
 	QueriesOK       atomic.Int64
 	QueriesFailed   atomic.Int64

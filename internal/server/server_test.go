@@ -592,3 +592,71 @@ func httpGet(t *testing.T, url string) string {
 	}
 	return string(body)
 }
+
+// TestReadLoopPanicClosesOnlyItsSession forces a panic inside the read loop
+// (the decode hook stands in for a frame-decoding bug) and checks the
+// containment contract: the panicking session closes, the panic is counted
+// on /metrics and /stats, sessions opened before and after it keep serving,
+// and nothing leaks.
+func TestReadLoopPanicClosesOnlyItsSession(t *testing.T) {
+	base := runtime.NumGoroutine()
+	const poison = "SELECT decode_bug FROM nation"
+	srv, addr := startServer(t, Config{decodeHook: func(typ byte, payload []byte) {
+		if typ == frameQuery && strings.Contains(string(payload), "decode_bug") {
+			panic("injected decode bug")
+		}
+	}})
+	ctx := context.Background()
+	count := func(c *Client) {
+		t.Helper()
+		rows, err := c.Query(ctx, `SELECT count(*) FROM nation`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := drainAll(t, rows); len(got) != 1 || got[0][0].I != 25 {
+			t.Fatalf("count(*) over nation = %v", got)
+		}
+	}
+
+	bystander := dialT(t, addr, DialConfig{Tenant: "bystander"})
+	count(bystander)
+
+	victim := dialT(t, addr, DialConfig{Tenant: "victim"})
+	count(victim)
+	if rows, err := victim.Query(ctx, poison); err == nil {
+		for rows.Next() {
+		}
+		if rows.Err() == nil {
+			t.Fatal("the poisoned query got an answer; want the session closed under it")
+		}
+		rows.Close()
+	}
+	if _, err := victim.Query(ctx, `SELECT count(*) FROM nation`); err == nil {
+		t.Fatal("the panicked session still accepts queries")
+	}
+
+	if n := srv.metrics.SessionPanics.Load(); n != 1 {
+		t.Fatalf("SessionPanics = %d, want 1", n)
+	}
+	count(bystander)
+	count(dialT(t, addr, DialConfig{Tenant: "latecomer"}))
+
+	ts := httptest.NewServer(srv.MetricsHandler())
+	if body := httpGet(t, ts.URL+"/metrics"); !strings.Contains(body, "sip_session_panics_total 1") {
+		t.Errorf("/metrics does not count the panic:\n%s", body)
+	}
+	if body := httpGet(t, ts.URL+"/stats"); !strings.Contains(body, `"sip_session_panics_total": 1`) {
+		t.Errorf("/stats does not count the panic:\n%s", body)
+	}
+	ts.Close()
+	http.DefaultClient.CloseIdleConnections()
+
+	bystander.Close()
+	victim.Close()
+	ctxT, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctxT); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+}

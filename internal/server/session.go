@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime/debug"
 	"sync"
 
 	sip "repro"
@@ -186,9 +187,19 @@ func (sess *session) handshake() bool {
 // a result it never reads the wire, so out-of-band cancellation must not
 // queue behind it. A read error (client disconnect) cancels the in-flight
 // query the same way, so an abandoned query releases its admission slot and
-// memory grant promptly.
+// memory grant promptly. A panic in here (a frame-decoding bug) is contained
+// the same way: counted, logged, the in-flight query cancelled, and the
+// request channel closed, which ends the session and its connection — the
+// process and every other session keep serving.
 func (sess *session) readLoop(reqCh chan<- request) {
 	defer close(reqCh)
+	defer func() {
+		if r := recover(); r != nil {
+			sess.srv.metrics.SessionPanics.Add(1)
+			sess.srv.logf("server: session %s: read loop panicked: %v\n%s", sess.conn.RemoteAddr(), r, debug.Stack())
+			sess.cancelInflight()
+		}
+	}()
 	var scratch []byte
 	for {
 		typ, payload, grown, err := readFrameInto(sess.br, sess.srv.cfg.MaxFrameBytes, scratch)
@@ -203,6 +214,9 @@ func (sess *session) readLoop(reqCh chan<- request) {
 		case frameQuit:
 			return
 		default:
+			if h := sess.srv.cfg.decodeHook; h != nil {
+				h(typ, payload)
+			}
 			select {
 			case reqCh <- decodeRequest(typ, payload):
 			case <-sess.done:

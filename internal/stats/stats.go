@@ -286,24 +286,28 @@ func (r *Registry) PeakFilterWorkingBytes() int64 {
 	return total
 }
 
-// TotalIn sums tuples received across all operators: the engine's total
-// tuple-processing volume, the numerator of benchmark tuples/sec.
+// TotalIn sums tuples received across all operators above the scans: the
+// engine's total tuple-processing volume, the numerator of benchmark
+// tuples/sec. (A scan's In is the rows it read, which TotalScanned reports.)
 func (r *Registry) TotalIn() int64 {
 	var total int64
 	for _, op := range r.Ops() {
-		total += op.In.Load()
+		if op.Class != "scan" {
+			total += op.In.Load()
+		}
 	}
 	return total
 }
 
-// TotalScanned sums tuples emitted by base-table scans: the query's input
-// volume, comparable across plan shapes and with the join microbench's
+// TotalScanned sums tuples read by base-table scans (their In; Out is what
+// survived source-side selection): the query's input volume, comparable
+// across plan shapes and strategies and with the join microbench's
 // input-tuples/sec (unlike TotalIn, which shifts with operator count).
 func (r *Registry) TotalScanned() int64 {
 	var total int64
 	for _, op := range r.Ops() {
 		if op.Class == "scan" {
-			total += op.Out.Load()
+			total += op.In.Load()
 		}
 	}
 	return total

@@ -34,24 +34,22 @@ func NewKeyTable(hint int) *KeyTable {
 	return kt
 }
 
-// Reserve pre-sizes the slot array for about hint distinct keys (an
-// optimizer cardinality estimate, possibly divided across partitions),
-// avoiding most doubling-growth garbage on the insert path. It is a no-op
-// on a table that already holds keys or whose slots already cover the hint;
-// hint <= 0 leaves the lazy defaults.
+// Reserve sizes the slot array for about hint distinct keys (an optimizer
+// cardinality estimate, possibly divided across partitions) in one step,
+// avoiding the doubling-growth rehashes of the insert path; keys already in
+// the table are re-placed once. It is a no-op when the slots already cover
+// the hint; hint <= 0 leaves the lazy defaults.
 func (kt *KeyTable) Reserve(hint int) {
-	if hint <= 0 || len(kt.hashes) > 0 {
+	if hint <= 0 {
 		return
 	}
 	n := 16
 	for n < hint*2 {
 		n <<= 1
 	}
-	if n <= len(kt.slots) {
-		return
+	if n > len(kt.slots) {
+		kt.growTo(n)
 	}
-	kt.slots = make([]int32, n)
-	kt.mask = uint64(n - 1)
 }
 
 // Len returns the number of distinct keys inserted.
@@ -235,13 +233,12 @@ func (kt *KeyTable) insertFrom(i uint64, s int32, h uint64, key []byte) (id int3
 	}
 }
 
-// grow doubles the slot array and re-places every id by its stored hash; key
-// bytes are never touched.
-func (kt *KeyTable) grow() {
-	n := len(kt.slots) * 2
-	if n == 0 {
-		n = 16
-	}
+// grow doubles the slot array.
+func (kt *KeyTable) grow() { kt.growTo(max(16, 2*len(kt.slots))) }
+
+// growTo resizes the slot array to n (a power of two) and re-places every id
+// by its stored hash; key bytes are never touched.
+func (kt *KeyTable) growTo(n int) {
 	slots := make([]int32, n)
 	mask := uint64(n - 1)
 	for id, h := range kt.hashes {

@@ -156,8 +156,9 @@ func TestHasherMatchesAppendKeyCols(t *testing.T) {
 }
 
 // TestKeyTableReserve pins the pre-sizing hint: a reserved table holds the
-// hinted key count without re-growing its slot array, the hint is a no-op
-// on populated tables, and reserved tables answer identically to lazy ones.
+// hinted key count without re-growing its slot array, a hint on a populated
+// table grows it in one step and keeps every key, a hint the slots already
+// cover is a no-op, and reserved tables answer identically to lazy ones.
 func TestKeyTableReserve(t *testing.T) {
 	var kt KeyTable
 	kt.Reserve(1000)
@@ -175,10 +176,14 @@ func TestKeyTableReserve(t *testing.T) {
 	if len(kt.slots) != slots {
 		t.Fatalf("reserved table grew from %d to %d slots", slots, len(kt.slots))
 	}
-	// Reserve on a populated table must not disturb it.
-	kt.Reserve(1 << 20)
-	if len(kt.slots) != slots || kt.Len() != 1000 {
-		t.Fatal("Reserve on a populated table must be a no-op")
+	kt.Reserve(500)
+	if len(kt.slots) != slots {
+		t.Fatal("a hint the slots already cover must be a no-op")
+	}
+	// Reserve on a populated table re-places its keys in the bigger array.
+	kt.Reserve(1 << 12)
+	if len(kt.slots) < 2<<12 || kt.Len() != 1000 {
+		t.Fatalf("Reserve(4096) on a populated table: %d slots, %d keys", len(kt.slots), kt.Len())
 	}
 	for i := 0; i < 1000; i++ {
 		hash, key := h.KeyCols(Tuple{Int(int64(i))}, []int{0})

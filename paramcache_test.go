@@ -105,6 +105,69 @@ func TestAdhocParameterizationFallbacks(t *testing.T) {
 	}
 }
 
+// TestGroupedSelectParameterizes pins `?` as a constant leaf of a grouped
+// select expression: a prepared `sum(x) / ?` (and a `? * avg(x)` inside a
+// correlated subquery, Q17's two shapes) returns what the literal text
+// returns, and ad-hoc Q17 differing only in constants compiles once — the
+// normalized template plans, so every repeat is a plan-cache hit instead of
+// a failed bind of the normalized text followed by a literal-text lookup.
+func TestGroupedSelectParameterizes(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	ctx := context.Background()
+	ref := NewEngineWithConfig(cat, EngineConfig{PlanCacheSize: -1})
+	e := NewEngineWithConfig(cat, EngineConfig{})
+
+	same := func(label string, got, want *Result) {
+		t.Helper()
+		if g, w := canon(got.Rows), canon(want.Rows); strings.Join(g, "\n") != strings.Join(w, "\n") {
+			t.Fatalf("%s: rows %v, want %v", label, g, w)
+		}
+	}
+
+	stmt, err := e.Prepare(ctx, `SELECT l_suppkey, sum(l_extendedprice) / ? FROM lineitem GROUP BY l_suppkey`)
+	if err != nil {
+		t.Fatalf("prepare sum(x) / ?: %v", err)
+	}
+	for _, d := range []float64{7.0, 2.5} {
+		got, err := stmt.Query(ctx, Float(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Query(ctx, fmt.Sprintf(`SELECT l_suppkey, sum(l_extendedprice) / %g FROM lineitem GROUP BY l_suppkey`, d), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("prepared / %g", d), got, want)
+	}
+
+	const q17 = `SELECT sum(l_extendedprice) / %g FROM lineitem, part
+		WHERE p_partkey = l_partkey AND p_brand = '%s' AND p_container = 'MED CAN'
+		AND l_quantity < (SELECT %g * avg(l_quantity) FROM lineitem WHERE l_partkey = p_partkey)`
+	before := e.PlanCacheStats()
+	n := 0
+	for _, strat := range []Strategy{Baseline, FeedForward} {
+		for i, brand := range []string{"Brand#34", "Brand#12", "Brand#23"} {
+			sql := fmt.Sprintf(q17, 7.0+float64(i), brand, 0.2+0.1*float64(i))
+			got, err := e.Query(ctx, sql, Options{Strategy: strat})
+			if err != nil {
+				t.Fatalf("%v %s: %v", strat, brand, err)
+			}
+			want, err := ref.Query(ctx, sql, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(fmt.Sprintf("Q17 %v %s", strat, brand), got, want)
+			n++
+		}
+	}
+	// Baseline and Feed-forward share a plan (the strategy is a runtime
+	// choice), so n ad-hoc Q17 executions are one miss and n-1 hits.
+	cs := e.PlanCacheStats()
+	if cs.Misses-before.Misses != 1 || cs.Hits-before.Hits != int64(n-1) || cs.Entries-before.Entries != 1 {
+		t.Fatalf("%d ad-hoc Q17 should be 1 miss and %d hits on 1 template: %+v after %+v", n, n-1, cs, before)
+	}
+}
+
 // TestSlowQueryLog pins the engine-level slow-query log: queries at or over
 // the threshold are recorded with their source text, most recent first, and
 // fast queries stay out.

@@ -380,14 +380,14 @@ type Result struct {
 	FiltersInjected int64
 	// TuplesPruned counts tuples dropped by injected filters.
 	TuplesPruned int64
-	// TuplesProcessed sums tuples received across all operators: the
-	// engine's total processing volume. It shifts with plan shape (more
+	// TuplesProcessed sums tuples received across all operators above the
+	// scans: the engine's total processing volume. It shifts with plan shape (more
 	// operators, more receipts), so it is not comparable across plans —
 	// use TuplesScanned for a volume comparable across strategies.
 	TuplesProcessed int64
-	// TuplesScanned sums tuples emitted by base-table scans: the query's
-	// input volume, comparable across plan shapes and with the join
-	// microbench's input-tuples/sec.
+	// TuplesScanned sums tuples read by base-table scans (before any
+	// source-side selection): the query's input volume, comparable across
+	// plan shapes and with the join microbench's input-tuples/sec.
 	TuplesScanned int64
 	// NetworkBytes counts simulated network traffic.
 	NetworkBytes int64

@@ -1,0 +1,228 @@
+package sip
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/exec"
+	"repro/internal/types"
+	"repro/internal/workload"
+)
+
+// tableIQueries are the five Table I queries of the benchmark's mix.
+func tableIQueries(t *testing.T, cat *Catalog) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, id := range []string{"Q1A", "Q2A", "Q3A", "Q4A", "Q5A"} {
+		spec, err := workload.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[id] = spec.SQL(cat)
+	}
+	return out
+}
+
+// unvectorized returns a catalog over the same tables with the join-key
+// columns of lineitem and partsupp made unvectorizable — one row's key
+// becomes the equal DECIMAL, so the column mixes kinds, and lineitem also
+// gets a NULL l_partkey — so every scan-side probe on them takes the row
+// fallback. Rows are copied; the source catalog is untouched.
+func unvectorized(t *testing.T, src *Catalog) *Catalog {
+	t.Helper()
+	out := catalog.New()
+	for _, name := range src.Names() {
+		tbl, err := src.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp := &catalog.Table{Name: tbl.Name, Schema: tbl.Schema, Rows: tbl.Rows,
+			PrimaryKey: tbl.PrimaryKey, ForeignKeys: tbl.ForeignKeys, DistinctEst: tbl.DistinctEst}
+		var cols []string
+		switch name {
+		case "lineitem":
+			cols = []string{"l_partkey", "l_suppkey", "l_orderkey"}
+		case "partsupp":
+			cols = []string{"ps_partkey", "ps_suppkey"}
+		}
+		if len(cols) > 0 {
+			cp.Rows = append([]types.Tuple(nil), tbl.Rows...)
+			for i, col := range cols {
+				ci := cp.ColumnIndex(col)
+				row := cp.Rows[i].Clone()
+				row[ci] = types.Float(float64(row[ci].I))
+				cp.Rows[i] = row
+			}
+			if name == "lineitem" {
+				row := cp.Rows[len(cols)].Clone()
+				row[cp.ColumnIndex("l_partkey")] = types.Null()
+				cp.Rows[len(cols)] = row
+			}
+			for _, col := range cols {
+				if v, _ := cp.IntVec(cp.ColumnIndex(col)); v != nil {
+					t.Fatalf("%s.%s still has a vector", name, col)
+				}
+			}
+		}
+		out.Add(cp)
+	}
+	return out
+}
+
+// TestSourceSelectionDifferential is the tentpole's answer-preservation
+// property at the engine level: with scans selecting at the source, Q1A–Q5A
+// under every strategy × scheduler × summary kind × P ∈ {1, 2} return the
+// rows of Baseline at P=1 — over the generated catalog (vector kernels) and
+// over one whose key columns have no vectors (row fallback inside the scan).
+func TestSourceSelectionDifferential(t *testing.T) {
+	src := GenerateTPCH(DataConfig{ScaleFactor: 0.005})
+	ctx := context.Background()
+	for label, cat := range map[string]*Catalog{"vectors": src, "row-fallback": unvectorized(t, src)} {
+		eng := NewEngine(cat)
+		pruned := map[Strategy]int64{}
+		for id, sql := range tableIQueries(t, cat) {
+			base, err := eng.Query(ctx, sql, Options{Strategy: Baseline, Parallelism: 1})
+			if err != nil {
+				t.Fatalf("%s %s baseline: %v", label, id, err)
+			}
+			want := strings.Join(canon(base.Rows), "\n")
+			for _, strat := range AllStrategies() {
+				for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
+					for _, sum := range []SummaryKind{SummaryBloom, SummaryHashSet} {
+						for _, p := range []int{1, 2} {
+							res, err := eng.Query(ctx, sql, Options{Strategy: strat, Scheduler: sched, Summary: sum, Parallelism: p})
+							if err != nil {
+								t.Fatalf("%s %s %v %s %v P=%d: %v", label, id, strat, sched, sum, p, err)
+							}
+							if got := strings.Join(canon(res.Rows), "\n"); got != want {
+								t.Fatalf("%s %s %v %s %v P=%d: rows differ from Baseline/P=1\ngot:\n%s\nwant:\n%s",
+									label, id, strat, sched, sum, p, got, want)
+							}
+							// (Magic rewrites the plan, and with it what is scanned.)
+							if strat != Magic && res.TuplesScanned != base.TuplesScanned {
+								t.Fatalf("%s %s %v %s: scanned %d tuples, Baseline %d — TuplesScanned must count rows read",
+									label, id, strat, sched, res.TuplesScanned, base.TuplesScanned)
+							}
+							pruned[strat] += res.TuplesPruned
+						}
+					}
+				}
+			}
+		}
+		if pruned[Baseline] != 0 || pruned[FeedForward] == 0 || pruned[CostBased] == 0 {
+			t.Fatalf("%s: pruned per strategy %v; want none under Baseline and some under both AIP strategies", label, pruned)
+		}
+	}
+}
+
+// wiredScans walks a plan template and returns, for every scan that probes
+// on behalf of a consumer, the scan's name keyed by its point's name.
+func wiredScans(op exec.Op, out map[string]string) {
+	switch o := op.(type) {
+	case *exec.Scan:
+		if o.Point != nil {
+			out[o.Point.Name] = o.Name
+		}
+	case *exec.Filter:
+		wiredScans(o.Child, out)
+	case *exec.Project:
+		wiredScans(o.Child, out)
+	case *exec.HashJoin:
+		wiredScans(o.Left, out)
+		wiredScans(o.Right, out)
+	case *exec.HashAgg:
+		wiredScans(o.Child, out)
+	case *exec.Distinct:
+		wiredScans(o.Child, out)
+	}
+}
+
+// TestSourceSelectionAccounting runs Q17 under Feed-forward and checks that
+// moving the probe into the scan moved no count: each point a scan feeds
+// has received exactly the rows that scan read (the lineitem scans carry no
+// predicate), its operator saw exactly the rows the scan emitted, pruned
+// covers at least what the scan dropped and never overlaps what was stored,
+// and the query totals are the sums of those. (The exact identity — pruned
+// plus kept equals received — is pinned where kept is observable, in
+// exec's TestScanSideSelectionDifferential.)
+func TestSourceSelectionAccounting(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	eng := NewEngine(cat)
+	sql := tableIQueries(t, cat)["Q2A"]
+	lineitem, err := cat.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
+		opts := Options{Strategy: FeedForward, Scheduler: sched}
+		p, _, err := eng.adhocPlan(sql, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wired := map[string]string{}
+		wiredScans(p.built.Root, wired)
+		rows, err := eng.QueryStream(context.Background(), sql, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rows.Next() {
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatal(err)
+		}
+		res := rows.Result()
+		ops := map[string]int{}
+		for i, op := range res.Stats.Ops() {
+			ops[op.Name] = i
+		}
+		lineitemPoints := 0
+		var prunedSum, droppedSum int64
+		for _, pt := range rows.ectx.Points() {
+			prunedSum += pt.Op.Pruned.Load()
+			scanName, ok := wired[pt.Name]
+			if !ok {
+				continue
+			}
+			scan := res.Stats.Ops()[ops["scan:"+scanName]]
+			label := fmt.Sprintf("%s %s <- scan:%s", sched, pt.Name, scanName)
+			if pt.Op.In.Load() != scan.Out.Load() {
+				t.Fatalf("%s: operator saw %d rows, scan emitted %d", label, pt.Op.In.Load(), scan.Out.Load())
+			}
+			dropped := scan.In.Load() - scan.Out.Load()
+			if pr := pt.Op.Pruned.Load(); pr+pt.StoredRows() > pt.Received() {
+				t.Fatalf("%s: pruned %d + stored %d > received %d — a row was counted twice", label, pr, pt.StoredRows(), pt.Received())
+			}
+			if !strings.HasSuffix(scanName, "lineitem") {
+				continue
+			}
+			lineitemPoints++
+			if scan.In.Load() != lineitem.NumRows() || pt.Received() != lineitem.NumRows() {
+				t.Fatalf("%s: scan read %d, point received %d, table has %d rows", label, scan.In.Load(), pt.Received(), lineitem.NumRows())
+			}
+			if pr := pt.Op.Pruned.Load(); pr < dropped {
+				t.Fatalf("%s: scan dropped %d of %d rows, operator reports %d pruned", label, dropped, scan.In.Load(), pr)
+			}
+			droppedSum += dropped
+		}
+		// Whether a filter lands before a given scan ends is the scheduler's
+		// business (morsel runs the lineitem chunks ahead of part), so only
+		// the chan run is asked to show source-side pruning at all.
+		if sched == SchedulerChan && droppedSum == 0 {
+			t.Fatalf("%s: no lineitem scan dropped a row at the source — test is vacuous", sched)
+		}
+		if lineitemPoints != 2 {
+			t.Fatalf("%s: %d lineitem scans wired to a point, want 2 (join input and aggregation input); wired: %v", sched, lineitemPoints, wired)
+		}
+		if res.TuplesPruned != prunedSum {
+			t.Fatalf("%s: TuplesPruned %d, points' operators sum to %d", sched, res.TuplesPruned, prunedSum)
+		}
+		part, _ := cat.Table("part")
+		if want := 2*lineitem.NumRows() + part.NumRows(); res.TuplesScanned != want {
+			t.Fatalf("%s: TuplesScanned %d, want %d rows read", sched, res.TuplesScanned, want)
+		}
+		rows.Close()
+	}
+}
