@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet test-race chaos bench-smoke bench bench-test microbench joinbench exprbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
+.PHONY: all build test vet test-race chaos bench-smoke bench bench-pairs bench-test microbench joinbench exprbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
 
 all: build
 
@@ -23,6 +23,15 @@ bench-smoke:
 bench:
 	bash bench/run.sh
 
+# bench-pairs: alternating parent/change pairs of one workload — the protocol
+# bench/README.md demands of a gain claim — with each side's median and
+# quartiles and the win count per end-to-end metric; see the script's header.
+#   make bench-pairs WORKLOAD=q17_baseline PAIRS=10 ARGS="--dataseed 777"
+WORKLOAD ?= q17_baseline
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/benchpairs.sh $(WORKLOAD) $(PAIRS) $(ARGS)
+
 # bench-test: the benchmark runner's own smoke test. bench/ is its own
 # module, so the root `go test ./...` cannot see it.
 bench-test:
@@ -36,7 +45,9 @@ microbench:
 # test-race: the executor's concurrency tests (partitioned join/agg
 # determinism, cancellation, the morsel scheduler differentials, the
 # bucket-discard spill differentials, source-side selection: scan-probe
-# differentials, accounting, the 0-alloc chunk path, join reservation), the
+# differentials, accounting, the 0-alloc chunk path, join reservation;
+# routing scans: routed-vs-router differentials, the entry layout, the
+# 0-alloc routing kernel, spill over row-id entries, start order), the
 # catalog's column-vector cache, the spill run-file frame codec, the
 # work-stealing pool's park/steal races, the scalar-vs-vectorized
 # expression differential tests, the network fault/breaker tests, the

@@ -7,6 +7,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,12 +26,13 @@ type ForeignKey struct {
 //
 // Rows is the row store and the only authoritative copy of the data. The
 // numeric columns additionally have a typed-vector sidecar (IntVec,
-// FloatVec) that base-table scans select over: each vector is built from
-// Rows on its first use, cached on the Table, and dies with it — replacing
-// a table through Catalog.Add therefore serves fresh vectors, and a dropped
+// FloatVec) that base-table scans select over, and the table a row-size
+// sidecar (RowBytes) for operators that buffer row ids. Each sidecar is built
+// from Rows on its first use, cached on the Table, and dies with it — replacing
+// a table through Catalog.Add therefore serves fresh sidecars, and a dropped
 // catalog pins nothing. Rows must be complete before the first query and
 // must not be mutated in place afterwards (that was already unsupported:
-// compiled plans snapshot the slice); a vector built earlier would go stale.
+// compiled plans snapshot the slice); a sidecar built earlier would go stale.
 // A Table must not be copied by value once used.
 type Table struct {
 	Name        string
@@ -45,6 +47,10 @@ type Table struct {
 
 	vecMu sync.Mutex
 	vecs  map[int]*colVec
+
+	sizeOnce sync.Once
+	rowFixed int32
+	rowSizes []int32
 }
 
 // colVec is one column's lazily built typed vector; at most one of ints and
@@ -114,6 +120,26 @@ func (t *Table) IntVec(col int) ([]int64, types.Kind) {
 
 // FloatVec is IntVec for an all-DECIMAL column.
 func (t *Table) FloatVec(col int) []float64 { return t.vec(col).floats }
+
+// RowBytes reports Tuple.MemSize of every row without reading it: fixed > 0
+// when all rows share that size — a schema constant, for a schema with no
+// string column (a value's size varies with its string payload only, and a
+// non-string column is taken to hold none) — else sizes[i] is row i's, built
+// by one pass over Rows on first use. The slice is shared and read-only.
+func (t *Table) RowBytes() (fixed int32, sizes []int32) {
+	t.sizeOnce.Do(func() {
+		isStr := func(c types.Column) bool { return c.Kind == types.KindString }
+		if t.Schema != nil && !slices.ContainsFunc(t.Schema.Cols, isStr) {
+			t.rowFixed = int32(make(types.Tuple, len(t.Schema.Cols)).MemSize())
+			return
+		}
+		t.rowSizes = make([]int32, len(t.Rows))
+		for i, r := range t.Rows {
+			t.rowSizes[i] = int32(r.MemSize())
+		}
+	})
+	return t.rowFixed, t.rowSizes
+}
 
 // NumRows returns the table cardinality.
 func (t *Table) NumRows() int64 { return int64(len(t.Rows)) }

@@ -134,6 +134,20 @@ func (a *accAllocator) alloc() []aggAcc {
 	return out
 }
 
+// colRefs returns the input columns a group-by list names when every
+// expression is a plain column reference, else nil.
+func colRefs(es []expr.Expr) []int {
+	cols := make([]int, 0, len(es))
+	for _, e := range es {
+		cr, ok := e.(*expr.ColRef)
+		if !ok {
+			return nil
+		}
+		cols = append(cols, cr.Idx)
+	}
+	return cols
+}
+
 // aggPart is one radix partition of the aggregation state, owned by its
 // worker goroutine. The embedded aggCore carries the group table and the
 // bucket-discard spill state shared with the morsel engine.
@@ -149,10 +163,6 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 	if h.Point != nil {
 		h.Point.Op = op
 	}
-	// The input starts only now: a scan probing on the point's behalf
-	// accounts its pruning through Point.Op.
-	in := h.Child.Start(ctx)
-
 	P := ctx.partitions()
 	P = clampPartitions(P, pointEstRows(h.Point))
 	ctx.addMemParts(P)
@@ -179,12 +189,12 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 	// (partial state must not be presented as a completed input's summary).
 	routerDone := make(chan struct{})
 	routed := false
-	ctx.Spawn(func() {
+	router := func(in <-chan Batch) {
 		defer close(routerDone)
 		var (
 			keyHasher types.Hasher
 			sc        ProbeScratch // batch AIP probing over the input columns
-			pr        = newPartitionRouter(0, P, partIns)
+			pr        = newInputRoute(0, P, partIns)
 			keep      []int32         // lanes surviving the AIP filters
 			gcols2    [][]types.Value // per group-by expr: lane-indexed column
 		)
@@ -207,6 +217,9 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 				pruned = nIn - int64(len(keep))
 			} else {
 				keep = append(keep, sel...)
+				if h.Point != nil && ctx.Ctl != nil {
+					op.PreFilter.Add(nIn)
+				}
 			}
 			// One vectorized pass per group-by expression over the
 			// survivors, then assemble the per-lane key from the columns.
@@ -227,18 +240,47 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 				h.Point.received.Add(nIn)
 			}
 			PutBatch(b)
-			if !pr.flush(ctx, nil, nil) {
+			if !pr.flush(ctx, 0) {
 				return
 			}
 		}
 		// A closed input channel under cancellation means the stream was
 		// truncated upstream, not that the input completed.
-		select {
-		case <-ctx.Cancelled():
-		default:
-			routed = true
+		routed = ctx.Err() == nil
+	}
+
+	// The input starts only now: a scan probing on the point's behalf
+	// accounts its pruning through Point.Op. When every group-by expression
+	// is a plain integer-vector-backed column the scan below routes for the
+	// operator (a group key of column refs encodes like the columns
+	// themselves), and plain vector-backed aggregate arguments are folded
+	// from the vectors by row id; vecArgs stays nil on the router path.
+	var vecArgs []func(rid int32) types.Value // per aggregate; nil: evaluate over the row
+	keyCols := colRefs(h.GroupBy)
+	if sc, pred := routingScan(h.Child, h.Point, keyCols); sc != nil {
+		vecArgs = make([]func(int32) types.Value, len(h.Aggs))
+		for k, a := range h.Aggs {
+			cr, ok := a.Arg.(*expr.ColRef)
+			if !ok {
+				continue
+			}
+			if f := sc.Vecs.FloatVec(cr.Idx); f != nil {
+				vecArgs[k] = func(r int32) types.Value { return types.Float(f[r]) }
+			} else if iv, kind := sc.Vecs.IntVec(cr.Idx); iv != nil {
+				vecArgs[k] = func(r int32) types.Value { return types.Value{K: kind, I: iv[r]} }
+			}
 		}
-	})
+		rt := newInputRoute(0, P, partIns)
+		rt.keys, rt.point, rt.op = keyCols, h.Point, op
+		rt.done = func(complete bool) {
+			routed = complete
+			close(routerDone)
+		}
+		sc.start(ctx, pred, rt)
+	} else {
+		in := h.Child.Start(ctx)
+		ctx.Spawn(func() { router(in) })
+	}
 
 	// Workers: fold scattered tuples into the owned partition state. The
 	// aggregate arguments are evaluated batch-at-a-time into lane-indexed
@@ -264,11 +306,17 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 			for sb := range pt.in {
 				var newGroups, newBytes int64
 				preBytes := pt.memBytes()
-				n := len(sb.tuples)
+				n := sb.len()
 				ident := identSel(n)
 				for k, c := range argC {
-					if c == nil {
+					if c == nil || sb.src != nil && vecArgs[k] != nil {
 						continue
+					}
+					if sb.src != nil && len(sb.tuples) == 0 {
+						// An argument no vector backs: resolve the headers.
+						for _, r := range sb.rids {
+							sb.tuples = append(sb.tuples, sb.src.rows[r])
+						}
 					}
 					argCols[k] = growVals(argCols[k], n)
 					c.EvalBatch(sb.tuples, ident, argCols[k])
@@ -278,12 +326,13 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 					added = make([]bool, n)
 				}
 				pt.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, added[:n])
-				for i, t := range sb.tuples {
+				for i := 0; i < n; i++ {
 					id := ids[i]
 					if added[i] {
 						// Re-evaluate the group key to store it: cheaper
 						// than shipping evaluated keys through the scatter,
 						// since it runs once per group, not once per tuple.
+						t := sb.tuple(i)
 						for k, g := range h.GroupBy {
 							gvals[k] = g.Eval(t)
 						}
@@ -297,7 +346,9 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 					gs := &pt.groups[id]
 					for k := range h.Aggs {
 						var v types.Value
-						if argC[k] != nil {
+						if sb.src != nil && vecArgs[k] != nil {
+							v = vecArgs[k](sb.rids[i])
+						} else if argC[k] != nil {
 							v = argCols[k][i]
 						}
 						gs.accs[k].add(h.Aggs[k].Func, v)
@@ -495,32 +546,17 @@ func (d *Distinct) Start(ctx *Context) <-chan Batch {
 	routed := false
 	ctx.Spawn(func() {
 		defer close(routerDone)
-		var (
-			sc   ProbeScratch // batch key hashing + AIP probing, hash-once
-			keep = getSel()   // surviving selection when filters are attached
-			pr   = newPartitionRouter(0, P, partIns)
-		)
+		var sc ProbeScratch // batch key hashing + AIP probing, hash-once
+		keep := getSel()    // surviving selection when filters are attached
+		rt := newInputRoute(0, P, partIns)
+		rt.keys, rt.point, rt.op = allCols, d.Point, op
 		defer func() { putSel(keep) }()
 		for b := range in {
 			sel := b.Live()
-			nIn := int64(len(sel))
-			kept := sel
-			if d.Point != nil && d.Point.Bank.Len() > 0 {
-				kept = d.Point.Bank.ProbeBatch(b.Tuples, allCols, sel, keep[:0], &sc)
-				keep = kept
-			} else {
-				sc.compute(b.Tuples, allCols, sel)
-			}
-			for _, l := range kept {
-				pr.route(b.Tuples[l], sc.hashes[l], sc.key(l))
-			}
-			op.In.Add(nIn)
-			op.Pruned.Add(nIn - int64(len(kept)))
-			if d.Point != nil {
-				d.Point.received.Add(nIn)
-			}
+			rt.lanes(ctx, &sc, b.Tuples, sel, keep[:0], -1)
+			op.In.Add(int64(len(sel)))
 			PutBatch(b)
-			if !pr.flush(ctx, nil, nil) {
+			if !rt.flush(ctx, 0) {
 				return
 			}
 		}

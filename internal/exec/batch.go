@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -143,17 +144,28 @@ func growI32(v []int32, n int) []int32 {
 	return make([]int32, n)
 }
 
-// scatter is a pooled buffer carrying the tuples of one input batch that
-// route to one partition of a partitioned operator, together with their
-// hash-once keys so the receiving worker never re-encodes or re-hashes.
+// rowSource is a base table addressed by row id, with TableVectors.RowBytes
+// alongside so that charging a buffered row never touches it.
+type rowSource struct {
+	rows  []types.Tuple
+	fixed int64   // Tuple.MemSize of every row, when > 0
+	sizes []int32 // Tuple.MemSize per row otherwise
+}
+
+// scatter is a pooled buffer carrying the tuples of one input batch (or scan
+// chunk) that route to one partition of a partitioned operator, together
+// with their hash-once keys so the receiving worker never re-encodes or
+// re-hashes: headers from a router, row ids into src from a routing scan.
 // Like batches, a scatter has exactly one owner: the router owns it until
 // the channel send, the partition worker owns it after receive and recycles
 // it with putScatter.
 type scatter struct {
 	side   int           // producing input (join: 0 = left, 1 = right)
-	tuples []types.Tuple // routed tuples, in arrival order
+	tuples []types.Tuple // routed tuples, in arrival order; empty when rids carries them
+	src    *rowSource    // with rids: the table they index
+	rids   []int32       // routed rows of src, in arrival order
 	hashes []uint64      // per tuple: Hash64 of its canonical key
-	offs   []int32       // offs[i]:offs[i+1] bound key i in keys; len = len(tuples)+1
+	offs   []int32       // offs[i]:offs[i+1] bound key i in keys; len = len(hashes)+1
 	keys   []byte        // concatenated canonical key encodings
 }
 
@@ -175,6 +187,7 @@ func putScatter(s *scatter) {
 		s.tuples[i] = nil
 	}
 	s.tuples = s.tuples[:0]
+	s.src, s.rids = nil, s.rids[:0]
 	s.hashes = s.hashes[:0]
 	s.offs = s.offs[:1]
 	s.keys = s.keys[:0]
@@ -185,62 +198,159 @@ func putScatter(s *scatter) {
 // (copied, so the caller's hasher scratch can be reused immediately).
 func (s *scatter) add(t types.Tuple, h uint64, key []byte) {
 	s.tuples = append(s.tuples, t)
+	s.addKey(h, key)
+}
+
+// addRef is add for row rid of src.
+func (s *scatter) addRef(rid int32, h uint64, key []byte) {
+	s.rids = append(s.rids, rid)
+	s.addKey(h, key)
+}
+
+func (s *scatter) addKey(h uint64, key []byte) {
 	s.hashes = append(s.hashes, h)
 	s.keys = append(s.keys, key...)
 	s.offs = append(s.offs, int32(len(s.keys)))
 }
 
+func (s *scatter) len() int { return len(s.hashes) }
+
+// tuple resolves routed tuple i.
+func (s *scatter) tuple(i int) types.Tuple {
+	if s.src != nil {
+		return s.src.rows[s.rids[i]]
+	}
+	return s.tuples[i]
+}
+
+// memSize returns Σ Tuple.MemSize over the routed tuples.
+func (s *scatter) memSize() (n int64) {
+	if s.src != nil && s.src.fixed > 0 {
+		return int64(len(s.rids)) * s.src.fixed
+	}
+	for _, t := range s.tuples {
+		n += int64(t.MemSize())
+	}
+	for _, r := range s.rids {
+		n += int64(s.src.sizes[r])
+	}
+	return n
+}
+
 // key returns the canonical key bytes of tuple i.
 func (s *scatter) key(i int) []byte { return s.keys[s.offs[i]:s.offs[i+1]] }
 
-// partitionRouter is the scatter side of a partitioned operator: it buffers
-// hashed tuples per partition and flushes the buffers to the partition
-// workers once per input batch. One router per producer goroutine.
-type partitionRouter struct {
+// inputRoute is the lock-free phase of one input of a partitioned operator —
+// AIP probe, hash-once key encoding, scatter to the partition workers — and
+// where it reports. One per producer goroutine: a router drives it per input
+// batch, a routing scan (routingScan) per chunk, from the column vectors.
+type inputRoute struct {
+	keys  []int          // the input's key columns
+	point *Point         // may be nil
+	op    *stats.OpStats // the input's stats block
+	store bool           // routed tuples feed point.OnStore (the join's working AIP set)
+
 	side  int
 	shift uint
+	src   *rowSource // set by a routing scan: the table its row ids index
 	outs  []chan *scatter
-	bufs  []*scatter
+	bufs  []*scatter // per partition: the hashed tuples not yet delivered
+
+	// beforeSend/onCancel (either may be nil) bracket each delivery attempt:
+	// the join counts in-flight messages there.
+	beforeSend, onCancel func()
+	// done is called once when routing ends; complete is false when the
+	// query was cancelled before the input was consumed in full.
+	done func(complete bool)
 }
 
-func newPartitionRouter(side, parallelism int, outs []chan *scatter) partitionRouter {
-	return partitionRouter{side: side, shift: partShift(parallelism), outs: outs, bufs: make([]*scatter, len(outs))}
+func newInputRoute(side, parallelism int, outs []chan *scatter) *inputRoute {
+	return &inputRoute{side: side, shift: partShift(parallelism), outs: outs, bufs: make([]*scatter, len(outs))}
 }
 
-// route buffers one tuple for the partition selected by the top bits of its
-// key hash, so equal keys always land in the same partition.
-func (r *partitionRouter) route(t types.Tuple, h uint64, key []byte) {
+// buf returns the buffer of the partition the top bits of key hash h select,
+// so equal keys always land in the same partition.
+func (r *inputRoute) buf(h uint64) *scatter {
 	p := int(h >> r.shift)
 	if r.bufs[p] == nil {
 		r.bufs[p] = getScatter(r.side)
+		r.bufs[p].src = r.src
 	}
-	r.bufs[p].add(t, h, key)
+	return r.bufs[p]
 }
 
-// flush delivers the buffered scatters to their partition workers.
-// beforeSend/onCancel (either may be nil) bracket each delivery attempt:
-// the join counts in-flight messages there. flush reports false when the
+// route buffers one tuple for its key's partition.
+func (r *inputRoute) route(t types.Tuple, h uint64, key []byte) { r.buf(h).add(t, h, key) }
+
+// flush delivers the buffered scatters of at least min tuples (a routing scan
+// carries smaller ones over to its next chunk). It reports false when the
 // query was cancelled mid-delivery; the undelivered buffer is recycled.
-func (r *partitionRouter) flush(ctx *Context, beforeSend, onCancel func()) bool {
+func (r *inputRoute) flush(ctx *Context, min int) bool {
 	for p, sb := range r.bufs {
-		if sb == nil {
+		if sb == nil || sb.len() < min {
 			continue
 		}
 		r.bufs[p] = nil
-		if beforeSend != nil {
-			beforeSend()
+		if r.beforeSend != nil {
+			r.beforeSend()
 		}
 		select {
 		case r.outs[p] <- sb:
 		case <-ctx.Cancelled():
-			if onCancel != nil {
-				onCancel()
+			if r.onCancel != nil {
+				r.onCancel()
 			}
 			putScatter(sb)
 			return false
 		}
 	}
 	return true
+}
+
+// lanes runs the live lanes of one batch through the phase and returns those
+// it routed (out is scratch of capacity len(live)). A routing scan passes
+// rid0 ≥ 0 — tuples are rows [rid0, rid0+len) of src — and has set
+// sc.keyVecs: filters hash their own columns from the vectors, the survivors'
+// keys come from vecKeys, row ids are scattered instead of headers, and no
+// row is read unless OnStore wants it.
+func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple, live, out []int32, rid0 int32) []int32 {
+	pt, kept, keys, scan := rt.point, live, rt.keys, rid0 >= 0
+	if scan {
+		keys = nil // filters hash their own columns; vecKeys encodes the survivors
+	}
+	if pt != nil && pt.Bank.Len() > 0 {
+		kept = pt.Bank.ProbeBatch(tuples, keys, live, out, sc)
+		rt.op.Pruned.Add(int64(len(live) - len(kept)))
+	} else {
+		if !scan {
+			sc.compute(tuples, keys, live)
+		}
+		if pt != nil && ctx.Ctl != nil { // rows a filter would arrive too late for
+			rt.op.PreFilter.Add(int64(len(live)))
+		}
+	}
+	if scan {
+		sc.vecKeys(len(tuples), kept)
+	}
+	if pt != nil {
+		pt.received.Add(int64(len(live)))
+	}
+	// The working AIP set covers every tuple that passed the filters, whether
+	// or not a worker buffers it (Feed-Forward publishes it as a complete
+	// summary of the input). The route's driver is the point's only OnStore
+	// caller, so it owns working-set slot 0.
+	store := rt.store && pt != nil && pt.OnStore != nil
+	for _, l := range kept {
+		if scan {
+			rt.buf(sc.hashes[l]).addRef(rid0+l, sc.hashes[l], sc.key(l))
+		} else {
+			rt.route(tuples[l], sc.hashes[l], sc.key(l))
+		}
+		if store {
+			pt.OnStore(0, tuples[l])
+		}
+	}
+	return kept
 }
 
 // rowArena allocates output tuples in batch-sized blocks: one []types.Value

@@ -17,21 +17,44 @@
 //   - Selection starts at the source. An unpaced, undelayed base-table Scan
 //     works in chunks of scanChunkRows (1024) table rows: it evaluates the
 //     predicate of the Filter directly above it — column ⊕ constant
-//     conjuncts as typed kernels over the table's contiguous column vectors
+//     conjuncts as typed kernels over the table's column vectors
 //     (expr.VecCmp over catalog.Table.IntVec/FloatVec), the rest through
 //     the row kernels — then probes the FilterBank of the operator input it
 //     feeds (Scan.Point, wired by the optimizer when nothing but Filters
-//     sits in between), hashing integer keys straight from the key vector,
-//     and emits only the survivors, compacted into dense batches. A chunk
-//     with no survivor sends nothing. The bank is read once per chunk, so a
-//     filter published mid-scan applies from the next chunk on; survivors
-//     are probed again by the consumer against whatever is attached by then
-//     (idempotent). Columns without a vector (NULLs, mixed kinds, strings,
-//     multi-column keys) take the row kernels inside the same chunk loop.
-//     Paced, delayed and fault-injected scans select nothing: they emit
-//     every row in BatchSize flushes (Scan.runSequential), because their
-//     flush sequence is the source model. Nor does a remote scan: the Ship
-//     above it prunes at the remote site and charges the link per batch.
+//     sits in between), hashing integer keys straight from the key vector.
+//     The bank is read once per chunk, so a filter published mid-scan
+//     applies from the next chunk on. Paced, delayed and fault-injected
+//     scans select nothing (their flush sequence is the source model,
+//     Scan.runSequential), nor does a remote scan (the Ship above it prunes
+//     at the remote site and charges the link per batch).
+//   - Who routes: when the keys of the input such a scan feeds — join key
+//     columns, group-by column refs — all have an IntVec, the scan is the
+//     input's router (routingScan): it drives the inputRoute a router
+//     goroutine drives per batch, per chunk and from the vectors, and
+//     scatters (row id, key hash, key bytes) straight to the partition
+//     workers, at most one message per partition per chunk. Any other input
+//     — a DECIMAL or NULL-holding key, a computed group key, an operator
+//     below — gets dense batches of copied row headers and a router, as ever.
+//   - Who resolves a tuple, and when: a join entry is 16 pointer-free bytes
+//     {ticket, next, ref}, ref indexing the scanned table's rows for a
+//     scan-routed side and the join table's own header store otherwise; its
+//     bytes are charged from TableVectors.RowBytes, so accounted state stays
+//     Σ Tuple.MemSize. HashAgg folds plain-column arguments from the vectors
+//     by row id. A header is resolved only for an emitted match (then the
+//     residual), a new group's key, OnStore, a spill write, the state
+//     iterator, or an argument no vector backs.
+//   - Start order (startorder.go): under an AIP controller a wired scan
+//     holds its first chunk until every input fed only by sources at least
+//     startOrderRatio (8) times smaller is Done and the controller has
+//     attached what it built from it. A filter pays in proportion to how
+//     early it arrives (§VI), and a scan that routes from vectors outruns
+//     its small siblings otherwise: on Q17 5–11 k lineitem rows slipped past
+//     part's filter, on Q1A a quarter of partsupp. It cannot deadlock: a
+//     scan waits only for inputs fed by strictly smaller sources, which
+//     complete on the progress of the scans below them alone (those wait
+//     only for still smaller ones): routers and workers consume what arrives
+//     without waiting for a sibling input, and a scan that ends early (an
+//     abandoned source) still completes its input.
 //   - Above the scan, predicates and projections are evaluated
 //     batch-at-a-time through the compiled kernels of internal/expr
 //     (expr.Compile): Filter narrows a batch's selection vector in place
@@ -44,11 +67,13 @@
 //     it emitted (Result.TuplesScanned sums In). For a scan probing on a
 //     point's behalf, each row it prunes is added once to the consumer's
 //     Pruned (Point.Op) and once to the point's received count; each row it
-//     emits is counted by the consumer on arrival, as ever — In, received,
-//     and Pruned if a later filter drops it there. So received is still
-//     every row that reached the input before probing, Pruned every row a
-//     filter dropped, each exactly once. Consumers set Point.Op before they
-//     start their inputs.
+//     emits is counted by the consumer on arrival — In, received, and
+//     Pruned if a later filter drops it there (a routing scan is the
+//     arrival: the consumer's In is the scan's Out). So received is every
+//     row that reached the input before probing, Pruned every row a filter
+//     dropped, each exactly once; PreFilter, under a controller, the rows
+//     that arrived while no filter was attached. Consumers set Point.Op
+//     before they start their inputs.
 //   - Every tuple key is canonically encoded and hashed exactly once per
 //     (tuple, column set) via types.Hasher. The resulting 64-bit hash
 //     drives the join/aggregation/distinct tables (types.KeyTable, open
@@ -68,9 +93,10 @@
 //
 // The stateful operators (HashJoin, HashAgg, Distinct) are radix
 // partitioned so a single operator saturates all cores, not one core per
-// input. A router goroutine per input performs the lock-free phase —
-// AIP-filter probe and hash-once key encoding — and routes each surviving
-// tuple to one of P partitions by the top bits of its 64-bit key hash
+// input. A router goroutine per input (or the scan feeding it, see above)
+// performs the lock-free phase — AIP-filter probe and hash-once key
+// encoding — and routes each surviving tuple to one of P partitions by the
+// top bits of its 64-bit key hash
 // (P = Context.Parallelism rounded down to a power of two). Tuples with
 // equal keys therefore always land in the same partition, so partitions
 // are independent sub-problems.
@@ -380,6 +406,7 @@ func (c *Context) Register(p *Point) {
 	c.mu.Lock()
 	p.ID = c.nextID
 	c.nextID++
+	p.published = make(chan struct{})
 	c.points = append(c.points, p)
 	c.mu.Unlock()
 	if c.Ctl != nil {
@@ -396,10 +423,14 @@ func (c *Context) Points() []*Point {
 	return out
 }
 
-// pointDone notifies the controller.
+// pointDone notifies the controller, then whoever awaits the point. Each
+// operator calls it once per completed input.
 func (c *Context) pointDone(p *Point) {
 	if c.Ctl != nil {
 		c.Ctl.PointDone(p)
+	}
+	if p.published != nil { // nil: never registered (a hand-built test plan)
+		close(p.published)
 	}
 }
 

@@ -140,7 +140,7 @@ func runInlineJoin(ctx *Context, proj *Project, above []*Filter, j *HashJoin) ([
 	}
 
 	var jt joinTable
-	jt.reserve(len(build))
+	jt.reserve(len(build), 0)
 	var buf []byte
 	var storedBytes int64
 	for i, t := range build {

@@ -60,12 +60,13 @@ func NewHashJoin(name string, left, right Op, lkeys, rkeys []int, residual expr.
 // Schema returns the concatenated output schema.
 func (j *HashJoin) Schema() *types.Schema { return j.sch }
 
-// joinEntry is one stored tuple with its insertion ticket, chained to the
-// next-older tuple of the same key.
+// joinEntry is one stored tuple — its insertion ticket and where its header
+// lives — chained to the next-older tuple of the same key. Pointer-free: the
+// collector never scans a table's entries.
 type joinEntry struct {
-	t    types.Tuple
 	seq  uint64
 	next int32 // 1-based index of the next entry in the chain, 0 = end
+	ref  int32 // index of the tuple in joinTable.rows
 }
 
 // joinTable is the open-addressing hash table of one join side within one
@@ -73,12 +74,19 @@ type joinEntry struct {
 // starts the per-key chain through entries. Inserting a tuple costs no
 // allocation beyond amortized slice growth — in particular no string key
 // and no per-key bucket slice.
+//
+// An entry names its tuple by an index into rows: the scanned table's rows
+// (index = row id) for a side fed by a routing scan, else the table's own
+// append-only store of the arriving headers.
 type joinTable struct {
 	idx      types.KeyTable
 	heads    []int32 // per key id: 1-based index of the newest entry
 	entries  []joinEntry
-	tupBytes int64 // Σ MemSize of stored tuples, for state accounting
-	hint     int   // expected stored tuples; see reserve
+	rows     []types.Tuple // what joinEntry.ref indexes
+	own      bool          // rows is this table's own store (accounted, grown in room)
+	tupBytes int64         // Σ MemSize of stored tuples, for state accounting
+	hint     int           // expected stored tuples; see reserve
+	keyHint  int           // expected distinct keys, ≤ hint
 }
 
 // joinFloorRows is the capacity a hinted join table starts with. Under AIP
@@ -86,24 +94,40 @@ type joinTable struct {
 // is only worth allocating (and zeroing, and collecting) once arrivals show
 // the input is not one of those. The floor has to cover what the pipeline
 // delivers before the first filter can exist — on Q17 1–4 k lineitem rows
-// reach the join before part completes; at 256 rows half the partitions
-// jumped to the hint — and 4096 entries is still only ~200 KB a table.
+// reached the join before part completed, while scans started in plan order
+// (startorder.go); at 256 rows half the partitions jumped to the hint — and
+// 4096 entries is still only ~200 KB a table.
 const joinFloorRows = 4096
 
 // reserve records the expected number of stored tuples (the optimizer's
-// cardinality estimate divided by the partition count) without allocating:
-// the table starts at joinFloorRows and the first insert that outgrows the
-// floor grows it straight to the hint (see room), which avoids the
-// doubling-growth rehashes of a big input as well as a big reservation for
-// rows that never arrive.
-func (jt *joinTable) reserve(n int) {
+// cardinality estimate divided by the partition count) and of distinct keys
+// among them (0: unknown, one per tuple) without allocating: the table starts
+// at joinFloorRows and the first insert that outgrows the floor grows it
+// straight to the hint (see room), which avoids the doubling-growth rehashes
+// of a big input as well as a big reservation for rows that never arrive.
+func (jt *joinTable) reserve(n, keys int) {
 	const maxHint = 1 << 20 // cap mis-estimates: 1M entries ≈ 40MB
 	jt.hint = min(n, maxHint)
+	jt.keyHint = jt.hint
+	if keys > 0 {
+		jt.keyHint = min(keys, jt.hint)
+	}
+}
+
+// joinKeyHint estimates the distinct keys one of P partitions of the input
+// holds from the domain estimate of a single key column (+25% for radix
+// imbalance); 0 when unknown.
+func joinKeyHint(pt *Point, keys []int, P int) int {
+	if len(keys) != 1 || keys[0] >= len(pt.DomainDistinct) || pt.DomainDistinct[keys[0]] <= 0 {
+		return 0
+	}
+	return int(pt.DomainDistinct[keys[0]]*1.25)/P + 1
 }
 
 // room is called before n entries are inserted: the first insert allocates
-// the floor (or a smaller hint), the first to outgrow the floor the hint.
-// Past the hint, and without one (no estimate, or a table reset by a spill
+// the floor (or a smaller hint), the first to outgrow the floor the hint —
+// the key index and heads by the distinct-key hint (Q17's lineitem side has
+// 30 rows per key). Past the hint, and without one (or after a spill
 // eviction), the slices and the key index grow by amortized doubling on
 // their own.
 func (jt *joinTable) room(n int) {
@@ -114,19 +138,30 @@ func (jt *joinTable) room(n int) {
 	if c <= cap(jt.entries) {
 		return
 	}
-	jt.idx.Reserve(c)
-	jt.heads = append(make([]int32, 0, c), jt.heads...)
+	k := min(c, jt.keyHint)
+	jt.idx.Reserve(k)
+	jt.heads = append(make([]int32, 0, k), jt.heads...)
 	jt.entries = append(make([]joinEntry, 0, c), jt.entries...)
+	if jt.own {
+		jt.rows = append(make([]types.Tuple, 0, c), jt.rows...)
+	}
 }
 
-func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
-	jt.room(1)
-	id, added := jt.idx.Insert(h, key)
+// link chains a new entry for key id with ticket seq and tuple index ref.
+func (jt *joinTable) link(id int32, added bool, seq uint64, ref int32) {
 	if added {
 		jt.heads = append(jt.heads, 0)
 	}
-	jt.entries = append(jt.entries, joinEntry{t: t, seq: seq, next: jt.heads[id]})
+	jt.entries = append(jt.entries, joinEntry{seq: seq, next: jt.heads[id], ref: ref})
 	jt.heads[id] = int32(len(jt.entries))
+}
+
+func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
+	jt.own = true
+	jt.room(1)
+	id, added := jt.idx.Insert(h, key)
+	jt.link(id, added, seq, int32(len(jt.rows)))
+	jt.rows = append(jt.rows, t)
 	jt.tupBytes += int64(t.MemSize())
 }
 
@@ -134,20 +169,28 @@ func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
 // baseSeq+1, resolving the key ids through the KeyTable's prefetching batch
 // kernel. ids/added are caller scratch of the scatter's length. Lanes are
 // chained in lane order, which matches the id order InsertBatch assigns, so
-// heads grows in lockstep with the dense id space.
+// heads grows in lockstep with the dense id space. Row ids are stored as
+// they come; tuple headers go to the table's own store.
 func (jt *joinTable) insertBatch(sb *scatter, baseSeq uint64, ids []int32, added []bool) {
-	jt.room(len(sb.tuples))
+	jt.own = sb.src == nil
+	jt.room(sb.len())
 	jt.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, added)
-	for i, t := range sb.tuples {
-		id := ids[i]
-		if added[i] {
-			jt.heads = append(jt.heads, 0)
+	if jt.own {
+		for i, t := range sb.tuples {
+			jt.link(ids[i], added[i], baseSeq+uint64(i)+1, int32(len(jt.rows)))
+			jt.rows = append(jt.rows, t)
 		}
-		jt.entries = append(jt.entries, joinEntry{t: t, seq: baseSeq + uint64(i) + 1, next: jt.heads[id]})
-		jt.heads[id] = int32(len(jt.entries))
-		jt.tupBytes += int64(t.MemSize())
+	} else {
+		jt.rows = sb.src.rows
+		for i, r := range sb.rids {
+			jt.link(ids[i], added[i], baseSeq+uint64(i)+1, r)
+		}
 	}
+	jt.tupBytes += sb.memSize()
 }
+
+// tuple returns the i-th stored tuple, in insertion order.
+func (jt *joinTable) tuple(i int) types.Tuple { return jt.rows[jt.entries[i].ref] }
 
 // probe appends to dst every stored tuple matching (h, key) whose ticket is
 // smaller than maxSeq, and returns dst.
@@ -163,7 +206,7 @@ func (jt *joinTable) probeID(id int32, maxSeq uint64, dst []types.Tuple) []types
 	for e := jt.heads[id]; e != 0; {
 		ent := &jt.entries[e-1]
 		if ent.seq < maxSeq {
-			dst = append(dst, ent.t)
+			dst = append(dst, jt.rows[ent.ref])
 		}
 		e = ent.next
 	}
@@ -224,11 +267,6 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			in.point.Op = in.op
 		}
 	}
-	// Inputs start only now: a scan that probes on a point's behalf accounts
-	// its pruning through Point.Op.
-	lin := j.Left.Start(ctx)
-	rin := j.Right.Start(ctx)
-
 	ops := [2]*stats.OpStats{lop, rop}
 	parts := make([]*joinPart, P)
 	partIns := make([]chan *scatter, P)
@@ -237,7 +275,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		partIns[p] = parts[p].in
 		for s, in := range inputs {
 			if in.point != nil {
-				parts[p].tables[s].reserve(int(in.point.EstRows) / P)
+				parts[p].tables[s].reserve(int(in.point.EstRows)/P, joinKeyHint(in.point, in.keys, P))
 			}
 		}
 	}
@@ -252,7 +290,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			own.point.setStateIter(func(emit func(types.Tuple) bool) {
 				for _, pt := range parts {
 					for i := range pt.tables[side].entries {
-						if !emit(pt.tables[side].entries[i].t) {
+						if !emit(pt.tables[side].tuple(i)) {
 							return
 						}
 					}
@@ -274,74 +312,60 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	var routers atomic.Int32
 	routers.Store(2)
 
-	// router consumes one input batch-at-a-time: probes the AIP filters,
-	// hashes each surviving tuple's key once, and scatters it to its
-	// partition. Stats are accumulated in locals and flushed once per batch.
-	router := func(in <-chan Batch, own *joinInput) {
-		defer func() {
-			if routers.Add(-1) == 0 {
-				for _, pt := range parts {
-					close(pt.in)
-				}
+	// routingDone ends one input's lock-free phase, whoever drove it. Only an
+	// input consumed in full, not truncated by a cancellation, may publish
+	// its state: its hold is released, and completion runs here or on
+	// whichever worker drains the last message.
+	routingDone := func(own *joinInput, complete bool) {
+		if complete {
+			own.routed.Store(true)
+			release(own)
+		}
+		if routers.Add(-1) == 0 {
+			for _, pt := range parts {
+				close(pt.in)
 			}
-		}()
-		var (
-			sc   ProbeScratch // batch key hashing + AIP probing, hash-once
-			keep = getSel()   // surviving selection when filters are attached
-			pr   = newPartitionRouter(own.side, P, partIns)
-		)
+		}
+	}
+
+	// router drives one input's route batch-at-a-time; each scattered message
+	// is counted in-flight for the completion protocol.
+	router := func(in <-chan Batch, rt *inputRoute) {
+		complete := false
+		defer func() { rt.done(complete) }()
+		var sc ProbeScratch // batch key hashing + AIP probing, hash-once
+		keep := getSel()    // surviving selection when filters are attached
 		defer func() { putSel(keep) }()
 		for b := range in {
 			sel := b.Live()
-			nIn := int64(len(sel))
-			// Probe the AIP filters batch-at-a-time; ProbeBatch fills the
-			// scratch's hash/key arrays for every live lane either way, so
-			// routing below reuses the hash-once work.
-			kept := sel
-			if own.point != nil && own.point.Bank.Len() > 0 {
-				kept = own.point.Bank.ProbeBatch(b.Tuples, own.keys, sel, keep[:0], &sc)
-				keep = kept
-			} else {
-				sc.compute(b.Tuples, own.keys, sel)
-			}
-			for _, l := range kept {
-				t := b.Tuples[l]
-				pr.route(t, sc.hashes[l], sc.key(l))
-				// The working AIP set covers every tuple that passed the
-				// filters, whether or not a worker buffers it (Feed-Forward
-				// publishes it as a complete summary of this input). The
-				// router is the point's only OnStore caller, so it owns
-				// working-set slot 0.
-				if own.point != nil && own.point.OnStore != nil {
-					own.point.OnStore(0, t)
-				}
-			}
-			own.op.In.Add(nIn)
-			own.op.Pruned.Add(nIn - int64(len(kept)))
-			if own.point != nil {
-				own.point.received.Add(nIn)
-			}
+			rt.lanes(ctx, &sc, b.Tuples, sel, keep[:0], -1)
+			rt.op.In.Add(int64(len(sel)))
 			PutBatch(b)
-			// Flush this batch's routed tuples to their partition workers,
-			// counting each message in-flight for the completion protocol.
-			if !pr.flush(ctx,
-				func() { own.pending.Add(1) },
-				func() { own.pending.Add(-1) }) {
+			if !rt.flush(ctx, 0) {
 				return
 			}
 		}
 		// The input channel closing means either a fully consumed input or
-		// an upstream cancellation truncating the stream; only the former
-		// is a completed input whose state may be published.
-		select {
-		case <-ctx.Cancelled():
+		// an upstream cancellation truncating the stream.
+		complete = ctx.Err() == nil
+	}
+
+	// feed starts one input: a scan that can route for it (routingScan) drives
+	// the route itself, anything else streams batches to a router goroutine.
+	// Inputs start only now: a scan that probes on a point's behalf accounts
+	// its pruning through Point.Op.
+	feed := func(child Op, own *joinInput) {
+		rt := newInputRoute(own.side, P, partIns)
+		rt.keys, rt.point, rt.op, rt.store = own.keys, own.point, own.op, true
+		rt.beforeSend = func() { own.pending.Add(1) }
+		rt.onCancel = func() { own.pending.Add(-1) }
+		rt.done = func(complete bool) { routingDone(own, complete) }
+		if sc, pred := routingScan(child, own.point, own.keys); sc != nil {
+			sc.start(ctx, pred, rt)
 			return
-		default:
 		}
-		// Input exhausted: release the router's hold; completion runs here
-		// or on whichever worker drains the last message.
-		own.routed.Store(true)
-		release(own)
+		in := child.Start(ctx)
+		ctx.Spawn(func() { router(in, rt) })
 	}
 
 	var workerWg sync.WaitGroup
@@ -369,7 +393,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		for sb := range pt.in {
 			own, other := inputs[sb.side], inputs[1-sb.side]
 			ownT, otherT := &pt.tables[sb.side], &pt.tables[1-sb.side]
-			n := len(sb.tuples)
+			n := sb.len()
 			base := pt.ticket
 			pt.ticket += uint64(n)
 			ids = growI32(ids, n)
@@ -432,10 +456,15 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			}
 			ownIsLeft := sb.side == 0
 			// Resolve every probe key's id in one prefetching pass over the
-			// other side's table, then walk the match chains per lane.
+			// other side's table, then walk the match chains per lane; the
+			// probing tuple is resolved only when it has a match to emit.
 			otherT.idx.LookupBatch(sb.hashes, sb.keys, sb.offs, ids)
-			for i, t := range sb.tuples {
+			for i := 0; i < n; i++ {
 				matches = otherT.probeID(ids[i], base+uint64(i)+1, matches[:0])
+				if len(matches) == 0 {
+					continue
+				}
+				t := sb.tuple(i)
 				for _, m := range matches {
 					var row types.Tuple
 					if ownIsLeft {
@@ -481,12 +510,12 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		}
 	}
 
-	ctx.Spawn(func() { router(lin, inputs[0]) })
-	ctx.Spawn(func() { router(rin, inputs[1]) })
 	for p := 0; p < P; p++ {
 		p := p
 		ctx.Spawn(func() { worker(p) })
 	}
+	feed(j.Left, inputs[0])
+	feed(j.Right, inputs[1])
 	ctx.Spawn(func() {
 		workerWg.Wait()
 		// Merge phase: spilled partitions re-scan their runs and emit the

@@ -46,19 +46,27 @@ import (
 // budget too small for even the maximum fan-out fails the query with a
 // typed *BudgetError instead of thrashing.
 
-// joinEntryBytes approximates the fixed per-entry footprint of a joinTable
-// entry: tuple header, ticket, chain link, padding.
-const joinEntryBytes = 40
+// joinEntryBytes is the fixed footprint of a joinTable entry (ticket, chain
+// link, tuple index); tupleHeaderBytes that of a header in a table's own row
+// store.
+const (
+	joinEntryBytes   = 16
+	tupleHeaderBytes = 24
+)
 
 // spillMaxFanout bounds the merge phase's sub-bucket fan-out. Beyond it the
 // budget is declared unworkable (*BudgetError) rather than thrashed against.
 const spillMaxFanout = 64
 
 // memBytes approximates the table's accounted footprint: key index, chain
-// arrays, and stored tuple payloads.
+// arrays, its own header store if it keeps one, and stored tuple payloads.
 func (jt *joinTable) memBytes() int64 {
-	return int64(jt.idx.MemSize()) + int64(cap(jt.heads))*4 +
+	n := int64(jt.idx.MemSize()) + int64(cap(jt.heads))*4 +
 		int64(cap(jt.entries))*joinEntryBytes + jt.tupBytes
+	if jt.own {
+		n += int64(cap(jt.rows)) * tupleHeaderBytes
+	}
+	return n
 }
 
 // joinCore is the partition-local join state shared by the chan and morsel
@@ -115,7 +123,7 @@ func (jc *joinCore) writeTables() error {
 			for e := t.heads[id]; e != 0; {
 				ent := &t.entries[e-1]
 				rec.Seq = ent.seq
-				rec.Tuple = ent.t
+				rec.Tuple = t.rows[ent.ref]
 				if err := jc.run.Append(&rec); err != nil {
 					return err
 				}
@@ -167,19 +175,19 @@ func (jc *joinCore) evict(ctx *Context, ops [2]*stats.OpStats, points [2]*Point)
 func (jc *joinCore) spillArrivals(sb *scatter, base uint64) error {
 	var rec spill.Record
 	rec.Side = uint8(sb.side)
-	for i, t := range sb.tuples {
+	for i := range sb.hashes {
 		rec.Seq = base + uint64(i) + 1
 		rec.Hash = sb.hashes[i]
 		rec.Key = sb.key(i)
-		rec.Tuple = t
+		rec.Tuple = sb.tuple(i)
 		if err := jc.run.Append(&rec); err != nil {
 			return err
 		}
-		// Count toward the side's spilled payload: the merge sizes its build
-		// table and fan-out from these totals, and these records land in the
-		// run just like evicted entries do.
-		jc.spilled[sb.side] += int64(t.MemSize())
 	}
+	// Count toward the side's spilled payload: the merge sizes its build
+	// table and fan-out from these totals, and these records land in the
+	// run just like evicted entries do.
+	jc.spilled[sb.side] += sb.memSize()
 	return nil
 }
 
@@ -325,9 +333,9 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 					if epochOf(jc.boundaries, ent.seq) != pe {
 						var row types.Tuple
 						if buildIsLeft {
-							row = arena.concat(ent.t, rec.Tuple)
+							row = arena.concat(bt.rows[ent.ref], rec.Tuple)
 						} else {
-							row = arena.concat(rec.Tuple, ent.t)
+							row = arena.concat(rec.Tuple, bt.rows[ent.ref])
 						}
 						outBatch.Tuples = append(outBatch.Tuples, row)
 						if len(outBatch.Tuples) == BatchSize && !flush() {

@@ -656,7 +656,7 @@ func newMJoin(r *morselRun, j *HashJoin, down mChain) *mJoin {
 		pt := &mJoinPart{resC: expr.Compile(j.Residual)}
 		for s, in := range m.inputs {
 			if in.point != nil {
-				pt.tables[s].reserve(int(in.point.EstRows) / P)
+				pt.tables[s].reserve(int(in.point.EstRows)/P, joinKeyHint(in.point, in.keys, P))
 			}
 		}
 		m.parts[p] = pt
@@ -884,7 +884,7 @@ func (m *mJoin) finish(w int, in *joinInput) {
 		in.point.setStateIter(func(emit func(types.Tuple) bool) {
 			for _, pt := range parts {
 				for i := range pt.tables[side].entries {
-					if !emit(pt.tables[side].entries[i].t) {
+					if !emit(pt.tables[side].tuple(i)) {
 						return
 					}
 				}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"repro/internal/expr"
@@ -73,8 +74,8 @@ type Scan struct {
 
 	// Vecs is the typed-vector view of the table Rows belongs to (row i of
 	// every vector is Rows[i]); nil for synthetic scans, which select with
-	// the row kernels only.
-	Vecs expr.ColumnVectors
+	// the row kernels only and never route.
+	Vecs TableVectors
 
 	// Point is the operator input this scan feeds when nothing but Filters
 	// sits between them (so rows and columns arrive unchanged): the scan
@@ -84,6 +85,14 @@ type Scan struct {
 	// row is counted exactly once. The consumer must have set Point.Op
 	// before it starts this scan. Nil when the consumer probes alone.
 	Point *Point
+}
+
+// TableVectors is a base table as a scan selects and routes over it: the
+// typed column vectors, and Tuple.MemSize of each row (fixed when all rows
+// share it, else sizes[i]).
+type TableVectors interface {
+	expr.ColumnVectors
+	RowBytes() (fixed int32, sizes []int32)
 }
 
 // Schema returns the scan's output schema.
@@ -136,28 +145,34 @@ func (s *Scan) newWorker(typed []*expr.VecCmp, rest expr.Expr) *scanWorker {
 	return w
 }
 
-// chunk is the scan kernel both schedulers run: it selects over table rows
-// [lo, hi) — typed predicates, residual predicate, then the consumer's
-// filter bank, read once for the whole chunk — and appends the survivors'
-// row headers to *batch, handing every full batch to emit (which takes
-// ownership) and leaving the remainder in *batch for the caller to carry or
-// flush. Batches never alias s.Rows: headers are copied, so a recycled
-// batch cannot hand table storage to a writer. It returns false when emit
-// did; *batch is then spent.
-func (w *scanWorker) chunk(s *Scan, op *stats.OpStats, lo, hi int, batch *Batch, emit func(Batch) bool) bool {
-	rows := s.Rows[lo:hi]
-	n := len(rows)
-	var sel []int32 // nil: every lane is live
+// sift runs the pushed predicates — typed kernels, then the residual — over
+// table rows [lo, hi) and returns the surviving lanes; nil means every lane.
+func (w *scanWorker) sift(s *Scan, lo, hi int) []int32 {
+	var sel []int32
 	for _, k := range w.typed {
 		sel = k.Sift(lo, hi, sel, w.sel[:0])
 	}
 	if w.rest != nil {
 		if sel == nil {
-			sel = w.rest.EvalBool(rows, identSel(n), w.sel)
+			sel = w.rest.EvalBool(s.Rows[lo:hi], identSel(hi-lo), w.sel)
 		} else if len(sel) > 0 {
-			sel = w.rest.EvalBool(rows, sel, sel)
+			sel = w.rest.EvalBool(s.Rows[lo:hi], sel, sel)
 		}
 	}
+	return sel
+}
+
+// chunk is the scan kernel both schedulers run: it selects over table rows
+// [lo, hi) — pushed predicates, then the consumer's filter bank, read once
+// for the whole chunk — and appends the survivors' row headers to *batch,
+// handing every full batch to emit (which takes ownership) and leaving the
+// remainder in *batch for the caller to carry or flush. Batches never alias
+// s.Rows: headers are copied, so a recycled batch cannot hand table storage
+// to a writer. It returns false when emit did; *batch is then spent.
+func (w *scanWorker) chunk(s *Scan, op *stats.OpStats, lo, hi int, batch *Batch, emit func(Batch) bool) bool {
+	rows := s.Rows[lo:hi]
+	n := len(rows)
+	sel := w.sift(s, lo, hi)
 	if pt := s.Point; pt != nil && pt.Bank.Len() > 0 && (sel == nil || len(sel) > 0) {
 		live := sel
 		if live == nil {
@@ -202,6 +217,49 @@ func (w *scanWorker) chunk(s *Scan, op *stats.OpStats, lo, hi int, batch *Batch,
 	return true
 }
 
+// routingScan returns the scan under child that can route for the consumer
+// input pt keyed on keys, with the predicate of the Filter between them (or
+// nil): a wired scan that selects at the source (Scan.Point == pt, so only
+// that Filter sits in between) whose key columns all have an IntVec, over a
+// table int32 row ids can address. Anything else keeps the router goroutine.
+func routingScan(child Op, pt *Point, keys []int) (*Scan, expr.Expr) {
+	sc, _ := child.(*Scan)
+	var pred expr.Expr
+	if f, ok := child.(*Filter); ok {
+		sc, pred = f.sourceScan(), f.Pred
+	}
+	if sc == nil || pt == nil || sc.Point != pt || sc.sequential() || sc.Vecs == nil ||
+		len(keys) == 0 || len(sc.Rows) > math.MaxInt32 {
+		return nil, nil
+	}
+	for _, k := range keys {
+		if v, _ := sc.Vecs.IntVec(k); v == nil {
+			return nil, nil
+		}
+	}
+	return sc, pred
+}
+
+// route is chunk for a routing scan: the rows of [lo, hi) that pass the
+// pushed predicates go through the consumer's route (inputRoute.lanes), at
+// most one delivery per partition per chunk. The scan counts for the router
+// it replaces: the consumer's In is what got past the bank (the scan's Out).
+func (w *scanWorker) route(ctx *Context, s *Scan, op *stats.OpStats, lo, hi int, rt *inputRoute) bool {
+	live := w.sift(s, lo, hi)
+	if live == nil {
+		live = identSel(hi - lo)
+	}
+	op.In.Add(int64(hi - lo))
+	if len(live) == 0 {
+		return true
+	}
+	w.sc.vecLo = lo
+	kept := int64(len(rt.lanes(ctx, &w.sc, s.Rows[lo:hi], live, w.sel[:0], int32(lo))))
+	op.Out.Add(kept)
+	rt.op.In.Add(kept)
+	return rt.flush(ctx, BatchSize)
+}
+
 // Start launches the scan goroutine. All per-run state (the stats handle
 // included) lives in the goroutine, so one Scan value can back many
 // concurrent executions of a prepared plan.
@@ -209,19 +267,34 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 	if s.sequential() {
 		return s.startSequential(ctx)
 	}
-	return s.start(ctx, nil)
+	return s.start(ctx, nil, nil)
 }
 
-// start runs the chunk kernel over the whole table on one goroutine, with
-// pred (the Filter above, or nil) evaluated at the source. Survivors carry
-// over from chunk to chunk, so a heavily pruned scan still sends full
-// batches.
-func (s *Scan) start(ctx *Context, pred expr.Expr) <-chan Batch {
-	out := make(chan Batch, ctx.pipeDepth())
+// start runs the scan over the whole table on one goroutine, with pred (the
+// Filter above, or nil) evaluated at the source: the chunk kernel feeding an
+// output channel, or — rt non-nil — the route kernel as rt's router, with
+// rt.done in place of closing a channel. Survivors carry over from chunk to
+// chunk, so a heavily pruned scan still sends full batches (or scatters).
+func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute) <-chan Batch {
 	op := ctx.Stats.NewOp("scan:" + s.Name)
 	partialMode := ctx.Recovery.Mode == PartialOnSourceError && s.Table != ""
+	var out chan Batch
+	if rt == nil {
+		out = make(chan Batch, ctx.pipeDepth())
+	} else {
+		op.Routed = rt.op.Name
+		fixed, sizes := s.Vecs.RowBytes()
+		rt.src = &rowSource{rows: s.Rows, fixed: int64(fixed), sizes: sizes}
+	}
 	ctx.Spawn(func() {
-		defer close(out)
+		if rt == nil {
+			defer close(out)
+		} else {
+			defer func() { rt.done(ctx.Err() == nil) }()
+		}
+		if !ctx.awaitSmaller(s.Point) {
+			return
+		}
 		w := s.newWorker(s.splitScanPred(pred))
 		emit := func(b Batch) bool {
 			n := int64(len(b.Tuples))
@@ -231,20 +304,32 @@ func (s *Scan) start(ctx *Context, pred expr.Expr) <-chan Batch {
 			op.Out.Add(n)
 			return true
 		}
-		batch := GetBatch()
+		var batch Batch
+		step := func(lo, hi int) bool { return w.chunk(s, op, lo, hi, &batch, emit) }
+		if rt == nil {
+			batch = GetBatch()
+		} else {
+			step = func(lo, hi int) bool { return w.route(ctx, s, op, lo, hi, rt) }
+			w.sc.keyVecs = make([][]int64, len(rt.keys))
+			for i, k := range rt.keys {
+				w.sc.keyVecs[i], _ = s.Vecs.IntVec(k)
+			}
+		}
 		for lo := 0; lo < len(s.Rows); lo += scanChunkRows {
 			// A pruned chunk sends nothing, so cancellation — and a sibling
-			// stream of the same table having been abandoned — is checked
-			// here, not only at the send.
+			// stream of the same table having been abandoned, which ends the
+			// input early but whole — is checked here, not only at the send.
 			if ctx.Err() != nil || partialMode && ctx.SourceAbandoned(s.Table) {
 				PutBatch(batch)
 				return
 			}
-			if !w.chunk(s, op, lo, min(lo+scanChunkRows, len(s.Rows)), &batch, emit) {
+			if !step(lo, min(lo+scanChunkRows, len(s.Rows))) {
 				return
 			}
 		}
-		if len(batch.Tuples) == 0 {
+		if rt != nil {
+			rt.flush(ctx, 0)
+		} else if len(batch.Tuples) == 0 {
 			PutBatch(batch)
 		} else {
 			emit(batch)
@@ -434,7 +519,7 @@ func (f *Filter) sourceScan() *Scan {
 // In/Out carry it).
 func (f *Filter) Start(ctx *Context) <-chan Batch {
 	if sc := f.sourceScan(); sc != nil {
-		return sc.start(ctx, f.Pred)
+		return sc.start(ctx, f.Pred, nil)
 	}
 	in := f.Child.Start(ctx)
 	out := make(chan Batch, ctx.pipeDepth())

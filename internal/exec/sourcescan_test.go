@@ -196,7 +196,7 @@ func TestScanChunkZeroAllocs(t *testing.T) {
 func TestJoinTableReservationFollowsArrivals(t *testing.T) {
 	const hint = 100_000
 	var jt joinTable
-	jt.reserve(hint)
+	jt.reserve(hint, 0)
 	if jt.memBytes() != 0 {
 		t.Fatalf("reserve allocated %d bytes before any arrival", jt.memBytes())
 	}

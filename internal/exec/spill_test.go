@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/plan"
 	"repro/internal/stats"
@@ -15,8 +16,11 @@ import (
 // spillJoin builds a join whose state is dominated by a wide string payload
 // column, with duplicate keys (multi-match chains) and a residual predicate,
 // so the spill path is exercised on the same shape the differential morsel
-// tests use.
-func spillJoin(n, pad int) *HashJoin {
+// tests use. routed wires the left scan to its input over a table with
+// column vectors, so on the chan engine it routes for the join and the left
+// table holds row ids into the scanned rows, charged from the row-size
+// sidecar, while the right side keeps its own header store.
+func spillJoin(n, pad int, routed bool) *HashJoin {
 	sch := types.NewSchema(
 		types.Column{Table: "t", Name: "a", Kind: types.KindInt},
 		types.Column{Table: "t", Name: "x", Kind: types.KindString},
@@ -35,7 +39,14 @@ func spillJoin(n, pad int) *HashJoin {
 		L: &expr.ColRef{Idx: 2, Col: types.Column{Kind: types.KindInt}},
 		R: &expr.ColRef{Idx: 5, Col: types.Column{Kind: types.KindInt}},
 	}
-	return NewHashJoin("j", l, r, []int{0}, []int{0}, res)
+	j := NewHashJoin("j", l, r, []int{0}, []int{0}, res)
+	if routed {
+		l.Vecs = &catalog.Table{Name: "l", Schema: sch, Rows: lrows}
+		l.Point = &Point{Name: "l", Bank: NewFilterBank(), Stateful: true, Schema: sch,
+			EqIDs: []int{0, -1, -1}, StateEqIDs: []int{0, -1, -1}, KeyCols: []int{0}, DomainDistinct: []float64{211, 0, 0}}
+		j.LPoint = l.Point
+	}
+	return j
 }
 
 // runSpill runs op under the given scheduler and memory budget, returning
@@ -55,8 +66,14 @@ func runSpill(op Op, budget int64, parallelism int, scheduler string) ([]types.T
 // run, on both schedulers, while actually spilling, and with the tracked
 // peak held near the budget.
 func TestJoinSpillDifferential(t *testing.T) {
+	for _, routed := range []bool{false, true} {
+		testJoinSpillDifferential(t, routed)
+	}
+}
+
+func testJoinSpillDifferential(t *testing.T, routed bool) {
 	const n = 4000
-	want, base, err := runSpill(spillJoin(n, 64), 0, 4, SchedulerChan)
+	want, base, err := runSpill(spillJoin(n, 64, routed), 0, 4, SchedulerChan)
 	if err != nil {
 		t.Fatalf("unbounded run: %v", err)
 	}
@@ -72,10 +89,11 @@ func TestJoinSpillDifferential(t *testing.T) {
 	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
 		for _, div := range []int64{4, 16} {
 			budget := peak / div
-			got, ctx, err := runSpill(spillJoin(n, 64), budget, 4, sched)
+			got, ctx, err := runSpill(spillJoin(n, 64, routed), budget, 4, sched)
 			if err != nil {
 				t.Fatalf("%s budget=peak/%d: %v", sched, div, err)
 			}
+			sched := fmt.Sprintf("%s routed=%v", sched, routed)
 			sameRows(t, sched, wantS, rowStrings(got))
 			if ctx.SpillEvents() == 0 {
 				t.Fatalf("%s budget=peak/%d: no spill events at budget %d (peak %d)",
@@ -85,8 +103,12 @@ func TestJoinSpillDifferential(t *testing.T) {
 				t.Fatalf("%s budget=peak/%d: spill events but no spill bytes", sched, div)
 			}
 			// The budget is honored up to one batch of transient growth per
-			// partition (growth is checked after each scatter is absorbed).
+			// partition (growth is checked after each scatter is absorbed);
+			// a routing scan scatters a whole chunk of ≈ 190 B rows at a time.
 			slack := budget/2 + 128<<10
+			if routed {
+				slack += scanChunkRows * 200
+			}
 			if p := ctx.PeakTrackedBytes(); p > budget+slack {
 				t.Fatalf("%s budget=peak/%d: peak tracked %d exceeds budget %d + slack %d",
 					sched, div, p, budget, slack)
@@ -255,7 +277,7 @@ func TestDistinctSpillTinyBudget(t *testing.T) {
 // fan-out must fail promptly with a typed *BudgetError, not thrash.
 func TestJoinSpillTinyBudget(t *testing.T) {
 	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		rows, ctx, err := runSpill(spillJoin(3000, 128), 4<<10, 4, sched)
+		rows, ctx, err := runSpill(spillJoin(3000, 128, false), 4<<10, 4, sched)
 		var be *BudgetError
 		if !errors.As(err, &be) {
 			t.Fatalf("%s: err = %v, want *BudgetError (rows=%d spills=%d spillBytes=%d peak=%d)",

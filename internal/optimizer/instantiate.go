@@ -26,6 +26,7 @@ func (r *Result) Instantiate(args []types.Value) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	exec.RankSources(root) // each point learns how big its sources are (start order)
 	// Preserve the template's point order (it fixes the Context.Register
 	// id assignment) and rewrite ancestor chains template→clone.
 	points := make([]*exec.Point, len(r.Points))

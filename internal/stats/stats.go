@@ -68,6 +68,7 @@ type OpStats struct {
 	In         Counter // tuples received
 	Out        Counter // tuples emitted
 	Pruned     Counter // tuples dropped by injected AIP filters
+	PreFilter  Counter // tuples received under an AIP controller while no filter was attached yet
 	StateRows  Counter // tuples buffered into operator state
 	StateBytes Gauge   // bytes of buffered state (current/peak)
 
@@ -88,15 +89,21 @@ type OpStats struct {
 	SpillBytes  Counter
 	SpillEvents Counter
 
+	// Routed names, on a scan that routed for its consumer (hashing keys
+	// from the column vectors and scattering row ids straight to the
+	// partition workers), the consumer input's stats block; empty otherwise.
+	Routed string
+
 	parts []PartStats // per-partition state counters; nil for unpartitioned ops
 }
 
 // reset returns the block to its zero state for reuse (registry pooling).
 func (o *OpStats) reset() {
-	o.Name, o.Class = "", ""
+	o.Name, o.Class, o.Routed = "", "", ""
 	o.In.reset()
 	o.Out.reset()
 	o.Pruned.reset()
+	o.PreFilter.reset()
 	o.StateRows.reset()
 	o.StateBytes.cur.Store(0)
 	o.StateBytes.peak.Store(0)
@@ -370,6 +377,15 @@ func (r *Registry) Report() string {
 		if n := op.Partitions(); n > 0 {
 			mx, mean := op.PartitionSkew()
 			parts = fmt.Sprintf("P=%d max/mean=%d/%d", n, mx, mean)
+		}
+		if op.Routed != "" {
+			parts += "routed→" + op.Routed
+		}
+		if pf := op.PreFilter.Load(); pf > 0 {
+			if parts != "" {
+				parts += " "
+			}
+			parts += fmt.Sprintf("pre-filter=%d", pf)
 		}
 		if a := op.Attempts.Load(); a > 0 {
 			if parts != "" {

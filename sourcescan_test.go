@@ -226,3 +226,62 @@ func TestSourceSelectionAccounting(t *testing.T) {
 		rows.Close()
 	}
 }
+
+// TestQ17FeedForwardDeterminism: with routing scans ordered behind the small
+// sources whose filters prune them (start order), what Q17 under Feed-forward
+// scans, prunes and lets each scan emit does not depend on which goroutine
+// wins a race: five runs agree on TuplesScanned, TuplesPruned and every
+// scan's Out exactly. What the plan holds still hangs on one race the paper
+// builds in — whether the subquery's side of the outer join completes before
+// the few surviving lineitem rows arrive (§VI-A: they are then never
+// buffered, nor their table reserved) — so PeakMemBytes is compared, within
+// 1%, among the runs that buffered the same number of rows.
+func TestQ17FeedForwardDeterminism(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	eng := NewEngine(cat)
+	sql := tableIQueries(t, cat)["Q2A"]
+	var first *Result
+	var outs map[string]int64
+	peaks := map[int64]int64{} // rows buffered -> PeakMemBytes
+	for run := 0; run < 5; run++ {
+		res, err := eng.Query(context.Background(), sql, Options{Strategy: FeedForward})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		var stored int64
+		for _, op := range res.Stats.Ops() {
+			stored += op.StateRows.Load()
+			if op.Class == "scan" {
+				got[op.Name] = op.Out.Load()
+				if strings.HasSuffix(op.Name, "lineitem") && op.Routed == "" {
+					t.Fatalf("run %d: %s did not route for its consumer", run, op.Name)
+				}
+			} else if pf := op.PreFilter.Load(); pf > 0 && (op.Name == "join:q.j1.left" || op.Name == "agg:q._sq1") {
+				t.Fatalf("run %d: %d rows reached %s before its filter", run, pf, op.Name)
+			}
+		}
+		if peak, ok := peaks[stored]; !ok {
+			peaks[stored] = res.PeakMemBytes
+		} else if d := res.PeakMemBytes - peak; d*100 > peak || -d*100 > peak {
+			t.Fatalf("run %d: PeakMemBytes %d, an earlier run buffering the same %d rows had %d (more than 1%% apart)",
+				run, res.PeakMemBytes, stored, peak)
+		}
+		if run == 0 {
+			first, outs = res, got
+			if len(outs) != 3 {
+				t.Fatalf("%d scans, want lineitem twice and part: %v", len(outs), outs)
+			}
+			continue
+		}
+		if res.TuplesScanned != first.TuplesScanned || res.TuplesPruned != first.TuplesPruned {
+			t.Fatalf("run %d: scanned %d, pruned %d; run 0 had %d and %d",
+				run, res.TuplesScanned, res.TuplesPruned, first.TuplesScanned, first.TuplesPruned)
+		}
+		for name, n := range got {
+			if n != outs[name] {
+				t.Fatalf("run %d: %s emitted %d rows, run 0 had %d", run, name, n, outs[name])
+			}
+		}
+	}
+}
