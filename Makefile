@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet test-race chaos bench-smoke bench bench-pairs bench-test microbench joinbench exprbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
+.PHONY: all build test vet test-race chaos fuzz-wire bench-smoke bench bench-pairs bench-test microbench joinbench exprbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
 
 all: build
 
@@ -13,10 +13,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# bench-smoke: one iteration of the join/agg hot-path benchmarks, enough to
-# catch "it no longer runs" and gross allocation regressions.
+# bench-smoke: one iteration of the join/agg hot-path benchmarks and of the
+# wire client benchmarks (BenchmarkClientStream/{count,row}: stream_wire's
+# query with a consumer that only counts and one that boxes every row;
+# BenchmarkClientPoint: point_wire's one-row lookup), enough to catch "it no
+# longer runs" and gross allocation regressions.
 bench-smoke:
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkJoin -benchmem -benchtime 1x
+	$(GO) test ./internal/server -run '^$$' -bench BenchmarkClient -benchmem -benchtime 1x
 
 # bench: the repo's benchmark (BENCHMARK.json): every workload, timed and
 # traced, SQL text over loopback TCP; see bench/README.md.
@@ -47,15 +51,25 @@ microbench:
 # bucket-discard spill differentials, source-side selection: scan-probe
 # differentials, accounting, the 0-alloc chunk path, join reservation;
 # routing scans: routed-vs-router differentials, the entry layout, the
-# 0-alloc routing kernel, spill over row-id entries, start order), the
-# catalog's column-vector cache, the spill run-file frame codec, the
+# 0-alloc routing kernel, spill over row-id entries, start order; the row-id
+# root: root-vs-Project differential, cancel / early Close / kept rows on the
+# cursor), the catalog's column-vector cache, the spill run-file frame codec, the
 # work-stealing pool's park/steal races, the scalar-vs-vectorized
 # expression differential tests, the network fault/breaker tests, the
 # blocked-filter / striped-Partial merge-exactness differentials, and the
 # wire server's concurrent-session soak / disconnect-cancellation / quota
-# tests under the race detector.
+# tests, the column-run codec and hostile-frame tests and the wire ≡
+# in-process differentials, under the race detector.
 test-race:
 	$(GO) test -race ./internal/exec ./internal/catalog ./internal/spill ./internal/sched ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
+
+# fuzz-wire: 30 s of each wire-protocol fuzzer — the payload primitives, the
+# frame layer, and the RowBatch column-run decoder (go test runs one fuzz
+# target per invocation).
+fuzz-wire:
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzPayloadReader$$' -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRowBatchDecode$$' -fuzztime 30s
 
 # chaos: the full fault-injection matrix (seeds × fault profiles ×
 # Fail/Partial × strategies) plus the recovery smoke tests, under the race

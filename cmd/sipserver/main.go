@@ -10,7 +10,10 @@
 //	sipserver -slow-query 250ms -plan-cache 256
 //
 // Clients connect with `sipquery -connect host:port` or the server.Client
-// API. SIGINT drains: the listener closes, in-flight result streams finish,
+// API; both ends must speak wire-protocol version 2 (column-run RowBatch
+// frames; an older client gets a "version" error). Result framing has no
+// flag: a scan's row-id batch is one frame, other results go out in frames
+// of 256 rows, see internal/server. SIGINT drains: the listener closes, in-flight result streams finish,
 // and only after -drain-timeout are remaining queries force-canceled.
 package main
 
@@ -48,7 +51,6 @@ func main() {
 		tenantQuota = flag.String("quota", "", "per-tenant concurrent-query caps, e.g. batch=1,etl=2")
 		defQuota    = flag.Int("tenant-quota", 0, "default per-tenant concurrent-query cap (0 = unlimited)")
 
-		batchRows    = flag.Int("batch-rows", 0, "max rows per row-batch frame (0 = default 256)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries before force-canceling them")
 	)
 	flag.Parse()
@@ -103,7 +105,6 @@ func main() {
 		BaseOptions: sip.Options{Strategy: strat},
 		TenantQuota: *defQuota,
 		Quotas:      quotas,
-		BatchRows:   *batchRows,
 		Logf:        log.Printf,
 	})
 	if err != nil {

@@ -276,7 +276,7 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 			routed = complete
 			close(routerDone)
 		}
-		sc.start(ctx, pred, rt)
+		sc.start(ctx, pred, rt, nil)
 	} else {
 		in := h.Child.Start(ctx)
 		ctx.Spawn(func() { router(in) })

@@ -65,17 +65,17 @@ func PutBatch(b Batch) {
 	batchPool.Put(bb)
 }
 
-// selBox recycles selection vectors the same way batchBox recycles tuple
-// slices.
+// selBox recycles selection vectors — a scan chunk long, which the root's
+// row-id batches need — the same way batchBox recycles tuple slices.
 type selBox struct{ s []int32 }
 
 var selPool = sync.Pool{
-	New: func() any { return &selBox{s: make([]int32, 0, BatchSize)} },
+	New: func() any { return &selBox{s: make([]int32, 0, scanChunkRows)} },
 }
 
 var selBoxPool = sync.Pool{New: func() any { return new(selBox) }}
 
-// getSel returns an empty selection vector with BatchSize capacity.
+// getSel returns an empty selection vector with scanChunkRows capacity.
 func getSel() []int32 {
 	sb := selPool.Get().(*selBox)
 	s := sb.s[:0]

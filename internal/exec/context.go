@@ -55,6 +55,11 @@
 //     only for still smaller ones): routers and workers consume what arrives
 //     without waiting for a sibling input, and a scan that ends early (an
 //     abandoned source) still completes its input.
+//   - The root edge: a root Project of plain column references directly
+//     over such a scan is not started (StartPlan): the scan emits row-id
+//     batches (see Batch), up to scanChunkRows survivors as int32 row ids
+//     over the table, and keeps the project:* stats row. The morsel engine,
+//     a paced scan or one computed column keeps the Project.
 //   - Above the scan, predicates and projections are evaluated
 //     batch-at-a-time through the compiled kernels of internal/expr
 //     (expr.Compile): Filter narrows a batch's selection vector in place
@@ -142,9 +147,37 @@ const BatchSize = 128
 // batches, so selections never pile up across pipeline stages; so does a
 // scan, which copies the surviving row headers out of the table (a pooled
 // batch never aliases table storage) and never sends an empty batch.
+//
+// A row-id batch (Src non-nil, Tuples nil) selects from the table instead:
+// Sel lists row ids of Src.Rows, and the batch stands for those rows
+// projected onto Src.Cols. Only the root may emit one — a scan standing in
+// for the Project above it, see StartPlan — so only the root's consumers
+// must handle one: Collect (boxes a batch into one block), sip.Rows (boxes a
+// row when asked) and the wire session (encodes the column vectors). Its Sel
+// is a pooled vector like any other: no batch ever aliases table storage.
 type Batch struct {
 	Tuples []types.Tuple
 	Sel    []int32
+	Src    *RootSource
+}
+
+// RootSource is the table a row-id batch indexes and the table columns the
+// root projects, in output order. Shared by every batch of a run; read-only.
+type RootSource struct {
+	Rows []types.Tuple
+	Vecs TableVectors
+	Cols []int
+	name string // of the Project the scan stands in for: its stats row is kept
+}
+
+// Box appends the projection of table row rid to block, which has room for
+// it, and returns block and the row.
+func (s *RootSource) Box(block []types.Value, rid int32) ([]types.Value, types.Tuple) {
+	n, row := len(block), s.Rows[rid]
+	for _, c := range s.Cols {
+		block = append(block, row[c])
+	}
+	return block, block[n:len(block):len(block)]
 }
 
 // Len returns the number of live tuples.
@@ -460,11 +493,17 @@ type Op interface {
 // returns the root output channel. SchedulerMorsel compiles the plan onto
 // the work-stealing pool; plans it cannot run (unsupported operators,
 // worker-id overflow) fall back to the chan engine, so the result stream
-// is identical either way.
+// is identical either way. On the chan engine a root Project.rootScan
+// accepts is not started: the scan emits row-id batches, the consumer projects.
 func StartPlan(ctx *Context, root Op) <-chan Batch {
 	if ctx.Scheduler == SchedulerMorsel {
 		if out, ok := startMorsel(ctx, root); ok {
 			return out
+		}
+	}
+	if p, ok := root.(*Project); ok {
+		if sc, pred, src := p.rootScan(); sc != nil {
+			return sc.start(ctx, pred, nil, src)
 		}
 	}
 	return root.Start(ctx)
@@ -480,6 +519,7 @@ func Run(ctx *Context, root Op) ([]types.Tuple, error) {
 		ctx.Ctl.Begin()
 	}
 	rows := Collect(StartPlan(ctx, root))
+	ctx.Wait() // a panicking operator closes its output before Spawn records the cause
 	if ctx.Ctl != nil {
 		ctx.Ctl.End()
 	}
@@ -501,7 +541,13 @@ func Collect(out <-chan Batch) []types.Tuple {
 	}
 	rows := make([]types.Tuple, 0, total)
 	for _, b := range batches {
-		if b.Sel == nil {
+		if src := b.Src; src != nil { // box the batch's rows in one block
+			block, row := make([]types.Value, 0, len(b.Sel)*len(src.Cols)), types.Tuple(nil)
+			for _, rid := range b.Sel {
+				block, row = src.Box(block, rid)
+				rows = append(rows, row)
+			}
+		} else if b.Sel == nil {
 			rows = append(rows, b.Tuples...)
 		} else {
 			for _, l := range b.Sel {

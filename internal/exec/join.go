@@ -361,7 +361,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		rt.onCancel = func() { own.pending.Add(-1) }
 		rt.done = func(complete bool) { routingDone(own, complete) }
 		if sc, pred := routingScan(child, own.point, own.keys); sc != nil {
-			sc.start(ctx, pred, rt)
+			sc.start(ctx, pred, rt, nil)
 			return
 		}
 		in := child.Start(ctx)

@@ -217,17 +217,23 @@ func (w *scanWorker) chunk(s *Scan, op *stats.OpStats, lo, hi int, batch *Batch,
 	return true
 }
 
+// scanUnder returns the scan child is, or the one below the Filter child is
+// that evaluates it at the source, with that Filter's predicate; else nil.
+func scanUnder(child Op) (*Scan, expr.Expr) {
+	if f, ok := child.(*Filter); ok {
+		return f.sourceScan(), f.Pred
+	}
+	sc, _ := child.(*Scan)
+	return sc, nil
+}
+
 // routingScan returns the scan under child that can route for the consumer
 // input pt keyed on keys, with the predicate of the Filter between them (or
 // nil): a wired scan that selects at the source (Scan.Point == pt, so only
 // that Filter sits in between) whose key columns all have an IntVec, over a
 // table int32 row ids can address. Anything else keeps the router goroutine.
 func routingScan(child Op, pt *Point, keys []int) (*Scan, expr.Expr) {
-	sc, _ := child.(*Scan)
-	var pred expr.Expr
-	if f, ok := child.(*Filter); ok {
-		sc, pred = f.sourceScan(), f.Pred
-	}
+	sc, pred := scanUnder(child)
 	if sc == nil || pt == nil || sc.Point != pt || sc.sequential() || sc.Vecs == nil ||
 		len(keys) == 0 || len(sc.Rows) > math.MaxInt32 {
 		return nil, nil
@@ -260,6 +266,26 @@ func (w *scanWorker) route(ctx *Context, s *Scan, op *stats.OpStats, lo, hi int,
 	return rt.flush(ctx, BatchSize)
 }
 
+// refs is chunk for the row-id root: the survivors of [lo, hi) join batch.Sel,
+// the batch leaving first when they would not fit.
+func (w *scanWorker) refs(s *Scan, op *stats.OpStats, lo, hi int, batch *Batch, emit func(Batch) bool) bool {
+	sel := w.sift(s, lo, hi)
+	op.In.Add(int64(hi - lo))
+	if sel == nil {
+		sel = identSel(hi - lo)
+	}
+	if len(batch.Sel)+len(sel) > scanChunkRows {
+		if !emit(*batch) {
+			return false
+		}
+		batch.Sel = getSel()
+	}
+	for _, l := range sel {
+		batch.Sel = append(batch.Sel, int32(lo)+l)
+	}
+	return true
+}
+
 // Start launches the scan goroutine. All per-run state (the stats handle
 // included) lives in the goroutine, so one Scan value can back many
 // concurrent executions of a prepared plan.
@@ -267,16 +293,22 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 	if s.sequential() {
 		return s.startSequential(ctx)
 	}
-	return s.start(ctx, nil, nil)
+	return s.start(ctx, nil, nil, nil)
 }
 
 // start runs the scan over the whole table on one goroutine, with pred (the
 // Filter above, or nil) evaluated at the source: the chunk kernel feeding an
 // output channel, or — rt non-nil — the route kernel as rt's router, with
-// rt.done in place of closing a channel. Survivors carry over from chunk to
-// chunk, so a heavily pruned scan still sends full batches (or scatters).
-func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute) <-chan Batch {
+// rt.done in place of closing a channel, or — src non-nil — the refs kernel
+// feeding the root's channel row-id batches over src. Survivors carry over
+// from chunk to chunk, so a heavily pruned scan still sends full batches (or
+// scatters).
+func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSource) <-chan Batch {
 	op := ctx.Stats.NewOp("scan:" + s.Name)
+	var proj *stats.OpStats
+	if src != nil {
+		proj = ctx.Stats.NewOp("project:" + src.name)
+	}
 	partialMode := ctx.Recovery.Mode == PartialOnSourceError && s.Table != ""
 	var out chan Batch
 	if rt == nil {
@@ -297,23 +329,31 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute) <-chan Batch 
 		}
 		w := s.newWorker(s.splitScanPred(pred))
 		emit := func(b Batch) bool {
-			n := int64(len(b.Tuples))
+			n := int64(b.Len())
 			if !send(ctx, out, b) {
 				return false
 			}
 			op.Out.Add(n)
+			if proj != nil {
+				proj.In.Add(n)
+				proj.Out.Add(n)
+			}
 			return true
 		}
 		var batch Batch
 		step := func(lo, hi int) bool { return w.chunk(s, op, lo, hi, &batch, emit) }
-		if rt == nil {
-			batch = GetBatch()
-		} else {
+		switch {
+		case rt != nil:
 			step = func(lo, hi int) bool { return w.route(ctx, s, op, lo, hi, rt) }
 			w.sc.keyVecs = make([][]int64, len(rt.keys))
 			for i, k := range rt.keys {
 				w.sc.keyVecs[i], _ = s.Vecs.IntVec(k)
 			}
+		case src != nil:
+			batch = Batch{Src: src, Sel: getSel()}
+			step = func(lo, hi int) bool { return w.refs(s, op, lo, hi, &batch, emit) }
+		default:
+			batch = GetBatch()
 		}
 		for lo := 0; lo < len(s.Rows); lo += scanChunkRows {
 			// A pruned chunk sends nothing, so cancellation — and a sibling
@@ -329,7 +369,7 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute) <-chan Batch 
 		}
 		if rt != nil {
 			rt.flush(ctx, 0)
-		} else if len(batch.Tuples) == 0 {
+		} else if batch.Len() == 0 {
 			PutBatch(batch)
 		} else {
 			emit(batch)
@@ -519,7 +559,7 @@ func (f *Filter) sourceScan() *Scan {
 // In/Out carry it).
 func (f *Filter) Start(ctx *Context) <-chan Batch {
 	if sc := f.sourceScan(); sc != nil {
-		return sc.start(ctx, f.Pred, nil)
+		return sc.start(ctx, f.Pred, nil, nil)
 	}
 	in := f.Child.Start(ctx)
 	out := make(chan Batch, ctx.pipeDepth())
@@ -567,6 +607,26 @@ type Project struct {
 
 // Schema returns the projection schema.
 func (p *Project) Schema() *types.Schema { return p.Sch }
+
+// rootScan returns, when p is plain column references directly over a scan
+// that selects at the source (the Filter.sourceScan test) of a vector-backed
+// table, that scan, the predicate it absorbs, and the projection as the source
+// of the row-id batches it emits in p's stead when p is the root (StartPlan).
+func (p *Project) rootScan() (*Scan, expr.Expr, *RootSource) {
+	sc, pred := scanUnder(p.Child)
+	if sc == nil || sc.sequential() || sc.Site != 0 || sc.Point != nil || sc.Vecs == nil || len(sc.Rows) > math.MaxInt32 {
+		return nil, nil, nil
+	}
+	src := &RootSource{Rows: sc.Rows, Vecs: sc.Vecs, Cols: make([]int, len(p.Exprs)), name: p.Name}
+	for i, e := range p.Exprs {
+		c, ok := e.(*expr.ColRef)
+		if !ok {
+			return nil, nil, nil
+		}
+		src.Cols[i] = c.Idx
+	}
+	return sc, pred, src
+}
 
 // Start launches the projection goroutine.
 func (p *Project) Start(ctx *Context) <-chan Batch {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -54,13 +55,14 @@ type Client struct {
 	wmu sync.Mutex // serializes frame writes (Cancel is cross-goroutine)
 	bw  *bufio.Writer
 
-	// rbuf and sbuf are per-exchange scratch: the protocol is strictly
+	// rbuf, cols and sbuf are per-exchange scratch: the protocol is strictly
 	// sequential per connection and every decoded field copies out of the
-	// frame payload, so one read buffer and one request-encode buffer are
-	// reused for the connection's lifetime. rbuf is owned by whichever
-	// cursor or call currently holds the read side (the busy flag); sbuf by
-	// the request sender.
+	// frame payload, so one read buffer, one set of decoded column runs and
+	// one request-encode buffer are reused for the connection's lifetime.
+	// rbuf and cols are owned by whichever cursor or call currently holds
+	// the read side (the busy flag); sbuf by the request sender.
 	rbuf []byte
+	cols []wireCol
 	sbuf []byte
 
 	mu     sync.Mutex
@@ -98,7 +100,7 @@ func NewClient(conn net.Conn, cfg DialConfig) (*Client, error) {
 	}
 	c := &Client{
 		conn:     conn,
-		br:       bufio.NewReaderSize(conn, 32<<10),
+		br:       bufio.NewReaderSize(conn, frameBytes), // a frame, as the session writes it
 		bw:       bufio.NewWriterSize(conn, 8<<10),
 		maxFrame: cfg.MaxFrameBytes,
 	}
@@ -216,7 +218,8 @@ func (c *Client) openStream(ctx context.Context) (*Rows, error) {
 			c.releaseBusy()
 			return nil, fmt.Errorf("server: malformed schema frame")
 		}
-		r := &Rows{c: c, schema: sch}
+		c.cols = slices.Grow(c.cols[:0], len(sch.Cols))[:len(sch.Cols)]
+		r := &Rows{c: c, schema: sch, cols: c.cols}
 		if ctx.Done() != nil {
 			r.stopWatch = context.AfterFunc(ctx, c.sendCancel)
 		}
@@ -322,16 +325,18 @@ func (s *Stmt) Close() error {
 
 // Rows is the client-side streaming cursor, shaped like sip.Rows: Next /
 // Row / Err / Close, plus the server's execution Summary once the stream
-// ends. Row batches decode lazily out of the last frame's payload, so the
-// client never holds more than one wire batch.
+// ends. A RowBatch frame is decoded and validated whole into per-column
+// buffers the cursor reuses, so the client never holds more than one wire
+// batch and a loop that only counts allocates nothing per row.
 type Rows struct {
 	c         *Client
 	schema    *sip.Schema
 	stopWatch func() bool
 
-	batch    payloadReader
-	remain   int // rows left in the current batch
-	cur      sip.Row
+	cols     []wireCol // the current frame's runs (c.cols), one per schema column
+	n, idx   int       // rows in the current frame; idx-1 is the current row
+	block    []sip.Value
+	cur      sip.Row // the current row once Row has boxed it
 	sum      *Summary
 	err      error
 	done     bool
@@ -348,7 +353,7 @@ func (r *Rows) Next() bool {
 	if r.done {
 		return false
 	}
-	for r.remain == 0 {
+	for r.idx >= r.n {
 		typ, payload, err := r.c.readFrame()
 		if err != nil {
 			r.terminate(nil, err)
@@ -356,11 +361,9 @@ func (r *Rows) Next() bool {
 		}
 		switch typ {
 		case frameRowBatch:
-			r.batch = payloadReader{buf: payload}
-			// Batches are cut at BatchRows or 64KiB server-side; the bound
-			// only has to keep a hostile count from wrapping negative.
-			r.remain = r.batch.length(1 << 24)
-			if r.batch.err != nil {
+			p := payloadReader{buf: payload}
+			r.n, r.idx = p.rowBatch(r.cols), 0
+			if p.err != nil {
 				r.terminate(nil, fmt.Errorf("server: malformed row batch"))
 				return false
 			}
@@ -381,21 +384,27 @@ func (r *Rows) Next() bool {
 			return false
 		}
 	}
-	row := make(sip.Row, len(r.schema.Cols))
-	for i := range row {
-		row[i] = r.batch.value()
-	}
-	if r.batch.err != nil {
-		r.terminate(nil, fmt.Errorf("server: malformed row"))
-		return false
-	}
-	r.remain--
-	r.cur = row
+	r.idx++
+	r.cur = nil
 	return true
 }
 
-// Row returns the current row; valid after a true Next.
-func (r *Rows) Row() sip.Row { return r.cur }
+// Row returns the current row; valid after a true Next and after further
+// Next/Close calls. It is boxed here, when first asked for, into a block sized
+// by the rows left in its frame; a retained row pins its block.
+func (r *Rows) Row() sip.Row {
+	if r.cur == nil && r.idx > 0 {
+		if w := len(r.cols); cap(r.block)-len(r.block) < w {
+			r.block = make([]sip.Value, 0, w*min(r.n-r.idx+1, 1024)) // capped: a NULL run claims rows for free
+		}
+		k := len(r.block)
+		for j := range r.cols {
+			r.block = append(r.block, r.cols[j].value(r.c.rbuf, r.idx-1)) // the frame is still in rbuf
+		}
+		r.cur = r.block[k:len(r.block):len(r.block)]
+	}
+	return r.cur
+}
 
 // Err returns the terminal error, nil after clean exhaustion or Close.
 func (r *Rows) Err() error { return r.err }
@@ -460,7 +469,7 @@ func (r *Rows) terminate(sum *Summary, err error) {
 	r.done = true
 	r.sum = sum
 	r.err = err
-	r.remain = 0
+	r.n, r.idx = 0, 0 // the frame buffer is no longer this cursor's
 	if r.stopWatch != nil {
 		r.stopWatch()
 	}

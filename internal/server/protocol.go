@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/types"
 )
@@ -21,11 +22,11 @@ const (
 	// ProtoVersion is the newest protocol revision this package speaks.
 	// The handshake negotiates min(client max, server max); version 0 is
 	// never valid, so a client older than MinProtoVersion is refused with
-	// an error frame.
-	ProtoVersion = 1
+	// an error frame. Version 2 made RowBatch payloads column runs.
+	ProtoVersion = 2
 
 	// MinProtoVersion is the oldest revision the server still accepts.
-	MinProtoVersion = 1
+	MinProtoVersion = 2
 
 	// DefaultMaxFrame bounds a single frame's payload. Row batches are cut
 	// well below this; the bound exists so a corrupt or hostile length
@@ -47,7 +48,7 @@ const (
 	frameError    = 0x82 // code + message; terminates the current exchange
 	frameStmtOK   = 0x83 // statement id, param count, result schema
 	frameSchema   = 0x84 // result schema; opens a row stream
-	frameRowBatch = 0x85 // n rows × schema-width values
+	frameRowBatch = 0x85 // n rows as one run per schema column
 	frameDone     = 0x86 // execution summary; closes a row stream
 )
 
@@ -80,28 +81,6 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// writeFrameParts writes one frame whose payload is the concatenation of
-// parts, without joining them first — the row-batch path prepends its
-// varint row count to the accumulated row bytes this way.
-func writeFrameParts(w io.Writer, typ byte, parts ...[]byte) error {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	var hdr [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(total))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readFrame reads one frame from r, enforcing the payload bound.
 func readFrame(r io.Reader, maxFrame int) (typ byte, payload []byte, err error) {
 	typ, payload, _, err = readFrameInto(r, maxFrame, nil)
@@ -115,11 +94,15 @@ func readFrame(r io.Reader, maxFrame int) (typ byte, payload []byte, err error) 
 // does not (it may read a pipelined frame while the previous request is
 // still being executed).
 func readFrameInto(r io.Reader, maxFrame int, scratch []byte) (typ byte, payload, grown []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// An array for the header would escape through r: an allocation a frame.
+	if cap(scratch) < frameHeaderLen {
+		scratch = make([]byte, 512)
+	}
+	hdr := scratch[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, scratch, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
+	n, typ := binary.BigEndian.Uint32(hdr[:4]), hdr[4]
 	if int64(n) > int64(maxFrame) {
 		return 0, nil, scratch, fmt.Errorf("server: frame of %d bytes exceeds the %d-byte bound", n, maxFrame)
 	}
@@ -130,7 +113,7 @@ func readFrameInto(r io.Reader, maxFrame int, scratch []byte) (typ byte, payload
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, scratch, err
 	}
-	return hdr[4], payload, scratch, nil
+	return typ, payload, scratch, nil
 }
 
 // ---- payload encoding ------------------------------------------------------
@@ -149,9 +132,11 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendValue encodes one tagged value.
-func appendValue(b []byte, v types.Value) []byte {
-	b = append(b, byte(v.K))
+// appendValue encodes one tagged value: its kind, then appendBare.
+func appendValue(b []byte, v types.Value) []byte { return appendBare(append(b, byte(v.K)), v) }
+
+// appendBare encodes a value whose kind the reader knows.
+func appendBare(b []byte, v types.Value) []byte {
 	switch v.K {
 	case types.KindNull:
 	case types.KindInt, types.KindDate, types.KindBool:
@@ -300,6 +285,134 @@ func (p *payloadReader) value() types.Value {
 	default:
 		p.fail()
 		return types.Null()
+	}
+}
+
+// ---- row batches -------------------------------------------------------------
+//
+// A RowBatch payload is the row count n, then per schema column one tag byte
+// and a run of n values: their kind and n bare values when they all share it
+// (nothing at all for NULL), or tagMixed and n tagged values. A one-row batch
+// costs what its tagged values cost; a long one saves a byte per value.
+
+const tagMixed = 0xFF
+const maxBatchRows = 1 << 24 // a NULL run carries no bytes, so the count needs its own bound
+
+// appendRun encodes column col of rows (at least one) as a tag and a run.
+func appendRun(b []byte, rows []types.Tuple, col int) []byte {
+	tag := byte(rows[0][col].K)
+	for _, r := range rows[1:] {
+		if byte(r[col].K) != tag {
+			tag = tagMixed
+			break
+		}
+	}
+	b = append(b, tag)
+	for _, r := range rows {
+		if tag == tagMixed {
+			b = append(b, byte(r[col].K))
+		}
+		b = appendBare(b, r[col])
+	}
+	return b
+}
+
+// appendIntRun and appendFloatRun are appendRun for rows rids of a typed
+// column vector, the shape a row-id batch has.
+func appendIntRun(b []byte, k types.Kind, vec []int64, rids []int32) []byte {
+	b = append(b, byte(k))
+	for _, r := range rids {
+		b = appendVarint(b, vec[r])
+	}
+	return b
+}
+
+func appendFloatRun(b []byte, vec []float64, rids []int32) []byte {
+	b = append(b, byte(types.KindFloat))
+	for _, r := range rids {
+		b = binary.BigEndian.AppendUint64(b, math.Float64bits(vec[r]))
+	}
+	return b
+}
+
+// wireCol is one decoded run. The buffers are reused from frame to frame; a
+// STRING run keeps only each value's extent in the payload.
+type wireCol struct {
+	tag    byte
+	ints   []int64 // INT/DATE/BOOL values; STRING: payload offset<<32 | length
+	floats []float64
+	vals   []types.Value // tagMixed
+}
+
+// rowBatch decodes and validates a whole RowBatch payload into cols, one per
+// schema column, and returns the row count. A run's count is checked against
+// the bytes left before its buffer is sized: a frame allocates O(payload).
+func (p *payloadReader) rowBatch(cols []wireCol) int {
+	n := p.length(maxBatchRows)
+	for i := range cols {
+		c := &cols[i]
+		c.tag = p.byte()
+		size := 1 // the least a value of the run takes
+		switch types.Kind(c.tag) {
+		case types.KindNull:
+			size = 0
+		case types.KindFloat:
+			size = 8
+		}
+		if p.err != nil || n*size > len(p.buf)-p.off {
+			p.fail()
+			return 0
+		}
+		switch types.Kind(c.tag) {
+		case types.KindNull:
+		case types.KindInt, types.KindDate, types.KindBool:
+			c.ints = slices.Grow(c.ints[:0], n)[:n]
+			for j := range c.ints {
+				c.ints[j] = p.varint()
+			}
+		case types.KindFloat:
+			c.floats = slices.Grow(c.floats[:0], n)[:n]
+			for j := range c.floats {
+				c.floats[j] = math.Float64frombits(binary.BigEndian.Uint64(p.buf[p.off:]))
+				p.off += 8
+			}
+		case types.KindString:
+			c.ints = slices.Grow(c.ints[:0], n)[:n]
+			for j := range c.ints {
+				ln := p.length(len(p.buf) - p.off)
+				c.ints[j] = int64(uint64(p.off)<<32 | uint64(ln))
+				p.take(ln) // checks the extent
+			}
+		case tagMixed:
+			c.vals = slices.Grow(c.vals[:0], n)[:n]
+			for j := range c.vals {
+				c.vals[j] = p.value()
+			}
+		default:
+			p.fail()
+		}
+	}
+	if p.err != nil || p.off != len(p.buf) { // bytes past the last column
+		p.fail()
+		return 0
+	}
+	return n
+}
+
+// value boxes row i of the run; buf is the payload it was decoded from.
+func (c *wireCol) value(buf []byte, i int) types.Value {
+	switch k := types.Kind(c.tag); k {
+	case types.KindNull:
+		return types.Null()
+	case types.KindInt, types.KindDate, types.KindBool:
+		return types.Value{K: k, I: c.ints[i]}
+	case types.KindFloat:
+		return types.Float(c.floats[i])
+	case types.KindString:
+		u := uint64(c.ints[i])
+		return types.Str(string(buf[u>>32 : u>>32+u&math.MaxUint32]))
+	default:
+		return c.vals[i]
 	}
 }
 

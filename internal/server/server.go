@@ -26,7 +26,9 @@
 // answers HelloOK (0x81) carrying the negotiated version
 // min(client, server) and a banner string, or Error (0x82, code "version")
 // when the client is too old. A connection that does not open with the
-// magic is dropped without a reply.
+// magic is dropped without a reply. This is protocol version 2, the only
+// one either end speaks: a version 1 Hello (row-at-a-time RowBatch
+// payloads) gets the "version" error and nothing else.
 //
 // After the handshake the session is a sequential request/response loop —
 // at most one statement in flight per connection:
@@ -37,15 +39,24 @@
 //	CloseStmt (0x05) id                     → Done (0x86) with a zero summary
 //	Quit      (0x07)                        → connection close
 //
-// A result stream is Schema (0x84), zero or more RowBatch (0x85) frames
-// (uvarint row count, then rows × schema-width tagged values), and a
-// terminal Done (0x86) summary (row count, duration, the execution counters
-// a client footer needs, and the incomplete-table list of a partial
-// result), or a terminal Error (0x82) in place of Done if the query failed
-// mid-stream. Row batches are encoded straight off the engine's streaming
-// cursor: a client that stops reading blocks the server's conn.Write, which
-// stops the cursor, which backpressures that query's operator pipeline —
-// and nothing else.
+// A result stream is Schema (0x84), zero or more RowBatch (0x85) frames,
+// and a terminal Done (0x86) summary (row count, duration, the execution
+// counters a client footer needs, and the incomplete-table list of a
+// partial result), or a terminal Error (0x82) in place of Done if the query
+// failed mid-stream. A RowBatch payload is a uvarint row count n (at most
+// 2^24), then for each schema column one tag byte and a run of n values:
+// the types.Kind all n values share — n varints for INTEGER/DATE/BOOLEAN,
+// n × 8 bytes for DECIMAL, n strings for VARCHAR, no bytes for NULL — or
+// 0xFF and n tagged values when kinds differ (a partly-NULL column; there
+// is no NULL bitmap). Nothing may follow the last column's run. Row batches
+// are encoded straight off the engine's streaming cursor, a batch at a time
+// (sip.Rows.NextBatch): a batch of row ids over a base table — the root of a
+// plain column projection of a scan — becomes one frame of at most 1 024
+// rows whose runs are read off the table's column vectors, and tuple batches
+// coalesce into frames of 256 rows, cut early near 64 KiB, the last partial
+// frame riding with Done. A client that stops reading blocks the server's
+// conn.Write (buffered one frame deep), which stops the cursor, which
+// backpressures that query's operator pipeline — and nothing else.
 //
 // Cancel (0x06) is the one out-of-band frame: a reader goroutine services
 // it while the session goroutine streams, aborting the in-flight query,
@@ -94,11 +105,6 @@ type Config struct {
 	// MaxFrameBytes bounds one frame's payload (default DefaultMaxFrame).
 	MaxFrameBytes int
 
-	// BatchRows caps rows per RowBatch frame (default 256). Batches also
-	// cut early at ~64 KiB of encoded payload so wide rows cannot build
-	// outsized frames.
-	BatchRows int
-
 	// Banner is the HelloOK server string (default "sip").
 	Banner string
 
@@ -138,9 +144,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = DefaultMaxFrame
-	}
-	if cfg.BatchRows <= 0 {
-		cfg.BatchRows = 256
 	}
 	if cfg.Banner == "" {
 		cfg.Banner = "sip"

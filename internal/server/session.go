@@ -74,11 +74,11 @@ type session struct {
 	stmts  map[uint64]*sip.Stmt
 	nextID uint64
 
-	// scratch buffers amortize frame encoding across the session: row
+	// scratch and pend amortize frame encoding across the session: row
 	// batches and response payloads reuse them, so the steady-state row
 	// stream does not allocate per batch.
 	scratch []byte
-	head    []byte
+	pend    []sip.Row // rows awaiting their frame
 
 	// done closes when the session goroutine exits, releasing a read loop
 	// blocked on the request channel (drain or protocol-error exits leave
@@ -94,10 +94,11 @@ func newSession(s *Server, conn net.Conn) *session {
 		srv:  s,
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 8<<10),
-		// A small write buffer keeps backpressure honest: a stalled client
-		// blocks the session goroutine after at most a few KiB of slack,
-		// which stops the cursor, which stalls only that query's pipeline.
-		bw:    bufio.NewWriterSize(conn, 4<<10),
+		// The write buffer holds one frame, so a frame is one conn.Write, and
+		// still keeps backpressure honest: a stalled client blocks the session
+		// goroutine after a frame of slack, which stops the cursor, which
+		// stalls only that query's pipeline.
+		bw:    bufio.NewWriterSize(conn, frameBytes),
 		stmts: map[uint64]*sip.Stmt{},
 		done:  make(chan struct{}),
 	}
@@ -334,11 +335,16 @@ func (sess *session) runQuery(sql string, stmt *sip.Stmt, args []sip.Value) bool
 	return sess.streamRows(rows)
 }
 
-// streamRows encodes the cursor straight into wire frames: Schema, row
-// batches as rows arrive, then Done or Error. Nothing is materialized — a
-// batch lives only in the session scratch buffer between cuts, and a
-// blocked conn.Write stops the Next loop, backpressuring exactly this
-// query's pipeline.
+// Tuple batches coalesce into frames of frameRows rows, cut early at about
+// frameBytes so wide rows cannot build outsized frames. Do not raise
+// frameRows: a paced source's first frame waits for that many rows.
+const frameRows, frameBytes = 256, 64 << 10
+
+// streamRows encodes the cursor's batches straight into wire frames: Schema,
+// row batches as they arrive, then Done or Error. A row-id batch becomes one
+// frame, its runs read off the table's column vectors; tuple batches
+// coalesce. Nothing else is materialized, and a blocked conn.Write stops the
+// NextBatch loop, backpressuring exactly this query's pipeline.
 func (sess *session) streamRows(rows *sip.Rows) bool {
 	srv := sess.srv
 	// The schema frame is written but not flushed: a small result ships
@@ -352,47 +358,76 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 		return false
 	}
 
-	const cutBytes = 64 << 10
-	batchRows := srv.cfg.BatchRows
+	width := len(rows.Schema().Cols)
 	var sent int64
-	buf = buf[:0]
-	n := 0
-	writeBatch := func(flush bool) bool {
-		if n == 0 {
-			return true
-		}
-		sess.head = appendUvarint(sess.head[:0], uint64(n))
-		if writeFrameParts(sess.bw, frameRowBatch, sess.head, buf) != nil {
-			return false
-		}
-		if flush && sess.bw.Flush() != nil {
+	pend, pendBytes := sess.pend[:0], 0
+	// ship sends buf, the encoded batch of n rows.
+	ship := func(n int, flush bool) bool {
+		if writeFrame(sess.bw, frameRowBatch, buf) != nil || flush && sess.bw.Flush() != nil {
 			return false
 		}
 		srv.metrics.BatchesSent.Add(1)
 		srv.metrics.RowsSent.Add(int64(n))
-		srv.metrics.BytesSent.Add(int64(frameHeaderLen + len(sess.head) + len(buf)))
+		srv.metrics.BytesSent.Add(int64(frameHeaderLen + len(buf)))
 		sent += int64(n)
-		buf = buf[:0]
-		n = 0
 		return true
 	}
-
-	for rows.Next() {
-		for _, v := range rows.Row() {
-			buf = appendValue(buf, v)
+	shipPend := func(flush bool) bool {
+		n := len(pend)
+		if n == 0 {
+			return true
 		}
-		n++
-		if n >= batchRows || len(buf) >= cutBytes {
-			if !writeBatch(true) {
-				sess.scratch = buf
-				sess.countOutcome(errCodeCanceled)
-				return false
+		buf = appendUvarint(buf[:0], uint64(n))
+		for col := 0; col < width; col++ {
+			buf = appendRun(buf, pend, col)
+		}
+		clear(pend) // a kept session must not pin the last result
+		pend, pendBytes = pend[:0], 0
+		return ship(n, flush)
+	}
+	ok := true
+	for ok {
+		b, more := rows.NextBatch()
+		if !more {
+			break
+		}
+		if src := b.Src; src != nil {
+			buf = appendUvarint(buf[:0], uint64(len(b.Sel)))
+			for _, c := range src.Cols {
+				if vec, k := src.Vecs.IntVec(c); vec != nil {
+					buf = appendIntRun(buf, k, vec, b.Sel)
+				} else if vec := src.Vecs.FloatVec(c); vec != nil {
+					buf = appendFloatRun(buf, vec, b.Sel)
+				} else { // a string, NULL-holding or mixed column: from the rows
+					if len(pend) == 0 { // gathered once; no tuple is pending in a row-id stream
+						for _, rid := range b.Sel {
+							pend = append(pend, src.Rows[rid])
+						}
+					}
+					buf = appendRun(buf, pend, c)
+				}
+			}
+			clear(pend)
+			pend = pend[:0]
+			ok = ship(len(b.Sel), true)
+			continue
+		}
+		for _, l := range b.Live() {
+			pend = append(pend, b.Tuples[l])
+			pendBytes += 11 * len(b.Tuples[l]) // bounds the encoding: a tag and ≤ 10 bytes a value,
+			for _, v := range b.Tuples[l] {    // plus the string payloads
+				pendBytes += len(v.S)
+			}
+			if len(pend) >= frameRows || pendBytes >= frameBytes {
+				if ok = shipPend(true); !ok {
+					break
+				}
 			}
 		}
 	}
 	// The final partial batch rides in the same flush as Done (or Error).
-	ok := writeBatch(false)
-	sess.scratch = buf
+	ok = ok && shipPend(false)
+	sess.scratch, sess.pend = buf, pend[:0]
 	if !ok {
 		sess.countOutcome(errCodeCanceled)
 		return false

@@ -1,0 +1,246 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"net"
+	"strings"
+	"testing"
+
+	sip "repro"
+	tables "repro/internal/catalog" // catalog() is this package's shared test catalog
+	"repro/internal/types"
+	"repro/internal/workload"
+)
+
+// rowsHash is an order-independent digest of a result: the row count and the
+// sum of the rows' hashes (floats rounded as the strategies' differential
+// tests round them: parallel plans sum in nondeterministic order).
+func rowsHash(rows []sip.Row) (n int, sum uint64) {
+	for _, r := range rows {
+		h := fnv.New64a()
+		for _, v := range r {
+			fmt.Fprintf(h, "%d:%s|", v.K, sip.FormatValueRounded(v, 9))
+		}
+		sum += h.Sum64()
+	}
+	return len(rows), sum
+}
+
+// TestWireMatchesInProcess: the stream query (a row-id root) and Q1A–Q5A
+// under every strategy return over the wire the rows they return in process.
+func TestWireMatchesInProcess(t *testing.T) {
+	eng := sip.NewEngine(catalog())
+	queries := map[string]string{
+		"stream": "SELECT l_orderkey, l_partkey, l_suppkey, l_quantity, l_extendedprice, l_receiptdate FROM lineitem WHERE l_quantity < 24.5",
+	}
+	for _, id := range []string{"Q1A", "Q2A", "Q3A", "Q4A", "Q5A"} {
+		spec, err := workload.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[id] = spec.SQL(catalog())
+	}
+	for _, strat := range sip.AllStrategies() {
+		_, addr := startServer(t, Config{Engine: eng, BaseOptions: sip.Options{Strategy: strat}})
+		c := dialT(t, addr, DialConfig{})
+		for id, sql := range queries {
+			want, err := eng.Query(context.Background(), sql, sip.Options{Strategy: strat})
+			if err != nil {
+				t.Fatalf("%s %s in process: %v", id, strat, err)
+			}
+			rows, err := c.Query(context.Background(), sql)
+			if err != nil {
+				t.Fatalf("%s %s: %v", id, strat, err)
+			}
+			gn, gh := rowsHash(drainAll(t, rows))
+			if wn, wh := rowsHash(want.Rows); gn != wn || gh != wh {
+				t.Fatalf("%s %s: wire (%d rows, %x) differs from in process (%d rows, %x)", id, strat, gn, gh, wn, wh)
+			}
+			if gn == 0 && (id == "stream" || id == "Q2A") {
+				t.Fatalf("%s %s: no rows — the comparison is vacuous", id, strat)
+			}
+		}
+	}
+}
+
+// framingCatalog holds tables sized around the frame cuts — t<n> of n narrow
+// rows (inline plans: tuple batches, coalesced), wide of 300 rows × 1 KiB
+// strings (the byte cut), big of 5 000 rows (a row-id root) — each with an
+// INT, a DECIMAL, a STRING, a NULL-holding, an all-NULL and a mixed column.
+func framingCatalog() *sip.Catalog {
+	sch := types.NewSchema(
+		types.Column{Table: "t", Name: "a", Kind: types.KindInt},
+		types.Column{Table: "t", Name: "f", Kind: types.KindFloat},
+		types.Column{Table: "t", Name: "s", Kind: types.KindString},
+		types.Column{Table: "t", Name: "n", Kind: types.KindInt},
+		types.Column{Table: "t", Name: "z", Kind: types.KindInt},
+		types.Column{Table: "t", Name: "m", Kind: types.KindInt})
+	mk := func(name string, n, strLen int) *tables.Table {
+		rows := make([]types.Tuple, n)
+		for i := range rows {
+			nullable, mixed := types.Int(int64(i)), types.Int(int64(i))
+			if i%5 == 0 {
+				nullable = types.Null()
+			}
+			if i%3 == 0 {
+				mixed = types.Str("m")
+			}
+			rows[i] = types.Tuple{types.Int(int64(i) - 3), types.Float(float64(i) / 4),
+				types.Str(strings.Repeat("x", strLen) + fmt.Sprint(i)), nullable, types.Null(), mixed}
+		}
+		return &tables.Table{Name: name, Schema: sch, Rows: rows}
+	}
+	cat := tables.New()
+	for _, n := range []int{0, 1, 127, 128, 256, 257, 1025} {
+		cat.Add(mk(fmt.Sprint("t", n), n, 2))
+	}
+	cat.Add(mk("wide", 300, 1<<10))
+	cat.Add(mk("big", 5000, 2))
+	return cat
+}
+
+// TestWireFraming: results of 0 to 1 025 rows, a result the 64 KiB cut
+// splits and a row-id result with string, NULL-holding and mixed columns all
+// arrive as sent, in the frames the cut rules predict; and rows kept across
+// Next, Close and the connection's next query keep their values.
+func TestWireFraming(t *testing.T) {
+	eng := sip.NewEngine(framingCatalog())
+	srv, addr := startServer(t, Config{Engine: eng})
+	c := dialT(t, addr, DialConfig{})
+	for _, q := range []struct {
+		sql    string
+		frames int64
+	}{
+		{"SELECT a, f, s, n, z, m FROM t0", 0},
+		{"SELECT a, f, s, n, z, m FROM t1", 1},
+		{"SELECT a, f, s, n, z, m FROM t127", 1},
+		{"SELECT a, f, s, n, z, m FROM t128", 1},
+		{"SELECT a, f, s, n, z, m FROM t256", 1},
+		{"SELECT a, f, s, n, z, m FROM t257", 2},
+		{"SELECT a, f, s, n, z, m FROM t1025", 5},
+		{"SELECT s, a FROM wide", 5},                           // 300 rows of ≈ 1 050 B: 62 to a 64 KiB frame
+		{"SELECT m, z, n, s, f, a FROM big WHERE a < 4000", 4}, // a row-id root: a frame per ≤ 1 024 survivors
+	} {
+		want, err := eng.Query(context.Background(), q.sql, sip.Options{})
+		if err != nil {
+			t.Fatalf("%s in process: %v", q.sql, err)
+		}
+		before := srv.Metrics().BatchesSent.Load()
+		rows, err := c.Query(context.Background(), q.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		var got, kept []sip.Row
+		var keptWant []string
+		for rows.Next() {
+			row := rows.Row()
+			got = append(got, row)
+			if len(got)%100 == 1 {
+				kept = append(kept, row)
+				keptWant = append(keptWant, row.Clone().String())
+			}
+		}
+		if err := rows.Err(); err != nil {
+			t.Fatalf("%s: %v", q.sql, err)
+		}
+		rows.Close()
+		if frames := srv.Metrics().BatchesSent.Load() - before; frames != q.frames {
+			t.Errorf("%s: %d frames, want %d", q.sql, frames, q.frames)
+		}
+		gn, gh := rowsHash(got)
+		if wn, wh := rowsHash(want.Rows); gn != wn || gh != wh {
+			t.Fatalf("%s: wire (%d rows, %x) differs from in process (%d rows, %x)", q.sql, gn, gh, wn, wh)
+		}
+		// The next exchange overwrites the connection's frame buffer.
+		again, err := c.Query(context.Background(), "SELECT s, s, s FROM t257")
+		if err != nil {
+			t.Fatal(err)
+		}
+		drainAll(t, again)
+		for i, row := range kept {
+			if g := row.String(); g != keptWant[i] {
+				t.Fatalf("%s: kept row %d changed: %s, was %s", q.sql, i, g, keptWant[i])
+			}
+		}
+	}
+}
+
+// TestCountLoopAllocs: a warm cursor that only counts rows allocates per
+// query (the cursor, the schema, the summary), never per row or per frame.
+func TestCountLoopAllocs(t *testing.T) {
+	const frames, perFrame = 64, 1000
+	sch := types.NewSchema(
+		types.Column{Table: "t", Name: "a", Kind: types.KindInt},
+		types.Column{Table: "t", Name: "f", Kind: types.KindFloat},
+		types.Column{Table: "t", Name: "d", Kind: types.KindDate})
+	rows := make([]types.Tuple, perFrame)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i * 977)), types.Float(float64(i) / 8), types.Date(int64(9000 + i))}
+	}
+	var stream bytes.Buffer
+	writeFrame(&stream, frameSchema, appendSchema(nil, sch))
+	for i := 0; i < frames; i++ {
+		writeFrame(&stream, frameRowBatch, appendRowBatch(nil, rows, 3))
+	}
+	writeFrame(&stream, frameDone, appendSummary(nil, &Summary{Rows: frames * perFrame}))
+
+	src := bytes.NewReader(nil)
+	c := &Client{br: bufio.NewReaderSize(src, 32<<10), maxFrame: DefaultMaxFrame}
+	count := func() {
+		src.Reset(stream.Bytes())
+		c.br.Reset(src)
+		c.busy = true
+		cur, err := c.openStream(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for cur.Next() {
+			n++
+		}
+		if cur.Err() != nil || n != frames*perFrame {
+			t.Fatalf("%d rows, err %v", n, cur.Err())
+		}
+	}
+	count() // warm: the frame buffer and the column runs grow once
+	if allocs := testing.AllocsPerRun(5, count); allocs > 16 {
+		t.Fatalf("counting %d frames allocated %.0f objects", frames, allocs)
+	}
+}
+
+// TestV1HelloRefused: version 1 (row-at-a-time RowBatch payloads) is gone from
+// both ends; a peer that offers at most that gets the "version" error frame
+// and a closed connection, never a v1 stream.
+func TestV1HelloRefused(t *testing.T) {
+	srv, addr := startServer(t, Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := appendUvarint([]byte(protoMagic), 1)
+	hello = appendString(appendString(hello, "tenant"), "") // tenant, scheduler
+	hello = append(appendVarint(hello, 0), 0)               // memory budget, failure mode
+	if err := writeFrame(conn, frameHello, hello); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(conn, DefaultMaxFrame)
+	if err != nil || typ != frameError {
+		t.Fatalf("frame 0x%02x, err %v; want an Error frame", typ, err)
+	}
+	var werr *WireError
+	if !errors.As(decodeError(payload), &werr) || werr.Code != errCodeVersion {
+		t.Fatalf("got %v, want a %q error", decodeError(payload), errCodeVersion)
+	}
+	if _, _, err := readFrame(conn, DefaultMaxFrame); err == nil {
+		t.Fatal("the session stayed open after refusing the handshake")
+	}
+	if n := srv.Metrics().QueriesStarted.Load(); n != 0 {
+		t.Fatalf("%d queries started", n)
+	}
+}

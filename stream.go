@@ -265,9 +265,10 @@ type Rows struct {
 	release   func()
 
 	cur   exec.Batch
-	lanes []int32
+	lanes []int32 // cur.Live(): lanes of cur.Tuples, or row ids of cur.Src
 	idx   int
-	row   Row
+	row   Row     // current row; nil until Row boxes it, for a row-id batch
+	block []Value // backing of the rows boxed from cur
 
 	done bool
 	err  error
@@ -281,29 +282,52 @@ func (r *Rows) Schema() *Schema { return r.sch }
 // returns false when the result is exhausted, the query failed, or the
 // cursor was closed; consult Err to distinguish.
 func (r *Rows) Next() bool {
-	if r.done {
-		return false
-	}
-	for {
-		if r.idx < len(r.lanes) {
-			r.row = r.cur.Tuples[r.lanes[r.idx]]
-			r.idx++
-			return true
-		}
-		r.recycle()
-		b, ok := <-r.out
-		if !ok {
-			r.finish()
+	for r.idx >= len(r.lanes) {
+		if _, ok := r.NextBatch(); !ok {
 			return false
 		}
-		r.cur, r.lanes, r.idx = b, b.Live(), 0
 	}
+	r.row = nil
+	if r.cur.Src == nil {
+		r.row = r.cur.Tuples[r.lanes[r.idx]]
+	}
+	r.idx++
+	return true
+}
+
+// NextBatch advances past the current batch to the next one as the root
+// operator emitted it — tuples with an optional selection, or row ids over a
+// base table (see exec.Batch) — for a consumer that works a column at a time
+// (the wire session); ok is false at the end of the stream. The batch is the
+// cursor's: read it before the next call to NextBatch, Next or Close.
+func (r *Rows) NextBatch() (b exec.Batch, ok bool) {
+	if r.done {
+		return b, false
+	}
+	r.recycle()
+	if b, ok = <-r.out; !ok {
+		r.finish()
+		return b, false
+	}
+	r.cur, r.lanes, r.idx = b, b.Live(), 0
+	return b, true
 }
 
 // Row returns the current row. It is valid after a true Next and remains
 // valid after further Next/Close calls (rows are independent of the
-// recycled batch buffers).
-func (r *Rows) Row() Row { return r.row }
+// recycled batch buffers). A row of a row-id batch (the root of a plain column
+// projection of a scan) is boxed here, when first asked for, into a block
+// shared with the rows left in its batch: a loop that only counts copies no
+// values, and a retained row pins its block.
+func (r *Rows) Row() Row {
+	if src := r.cur.Src; r.row == nil && src != nil && r.idx > 0 {
+		if w := len(src.Cols); cap(r.block)-len(r.block) < w {
+			r.block = make([]Value, 0, w*(len(r.lanes)-r.idx+1))
+		}
+		r.block, r.row = src.Box(r.block, r.lanes[r.idx-1])
+	}
+	return r.row
+}
 
 // Err returns the terminal error: context.Canceled or
 // context.DeadlineExceeded when the bound context fired, a *SourceError
@@ -353,7 +377,7 @@ func (r *Rows) All() iter.Seq2[Row, error] {
 	return func(yield func(Row, error) bool) {
 		defer r.Close()
 		for r.Next() {
-			if !yield(r.row, nil) {
+			if !yield(r.Row(), nil) {
 				return
 			}
 		}
@@ -373,9 +397,7 @@ func (r *Rows) Result() *Result {
 
 // recycle returns the in-hand batch to the executor's pool.
 func (r *Rows) recycle() {
-	if r.cur.Tuples != nil || r.cur.Sel != nil {
-		exec.PutBatch(r.cur)
-	}
+	exec.PutBatch(r.cur)
 	r.cur, r.lanes, r.idx = exec.Batch{}, nil, 0
 }
 
@@ -399,15 +421,15 @@ func (r *Rows) finish() {
 	if r.eng != nil && r.eng.slowThresh > 0 && dur >= r.eng.slowThresh {
 		r.eng.slow.record(r.sql, dur, time.Now())
 	}
+	// Quiescence first: every operator goroutine must have exited before the
+	// error is read (a panicking operator closes its output, then records the
+	// cause), before the spill directory is removed (a live merge could hold a
+	// run file) and, in pooled mode, before the registry they write is reused.
+	r.ectx.Wait()
 	if err := r.ectx.Err(); err != nil && !errors.Is(err, errRowsClosed) {
 		r.err = err
 	}
 	reg := r.reg
-	// Quiescence before teardown: every operator goroutine must have exited
-	// before the spill directory is removed (a live merge could still hold
-	// a run file) and, in pooled mode, before the registry (whose counters
-	// they write) is reset and reused by another query.
-	r.ectx.Wait()
 	r.ectx.Cleanup()
 	r.res = &Result{
 		Schema:                 r.sch,
