@@ -390,6 +390,11 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 			close(pt.in)
 		}
 		workerWg.Wait()
+		defer func() {
+			for _, pt := range parts {
+				ctx.account(-pt.bytes) // the groups die with the operator
+			}
+		}()
 		if !routed { // cancelled mid-routing: state is partial, don't publish
 			return
 		}
@@ -652,6 +657,11 @@ func (d *Distinct) Start(ctx *Context) <-chan Batch {
 			close(pt.in)
 		}
 		workerWg.Wait()
+		defer func() {
+			for _, pt := range parts {
+				ctx.account(-pt.bytes) // the seen-set dies with the operator
+			}
+		}()
 		if !routed || failed.Load() { // cancelled: seen-state is partial
 			return
 		}

@@ -249,6 +249,9 @@ type inputRoute struct {
 	point *Point         // may be nil
 	op    *stats.OpStats // the input's stats block
 	store bool           // routed tuples feed point.OnStore (the join's working AIP set)
+	// equi: the keys are a join's, and a NULL key equals nothing, so a tuple
+	// with one is dropped here (a routing scan's keys have vectors: no NULLs).
+	equi bool
 
 	side  int
 	shift uint
@@ -341,6 +344,9 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 	// caller, so it owns working-set slot 0.
 	store := rt.store && pt != nil && pt.OnStore != nil
 	for _, l := range kept {
+		if rt.equi && !scan && tuples[l].HasNull(rt.keys) {
+			continue
+		}
 		if scan {
 			rt.buf(sc.hashes[l]).addRef(rid0+l, sc.hashes[l], sc.key(l))
 		} else {

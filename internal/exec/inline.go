@@ -144,11 +144,14 @@ func runInlineJoin(ctx *Context, proj *Project, above []*Filter, j *HashJoin) ([
 	var buf []byte
 	var storedBytes int64
 	for i, t := range build {
+		if t.HasNull(bKeys) { // matches nothing (HashJoin drops it when routing)
+			continue
+		}
 		buf = t.AppendKeyCols(buf[:0], bKeys)
 		jt.insert(types.Hash64(buf, 0), buf, t, uint64(i+1))
 		storedBytes += int64(t.MemSize())
 	}
-	bop.StateRows.Add(int64(len(build)))
+	bop.StateRows.Add(int64(len(jt.entries)))
 	bop.StateBytes.Add(storedBytes)
 
 	resC := expr.Compile(j.Residual) // nil residual compiles to nil
@@ -159,6 +162,9 @@ func runInlineJoin(ctx *Context, proj *Project, above []*Filter, j *HashJoin) ([
 		arena   rowArena
 	)
 	for _, t := range probe {
+		if t.HasNull(pKeys) {
+			continue
+		}
 		buf = t.AppendKeyCols(buf[:0], pKeys)
 		matches = jt.probe(types.Hash64(buf, 0), buf, maxSeq, matches[:0])
 		for _, m := range matches {

@@ -356,7 +356,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	// its pruning through Point.Op.
 	feed := func(child Op, own *joinInput) {
 		rt := newInputRoute(own.side, P, partIns)
-		rt.keys, rt.point, rt.op, rt.store = own.keys, own.point, own.op, true
+		rt.keys, rt.point, rt.op, rt.store, rt.equi = own.keys, own.point, own.op, true, true
 		rt.beforeSend = func() { own.pending.Add(1) }
 		rt.onCancel = func() { own.pending.Add(-1) }
 		rt.done = func(complete bool) { routingDone(own, complete) }
@@ -540,6 +540,9 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			}) {
 				break
 			}
+		}
+		for _, pt := range parts {
+			ctx.account(-pt.bytes) // the tables die with the operator
 		}
 		close(out)
 	})

@@ -27,7 +27,9 @@ func (c *Context) account(delta int64) {
 	}
 }
 
-// TrackedBytes returns the currently accounted operator-state bytes.
+// TrackedBytes returns the currently accounted operator-state bytes: zero
+// again once a query has finished, since every stateful operator releases
+// what its partitions still hold when its workers have exited.
 func (c *Context) TrackedBytes() int64 { return c.tracked.Load() }
 
 // PeakTrackedBytes returns the high-water mark of accounted state bytes.

@@ -29,6 +29,17 @@ func (t Tuple) MemSize() int {
 	return n
 }
 
+// HasNull reports whether any of the listed columns is NULL: such a key
+// equals nothing under SQL equality, so a join never matches it.
+func (t Tuple) HasNull(cols []int) bool {
+	for _, c := range cols {
+		if t[c].K == KindNull {
+			return true
+		}
+	}
+	return false
+}
+
 // Key encodes the listed column positions into a canonical hash key. It is
 // the convenience form of AppendKeyCols for cold paths; the executor's hot
 // paths use AppendKeyCols (via Hasher) to avoid the string allocation.
