@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet test-race chaos fuzz-wire bench-smoke bench bench-pairs bench-test microbench joinbench exprbench stmtbench schedbench filterbench spillbench serverbench benchdiff verify
+.PHONY: all build test vet test-race chaos fuzz-wire bench-smoke bench bench-pairs bench-test microbench joinbench exprbench stmtbench filterbench spillbench serverbench benchdiff verify
 
 all: build
 
@@ -47,21 +47,22 @@ microbench:
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkJoin -benchmem -benchtime 5x -count 3
 
 # test-race: the executor's concurrency tests (partitioned join/agg
-# determinism, cancellation, the morsel scheduler differentials, the
-# bucket-discard spill differentials, source-side selection: scan-probe
-# differentials, accounting, the 0-alloc chunk path, join reservation;
-# routing scans: routed-vs-router differentials, the entry layout, the
-# 0-alloc routing kernel, spill over row-id entries, start order; the row-id
-# root: root-vs-Project differential, cancel / early Close / kept rows on the
-# cursor), the catalog's column-vector cache, the spill run-file frame codec, the
-# work-stealing pool's park/steal races, the scalar-vs-vectorized
-# expression differential tests, the network fault/breaker tests, the
-# blocked-filter / striped-Partial merge-exactness differentials, and the
-# wire server's concurrent-session soak / disconnect-cancellation / quota
-# tests, the column-run codec and hostile-frame tests and the wire ≡
-# in-process differentials, under the race detector.
+# determinism, cancellation, the bucket-discard spill differentials,
+# source-side selection: scan-probe differentials, accounting, the 0-alloc
+# chunk path, join reservation; routing scans: routed-vs-router
+# differentials, the entry layout, the 0-alloc routing kernel, spill over
+# row-id entries, start order; the row-id root: root-vs-Project
+# differential, cancel / early Close / kept rows on the cursor), the
+# catalog's column-vector cache, the spill run-file frame codec, the
+# scalar-vs-vectorized expression differential tests, the network
+# fault/breaker tests, the blocked-filter / striped-Partial merge-exactness
+# differentials, the wire server's concurrent-session soak /
+# disconnect-cancellation / quota tests, the column-run codec and
+# hostile-frame tests and the wire ≡ in-process differentials, and the long
+# leg of the generated-query oracle (SIP_ORACLE_SEEDS catalogs instead of
+# six), under the race detector.
 test-race:
-	$(GO) test -race ./internal/exec ./internal/catalog ./internal/spill ./internal/sched ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
+	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
 
 # fuzz-wire: 30 s of each wire-protocol fuzzer — the payload primitives, the
 # frame layer, and the RowBatch column-run decoder (go test runs one fuzz
@@ -97,13 +98,6 @@ exprbench:
 # PR's entry.
 stmtbench:
 	$(GO) run ./cmd/sipbench -stmtbench
-
-# schedbench: measure the chan-vs-morsel scheduler comparison (P=1 head to
-# head plus the morsel pool's P ∈ {1,2,4,8} scaling curve) and record it on
-# the latest BENCH_joins.json entry. Run after joinbench so the section
-# lands on this PR's entry.
-schedbench:
-	$(GO) run ./cmd/sipbench -schedbench
 
 # filterbench: measure the blocked-vs-flat Bloom filter kernels (build,
 # merge, probe rates plus the P=8 working-set bytes) and record them on the

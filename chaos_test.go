@@ -223,113 +223,6 @@ func TestChaosCancelMidBackoff(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestChaosSmokeSchedulerDifferential is the tier-1 chan-vs-morsel
-// differential: on the same engine and fault seeds, the morsel scheduler
-// must return exactly the chan scheduler's rows — fault-free, with
-// transient remote faults absorbed by retries, and in partial mode with a
-// dead delayed source, where the abandoned prefix (and hence the
-// IncompleteTables annotation) must match too. Goroutine-leak checked.
-func TestChaosSmokeSchedulerDifferential(t *testing.T) {
-	e := testEngine(t)
-	goroutineBase := runtime.NumGoroutine()
-
-	cases := []struct {
-		name string
-		opts Options
-	}{
-		{"fault-free", Options{Strategy: CostBased}},
-		{"remote-transient", Options{
-			Strategy:     CostBased,
-			RemoteTables: map[string]int{"partsupp": 1},
-			Faults:       &FaultProfile{Seed: 7, TransientRate: 0.2},
-			Retry:        fastRetry(),
-		}},
-		{"partial-dead-delayed", Options{
-			DelayedTables:   []string{"partsupp"},
-			Delay:           &DelayConfig{Initial: time.Millisecond, EveryN: 100, Pause: 0},
-			Faults:          &FaultProfile{Seed: 5, TransientRate: 0.35},
-			Retry:           fastRetry(),
-			OnSourceFailure: PartialOnSourceError,
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			chanOpts, morselOpts := tc.opts, tc.opts
-			chanOpts.Scheduler = SchedulerChan
-			morselOpts.Scheduler = SchedulerMorsel
-			cres, err := e.Query(context.Background(), chaosSQL, chanOpts)
-			if err != nil {
-				t.Fatalf("chan: %v", err)
-			}
-			mres, err := e.Query(context.Background(), chaosSQL, morselOpts)
-			if err != nil {
-				t.Fatalf("morsel: %v", err)
-			}
-			want, got := canon(cres.Rows), canon(mres.Rows)
-			if len(want) != len(got) {
-				t.Fatalf("morsel returned %d rows, chan %d", len(got), len(want))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("row %d: morsel %q, chan %q", i, got[i], want[i])
-				}
-			}
-			if cres.Complete() != mres.Complete() {
-				t.Fatalf("completeness differs: chan %v, morsel %v",
-					cres.Complete(), mres.Complete())
-			}
-			if len(cres.IncompleteTables) != len(mres.IncompleteTables) {
-				t.Fatalf("IncompleteTables differ: chan %+v, morsel %+v",
-					cres.IncompleteTables, mres.IncompleteTables)
-			}
-			for i := range cres.IncompleteTables {
-				if cres.IncompleteTables[i].Table != mres.IncompleteTables[i].Table {
-					t.Fatalf("incomplete table %d: chan %q, morsel %q", i,
-						cres.IncompleteTables[i].Table, mres.IncompleteTables[i].Table)
-				}
-			}
-		})
-	}
-	waitGoroutines(t, goroutineBase)
-}
-
-// TestChaosSmokeMorselCancelNoLeak cancels a morsel-scheduled streaming
-// query mid-backoff and requires a prompt, leak-free unwind (the pool
-// supervisor, workers, and sequential sources must all exit).
-func TestChaosSmokeMorselCancelNoLeak(t *testing.T) {
-	e := testEngine(t)
-	base := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rows, err := e.QueryStream(ctx, chaosSQL, Options{
-		Scheduler:     SchedulerMorsel,
-		DelayedTables: []string{"partsupp"},
-		Delay:         &DelayConfig{Initial: time.Millisecond},
-		Faults:        &FaultProfile{Seed: 1, TransientRate: 1},
-		Retry: RetryPolicy{
-			BaseBackoff: 30 * time.Second, // cancellation must not wait this out
-			MaxBackoff:  30 * time.Second,
-			Jitter:      -1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(100 * time.Millisecond)
-	cancel()
-	t0 := time.Now()
-	for rows.Next() {
-	}
-	if elapsed := time.Since(t0); elapsed > 2*time.Second {
-		t.Fatalf("cancel during backoff took %v to unwind", elapsed)
-	}
-	if err := rows.Err(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Err() = %v, want context.Canceled", err)
-	}
-	waitGoroutines(t, base)
-}
-
 // TestChaosDifferentialFailMode: under FailOnSourceError, fault injection
 // plus retries must be invisible in the answer — every seed that completes
 // returns rows identical to the fault-free run.
@@ -469,7 +362,6 @@ func TestChaosMatrix(t *testing.T) {
 	}
 	modes := []FailureMode{FailOnSourceError, PartialOnSourceError}
 	strategies := []Strategy{Baseline, FeedForward, CostBased}
-	scheds := []string{SchedulerChan, SchedulerMorsel}
 	// Memory-pressure axis: unbounded, a budget tight enough to force
 	// bucket-discard spilling on this working set, and a comfortable one.
 	// Faults and out-of-core execution compose: the same invariants hold.
@@ -478,76 +370,73 @@ func TestChaosMatrix(t *testing.T) {
 	for _, prof := range profiles {
 		for _, mode := range modes {
 			for _, strat := range strategies {
-				for _, sched := range scheds {
-					for _, budget := range budgets {
-						for seed := int64(1); seed <= 4; seed++ {
-							name := fmt.Sprintf("%s/%v/%v/%s/mem%dk/seed%d", prof.name, mode, strat, sched, budget>>10, seed)
-							t.Run(name, func(t *testing.T) {
-								p := prof.p
-								p.Seed = seed
-								ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-								defer cancel()
-								res, err := e.Query(ctx, chaosSQL, Options{
-									Strategy:        strat,
-									Scheduler:       sched,
-									RemoteTables:    map[string]int{"partsupp": 1},
-									DelayedTables:   []string{"supplier"},
-									Delay:           &DelayConfig{Initial: time.Millisecond},
-									Faults:          &p,
-									Retry:           fastRetry(),
-									OnSourceFailure: mode,
-									MemBudget:       budget,
-									Parallelism:     4,
-								})
-								if err != nil {
-									if ctx.Err() != nil {
-										t.Fatalf("run hit its deadline (hang): %v", err)
-									}
-									var be *BudgetError
-									if budget > 0 && errors.As(err, &be) {
-										// An unworkably tight budget is a legal
-										// typed failure in either mode — but
-										// never a hang or a silent truncation.
-										return
-									}
-									if mode == PartialOnSourceError {
-										t.Fatalf("partial mode must degrade, not fail: %v", err)
-									}
-									var se *SourceError
-									if !errors.As(err, &se) {
-										t.Fatalf("failed with %T (%v), want *SourceError", err, err)
-									}
-									if se.Table == "" || se.Attempts == 0 {
-										t.Fatalf("SourceError missing context: %+v", se)
-									}
-									return
-								}
-								got := canon(res.Rows)
-								if res.Complete() {
-									if len(got) != len(base) {
-										t.Fatalf("complete run returned %d rows, fault-free %d", len(got), len(base))
-									}
-									for i := range got {
-										if got[i] != base[i] {
-											t.Fatalf("complete run row %d = %q, fault-free %q", i, got[i], base[i])
-										}
-									}
-									return
-								}
-								if mode != PartialOnSourceError {
-									t.Fatal("fail mode produced an incomplete result instead of an error")
-								}
-								// Partial: rows must be a sub-multiset of the
-								// fault-free answer — degraded, never wrong.
-								seen := map[string]int{}
-								for _, r := range got {
-									seen[r]++
-									if seen[r] > baseCount[r] {
-										t.Fatalf("partial run invented row %q", r)
-									}
-								}
+				for _, budget := range budgets {
+					for seed := int64(1); seed <= 4; seed++ {
+						name := fmt.Sprintf("%s/%v/%v/mem%dk/seed%d", prof.name, mode, strat, budget>>10, seed)
+						t.Run(name, func(t *testing.T) {
+							p := prof.p
+							p.Seed = seed
+							ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+							defer cancel()
+							res, err := e.Query(ctx, chaosSQL, Options{
+								Strategy:        strat,
+								RemoteTables:    map[string]int{"partsupp": 1},
+								DelayedTables:   []string{"supplier"},
+								Delay:           &DelayConfig{Initial: time.Millisecond},
+								Faults:          &p,
+								Retry:           fastRetry(),
+								OnSourceFailure: mode,
+								MemBudget:       budget,
+								Parallelism:     4,
 							})
-						}
+							if err != nil {
+								if ctx.Err() != nil {
+									t.Fatalf("run hit its deadline (hang): %v", err)
+								}
+								var be *BudgetError
+								if budget > 0 && errors.As(err, &be) {
+									// An unworkably tight budget is a legal
+									// typed failure in either mode — but
+									// never a hang or a silent truncation.
+									return
+								}
+								if mode == PartialOnSourceError {
+									t.Fatalf("partial mode must degrade, not fail: %v", err)
+								}
+								var se *SourceError
+								if !errors.As(err, &se) {
+									t.Fatalf("failed with %T (%v), want *SourceError", err, err)
+								}
+								if se.Table == "" || se.Attempts == 0 {
+									t.Fatalf("SourceError missing context: %+v", se)
+								}
+								return
+							}
+							got := canon(res.Rows)
+							if res.Complete() {
+								if len(got) != len(base) {
+									t.Fatalf("complete run returned %d rows, fault-free %d", len(got), len(base))
+								}
+								for i := range got {
+									if got[i] != base[i] {
+										t.Fatalf("complete run row %d = %q, fault-free %q", i, got[i], base[i])
+									}
+								}
+								return
+							}
+							if mode != PartialOnSourceError {
+								t.Fatal("fail mode produced an incomplete result instead of an error")
+							}
+							// Partial: rows must be a sub-multiset of the
+							// fault-free answer — degraded, never wrong.
+							seen := map[string]int{}
+							for _, r := range got {
+								seen[r]++
+								if seen[r] > baseCount[r] {
+									t.Fatalf("partial run invented row %q", r)
+								}
+							}
+						})
 					}
 				}
 			}

@@ -15,9 +15,7 @@
 // co-tenant load on a shared runner — measured directly by the reps'
 // scatter — cannot flag a phantom regression. The
 // expression microbench section (sipbench -exprbench) is gated the same
-// way: scalar and vectorized tuples/s per shape; so is the scheduler
-// section (sipbench -schedbench), which additionally carries an intra-entry
-// gate — morsel within tolerance of chan at P=1 — and the spill section
+// way: scalar and vectorized tuples/s per shape; so is the spill section
 // (sipbench -spillbench), whose intra-entry gates require the quarter-cap
 // run to have actually spilled and to finish within 5× of the unbounded
 // wall time, and the wire-serving section (sipbench -serverbench), whose
@@ -65,12 +63,6 @@ type stmtCell struct {
 	PreparedQPS float64 `json:"prepared_queries_per_sec"`
 }
 
-type schedCell struct {
-	Scheduler         string  `json:"scheduler"`
-	Parallelism       int     `json:"parallelism"`
-	InputTuplesPerSec float64 `json:"input_tuples_per_sec"`
-}
-
 type filterCell struct {
 	Name              string  `json:"name"`
 	BuildTuplesPerSec float64 `json:"build_tuples_per_sec"`
@@ -104,7 +96,6 @@ type entry struct {
 	ParallelScaling []scalingCell  `json:"parallel_scaling"`
 	ExprMicrobench  []exprCell     `json:"expr_microbench"`
 	StmtMicrobench  []stmtCell     `json:"stmt_microbench"`
-	SchedBench      []schedCell    `json:"sched_bench"`
 	FilterBench     []filterCell   `json:"filter_bench"`
 	SpillBench      []spillCell    `json:"spill_bench"`
 	ServerBench     []serverCell   `json:"server_bench"`
@@ -137,8 +128,7 @@ func main() {
 	prev, cur := tr.Entries[len(tr.Entries)-2], tr.Entries[len(tr.Entries)-1]
 	// Throughput on different silicon is not comparable: when the machine
 	// string changes between entries the PR-over-PR diffs are printed for
-	// reference but do not gate (the intra-entry scheduler floor still
-	// does). The string includes the CPU model where available, so
+	// reference but do not gate (the intra-entry floors still do). The string includes the CPU model where available, so
 	// same-image runs on a new host are caught, not just core-count changes.
 	sameMachine := prev.Machine == "" || cur.Machine == "" || prev.Machine == cur.Machine
 	if !sameMachine {
@@ -152,17 +142,16 @@ func main() {
 	}
 
 	failed := false
-	// gated compares against the previous entry (suspended across machine
-	// changes); intra flags regressions within the current entry alone and
-	// always gates.
-	diff := func(gating bool, tol float64, strategy, metric string, old, new float64) {
+	// diff compares against the previous entry; it gates only when both
+	// entries come from the same machine.
+	diff := func(tol float64, strategy, metric string, old, new float64) {
 		if old <= 0 || new <= 0 {
 			return // metric absent in one of the entries (pre-split layout)
 		}
 		change := new/old - 1
 		status := "ok"
 		if change < -tol {
-			if gating {
+			if sameMachine {
 				status = "REGRESSION"
 				failed = true
 			} else {
@@ -173,7 +162,7 @@ func main() {
 			strategy, metric, old, new, change*100, status)
 	}
 	check := func(strategy, metric string, old, new float64) {
-		diff(sameMachine, *tolerance, strategy, metric, old, new)
+		diff(*tolerance, strategy, metric, old, new)
 	}
 	// noisy gates like check but widens the tolerance to the larger of the
 	// two entries' recorded rep spreads (capped at 50%): the same machine
@@ -186,10 +175,7 @@ func main() {
 		if spread > tol {
 			tol = math.Min(spread, 0.5)
 		}
-		diff(sameMachine, tol, strategy, metric, old, new)
-	}
-	intra := func(strategy, metric string, old, new float64) {
-		diff(true, *tolerance, strategy, metric, old, new)
+		diff(tol, strategy, metric, old, new)
 	}
 	for _, c := range cur.Strategies {
 		p, ok := prevBy[c.Strategy]
@@ -243,42 +229,6 @@ func main() {
 			check("stmt:"+c.Name, "cached_queries_per_sec", p.CachedQPS, c.CachedQPS)
 			check("stmt:"+c.Name, "prepared_queries_per_sec", p.PreparedQPS, c.PreparedQPS)
 		}
-	}
-	// Scheduler benchmark (sipbench -schedbench). Two gates: per
-	// (scheduler, P) cell against the previous entry — same-machine only,
-	// like parallel_scaling, since the curve is core-bound — and an
-	// intra-entry floor that holds even on the section's first appearance:
-	// the morsel pool at P=1 must stay within tolerance of the chan
-	// pipeline at P=1, so the work-stealing path never ships with a
-	// single-core overhead regression hidden behind its scaling wins.
-	if prev.Machine == cur.Machine {
-		prevSched := map[string]schedCell{}
-		for _, c := range prev.SchedBench {
-			prevSched[fmt.Sprintf("%s/%d", c.Scheduler, c.Parallelism)] = c
-		}
-		for _, c := range cur.SchedBench {
-			if p, ok := prevSched[fmt.Sprintf("%s/%d", c.Scheduler, c.Parallelism)]; ok {
-				check(fmt.Sprintf("sched %s P=%d", c.Scheduler, c.Parallelism),
-					"input_tuples_per_sec", p.InputTuplesPerSec, c.InputTuplesPerSec)
-			}
-		}
-	} else if len(cur.SchedBench) > 0 {
-		fmt.Println("benchdiff: note: sched_bench not compared across different machines")
-	}
-	var chanP1, morselP1 float64
-	for _, c := range cur.SchedBench {
-		if c.Parallelism != 1 {
-			continue
-		}
-		switch c.Scheduler {
-		case "chan":
-			chanP1 = c.InputTuplesPerSec
-		case "morsel":
-			morselP1 = c.InputTuplesPerSec
-		}
-	}
-	if chanP1 > 0 && morselP1 > 0 {
-		intra("sched morsel-vs-chan", "P=1 input_tuples_per_sec", chanP1, morselP1)
 	}
 	// Filter benchmark (sipbench -filterbench). Cross-entry: the three
 	// kernel rates per variant, same-machine only. Intra-entry, always

@@ -8,7 +8,6 @@
 //	sipbench -figure 13 -sf 0.1 -reps 5
 //	sipbench -query Q2A -strategy Feed-forward -v
 //	sipbench -joinbench                # write BENCH_joins.json
-//	sipbench -schedbench               # record the chan-vs-morsel section
 //	sipbench -filterbench              # record the blocked-vs-flat filter section
 //	sipbench -spillbench               # record the memory-budget spill section
 //	sipbench -serverbench              # record the wire-protocol serving section
@@ -69,21 +68,19 @@ func main() {
 		strategy = flag.String("strategy", "Feed-forward", "strategy for -query")
 		verbose  = flag.Bool("v", false, "per-operator statistics")
 		summary  = flag.Bool("summary", true, "print shape summary after each figure")
-		pipej    = flag.Int("pipedepth", 0, "per-edge channel buffer in batches (0 = executor default)")
 
 		joinbench   = flag.Bool("joinbench", false, "run the per-strategy join benchmark and write -benchout")
 		exprbench   = flag.Bool("exprbench", false, "run the scalar-vs-vectorized expression microbench and record it in -benchout")
 		stmtbench   = flag.Bool("stmtbench", false, "run the prepare-once/execute-many point-query microbench and record it in -benchout")
-		schedbench  = flag.Bool("schedbench", false, "run the chan-vs-morsel scheduler benchmark and record it in -benchout")
 		filterbench = flag.Bool("filterbench", false, "run the blocked-vs-flat Bloom filter benchmark and record it in -benchout")
 		spillbench  = flag.Bool("spillbench", false, "run the memory-budget spill benchmark (unbounded vs quarter vs sixteenth cap) and record it in -benchout")
 		serverbench = flag.Bool("serverbench", false, "run the wire-protocol serving benchmark (adhoc vs cached vs prepared at 1/64/512 sessions) and record it in -benchout")
-		benchout    = flag.String("benchout", "BENCH_joins.json", "output path for -joinbench / -exprbench / -stmtbench / -schedbench / -filterbench / -spillbench / -serverbench")
-		overwrite   = flag.Bool("overwrite", false, "let -exprbench/-stmtbench/-schedbench/-filterbench/-spillbench/-serverbench replace a section already recorded on the latest entry (intra-PR re-measurement)")
+		benchout    = flag.String("benchout", "BENCH_joins.json", "output path for -joinbench / -exprbench / -stmtbench / -filterbench / -spillbench / -serverbench")
+		overwrite   = flag.Bool("overwrite", false, "let -exprbench/-stmtbench/-filterbench/-spillbench/-serverbench replace a section already recorded on the latest entry (intra-PR re-measurement)")
 	)
 	flag.Parse()
 
-	if *joinbench || *exprbench || *stmtbench || *schedbench || *filterbench || *spillbench || *serverbench {
+	if *joinbench || *exprbench || *stmtbench || *filterbench || *spillbench || *serverbench {
 		if *joinbench {
 			if err := runJoinBench(*benchout, *reps); err != nil {
 				fatal(err)
@@ -96,11 +93,6 @@ func main() {
 		}
 		if *stmtbench {
 			if err := runStmtBench(*benchout, *reps, *overwrite); err != nil {
-				fatal(err)
-			}
-		}
-		if *schedbench {
-			if err := runSchedBench(*benchout, *reps, *overwrite); err != nil {
 				fatal(err)
 			}
 		}
@@ -123,12 +115,11 @@ func main() {
 	}
 
 	runner := harness.New(harness.Config{
-		ScaleFactor:   *sf,
-		Repetitions:   *reps,
-		FPR:           *fpr,
-		SourceMBps:    *mbps,
-		PipelineDepth: *pipej,
-		Verbose:       *verbose,
+		ScaleFactor: *sf,
+		Repetitions: *reps,
+		FPR:         *fpr,
+		SourceMBps:  *mbps,
+		Verbose:     *verbose,
 	})
 
 	switch {

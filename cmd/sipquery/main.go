@@ -10,7 +10,6 @@
 //	sipquery -strategy Cost-based -sf 0.05 -sql "..."
 //	sipquery -explain -sql "..."
 //	sipquery -timeout 5s -sql "..."
-//	sipquery -sched morsel -sql "..."
 //	sipquery -remote partsupp=1 -fault-transient 0.1 -partial -sql "..."
 //	sipquery -mem-budget 1048576 -stats -sql "..."
 //	sipquery -connect 127.0.0.1:7878 -tenant batch -sql "..."
@@ -19,7 +18,7 @@
 // -connect switches to client mode: instead of generating data and running
 // the query in-process, sipquery dials a sipserver over the wire protocol
 // and streams the result back. The output, warnings, and exit codes match
-// local mode; -sched, -mem-budget, -partial, and -timeout travel with the
+// local mode; -mem-budget, -partial, and -timeout travel with the
 // session, and -tenant names the quota bucket the server meters.
 //
 // The -fault-* flags inject deterministic failures into remote links and
@@ -63,7 +62,6 @@ func main() {
 		delayed  = flag.String("delay", "", "comma-separated tables to delay per the paper's §VI-B model")
 		stats    = flag.Bool("stats", false, "print per-operator statistics")
 		timeout  = flag.Duration("timeout", 0, "cancel the query after this long (0 = no deadline)")
-		sched    = flag.String("sched", "", "execution scheduler: chan (default) | morsel")
 
 		remote = flag.String("remote", "", "comma-separated table=site placements, e.g. partsupp=1 (site > 0)")
 
@@ -106,7 +104,6 @@ func main() {
 	if *connect != "" {
 		os.Exit(runRemote(ctx, *connect, text, server.DialConfig{
 			Tenant:    *tenant,
-			Scheduler: *sched,
 			MemBudget: *memBudget,
 			Partial:   *partial,
 		}, *limit, *stats))
@@ -142,7 +139,7 @@ func main() {
 		fatal(fmt.Errorf("unknown strategy %q", *strategy))
 	}
 
-	opts := sip.Options{Strategy: strat, Scheduler: *sched, MemBudget: *memBudget,
+	opts := sip.Options{Strategy: strat, MemBudget: *memBudget,
 		Retry: sip.RetryPolicy{MaxRetries: *retries, AttemptTimeout: *attemptTimeout}}
 	if *delayed != "" {
 		opts.DelayedTables = strings.Split(*delayed, ",")

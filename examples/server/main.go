@@ -54,7 +54,7 @@ func main() {
 	go srv.Serve(l)
 
 	// 1. Dial and handshake. The tenant names the quota bucket; the
-	// scheduler and memory budget travel with the session.
+	// memory budget and failure mode travel with the session.
 	c, err := server.Dial(l.Addr().String(), server.DialConfig{Tenant: "demo"})
 	if err != nil {
 		log.Fatal(err)

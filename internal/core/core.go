@@ -36,27 +36,16 @@ import (
 type SummaryKind int
 
 const (
-	// SummaryBloom uses single-hash Bloom filters sized for Options.FPR —
-	// the representation the paper's implementation settled on (§V).
+	// SummaryBloom uses Bloom filters sized for Options.FPR — the
+	// representation the paper's implementation settled on (§V) — in the
+	// cache-line-blocked layout (bloom.Blocked): one cache line per probe,
+	// batch add/probe kernels, and size-doubling per-slot working sets merged
+	// stripe-wise at publication.
 	SummaryBloom SummaryKind = iota
 	// SummaryHashSet uses exact hash sets; kept for the ablation study
 	// (the paper found the precision "generally countered by its increased
 	// creation and probing cost").
 	SummaryHashSet
-)
-
-// FilterVariant selects the Bloom-filter layout used for AIP sets (it is
-// irrelevant under SummaryHashSet).
-type FilterVariant int
-
-const (
-	// BlockedBloom (default) uses cache-line-blocked filters: one cache
-	// line per probe, batch add/probe kernels, and size-doubling per-slot
-	// working sets merged stripe-wise at publication.
-	BlockedBloom FilterVariant = iota
-	// FlatBloom uses the original flat single-hash filter — the scalar
-	// differential oracle the blocked path is validated against.
-	FlatBloom
 )
 
 // CostParams are the constants of the cost model used by CostBased. Units
@@ -92,8 +81,6 @@ type Options struct {
 	FPR float64
 	// Kind selects Bloom filters or exact hash sets.
 	Kind SummaryKind
-	// Variant selects the Bloom-filter layout (blocked by default).
-	Variant FilterVariant
 	// Stats receives filter accounting; required.
 	Stats *stats.Registry
 	// Topology models filter-shipping costs for remote points; nil means
@@ -142,14 +129,14 @@ type classInfo struct {
 	consumers []classUse // any points; col indexes the input schema
 	domain    float64    // distinct-value estimate for the attribute domain
 	bits      uint64     // shared Bloom sizing so filters intersect
-	k         uint32     // blocked in-block probe count (BlockedBloom only)
+	k         uint32     // in-block probe count
 }
 
 // analyze computes the per-class producer/consumer sets from the
 // registered points, discarding classes without both a producer and an
 // interested (distinct) consumer — "any potential AIP sets without
 // interested parties are then eliminated" (§IV-A).
-func analyze(points []*exec.Point, fpr float64, variant FilterVariant) map[int]*classInfo {
+func analyze(points []*exec.Point, fpr float64) map[int]*classInfo {
 	classes := make(map[int]*classInfo)
 	get := func(id int) *classInfo {
 		ci, ok := classes[id]
@@ -199,9 +186,9 @@ func analyze(points []*exec.Point, fpr float64, variant FilterVariant) map[int]*
 		}
 		// Shared sizing: the largest expected producer population governs
 		// the class's filter length so all of its filters are
-		// intersection-compatible. The blocked variant rounds the budget up
-		// to whole cache-line blocks and derives the class-wide probe count
-		// from the resulting bits-per-key ratio.
+		// intersection-compatible. The budget is rounded up to whole
+		// cache-line blocks and the class-wide probe count derived from the
+		// resulting bits-per-key ratio.
 		maxN := 1.0
 		for _, pr := range ci.producers {
 			n := pr.point.EstRows
@@ -212,12 +199,8 @@ func analyze(points []*exec.Point, fpr float64, variant FilterVariant) map[int]*
 				maxN = n
 			}
 		}
-		if variant == BlockedBloom {
-			ci.bits = bloom.BlockedBitsFor(int(maxN), fpr)
-			ci.k = bloom.BlockedKFor(int(maxN), ci.bits)
-		} else {
-			ci.bits = bloom.BitsFor(int(maxN), fpr)
-		}
+		ci.bits = bloom.BlockedBitsFor(int(maxN), fpr)
+		ci.k = bloom.BlockedKFor(int(maxN), ci.bits)
 	}
 	return classes
 }

@@ -45,13 +45,13 @@ func TestAnalyzeDropsClassesWithoutInterest(t *testing.T) {
 	// Two points, different classes: no cross-interest → both dropped.
 	p1 := mkPoint("p1", 1, 10, 10)
 	p2 := mkPoint("p2", 2, 10, 10)
-	classes := analyze([]*exec.Point{p1, p2}, 0.05, BlockedBloom)
+	classes := analyze([]*exec.Point{p1, p2}, 0.05)
 	if len(classes) != 0 {
 		t.Fatalf("expected no useful classes, got %d", len(classes))
 	}
 	// Same class: both are producer+consumer of class 1 → kept.
 	p3 := mkPoint("p3", 1, 10, 10)
-	classes = analyze([]*exec.Point{p1, p3}, 0.05, BlockedBloom)
+	classes = analyze([]*exec.Point{p1, p3}, 0.05)
 	if len(classes) != 1 {
 		t.Fatalf("expected one class, got %d", len(classes))
 	}
@@ -71,7 +71,7 @@ func TestAnalyzeSelfOnlyClassDropped(t *testing.T) {
 	// A single point both producing and consuming its own class is not a
 	// sideways-passing opportunity.
 	p := mkPoint("p", 1, 10, 10)
-	if classes := analyze([]*exec.Point{p}, 0.05, BlockedBloom); len(classes) != 0 {
+	if classes := analyze([]*exec.Point{p}, 0.05); len(classes) != 0 {
 		t.Fatalf("self-only class must be dropped, got %d", len(classes))
 	}
 }

@@ -77,7 +77,7 @@ func (c *CostBased) RegisterPoint(p *exec.Point) {
 func (c *CostBased) Begin() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.classes = analyze(c.points, c.opts.fpr(), c.opts.Variant)
+	c.classes = analyze(c.points, c.opts.fpr())
 }
 
 // Created returns how many AIP sets the manager decided to build.
@@ -191,10 +191,7 @@ func (c *CostBased) considerSet(src *exec.Point, stateCol int, ci *classInfo) {
 		downstream := cp.Tuple * float64(1+len(n.Ancestors))
 		benefit := rem*(1-sigma)*downstream - rem*cp.Probe
 		if c.opts.Topology != nil && n.Site != src.Site {
-			shipBits := bloom.BitsFor(int(setSize), c.opts.fpr())
-			if c.opts.Variant == BlockedBloom {
-				shipBits = bloom.BlockedBitsFor(int(setSize), c.opts.fpr())
-			}
+			shipBits := bloom.BlockedBitsFor(int(setSize), c.opts.fpr())
 			benefit -= float64(shipBits/8) * cp.NetworkByte
 		}
 		if benefit <= 0 {
@@ -289,7 +286,7 @@ func tentFactor(m map[*exec.Point]float64, p *exec.Point) float64 {
 // SummaryBloom the filter uses the class-wide geometry so later sets over
 // the same class could be intersected; with SummaryHashSet an exact set is
 // built (the §IV-B note about reusing an operator's hash table directly).
-// Blocked filters are fed through the batch insert kernel: the state scan
+// Bloom filters are fed through the batch insert kernel: the state scan
 // buffers hashes and flushes them 256 at a time so block addresses are
 // computed and warmed in bulk.
 func (c *CostBased) buildSummary(src *exec.Point, stateCol int, ci *classInfo) filter.Summary {
@@ -304,28 +301,18 @@ func (c *CostBased) buildSummary(src *exec.Point, stateCol int, ci *classInfo) f
 		})
 		return hs
 	}
-	if c.opts.Variant == BlockedBloom {
-		bb := bloom.NewBlockedWithGeometry(ci.bits, ci.k, 0)
-		hashes := make([]uint64, 0, 256)
-		src.IterState(func(t types.Tuple) bool {
-			buf = buf[:0]
-			buf = t[stateCol].AppendKey(buf)
-			hashes = append(hashes, types.Hash64(buf, 0))
-			if len(hashes) == cap(hashes) {
-				bb.AddHashBatch(hashes)
-				hashes = hashes[:0]
-			}
-			return true
-		})
-		bb.AddHashBatch(hashes)
-		return filter.Blocked{F: bb}
-	}
-	bf := bloom.NewWithBits(ci.bits, 0)
+	bb := bloom.NewBlockedWithGeometry(ci.bits, ci.k, 0)
+	hashes := make([]uint64, 0, 256)
 	src.IterState(func(t types.Tuple) bool {
 		buf = buf[:0]
 		buf = t[stateCol].AppendKey(buf)
-		bf.AddHash(types.Hash64(buf, 0))
+		hashes = append(hashes, types.Hash64(buf, 0))
+		if len(hashes) == cap(hashes) {
+			bb.AddHashBatch(hashes)
+			hashes = hashes[:0]
+		}
 		return true
 	})
-	return filter.Bloom{F: bf}
+	bb.AddHashBatch(hashes)
+	return filter.Blocked{F: bb}
 }

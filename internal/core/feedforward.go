@@ -36,28 +36,24 @@ type FeedForward struct {
 // executor's partition slots: OnStore(slot, t) feeds slot-private summaries
 // (each slot has exactly one writer goroutine, so the per-tuple path takes
 // no lock), and PointDone merges the slots — striped/replayed merge for
-// blocked Bloom partials, bitwise OR for flat Bloom filters, bucket union
-// for hash sets — into the published summary. discarded is flipped when
-// interest drops to zero; in-flight writers observe it and stop cheaply.
+// Bloom partials, bucket union for hash sets — into the published summary.
+// discarded is flipped when interest drops to zero; in-flight writers
+// observe it and stop cheaply.
 //
-// Memory: under the blocked variant a slot holds a bloom.Partial — a
-// size-doubling key-hash log that converts to lazily-allocated block
-// stripes — so a producer running at partition fan-out P pays for what its
-// slots actually saw, not P full-geometry copies; the exact merge into the
-// class geometry happens once, at PointDone. The flat variant keeps the
-// original full-sized per-slot copies (union compatibility requires equal
-// geometry) and serves as the memory baseline the benchmarks compare
-// against. Hash-set slots grow only with their content. bytes tracks the
-// working memory currently allocated across slots, released from the
-// owning operator's FilterWorking gauge when the set is merged or
+// Memory: a Bloom slot holds a bloom.Partial — a size-doubling key-hash log
+// that converts to lazily-allocated block stripes — so a producer running at
+// partition fan-out P pays for what its slots actually saw, not P
+// full-geometry copies; the exact merge into the class geometry happens
+// once, at PointDone. Hash-set slots grow only with their content. bytes
+// tracks the working memory currently allocated across slots, released from
+// the owning operator's FilterWorking gauge when the set is merged or
 // discarded.
 type workingSet struct {
-	class   int
-	col     int    // state-schema column holding the attribute
-	bits    uint64 // Bloom geometry shared by every slot (merge-compatible)
-	k       uint32 // blocked in-block probe count
-	blocked bool   // blocked Bloom partial slots
-	exact   bool   // hash-set slots instead of Bloom slots
+	class int
+	col   int    // state-schema column holding the attribute
+	bits  uint64 // Bloom geometry shared by every slot (merge-compatible)
+	k     uint32 // in-block probe count
+	exact bool   // hash-set slots instead of Bloom slots
 
 	discarded atomic.Bool
 	bytes     atomic.Int64
@@ -67,11 +63,10 @@ type workingSet struct {
 // slotSet is one partition slot's private summary plus its key-encoding
 // scratch. Only the owning partition goroutine touches it before the merge;
 // the atomic slot pointer publishes it to the merger (every OnStore call
-// happens-before PointDone). Exactly one of pb/bf/hs is set, per the
-// working set's variant.
+// happens-before PointDone). Exactly one of pb/hs is set, per the working
+// set's summary kind.
 type slotSet struct {
 	pb  *bloom.Partial
-	bf  *bloom.Filter
 	hs  *filter.HashSet
 	buf []byte
 }
@@ -88,15 +83,11 @@ func (ws *workingSet) slot(i int) (ss *slotSet, bytesAdded int) {
 		return ss, 0
 	}
 	ss = &slotSet{}
-	switch {
-	case ws.exact:
+	if ws.exact {
 		ss.hs = filter.NewHashSet(ffSlotBuckets)
-	case ws.blocked:
+	} else {
 		ss.pb = bloom.NewPartial(ws.bits, ws.k, 0)
 		bytesAdded = ss.pb.SizeBytes()
-	default:
-		ss.bf = bloom.NewWithBits(ws.bits, 0)
-		bytesAdded = ss.bf.SizeBytes()
 	}
 	ws.slots[i].Store(ss)
 	return ss, bytesAdded
@@ -106,8 +97,7 @@ func (ws *workingSet) slot(i int) (ss *slotSet, bytesAdded int) {
 type ffClassState struct {
 	interest int // live consumer points
 	working  map[*exec.Point]*workingSet
-	merged   *bloom.Filter  // intersection of published flat Bloom sets
-	mergedB  *bloom.Blocked // intersection of published blocked Bloom sets
+	merged   *bloom.Blocked // intersection of published Bloom sets
 	// attached tracks the summary currently injected per consumer point so
 	// a stronger merge can replace it in place.
 	attached map[*exec.Point]filter.Summary
@@ -130,7 +120,7 @@ func (f *FeedForward) RegisterPoint(p *exec.Point) {
 func (f *FeedForward) Begin() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.classes = analyze(f.points, f.opts.fpr(), f.opts.Variant)
+	f.classes = analyze(f.points, f.opts.fpr())
 
 	producedBy := map[*exec.Point][]*workingSet{}
 	for id, ci := range f.classes {
@@ -154,8 +144,7 @@ func (f *FeedForward) Begin() {
 			seenProducer[pr.point] = true
 			ws := &workingSet{
 				class: id, col: pr.col, bits: ci.bits, k: ci.k,
-				blocked: f.opts.Kind != SummaryHashSet && f.opts.Variant == BlockedBloom,
-				exact:   f.opts.Kind == SummaryHashSet,
+				exact: f.opts.Kind == SummaryHashSet,
 			}
 			st.working[pr.point] = ws
 			producedBy[pr.point] = append(producedBy[pr.point], ws)
@@ -181,8 +170,7 @@ func (f *FeedForward) Begin() {
 				ss, added := ws.slot(slot)
 				ss.buf = t[ws.col].AppendKey(ss.buf[:0])
 				h := types.Hash64(ss.buf, 0)
-				switch {
-				case ss.pb != nil:
+				if ss.pb != nil {
 					// The partial's log doubles and its stripes allocate
 					// lazily; account the growth as it happens so the
 					// working-set gauge tracks real allocation, not the
@@ -190,9 +178,7 @@ func (f *FeedForward) Begin() {
 					before := ss.pb.SizeBytes()
 					ss.pb.AddHash(h)
 					added += ss.pb.SizeBytes() - before
-				case ss.bf != nil:
-					ss.bf.AddHash(h)
-				default:
+				} else {
 					ss.hs.AddHash(h, ss.buf)
 				}
 				if added > 0 {
@@ -208,13 +194,12 @@ func (f *FeedForward) Begin() {
 }
 
 // mergeSlots folds a retired working set's partition slots into one
-// summary: stripe/replay merge of blocked partials into one full-geometry
-// blocked filter, bitwise OR for flat Bloom slots (same geometry by
-// construction), bucket union for hash-set slots. A producer that stored
+// summary: stripe/replay merge of Bloom partials into one full-geometry
+// blocked filter, bucket union for hash-set slots. A producer that stored
 // nothing still yields an empty summary — a completed empty input
 // legitimately prunes everything downstream. Exactly one return value is
 // non-nil.
-func (ws *workingSet) mergeSlots() (*bloom.Filter, *bloom.Blocked, *filter.HashSet) {
+func (ws *workingSet) mergeSlots() (*bloom.Blocked, *filter.HashSet) {
 	if ws.exact {
 		var merged *filter.HashSet
 		for i := range ws.slots {
@@ -235,40 +220,20 @@ func (ws *workingSet) mergeSlots() (*bloom.Filter, *bloom.Blocked, *filter.HashS
 		if merged == nil {
 			merged = filter.NewHashSet(ffSlotBuckets)
 		}
-		return nil, nil, merged
+		return nil, merged
 	}
-	if ws.blocked {
-		// The full class geometry is allocated exactly once, here — this is
-		// the moment P striped partials become one union-compatible filter.
-		merged := bloom.NewBlockedWithGeometry(ws.bits, ws.k, 0)
-		for i := range ws.slots {
-			ss := ws.slots[i].Load()
-			if ss == nil {
-				continue
-			}
-			// Same geometry by construction; the error cannot fire.
-			_ = ss.pb.MergeInto(merged)
-		}
-		return nil, merged, nil
-	}
-	var merged *bloom.Filter
+	// The full class geometry is allocated exactly once, here — this is the
+	// moment P striped partials become one union-compatible filter.
+	merged := bloom.NewBlockedWithGeometry(ws.bits, ws.k, 0)
 	for i := range ws.slots {
 		ss := ws.slots[i].Load()
 		if ss == nil {
 			continue
 		}
-		if merged == nil {
-			merged = ss.bf
-			continue
-		}
-		if err := merged.UnionWith(ss.bf); err != nil {
-			merged = ss.bf // incompatible geometry: cannot happen, safety net
-		}
+		// Same geometry by construction; the error cannot fire.
+		_ = ss.pb.MergeInto(merged)
 	}
-	if merged == nil {
-		merged = bloom.NewWithBits(ws.bits, 0)
-	}
-	return merged, nil, nil
+	return merged, nil
 }
 
 // PointDone publishes the completed input's working sets, injects them into
@@ -296,24 +261,17 @@ func (f *FeedForward) PointDone(p *exec.Point) {
 			// Working sets cover every tuple that passed the input's
 			// filters — complete summaries of the subexpression even when
 			// the join short-circuited its buffering. The partition slots
-			// are merged (striped merge for blocked partials, bitwise OR
-			// for flat Bloom, bucket union for hash sets) into the one
-			// summary that gets published; slot writes happen-before
-			// PointDone, so the merge needs no locks.
-			bf, bb, hs := ws.mergeSlots()
+			// are merged (striped merge for Bloom partials, bucket union for
+			// hash sets) into the one summary that gets published; slot
+			// writes happen-before PointDone, so the merge needs no locks.
+			bb, hs := ws.mergeSlots()
 			releaseWorking(p, ws)
-			switch {
-			case bb != nil:
+			if bb != nil {
 				if op := p.Op; op != nil {
 					op.FilterBytes.Add(int64(bb.SizeBytes()))
 				}
-				f.publishBlocked(ci, st, bb)
-			case bf != nil:
-				if op := p.Op; op != nil {
-					op.FilterBytes.Add(int64(bf.SizeBytes()))
-				}
-				f.publishBloom(ci, st, bf)
-			default:
+				f.publishBloom(ci, st, bb)
+			} else {
 				f.opts.Stats.FiltersMade.Inc()
 				f.opts.Stats.FilterBytes.Add(int64(hs.SizeBytes()))
 				if op := p.Op; op != nil {
@@ -359,59 +317,26 @@ func consumes(ci *classInfo, p *exec.Point) bool {
 }
 
 // publishBloom merges a completed Bloom working set into the registry and
-// (re-)injects the merged summary into live consumers. Caller holds f.mu.
-func (f *FeedForward) publishBloom(ci *classInfo, st *ffClassState, bf *bloom.Filter) {
-	f.opts.Stats.FiltersMade.Inc()
-	if st.merged == nil {
-		st.merged = bf
-	} else {
-		next := st.merged.Clone()
-		if err := next.IntersectWith(bf); err != nil {
-			// Incompatible geometry (cannot happen with class-wide
-			// sizing, kept as a safety net): attach separately.
-			f.attachAll(ci, st, filter.Bloom{F: bf})
-			return
-		}
-		st.merged = next
-		f.opts.Stats.FilterBytes.Add(int64(next.SizeBytes()))
-	}
-	newSum := filter.Bloom{F: st.merged}
-	for _, co := range ci.consumers {
-		if co.point.Done() {
-			continue
-		}
-		old := st.attached[co.point]
-		if old == nil {
-			co.point.Bank.Attach([]int{co.col}, newSum)
-			f.opts.Stats.FiltersUsed.Inc()
-		} else {
-			co.point.Bank.Replace([]int{co.col}, old, newSum)
-		}
-		st.attached[co.point] = newSum
-	}
-}
-
-// publishBlocked merges a completed blocked-Bloom working set into the
-// registry and (re-)injects the merged summary into live consumers. The
-// full-geometry filter was allocated by mergeSlots, so its bytes are
-// charged here. Caller holds f.mu.
-func (f *FeedForward) publishBlocked(ci *classInfo, st *ffClassState, bb *bloom.Blocked) {
+// (re-)injects the merged summary into live consumers. The full-geometry
+// filter was allocated by mergeSlots, so its bytes are charged here. Caller
+// holds f.mu.
+func (f *FeedForward) publishBloom(ci *classInfo, st *ffClassState, bb *bloom.Blocked) {
 	f.opts.Stats.FiltersMade.Inc()
 	f.opts.Stats.FilterBytes.Add(int64(bb.SizeBytes()))
-	if st.mergedB == nil {
-		st.mergedB = bb
+	if st.merged == nil {
+		st.merged = bb
 	} else {
-		next := st.mergedB.Clone()
+		next := st.merged.Clone()
 		if err := next.IntersectWith(bb); err != nil {
 			// Incompatible geometry (cannot happen with class-wide
 			// sizing, kept as a safety net): attach separately.
 			f.attachAll(ci, st, filter.Blocked{F: bb})
 			return
 		}
-		st.mergedB = next
+		st.merged = next
 		f.opts.Stats.FilterBytes.Add(int64(next.SizeBytes()))
 	}
-	newSum := filter.Blocked{F: st.mergedB}
+	newSum := filter.Blocked{F: st.merged}
 	for _, co := range ci.consumers {
 		if co.point.Done() {
 			continue

@@ -150,7 +150,7 @@ func colRefs(es []expr.Expr) []int {
 
 // aggPart is one radix partition of the aggregation state, owned by its
 // worker goroutine. The embedded aggCore carries the group table and the
-// bucket-discard spill state shared with the morsel engine.
+// bucket-discard spill state (aggspill.go).
 type aggPart struct {
 	in chan *scatter
 	aggCore
@@ -158,7 +158,7 @@ type aggPart struct {
 
 // Start launches the router and the per-partition fold workers.
 func (h *HashAgg) Start(ctx *Context) <-chan Batch {
-	out := make(chan Batch, ctx.pipeDepth())
+	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("agg:" + h.Name)
 	if h.Point != nil {
 		h.Point.Op = op
@@ -171,7 +171,7 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 	parts := make([]*aggPart, P)
 	partIns := make([]chan *scatter, P)
 	for p := range parts {
-		parts[p] = &aggPart{in: make(chan *scatter, ctx.pipeDepth()),
+		parts[p] = &aggPart{in: make(chan *scatter, pipelineDepth),
 			aggCore: aggCore{accs: accAllocator{width: len(h.Aggs)}}}
 		partIns[p] = parts[p].in
 	}
@@ -513,7 +513,7 @@ func (d *Distinct) Schema() *types.Schema { return d.Child.Schema() }
 
 // distinctPart is one partition of the seen-set, owned by its worker. The
 // embedded distinctCore carries the seen-set and the bucket-discard spill
-// state shared with the morsel engine.
+// state (aggspill.go).
 type distinctPart struct {
 	in chan *scatter
 	distinctCore
@@ -522,7 +522,7 @@ type distinctPart struct {
 // Start launches the router and the per-partition dedup workers.
 func (d *Distinct) Start(ctx *Context) <-chan Batch {
 	in := d.Child.Start(ctx)
-	out := make(chan Batch, ctx.pipeDepth())
+	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("distinct:" + d.Name)
 	if d.Point != nil {
 		d.Point.Op = op
@@ -541,7 +541,7 @@ func (d *Distinct) Start(ctx *Context) <-chan Batch {
 	parts := make([]*distinctPart, P)
 	partIns := make([]chan *scatter, P)
 	for p := range parts {
-		parts[p] = &distinctPart{in: make(chan *scatter, ctx.pipeDepth())}
+		parts[p] = &distinctPart{in: make(chan *scatter, pipelineDepth)}
 		partIns[p] = parts[p].in
 	}
 

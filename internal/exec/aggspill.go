@@ -8,8 +8,7 @@ import (
 )
 
 // Bucket-discard spill for the blocking aggregation and the pipelined
-// distinct, shared by the chan and morsel engines through the cores
-// embedded in their partition structs.
+// distinct, through the cores embedded in their partition structs.
 //
 // Aggregation state is mergeable: a group's accumulators serialize to a
 // fixed-width value block (count, integer and float sums, seen flag, min,
@@ -62,8 +61,8 @@ func (a *aggAcc) merge(f plan.AggFunc, count, sumI int64, sumF float64, seen boo
 	a.seen = true
 }
 
-// aggCore is the partition-local aggregation state shared by the chan and
-// morsel engines, plus the bucket-discard spill state.
+// aggCore is the partition-local aggregation state plus the bucket-discard
+// spill state.
 type aggCore struct {
 	idx    types.KeyTable
 	groups []groupState
@@ -290,8 +289,8 @@ func (ac *aggCore) mergeSpill(ctx *Context, op *stats.OpStats, gw int, aggs []pl
 	return true
 }
 
-// distinctCore is the partition-local distinct state shared by the chan and
-// morsel engines, plus the bucket-discard spill state.
+// distinctCore is the partition-local distinct state plus the bucket-discard
+// spill state.
 type distinctCore struct {
 	idx  types.KeyTable
 	seen []types.Tuple

@@ -58,8 +58,8 @@
 //   - The root edge: a root Project of plain column references directly
 //     over such a scan is not started (StartPlan): the scan emits row-id
 //     batches (see Batch), up to scanChunkRows survivors as int32 row ids
-//     over the table, and keeps the project:* stats row. The morsel engine,
-//     a paced scan or one computed column keeps the Project.
+//     over the table, and keeps the project:* stats row. A paced scan or one
+//     computed column keeps the Project.
 //   - Above the scan, predicates and projections are evaluated
 //     batch-at-a-time through the compiled kernels of internal/expr
 //     (expr.Compile): Filter narrows a batch's selection vector in place
@@ -217,19 +217,6 @@ type Controller interface {
 // this, scatter/channel overhead dominates any added concurrency.
 const MaxPartitions = 64
 
-// Scheduler values for Context.Scheduler.
-const (
-	// SchedulerChan is the channel engine: one goroutine per operator per
-	// partition, glued by buffered channels. The default.
-	SchedulerChan = "chan"
-	// SchedulerMorsel is the morsel-driven work-stealing engine
-	// (internal/sched): a per-query worker pool runs the plan as small
-	// push-style tasks, scans range-split across workers, and stateless
-	// stages fuse into the producing task. Plans the morsel compiler does
-	// not support transparently fall back to the chan engine.
-	SchedulerMorsel = "morsel"
-)
-
 // Context carries per-query runtime state shared by all operators.
 type Context struct {
 	Stats *stats.Registry
@@ -241,27 +228,6 @@ type Context struct {
 	// of two and capped at MaxPartitions. One partition reproduces the
 	// pre-partitioned single-owner data path exactly.
 	Parallelism int
-
-	// PipelineDepth is the buffer, in batches, of every inter-operator
-	// channel (pipeline edges and partition scatter channels). Deeper
-	// buffers absorb producer/consumer rate jitter at the cost of more
-	// in-flight batches; zero or negative means DefaultPipelineDepth.
-	//
-	// This is a chan-scheduler knob: the morsel engine has no internal
-	// channels (operators fuse into tasks and partition handoff is an
-	// unbounded actor inbox drained as fast as workers allow) and uses
-	// PipelineDepth only for the root output edge feeding the consumer.
-	PipelineDepth int
-
-	// Scheduler selects the execution engine: SchedulerChan (default,
-	// also for "") or SchedulerMorsel. See StartPlan.
-	Scheduler string
-
-	// Load optionally reports the engine's concurrent-query load; the
-	// morsel scheduler divides its worker-pool size by it so a saturated
-	// server degrades parallelism instead of oversubscribing goroutines.
-	// Nil means a dedicated query.
-	Load func() int
 
 	// Recovery configures retries, timeouts, circuit breaking, and the
 	// failure mode for unreliable sources. The zero value uses the default
@@ -324,19 +290,11 @@ func (c *Context) partitions() int {
 	return p
 }
 
-// DefaultPipelineDepth is the default per-edge channel buffer in batches:
-// deep enough to keep a producer from stalling on a momentarily busy
-// consumer, shallow enough that a query holds O(operators) batches in
-// flight.
-const DefaultPipelineDepth = 4
-
-// pipeDepth resolves the effective per-edge channel buffer.
-func (c *Context) pipeDepth() int {
-	if c.PipelineDepth > 0 {
-		return c.PipelineDepth
-	}
-	return DefaultPipelineDepth
-}
+// pipelineDepth is the buffer, in batches, of every inter-operator channel
+// (pipeline edges and partition scatter channels): deep enough to keep a
+// producer from stalling on a momentarily busy consumer, shallow enough that
+// a query holds O(operators) batches in flight.
+const pipelineDepth = 4
 
 // minPartitionRows is the estimated row count below which an extra
 // partition is not worth its worker goroutine and scatter channel.
@@ -489,18 +447,10 @@ type Op interface {
 	Start(ctx *Context) <-chan Batch
 }
 
-// StartPlan launches a plan under the context's selected scheduler and
-// returns the root output channel. SchedulerMorsel compiles the plan onto
-// the work-stealing pool; plans it cannot run (unsupported operators,
-// worker-id overflow) fall back to the chan engine, so the result stream
-// is identical either way. On the chan engine a root Project.rootScan
-// accepts is not started: the scan emits row-id batches, the consumer projects.
+// StartPlan launches a plan and returns the root output channel. A root
+// Project.rootScan accepts is not started: the scan emits row-id batches, the
+// consumer projects.
 func StartPlan(ctx *Context, root Op) <-chan Batch {
-	if ctx.Scheduler == SchedulerMorsel {
-		if out, ok := startMorsel(ctx, root); ok {
-			return out
-		}
-	}
 	if p, ok := root.(*Project); ok {
 		if sc, pred, src := p.rootScan(); sc != nil {
 			return sc.start(ctx, pred, nil, src)

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -402,6 +405,33 @@ func TestCancellation(t *testing.T) {
 			t.Fatal("scan did not stop after cancellation")
 		}
 	}
+}
+
+// TestPacedScanDeadlineNoLeak binds a short std-context deadline to a paced
+// scan feeding a partitioned aggregation: the run must surface
+// context.DeadlineExceeded and reclaim every goroutine (the sequential
+// source, the router, the partition workers, the finisher, the watcher).
+func TestPacedScanDeadlineNoLeak(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	rows := make([]types.Tuple, 200000)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i % 97)), types.Int(int64(i))}
+	}
+	scan := &Scan{Name: "t", Rows: rows, Sch: intSchema("g", "v"),
+		Delay: &DelayConfig{EveryN: 128, Pause: time.Millisecond}}
+	gb := []expr.Expr{&expr.ColRef{Idx: 0, Col: types.Column{Name: "g", Kind: types.KindInt}}}
+	aggs := []plan.AggSpec{{Func: plan.AggCountStar, Name: "c"}}
+	ctx := NewContext(stats.NewRegistry(), nil)
+	ctx.Parallelism = 4
+	std, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	stop := ctx.BindStd(std)
+	_, err := Run(ctx, NewHashAgg("agg", scan, gb, aggs, intSchema("g", "c")))
+	stop()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	waitGoroutines(t, baseline)
 }
 
 func TestFilterBankAttachReplace(t *testing.T) {

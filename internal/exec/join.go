@@ -245,7 +245,7 @@ type joinPart struct {
 // partition; workers emit their own matches, so the operator behaves like
 // Tukwila's multithreaded join with the output thread folded in.
 func (j *HashJoin) Start(ctx *Context) <-chan Batch {
-	out := make(chan Batch, ctx.pipeDepth())
+	out := make(chan Batch, pipelineDepth)
 
 	P := ctx.partitions()
 	P = clampPartitions(P, pointEstRows(j.LPoint)+pointEstRows(j.RPoint))
@@ -271,7 +271,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	parts := make([]*joinPart, P)
 	partIns := make([]chan *scatter, P)
 	for p := range parts {
-		parts[p] = &joinPart{in: make(chan *scatter, ctx.pipeDepth())}
+		parts[p] = &joinPart{in: make(chan *scatter, pipelineDepth)}
 		partIns[p] = parts[p].in
 		for s, in := range inputs {
 			if in.point != nil {

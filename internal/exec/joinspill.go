@@ -9,8 +9,8 @@ import (
 	"repro/internal/types"
 )
 
-// Bucket-discard spill for the symmetric hash join, shared by the chan and
-// morsel engines through the joinCore embedded in their partition structs.
+// Bucket-discard spill for the symmetric hash join, through the joinCore
+// embedded in its partition struct.
 //
 // # Eviction
 //
@@ -69,9 +69,8 @@ func (jt *joinTable) memBytes() int64 {
 	return n
 }
 
-// joinCore is the partition-local join state shared by the chan and morsel
-// engines: the two side tables, the arrival-ticket clock, and the
-// bucket-discard spill state.
+// joinCore is the partition-local join state: the two side tables, the
+// arrival-ticket clock, and the bucket-discard spill state.
 type joinCore struct {
 	tables [2]joinTable // indexed by side
 	ticket uint64

@@ -129,9 +129,9 @@ func (e *BudgetError) Error() string {
 		e.Budget, e.Op, e.Need)
 }
 
-// PanicError wraps a panic recovered inside a query's operator goroutines
-// or scheduler workers: the query fails with this typed error while the
-// process (and every other in-flight query) keeps running.
+// PanicError wraps a panic recovered inside a query's operator goroutines:
+// the query fails with this typed error while the process (and every other
+// in-flight query) keeps running.
 type PanicError struct {
 	Val   any    // the recovered panic value
 	Stack []byte // the panicking goroutine's stack

@@ -39,29 +39,26 @@ func (p *panicOp) Start(ctx *Context) <-chan Batch {
 // query, with a typed *PanicError carrying the value and stack; the plan's
 // goroutines all drain (Wait returns) and the process keeps serving.
 func TestPanicContained(t *testing.T) {
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		ctx := NewContext(stats.NewRegistry(), nil)
-		ctx.Scheduler = sched
-		rows := intRows([]int64{1}, []int64{2}, []int64{3})
-		op := &panicOp{child: &Scan{Name: "t", Rows: rows, Sch: intSchema("a")}}
-		_, err := Run(ctx, op)
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("%s: err = %v, want *PanicError", sched, err)
-		}
-		if pe.Val != "operator bug" {
-			t.Fatalf("%s: recovered value = %v", sched, pe.Val)
-		}
-		if len(pe.Stack) == 0 || !strings.Contains(err.Error(), "panic") {
-			t.Fatalf("%s: PanicError carries no stack: %v", sched, err)
-		}
-		ctx.Wait() // quiescence: no goroutine outlives the failed query
-		ctx.Cleanup()
+	ctx := NewContext(stats.NewRegistry(), nil)
+	rows := intRows([]int64{1}, []int64{2}, []int64{3})
+	op := &panicOp{child: &Scan{Name: "t", Rows: rows, Sch: intSchema("a")}}
+	_, err := Run(ctx, op)
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PanicError", err)
+	}
+	if pe.Val != "operator bug" {
+		t.Fatalf("recovered value = %v", pe.Val)
+	}
+	if len(pe.Stack) == 0 || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("PanicError carries no stack: %v", err)
+	}
+	ctx.Wait() // quiescence: no goroutine outlives the failed query
+	ctx.Cleanup()
 
-		// The process (and a fresh query) keeps working after containment.
-		got := runOp(t, &Scan{Name: "t", Rows: rows, Sch: intSchema("a")}, nil)
-		if len(got) != 3 {
-			t.Fatalf("%s: follow-up query returned %d rows", sched, len(got))
-		}
+	// The process (and a fresh query) keeps working after containment.
+	got := runOp(t, &Scan{Name: "t", Rows: rows, Sch: intSchema("a")}, nil)
+	if len(got) != 3 {
+		t.Fatalf("follow-up query returned %d rows", len(got))
 	}
 }

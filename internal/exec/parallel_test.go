@@ -48,13 +48,13 @@ func (g *gated) Start(ctx *Context) <-chan Batch {
 }
 
 // runParallel executes a plan at an explicit partition fan-out and returns
-// the rows together with the stats registry.
-func runParallel(op Op, parallelism int) ([]types.Tuple, *stats.Registry) {
+// the rows, the stats registry and the run's error.
+func runParallel(op Op, parallelism int) ([]types.Tuple, *stats.Registry, error) {
 	reg := stats.NewRegistry()
 	ctx := NewContext(reg, nil)
 	ctx.Parallelism = parallelism
-	rows, _ := Run(ctx, op)
-	return rows, reg
+	rows, err := Run(ctx, op)
+	return rows, reg, err
 }
 
 func rowStrings(rows []types.Tuple) []string {
@@ -98,7 +98,7 @@ func TestJoinPartitionDeterminism(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8} {
 		j := buildJoin(lrows, rrows)
 		j.Residual = residual
-		rows, reg := runParallel(j, p)
+		rows, reg, _ := runParallel(j, p)
 		got := rowStrings(rows)
 		if p == 1 {
 			want = got
@@ -141,7 +141,7 @@ func TestJoinExactlyOncePartitioned(t *testing.T) {
 		rrows[i] = types.Tuple{types.Int(int64(i % 100)), types.Int(int64(i))}
 	}
 	for trial := 0; trial < 5; trial++ {
-		rows, _ := runParallel(buildJoin(lrows, rrows), 4)
+		rows, _, _ := runParallel(buildJoin(lrows, rrows), 4)
 		if want := 100 * 40 * 40; len(rows) != want {
 			t.Fatalf("trial %d: join produced %d rows, want %d", trial, len(rows), want)
 		}
@@ -167,7 +167,7 @@ func TestJoinShortCircuitPartitioned(t *testing.T) {
 	j.LPoint = &Point{Name: "l", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}
 	lp = j.LPoint
 	j.RPoint = &Point{Name: "r", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}
-	rows, _ := runParallel(j, 4)
+	rows, _, _ := runParallel(j, 4)
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -209,7 +209,7 @@ func TestAggPartitionDeterminism(t *testing.T) {
 	}
 	var want []string
 	for _, p := range []int{1, 2, 4, 8} {
-		res, reg := runParallel(build(), p)
+		res, reg, _ := runParallel(build(), p)
 		got := rowStrings(res)
 		if p == 1 {
 			want = got
@@ -240,7 +240,7 @@ func TestAggPartitionDeterminism(t *testing.T) {
 func TestAggGlobalEmptyPartitioned(t *testing.T) {
 	scan := &Scan{Name: "t", Rows: nil, Sch: intSchema("v")}
 	aggs := []plan.AggSpec{{Func: plan.AggCountStar, Name: "c"}}
-	res, _ := runParallel(NewHashAgg("agg", scan, nil, aggs, intSchema("c")), 8)
+	res, _, _ := runParallel(NewHashAgg("agg", scan, nil, aggs, intSchema("c")), 8)
 	if len(res) != 1 {
 		t.Fatalf("global agg over empty input emitted %d rows, want 1", len(res))
 	}
@@ -263,7 +263,7 @@ func TestDistinctPartitionDeterminism(t *testing.T) {
 		scan := &Scan{Name: "t", Rows: rows, Sch: intSchema("a")}
 		d := &Distinct{Name: "d", Child: scan,
 			Point: &Point{Name: "d", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{-1}, StateEqIDs: []int{-1}, DomainDistinct: []float64{0}}}
-		res, _ := runParallel(d, p)
+		res, _, _ := runParallel(d, p)
 		got := rowStrings(res)
 		if p == 1 {
 			want = got

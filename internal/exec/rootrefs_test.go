@@ -28,8 +28,8 @@ func rootRefsTable(n int, payload func(i int) types.Value, kind types.Kind) (*ty
 // TestRootRowRefDifferential: a root Project of plain column references over
 // a source-selecting scan leaves as row-id batches, and must then return the
 // rows and keep the accounting of the Project it stands in for — the Project
-// being forced back by one computed column, by a paced scan, or by the
-// morsel scheduler — over a table whose every column has a vector, one with
+// being forced back by one computed column or by a paced scan — over a
+// table whose every column has a vector, one with
 // a string column and one with a NULL-holding column, with and without a
 // pushed predicate.
 func TestRootRowRefDifferential(t *testing.T) {
@@ -49,10 +49,9 @@ func TestRootRowRefDifferential(t *testing.T) {
 	}
 	// run starts root and reports its rows (the three shared columns of
 	// each), whether any batch carried row ids, and the registry.
-	run := func(root Op, sched string) ([]string, bool, *stats.Registry) {
+	run := func(root Op) ([]string, bool, *stats.Registry) {
 		reg := stats.NewRegistry()
 		ctx := NewContext(reg, nil)
-		ctx.Scheduler = sched
 		var batches []Batch
 		rowIDs := false
 		for b := range StartPlan(ctx, root) {
@@ -99,7 +98,7 @@ func TestRootRowRefDifferential(t *testing.T) {
 				return &Project{Name: "q", Child: child, Exprs: exprs, Sch: types.NewSchema(cols...)}
 			}
 			label := fmt.Sprintf("%s filtered=%v", name, filtered)
-			got, rowIDs, reg := run(plan(false, 0), SchedulerChan)
+			got, rowIDs, reg := run(plan(false, 0))
 			if !rowIDs {
 				t.Fatalf("%s: the root emitted no row-id batch", label)
 			}
@@ -107,21 +106,19 @@ func TestRootRowRefDifferential(t *testing.T) {
 				t.Fatalf("%s: no rows — the test is vacuous", label)
 			}
 			for _, forced := range []struct {
-				name  string
-				root  Op
-				sched string
+				name string
+				root Op
 			}{
-				{"computed column", plan(true, 0), SchedulerChan},
-				{"paced scan", plan(false, 1<<40), SchedulerChan},
-				{"morsel", plan(false, 0), SchedulerMorsel},
+				{"computed column", plan(true, 0)},
+				{"paced scan", plan(false, 1<<40)},
 			} {
-				want, viaIDs, wantReg := run(forced.root, forced.sched)
+				want, viaIDs, wantReg := run(forced.root)
 				if viaIDs {
 					t.Fatalf("%s: %s still emitted row-id batches", label, forced.name)
 				}
 				sameRows(t, label+" vs "+forced.name, want, got)
 				if forced.name != "computed column" {
-					continue // a sequential scan leaves selecting to a filter:* row, morsel names its own
+					continue // a sequential scan leaves selecting to a filter:* row
 				}
 				if len(reg.Ops()) != len(wantReg.Ops()) {
 					t.Fatalf("%s: %d stats rows, want %d", label, len(reg.Ops()), len(wantReg.Ops()))

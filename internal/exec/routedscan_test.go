@@ -165,7 +165,7 @@ func TestScanRoutedDifferential(t *testing.T) {
 							root = h
 						}
 						var err error
-						if r.rows, r.reg, err = runSched(root, p, SchedulerChan); err != nil {
+						if r.rows, r.reg, err = runParallel(root, p); err != nil {
 							t.Fatalf("%s routable=%v: %v", label, routable, err)
 						}
 						return r

@@ -36,10 +36,9 @@ type DelayConfig struct {
 
 // scanChunkRows is the granule of source-side selection: a scan evaluates
 // its pushed predicates and probes its consumer's AIP filters over this many
-// table rows at a time (and the morsel engine range-splits scans into tasks
-// of this size). Large enough to amortize the per-chunk bank snapshot and
-// stats flush, small enough that a filter published mid-scan applies almost
-// at once and the lane scratch stays in L1.
+// table rows at a time. Large enough to amortize the per-chunk bank snapshot
+// and stats flush, small enough that a filter published mid-scan applies
+// almost at once and the lane scratch stays in L1.
 const scanChunkRows = 1024
 
 // Scan streams a base table.
@@ -162,9 +161,9 @@ func (w *scanWorker) sift(s *Scan, lo, hi int) []int32 {
 	return sel
 }
 
-// chunk is the scan kernel both schedulers run: it selects over table rows
-// [lo, hi) — pushed predicates, then the consumer's filter bank, read once
-// for the whole chunk — and appends the survivors' row headers to *batch,
+// chunk is the scan kernel: it selects over table rows [lo, hi) — pushed
+// predicates, then the consumer's filter bank, read once for the whole
+// chunk — and appends the survivors' row headers to *batch,
 // handing every full batch to emit (which takes ownership) and leaving the
 // remainder in *batch for the caller to carry or flush. Batches never alias
 // s.Rows: headers are copied, so a recycled batch cannot hand table storage
@@ -312,7 +311,7 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 	partialMode := ctx.Recovery.Mode == PartialOnSourceError && s.Table != ""
 	var out chan Batch
 	if rt == nil {
-		out = make(chan Batch, ctx.pipeDepth())
+		out = make(chan Batch, pipelineDepth)
 	} else {
 		op.Routed = rt.op.Name
 		fixed, sizes := s.Vecs.RowBytes()
@@ -381,7 +380,7 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 // startSequential runs a paced, delayed or fault-injected source on its own
 // goroutine, feeding the output channel.
 func (s *Scan) startSequential(ctx *Context) <-chan Batch {
-	out := make(chan Batch, ctx.pipeDepth())
+	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("scan:" + s.Name)
 	ctx.Spawn(func() {
 		defer close(out)
@@ -390,9 +389,9 @@ func (s *Scan) startSequential(ctx *Context) <-chan Batch {
 	return out
 }
 
-// runSequential is the per-tuple loop of a sequential source, shared by both
-// schedulers so a seeded failure sequence reproduces identically on either:
-// flush boundaries, pacing and fault draws are the source model (see Scan).
+// runSequential is the per-tuple loop of a sequential source: flush
+// boundaries, pacing and fault draws are the source model (see Scan), so a
+// seeded failure sequence reproduces identically.
 // emit delivers one batch, taking ownership, and reports false when the
 // query was cancelled. It returns on exhausted input, cancellation,
 // partial-mode abandonment, or source failure.
@@ -562,7 +561,7 @@ func (f *Filter) Start(ctx *Context) <-chan Batch {
 		return sc.start(ctx, f.Pred, nil, nil)
 	}
 	in := f.Child.Start(ctx)
-	out := make(chan Batch, ctx.pipeDepth())
+	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("filter:" + f.Name)
 	pred := expr.Compile(f.Pred)
 	ctx.Spawn(func() {
@@ -631,7 +630,7 @@ func (p *Project) rootScan() (*Scan, expr.Expr, *RootSource) {
 // Start launches the projection goroutine.
 func (p *Project) Start(ctx *Context) <-chan Batch {
 	in := p.Child.Start(ctx)
-	out := make(chan Batch, ctx.pipeDepth())
+	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("project:" + p.Name)
 	compiled := make([]*expr.Compiled, len(p.Exprs))
 	for i, e := range p.Exprs {

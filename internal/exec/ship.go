@@ -38,7 +38,7 @@ func (s *Ship) Schema() *types.Schema { return s.Child.Schema() }
 // Start launches the shipping goroutine.
 func (s *Ship) Start(ctx *Context) <-chan Batch {
 	in := s.Child.Start(ctx)
-	out := make(chan Batch, ctx.pipeDepth())
+	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("ship:" + s.Name)
 	if s.Point != nil {
 		s.Point.Op = op

@@ -81,9 +81,8 @@ func (f *sourceFixture) plan(wired, vecs bool) (*HashJoin, *Scan) {
 
 // TestScanSideSelectionDifferential publishes the filter mid-scan — from
 // the point's own OnStore hook, once the router has kept 1000 tuples, so
-// the scan is provably still running (a chan scan can lead its router by
-// only a few batches; a morsel router runs inside the scan's chunk task) —
-// and checks, on both schedulers, both summary kinds, P ∈ {1,2}, with and
+// the scan is provably still running (a scan can lead its router by only a
+// few batches) — and checks, for both summary kinds, P ∈ {1,2}, with and
 // without column vectors (the row fallback), that the rows equal the
 // unwired plan's and that every row is accounted exactly once: received is
 // the rows that passed the predicate, and pruned plus kept is the same.
@@ -101,52 +100,50 @@ func TestScanSideSelectionDifferential(t *testing.T) {
 			passPred++
 		}
 	}
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		for _, exact := range []bool{false, true} {
-			for _, p := range []int{1, 2} {
-				for _, vecs := range []bool{true, false} {
-					label := fmt.Sprintf("%s exact=%v P=%d vecs=%v", sched, exact, p, vecs)
-					j, scan := f.plan(true, vecs)
-					sum := f.summary(exact)
-					var kept atomic.Int64
-					j.LPoint.OnStore = func(int, types.Tuple) {
-						if kept.Add(1) == 1000 {
-							j.LPoint.Bank.Attach([]int{0}, sum)
-						}
+	for _, exact := range []bool{false, true} {
+		for _, p := range []int{1, 2} {
+			for _, vecs := range []bool{true, false} {
+				label := fmt.Sprintf("exact=%v P=%d vecs=%v", exact, p, vecs)
+				j, scan := f.plan(true, vecs)
+				sum := f.summary(exact)
+				var kept atomic.Int64
+				j.LPoint.OnStore = func(int, types.Tuple) {
+					if kept.Add(1) == 1000 {
+						j.LPoint.Bank.Attach([]int{0}, sum)
 					}
-					got, reg, err := runSched(j, p, sched)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					sameRows(t, label, want, rowStrings(got))
+				}
+				got, reg, err := runParallel(j, p)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameRows(t, label, want, rowStrings(got))
 
-					var scanOp, lop *stats.OpStats
-					for _, op := range reg.Ops() {
-						switch op.Name {
-						case "scan:" + scan.Name:
-							scanOp = op
-						case "join:j.left":
-							lop = op
-						case "filter:l":
-							t.Fatalf("%s: the filter ran as its own operator", label)
-						}
+				var scanOp, lop *stats.OpStats
+				for _, op := range reg.Ops() {
+					switch op.Name {
+					case "scan:" + scan.Name:
+						scanOp = op
+					case "join:j.left":
+						lop = op
+					case "filter:l":
+						t.Fatalf("%s: the filter ran as its own operator", label)
 					}
-					if scanOp.In.Load() != n {
-						t.Fatalf("%s: scan read %d rows, want %d", label, scanOp.In.Load(), n)
-					}
-					if out := scanOp.Out.Load(); out >= passPred/2 || out != lop.In.Load() {
-						t.Fatalf("%s: scan emitted %d rows (join received %d); want well under the %d that pass the predicate",
-							label, out, lop.In.Load(), passPred)
-					}
-					if r := j.LPoint.Received(); r != passPred {
-						t.Fatalf("%s: received = %d, want %d (each row once)", label, r, passPred)
-					}
-					if pr := lop.Pruned.Load(); pr+kept.Load() != passPred {
-						t.Fatalf("%s: pruned %d + kept %d != %d rows past the predicate", label, pr, kept.Load(), passPred)
-					}
-					if exact && kept.Load() > 1000+scanChunkRows*int64(p+1)+passPred/100 {
-						t.Fatalf("%s: kept %d tuples — the filter was not applied from the next chunk on", label, kept.Load())
-					}
+				}
+				if scanOp.In.Load() != n {
+					t.Fatalf("%s: scan read %d rows, want %d", label, scanOp.In.Load(), n)
+				}
+				if out := scanOp.Out.Load(); out >= passPred/2 || out != lop.In.Load() {
+					t.Fatalf("%s: scan emitted %d rows (join received %d); want well under the %d that pass the predicate",
+						label, out, lop.In.Load(), passPred)
+				}
+				if r := j.LPoint.Received(); r != passPred {
+					t.Fatalf("%s: received = %d, want %d (each row once)", label, r, passPred)
+				}
+				if pr := lop.Pruned.Load(); pr+kept.Load() != passPred {
+					t.Fatalf("%s: pruned %d + kept %d != %d rows past the predicate", label, pr, kept.Load(), passPred)
+				}
+				if exact && kept.Load() > 1000+scanChunkRows*int64(p+1)+passPred/100 {
+					t.Fatalf("%s: kept %d tuples — the filter was not applied from the next chunk on", label, kept.Load())
 				}
 			}
 		}
@@ -233,18 +230,16 @@ func TestJoinTableReservationFollowsArrivals(t *testing.T) {
 	for i := range rows {
 		rows[i] = types.Tuple{types.Int(int64(i)), types.Int(0)}
 	}
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		j := buildJoin(rows, rows)
-		j.LPoint.EstRows, j.RPoint.EstRows = 1e6, 1e6
-		ctx := NewContext(stats.NewRegistry(), nil)
-		ctx.Parallelism, ctx.Scheduler = 1, sched
-		got, err := Run(ctx, j)
-		if err != nil || len(got) != len(rows) {
-			t.Fatalf("%s: %d rows, err %v", sched, len(got), err)
-		}
-		// The hint would be 2 × 1M × (40 B entry + 4 B head + 8 B slots).
-		if peak := ctx.PeakTrackedBytes(); peak > 2*joinFloorRows*64 {
-			t.Fatalf("%s: peak tracked state %d B for 200 stored rows — the hint was allocated", sched, peak)
-		}
+	j := buildJoin(rows, rows)
+	j.LPoint.EstRows, j.RPoint.EstRows = 1e6, 1e6
+	ctx := NewContext(stats.NewRegistry(), nil)
+	ctx.Parallelism = 1
+	got, err := Run(ctx, j)
+	if err != nil || len(got) != len(rows) {
+		t.Fatalf("%d rows, err %v", len(got), err)
+	}
+	// The hint would be 2 × 1M × (40 B entry + 4 B head + 8 B slots).
+	if peak := ctx.PeakTrackedBytes(); peak > 2*joinFloorRows*64 {
+		t.Fatalf("peak tracked state %d B for 200 stored rows — the hint was allocated", peak)
 	}
 }

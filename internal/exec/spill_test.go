@@ -15,11 +15,10 @@ import (
 
 // spillJoin builds a join whose state is dominated by a wide string payload
 // column, with duplicate keys (multi-match chains) and a residual predicate,
-// so the spill path is exercised on the same shape the differential morsel
-// tests use. routed wires the left scan to its input over a table with
-// column vectors, so on the chan engine it routes for the join and the left
-// table holds row ids into the scanned rows, charged from the row-size
-// sidecar, while the right side keeps its own header store.
+// so the spill path is exercised on a multi-match shape. routed wires the
+// left scan to its input over a table with column vectors, so it routes for
+// the join and the left table holds row ids into the scanned rows, charged
+// from the row-size sidecar, while the right side keeps its own header store.
 func spillJoin(n, pad int, routed bool) *HashJoin {
 	sch := types.NewSchema(
 		types.Column{Table: "t", Name: "a", Kind: types.KindInt},
@@ -49,12 +48,11 @@ func spillJoin(n, pad int, routed bool) *HashJoin {
 	return j
 }
 
-// runSpill runs op under the given scheduler and memory budget, returning
-// the rows and the Context so callers can read the accounting counters.
-func runSpill(op Op, budget int64, parallelism int, scheduler string) ([]types.Tuple, *Context, error) {
+// runSpill runs op under the given memory budget, returning the rows and the
+// Context so callers can read the accounting counters.
+func runSpill(op Op, budget int64, parallelism int) ([]types.Tuple, *Context, error) {
 	ctx := NewContext(stats.NewRegistry(), nil)
 	ctx.Parallelism = parallelism
-	ctx.Scheduler = scheduler
 	ctx.MemBudget = budget
 	rows, err := Run(ctx, op)
 	ctx.Cleanup()
@@ -63,7 +61,7 @@ func runSpill(op Op, budget int64, parallelism int, scheduler string) ([]types.T
 
 // TestJoinSpillDifferential is the core out-of-core acceptance property:
 // a budget-capped run must produce byte-identical results to the unbounded
-// run, on both schedulers, while actually spilling, and with the tracked
+// run while actually spilling, and with the tracked
 // peak held near the budget.
 func TestJoinSpillDifferential(t *testing.T) {
 	for _, routed := range []bool{false, true} {
@@ -73,7 +71,7 @@ func TestJoinSpillDifferential(t *testing.T) {
 
 func testJoinSpillDifferential(t *testing.T, routed bool) {
 	const n = 4000
-	want, base, err := runSpill(spillJoin(n, 64, routed), 0, 4, SchedulerChan)
+	want, base, err := runSpill(spillJoin(n, 64, routed), 0, 4)
 	if err != nil {
 		t.Fatalf("unbounded run: %v", err)
 	}
@@ -86,33 +84,29 @@ func testJoinSpillDifferential(t *testing.T, routed bool) {
 	}
 	wantS := rowStrings(want)
 
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		for _, div := range []int64{4, 16} {
-			budget := peak / div
-			got, ctx, err := runSpill(spillJoin(n, 64, routed), budget, 4, sched)
-			if err != nil {
-				t.Fatalf("%s budget=peak/%d: %v", sched, div, err)
-			}
-			sched := fmt.Sprintf("%s routed=%v", sched, routed)
-			sameRows(t, sched, wantS, rowStrings(got))
-			if ctx.SpillEvents() == 0 {
-				t.Fatalf("%s budget=peak/%d: no spill events at budget %d (peak %d)",
-					sched, div, budget, peak)
-			}
-			if ctx.SpillBytes() == 0 {
-				t.Fatalf("%s budget=peak/%d: spill events but no spill bytes", sched, div)
-			}
-			// The budget is honored up to one batch of transient growth per
-			// partition (growth is checked after each scatter is absorbed);
-			// a routing scan scatters a whole chunk of ≈ 190 B rows at a time.
-			slack := budget/2 + 128<<10
-			if routed {
-				slack += scanChunkRows * 200
-			}
-			if p := ctx.PeakTrackedBytes(); p > budget+slack {
-				t.Fatalf("%s budget=peak/%d: peak tracked %d exceeds budget %d + slack %d",
-					sched, div, p, budget, slack)
-			}
+	for _, div := range []int64{4, 16} {
+		budget := peak / div
+		label := fmt.Sprintf("routed=%v budget=peak/%d", routed, div)
+		got, ctx, err := runSpill(spillJoin(n, 64, routed), budget, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sameRows(t, label, wantS, rowStrings(got))
+		if ctx.SpillEvents() == 0 {
+			t.Fatalf("%s: no spill events at budget %d (peak %d)", label, budget, peak)
+		}
+		if ctx.SpillBytes() == 0 {
+			t.Fatalf("%s: spill events but no spill bytes", label)
+		}
+		// The budget is honored up to one batch of transient growth per
+		// partition (growth is checked after each scatter is absorbed);
+		// a routing scan scatters a whole chunk of ≈ 190 B rows at a time.
+		slack := budget/2 + 128<<10
+		if routed {
+			slack += scanChunkRows * 200
+		}
+		if p := ctx.PeakTrackedBytes(); p > budget+slack {
+			t.Fatalf("%s: peak tracked %d exceeds budget %d + slack %d", label, p, budget, slack)
 		}
 	}
 }
@@ -178,10 +172,10 @@ func spillDistinct(n, uniq int) *Distinct {
 }
 
 // TestAggSpillDifferential: capped aggregation must merge spilled group
-// snapshots back to exactly the unbounded result, on both schedulers.
+// snapshots back to exactly the unbounded result.
 func TestAggSpillDifferential(t *testing.T) {
 	const n, groups = 24000, 1500
-	want, base, err := runSpill(spillAgg(n, groups), 0, 4, SchedulerChan)
+	want, base, err := runSpill(spillAgg(n, groups), 0, 4)
 	if err != nil {
 		t.Fatalf("unbounded run: %v", err)
 	}
@@ -193,98 +187,81 @@ func TestAggSpillDifferential(t *testing.T) {
 		t.Fatal("unbounded run tracked no state bytes")
 	}
 	wantS := rowStrings(want)
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		for _, div := range []int64{4, 16} {
-			budget := peak / div
-			got, ctx, err := runSpill(spillAgg(n, groups), budget, 4, sched)
-			if err != nil {
-				t.Fatalf("%s budget=peak/%d: %v", sched, div, err)
-			}
-			sameRows(t, sched, wantS, rowStrings(got))
-			if ctx.SpillEvents() == 0 {
-				t.Fatalf("%s budget=peak/%d: no spill events at budget %d (peak %d)",
-					sched, div, budget, peak)
-			}
-			slack := budget/2 + 128<<10
-			if p := ctx.PeakTrackedBytes(); p > budget+slack {
-				t.Fatalf("%s budget=peak/%d: peak tracked %d exceeds budget %d + slack %d",
-					sched, div, p, budget, slack)
-			}
+	checkCapped(t, peak, wantS, func(budget int64) ([]types.Tuple, *Context, error) {
+		return runSpill(spillAgg(n, groups), budget, 4)
+	})
+}
+
+// checkCapped runs a plan at a quarter and a sixteenth of its unbounded peak
+// and checks it returns the unbounded rows, spills, and holds the peak near
+// the budget.
+func checkCapped(t *testing.T, peak int64, want []string, run func(budget int64) ([]types.Tuple, *Context, error)) {
+	t.Helper()
+	for _, div := range []int64{4, 16} {
+		budget := peak / div
+		label := fmt.Sprintf("budget=peak/%d", div)
+		got, ctx, err := run(budget)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sameRows(t, label, want, rowStrings(got))
+		if ctx.SpillEvents() == 0 {
+			t.Fatalf("%s: no spill events at budget %d (peak %d)", label, budget, peak)
+		}
+		slack := budget/2 + 128<<10
+		if p := ctx.PeakTrackedBytes(); p > budget+slack {
+			t.Fatalf("%s: peak tracked %d exceeds budget %d + slack %d", label, p, budget, slack)
 		}
 	}
 }
 
 // TestDistinctSpillDifferential: capped dedup must emit each distinct tuple
 // exactly once — pipelined before the first eviction, replayed from the run
-// after — on both schedulers.
+// after.
 func TestDistinctSpillDifferential(t *testing.T) {
 	const n, uniq = 20000, 2500
-	want, base, err := runSpill(spillDistinct(n, uniq), 0, 4, SchedulerChan)
+	want, base, err := runSpill(spillDistinct(n, uniq), 0, 4)
 	if err != nil {
 		t.Fatalf("unbounded run: %v", err)
 	}
 	if len(want) != uniq {
 		t.Fatalf("baseline distinct = %d, want %d", len(want), uniq)
 	}
-	peak := base.PeakTrackedBytes()
-	wantS := rowStrings(want)
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		for _, div := range []int64{4, 16} {
-			budget := peak / div
-			got, ctx, err := runSpill(spillDistinct(n, uniq), budget, 4, sched)
-			if err != nil {
-				t.Fatalf("%s budget=peak/%d: %v", sched, div, err)
-			}
-			sameRows(t, sched, wantS, rowStrings(got))
-			if ctx.SpillEvents() == 0 {
-				t.Fatalf("%s budget=peak/%d: no spill events at budget %d (peak %d)",
-					sched, div, budget, peak)
-			}
-			slack := budget/2 + 128<<10
-			if p := ctx.PeakTrackedBytes(); p > budget+slack {
-				t.Fatalf("%s budget=peak/%d: peak tracked %d exceeds budget %d + slack %d",
-					sched, div, p, budget, slack)
-			}
-		}
-	}
+	checkCapped(t, base.PeakTrackedBytes(), rowStrings(want), func(budget int64) ([]types.Tuple, *Context, error) {
+		return runSpill(spillDistinct(n, uniq), budget, 4)
+	})
 }
 
 // TestAggSpillTinyBudget: grouped aggregation under an unworkable budget
-// fails with the typed error on both schedulers.
+// fails with the typed error.
 func TestAggSpillTinyBudget(t *testing.T) {
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		_, _, err := runSpill(spillAgg(24000, 1500), 2<<10, 4, sched)
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("%s: err = %v, want *BudgetError", sched, err)
-		}
+	_, _, err := runSpill(spillAgg(24000, 1500), 2<<10, 4)
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v, want *BudgetError", err)
 	}
 }
 
 // TestDistinctSpillTinyBudget: dedup under an unworkable budget fails with
-// the typed error on both schedulers.
+// the typed error.
 func TestDistinctSpillTinyBudget(t *testing.T) {
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		_, _, err := runSpill(spillDistinct(20000, 2500), 1<<10, 4, sched)
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("%s: err = %v, want *BudgetError", sched, err)
-		}
+	_, _, err := runSpill(spillDistinct(20000, 2500), 1<<10, 4)
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v, want *BudgetError", err)
 	}
 }
 
 // TestJoinSpillTinyBudget: a budget too small for even the maximum merge
 // fan-out must fail promptly with a typed *BudgetError, not thrash.
 func TestJoinSpillTinyBudget(t *testing.T) {
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		rows, ctx, err := runSpill(spillJoin(3000, 128, false), 4<<10, 4, sched)
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("%s: err = %v, want *BudgetError (rows=%d spills=%d spillBytes=%d peak=%d)",
-				sched, err, len(rows), ctx.SpillEvents(), ctx.SpillBytes(), ctx.PeakTrackedBytes())
-		}
-		if be.Need <= 4<<10 {
-			t.Fatalf("%s: BudgetError.Need = %d, not above the budget", sched, be.Need)
-		}
+	rows, ctx, err := runSpill(spillJoin(3000, 128, false), 4<<10, 4)
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v, want *BudgetError (rows=%d spills=%d spillBytes=%d peak=%d)",
+			err, len(rows), ctx.SpillEvents(), ctx.SpillBytes(), ctx.PeakTrackedBytes())
+	}
+	if be.Need <= 4<<10 {
+		t.Fatalf("BudgetError.Need = %d, not above the budget", be.Need)
 	}
 }

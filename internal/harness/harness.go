@@ -30,9 +30,6 @@ type Config struct {
 	// transfer conditions", while still staggering completion times by
 	// relation size; set negative for unpaced).
 	SourceMBps float64
-	// PipelineDepth overrides the executor's per-edge channel buffer in
-	// batches; zero keeps the default.
-	PipelineDepth int
 	// Verbose adds per-operator detail to the output writer.
 	Verbose bool
 
@@ -128,7 +125,6 @@ func (r *Runner) RunCell(spec workload.Spec, strategyName string, delayed []stri
 		FPR:           r.cfg.FPR,
 		DelayedTables: delayed,
 		RemoteTables:  spec.Remote,
-		PipelineDepth: r.cfg.PipelineDepth,
 	}
 	if r.cfg.SourceMBps > 0 {
 		opts.SourceBytesPerSec = int64(r.cfg.SourceMBps * 1e6)

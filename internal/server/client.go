@@ -32,7 +32,6 @@ func (e *WireError) Is(target error) bool {
 // the server meters quotas by, and the session execution options.
 type DialConfig struct {
 	Tenant    string
-	Scheduler string
 	MemBudget int64
 	// Partial selects PartialOnSourceError for the session: queries degrade
 	// to partial results (with incomplete-table warnings in the summary)
@@ -107,7 +106,6 @@ func NewClient(conn net.Conn, cfg DialConfig) (*Client, error) {
 	buf := append([]byte(nil), protoMagic...)
 	buf = appendUvarint(buf, ProtoVersion)
 	buf = appendString(buf, cfg.Tenant)
-	buf = appendString(buf, cfg.Scheduler)
 	buf = appendVarint(buf, cfg.MemBudget)
 	mode := byte(0)
 	if cfg.Partial {

@@ -22,11 +22,12 @@ const (
 	// ProtoVersion is the newest protocol revision this package speaks.
 	// The handshake negotiates min(client max, server max); version 0 is
 	// never valid, so a client older than MinProtoVersion is refused with
-	// an error frame. Version 2 made RowBatch payloads column runs.
-	ProtoVersion = 2
+	// an error frame. Version 2 made RowBatch payloads column runs; version
+	// 3 dropped the scheduler string from the Hello.
+	ProtoVersion = 3
 
 	// MinProtoVersion is the oldest revision the server still accepts.
-	MinProtoVersion = 2
+	MinProtoVersion = 3
 
 	// DefaultMaxFrame bounds a single frame's payload. Row batches are cut
 	// well below this; the bound exists so a corrupt or hostile length

@@ -21,14 +21,14 @@
 //
 // A session opens with a handshake: the client sends Hello (0x01) — the
 // 4-byte magic "SIPW", its maximum protocol version (uvarint), a tenant
-// name (string), and the session options (scheduler string, memory-budget
-// varint, one failure-mode byte: 0 fail-fast, 1 partial). The server
-// answers HelloOK (0x81) carrying the negotiated version
-// min(client, server) and a banner string, or Error (0x82, code "version")
-// when the client is too old. A connection that does not open with the
-// magic is dropped without a reply. This is protocol version 2, the only
-// one either end speaks: a version 1 Hello (row-at-a-time RowBatch
-// payloads) gets the "version" error and nothing else.
+// name (string), and the session options (memory-budget varint, one
+// failure-mode byte: 0 fail-fast, 1 partial). The server answers HelloOK
+// (0x81) carrying the negotiated version min(client, server) and a banner
+// string, or Error (0x82, code "version") when the client is too old. A
+// connection that does not open with the magic is dropped without a reply.
+// This is protocol version 3, the only one either end speaks: a version 1
+// Hello (row-at-a-time RowBatch payloads) or 2 (a scheduler string before
+// the memory budget) gets the "version" error and nothing else.
 //
 // After the handshake the session is a sequential request/response loop —
 // at most one statement in flight per connection:
@@ -89,8 +89,8 @@ type Config struct {
 	Engine *sip.Engine
 
 	// BaseOptions seeds every session's execution options (strategy,
-	// placement, pacing). The session's Hello options (scheduler, memory
-	// budget, failure mode) overlay it.
+	// placement, pacing). The session's Hello options (memory budget,
+	// failure mode) overlay it.
 	BaseOptions sip.Options
 
 	// TenantQuota caps each tenant's concurrent queries (0 = unlimited).

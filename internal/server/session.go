@@ -142,16 +142,20 @@ func (sess *session) handshake() bool {
 	p := payloadReader{buf: payload}
 	magic := p.take(len(protoMagic))
 	clientMax := p.uvarint()
-	tenant := p.string()
-	sched := p.string()
-	memBudget := p.varint()
-	mode := p.byte()
 	if p.err != nil || string(magic) != protoMagic {
 		return false
 	}
+	// The version decides the layout of what follows, so an older client is
+	// refused before its session options are read.
 	if clientMax < MinProtoVersion {
 		sess.writeError(errCodeVersion, "client protocol version too old")
 		sess.bw.Flush()
+		return false
+	}
+	tenant := p.string()
+	memBudget := p.varint()
+	mode := p.byte()
+	if p.err != nil {
 		return false
 	}
 	sess.version = ProtoVersion
@@ -161,12 +165,9 @@ func (sess *session) handshake() bool {
 	sess.tenant = tenant
 
 	// Session options overlay the server's base options: the client picks
-	// its scheduler, memory budget, and failure mode; plan-shaping options
-	// stay server-controlled.
+	// its memory budget and failure mode; plan-shaping options stay
+	// server-controlled.
 	sess.opts = sess.srv.cfg.BaseOptions
-	if sched != "" {
-		sess.opts.Scheduler = sched
-	}
 	if memBudget > 0 {
 		sess.opts.MemBudget = memBudget
 	}

@@ -213,32 +213,35 @@ func TestCountLoopAllocs(t *testing.T) {
 	}
 }
 
-// TestV1HelloRefused: version 1 (row-at-a-time RowBatch payloads) is gone from
-// both ends; a peer that offers at most that gets the "version" error frame
-// and a closed connection, never a v1 stream.
+// TestV1HelloRefused: versions 1 (row-at-a-time RowBatch payloads) and 2 (a
+// scheduler string in the Hello, which a v3 server would read as the memory
+// budget) are gone from both ends; a peer that offers at most either gets the
+// "version" error frame and a closed connection, never a stream.
 func TestV1HelloRefused(t *testing.T) {
 	srv, addr := startServer(t, Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello := appendUvarint([]byte(protoMagic), 1)
-	hello = appendString(appendString(hello, "tenant"), "") // tenant, scheduler
-	hello = append(appendVarint(hello, 0), 0)               // memory budget, failure mode
-	if err := writeFrame(conn, frameHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(conn, DefaultMaxFrame)
-	if err != nil || typ != frameError {
-		t.Fatalf("frame 0x%02x, err %v; want an Error frame", typ, err)
-	}
-	var werr *WireError
-	if !errors.As(decodeError(payload), &werr) || werr.Code != errCodeVersion {
-		t.Fatalf("got %v, want a %q error", decodeError(payload), errCodeVersion)
-	}
-	if _, _, err := readFrame(conn, DefaultMaxFrame); err == nil {
-		t.Fatal("the session stayed open after refusing the handshake")
+	for _, version := range []uint64{1, 2} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := appendUvarint([]byte(protoMagic), version)
+		hello = appendString(appendString(hello, "tenant"), "chan") // tenant, scheduler
+		hello = append(appendVarint(hello, 0), 0)                   // memory budget, failure mode
+		if err := writeFrame(conn, frameHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := readFrame(conn, DefaultMaxFrame)
+		if err != nil || typ != frameError {
+			t.Fatalf("v%d: frame 0x%02x, err %v; want an Error frame", version, typ, err)
+		}
+		var werr *WireError
+		if !errors.As(decodeError(payload), &werr) || werr.Code != errCodeVersion {
+			t.Fatalf("v%d: got %v, want a %q error", version, decodeError(payload), errCodeVersion)
+		}
+		if _, _, err := readFrame(conn, DefaultMaxFrame); err == nil {
+			t.Fatalf("v%d: the session stayed open after refusing the handshake", version)
+		}
 	}
 	if n := srv.Metrics().QueriesStarted.Load(); n != 0 {
 		t.Fatalf("%d queries started", n)

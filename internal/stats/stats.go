@@ -163,18 +163,12 @@ type Registry struct {
 	FilterNetWork      Counter // of which, AIP filter payloads
 	BreakerTransitions Counter // circuit-breaker state changes across sites
 
-	// Work-stealing scheduler counters (morsel engine only; all zero on
-	// the chan path). Morsels/steals/parks sit next to the per-partition
-	// skew counters so steal storms and idle workers are visible in the
-	// same report as radix skew.
-	SchedMorsels Counter // pool tasks executed
-	SchedSteals  Counter // tasks taken from another worker's deque
-	SchedParks   Counter // worker park (sleep) transitions
-	SchedUnparks Counter // worker wakeups for new work
-
-	schedMu      sync.Mutex
-	schedWorkers int
-	schedBusy    []time.Duration // per pool worker: time spent running tasks
+	// SchedMorsels and SchedSteals counted the work-stealing engine's pool
+	// tasks; that engine is gone and they always read zero. The benchmark
+	// runner (bench/layers.go) still reports them as sched.* metrics, and a
+	// benchmark-only change removes them together with those rows.
+	SchedMorsels Counter
+	SchedSteals  Counter
 }
 
 // NewRegistry creates an empty stats registry.
@@ -212,36 +206,11 @@ func (r *Registry) Reset() {
 	r.NetworkBytes.reset()
 	r.FilterNetWork.reset()
 	r.BreakerTransitions.reset()
-	r.SchedMorsels.reset()
-	r.SchedSteals.reset()
-	r.SchedParks.reset()
-	r.SchedUnparks.reset()
-	r.schedMu.Lock()
-	r.schedWorkers = 0
-	r.schedBusy = nil
-	r.schedMu.Unlock()
 }
 
-// RecordSched publishes one execution's work-stealing pool counters. The
-// exec layer calls it once, after the pool has fully quiesced.
-func (r *Registry) RecordSched(workers int, morsels, steals, parks, unparks int64, busy []time.Duration) {
-	r.SchedMorsels.Add(morsels)
-	r.SchedSteals.Add(steals)
-	r.SchedParks.Add(parks)
-	r.SchedUnparks.Add(unparks)
-	r.schedMu.Lock()
-	r.schedWorkers = workers
-	r.schedBusy = append([]time.Duration(nil), busy...)
-	r.schedMu.Unlock()
-}
-
-// SchedBusy returns the last recorded pool width and per-worker busy
-// times (nil when the execution ran on the chan scheduler).
-func (r *Registry) SchedBusy() (workers int, busy []time.Duration) {
-	r.schedMu.Lock()
-	defer r.schedMu.Unlock()
-	return r.schedWorkers, append([]time.Duration(nil), r.schedBusy...)
-}
+// SchedBusy reported the work-stealing pool's width and per-worker busy
+// times; like SchedMorsels it is kept, always zero, for bench/layers.go.
+func (r *Registry) SchedBusy() (workers int, busy []time.Duration) { return 0, nil }
 
 // NewOp registers and returns a stats block for a named operator. The
 // operator class is derived from the conventional "kind:name" form.
@@ -418,16 +387,6 @@ func (r *Registry) Report() string {
 	}
 	if se := r.TotalSpillEvents(); se > 0 {
 		out += fmt.Sprintf("spill: events=%d bytes=%d\n", se, r.TotalSpillBytes())
-	}
-	if r.SchedMorsels.Load() > 0 {
-		w, busy := r.SchedBusy()
-		var bs []string
-		for _, d := range busy {
-			bs = append(bs, d.Round(time.Microsecond).String())
-		}
-		out += fmt.Sprintf("sched: workers=%d morsels=%d steals=%d parks=%d unparks=%d busy=[%s]\n",
-			w, r.SchedMorsels.Load(), r.SchedSteals.Load(),
-			r.SchedParks.Load(), r.SchedUnparks.Load(), strings.Join(bs, " "))
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package sip
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -36,9 +35,9 @@ const spillBudgetPerRow = 32
 
 // TestQuerySpillDifferential is the end-to-end acceptance property: with a
 // budget of about an eighth of the state the query holds when it buffers
-// both join sides, the query must complete with byte-identical results on
-// both schedulers and across execution strategies, while actually spilling
-// and holding the tracked peak near the budget.
+// both join sides, the query must complete with byte-identical results under
+// Baseline, Feed-forward and Cost-based, while actually spilling and holding
+// the tracked peak near the budget.
 func TestQuerySpillDifferential(t *testing.T) {
 	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
 	eng := NewEngine(cat)
@@ -62,32 +61,30 @@ func TestQuerySpillDifferential(t *testing.T) {
 		t.Fatalf("unbounded peak %d B would not exercise a budget of %d B", peak, budget)
 	}
 
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		for _, strat := range []Strategy{Baseline, FeedForward, CostBased} {
-			name := fmt.Sprintf("%s/%s", sched, strat)
-			res, err := eng.Query(ctx, spillSQL, Options{
-				Scheduler: sched, Strategy: strat, MemBudget: budget, Parallelism: 4,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+	for _, strat := range []Strategy{Baseline, FeedForward, CostBased} {
+		name := strat.String()
+		res, err := eng.Query(ctx, spillSQL, Options{
+			Strategy: strat, MemBudget: budget, Parallelism: 4,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := canon(res.Rows)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d = %q, want %q", name, i, got[i], want[i])
 			}
-			got := canon(res.Rows)
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d rows, want %d", name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: row %d = %q, want %q", name, i, got[i], want[i])
-				}
-			}
-			if res.SpillEvents == 0 || res.SpillBytes == 0 {
-				t.Fatalf("%s: no spill activity at budget %d (peak %d)", name, budget, peak)
-			}
-			slack := budget/2 + 256<<10
-			if res.PeakMemBytes > budget+slack {
-				t.Fatalf("%s: peak %d exceeds budget %d + slack %d",
-					name, res.PeakMemBytes, budget, slack)
-			}
+		}
+		if res.SpillEvents == 0 || res.SpillBytes == 0 {
+			t.Fatalf("%s: no spill activity at budget %d (peak %d)", name, budget, peak)
+		}
+		slack := budget/2 + 256<<10
+		if res.PeakMemBytes > budget+slack {
+			t.Fatalf("%s: peak %d exceeds budget %d + slack %d",
+				name, res.PeakMemBytes, budget, slack)
 		}
 	}
 }
@@ -96,17 +93,13 @@ func TestQuerySpillDifferential(t *testing.T) {
 // fan-out surfaces the typed *BudgetError through the public API.
 func TestQueryBudgetError(t *testing.T) {
 	eng := spillEngine(t)
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		_, err := eng.Query(context.Background(), spillSQL, Options{
-			Scheduler: sched, MemBudget: 2 << 10, Parallelism: 4,
-		})
-		var be *BudgetError
-		if !errors.As(err, &be) {
-			t.Fatalf("%s: err = %v, want *BudgetError", sched, err)
-		}
-		if be.Need <= be.Budget {
-			t.Fatalf("%s: BudgetError.Need %d not above budget %d", sched, be.Need, be.Budget)
-		}
+	_, err := eng.Query(context.Background(), spillSQL, Options{MemBudget: 2 << 10, Parallelism: 4})
+	var be *BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("err = %v, want *BudgetError", err)
+	}
+	if be.Need <= be.Budget {
+		t.Fatalf("BudgetError.Need %d not above budget %d", be.Need, be.Budget)
 	}
 }
 

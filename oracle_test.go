@@ -25,6 +25,7 @@ package sip
 // as fixed cases (TestJoinNullKeysMatchNothing).
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -790,7 +791,7 @@ func oraCompare(a, b types.Value) (int, bool) {
 		return strings.Compare(a.S, b.S), true
 	}
 	if a.K == b.K && (a.K == types.KindInt || a.K == types.KindDate) {
-		return cmpInt(a.I, b.I), true
+		return cmp.Compare(a.I, b.I), true
 	}
 	af, bf := oraFloat(a), oraFloat(b)
 	switch {
@@ -800,16 +801,6 @@ func oraCompare(a, b types.Value) (int, bool) {
 		return 1, true
 	}
 	return 0, true
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 func oraFloat(v types.Value) float64 {

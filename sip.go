@@ -72,16 +72,9 @@
 //	stmt, err := eng.Prepare(ctx, `SELECT n_name FROM nation WHERE n_nationkey = ?`)
 //	res, err := stmt.Query(ctx, sip.Int(7))
 //
-// Two execution schedulers are available (Options.Scheduler). The default
-// "chan" engine runs one goroutine per operator per partition, glued by
-// buffered channels. The "morsel" engine runs the same plan on a per-query
-// work-stealing worker pool (internal/sched): scans range-split into
-// morsels so one big table uses every core, stateless operators fuse into
-// the producing task, and partitioned operators hand off through actor
-// inboxes instead of channels. Both produce identical results; the pool
-// width follows Options.Parallelism (GOMAXPROCS by default), clamped by
-// the plan's cardinality estimate and degraded under concurrent-query
-// load instead of oversubscribing goroutines.
+// The executor (internal/exec) runs one goroutine per operator input and per
+// partition, glued by bounded channels, so a filter registered mid-query
+// applies to every tuple that arrives after it.
 package sip
 
 import (
@@ -205,17 +198,6 @@ type PanicError = exec.PanicError
 // SummaryKind selects the AIP-set representation (Bloom or hash set).
 type SummaryKind = core.SummaryKind
 
-// FilterVariant selects the Bloom-filter memory layout.
-type FilterVariant = core.FilterVariant
-
-// Bloom-filter layouts: cache-line-blocked (default; one line touched per
-// probe, batch kernels) or the classic flat bit array (kept as the
-// differential and memory baseline).
-const (
-	BlockedBloom = core.BlockedBloom
-	FlatBloom    = core.FlatBloom
-)
-
 // CostParams parameterize the Cost-Based AIP manager's model.
 type CostParams = core.CostParams
 
@@ -249,10 +231,6 @@ type Options struct {
 
 	// Summary selects Bloom filters (default) or exact hash sets.
 	Summary SummaryKind
-
-	// Variant selects the Bloom-filter layout (blocked by default; ignored
-	// for hash-set summaries).
-	Variant FilterVariant
 
 	// DelayedTables names base tables whose scans are delayed per Delay
 	// (the paper delays PARTSUPP).
@@ -298,30 +276,12 @@ type Options struct {
 	OnSourceFailure FailureMode
 
 	// Parallelism is the radix-partition fan-out of the stateful operators
-	// (hash join, aggregation, distinct) and, under the morsel scheduler,
-	// the worker-pool width: how many cores one query can saturate. Zero
-	// means runtime.GOMAXPROCS(0); the executor rounds it down to a power
-	// of two, caps it at 64, and clamps it by the optimizer's cardinality
-	// estimate so tiny inputs skip the fan-out overhead. The morsel pool
-	// additionally degrades under MaxConcurrentQueries admission load
-	// (width divided by the number of running queries, floored at one)
-	// instead of oversubscribing goroutines. One reproduces the
-	// single-owner data path exactly.
+	// (hash join, aggregation, distinct): how many cores one query's joins
+	// and aggregations can saturate. Zero means runtime.GOMAXPROCS(0); the
+	// executor rounds it down to a power of two, caps it at 64, and clamps
+	// it by the optimizer's cardinality estimate so tiny inputs skip the
+	// fan-out overhead. One reproduces the single-owner data path exactly.
 	Parallelism int
-
-	// PipelineDepth is the per-edge channel buffer in batches (pipeline
-	// edges and partition scatter channels). Zero means the executor's
-	// default (exec.DefaultPipelineDepth); deeper buffers absorb rate
-	// jitter between producers and consumers at the cost of more
-	// in-flight batches. Chan scheduler only: the morsel engine has no
-	// internal channels and uses it just for the root output edge.
-	PipelineDepth int
-
-	// Scheduler selects the execution engine: SchedulerChan (default, one
-	// goroutine per operator per partition) or SchedulerMorsel (work-
-	// stealing worker pool with range-split parallel scans). Results are
-	// identical; plans the morsel compiler cannot run fall back to chan.
-	Scheduler string
 
 	// MemBudget caps this query's tracked operator state (join tables,
 	// aggregation groups, distinct sets) in bytes. Under pressure the
@@ -334,12 +294,6 @@ type Options struct {
 	// applies (and a non-zero Options.MemBudget is capped by that grant).
 	MemBudget int64
 }
-
-// Scheduler values for Options.Scheduler.
-const (
-	SchedulerChan   = exec.SchedulerChan
-	SchedulerMorsel = exec.SchedulerMorsel
-)
 
 func (o Options) delay() *exec.DelayConfig {
 	d := o.Delay
@@ -537,7 +491,7 @@ type Engine struct {
 	sem     chan struct{} // nil when unlimited
 	gov     *memGovernor  // nil when no engine-wide memory pool
 	pooled  bool          // recycle per-query stats registries
-	running atomic.Int64  // queries currently executing (adaptive parallelism)
+	running atomic.Int64  // queries currently executing
 
 	slowThresh time.Duration // 0 = slow-query log disabled
 	slow       slowLog
@@ -580,9 +534,8 @@ func (e *Engine) SlowQueryCount() int64 {
 	return e.slow.total
 }
 
-// RunningQueries reports how many queries are executing right now (admitted
-// and not yet finished) — the same load signal the morsel scheduler's
-// adaptive parallelism divides by.
+// RunningQueries reports how many queries are executing right now: admitted
+// and not yet finished (the serving tier exports it as a gauge).
 func (e *Engine) RunningQueries() int { return int(e.running.Load()) }
 
 // GovernorStats is a snapshot of the engine-wide memory pool.

@@ -74,7 +74,7 @@ func unvectorized(t *testing.T, src *Catalog) *Catalog {
 
 // TestSourceSelectionDifferential is the tentpole's answer-preservation
 // property at the engine level: with scans selecting at the source, Q1A–Q5A
-// under every strategy × scheduler × summary kind × P ∈ {1, 2} return the
+// under every strategy × summary kind × P ∈ {1, 2} return the
 // rows of Baseline at P=1 — over the generated catalog (vector kernels) and
 // over one whose key columns have no vectors (row fallback inside the scan).
 func TestSourceSelectionDifferential(t *testing.T) {
@@ -90,24 +90,22 @@ func TestSourceSelectionDifferential(t *testing.T) {
 			}
 			want := strings.Join(canon(base.Rows), "\n")
 			for _, strat := range AllStrategies() {
-				for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-					for _, sum := range []SummaryKind{SummaryBloom, SummaryHashSet} {
-						for _, p := range []int{1, 2} {
-							res, err := eng.Query(ctx, sql, Options{Strategy: strat, Scheduler: sched, Summary: sum, Parallelism: p})
-							if err != nil {
-								t.Fatalf("%s %s %v %s %v P=%d: %v", label, id, strat, sched, sum, p, err)
-							}
-							if got := strings.Join(canon(res.Rows), "\n"); got != want {
-								t.Fatalf("%s %s %v %s %v P=%d: rows differ from Baseline/P=1\ngot:\n%s\nwant:\n%s",
-									label, id, strat, sched, sum, p, got, want)
-							}
-							// (Magic rewrites the plan, and with it what is scanned.)
-							if strat != Magic && res.TuplesScanned != base.TuplesScanned {
-								t.Fatalf("%s %s %v %s: scanned %d tuples, Baseline %d — TuplesScanned must count rows read",
-									label, id, strat, sched, res.TuplesScanned, base.TuplesScanned)
-							}
-							pruned[strat] += res.TuplesPruned
+				for _, sum := range []SummaryKind{SummaryBloom, SummaryHashSet} {
+					for _, p := range []int{1, 2} {
+						res, err := eng.Query(ctx, sql, Options{Strategy: strat, Summary: sum, Parallelism: p})
+						if err != nil {
+							t.Fatalf("%s %s %v %v P=%d: %v", label, id, strat, sum, p, err)
 						}
+						if got := strings.Join(canon(res.Rows), "\n"); got != want {
+							t.Fatalf("%s %s %v %v P=%d: rows differ from Baseline/P=1\ngot:\n%s\nwant:\n%s",
+								label, id, strat, sum, p, got, want)
+						}
+						// (Magic rewrites the plan, and with it what is scanned.)
+						if strat != Magic && res.TuplesScanned != base.TuplesScanned {
+							t.Fatalf("%s %s %v: scanned %d tuples, Baseline %d — TuplesScanned must count rows read",
+								label, id, strat, res.TuplesScanned, base.TuplesScanned)
+						}
+						pruned[strat] += res.TuplesPruned
 					}
 				}
 			}
@@ -156,75 +154,70 @@ func TestSourceSelectionAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []string{SchedulerChan, SchedulerMorsel} {
-		opts := Options{Strategy: FeedForward, Scheduler: sched}
-		p, _, err := eng.adhocPlan(sql, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wired := map[string]string{}
-		wiredScans(p.built.Root, wired)
-		rows, err := eng.QueryStream(context.Background(), sql, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rows.Next() {
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatal(err)
-		}
-		res := rows.Result()
-		ops := map[string]int{}
-		for i, op := range res.Stats.Ops() {
-			ops[op.Name] = i
-		}
-		lineitemPoints := 0
-		var prunedSum, droppedSum int64
-		for _, pt := range rows.ectx.Points() {
-			prunedSum += pt.Op.Pruned.Load()
-			scanName, ok := wired[pt.Name]
-			if !ok {
-				continue
-			}
-			scan := res.Stats.Ops()[ops["scan:"+scanName]]
-			label := fmt.Sprintf("%s %s <- scan:%s", sched, pt.Name, scanName)
-			if pt.Op.In.Load() != scan.Out.Load() {
-				t.Fatalf("%s: operator saw %d rows, scan emitted %d", label, pt.Op.In.Load(), scan.Out.Load())
-			}
-			dropped := scan.In.Load() - scan.Out.Load()
-			if pr := pt.Op.Pruned.Load(); pr+pt.StoredRows() > pt.Received() {
-				t.Fatalf("%s: pruned %d + stored %d > received %d — a row was counted twice", label, pr, pt.StoredRows(), pt.Received())
-			}
-			if !strings.HasSuffix(scanName, "lineitem") {
-				continue
-			}
-			lineitemPoints++
-			if scan.In.Load() != lineitem.NumRows() || pt.Received() != lineitem.NumRows() {
-				t.Fatalf("%s: scan read %d, point received %d, table has %d rows", label, scan.In.Load(), pt.Received(), lineitem.NumRows())
-			}
-			if pr := pt.Op.Pruned.Load(); pr < dropped {
-				t.Fatalf("%s: scan dropped %d of %d rows, operator reports %d pruned", label, dropped, scan.In.Load(), pr)
-			}
-			droppedSum += dropped
-		}
-		// Whether a filter lands before a given scan ends is the scheduler's
-		// business (morsel runs the lineitem chunks ahead of part), so only
-		// the chan run is asked to show source-side pruning at all.
-		if sched == SchedulerChan && droppedSum == 0 {
-			t.Fatalf("%s: no lineitem scan dropped a row at the source — test is vacuous", sched)
-		}
-		if lineitemPoints != 2 {
-			t.Fatalf("%s: %d lineitem scans wired to a point, want 2 (join input and aggregation input); wired: %v", sched, lineitemPoints, wired)
-		}
-		if res.TuplesPruned != prunedSum {
-			t.Fatalf("%s: TuplesPruned %d, points' operators sum to %d", sched, res.TuplesPruned, prunedSum)
-		}
-		part, _ := cat.Table("part")
-		if want := 2*lineitem.NumRows() + part.NumRows(); res.TuplesScanned != want {
-			t.Fatalf("%s: TuplesScanned %d, want %d rows read", sched, res.TuplesScanned, want)
-		}
-		rows.Close()
+	opts := Options{Strategy: FeedForward}
+	p, _, err := eng.adhocPlan(sql, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	wired := map[string]string{}
+	wiredScans(p.built.Root, wired)
+	rows, err := eng.QueryStream(context.Background(), sql, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rows.Next() {
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	res := rows.Result()
+	ops := map[string]int{}
+	for i, op := range res.Stats.Ops() {
+		ops[op.Name] = i
+	}
+	lineitemPoints := 0
+	var prunedSum, droppedSum int64
+	for _, pt := range rows.ectx.Points() {
+		prunedSum += pt.Op.Pruned.Load()
+		scanName, ok := wired[pt.Name]
+		if !ok {
+			continue
+		}
+		scan := res.Stats.Ops()[ops["scan:"+scanName]]
+		label := fmt.Sprintf("%s <- scan:%s", pt.Name, scanName)
+		if pt.Op.In.Load() != scan.Out.Load() {
+			t.Fatalf("%s: operator saw %d rows, scan emitted %d", label, pt.Op.In.Load(), scan.Out.Load())
+		}
+		dropped := scan.In.Load() - scan.Out.Load()
+		if pr := pt.Op.Pruned.Load(); pr+pt.StoredRows() > pt.Received() {
+			t.Fatalf("%s: pruned %d + stored %d > received %d — a row was counted twice", label, pr, pt.StoredRows(), pt.Received())
+		}
+		if !strings.HasSuffix(scanName, "lineitem") {
+			continue
+		}
+		lineitemPoints++
+		if scan.In.Load() != lineitem.NumRows() || pt.Received() != lineitem.NumRows() {
+			t.Fatalf("%s: scan read %d, point received %d, table has %d rows", label, scan.In.Load(), pt.Received(), lineitem.NumRows())
+		}
+		if pr := pt.Op.Pruned.Load(); pr < dropped {
+			t.Fatalf("%s: scan dropped %d of %d rows, operator reports %d pruned", label, dropped, scan.In.Load(), pr)
+		}
+		droppedSum += dropped
+	}
+	if droppedSum == 0 {
+		t.Fatal("no lineitem scan dropped a row at the source — test is vacuous")
+	}
+	if lineitemPoints != 2 {
+		t.Fatalf("%d lineitem scans wired to a point, want 2 (join input and aggregation input); wired: %v", lineitemPoints, wired)
+	}
+	if res.TuplesPruned != prunedSum {
+		t.Fatalf("TuplesPruned %d, points' operators sum to %d", res.TuplesPruned, prunedSum)
+	}
+	part, _ := cat.Table("part")
+	if want := 2*lineitem.NumRows() + part.NumRows(); res.TuplesScanned != want {
+		t.Fatalf("TuplesScanned %d, want %d rows read", res.TuplesScanned, want)
+	}
+	rows.Close()
 }
 
 // TestQ17FeedForwardDeterminism: with routing scans ordered behind the small

@@ -83,12 +83,9 @@ func (e *Engine) plan(sql string, opts Options) (*enginePlan, error) {
 }
 
 // planKey fingerprints the option fields that change the compiled plan
-// (placement, rewrite, pacing) plus the scheduler knobs (Scheduler and the
-// Parallelism input to the adaptive-P clamp), so cached plans never cross
-// scheduler modes, and the filter variant, so cached plans never mix Bloom
-// geometries; the remaining runtime-only knobs (FPR, summary kind, pipeline
-// depth, cost-model constants, memory budget) are deliberately excluded so
-// they share one cached plan. The catalog version is part of the key: a
+// (placement, rewrite, pacing); the runtime-only knobs (FPR, summary kind,
+// parallelism, cost-model constants, memory budget) are deliberately excluded
+// so they share one cached plan. The catalog version is part of the key: a
 // compiled plan snapshots table row slices and statistics at build time, so
 // replacing a table via Catalog.Add must retire every plan built against
 // the old contents instead of serving stale rows (the superseded entries
@@ -132,7 +129,7 @@ func planKey(sql string, opts Options, catVersion int64) string {
 	sb.WriteByte(0)
 	fmt.Fprintf(&sb, "%d", opts.SourceBytesPerSec)
 	sb.WriteByte(0)
-	fmt.Fprintf(&sb, "%s/%d/v%d/cat%d", opts.Scheduler, opts.Parallelism, opts.Variant, catVersion)
+	fmt.Fprintf(&sb, "cat%d", catVersion)
 	return sb.String()
 }
 
@@ -208,7 +205,7 @@ func (e *Engine) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 
 // PrepareWithOptions compiles sql once under the given options. The
 // plan-shaping options (Strategy, placement, pacing) are fixed at prepare
-// time; runtime options (FPR, Summary, Parallelism, PipelineDepth, Cost)
+// time; runtime options (FPR, Summary, Parallelism, Cost, MemBudget)
 // are re-read from the captured Options at every execution.
 //
 // A statement prepared with RemoteTables captures its network model once:

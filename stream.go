@@ -29,7 +29,7 @@ func (e *Engine) Query(ctx context.Context, sql string, opts Options) (*Result, 
 // QueryStream starts sql and returns a streaming cursor over its result.
 // Rows are delivered batch-at-a-time from the root operator over the
 // executor's bounded pipeline edges, so a slow consumer exerts backpressure
-// (at most O(operators × PipelineDepth) batches are in flight) instead of
+// (at most a few batches per operator edge are in flight) instead of
 // forcing the result to materialize. The caller must exhaust or Close the
 // cursor; Close cancels the query and reclaims every operator goroutine.
 //
@@ -63,15 +63,8 @@ func (e *Engine) start(ctx context.Context, sql string, p *enginePlan, opts Opti
 	default:
 		return nil, fmt.Errorf("sip: unknown strategy %d", opts.Strategy)
 	}
-	switch opts.Scheduler {
-	case "", SchedulerChan, SchedulerMorsel:
-	default:
-		return nil, fmt.Errorf("sip: unknown scheduler %q", opts.Scheduler)
-	}
 
 	// Admission: block until an execution slot frees or the caller gives up.
-	// The running counter feeds the morsel scheduler's adaptive parallelism
-	// (pool width degrades under load instead of oversubscribing).
 	if e.sem != nil {
 		select {
 		case e.sem <- struct{}{}:
@@ -121,9 +114,6 @@ func (e *Engine) start(ctx context.Context, sql string, p *enginePlan, opts Opti
 
 	ectx := exec.NewContext(reg, nil)
 	ectx.Parallelism = opts.Parallelism
-	ectx.PipelineDepth = opts.PipelineDepth
-	ectx.Scheduler = opts.Scheduler
-	ectx.Load = func() int { return int(e.running.Load()) }
 	// Per-query cap and engine grant compose: the tighter one wins.
 	ectx.MemBudget = opts.MemBudget
 	if grant > 0 && (ectx.MemBudget <= 0 || grant < ectx.MemBudget) {
@@ -206,7 +196,6 @@ func (e *Engine) controller(opts Options, p *enginePlan, reg *stats.Registry, ec
 		copts := core.Options{
 			FPR:      opts.FPR,
 			Kind:     opts.Summary,
-			Variant:  opts.Variant,
 			Stats:    reg,
 			Topology: p.topo,
 			Cost:     core.DefaultCostParams(),

@@ -12,8 +12,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/exec"
 )
 
 // slowOpts paces every scan to ~100 KB/s so a lineitem-sized query runs
@@ -256,9 +254,9 @@ func TestPlanCacheHitAndEviction(t *testing.T) {
 }
 
 // TestBackpressureBoundsInFlightBatches pins the cursor's core promise: a
-// stalled consumer stalls the scan. With PipelineDepth=2 the pipeline holds
-// only O(operators × depth) batches, so the tuples scanned while the
-// consumer sleeps must stay a small constant, not the table size.
+// stalled consumer stalls the scan. The pipeline holds only a few batches per
+// edge, so the tuples scanned while the consumer sleeps must stay a small
+// constant, not the table size.
 func TestBackpressureBoundsInFlightBatches(t *testing.T) {
 	e := testEngine(t)
 	total, err := e.Query(context.Background(), bigScanSQL, Options{})
@@ -269,7 +267,7 @@ func TestBackpressureBoundsInFlightBatches(t *testing.T) {
 		t.Fatalf("test table too small for a meaningful bound: %d rows", len(total.Rows))
 	}
 
-	rows, err := e.QueryStream(context.Background(), bigScanSQL, Options{PipelineDepth: 2})
+	rows, err := e.QueryStream(context.Background(), bigScanSQL, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +276,12 @@ func TestBackpressureBoundsInFlightBatches(t *testing.T) {
 	// Stall: consume nothing while the producers fill the bounded edges.
 	time.Sleep(300 * time.Millisecond)
 	inFlight := rows.reg.TotalScanned()
-	// Plan: scan → project → cursor. Two edges of depth 2 plus a batch in
-	// each operator's hands plus channel-send slack: ≤ ~8 batches. Allow a
-	// generous 4× margin — the point is it must not approach table size.
-	bound := int64(32 * exec.BatchSize)
+	// Plan: the scan is the root — a plain column projection of a table
+	// leaves it as row-id batches of up to scanChunkRows rows. Stalled, the
+	// cursor leaves pipelineDepth batches on the root edge, one the scan is
+	// blocked sending, and the chunk it has read since.
+	const pipelineDepth, scanChunkRows = 4, 1024 // exec's constants
+	bound := int64((pipelineDepth + 2) * scanChunkRows)
 	if inFlight == 0 {
 		t.Fatal("scan did not start")
 	}
@@ -452,13 +452,13 @@ func equalStrings(a, b []string) bool {
 }
 
 // rowRefSQL's root is a plain column projection of a filtered lineitem scan,
-// so (unpaced, on the chan engine) the root delivers row-id batches: ≈ 14 of
-// them at this scale, against a root edge four deep, so a cursor that stops
-// reading holds the scan mid-stream.
+// so (unpaced) the root delivers row-id batches: ≈ 14 of them at this scale,
+// against a root edge four deep, so a cursor that stops reading holds the
+// scan mid-stream.
 const rowRefSQL = `SELECT l_orderkey, l_receiptdate, l_extendedprice FROM lineitem WHERE l_quantity < 24.5`
 
 // TestRowIDRootCursor: over a row-id root, Query (Collect) ≡ QueryStream ≡
-// the Project path (a paced scan, the morsel scheduler); a Row kept across
+// the Project path (a paced scan); a Row kept across
 // Next and Close keeps its values; and a cancel or an early Close mid-stream
 // leaves no goroutine and no governor byte behind.
 func TestRowIDRootCursor(t *testing.T) {
@@ -480,17 +480,12 @@ func TestRowIDRootCursor(t *testing.T) {
 	if len(want) < 4*1024 {
 		t.Fatalf("only %d rows: the stream would not outlast the root edge", len(want))
 	}
-	for name, opts := range map[string]Options{
-		"paced":  {SourceBytesPerSec: 1 << 40},
-		"morsel": {Scheduler: SchedulerMorsel},
-	} {
-		forced, err := e.Query(ctx, rowRefSQL, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := canon(forced.Rows); !equalStrings(got, want) {
-			t.Fatalf("%s: the Project path returned other rows than the row-id root", name)
-		}
+	paced, err := e.Query(ctx, rowRefSQL, Options{SourceBytesPerSec: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canon(paced.Rows); !equalStrings(got, want) {
+		t.Fatal("the Project path (a paced scan) returned other rows than the row-id root")
 	}
 
 	base := runtime.NumGoroutine()
