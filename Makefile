@@ -13,13 +13,16 @@ vet:
 test:
 	$(GO) test ./...
 
-# bench-smoke: one iteration of the join/agg hot-path benchmarks and of the
-# wire client benchmarks (BenchmarkClientStream/{count,row}: stream_wire's
-# query with a consumer that only counts and one that boxes every row;
-# BenchmarkClientPoint: point_wire's one-row lookup), enough to catch "it no
-# longer runs" and gross allocation regressions.
+# bench-smoke: one iteration of the join and aggregation hot-path benchmarks
+# (BenchmarkHashAggFold/{routed,router}: Q17's avg(DECIMAL) GROUP BY INT over
+# 300 k rows into 10 k groups, folded from a routing scan's vectors and from
+# a router's batches) and of the wire client benchmarks
+# (BenchmarkClientStream/{count,row}: stream_wire's query with a consumer
+# that only counts and one that boxes every row; BenchmarkClientPoint:
+# point_wire's one-row lookup), enough to catch "it no longer runs" and gross
+# allocation regressions.
 bench-smoke:
-	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkJoin -benchmem -benchtime 1x
+	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkJoin|BenchmarkHashAggFold' -benchmem -benchtime 1x
 	$(GO) test ./internal/server -run '^$$' -bench BenchmarkClient -benchmem -benchtime 1x
 
 # bench: the repo's benchmark (BENCHMARK.json): every workload, timed and
@@ -52,7 +55,9 @@ microbench:
 # chunk path, join reservation; routing scans: routed-vs-router
 # differentials, the entry layout, the 0-alloc routing kernel, spill over
 # row-id entries, start order; the row-id root: root-vs-Project
-# differential, cancel / early Close / kept rows on the cursor), the
+# differential, cancel / early Close / kept rows on the cursor; the typed
+# aggregation fold: the routed-vs-router fold matrix with evicting budgets,
+# the 0-alloc fold, state accounting across evictions), the
 # catalog's column-vector cache, the spill run-file frame codec, the
 # scalar-vs-vectorized expression differential tests, the network
 # fault/breaker tests, the blocked-filter / striped-Partial merge-exactness

@@ -1,6 +1,7 @@
 // Command sipserver serves the engine over the wire protocol: one embedded
 // engine, many client sessions, streamed results, per-tenant admission
-// quotas, and an HTTP metrics endpoint.
+// quotas, and an HTTP metrics endpoint that also serves the Go runtime
+// profiles (go tool pprof http://host:7879/debug/pprof/profile).
 //
 // Usage:
 //
@@ -37,7 +38,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7878", "wire-protocol listen address")
-		metricsAddr = flag.String("metrics-addr", "", "HTTP /metrics and /stats listen address (empty = disabled)")
+		metricsAddr = flag.String("metrics-addr", "", "HTTP /metrics, /stats and /debug/pprof/ listen address (empty = disabled)")
 
 		sf       = flag.Float64("sf", 0.01, "TPC-H scale factor")
 		skew     = flag.Bool("skew", false, "use the Zipf z=0.5 skewed data set")

@@ -219,8 +219,13 @@ func (c *CostBased) considerSet(src *exec.Point, stateCol int, ci *classInfo) {
 		return
 	}
 
-	// Build the AIP set by scanning the operator's state.
+	// Build the AIP set by scanning the operator's state — sound only if no
+	// eviction emptied the state before the scan.
 	sum := c.buildSummary(src, stateCol, ci)
+	if !src.StateComplete() {
+		c.skipped++
+		return
+	}
 	c.created++
 	c.opts.Stats.FiltersMade.Inc()
 	c.opts.Stats.FilterBytes.Add(int64(sum.SizeBytes()))

@@ -3,86 +3,13 @@ package exec
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/expr"
 	"repro/internal/plan"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
-
-// aggAcc accumulates one aggregate for one group.
-type aggAcc struct {
-	count int64
-	sumF  float64
-	sumI  int64
-	isInt bool
-	min   types.Value
-	max   types.Value
-	seen  bool
-}
-
-func (a *aggAcc) add(f plan.AggFunc, v types.Value) {
-	if f == plan.AggCountStar {
-		a.count++
-		return
-	}
-	if v.IsNull() {
-		return
-	}
-	a.count++
-	switch f {
-	case plan.AggSum, plan.AggAvg:
-		if v.K == types.KindInt {
-			a.sumI += v.I
-		}
-		fv, _ := v.AsFloat()
-		a.sumF += fv
-	case plan.AggMin:
-		if !a.seen || types.Compare(v, a.min) < 0 {
-			a.min = v
-		}
-	case plan.AggMax:
-		if !a.seen || types.Compare(v, a.max) > 0 {
-			a.max = v
-		}
-	}
-	a.seen = true
-}
-
-func (a *aggAcc) result(f plan.AggFunc, argKind types.Kind) types.Value {
-	switch f {
-	case plan.AggCount, plan.AggCountStar:
-		return types.Int(a.count)
-	case plan.AggSum:
-		if a.count == 0 {
-			return types.Null()
-		}
-		if argKind == types.KindInt {
-			return types.Int(a.sumI)
-		}
-		return types.Float(a.sumF)
-	case plan.AggAvg:
-		if a.count == 0 {
-			return types.Null()
-		}
-		return types.Float(a.sumF / float64(a.count))
-	case plan.AggMin:
-		if !a.seen {
-			return types.Null()
-		}
-		return a.min
-	default:
-		if !a.seen {
-			return types.Null()
-		}
-		return a.max
-	}
-}
-
-// groupState is the buffered state for one group.
-type groupState struct {
-	groupVals types.Tuple
-	accs      []aggAcc
-}
 
 // HashAgg is the blocking hash-based aggregation operator. Its input is an
 // AIP injection point: filters prune arriving tuples before they create or
@@ -92,10 +19,14 @@ type groupState struct {
 //
 // Like the join, the operator is radix partitioned: a router evaluates the
 // group-by keys, hashes them once, and scatters tuples to P partitions by
-// the top hash bits; every partition's KeyTable and group array is owned by
-// a single worker goroutine, so group maintenance for different partitions
-// runs fully in parallel without locks (a group's key always routes to the
-// same partition, so each group lives in exactly one).
+// the top hash bits; every partition's state is owned by a single worker
+// goroutine, so group maintenance for different partitions runs fully in
+// parallel without locks (a group's key always routes to the same partition,
+// so each group lives in exactly one). The state is columnar (aggState):
+// typed columns per aggregate, indexed by the group id the partition's
+// KeyTable assigns, which the workers fold into a scatter at a time — from
+// the table's column vectors by row id when a scan routes for the operator —
+// and eviction, the spill merge and the emit read.
 type HashAgg struct {
 	Name    string
 	Child   Op
@@ -114,24 +45,196 @@ func NewHashAgg(name string, child Op, groupBy []expr.Expr, aggs []plan.AggSpec,
 // Schema returns the post-aggregation schema.
 func (h *HashAgg) Schema() *types.Schema { return h.sch }
 
-// accAllocator hands out aggAcc slices carved from chunked backing arrays,
-// one allocation per ~256 groups instead of one per group. Each partition
-// worker owns its own allocator.
-type accAllocator struct {
-	width int
-	free  []aggAcc
+// aggCol is one aggregate's state for every group of a partition: typed
+// columns indexed by group id. cnt counts the non-NULL arguments folded
+// (every row, for count(*)); acc names the one other column the function
+// keeps, if any. Nothing is allocated per group, and only mm holds pointers.
+type aggCol struct {
+	f    plan.AggFunc
+	acc  accKind
+	cnt  []int64
+	sum  []float64     // accSum
+	isum []int64       // accISum
+	mm   []types.Value // accMinMax: the extreme so far, NULL before the first value
 }
 
-func (a *accAllocator) alloc() []aggAcc {
-	if a.width == 0 {
-		return nil
+// accKind names the column an aggregate keeps beside cnt.
+type accKind uint8
+
+const (
+	accNone   accKind = iota // count, count(*)
+	accSum                   // avg, and sum of a non-INT argument
+	accISum                  // sum of an INT argument
+	accMinMax                // min, max: ordered by types.Compare (NULL and NaN rules included)
+)
+
+// accBytes is what one group holds in an aggregate's columns, by accKind.
+var accBytes = [...]int64{accNone: 8, accSum: 16, accISum: 16, accMinMax: 8 + int64(unsafe.Sizeof(types.Value{}))}
+
+// grown extends s with zero elements to length n ≥ len(s).
+func grown[T any](s []T, n int) []T { return append(s, make([]T, n-len(s))...) }
+
+// fold adds argument value v to group g; a NULL adds nothing.
+func (c *aggCol) fold(g int32, v types.Value) {
+	if v.K == types.KindNull {
+		return
 	}
-	if len(a.free) < a.width {
-		a.free = make([]aggAcc, 256*a.width)
+	c.cnt[g]++
+	switch c.acc {
+	case accSum:
+		f, _ := v.AsFloat()
+		c.sum[g] += f
+	case accISum:
+		if v.K == types.KindInt {
+			c.isum[g] += v.I
+		}
+	case accMinMax:
+		c.minmax(g, v)
 	}
-	out := a.free[:a.width:a.width]
-	a.free = a.free[a.width:]
-	return out
+}
+
+// minmax keeps v as group g's extreme when it is the first or orders
+// strictly before (min) or after (max) the one kept.
+func (c *aggCol) minmax(g int32, v types.Value) {
+	cur := c.mm[g]
+	if o := types.Compare(v, cur); cur.K == types.KindNull || o < 0 && c.f == plan.AggMin || o > 0 && c.f == plan.AggMax {
+		c.mm[g] = v
+	}
+}
+
+// foldVec folds an argument read from a column vector at the scattered row
+// ids into the groups ids names: no value is NULL, and each is of kind kind.
+func foldVec[T int64 | float64](c *aggCol, ids, rids []int32, vec []T, kind types.Kind) {
+	switch c.acc {
+	case accSum:
+		for i, g := range ids {
+			c.cnt[g]++
+			c.sum[g] += float64(vec[rids[i]])
+		}
+	case accNone:
+		for _, g := range ids {
+			c.cnt[g]++
+		}
+	default:
+		for i, g := range ids {
+			v := types.Value{K: kind, I: int64(vec[rids[i]])}
+			if kind == types.KindFloat {
+				v = types.Float(float64(vec[rids[i]]))
+			}
+			c.fold(g, v)
+		}
+	}
+}
+
+// result is group g's value of the aggregate: a count is INT; any other
+// aggregate of no value is NULL.
+func (c *aggCol) result(g int) types.Value {
+	switch {
+	case c.acc == accNone:
+		return types.Int(c.cnt[g])
+	case c.cnt[g] == 0:
+		return types.Null()
+	case c.acc == accISum:
+		return types.Int(c.isum[g])
+	case c.f == plan.AggAvg:
+		return types.Float(c.sum[g] / float64(c.cnt[g]))
+	case c.acc == accSum:
+		return types.Float(c.sum[g])
+	}
+	return c.mm[g]
+}
+
+// aggState is one partition's groups. The KeyTable gives each group key a
+// dense id g; the group's key values are keys[g*gw : (g+1)*gw], carved from
+// one growing block, and each aggregate's state is index g of its columns.
+type aggState struct {
+	idx        types.KeyTable
+	gw         int // group-by width
+	keys       []types.Value
+	cols       []aggCol // per aggregate
+	perGroup   int64    // Σ accBytes over the aggregates
+	groupBytes int64    // Σ charge over the groups
+}
+
+func newAggState(gw int, aggs []plan.AggSpec) aggState {
+	st := aggState{gw: gw, cols: make([]aggCol, len(aggs))}
+	for k, a := range aggs {
+		c := &st.cols[k]
+		c.f = a.Func
+		switch {
+		case a.Func == plan.AggSum && a.Arg != nil && a.Arg.Kind() == types.KindInt:
+			c.acc = accISum
+		case a.Func == plan.AggSum || a.Func == plan.AggAvg:
+			c.acc = accSum
+		case a.Func == plan.AggMin || a.Func == plan.AggMax:
+			c.acc = accMinMax
+		}
+		st.perGroup += accBytes[c.acc]
+	}
+	return st
+}
+
+// key returns group g's key values.
+func (st *aggState) key(g int) types.Tuple {
+	return st.keys[g*st.gw : (g+1)*st.gw : (g+1)*st.gw]
+}
+
+// charge is what a group keyed by kv holds: the key values' MemSize plus its
+// column entries. memBytes is idx.MemSize() plus every group's charge.
+func (st *aggState) charge(kv []types.Value) int64 {
+	n := st.perGroup
+	for _, v := range kv {
+		n += int64(v.MemSize())
+	}
+	return n
+}
+
+func (st *aggState) memBytes() int64 { return int64(st.idx.MemSize()) + st.groupBytes }
+
+// grow gives every column an entry per group the KeyTable holds; new groups
+// start empty.
+func (st *aggState) grow() {
+	n := st.idx.Len()
+	for k := range st.cols {
+		c := &st.cols[k]
+		c.cnt = grown(c.cnt, n)
+		switch c.acc {
+		case accSum:
+			c.sum = grown(c.sum, n)
+		case accISum:
+			c.isum = grown(c.isum, n)
+		case accMinMax:
+			c.mm = grown(c.mm, n)
+		}
+	}
+}
+
+// reset empties the state, keeping its layout.
+func (st *aggState) reset() {
+	st.idx, st.keys, st.groupBytes = types.KeyTable{}, nil, 0
+	for k, c := range st.cols {
+		st.cols[k] = aggCol{f: c.f, acc: c.acc}
+	}
+}
+
+// emitRows appends each group's row (key values, then the aggregates) to
+// *batch, handing each full batch to emit; false when emit refused one.
+func (st *aggState) emitRows(arena *rowArena, batch *Batch, emit func(Batch) bool) bool {
+	for g := 0; g < st.idx.Len(); g++ {
+		row := arena.alloc(st.gw + len(st.cols))
+		copy(row, st.key(g))
+		for k := range st.cols {
+			row[st.gw+k] = st.cols[k].result(g)
+		}
+		batch.Tuples = append(batch.Tuples, row)
+		if len(batch.Tuples) == BatchSize {
+			if !emit(*batch) {
+				return false
+			}
+			*batch = GetBatch()
+		}
+	}
+	return true
 }
 
 // colRefs returns the input columns a group-by list names when every
@@ -148,12 +251,129 @@ func colRefs(es []expr.Expr) []int {
 	return cols
 }
 
-// aggPart is one radix partition of the aggregation state, owned by its
-// worker goroutine. The embedded aggCore carries the group table and the
-// bucket-discard spill state (aggspill.go).
+// aggPart is one radix partition of the aggregation, owned by its worker
+// goroutine. The embedded aggCore carries the state and the bucket-discard
+// spill state (aggspill.go).
 type aggPart struct {
 	in chan *scatter
 	aggCore
+}
+
+// aggWorker is a partition worker's fold scratch. Per aggregate: the column
+// vector its argument is read from when a scan routes (floats, or ints of kind
+// kinds), else the argument's kernel (nil for count(*)) and lane column.
+type aggWorker struct {
+	h      *HashAgg
+	pidx   int
+	floats [][]float64
+	ints   [][]int64
+	kinds  []types.Kind
+	args   []*expr.Compiled
+	vals   [][]types.Value
+	ids    []int32 // per lane: its group id
+	added  []bool
+}
+
+// newWorker returns partition pidx's worker; vecs is the routing scan's table.
+func (h *HashAgg) newWorker(pidx int, vecs TableVectors) *aggWorker {
+	n := len(h.Aggs)
+	w := &aggWorker{h: h, pidx: pidx, floats: make([][]float64, n), ints: make([][]int64, n),
+		kinds: make([]types.Kind, n), args: make([]*expr.Compiled, n), vals: make([][]types.Value, n)}
+	for k, a := range h.Aggs {
+		w.args[k] = expr.Compile(a.Arg) // nil Arg compiles to nil
+		if cr, ok := a.Arg.(*expr.ColRef); ok && vecs != nil {
+			w.ints[k], w.kinds[k] = vecs.IntVec(cr.Idx)
+			w.floats[k] = vecs.FloatVec(cr.Idx)
+		}
+	}
+	return w
+}
+
+// fold folds one scatter into st column-at-a-time: every lane's group id
+// first (a new group stores its key, evaluated over its first row), then one
+// pass over the ids per aggregate, reading the argument from its vector by
+// row id or else from the batch kernel's lane column. Each group folds its
+// rows in arrival order. It returns the groups created and their charge.
+func (w *aggWorker) fold(st *aggState, sb *scatter) (groups, bytes int64) {
+	n := sb.len()
+	for k, c := range w.args {
+		if c == nil || w.floats[k] != nil || w.ints[k] != nil {
+			continue
+		}
+		if sb.src != nil && len(sb.tuples) == 0 {
+			// An argument no vector backs: resolve the headers.
+			for _, r := range sb.rids {
+				sb.tuples = append(sb.tuples, sb.src.rows[r])
+			}
+		}
+		w.vals[k] = growVals(w.vals[k], n)
+		c.EvalBatch(sb.tuples, identSel(n), w.vals[k])
+	}
+	ids := growI32(w.ids, n)
+	w.ids = ids
+	if cap(w.added) < n {
+		w.added = make([]bool, n)
+	}
+	st.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, w.added[:n])
+	for i, added := range w.added[:n] {
+		if !added {
+			continue
+		}
+		t := sb.tuple(i)
+		for _, e := range w.h.GroupBy {
+			st.keys = append(st.keys, e.Eval(t))
+		}
+		key := st.key(int(ids[i]))
+		groups++
+		bytes += st.charge(key)
+		if pt := w.h.Point; pt != nil && pt.OnStore != nil {
+			pt.OnStore(w.pidx, key)
+		}
+	}
+	st.grow()
+	st.groupBytes += bytes
+	for k := range st.cols {
+		switch c, vals := &st.cols[k], w.vals[k]; {
+		case w.floats[k] != nil:
+			foldVec(c, ids, sb.rids, w.floats[k], types.KindFloat)
+		case w.ints[k] != nil:
+			foldVec(c, ids, sb.rids, w.ints[k], w.kinds[k])
+		case w.args[k] == nil: // count(*)
+			for _, g := range ids {
+				c.cnt[g]++
+			}
+		default:
+			for i, g := range ids {
+				c.fold(g, vals[i])
+			}
+		}
+	}
+	return groups, bytes
+}
+
+// absorb folds one scatter into the partition, accounts what the state grew
+// by, and evicts under memory pressure.
+func (pt *aggPart) absorb(ctx *Context, op *stats.OpStats, w *aggWorker, sb *scatter, P int) error {
+	pre := pt.memBytes()
+	groups, bytes := w.fold(&pt.aggState, sb)
+	putScatter(sb)
+	// Delta-based over the full footprint, so StateBytes moves by the same delta.
+	if delta := pt.memBytes() - pre; delta != 0 {
+		ctx.account(delta)
+		op.StateBytes.Add(delta)
+		pt.bytes += delta
+	}
+	op.StateRows.Add(groups)
+	pp := op.Part(w.pidx)
+	pp.Rows.Add(groups)
+	pp.Bytes.Add(bytes)
+	if w.h.Point != nil {
+		w.h.Point.stored.Add(groups)
+	}
+	if ctx.memPressure(pt.bytes, P) {
+		return pt.evict(ctx, op, w.h.Point)
+	}
+	return nil
 }
 
 // Start launches the router and the per-partition fold workers.
@@ -172,7 +392,7 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 	partIns := make([]chan *scatter, P)
 	for p := range parts {
 		parts[p] = &aggPart{in: make(chan *scatter, pipelineDepth),
-			aggCore: aggCore{accs: accAllocator{width: len(h.Aggs)}}}
+			aggCore: aggCore{aggState: newAggState(len(h.GroupBy), h.Aggs)}}
 		partIns[p] = parts[p].in
 	}
 
@@ -253,23 +473,12 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 	// accounts its pruning through Point.Op. When every group-by expression
 	// is a plain integer-vector-backed column the scan below routes for the
 	// operator (a group key of column refs encodes like the columns
-	// themselves), and plain vector-backed aggregate arguments are folded
-	// from the vectors by row id; vecArgs stays nil on the router path.
-	var vecArgs []func(rid int32) types.Value // per aggregate; nil: evaluate over the row
+	// themselves), and the workers fold plain vector-backed arguments from
+	// the vectors by row id.
+	var vecs TableVectors
 	keyCols := colRefs(h.GroupBy)
 	if sc, pred := routingScan(h.Child, h.Point, keyCols); sc != nil {
-		vecArgs = make([]func(int32) types.Value, len(h.Aggs))
-		for k, a := range h.Aggs {
-			cr, ok := a.Arg.(*expr.ColRef)
-			if !ok {
-				continue
-			}
-			if f := sc.Vecs.FloatVec(cr.Idx); f != nil {
-				vecArgs[k] = func(r int32) types.Value { return types.Float(f[r]) }
-			} else if iv, kind := sc.Vecs.IntVec(cr.Idx); iv != nil {
-				vecArgs[k] = func(r int32) types.Value { return types.Value{K: kind, I: iv[r]} }
-			}
-		}
+		vecs = sc.Vecs
 		rt := newInputRoute(0, P, partIns)
 		rt.keys, rt.point, rt.op = keyCols, h.Point, op
 		rt.done = func(complete bool) {
@@ -282,101 +491,17 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 		ctx.Spawn(func() { router(in) })
 	}
 
-	// Workers: fold scattered tuples into the owned partition state. The
-	// aggregate arguments are evaluated batch-at-a-time into lane-indexed
-	// columns (one vectorized pass per argument per scatter) before the
-	// fold loop; each worker compiles its own kernels.
 	var workerWg sync.WaitGroup
 	workerWg.Add(P)
-	for p := 0; p < P; p++ {
-		pidx := p
+	for p, pt := range parts {
+		w := h.newWorker(p, vecs)
 		ctx.Spawn(func() {
 			defer workerWg.Done()
-			pt := parts[pidx]
-			gvals := make(types.Tuple, len(h.GroupBy))
-			argC := make([]*expr.Compiled, len(h.Aggs))
-			for k := range h.Aggs {
-				argC[k] = expr.Compile(h.Aggs[k].Arg) // nil Arg compiles to nil
-			}
-			argCols := make([][]types.Value, len(h.Aggs))
-			var (
-				ids   []int32 // batch kernel scratch: group ids per lane
-				added []bool
-			)
 			for sb := range pt.in {
-				var newGroups, newBytes int64
-				preBytes := pt.memBytes()
-				n := sb.len()
-				ident := identSel(n)
-				for k, c := range argC {
-					if c == nil || sb.src != nil && vecArgs[k] != nil {
-						continue
-					}
-					if sb.src != nil && len(sb.tuples) == 0 {
-						// An argument no vector backs: resolve the headers.
-						for _, r := range sb.rids {
-							sb.tuples = append(sb.tuples, sb.src.rows[r])
-						}
-					}
-					argCols[k] = growVals(argCols[k], n)
-					c.EvalBatch(sb.tuples, ident, argCols[k])
+				if err := pt.absorb(ctx, op, w, sb, P); err != nil {
+					ctx.CancelCause(err)
+					return
 				}
-				ids = growI32(ids, n)
-				if cap(added) < n {
-					added = make([]bool, n)
-				}
-				pt.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, added[:n])
-				for i := 0; i < n; i++ {
-					id := ids[i]
-					if added[i] {
-						// Re-evaluate the group key to store it: cheaper
-						// than shipping evaluated keys through the scatter,
-						// since it runs once per group, not once per tuple.
-						t := sb.tuple(i)
-						for k, g := range h.GroupBy {
-							gvals[k] = g.Eval(t)
-						}
-						pt.groups = append(pt.groups, groupState{groupVals: gvals.Clone(), accs: pt.accs.alloc()})
-						newGroups++
-						newBytes += int64(gvals.MemSize()) + int64(48*len(h.Aggs))
-						if h.Point != nil && h.Point.OnStore != nil {
-							h.Point.OnStore(pidx, pt.groups[id].groupVals)
-						}
-					}
-					gs := &pt.groups[id]
-					for k := range h.Aggs {
-						var v types.Value
-						if sb.src != nil && vecArgs[k] != nil {
-							v = vecArgs[k](sb.rids[i])
-						} else if argC[k] != nil {
-							v = argCols[k][i]
-						}
-						gs.accs[k].add(h.Aggs[k].Func, v)
-					}
-				}
-				pt.groupBytes += newBytes
-				// Budget accounting is delta-based over the full footprint
-				// (key index + groups), so the StateBytes gauge moves by the
-				// same delta instead of the payload estimate alone.
-				if delta := pt.memBytes() - preBytes; delta != 0 {
-					ctx.account(delta)
-					op.StateBytes.Add(delta)
-					pt.bytes += delta
-				}
-				op.StateRows.Add(newGroups)
-				pp := op.Part(pidx)
-				pp.Rows.Add(newGroups)
-				pp.Bytes.Add(newBytes)
-				if h.Point != nil {
-					h.Point.stored.Add(newGroups)
-				}
-				if ctx.memPressure(pt.bytes, P) {
-					if err := pt.evict(ctx, op, h.Point, h.Aggs); err != nil {
-						ctx.CancelCause(err)
-						return
-					}
-				}
-				putScatter(sb)
 			}
 		})
 	}
@@ -402,25 +527,26 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 		total := 0
 		anySpilled := false
 		for _, pt := range parts {
-			total += len(pt.groups)
+			total += pt.idx.Len()
 			if pt.run != nil {
 				anySpilled = true
 			}
 		}
 		// SQL semantics: a global aggregate (no GROUP BY) over empty input
-		// yields exactly one row (count 0, sum/min/max/avg NULL). Appended
+		// yields exactly one row (count 0, sum/min/max/avg NULL). Added
 		// before the state iterator is published: once the point is Done
 		// the group state must be immutable. A spilled run means the input
 		// was not empty — its groups live on disk, not in total.
 		if total == 0 && len(h.GroupBy) == 0 && !anySpilled {
-			parts[0].groups = append(parts[0].groups, groupState{accs: make([]aggAcc, len(h.Aggs))})
+			parts[0].idx.Insert(0, nil)
+			parts[0].grow()
 		}
 
 		if h.Point != nil {
 			h.Point.setStateIter(func(emit func(types.Tuple) bool) {
 				for _, pt := range parts {
-					for i := range pt.groups {
-						if !emit(pt.groups[i].groupVals) {
+					for g := 0; g < pt.idx.Len(); g++ {
+						if !emit(pt.key(g)) {
 							return
 						}
 					}
@@ -430,67 +556,27 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 			ctx.pointDone(h.Point)
 		}
 
-		// Out is counted per flushed batch at the send site (mirroring the
+		// Out is counted per delivered batch at the send site (mirroring the
 		// scan fix), so cancelled queries report exactly what was delivered.
-		var arena rowArena
-		batch := GetBatch()
-		flush := func() bool {
-			if len(batch.Tuples) == 0 {
-				PutBatch(batch)
-				return true
-			}
-			n := int64(len(batch.Tuples))
-			if !send(ctx, out, batch) {
+		emit := func(b Batch) bool {
+			n := int64(b.Len())
+			if !send(ctx, out, b) {
 				return false
 			}
 			op.Out.Add(n)
 			return true
 		}
+		var arena rowArena
+		batch := GetBatch()
 		for _, pt := range parts {
-			if pt.run != nil {
-				// Spilled partitions emit through the merge below; their
-				// in-memory remainder joins the run there.
-				continue
-			}
-			for gi := range pt.groups {
-				gs := &pt.groups[gi]
-				row := arena.alloc(len(gs.groupVals) + len(h.Aggs))
-				copy(row, gs.groupVals)
-				for i := range h.Aggs {
-					argKind := types.KindFloat
-					if h.Aggs[i].Arg != nil {
-						argKind = h.Aggs[i].Arg.Kind()
-					}
-					row[len(gs.groupVals)+i] = gs.accs[i].result(h.Aggs[i].Func, argKind)
-				}
-				batch.Tuples = append(batch.Tuples, row)
-				if len(batch.Tuples) == BatchSize {
-					if !flush() {
-						return
-					}
-					batch = GetBatch()
-				}
-			}
-		}
-		if !flush() {
-			return
-		}
-		// Merge phase: sequential, so at most one rebuilt sub-bucket table
-		// occupies the merge share at a time.
-		for _, pt := range parts {
-			if pt.run == nil {
-				continue
-			}
-			if !pt.mergeSpill(ctx, op, len(h.GroupBy), h.Aggs, func(b Batch) bool {
-				n := int64(b.Len())
-				if !send(ctx, out, b) {
-					return false
-				}
-				op.Out.Add(n)
-				return true
-			}) {
+			if !pt.finish(ctx, op, &arena, &batch, emit) {
 				return
 			}
+		}
+		if batch.Len() == 0 {
+			PutBatch(batch)
+		} else {
+			emit(batch)
 		}
 	})
 	return out

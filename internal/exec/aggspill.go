@@ -10,13 +10,15 @@ import (
 // Bucket-discard spill for the blocking aggregation and the pipelined
 // distinct, through the cores embedded in their partition structs.
 //
-// Aggregation state is mergeable: a group's accumulators serialize to a
-// fixed-width value block (count, integer and float sums, seen flag, min,
-// max) that a later pass folds back together with aggAcc.merge, so unlike
-// the join no arrival ordering needs to be preserved — evicting a partition
-// just snapshots its groups to the run, and the finalize pass re-partitions
-// the run into F hash sub-buckets, merging duplicate group keys as it
-// rebuilds each one within the merge share.
+// Aggregation state is mergeable: a group serializes to one record — its key
+// values, then per aggregate a fixed-width block of aggRecWidth values
+// (count, integer sum, float sum, seen flag, min, max; a slot the function
+// does not keep is written as zero or NULL) — that a later pass folds back
+// into the same columnar aggState the workers fold into (aggCol.merge), so
+// unlike the join no arrival ordering needs to be preserved: evicting a
+// partition just snapshots its groups to the run, and the finalize pass
+// re-partitions the run into F hash sub-buckets, merging duplicate group
+// keys as it rebuilds each one within the merge share.
 //
 // Distinct is emit-once rather than mergeable, which changes the discipline:
 // before the first eviction, first occurrences are forwarded immediately (the
@@ -31,87 +33,77 @@ import (
 // emits its tuple — claims always precede the pendings they shadow because
 // side-1 records are written before any side-0 record exists.
 
-// aggAccRecWidth is the number of serialized values per accumulator.
-const aggAccRecWidth = 6
+// aggRecWidth is the number of serialized values per aggregate.
+const aggRecWidth = 6
 
-// aggAccBytes estimates one accumulator's in-memory footprint, matching the
-// 48-byte-per-agg estimate the fold loops already charge to StateBytes.
-const aggAccBytes = 48
-
-// merge folds a deserialized accumulator snapshot into a. Counts and sums
-// add unconditionally (they are zero when never touched); min/max only
-// apply when the snapshot had seen a value.
-func (a *aggAcc) merge(f plan.AggFunc, count, sumI int64, sumF float64, seen bool, min, max types.Value) {
-	a.count += count
-	a.sumI += sumI
-	a.sumF += sumF
-	if !seen {
-		return
+// record appends group g's aggRecWidth values to t.
+func (c *aggCol) record(t types.Tuple, g int) types.Tuple {
+	seen := c.cnt[g] > 0 && c.f != plan.AggCountStar
+	t = append(t, types.Int(c.cnt[g]), types.Int(0), types.Float(0), types.Bool(seen), types.Null(), types.Null())
+	switch r := t[len(t)-aggRecWidth:]; c.acc {
+	case accISum:
+		r[1].I = c.isum[g]
+	case accSum:
+		r[2].F = c.sum[g]
+	case accMinMax:
+		r[c.mmSlot()] = c.mm[g]
 	}
-	switch f {
-	case plan.AggMin:
-		if !a.seen || types.Compare(min, a.min) < 0 {
-			a.min = min
-		}
-	case plan.AggMax:
-		if !a.seen || types.Compare(max, a.max) > 0 {
-			a.max = max
-		}
-	}
-	a.seen = true
+	return t
 }
 
-// aggCore is the partition-local aggregation state plus the bucket-discard
-// spill state.
+// mmSlot is where a min (4) or max (5) sits in a record's block.
+func (c *aggCol) mmSlot() int {
+	if c.f == plan.AggMax {
+		return 5
+	}
+	return 4
+}
+
+// merge folds a record's block for this aggregate into group g. Counts and
+// sums add (a snapshot's are zero when never touched); min/max apply only
+// when the snapshot had seen a value.
+func (c *aggCol) merge(g int32, r []types.Value) {
+	c.cnt[g] += r[0].I
+	switch {
+	case c.acc == accISum:
+		c.isum[g] += r[1].I
+	case c.acc == accSum:
+		c.sum[g] += r[2].F
+	case c.acc == accMinMax && r[3].I != 0:
+		c.minmax(g, r[c.mmSlot()])
+	}
+}
+
+// aggCore is the partition's aggregation state plus the bucket-discard spill
+// state.
 type aggCore struct {
-	idx    types.KeyTable
-	groups []groupState
-	accs   accAllocator
-
-	groupBytes int64      // accumulated per-group payload estimate
-	bytes      int64      // accounted footprint of this partition
-	run        *spill.Run // nil until the first eviction
-	spilled    int64      // cumulative spilled group payload bytes
+	aggState
+	bytes   int64      // accounted footprint of this partition
+	run     *spill.Run // nil until the first eviction
+	spilled int64      // cumulative charge of the spilled groups
 }
 
-// memBytes approximates the partition's accounted footprint.
-func (ac *aggCore) memBytes() int64 {
-	return int64(ac.idx.MemSize()) + ac.groupBytes
-}
-
-// writeGroups appends every group to the run as one record — group values
-// followed by aggAccRecWidth serialized values per accumulator — and resets
-// the in-memory state. Group ids are KeyTable-dense, so groups[id] is the
-// state for key id.
-func (ac *aggCore) writeGroups(aggs []plan.AggSpec) error {
+// writeGroups appends every group to the run as one record and empties the
+// state. Group g's record carries the KeyTable's hash and key bytes for id g.
+func (ac *aggCore) writeGroups() error {
 	var rec spill.Record
-	scratch := make(types.Tuple, 0, 8)
-	for id := int32(0); id < int32(ac.idx.Len()); id++ {
-		gs := &ac.groups[id]
-		t := append(scratch[:0], gs.groupVals...)
-		for k := range aggs {
-			a := &gs.accs[k]
-			t = append(t, types.Int(a.count), types.Int(a.sumI), types.Float(a.sumF),
-				types.Bool(a.seen), a.min, a.max)
+	for g := 0; g < ac.idx.Len(); g++ {
+		rec.Tuple = append(rec.Tuple[:0], ac.key(g)...)
+		for k := range ac.cols {
+			rec.Tuple = ac.cols[k].record(rec.Tuple, g)
 		}
-		rec.Hash = ac.idx.Hash(id)
-		rec.Key = ac.idx.Key(id)
-		rec.Tuple = t
+		rec.Hash, rec.Key = ac.idx.Hash(int32(g)), ac.idx.Key(int32(g))
 		if err := ac.run.Append(&rec); err != nil {
 			return err
 		}
-		ac.spilled += int64(gs.groupVals.MemSize()) + int64(aggAccBytes*len(aggs))
-		scratch = t
+		ac.spilled += ac.charge(ac.key(g))
 	}
-	ac.idx = types.KeyTable{}
-	ac.groups = nil
-	ac.accs.free = nil
-	ac.groupBytes = 0
+	ac.reset()
 	return nil
 }
 
 // evict is one bucket-discard of the aggregation partition.
-func (ac *aggCore) evict(ctx *Context, op *stats.OpStats, point *Point, aggs []plan.AggSpec) error {
+func (ac *aggCore) evict(ctx *Context, op *stats.OpStats, point *Point) error {
 	if ac.run == nil {
 		dir, err := ctx.SpillDir()
 		if err != nil {
@@ -124,7 +116,7 @@ func (ac *aggCore) evict(ctx *Context, op *stats.OpStats, point *Point, aggs []p
 		ac.run = run
 	}
 	pre := ac.run.Bytes()
-	if err := ac.writeGroups(aggs); err != nil {
+	if err := ac.writeGroups(); err != nil {
 		return err
 	}
 	if err := ac.run.Flush(); err != nil {
@@ -143,29 +135,31 @@ func (ac *aggCore) evict(ctx *Context, op *stats.OpStats, point *Point, aggs []p
 	return nil
 }
 
-// mergeSpill drains a spilled aggregation partition after input-done: the
-// in-memory remainder joins the run, then F sub-bucket passes rebuild and
-// merge the groups within the merge share and emit the finished rows.
-// Returns false when the query failed or was cancelled; the run is closed
-// and removed either way. emit does not count Out — the caller's callback
-// owns downstream delivery and stats.
-func (ac *aggCore) mergeSpill(ctx *Context, op *stats.OpStats, gw int, aggs []plan.AggSpec, emit func(Batch) bool) bool {
+// finish emits the partition's result rows after input-done (see emitRows).
+// A partition that spilled drains its run instead: the in-memory remainder
+// joins it, then F sub-bucket passes each rebuild the state from the records
+// of one sub-bucket — merging duplicate group keys, within the merge share —
+// and emit it. Returns false when the query failed or was cancelled; the
+// run is closed and removed either way.
+func (ac *aggCore) finish(ctx *Context, op *stats.OpStats, arena *rowArena, batch *Batch, emit func(Batch) bool) bool {
 	if ac.run == nil {
-		return true
+		return ac.emitRows(arena, batch, emit)
 	}
 	defer func() {
 		ac.run.Close()
 		ac.run = nil
 	}()
-
-	pre := ac.run.Bytes()
-	if err := ac.writeGroups(aggs); err != nil {
+	fail := func(err error) bool {
 		ctx.CancelCause(err)
 		return false
 	}
+
+	pre := ac.run.Bytes()
+	if err := ac.writeGroups(); err != nil {
+		return fail(err)
+	}
 	if err := ac.run.Flush(); err != nil {
-		ctx.CancelCause(err)
-		return false
+		return fail(err)
 	}
 	ctx.account(-ac.bytes)
 	op.StateBytes.Add(-ac.bytes)
@@ -177,49 +171,25 @@ func (ac *aggCore) mergeSpill(ctx *Context, op *stats.OpStats, gw int, aggs []pl
 
 	// ac.spilled counts every snapshot of a group, so when evicted groups
 	// re-accumulate it overstates the merged size: F is a sizing hint, not
-	// a gate. The build pass enforces the budget on the actual merged table
+	// a gate. The build pass enforces the budget on the actual merged state
 	// and fails typed when even the maximum fan-out cannot fit one pass.
 	share := ctx.mergeShare()
 	F := 1
 	for F < spillMaxFanout && 2*ac.spilled/int64(F) > share {
 		F <<= 1
 	}
-
-	argKinds := make([]types.Kind, len(aggs))
-	for i := range aggs {
-		argKinds[i] = types.KindFloat
-		if aggs[i].Arg != nil {
-			argKinds[i] = aggs[i].Arg.Kind()
-		}
-	}
-
 	var passLimit int64
 	if ctx.MemBudget > 0 {
 		passLimit = 2 * share
 	}
-	perGroup := int64(aggAccBytes*len(aggs) + gw*16)
 
-	outBatch := GetBatch()
-	fail := func(err error) bool {
-		ctx.CancelCause(err)
-		PutBatch(outBatch)
-		return false
-	}
-	var arena rowArena
 	var rec spill.Record
 	for f := 0; f < F; f++ {
 		if ctx.Err() != nil {
-			PutBatch(outBatch)
 			return false
 		}
-		// Rebuild this sub-bucket's groups, merging duplicate keys. The
-		// selector uses middle hash bits — top bits picked the partition,
-		// low bits index the KeyTable's slots.
-		var (
-			idx    types.KeyTable
-			groups []groupState
-			alloc  = accAllocator{width: len(aggs)}
-		)
+		// The selector uses middle hash bits — top bits picked the
+		// partition, low bits index the KeyTable's slots.
 		rd, err := ac.run.Reader()
 		if err != nil {
 			return fail(err)
@@ -236,55 +206,32 @@ func (ac *aggCore) mergeSpill(ctx *Context, op *stats.OpStats, gw int, aggs []pl
 			if int((rec.Hash>>32)&uint64(F-1)) != f {
 				continue
 			}
-			id, added := idx.Insert(rec.Hash, rec.Key)
+			id, added := ac.idx.Insert(rec.Hash, rec.Key)
 			if added {
-				// rec.Tuple is freshly allocated per record, so the group
-				// values slice can be retained directly.
-				groups = append(groups, groupState{groupVals: rec.Tuple[:gw:gw], accs: alloc.alloc()})
-				if sz := int64(idx.MemSize()) + int64(len(groups))*perGroup; passLimit > 0 && sz > passLimit {
+				kv := rec.Tuple[:ac.gw]
+				ac.keys = append(ac.keys, kv...)
+				ac.groupBytes += ac.charge(kv)
+				ac.grow()
+				if sz := ac.memBytes(); passLimit > 0 && sz > passLimit {
 					rd.Close()
 					return fail(&BudgetError{Op: op.Name, Budget: ctx.MemBudget, Need: 8 * sz})
 				}
 			}
-			gs := &groups[id]
-			for k := range aggs {
-				o := gw + k*aggAccRecWidth
-				gs.accs[k].merge(aggs[k].Func,
-					rec.Tuple[o].I, rec.Tuple[o+1].I, rec.Tuple[o+2].F,
-					rec.Tuple[o+3].I != 0, rec.Tuple[o+4], rec.Tuple[o+5])
+			for k := range ac.cols {
+				ac.cols[k].merge(id, rec.Tuple[ac.gw+k*aggRecWidth:])
 			}
 		}
 		rd.Close()
-		passBytes := int64(idx.MemSize()) + int64(len(groups))*int64(aggAccBytes*len(aggs)+gw*16)
+		passBytes := ac.memBytes()
 		ctx.account(passBytes)
 		op.StateBytes.Add(passBytes)
-
-		for gi := range groups {
-			gs := &groups[gi]
-			row := arena.alloc(gw + len(aggs))
-			copy(row, gs.groupVals)
-			for i := range aggs {
-				row[gw+i] = gs.accs[i].result(aggs[i].Func, argKinds[i])
-			}
-			outBatch.Tuples = append(outBatch.Tuples, row)
-			if len(outBatch.Tuples) == BatchSize {
-				if !emit(outBatch) {
-					ctx.account(-passBytes)
-					op.StateBytes.Add(-passBytes)
-					return false
-				}
-				outBatch = GetBatch()
-			}
-		}
+		ok := ac.emitRows(arena, batch, emit)
 		ctx.account(-passBytes)
 		op.StateBytes.Add(-passBytes)
-	}
-	if len(outBatch.Tuples) > 0 {
-		if !emit(outBatch) {
+		ac.reset()
+		if !ok {
 			return false
 		}
-	} else {
-		PutBatch(outBatch)
 	}
 	return true
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/bloom"
+	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/filter"
 	"repro/internal/types"
 )
@@ -115,5 +117,44 @@ func TestJoinTableShortCircuitInterplay(t *testing.T) {
 	// Ticket cutoffs fall mid-chain: key 3 is stored at tickets 4, 14, …, 94.
 	if got := len(completed.probe(h, key, 15, nil)); got != 2 {
 		t.Fatalf("ticket-15 probe saw %d matches, want 2", got)
+	}
+}
+
+// TestAggFoldZeroAllocs: folding a scatter into groups that already exist
+// allocates nothing on either path — arguments read from the column vectors
+// by row id (a routing scan's scatter) or evaluated over row headers by the
+// batch kernels (a router's) — across the whole routedAggs matrix.
+func TestAggFoldZeroAllocs(t *testing.T) {
+	f := newRoutedFixture(4 * BatchSize)
+	aggs, _ := routedAggs(f.sch)
+	h := NewHashAgg("a", nil, []expr.Expr{&expr.ColRef{Idx: 0, Col: f.sch.Cols[0]}}, aggs, nil)
+	tab := &catalog.Table{Name: "l", Schema: f.sch, Rows: f.rows}
+	for _, routed := range []bool{true, false} {
+		var vecs TableVectors
+		sb := getScatter(0)
+		if routed {
+			vecs, sb.src = tab, &rowSource{rows: f.rows}
+		}
+		var kb []byte
+		for i, r := range f.rows {
+			kb = types.AppendIntKey(kb[:0], r[0].I)
+			if routed {
+				sb.addRef(int32(i), types.HashIntKey(r[0].I), kb)
+			} else {
+				sb.add(r, types.HashIntKey(r[0].I), kb)
+			}
+		}
+		w := h.newWorker(0, vecs)
+		st := newAggState(1, aggs)
+		if groups, _ := w.fold(&st, sb); groups != int64(len(f.rows)) {
+			t.Fatalf("routed=%v: first fold made %d groups, want %d", routed, groups, len(f.rows))
+		}
+		if allocs := testing.AllocsPerRun(10, func() { w.fold(&st, sb) }); allocs != 0 {
+			t.Fatalf("routed=%v: folding into existing groups allocates %.1f objects per scatter, want 0", routed, allocs)
+		}
+		if got := st.cols[0].result(0); got.I != 12 { // count(*): the first fold, the warm-up and 10 runs
+			t.Fatalf("routed=%v: count(*) = %v after 12 folds", routed, got)
+		}
+		putScatter(sb)
 	}
 }

@@ -369,7 +369,7 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 // Retention caveat: a retained row pins its whole block. That is fine for
 // dense retention (a join buffering most of an input) but operators that
 // keep a sparse subset of arriving rows indefinitely must clone what they
-// keep (Distinct clones; HashAgg clones its group keys), or real memory can
+// keep (Distinct clones; HashAgg copies its group keys), or real memory can
 // exceed accounted state by up to the rows-per-block factor.
 type rowArena struct {
 	buf []types.Value

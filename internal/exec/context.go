@@ -39,10 +39,11 @@
 //     {ticket, next, ref}, ref indexing the scanned table's rows for a
 //     scan-routed side and the join table's own header store otherwise; its
 //     bytes are charged from TableVectors.RowBytes, so accounted state stays
-//     Σ Tuple.MemSize. HashAgg folds plain-column arguments from the vectors
-//     by row id. A header is resolved only for an emitted match (then the
-//     residual), a new group's key, OnStore, a spill write, the state
-//     iterator, or an argument no vector backs.
+//     Σ Tuple.MemSize. HashAgg keeps typed per-aggregate columns indexed by
+//     group id (aggState) and folds plain-column arguments into them from
+//     the vectors by row id. A header is resolved only for an emitted match
+//     (then the residual), a new group's key, OnStore, a spill write, the
+//     state iterator, or an argument no vector backs.
 //   - Start order (startorder.go): under an AIP controller a wired scan
 //     holds its first chunk until every input fed only by sources at least
 //     startOrderRatio (8) times smaller is Done and the controller has
@@ -106,11 +107,11 @@
 // equal keys therefore always land in the same partition, so partitions
 // are independent sub-problems.
 //
-// Each partition's state (a pair of joinTables for the join, a
-// KeyTable+groups array for agg/distinct) is owned by exactly one worker
-// goroutine, which serializes all inserts and probes for that partition;
-// ownership replaces the per-side lock of the pre-partitioned engine, and
-// insert/probe for different partitions never contend. The symmetric
+// Each partition's state (a pair of joinTables for the join, a KeyTable with
+// group columns for agg, with seen tuples for distinct) is owned by exactly
+// one worker goroutine, which serializes all inserts and probes for that
+// partition; ownership replaces the per-side lock of the pre-partitioned
+// engine, and insert/probe for different partitions never contend. The symmetric
 // join's exactly-once argument holds per partition: every buffered tuple
 // takes a ticket from the partition's counter, a probing tuple emits only
 // matches with smaller tickets, and because one worker serializes the
@@ -235,7 +236,7 @@ type Context struct {
 	Recovery Recovery
 
 	// MemBudget caps the query's tracked operator state (join tables, agg
-	// accumulators, distinct sets) in bytes. Zero or negative runs
+	// groups, distinct sets) in bytes. Zero or negative runs
 	// unbounded. Under a budget the partitioned stateful operators run the
 	// paper's bucket-discard policy: a partition over its share evicts its
 	// hash state to a spill run (internal/spill) and a merge/rescan phase

@@ -280,14 +280,17 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		}
 	}
 
-	// finish marks one input complete: its state is immutable from here on
-	// (all inserts happened before the pending counter reached zero), so the
-	// AIP state iterator walks the partitions without locks.
+	// finish marks one input complete: no insert follows (all happened before
+	// the pending counter reached zero), but an eviction still may, so the
+	// AIP state iterator and evictions exclude each other through stateMu.
+	var stateMu sync.RWMutex
 	finish := func(own *joinInput) {
 		own.done.Store(true)
 		if own.point != nil {
 			side := own.side
 			own.point.setStateIter(func(emit func(types.Tuple) bool) {
+				stateMu.RLock()
+				defer stateMu.RUnlock()
 				for _, pt := range parts {
 					for i := range pt.tables[side].entries {
 						if !emit(pt.tables[side].tuple(i)) {
@@ -489,7 +492,10 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			// the co-resident matches this batch is entitled to emit (the
 			// merge skips same-epoch pairs, so they would be lost for good).
 			if ctx.memPressure(pt.bytes, P) {
-				if err := pt.evict(ctx, ops, [2]*Point{j.LPoint, j.RPoint}); err != nil {
+				stateMu.Lock()
+				err := pt.evict(ctx, ops, [2]*Point{j.LPoint, j.RPoint})
+				stateMu.Unlock()
+				if err != nil {
 					ctx.CancelCause(err)
 					return
 				}

@@ -8,7 +8,7 @@ import (
 // Memory accounting and the spill-file lifecycle for one query.
 //
 // Every partitioned stateful operator accounts its state bytes — KeyTable
-// footprint, buffered tuple arenas, aggregation accumulators — through
+// footprint, buffered tuple arenas, aggregation group columns — through
 // Context.account as it grows and shrinks, unconditionally (an unbounded
 // run pays the same few atomic adds, and its measured peak is what sizing
 // tools like sipbench -spillbench derive caps from). Under a positive

@@ -540,9 +540,9 @@ func (p *Point) setStateIter(f func(emit func(t types.Tuple) bool)) {
 	p.stateMu.Unlock()
 }
 
-// IterState streams the operator's buffered tuples to emit; it stops early
-// when emit returns false. Valid once the point is Done (the state is then
-// immutable); it is a no-op for stateless points.
+// IterState streams the operator's buffered tuples to emit, stopping when emit
+// returns false; a no-op for stateless points. Valid once the point is Done,
+// but re-check StateComplete after: an eviction may empty the state between.
 func (p *Point) IterState(emit func(t types.Tuple) bool) {
 	p.stateMu.Lock()
 	f := p.stateIter

@@ -24,9 +24,10 @@ import (
 
 // routedFixture is a table with a string column (so row sizes come from the
 // sidecar): k = i%1000, k2 = i%7, v a float the pushed predicate v < 20
-// selects on, s a string of varying length. The router variant appends one
-// DECIMAL and one NULL key (both failing the predicate): column k then has no
-// IntVec, so the scan cannot route and the plan takes the router path over
+// selects on, s a string of varying length, d a DATE, and n an INT that is
+// NULL on every fifth row (so it has no vector). The router variant appends
+// one DECIMAL and one NULL key (both failing the predicate): column k then has
+// no IntVec, so the scan cannot route and the plan takes the router path over
 // the same surviving rows.
 type routedFixture struct {
 	sch          *types.Schema
@@ -40,18 +41,24 @@ func newRoutedFixture(n int) *routedFixture {
 		types.Column{Table: "l", Name: "k", Kind: types.KindInt},
 		types.Column{Table: "l", Name: "k2", Kind: types.KindInt},
 		types.Column{Table: "l", Name: "v", Kind: types.KindFloat},
-		types.Column{Table: "l", Name: "s", Kind: types.KindString})}
+		types.Column{Table: "l", Name: "s", Kind: types.KindString},
+		types.Column{Table: "l", Name: "d", Kind: types.KindDate},
+		types.Column{Table: "l", Name: "n", Kind: types.KindInt})}
 	f.rows = make([]types.Tuple, n)
 	for i := range f.rows {
 		f.rows[i] = types.Tuple{types.Int(int64(i % 1000)), types.Int(int64(i % 7)),
-			types.Float(float64(i%50) / 2), types.Str(strings.Repeat("s", i%13))}
+			types.Float(float64(i%50) / 2), types.Str(strings.Repeat("s", i%13)),
+			types.Date(int64(9000 + i%37)), types.Int(int64(i % 11))}
+		if i%5 == 0 {
+			f.rows[i][5] = types.Null()
+		}
 		if f.rows[i][2].F < 20 {
 			f.passPred++
 		}
 	}
 	f.router = append(append([]types.Tuple(nil), f.rows...),
-		types.Tuple{types.Float(0.5), types.Int(0), types.Float(99), types.Str("decimal key")},
-		types.Tuple{types.Null(), types.Int(0), types.Float(99), types.Str("null key")})
+		types.Tuple{types.Float(0.5), types.Int(0), types.Float(99), types.Str("decimal key"), types.Date(0), types.Int(0)},
+		types.Tuple{types.Null(), types.Int(0), types.Float(99), types.Str("null key"), types.Date(0), types.Int(0)})
 	for k := int64(0); k < 10; k++ {
 		for b := int64(0); b < 7; b++ {
 			f.small = append(f.small, types.Tuple{types.Int(k * 97), types.Int(b), types.Int(k)})
@@ -101,6 +108,9 @@ func findOp(reg *stats.Registry, name string) *stats.OpStats {
 // and pruned or got in), hand its consumer exactly what it emitted, and —
 // the join's other side held back until the scan-fed side is done, so every
 // row that got in is stored — charge the stored rows' MemSize byte for byte.
+// The aggregation folds the routedAggs matrix, whose arguments the routed
+// fold reads from a vector or from the rows by kind; both of its paths also
+// run under a budget that makes them evict and must return the same rows.
 func TestScanRoutedDifferential(t *testing.T) {
 	const n = 100_000
 	f := newRoutedFixture(n)
@@ -108,8 +118,10 @@ func TestScanRoutedDifferential(t *testing.T) {
 	for _, r := range f.small {
 		keep.keep[r[0].I] = true
 	}
+	aggs, aggCols := routedAggs(f.sch)
 	type run struct {
 		rows   []types.Tuple
+		ctx    *Context
 		reg    *stats.Registry
 		pt     *Point
 		kept   int64 // OnStore calls (join: rows that got in)
@@ -120,7 +132,7 @@ func TestScanRoutedDifferential(t *testing.T) {
 			for _, p := range []int{1, 2} {
 				for _, keys := range [][]int{{0}, {0, 1}} {
 					label := fmt.Sprintf("%s exact=%v P=%d keys=%v", kind, exact, p, keys)
-					runPlan := func(routable bool) run {
+					runPlan := func(routable bool, budget int64) run {
 						var r run
 						child, sc := f.scan(routable)
 						r.pt = routedPoint("l", f.sch, keys)
@@ -150,27 +162,22 @@ func TestScanRoutedDifferential(t *testing.T) {
 							for i, k := range keys {
 								gb[i] = &expr.ColRef{Idx: k, Col: f.sch.Cols[k]}
 							}
-							aggs := []plan.AggSpec{
-								{Func: plan.AggSum, Arg: &expr.ColRef{Idx: 2, Col: f.sch.Cols[2]}, Name: "sum"},
-								{Func: plan.AggMax, Arg: &expr.ColRef{Idx: 1, Col: f.sch.Cols[1]}, Name: "max"},
-								{Func: plan.AggCountStar, Name: "cnt"},
-								{Func: plan.AggMin, Name: "min", Arg: &expr.Binary{Op: expr.OpAdd, // no vector: resolves rows
-									L: &expr.ColRef{Idx: 2, Col: f.sch.Cols[2]}, R: &expr.Const{V: types.Float(1)}}},
-							}
-							osch := f.sch.Project(keys).Concat(types.NewSchema(
-								types.Column{Name: "sum", Kind: types.KindFloat}, types.Column{Name: "max", Kind: types.KindInt},
-								types.Column{Name: "cnt", Kind: types.KindInt}, types.Column{Name: "min", Kind: types.KindFloat}))
-							h := NewHashAgg("a", child, gb, aggs, osch)
+							h := NewHashAgg("a", child, gb, aggs, f.sch.Project(keys).Concat(types.NewSchema(aggCols...)))
 							h.Point = r.pt
 							root = h
 						}
+						r.reg = stats.NewRegistry()
+						r.ctx = NewContext(r.reg, nil)
+						r.ctx.Parallelism, r.ctx.MemBudget = p, budget
 						var err error
-						if r.rows, r.reg, err = runParallel(root, p); err != nil {
-							t.Fatalf("%s routable=%v: %v", label, routable, err)
+						r.rows, err = Run(r.ctx, root)
+						r.ctx.Cleanup()
+						if err != nil {
+							t.Fatalf("%s routable=%v budget=%d: %v", label, routable, budget, err)
 						}
 						return r
 					}
-					want, got := runPlan(false), runPlan(true)
+					want, got := runPlan(false, 0), runPlan(true, 0)
 					// A filter on an aggregation input leaves the groups it
 					// prunes with whatever they had folded by then; only the
 					// groups it keeps are comparable (and complete).
@@ -209,6 +216,18 @@ func TestScanRoutedDifferential(t *testing.T) {
 					if pr := op.Pruned.Load(); pr == 0 || pr+op.In.Load() != f.passPred {
 						t.Fatalf("%s: pruned %d + got in %d != %d rows past the predicate", label, pr, op.In.Load(), f.passPred)
 					}
+					if kind == "agg" && exact { // the budget leg; the summary kind does not reach eviction
+						for _, unbounded := range []run{want, got} {
+							routable := unbounded.ctx == got.ctx
+							budget := unbounded.ctx.PeakTrackedBytes() / 4
+							l := fmt.Sprintf("%s routable=%v budget=%d", label, routable, budget)
+							c := runPlan(routable, budget)
+							if c.ctx.SpillEvents() == 0 {
+								t.Fatalf("%s: no eviction (unbounded peak %d)", l, unbounded.ctx.PeakTrackedBytes())
+							}
+							sameRows(t, l, comparable(want.rows), comparable(c.rows))
+						}
+					}
 					if kind != "join" {
 						continue
 					}
@@ -224,6 +243,39 @@ func TestScanRoutedDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// routedAggs is the aggregation leg's fold matrix over the routed fixture:
+// count(*); sum, count, avg, min and max of k2 (INT, a vector), v (DECIMAL, a
+// vector), n (INT holding NULLs, no vector) and v+1 (computed); count, min
+// and max of d (DATE, a vector) and s (STRING, no vector). It returns the
+// aggregates and their output columns.
+func routedAggs(sch *types.Schema) ([]plan.AggSpec, []types.Column) {
+	col := func(i int) expr.Expr { return &expr.ColRef{Idx: i, Col: sch.Cols[i]} }
+	computed := &expr.Binary{Op: expr.OpAdd, L: col(2), R: &expr.Const{V: types.Float(1)}}
+	aggs := []plan.AggSpec{{Func: plan.AggCountStar}}
+	for _, arg := range []expr.Expr{col(1), col(2), col(5), computed} {
+		for _, fn := range []plan.AggFunc{plan.AggSum, plan.AggCount, plan.AggAvg, plan.AggMin, plan.AggMax} {
+			aggs = append(aggs, plan.AggSpec{Func: fn, Arg: arg})
+		}
+	}
+	for _, arg := range []expr.Expr{col(4), col(3)} {
+		for _, fn := range []plan.AggFunc{plan.AggCount, plan.AggMin, plan.AggMax} {
+			aggs = append(aggs, plan.AggSpec{Func: fn, Arg: arg})
+		}
+	}
+	cols := make([]types.Column, len(aggs))
+	for i, a := range aggs {
+		kind := types.KindInt
+		switch a.Func {
+		case plan.AggAvg:
+			kind = types.KindFloat
+		case plan.AggSum, plan.AggMin, plan.AggMax:
+			kind = a.Arg.Kind()
+		}
+		cols[i] = types.Column{Name: fmt.Sprintf("agg%d", i), Kind: kind}
+	}
+	return aggs, cols
 }
 
 // TestJoinTableRefEntries pins the entry layout: 16 pointer-free bytes, row

@@ -265,3 +265,77 @@ func TestJoinSpillTinyBudget(t *testing.T) {
 		t.Fatalf("BudgetError.Need = %d, not above the budget", be.Need)
 	}
 }
+
+// TestAggStateAccounting pins what the aggregation accounts to what it holds:
+// after every fold and after an eviction — an explicit one, then one the
+// memory budget triggers — the operator's StateBytes and the query's tracked
+// bytes are the key index's MemSize plus, per group, its key values' MemSize
+// and its column entries: 8 B per count, 16 per sum or avg, 8 + 40 per min or
+// max.
+func TestAggStateAccounting(t *testing.T) {
+	f := newRoutedFixture(3000)
+	aggs, _ := routedAggs(f.sch)
+	gb := []int{1, 3} // k2, s: 91 groups, string keys of varying size
+	h := NewHashAgg("a", nil, []expr.Expr{&expr.ColRef{Idx: 1, Col: f.sch.Cols[1]},
+		&expr.ColRef{Idx: 3, Col: f.sch.Cols[3]}}, aggs, nil)
+	var colBytes int64
+	for _, a := range aggs {
+		switch a.Func {
+		case plan.AggCount, plan.AggCountStar:
+			colBytes += 8
+		case plan.AggMin, plan.AggMax:
+			colBytes += 48
+		default:
+			colBytes += 16
+		}
+	}
+	ctx := NewContext(stats.NewRegistry(), nil)
+	defer ctx.Cleanup()
+	op := ctx.Stats.NewOp("agg:a")
+	op.SetPartitions(1)
+	pt := &aggPart{aggCore: aggCore{aggState: newAggState(len(gb), aggs)}}
+	w := h.newWorker(0, nil)
+	check := func(when string) {
+		t.Helper()
+		want := int64(pt.idx.MemSize())
+		for g := 0; g < pt.idx.Len(); g++ {
+			for _, v := range pt.key(g) {
+				want += int64(v.MemSize())
+			}
+			want += colBytes
+		}
+		if got := op.StateBytes.Current(); got != want || ctx.TrackedBytes() != got {
+			t.Fatalf("%s: StateBytes %d, tracked %d; the index and %d groups hold %d", when, got, ctx.TrackedBytes(), pt.idx.Len(), want)
+		}
+	}
+	var hs types.Hasher
+	fold := func(lo, hi int) {
+		sb := getScatter(0)
+		for _, r := range f.rows[lo:hi] {
+			kh, key := hs.KeyCols(r, gb)
+			sb.add(r, kh, key)
+		}
+		if err := pt.absorb(ctx, op, w, sb, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for lo := 0; lo < 1000; lo += BatchSize {
+		fold(lo, min(lo+BatchSize, 1000))
+		check("after a fold")
+	}
+	if pt.idx.Len() != 91 {
+		t.Fatalf("%d groups, want 91", pt.idx.Len())
+	}
+	if err := pt.evict(ctx, op, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("after an eviction")
+	fold(1000, 2000)
+	check("after folding past an eviction")
+	ctx.MemBudget = 1 // every fold now evicts
+	fold(2000, 3000)
+	check("after an eviction under the budget")
+	if n := ctx.SpillEvents(); n != 2 || pt.idx.Len() != 0 {
+		t.Fatalf("%d evictions, %d groups left; want 2 and 0", n, pt.idx.Len())
+	}
+}

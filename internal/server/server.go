@@ -76,6 +76,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -284,13 +285,19 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 func (s *Server) Engine() *sip.Engine { return s.eng }
 
 // MetricsHandler returns an http.Handler serving GET /metrics (flat
-// counters, one `name value` line each) and GET /stats (a JSON snapshot
-// including the slow-query log). Mount it on any mux or serve it with
-// http.Serve on a dedicated listener.
+// counters, one `name value` line each), GET /stats (a JSON snapshot
+// including the slow-query log) and the Go runtime profiles under
+// /debug/pprof/ (go tool pprof http://<addr>/debug/pprof/profile). Mount it
+// on any mux or serve it with http.Serve on a dedicated listener.
 func (s *Server) MetricsHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.serveMetricsText)
 	mux.HandleFunc("/stats", s.serveStatsJSON)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

@@ -574,6 +574,7 @@ func TestMetricsEndpoints(t *testing.T) {
 	if !strings.Contains(stats, "n_regionkey") {
 		t.Errorf("/stats slow-query log missing the statement:\n%s", stats)
 	}
+	httpGet(t, ts.URL+"/debug/pprof/cmdline") // the runtime profiles ride along
 }
 
 func httpGet(t *testing.T, url string) string {

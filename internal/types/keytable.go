@@ -5,8 +5,8 @@ import "bytes"
 // KeyTable is the open-addressing hash table behind the executor's join,
 // aggregation, and distinct state. It maps (hash, canonical key bytes)
 // pairs to dense int32 ids — 0, 1, 2, … in insertion order — which callers
-// use to index their own parallel state arrays (tuple chains, group
-// accumulators). Compared to a map[string]T it avoids the per-tuple
+// use to index their own parallel state arrays (tuple chains, per-aggregate
+// group columns). Compared to a map[string]T it avoids the per-tuple
 // string(key) allocation entirely: key bytes are copied once into a shared
 // arena, probes verify candidates by comparing hashes first and key bytes
 // inline second (hash collisions are tolerated, not trusted), and lookups

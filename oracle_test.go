@@ -19,6 +19,11 @@ package sip
 //     where it was, no tracked state byte is left accounted, and no spill
 //     directory survives.
 //
+// Each catalog also answers one query of the routed fold's shape
+// (oraGenFold), and the sweep counts the aggregations that folded from a
+// routing scan's column vectors and those that folded a router's batches:
+// both must occur.
+//
 // A failure names the seed, the SQL and its arguments;
 // SIP_ORACLE_SEED=<seed> reruns one catalog. SIP_ORACLE_SEEDS=<n> widens the
 // sweep (make test-race runs the long leg). Bugs the oracle found are pinned
@@ -132,19 +137,38 @@ func TestGeneratedQueryOracle(t *testing.T) {
 	}
 	spill := t.TempDir()
 	t.Setenv("TMPDIR", spill) // the engine's spill directories land here
+	var folds oraFolds
 	for _, seed := range seeds {
-		oraRunSeed(t, seed, spill)
+		oraRunSeed(t, seed, spill, &folds)
+	}
+	t.Logf("aggregations folded from a routing scan: %d, from a router: %d", folds.routed, folds.router)
+	if len(seeds) > 1 && (folds.routed == 0 || folds.router == 0) {
+		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d; the sweep must reach both",
+			folds.routed, folds.router)
 	}
 }
 
-// oraRunSeed generates one catalog and checks oraQueriesPerSeed queries
-// over it.
-func oraRunSeed(t *testing.T, seed int64, spill string) {
+// oraFolds counts the aggregations of the checked cases by where their fold
+// read its input: a routing scan (by row id, from the column vectors) or a
+// router goroutine's batches.
+type oraFolds struct{ routed, router int }
+
+// oraRunSeed generates one catalog and checks oraQueriesPerSeed queries over
+// it, then one of the routed fold's shape, drawn from a second stream so the
+// first oraQueriesPerSeed stay what they were.
+func oraRunSeed(t *testing.T, seed int64, spill string, folds *oraFolds) {
 	rng := rand.New(rand.NewSource(seed))
 	oc := oraGenCatalog(rng)
-	env := &oraEnv{t: t, eng: NewEngine(oc.cat), spill: spill}
-	for i := 0; i < oraQueriesPerSeed; i++ {
-		q, want := oraGenAnswerable(rng, oc)
+	env := &oraEnv{t: t, eng: NewEngine(oc.cat), spill: spill, folds: folds}
+	for i := 0; i <= oraQueriesPerSeed; i++ {
+		var q *oraQuery
+		var want []types.Tuple
+		if i < oraQueriesPerSeed {
+			q, want = oraGenAnswerable(rng, oc)
+		} else {
+			q = oraGenFold(rand.New(rand.NewSource(^seed)), oc)
+			want, _ = q.eval() // one table: always within the work bounds
+		}
 		sql, args := q.render()
 		c := &oraCase{env: env, seed: seed, idx: i, sql: sql, args: args, want: oraCanon(want)}
 		c.check(rng)
@@ -469,6 +493,37 @@ func oraGenQuery(rng *rand.Rand, oc *oraCatalog) *oraQuery {
 		for n := 1 + rng.Intn(3); n > 0; n-- {
 			q.items = append(q.items, q.genAgg(rng))
 		}
+	}
+	return q
+}
+
+// oraGenFold draws the routed fold's shape: a single-table GROUP BY on a
+// vector-backed INT or DATE column (or both), whose scan routes for the
+// aggregation, with plain-column aggregates that include min and max of the
+// STRING and of the DATE column and avg of an INT column (a, id: vectors; b:
+// NULLs, so the fold reads the rows), plus a few drawn as anywhere else.
+func oraGenFold(rng *rand.Rand, oc *oraCatalog) *oraQuery {
+	q := &oraQuery{oc: oc, rels: []oraRel{{table: 0}}, grouped: true}
+	if rng.Intn(3) == 0 {
+		q.rels[0].table = rng.Intn(len(oc.tables))
+	}
+	group := []int{oraA, oraD}
+	rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+	for _, c := range group[:1+rng.Intn(2)] {
+		ref := oraRef{0, c}
+		q.group = append(q.group, ref)
+		q.items = append(q.items, oraItem{e: &oraExpr{ref: &ref}})
+	}
+	arg := func(c int) *oraExpr { return &oraExpr{ref: &oraRef{0, c}} }
+	q.items = append(q.items,
+		oraItem{agg: []string{"min", "max"}[rng.Intn(2)], arg: arg(oraS)},
+		oraItem{agg: []string{"min", "max"}[rng.Intn(2)], arg: arg(oraD)},
+		oraItem{agg: "avg", arg: arg([]int{oraA, oraB, oraID}[rng.Intn(3)])})
+	for n := rng.Intn(3); n > 0; n-- {
+		q.items = append(q.items, q.genAgg(rng))
+	}
+	for n := rng.Intn(2); n > 0; n-- {
+		q.where = append(q.where, q.genCmp(rng, q.randRef(rng)))
 	}
 	return q
 }
@@ -1190,6 +1245,7 @@ type oraEnv struct {
 	t     *testing.T
 	eng   *Engine
 	spill string
+	folds *oraFolds
 }
 
 type oraCase struct {
@@ -1203,9 +1259,10 @@ type oraCase struct {
 
 // oraRun is one execution's outcome.
 type oraRun struct {
-	rows []string
-	res  *Result
-	err  error
+	rows  []string
+	res   *Result
+	err   error
+	folds oraFolds
 }
 
 func (c *oraCase) fail(label, format string, a ...any) {
@@ -1220,11 +1277,15 @@ func (c *oraCase) check(rng *rand.Rand) {
 	c.env.t.Helper()
 	strat := func() Strategy { return AllStrategies()[rng.Intn(4)] }
 	var peak int64
-	for _, s := range AllStrategies() {
+	for i, s := range AllStrategies() {
 		label := s.String() + "/P=4"
 		r := c.run(label, Options{Strategy: s, Parallelism: 4}, false)
 		c.same(label, r, c.want)
 		peak = max(peak, r.res.PeakMemBytes)
+		if i == 0 {
+			c.env.folds.routed += r.folds.routed
+			c.env.folds.router += r.folds.router
+		}
 	}
 	p1 := strat()
 	c.same(p1.String()+"/P=1", c.run(p1.String()+"/P=1", Options{Strategy: p1, Parallelism: 1}, false), c.want)
@@ -1317,6 +1378,22 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 		}
 	}
 	c.quiescent(label, rows, before)
+	routed := map[string]bool{} // per aggregation: whether a scan routed for it
+	for _, op := range rows.ectx.Stats.Ops() {
+		if strings.HasPrefix(op.Name, "agg:") && !routed[op.Name] {
+			routed[op.Name] = false
+		}
+		if strings.HasPrefix(op.Routed, "agg:") {
+			routed[op.Routed] = true
+		}
+	}
+	for _, r := range routed {
+		if r {
+			out.folds.routed++
+		} else {
+			out.folds.router++
+		}
+	}
 	if out.err == nil && opts.Strategy == FeedForward {
 		c.sourcePruning(label, p, rows)
 	}
