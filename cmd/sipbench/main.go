@@ -416,7 +416,7 @@ func runParallelScaling(reps int) ([]scalingBench, error) {
 		run := func() int {
 			l := &exec.Scan{Name: "l", Rows: lrows, Sch: sch("x")}
 			r := &exec.Scan{Name: "r", Rows: rrows, Sch: sch("y")}
-			j := exec.NewHashJoin("scale", l, r, []int{0}, []int{0}, nil)
+			j := exec.NewHashJoin("scale", l, r, []int{0}, []int{0}, exec.AllCols(l, r), nil)
 			ctx := exec.NewContext(stats.NewRegistry(), nil)
 			ctx.Parallelism = p
 			rows, err := exec.Run(ctx, j)

@@ -86,7 +86,7 @@ func joinFixture(t *testing.T, ctl exec.Controller, nLeft, nRight int) (*exec.Ha
 	l := &exec.Scan{Name: "l", Rows: lrows, Sch: intSchema("k", "v")}
 	r := &exec.Scan{Name: "r", Rows: rrows, Sch: intSchema("k", "v"),
 		Delay: &exec.DelayConfig{Initial: 30 * time.Millisecond}}
-	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, exec.AllCols(l, r), nil)
 	j.LPoint = mkPoint("j.left", 1, float64(nRight), float64(nLeft))
 	j.RPoint = mkPoint("j.right", 1, float64(nRight), float64(nRight))
 	j.RPoint.Ancestors = nil
@@ -110,7 +110,7 @@ func TestFeedForwardPrunesAndPreservesResults(t *testing.T) {
 	l := &exec.Scan{Name: "l", Rows: lrows, Sch: intSchema("k", "v")}
 	r := &exec.Scan{Name: "r", Rows: rrows, Sch: intSchema("k", "v"),
 		Delay: &exec.DelayConfig{Initial: 30 * time.Millisecond}}
-	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, exec.AllCols(l, r), nil)
 	j.LPoint = mkPoint("j.left", 1, 200, 10)
 	j.RPoint = mkPoint("j.right", 1, 200, 200)
 	ctx := exec.NewContext(reg, ff)
@@ -154,7 +154,7 @@ func joinFixtureWithCtl(t *testing.T, ctl exec.Controller, reg *stats.Registry) 
 	l := &exec.Scan{Name: "l", Rows: lrows, Sch: intSchema("k", "v")}
 	r := &exec.Scan{Name: "r", Rows: rrows, Sch: intSchema("k", "v"),
 		Delay: &exec.DelayConfig{Initial: 30 * time.Millisecond}}
-	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, exec.AllCols(l, r), nil)
 	j.LPoint = mkPoint("j.left", 1, 200, 10)
 	j.RPoint = mkPoint("j.right", 1, 200, 200)
 	ctx := exec.NewContext(reg, ctl)
@@ -189,7 +189,7 @@ func TestCostBasedRejectsUselessFilter(t *testing.T) {
 	l := &exec.Scan{Name: "l", Rows: lrows, Sch: intSchema("k", "v")}
 	r := &exec.Scan{Name: "r", Rows: rrows, Sch: intSchema("k", "v"),
 		Delay: &exec.DelayConfig{Initial: 20 * time.Millisecond}}
-	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, exec.AllCols(l, r), nil)
 	j.LPoint = mkPoint("j.left", 1, 200, 200)
 	j.RPoint = mkPoint("j.right", 1, 200, 200)
 	ctx := exec.NewContext(reg, cb)

@@ -364,7 +364,9 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 // handed out as capacity-capped subslices, so they can escape downstream
 // (and be retained indefinitely) while the arena keeps filling; when a block
 // fills up the arena simply starts a new one and the GC tracks old blocks
-// through the escaped rows. Not safe for concurrent use.
+// through the escaped rows. Not safe for concurrent use. A join's rows are
+// as wide as its Out list (gather), not the sum of its inputs' widths, so a
+// narrowed join fills a block with proportionally more rows.
 //
 // Retention caveat: a retained row pins its whole block. That is fine for
 // dense retention (a join buffering most of an input) but operators that
@@ -389,18 +391,50 @@ func (a *rowArena) alloc(w int) types.Tuple {
 	return a.buf[start : start+w : start+w]
 }
 
-// concat builds the concatenation of l and r in the arena, the join's
-// replacement for types.Concat on the hot path.
-func (a *rowArena) concat(l, r types.Tuple) types.Tuple {
-	row := a.alloc(len(l) + len(r))
-	copy(row, l)
-	copy(row[len(l):], r)
+// gather builds the join output row of the pair (l, r) in the arena: g's
+// columns of the two inputs, one copy per run.
+func (a *rowArena) gather(g *rowGather, l, r types.Tuple) types.Tuple {
+	row := a.alloc(g.width)
+	for _, run := range g.runs {
+		src := l
+		if run.right {
+			src = r
+		}
+		copy(row[run.dst:run.dst+run.n], src[run.src:])
+	}
 	return row
 }
 
-// release returns the most recently allocated row to the arena; only valid
-// immediately after alloc/concat, before the next allocation. The join uses
-// it to reclaim rows rejected by the residual predicate.
-func (a *rowArena) release(row types.Tuple) {
-	a.buf = a.buf[:len(a.buf)-len(row)]
+// rowGather is a join's Out list compiled into copy runs: maximal spans of
+// consecutive columns of one input, so a join that emits everything copies
+// each side in one run and a narrowed one copies a few short spans.
+type rowGather struct {
+	runs  []gatherRun
+	width int // len(Out)
+}
+
+// gatherRun copies n columns from src of the left (or right) input to dst of
+// the output row.
+type gatherRun struct {
+	right       bool
+	src, dst, n int
+}
+
+// newRowGather compiles out, positions in the concatenation of a left input
+// of width nl and the right input, into copy runs.
+func newRowGather(out []int, nl int) rowGather {
+	g := rowGather{width: len(out)}
+	for dst, c := range out {
+		right := c >= nl
+		src := c
+		if right {
+			src -= nl
+		}
+		if k := len(g.runs) - 1; k >= 0 && g.runs[k].right == right && g.runs[k].src+g.runs[k].n == src {
+			g.runs[k].n++
+			continue
+		}
+		g.runs = append(g.runs, gatherRun{right: right, src: src, dst: dst, n: 1})
+	}
+	return g
 }

@@ -142,7 +142,7 @@ func TestFilterAndProject(t *testing.T) {
 func buildJoin(lrows, rrows []types.Tuple) *HashJoin {
 	l := &Scan{Name: "l", Rows: lrows, Sch: intSchema("a", "x")}
 	r := &Scan{Name: "r", Rows: rrows, Sch: intSchema("a", "y")}
-	j := NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+	j := NewHashJoin("j", l, r, []int{0}, []int{0}, AllCols(l, r), nil)
 	j.LPoint = &Point{Name: "l", Bank: NewFilterBank(), Stateful: true,
 		EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, KeyCols: []int{0},
 		Schema: l.Sch, DomainDistinct: []float64{10, 0}}
@@ -240,7 +240,7 @@ func TestJoinShortCircuit(t *testing.T) {
 	var lp *Point
 	r := &gated{child: &Scan{Name: "r", Rows: big, Sch: intSchema("a", "y")},
 		cond: func() bool { return lp.Done() }}
-	j := NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+	j := NewHashJoin("j", l, r, []int{0}, []int{0}, AllCols(l, r), nil)
 	j.LPoint = &Point{Name: "l", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}
 	lp = j.LPoint
 	j.RPoint = &Point{Name: "r", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}
@@ -546,9 +546,12 @@ func TestBushyPlanEndToEnd(t *testing.T) {
 		}
 		return &Scan{Name: name, Rows: rows, Sch: intSchema("k", name)}
 	}
-	ab := NewHashJoin("ab", mk("a", 0), mk("b", 0), []int{0}, []int{0}, nil)
-	cd := NewHashJoin("cd", mk("c", 5), mk("d", 5), []int{0}, []int{0}, nil)
-	top := NewHashJoin("top", ab, cd, []int{0}, []int{0}, nil)
+	join := func(name string, l, r Op) *HashJoin {
+		return NewHashJoin(name, l, r, []int{0}, []int{0}, AllCols(l, r), nil)
+	}
+	ab := join("ab", mk("a", 0), mk("b", 0))
+	cd := join("cd", mk("c", 5), mk("d", 5))
+	top := join("top", ab, cd)
 	got := runOp(t, top, nil)
 	// Keys 5..9 overlap: ab has 0..9, cd has 5..14 → 5 results.
 	if len(got) != 5 {
@@ -610,7 +613,7 @@ func TestJoinOnStoreCoversShortCircuitedTuples(t *testing.T) {
 	l := &Scan{Name: "l", Rows: small, Sch: intSchema("a", "x")}
 	r := &gated{child: &Scan{Name: "r", Rows: big, Sch: intSchema("a", "y")},
 		cond: func() bool { return lp.Done() }}
-	j := NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+	j := NewHashJoin("j", l, r, []int{0}, []int{0}, AllCols(l, r), nil)
 	j.LPoint = &Point{Name: "l", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}
 	lp = j.LPoint
 	var rSeen int64

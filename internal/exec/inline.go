@@ -120,8 +120,7 @@ func runInlineJoin(ctx *Context, proj *Project, above []*Filter, j *HashJoin) ([
 	left := inlinePost(ctx, nil, lFilters, lScan.Rows, ctx.Stats.NewOp("scan:"+lScan.Name))
 	right := inlinePost(ctx, nil, rFilters, rScan.Rows, ctx.Stats.NewOp("scan:"+rScan.Name))
 
-	lop := ctx.Stats.NewOp("join:" + j.Name + ".left")
-	rop := ctx.Stats.NewOp("join:" + j.Name + ".right")
+	lop, rop := j.newOps(ctx)
 	lop.In.Add(int64(len(left)))
 	rop.In.Add(int64(len(right)))
 
@@ -168,11 +167,11 @@ func runInlineJoin(ctx *Context, proj *Project, above []*Filter, j *HashJoin) ([
 		buf = t.AppendKeyCols(buf[:0], pKeys)
 		matches = jt.probe(types.Hash64(buf, 0), buf, maxSeq, matches[:0])
 		for _, m := range matches {
+			l, r := t, m
 			if buildIsLeft {
-				joined = append(joined, arena.concat(m, t))
-			} else {
-				joined = append(joined, arena.concat(t, m))
+				l, r = m, t
 			}
+			joined = append(joined, arena.gather(&j.gather, l, r))
 		}
 	}
 	if resC != nil && len(joined) > 0 {

@@ -38,7 +38,7 @@ func inlineJoinPlan(rng *rand.Rand, n int) Op {
 	r := &Scan{Name: "r", Rows: rrows, Sch: intSchema("a", "y")}
 	lf := &Filter{Child: l, Name: "lf", Pred: &expr.Binary{
 		Op: expr.OpGt, L: intCol(1), R: &expr.Const{V: types.Int(2)}}}
-	j := NewHashJoin("j", lf, r, []int{0}, []int{0}, &expr.Binary{
+	j := NewHashJoin("j", lf, r, []int{0}, []int{0}, AllCols(lf, r), &expr.Binary{
 		Op: expr.OpLt, L: intCol(1), R: intCol(3)})
 	above := &Filter{Child: j, Name: "jf", Pred: &expr.Binary{
 		Op: expr.OpGt, L: intCol(3), R: &expr.Const{V: types.Int(4)}}}
@@ -103,5 +103,52 @@ func TestInlineJoinRejections(t *testing.T) {
 	underAIP := mk()
 	if _, ok := TryRunInline(NewContext(stats.NewRegistry(), &controllerRecorder{}), underAIP); ok {
 		t.Fatal("inline accepted a plan running under an AIP controller")
+	}
+}
+
+// TestInlineNarrowJoin: an inline join emitting a pruned subset of its
+// inputs' columns — the residual and the Project above read only those —
+// returns what the pipelined join does and what a nested loop computes.
+func TestInlineNarrowJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 300
+	lrows := make([]types.Tuple, n)
+	rrows := make([]types.Tuple, n)
+	for i := range lrows {
+		lrows[i] = types.Tuple{types.Int(int64(i)), types.Int(int64(rng.Intn(40))), types.Int(int64(rng.Intn(100)))}
+		rrows[i] = types.Tuple{types.Int(int64(rng.Intn(100))), types.Int(int64(-i)), types.Int(int64(rng.Intn(40)))}
+	}
+	l := &Scan{Name: "l", Rows: lrows, Sch: intSchema("id", "a", "x")}
+	r := &Scan{Name: "r", Rows: rrows, Sch: intSchema("y", "id", "a")}
+	// Emit (l.x, r.y, r.id) of (l.id, l.a, l.x, r.y, r.id, r.a); keys l.a = r.a.
+	j := NewHashJoin("j", l, r, []int{1}, []int{2}, []int{2, 3, 4}, &expr.Binary{
+		Op: expr.OpLt, L: intCol(0), R: intCol(1)})
+	plan := &Project{Child: j, Name: "p", Sch: intSchema("d", "rid"),
+		Exprs: []expr.Expr{&expr.Binary{Op: expr.OpSub, L: intCol(1), R: intCol(0)}, intCol(2)}}
+
+	var want []string
+	for _, lr := range lrows {
+		for _, rr := range rrows {
+			if lr[1].I == rr[2].I && lr[2].I < rr[0].I {
+				want = append(want, fmt.Sprintf("%v", types.Tuple{types.Int(rr[0].I - lr[2].I), rr[1]}))
+			}
+		}
+	}
+	sort.Strings(want)
+	if len(want) == 0 {
+		t.Fatal("empty reference")
+	}
+	got, ok := TryRunInline(NewContext(stats.NewRegistry(), nil), plan)
+	if !ok {
+		t.Fatal("inline path rejected a narrowed single-join plan")
+	}
+	piped, err := Run(NewContext(stats.NewRegistry(), nil), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, rows := range map[string][]types.Tuple{"inline": got, "pipelined": piped} {
+		if g := rowKeys(rows); fmt.Sprint(g) != fmt.Sprint(want) {
+			t.Fatalf("%s: %d rows, nested loop %d", label, len(g), len(want))
+		}
 	}
 }

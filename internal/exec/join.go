@@ -35,30 +35,68 @@ import (
 // in §VI-A: once one input completes — its router has finished and every
 // scattered message has been drained, i.e. its last probe has happened —
 // the other side stops buffering, since nothing will ever probe its table.
+//
+// A join emits only the columns listed in Out (projection pushdown: the
+// optimizer keeps those read above the join), so a deep plan carries a narrow
+// row instead of the concatenation of every table below it. Stored tuples are
+// the inputs' own rows; the narrowing happens when a match is emitted.
 type HashJoin struct {
 	Name        string
 	Left, Right Op
-	LKeys       []int     // equi-key columns of the left schema
-	RKeys       []int     // equi-key columns of the right schema
-	Residual    expr.Expr // evaluated over the concatenated schema, may be nil
+	LKeys       []int // equi-key columns of the left schema
+	RKeys       []int // equi-key columns of the right schema
+	// Out lists the emitted columns as positions in the concatenation of the
+	// left and right schemas (left first, in that order); AllCols emits all.
+	Out      []int
+	Residual expr.Expr // evaluated over the emitted (Out) columns, may be nil
 
 	// LPoint and RPoint are the AIP injection points for the two inputs.
 	LPoint, RPoint *Point
 
-	sch *types.Schema
+	sch    *types.Schema
+	gather rowGather
 }
 
-// NewHashJoin wires up the join.
-func NewHashJoin(name string, left, right Op, lkeys, rkeys []int, residual expr.Expr) *HashJoin {
+// NewHashJoin wires up the join; its schema is the concatenation of the
+// inputs' schemas projected to out.
+func NewHashJoin(name string, left, right Op, lkeys, rkeys, out []int, residual expr.Expr) *HashJoin {
+	nl := left.Schema().Len()
 	return &HashJoin{
 		Name: name, Left: left, Right: right,
-		LKeys: lkeys, RKeys: rkeys, Residual: residual,
-		sch: left.Schema().Concat(right.Schema()),
+		LKeys: lkeys, RKeys: rkeys, Out: out, Residual: residual,
+		sch:    left.Schema().Concat(right.Schema()).Project(out),
+		gather: newRowGather(out, nl),
 	}
 }
 
-// Schema returns the concatenated output schema.
+// AllCols is the Out list of a join that emits every column of both inputs.
+func AllCols(left, right Op) []int {
+	out := make([]int, left.Schema().Len()+right.Schema().Len())
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// Schema returns the emitted schema.
 func (j *HashJoin) Schema() *types.Schema { return j.sch }
+
+// newOps registers the two side stats blocks, each with the width it
+// contributes to the emitted row out of the width it receives.
+func (j *HashJoin) newOps(ctx *Context) (lop, rop *stats.OpStats) {
+	lop = ctx.Stats.NewOp("join:" + j.Name + ".left")
+	rop = ctx.Stats.NewOp("join:" + j.Name + ".right")
+	nl := j.Left.Schema().Len()
+	lop.Width, rop.Width = nl, j.Right.Schema().Len()
+	for _, c := range j.Out {
+		if c < nl {
+			lop.Cols++
+		} else {
+			rop.Cols++
+		}
+	}
+	return lop, rop
+}
 
 // joinEntry is one stored tuple — its insertion ticket and where its header
 // lives — chained to the next-older tuple of the same key. Pointer-free: the
@@ -127,9 +165,10 @@ func joinKeyHint(pt *Point, keys []int, P int) int {
 // room is called before n entries are inserted: the first insert allocates
 // the floor (or a smaller hint), the first to outgrow the floor the hint —
 // the key index and heads by the distinct-key hint (Q17's lineitem side has
-// 30 rows per key). Past the hint, and without one (or after a spill
-// eviction), the slices and the key index grow by amortized doubling on
-// their own.
+// 30 rows per key), and at that jump the key index's per-key arrays too (at
+// the floor they stay lazy: most inputs under AIP never leave it). Past the
+// hint, and without one (or after a spill eviction), the slices and the key
+// index grow by amortized doubling on their own.
 func (jt *joinTable) room(n int) {
 	c := min(jt.hint, joinFloorRows)
 	if len(jt.entries)+n > joinFloorRows {
@@ -139,7 +178,11 @@ func (jt *joinTable) room(n int) {
 		return
 	}
 	k := min(c, jt.keyHint)
-	jt.idx.Reserve(k)
+	if c > joinFloorRows {
+		jt.idx.ReserveKeys(k)
+	} else {
+		jt.idx.Reserve(k)
+	}
 	jt.heads = append(make([]int32, 0, k), jt.heads...)
 	jt.entries = append(make([]joinEntry, 0, c), jt.entries...)
 	if jt.own {
@@ -251,8 +294,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	P = clampPartitions(P, pointEstRows(j.LPoint)+pointEstRows(j.RPoint))
 	ctx.addMemParts(P)
 
-	lop := ctx.Stats.NewOp("join:" + j.Name + ".left")
-	rop := ctx.Stats.NewOp("join:" + j.Name + ".right")
+	lop, rop := j.newOps(ctx)
 	lop.SetPartitions(P)
 	rop.SetPartitions(P)
 
@@ -377,9 +419,9 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	// worker owns one partition. For each scattered message it inserts the
 	// batch into the sending side's table (unless the other input already
 	// completed: short-circuit) with fresh tickets, probes the other side's
-	// table, and materializes earlier-ticket matches into arena-backed rows.
-	// The residual predicate is applied batch-at-a-time over the
-	// materialized rows via the vectorized EvalBool, marking survivors with
+	// table, and gathers earlier-ticket matches' Out columns into arena-backed
+	// rows. The residual predicate is applied batch-at-a-time over the
+	// gathered rows via the vectorized EvalBool, marking survivors with
 	// a selection vector; rejected rows stay dead in their arena block
 	// until the batch is recycled downstream. Each worker compiles its own
 	// residual (Compiled carries scratch and is not goroutine-safe).
@@ -469,13 +511,11 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 				}
 				t := sb.tuple(i)
 				for _, m := range matches {
-					var row types.Tuple
+					l, r := m, t
 					if ownIsLeft {
-						row = arena.concat(t, m)
-					} else {
-						row = arena.concat(m, t)
+						l, r = t, m
 					}
-					outBatch.Tuples = append(outBatch.Tuples, row)
+					outBatch.Tuples = append(outBatch.Tuples, arena.gather(&j.gather, l, r))
 					if len(outBatch.Tuples) == BatchSize {
 						if !emit() {
 							return
@@ -536,7 +576,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			if resC == nil {
 				resC = expr.Compile(j.Residual)
 			}
-			if !pt.mergeSpill(ctx, ops, lop.Name, resC, func(b Batch) bool {
+			if !pt.mergeSpill(ctx, ops, lop.Name, &j.gather, resC, func(b Batch) bool {
 				n := int64(b.Len())
 				if !send(ctx, out, b) {
 					return false

@@ -29,7 +29,7 @@ func benchmarkJoin(b *testing.B, n, nkeys, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		l := &Scan{Name: "l", Rows: lrows, Sch: intSchema("a", "x")}
 		r := &Scan{Name: "r", Rows: rrows, Sch: intSchema("a", "y")}
-		j := NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+		j := NewHashJoin("j", l, r, []int{0}, []int{0}, AllCols(l, r), nil)
 		j.LPoint = &Point{Name: "l", Bank: NewFilterBank(), Stateful: true,
 			EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, KeyCols: []int{0},
 			Schema: l.Sch, DomainDistinct: []float64{float64(nkeys), 0}, EstRows: float64(n)}

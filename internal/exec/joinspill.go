@@ -6,7 +6,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/spill"
 	"repro/internal/stats"
-	"repro/internal/types"
 )
 
 // Bucket-discard spill for the symmetric hash join, through the joinCore
@@ -191,13 +190,13 @@ func (jc *joinCore) spillArrivals(sb *scatter, base uint64) error {
 }
 
 // mergeSpill drains a spilled partition after input-done, emitting exactly
-// the cross-epoch match pairs phase 1 could not see. emit receives dense or
-// selection-carrying batches ready to send downstream (residual already
-// applied) and reports false on cancellation. mergeSpill returns false when
+// the cross-epoch match pairs phase 1 could not see, gathered through g.
+// emit receives dense or selection-carrying batches ready to send downstream
+// (residual already applied) and reports false on cancellation. mergeSpill returns false when
 // the query failed or was cancelled; it closes and removes the run either
 // way. Callers pass their own compiled residual (expr.Compiled carries
 // scratch and is not concurrency-safe).
-func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName string, resC *expr.Compiled, emit func(Batch) bool) bool {
+func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName string, g *rowGather, resC *expr.Compiled, emit func(Batch) bool) bool {
 	if jc.run == nil {
 		return true
 	}
@@ -330,13 +329,11 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 				for e := bt.heads[id]; e != 0; {
 					ent := &bt.entries[e-1]
 					if epochOf(jc.boundaries, ent.seq) != pe {
-						var row types.Tuple
+						l, r := rec.Tuple, bt.rows[ent.ref]
 						if buildIsLeft {
-							row = arena.concat(bt.rows[ent.ref], rec.Tuple)
-						} else {
-							row = arena.concat(rec.Tuple, bt.rows[ent.ref])
+							l, r = r, l
 						}
-						outBatch.Tuples = append(outBatch.Tuples, row)
+						outBatch.Tuples = append(outBatch.Tuples, arena.gather(g, l, r))
 						if len(outBatch.Tuples) == BatchSize && !flush() {
 							rd.Close()
 							ctx.account(-passBytes)

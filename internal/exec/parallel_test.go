@@ -163,7 +163,7 @@ func TestJoinShortCircuitPartitioned(t *testing.T) {
 	var lp *Point
 	r := &gated{child: &Scan{Name: "r", Rows: big, Sch: intSchema("a", "y")},
 		cond: func() bool { return lp.Done() }}
-	j := NewHashJoin("j", l, r, []int{0}, []int{0}, nil)
+	j := NewHashJoin("j", l, r, []int{0}, []int{0}, AllCols(l, r), nil)
 	j.LPoint = &Point{Name: "l", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}
 	lp = j.LPoint
 	j.RPoint = &Point{Name: "r", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}

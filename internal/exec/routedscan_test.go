@@ -149,7 +149,8 @@ func TestScanRoutedDifferential(t *testing.T) {
 								}
 							}
 							small := &Scan{Name: "r", Rows: f.small, Sch: intSchema("a", "b", "y")}
-							j := NewHashJoin("j", child, &gated{child: small, cond: r.pt.Done}, keys, keys, nil)
+							gate := &gated{child: small, cond: r.pt.Done}
+							j := NewHashJoin("j", child, gate, keys, keys, AllCols(child, gate), nil)
 							j.LPoint, j.RPoint = r.pt, routedPoint("r", small.Sch, keys)
 							root = j
 						} else {
@@ -421,7 +422,7 @@ func startOrderPlan(nSmall, nBig int, hold func(big *Point) bool) (*HashJoin, *C
 	if hold != nil {
 		right = &gated{child: small, cond: func() bool { return hold(bigPt) }}
 	}
-	j := NewHashJoin("j", big, right, []int{0}, []int{0}, nil)
+	j := NewHashJoin("j", big, right, []int{0}, []int{0}, AllCols(big, right), nil)
 	j.LPoint, j.RPoint = bigPt, smallPt
 	reg := stats.NewRegistry()
 	ctx := NewContext(reg, &publishCtl{from: smallPt, to: bigPt})

@@ -67,7 +67,8 @@ func (f *sourceFixture) plan(wired, vecs bool) (*HashJoin, *Scan) {
 	pred := &expr.Binary{Op: expr.OpLt,
 		L: &expr.ColRef{Idx: 1, Col: lsch.Cols[1]}, R: &expr.Const{V: types.Float(20)}}
 	r := &Scan{Name: "r", Rows: f.small, Sch: intSchema("a", "y")}
-	j := NewHashJoin("j", &Filter{Name: "l", Child: l, Pred: pred}, r, []int{0}, []int{0}, nil)
+	lf := &Filter{Name: "l", Child: l, Pred: pred}
+	j := NewHashJoin("j", lf, r, []int{0}, []int{0}, AllCols(lf, r), nil)
 	mk := func(name string, sch *types.Schema) *Point {
 		return &Point{Name: name, Bank: NewFilterBank(), Stateful: true, Schema: sch,
 			EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, KeyCols: []int{0}, DomainDistinct: []float64{1000, 0}}

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func spillJoin(n, pad int, routed bool) *HashJoin {
 		L: &expr.ColRef{Idx: 2, Col: types.Column{Kind: types.KindInt}},
 		R: &expr.ColRef{Idx: 5, Col: types.Column{Kind: types.KindInt}},
 	}
-	j := NewHashJoin("j", l, r, []int{0}, []int{0}, res)
+	j := NewHashJoin("j", l, r, []int{0}, []int{0}, AllCols(l, r), res)
 	if routed {
 		l.Vecs = &catalog.Table{Name: "l", Schema: sch, Rows: lrows}
 		l.Point = &Point{Name: "l", Bank: NewFilterBank(), Stateful: true, Schema: sch,
@@ -338,4 +339,75 @@ func TestAggStateAccounting(t *testing.T) {
 	if n := ctx.SpillEvents(); n != 2 || pt.idx.Len() != 0 {
 		t.Fatalf("%d evictions, %d groups left; want 2 and 0", n, pt.idx.Len())
 	}
+}
+
+// spillNarrowChain builds a Q4A-shaped plan — two stacked joins, each emitting
+// a pruned subset of its inputs' columns — over inputs whose wide string
+// payloads fill the join state but are read by nothing above the joins:
+//
+//	top = (o ⋈_okey l) ⋈_skey s,  o(okey, pad, x)  l(okey, skey, pad, y)  s(skey, pad, w)
+//
+// The lower join emits (x, skey, y), the top one (x, y, w) with the residual
+// x < w over its emitted row. want is the answer by nested maps.
+func spillNarrowChain(n int) (top *HashJoin, want []string) {
+	str := func(name string) types.Column { return types.Column{Table: "t", Name: name, Kind: types.KindString} }
+	num := func(name string) types.Column { return types.Column{Table: "t", Name: name, Kind: types.KindInt} }
+	pad := types.Str(strings.Repeat("p", 64))
+	orows := make([]types.Tuple, n)
+	lrows := make([]types.Tuple, n)
+	for i := range orows {
+		orows[i] = types.Tuple{types.Int(int64(i % 401)), pad, types.Int(int64(i))}
+		lrows[i] = types.Tuple{types.Int(int64(i * 7 % 401)), types.Int(int64(i % 53)), pad, types.Int(int64(-i))}
+	}
+	srows := make([]types.Tuple, 106)
+	for i := range srows {
+		srows[i] = types.Tuple{types.Int(int64(i % 53)), pad, types.Int(int64(i * 19))}
+	}
+	o := &Scan{Name: "o", Rows: orows, Sch: types.NewSchema(num("okey"), str("opad"), num("x"))}
+	l := &Scan{Name: "l", Rows: lrows, Sch: types.NewSchema(num("okey"), num("skey"), str("lpad"), num("y"))}
+	s := &Scan{Name: "s", Rows: srows, Sch: types.NewSchema(num("skey"), str("spad"), num("w"))}
+	lower := NewHashJoin("lower", o, l, []int{0}, []int{0}, []int{2, 4, 6}, nil)
+	res := &expr.Binary{Op: expr.OpLt, L: intCol(0), R: intCol(2)}
+	top = NewHashJoin("top", lower, s, []int{1}, []int{0}, []int{0, 2, 5}, res)
+
+	for _, or := range orows {
+		for _, lr := range lrows {
+			if or[0].I != lr[0].I {
+				continue
+			}
+			for _, sr := range srows {
+				if lr[1].I == sr[0].I && or[2].I < sr[2].I {
+					want = append(want, types.Tuple{or[2], lr[3], sr[2]}.String())
+				}
+			}
+		}
+	}
+	sort.Strings(want)
+	return top, want
+}
+
+// TestNarrowJoinChainSpill: a pruned multi-join under a quarter of its
+// unbounded peak spills, and the merge phase gathers the Out columns of its
+// cross-epoch pairs exactly as phase 1 does — both runs return the reference.
+func TestNarrowJoinChainSpill(t *testing.T) {
+	const n = 2000
+	top, want := spillNarrowChain(n)
+	if len(want) == 0 {
+		t.Fatal("empty reference")
+	}
+	got, base, err := runSpill(top, 0, 4)
+	if err != nil {
+		t.Fatalf("unbounded run: %v", err)
+	}
+	sameRows(t, "unbounded", want, rowStrings(got))
+	budget := base.PeakTrackedBytes() / 4
+	top, _ = spillNarrowChain(n)
+	got, ctx, err := runSpill(top, budget, 4)
+	if err != nil {
+		t.Fatalf("budget %d: %v", budget, err)
+	}
+	if ctx.SpillEvents() == 0 {
+		t.Fatalf("no spill events at budget %d (peak %d)", budget, base.PeakTrackedBytes())
+	}
+	sameRows(t, fmt.Sprintf("budget=%d", budget), want, rowStrings(got))
 }

@@ -132,7 +132,7 @@ func (in *instantiator) op(o exec.Op) (exec.Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		j := exec.NewHashJoin(v.Name, left, right, v.LKeys, v.RKeys, residual)
+		j := exec.NewHashJoin(v.Name, left, right, v.LKeys, v.RKeys, v.Out, residual)
 		j.LPoint = in.point(v.LPoint)
 		j.RPoint = in.point(v.RPoint)
 		return j, nil

@@ -12,6 +12,15 @@
 // injection point: attribute equivalence classes, cardinality estimates,
 // per-attribute domain sizes, plan depth, and ancestor chains — the
 // services ESTIMATEBENEFIT (Fig. 4 of the paper) re-invokes at runtime.
+//
+// Projection pushdown: every join emits only the columns still read above
+// it (exec.HashJoin.Out) — by a conjunct not yet applied, by its own
+// residual, by the grouping expressions and aggregate arguments, or by the
+// block's output when it does not aggregate. One more rule keeps AIP
+// unchanged: a column whose equivalence class has two or more members
+// anywhere in the query is always kept, so every injection point above the
+// join exposes exactly the join attributes it would over the unpruned row,
+// and the controllers find the same producer/consumer pairs.
 package optimizer
 
 import (
@@ -46,7 +55,8 @@ type Result struct {
 
 // Build compiles a block to a physical plan.
 func Build(cfg Config, b *plan.Block) (*Result, error) {
-	o := &builder{cfg: cfg}
+	o := &builder{cfg: cfg, classSize: map[int]int{}}
+	o.countClasses(b)
 	comp, err := o.buildBlock(b, "q")
 	if err != nil {
 		return nil, err
@@ -58,6 +68,23 @@ type builder struct {
 	cfg    Config
 	points []*exec.Point
 	nextID int
+	// classSize counts the columns of each equivalence class across every
+	// block of the query (projection pushdown keeps classes of two or more).
+	classSize map[int]int
+}
+
+// countClasses fills classSize from b and its nested blocks.
+func (o *builder) countClasses(b *plan.Block) {
+	for _, id := range b.EqIDs {
+		if id >= 0 {
+			o.classSize[id]++
+		}
+	}
+	for _, r := range b.Rels {
+		if r.Sub != nil {
+			o.countClasses(r.Sub)
+		}
+	}
 }
 
 // component is one connected piece of the join forest during ordering.
@@ -397,18 +424,13 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 	for ri := range r.rels {
 		merged.rels[ri] = true
 	}
+	// Concatenated positions first; pruning renumbers them below.
 	nl := l.op.Schema().Len()
 	for g, p := range l.colmap {
 		merged.colmap[g] = p
 	}
 	for g, p := range r.colmap {
 		merged.colmap[g] = p + nl
-	}
-	for g, d := range l.distinct {
-		merged.distinct[g] = d
-	}
-	for g, d := range r.distinct {
-		merged.distinct[g] = d
 	}
 	merged.est = l.est * r.est * sel
 	merged.tables = append(append([]string(nil), l.tables...), r.tables...)
@@ -419,22 +441,26 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 	// Residual: remaining conjuncts fully contained in the merged set.
 	var residuals []expr.Expr
 	for ci, c := range b.Conjuncts {
-		if used[ci] {
+		if used[ci] || !relsSubset(c.Rels, merged.rels) {
 			continue
 		}
-		if !relsSubset(c.Rels, merged.rels) {
+		if _, ok := merged.mappingFor(expr.CollectCols(c.E, nil)); !ok {
 			continue
 		}
-		mapped, ok := remapGlobal(c.E, merged)
-		if !ok {
-			continue
-		}
-		residuals = append(residuals, mapped)
+		residuals = append(residuals, c.E)
 		merged.est *= predSelectivity(c.E)
 		used[ci] = true
 	}
 
-	j := exec.NewHashJoin(name, l.op, r.op, lkeys, rkeys, expr.And(residuals...))
+	out := o.pruneJoin(b, merged, l, r, used, residuals)
+	for i, c := range residuals {
+		mapped, ok := remapGlobal(c, merged)
+		if !ok {
+			return nil, fmt.Errorf("optimizer: join residual %s references pruned columns", c)
+		}
+		residuals[i] = mapped
+	}
+	j := exec.NewHashJoin(name, l.op, r.op, lkeys, rkeys, out, expr.And(residuals...))
 	j.LPoint = o.newPoint(name+".left", b, l, true, 0)
 	j.LPoint.KeyCols = append([]int(nil), lkeys...)
 	j.RPoint = o.newPoint(name+".right", b, r, true, 0)
@@ -453,6 +479,63 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 	merged.op = j
 	clampDistinct(merged)
 	return merged, nil
+}
+
+// pruneJoin decides the columns a join emits — those a later conjunct, the
+// join's own residuals (global-bound), the grouping, the aggregates or the
+// block's output read, and every member of a multi-column equivalence class
+// — returns them as the join's Out list in concatenated order, and renumbers
+// merged.colmap to the emitted positions (merged.distinct keeps only them).
+func (o *builder) pruneJoin(b *plan.Block, merged, l, r *component, used []bool, residuals []expr.Expr) []int {
+	var read []int
+	for ci, c := range b.Conjuncts {
+		if !used[ci] {
+			read = expr.CollectCols(c.E, read)
+		}
+	}
+	for _, e := range residuals {
+		read = expr.CollectCols(e, read)
+	}
+	if len(b.GroupBy) > 0 || len(b.Aggs) > 0 {
+		for _, e := range b.GroupBy {
+			read = expr.CollectCols(e, read)
+		}
+		for _, a := range b.Aggs {
+			if a.Arg != nil {
+				read = expr.CollectCols(a.Arg, read)
+			}
+		}
+	} else {
+		for _, oc := range b.Output {
+			read = expr.CollectCols(oc.E, read)
+		}
+	}
+	keep := make(map[int]bool, len(read))
+	for _, g := range read {
+		keep[g] = true
+	}
+	width := len(merged.colmap)
+	global := make([]int, width) // concatenated position -> global id
+	for g, p := range merged.colmap {
+		global[p] = g
+	}
+	var out []int
+	for p, g := range global {
+		if keep[g] || o.classSize[b.EqIDs[g]] >= 2 {
+			merged.colmap[g] = len(out)
+			out = append(out, p)
+			continue
+		}
+		delete(merged.colmap, g)
+	}
+	for _, side := range []*component{l, r} {
+		for g, d := range side.distinct {
+			if _, ok := merged.colmap[g]; ok {
+				merged.distinct[g] = d
+			}
+		}
+	}
+	return out
 }
 
 func relsSubset(rels []int, set map[int]bool) bool {

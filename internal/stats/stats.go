@@ -94,12 +94,17 @@ type OpStats struct {
 	// partition workers), the consumer input's stats block; empty otherwise.
 	Routed string
 
+	// Cols and Width are set on a join side: the columns it contributes to
+	// the join's emitted row out of the columns it receives (0/0 otherwise).
+	Cols, Width int
+
 	parts []PartStats // per-partition state counters; nil for unpartitioned ops
 }
 
 // reset returns the block to its zero state for reuse (registry pooling).
 func (o *OpStats) reset() {
 	o.Name, o.Class, o.Routed = "", "", ""
+	o.Cols, o.Width = 0, 0
 	o.In.reset()
 	o.Out.reset()
 	o.Pruned.reset()
@@ -349,6 +354,12 @@ func (r *Registry) Report() string {
 		}
 		if op.Routed != "" {
 			parts += "routed→" + op.Routed
+		}
+		if op.Width > 0 {
+			if parts != "" {
+				parts += " "
+			}
+			parts += fmt.Sprintf("cols=%d/%d", op.Cols, op.Width)
 		}
 		if pf := op.PreFilter.Load(); pf > 0 {
 			if parts != "" {

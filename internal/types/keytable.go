@@ -19,9 +19,11 @@ type KeyTable struct {
 	mask  uint64
 
 	hashes []uint64 // per id: the key's Hash64
-	offs   []uint32 // per id: start of the key bytes in keys
-	ends   []uint32 // per id: end of the key bytes in keys
-	keys   []byte   // arena of all key bytes, appended on insert
+	// offs[id]:offs[id+1] bound key id in keys: ids are dense and the arena is
+	// append-only, so one sentinel (offs[0] = 0, written by the first growTo)
+	// closes the last key.
+	offs []uint32
+	keys []byte // arena of all key bytes, appended on insert
 }
 
 // NewKeyTable returns a table pre-sized for about hint distinct keys.
@@ -52,13 +54,32 @@ func (kt *KeyTable) Reserve(hint int) {
 	}
 }
 
+// ReserveKeys is Reserve plus the per-key arrays: hashes, offsets and the key
+// arena get room for hint keys in one allocation each instead of growing by
+// doubling, the arena at the mean key length so far (9 bytes, one integer
+// key, when empty). For a table known to be headed for about hint keys; the
+// reserved capacity is not charged by MemSize until keys fill it.
+func (kt *KeyTable) ReserveKeys(hint int) {
+	kt.Reserve(hint)
+	if hint <= cap(kt.hashes) {
+		return
+	}
+	per := 9
+	if n := len(kt.hashes); n > 0 {
+		per = (len(kt.keys) + n - 1) / n
+	}
+	kt.hashes = append(make([]uint64, 0, hint), kt.hashes...)
+	kt.offs = append(make([]uint32, 0, hint+1), kt.offs...)
+	kt.keys = append(make([]byte, 0, hint*per), kt.keys...)
+}
+
 // Len returns the number of distinct keys inserted.
 func (kt *KeyTable) Len() int { return len(kt.hashes) }
 
 // Key returns the canonical key bytes of an id. The slice aliases the
 // table's arena and must not be modified.
 func (kt *KeyTable) Key(id int32) []byte {
-	return kt.keys[kt.offs[id]:kt.ends[id]]
+	return kt.keys[kt.offs[id]:kt.offs[id+1]]
 }
 
 // Hash returns the Hash64 the id was inserted under. Together with Key it
@@ -103,9 +124,8 @@ func (kt *KeyTable) Insert(h uint64, key []byte) (id int32, added bool) {
 		if s == 0 {
 			id = int32(len(kt.hashes))
 			kt.hashes = append(kt.hashes, h)
-			kt.offs = append(kt.offs, uint32(len(kt.keys)))
 			kt.keys = append(kt.keys, key...)
-			kt.ends = append(kt.ends, uint32(len(kt.keys)))
+			kt.offs = append(kt.offs, uint32(len(kt.keys)))
 			kt.slots[i] = id + 1
 			return id, true
 		}
@@ -219,9 +239,8 @@ func (kt *KeyTable) insertFrom(i uint64, s int32, h uint64, key []byte) (id int3
 		if s == 0 {
 			id = int32(len(kt.hashes))
 			kt.hashes = append(kt.hashes, h)
-			kt.offs = append(kt.offs, uint32(len(kt.keys)))
 			kt.keys = append(kt.keys, key...)
-			kt.ends = append(kt.ends, uint32(len(kt.keys)))
+			kt.offs = append(kt.offs, uint32(len(kt.keys)))
 			kt.slots[i] = id + 1
 			return id, true
 		}
@@ -237,8 +256,12 @@ func (kt *KeyTable) insertFrom(i uint64, s int32, h uint64, key []byte) (id int3
 func (kt *KeyTable) grow() { kt.growTo(max(16, 2*len(kt.slots))) }
 
 // growTo resizes the slot array to n (a power of two) and re-places every id
-// by its stored hash; key bytes are never touched.
+// by its stored hash; key bytes are never touched. The first call writes the
+// offsets' sentinel: every insert follows one.
 func (kt *KeyTable) growTo(n int) {
+	if len(kt.offs) == 0 {
+		kt.offs = append(kt.offs, 0)
+	}
 	slots := make([]int32, n)
 	mask := uint64(n - 1)
 	for id, h := range kt.hashes {

@@ -199,3 +199,38 @@ func TestKeyTableReserve(t *testing.T) {
 		t.Fatal("non-positive hints must leave the zero value untouched")
 	}
 }
+
+// TestKeyTableReserveKeys: a table whose per-key arrays were reserved mid-fill
+// takes the hinted keys without reallocating them, answers every key like a
+// lazily grown table, and charges MemSize by length exactly as that table
+// does.
+func TestKeyTableReserveKeys(t *testing.T) {
+	var kt, lazy KeyTable
+	var h Hasher
+	insert := func(i int) {
+		hash, key := h.KeyCols(Tuple{Int(int64(i)), Str(fmt.Sprintf("%04d", i))}, []int{0, 1})
+		kt.Insert(hash, key)
+		lazy.Insert(hash, key)
+	}
+	for i := 0; i < 100; i++ {
+		insert(i)
+	}
+	kt.ReserveKeys(5000)
+	hashes, offs, keys := &kt.hashes[:1][0], &kt.offs[:1][0], &kt.keys[:1][0]
+	for i := 100; i < 5000; i++ {
+		insert(i)
+	}
+	if &kt.hashes[0] != hashes || &kt.offs[0] != offs || &kt.keys[0] != keys {
+		t.Fatal("per-key arrays reallocated below the reserved key count")
+	}
+	if kt.MemSize()-len(kt.slots)*4 != lazy.MemSize()-len(lazy.slots)*4 {
+		t.Fatalf("MemSize past the slots: reserved %d, lazy %d",
+			kt.MemSize()-len(kt.slots)*4, lazy.MemSize()-len(lazy.slots)*4)
+	}
+	for i := 0; i < 5000; i++ {
+		hash, key := h.KeyCols(Tuple{Int(int64(i)), Str(fmt.Sprintf("%04d", i))}, []int{0, 1})
+		if id := kt.Lookup(hash, key); id < 0 || string(kt.Key(id)) != string(lazy.Key(lazy.Lookup(hash, key))) {
+			t.Fatalf("key %d: id %d", i, id)
+		}
+	}
+}

@@ -22,7 +22,11 @@ package sip
 // Each catalog also answers one query of the routed fold's shape
 // (oraGenFold), and the sweep counts the aggregations that folded from a
 // routing scan's column vectors and those that folded a router's batches:
-// both must occur.
+// both must occur. It also answers three queries of the shapes projection
+// pushdown must get right (oraGenNarrow) — a non-equi join residual, columns
+// read only by a later join key, only by the output or only by a residual,
+// count(*) over a three-way join — and counts the join sides that emitted
+// fewer columns than they received: some must.
 //
 // A failure names the seed, the SQL and its arguments;
 // SIP_ORACLE_SEED=<seed> reruns one catalog. SIP_ORACLE_SEEDS=<n> widens the
@@ -137,41 +141,48 @@ func TestGeneratedQueryOracle(t *testing.T) {
 	}
 	spill := t.TempDir()
 	t.Setenv("TMPDIR", spill) // the engine's spill directories land here
-	var folds oraFolds
+	var reach oraReach
 	for _, seed := range seeds {
-		oraRunSeed(t, seed, spill, &folds)
+		oraRunSeed(t, seed, spill, &reach)
 	}
-	t.Logf("aggregations folded from a routing scan: %d, from a router: %d", folds.routed, folds.router)
-	if len(seeds) > 1 && (folds.routed == 0 || folds.router == 0) {
-		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d; the sweep must reach both",
-			folds.routed, folds.router)
+	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d",
+		reach.routed, reach.router, reach.narrowed)
+	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0) {
+		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d; the sweep must reach all three",
+			reach.routed, reach.router, reach.narrowed)
 	}
 }
 
-// oraFolds counts the aggregations of the checked cases by where their fold
-// read its input: a routing scan (by row id, from the column vectors) or a
-// router goroutine's batches.
-type oraFolds struct{ routed, router int }
+// oraReach counts what the checked cases reached: aggregations by where their
+// fold read its input — a routing scan (by row id, from the column vectors)
+// or a router goroutine's batches — and join sides that emitted fewer columns
+// than they received.
+type oraReach struct{ routed, router, narrowed int }
 
 // oraRunSeed generates one catalog and checks oraQueriesPerSeed queries over
-// it, then one of the routed fold's shape, drawn from a second stream so the
-// first oraQueriesPerSeed stay what they were.
-func oraRunSeed(t *testing.T, seed int64, spill string, folds *oraFolds) {
+// it, then one of the routed fold's shape and three of the narrowing shapes,
+// each drawn from a stream of its own so the first oraQueriesPerSeed stay
+// what they were.
+func oraRunSeed(t *testing.T, seed int64, spill string, reach *oraReach) {
 	rng := rand.New(rand.NewSource(seed))
 	oc := oraGenCatalog(rng)
-	env := &oraEnv{t: t, eng: NewEngine(oc.cat), spill: spill, folds: folds}
-	for i := 0; i <= oraQueriesPerSeed; i++ {
-		var q *oraQuery
-		var want []types.Tuple
-		if i < oraQueriesPerSeed {
-			q, want = oraGenAnswerable(rng, oc)
-		} else {
-			q = oraGenFold(rand.New(rand.NewSource(^seed)), oc)
-			want, _ = q.eval() // one table: always within the work bounds
-		}
+	env := &oraEnv{t: t, eng: NewEngine(oc.cat), spill: spill, reach: reach}
+	check := func(idx int, q *oraQuery, want []types.Tuple) {
 		sql, args := q.render()
-		c := &oraCase{env: env, seed: seed, idx: i, sql: sql, args: args, want: oraCanon(want)}
+		c := &oraCase{env: env, seed: seed, idx: idx, sql: sql, args: args, want: oraCanon(want)}
 		c.check(rng)
+	}
+	for i := 0; i < oraQueriesPerSeed; i++ {
+		q, want := oraAnswerable(rng, func() *oraQuery { return oraGenQuery(rng, oc) })
+		check(i, q, want)
+	}
+	q := oraGenFold(rand.New(rand.NewSource(^seed)), oc)
+	want, _ := q.eval() // one table: always within the work bounds
+	check(oraQueriesPerSeed, q, want)
+	nr := rand.New(rand.NewSource(-seed))
+	for shape := 0; shape < 3; shape++ {
+		q, want := oraAnswerable(nr, func() *oraQuery { return oraGenNarrow(nr, oc, shape) })
+		check(oraQueriesPerSeed+1+shape, q, want)
 	}
 }
 
@@ -347,10 +358,17 @@ type oraItem struct {
 	post   *oraConst
 }
 
+// oraTheta is a non-equi conjunct across two relations: a join residual.
+type oraTheta struct {
+	l, r oraRef
+	op   string
+}
+
 type oraQuery struct {
 	oc       *oraCatalog
 	rels     []oraRel
 	joins    []oraJoin
+	thetas   []oraTheta
 	where    []oraCmp
 	scalar   *oraScalar
 	grouped  bool
@@ -391,12 +409,12 @@ func (q *oraQuery) kindOf(e *oraExpr) types.Kind {
 	}
 }
 
-// oraGenAnswerable draws queries until one's reference answer stays within
-// the nested-loop evaluator's work budget; three in four empty answers are
+// oraAnswerable draws queries until one's reference answer stays within the
+// nested-loop evaluator's work budget; three in four empty answers are
 // redrawn too (they check little).
-func oraGenAnswerable(rng *rand.Rand, oc *oraCatalog) (*oraQuery, []types.Tuple) {
+func oraAnswerable(rng *rand.Rand, gen func() *oraQuery) (*oraQuery, []types.Tuple) {
 	for {
-		q := oraGenQuery(rng, oc)
+		q := gen()
 		if rows, ok := q.eval(); ok && (len(rows) > 0 || rng.Intn(4) == 0) {
 			return q, rows
 		}
@@ -523,6 +541,57 @@ func oraGenFold(rng *rand.Rand, oc *oraCatalog) *oraQuery {
 		q.items = append(q.items, q.genAgg(rng))
 	}
 	for n := rng.Intn(2); n > 0; n-- {
+		q.where = append(q.where, q.genCmp(rng, q.randRef(rng)))
+	}
+	return q
+}
+
+// oraThetaPairs lists the column pairs a non-equi conjunct may compare: one
+// kind class each, the cross-kind INT < DECIMAL and the NULL-holding b
+// included.
+var oraThetaPairs = [][2]int{
+	{oraA, oraA}, {oraX, oraX}, {oraA, oraX}, {oraX, oraB}, {oraID, oraB}, {oraD, oraD}, {oraS, oraS},
+}
+
+// oraGenNarrow draws the shapes projection pushdown must get right: a chain
+// t ⋈ u ⋈ v whose second join reads a column of u the first does not, so
+// some plan reads it only as a later join key, and, by shape, (0) a non-equi
+// conjunct between t and v — a residual of whichever join meets both, whose
+// columns nothing else reads — under one plain output column; (1) a plain
+// column and an arithmetic expression of one end table, read only by the
+// output; (2) count(*) alone, which needs no payload column at all.
+func oraGenNarrow(rng *rand.Rand, oc *oraCatalog, shape int) *oraQuery {
+	q := &oraQuery{oc: oc}
+	for _, t := range rng.Perm(len(oc.tables))[:3] {
+		q.rels = append(q.rels, oraRel{table: t})
+	}
+	p1 := oraJoinPairs[rng.Intn(len(oraJoinPairs))]
+	p2 := oraJoinPairs[rng.Intn(len(oraJoinPairs))]
+	for p2[0] == p1[1] {
+		p2 = oraJoinPairs[rng.Intn(len(oraJoinPairs))]
+	}
+	q.joins = append(q.joins, oraJoin{oraRef{0, p1[0]}, oraRef{1, p1[1]}}, oraJoin{oraRef{1, p2[0]}, oraRef{2, p2[1]}})
+	switch shape {
+	case 0:
+		th := oraThetaPairs[rng.Intn(len(oraThetaPairs))]
+		if rng.Intn(2) == 0 {
+			th[0], th[1] = th[1], th[0]
+		}
+		op := []string{"<", "<=", ">", ">=", "<>"}[rng.Intn(5)]
+		q.thetas = append(q.thetas, oraTheta{oraRef{0, th[0]}, oraRef{2, th[1]}, op})
+		ref := q.randRef(rng)
+		q.items = append(q.items, oraItem{e: &oraExpr{ref: &ref}})
+	case 1:
+		end := []int{0, 2}[rng.Intn(2)]
+		ref := oraRef{end, rng.Intn(oraNumCols)}
+		l, r := oraRef{end, oraA}, oraRef{end, oraX}
+		q.items = append(q.items, oraItem{e: &oraExpr{ref: &ref}},
+			oraItem{e: &oraExpr{op: '*', l: &oraExpr{ref: &l}, r: &oraExpr{ref: &r}}})
+	default:
+		q.grouped = true
+		q.items = append(q.items, oraItem{agg: "count*"})
+	}
+	if rng.Intn(2) == 0 {
 		q.where = append(q.where, q.genCmp(rng, q.randRef(rng)))
 	}
 	return q
@@ -806,6 +875,10 @@ func (q *oraQuery) render() (string, []types.Value) {
 		w.sb.WriteString(sep + q.colSQL(j.l) + " = " + q.colSQL(j.r))
 		sep = " AND "
 	}
+	for _, th := range q.thetas {
+		w.sb.WriteString(sep + q.colSQL(th.l) + " " + th.op + " " + q.colSQL(th.r))
+		sep = " AND "
+	}
 	q.cmpsSQL(w, q.where, -1, &sep)
 	if s := q.scalar; s != nil {
 		fmt.Fprintf(&w.sb, "%s%s %s (SELECT %s(t%d.%s) FROM t%d WHERE t%d.%s = %s",
@@ -1016,6 +1089,12 @@ func (q *oraQuery) eval() ([]types.Tuple, bool) {
 		j := j
 		preds = append(preds, oraPred{[]int{j.l.rel, j.r.rel}, func(rows []types.Tuple) bool {
 			return oraHolds("=", rows[j.l.rel][j.l.col], rows[j.r.rel][j.r.col])
+		}})
+	}
+	for _, th := range q.thetas {
+		th := th
+		preds = append(preds, oraPred{[]int{th.l.rel, th.r.rel}, func(rows []types.Tuple) bool {
+			return oraHolds(th.op, rows[th.l.rel][th.l.col], rows[th.r.rel][th.r.col])
 		}})
 	}
 	if s := q.scalar; s != nil {
@@ -1245,7 +1324,7 @@ type oraEnv struct {
 	t     *testing.T
 	eng   *Engine
 	spill string
-	folds *oraFolds
+	reach *oraReach
 }
 
 type oraCase struct {
@@ -1262,7 +1341,7 @@ type oraRun struct {
 	rows  []string
 	res   *Result
 	err   error
-	folds oraFolds
+	reach oraReach
 }
 
 func (c *oraCase) fail(label, format string, a ...any) {
@@ -1283,8 +1362,9 @@ func (c *oraCase) check(rng *rand.Rand) {
 		c.same(label, r, c.want)
 		peak = max(peak, r.res.PeakMemBytes)
 		if i == 0 {
-			c.env.folds.routed += r.folds.routed
-			c.env.folds.router += r.folds.router
+			c.env.reach.routed += r.reach.routed
+			c.env.reach.router += r.reach.router
+			c.env.reach.narrowed += r.reach.narrowed
 		}
 	}
 	p1 := strat()
@@ -1386,12 +1466,15 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 		if strings.HasPrefix(op.Routed, "agg:") {
 			routed[op.Routed] = true
 		}
+		if op.Cols < op.Width {
+			out.reach.narrowed++
+		}
 	}
 	for _, r := range routed {
 		if r {
-			out.folds.routed++
+			out.reach.routed++
 		} else {
-			out.folds.router++
+			out.reach.router++
 		}
 	}
 	if out.err == nil && opts.Strategy == FeedForward {
