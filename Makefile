@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet test-race chaos fuzz-wire bench-smoke bench bench-pairs bench-test microbench joinbench exprbench stmtbench filterbench spillbench serverbench benchdiff verify
+.PHONY: all build test vet test-race chaos fuzz bench-smoke bench bench-pairs bench-test microbench joinbench exprbench stmtbench filterbench spillbench serverbench benchdiff verify
 
 all: build
 
@@ -16,7 +16,9 @@ test:
 # bench-smoke: one iteration of the join and aggregation hot-path benchmarks
 # (BenchmarkHashAggFold/{routed,router}: Q17's avg(DECIMAL) GROUP BY INT over
 # 300 k rows into 10 k groups, folded from a routing scan's vectors and from
-# a router's batches) and of the wire client benchmarks
+# a router's batches; BenchmarkJoinSpillMerge: a routed 60 k-row join side
+# spilled at a quarter of its peak and merged against two rows) and of the
+# wire client benchmarks
 # (BenchmarkClientStream/{count,row}: stream_wire's query with a consumer
 # that only counts and one that boxes every row; BenchmarkClientPoint:
 # point_wire's one-row lookup), enough to catch "it no longer runs" and gross
@@ -69,13 +71,15 @@ microbench:
 test-race:
 	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
 
-# fuzz-wire: 30 s of each wire-protocol fuzzer — the payload primitives, the
-# frame layer, and the RowBatch column-run decoder (go test runs one fuzz
-# target per invocation).
-fuzz-wire:
+# fuzz: 30 s of each fuzzer — the wire protocol's payload primitives, frame
+# layer and RowBatch column-run decoder, and the spill run reader over
+# corrupted or truncated run files (go test runs one fuzz target per
+# invocation).
+fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzPayloadReader$$' -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRowBatchDecode$$' -fuzztime 30s
+	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzSpillRun$$' -fuzztime 30s
 
 # chaos: the full fault-injection matrix (seeds × fault profiles ×
 # Fail/Partial × strategies) plus the recovery smoke tests, under the race

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"repro/internal/plan"
 	"repro/internal/spill"
 	"repro/internal/stats"
@@ -104,31 +106,16 @@ func (ac *aggCore) writeGroups() error {
 
 // evict is one bucket-discard of the aggregation partition.
 func (ac *aggCore) evict(ctx *Context, op *stats.OpStats, point *Point) error {
-	if ac.run == nil {
-		dir, err := ctx.SpillDir()
-		if err != nil {
-			return err
-		}
-		run, err := spill.NewRun(dir, "agg")
-		if err != nil {
-			return err
-		}
-		ac.run = run
-	}
-	pre := ac.run.Bytes()
-	if err := ac.writeGroups(); err != nil {
+	if err := ctx.ensureRun(&ac.run, "agg", op); err != nil {
 		return err
 	}
-	if err := ac.run.Flush(); err != nil {
+	if err := ac.writeGroups(); err != nil {
 		return err
 	}
 	ctx.account(-ac.bytes)
 	op.StateBytes.Add(-ac.bytes)
 	ac.bytes = 0
-	n := ac.run.Bytes() - pre
-	ctx.noteSpill(n)
-	op.SpillBytes.Add(n)
-	op.SpillEvents.Inc()
+	ctx.noteEviction(op)
 	if point != nil {
 		point.stateIncomplete.Store(true)
 	}
@@ -154,20 +141,12 @@ func (ac *aggCore) finish(ctx *Context, op *stats.OpStats, arena *rowArena, batc
 		return false
 	}
 
-	pre := ac.run.Bytes()
 	if err := ac.writeGroups(); err != nil {
-		return fail(err)
-	}
-	if err := ac.run.Flush(); err != nil {
 		return fail(err)
 	}
 	ctx.account(-ac.bytes)
 	op.StateBytes.Add(-ac.bytes)
 	ac.bytes = 0
-	if n := ac.run.Bytes() - pre; n > 0 {
-		ctx.spillBytes.Add(n)
-		op.SpillBytes.Add(n)
-	}
 
 	// ac.spilled counts every snapshot of a group, so when evicted groups
 	// re-accumulate it overstates the merged size: F is a sizing hint, not
@@ -183,45 +162,46 @@ func (ac *aggCore) finish(ctx *Context, op *stats.OpStats, arena *rowArena, batc
 		passLimit = 2 * share
 	}
 
-	var rec spill.Record
+	width := ac.gw + len(ac.cols)*aggRecWidth
+	t := make(types.Tuple, width) // the record being merged; its values are copied
 	for f := 0; f < F; f++ {
 		if ctx.Err() != nil {
 			return false
 		}
-		// The selector uses middle hash bits — top bits picked the
-		// partition, low bits index the KeyTable's slots.
-		rd, err := ac.run.Reader()
+		err := readRun(ac.run, op, func(rd *spill.Reader) error {
+			var rec spill.Record
+			for {
+				ok, err := rd.NextKey(&rec)
+				if err != nil || !ok {
+					return err
+				}
+				if subBucket(rec.Hash, F) != f {
+					continue
+				}
+				if rd.Width() != width {
+					return fmt.Errorf("exec: spilled group of %d values, want %d", rd.Width(), width)
+				}
+				if err := rd.DecodeTuple(t); err != nil {
+					return err
+				}
+				id, added := ac.idx.Insert(rec.Hash, rec.Key)
+				if added {
+					kv := t[:ac.gw]
+					ac.keys = append(ac.keys, kv...)
+					ac.groupBytes += ac.charge(kv)
+					ac.grow()
+					if sz := ac.memBytes(); passLimit > 0 && sz > passLimit {
+						return &BudgetError{Op: op.Name, Budget: ctx.MemBudget, Need: 8 * sz}
+					}
+				}
+				for k := range ac.cols {
+					ac.cols[k].merge(id, t[ac.gw+k*aggRecWidth:])
+				}
+			}
+		})
 		if err != nil {
 			return fail(err)
 		}
-		for {
-			ok, err := rd.Next(&rec)
-			if err != nil {
-				rd.Close()
-				return fail(err)
-			}
-			if !ok {
-				break
-			}
-			if int((rec.Hash>>32)&uint64(F-1)) != f {
-				continue
-			}
-			id, added := ac.idx.Insert(rec.Hash, rec.Key)
-			if added {
-				kv := rec.Tuple[:ac.gw]
-				ac.keys = append(ac.keys, kv...)
-				ac.groupBytes += ac.charge(kv)
-				ac.grow()
-				if sz := ac.memBytes(); passLimit > 0 && sz > passLimit {
-					rd.Close()
-					return fail(&BudgetError{Op: op.Name, Budget: ctx.MemBudget, Need: 8 * sz})
-				}
-			}
-			for k := range ac.cols {
-				ac.cols[k].merge(id, rec.Tuple[ac.gw+k*aggRecWidth:])
-			}
-		}
-		rd.Close()
 		passBytes := ac.memBytes()
 		ctx.account(passBytes)
 		op.StateBytes.Add(passBytes)
@@ -285,31 +265,16 @@ func (dc *distinctCore) writeSeen() error {
 
 // evict is one bucket-discard of the distinct partition.
 func (dc *distinctCore) evict(ctx *Context, op *stats.OpStats, point *Point) error {
-	if dc.run == nil {
-		dir, err := ctx.SpillDir()
-		if err != nil {
-			return err
-		}
-		run, err := spill.NewRun(dir, "distinct")
-		if err != nil {
-			return err
-		}
-		dc.run = run
-	}
-	pre := dc.run.Bytes()
-	if err := dc.writeSeen(); err != nil {
+	if err := ctx.ensureRun(&dc.run, "distinct", op); err != nil {
 		return err
 	}
-	if err := dc.run.Flush(); err != nil {
+	if err := dc.writeSeen(); err != nil {
 		return err
 	}
 	ctx.account(-dc.bytes)
 	op.StateBytes.Add(-dc.bytes)
 	dc.bytes = 0
-	n := dc.run.Bytes() - pre
-	ctx.noteSpill(n)
-	op.SpillBytes.Add(n)
-	op.SpillEvents.Inc()
+	ctx.noteEviction(op)
 	if point != nil {
 		point.stateIncomplete.Store(true)
 	}
@@ -331,22 +296,13 @@ func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Ba
 		dc.run = nil
 	}()
 
-	pre := dc.run.Bytes()
 	if err := dc.writeSeen(); err != nil {
-		ctx.CancelCause(err)
-		return false
-	}
-	if err := dc.run.Flush(); err != nil {
 		ctx.CancelCause(err)
 		return false
 	}
 	ctx.account(-dc.bytes)
 	op.StateBytes.Add(-dc.bytes)
 	dc.bytes = 0
-	if n := dc.run.Bytes() - pre; n > 0 {
-		ctx.spillBytes.Add(n)
-		op.SpillBytes.Add(n)
-	}
 
 	// dc.spilled re-counts a key each time it is re-claimed or re-buffered
 	// after an eviction, so it overstates the deduped size: F is a sizing
@@ -363,53 +319,52 @@ func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Ba
 	}
 
 	outBatch := GetBatch()
-	var rec spill.Record
 	for f := 0; f < F; f++ {
 		if ctx.Err() != nil {
 			PutBatch(outBatch)
 			return false
 		}
 		var idx types.KeyTable
-		rd, err := dc.run.Reader()
+		sent := true
+		err := readRun(dc.run, op, func(rd *spill.Reader) error {
+			var rec spill.Record
+			for {
+				ok, err := rd.NextKey(&rec)
+				if err != nil || !ok {
+					return err
+				}
+				if subBucket(rec.Hash, F) != f {
+					continue
+				}
+				_, added := idx.Insert(rec.Hash, rec.Key)
+				if added && passLimit > 0 && int64(idx.MemSize()) > passLimit {
+					return &BudgetError{Op: op.Name, Budget: ctx.MemBudget, Need: 8 * int64(idx.MemSize())}
+				}
+				if !added || rec.Side != 0 {
+					continue
+				}
+				// A winning pending record: its own allocation, safe downstream.
+				t := make(types.Tuple, rd.Width())
+				if err := rd.DecodeTuple(t); err != nil {
+					return err
+				}
+				outBatch.Tuples = append(outBatch.Tuples, t)
+				if len(outBatch.Tuples) == BatchSize {
+					if sent = emit(outBatch); !sent {
+						return nil
+					}
+					outBatch = GetBatch()
+				}
+			}
+		})
 		if err != nil {
 			ctx.CancelCause(err)
 			PutBatch(outBatch)
 			return false
 		}
-		for {
-			ok, err := rd.Next(&rec)
-			if err != nil {
-				rd.Close()
-				ctx.CancelCause(err)
-				PutBatch(outBatch)
-				return false
-			}
-			if !ok {
-				break
-			}
-			if int((rec.Hash>>32)&uint64(F-1)) != f {
-				continue
-			}
-			_, added := idx.Insert(rec.Hash, rec.Key)
-			if added && passLimit > 0 && int64(idx.MemSize()) > passLimit {
-				rd.Close()
-				ctx.CancelCause(&BudgetError{Op: op.Name, Budget: ctx.MemBudget, Need: 8 * int64(idx.MemSize())})
-				PutBatch(outBatch)
-				return false
-			}
-			if added && rec.Side == 0 {
-				// rec.Tuple is freshly allocated per record: safe downstream.
-				outBatch.Tuples = append(outBatch.Tuples, rec.Tuple)
-				if len(outBatch.Tuples) == BatchSize {
-					if !emit(outBatch) {
-						rd.Close()
-						return false
-					}
-					outBatch = GetBatch()
-				}
-			}
+		if !sent {
+			return false
 		}
-		rd.Close()
 		// The pass table peaks once per sub-bucket; charge it at its final
 		// size so the high-water mark reflects the pass.
 		passBytes := int64(idx.MemSize())

@@ -438,6 +438,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		for sb := range pt.in {
 			own, other := inputs[sb.side], inputs[1-sb.side]
 			ownT, otherT := &pt.tables[sb.side], &pt.tables[1-sb.side]
+			pt.srcs[sb.side] = sb.src // what a spilled ref record of this side indexes
 			n := sb.len()
 			base := pt.ticket
 			pt.ticket += uint64(n)
@@ -453,7 +454,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 				ownT.insertBatch(sb, base, ids, added[:n])
 				stored = int64(n)
 				storedBytes = ownT.tupBytes - preTup
-			} else if pt.run != nil {
+			} else if pt.runs[0] != nil {
 				// The partition has spilled: evicted other-side entries may
 				// still match these arrivals, so instead of the plain §VI-A
 				// drop they go to the run under the current epoch.
@@ -563,6 +564,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	feed(j.Left, inputs[0])
 	feed(j.Right, inputs[1])
 	ctx.Spawn(func() {
+		defer close(out) // also when a merge panics: the query fails, not hangs
 		workerWg.Wait()
 		// Merge phase: spilled partitions re-scan their runs and emit the
 		// cross-epoch matches phase 1 could not see. Sequential, so at most
@@ -570,7 +572,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		// are attributed to the left op like the spill counters.
 		var resC *expr.Compiled
 		for _, pt := range parts {
-			if pt.run == nil {
+			if pt.runs[0] == nil {
 				continue
 			}
 			if resC == nil {
@@ -590,7 +592,6 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		for _, pt := range parts {
 			ctx.account(-pt.bytes) // the tables die with the operator
 		}
-		close(out)
 	})
 	return out
 }

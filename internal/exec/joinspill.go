@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/expr"
 	"repro/internal/spill"
 	"repro/internal/stats"
+	"repro/internal/types"
 )
 
 // Bucket-discard spill for the symmetric hash join, through the joinCore
@@ -15,35 +17,48 @@ import (
 //
 // When a partition's accounted state crosses its share of the query budget
 // (Context.memPressure), the whole partition — both side tables together —
-// is serialized to its spill run and the memory reclaimed. The partition's
-// ticket clock at each eviction is recorded as an epoch boundary: an entry's
-// epoch is the number of boundaries smaller than its ticket, so two entries
-// share an epoch exactly when they were co-resident in memory (both sides
-// are always evicted together). Evicting invalidates the in-memory state as
-// an input summary, so both AIP points are marked state-incomplete.
+// is serialized to its spill runs, one per side, and the memory reclaimed.
+// The partition's ticket clock at each eviction is recorded as an epoch
+// boundary: an entry's epoch is the number of boundaries smaller than its
+// ticket, so two entries share an epoch exactly when they were co-resident in
+// memory (both sides are always evicted together). Evicting invalidates the
+// in-memory state as an input summary, so both AIP points are marked
+// state-incomplete.
 //
 // # Exactly-once across phases
 //
 // Phase 1 (arrival-driven probing) emits precisely the match pairs whose two
-// members were co-resident — same epoch. The merge phase re-scans the run
+// members were co-resident — same epoch. The merge phase re-scans the runs
 // and emits only pairs whose epochs differ. The union is every match pair;
 // the intersection is empty; each pair is considered exactly once in the
 // merge because its members sit on opposite sides. The §VI-A short-circuit
 // changes shape on a spilled partition: a tuple arriving after the other
 // input completed may still match evicted entries, so instead of being
-// dropped it is appended to the run under the current epoch (its in-memory
-// matches were already emitted by its phase-1 probe, and they flush under
-// the same epoch, so the merge skips them).
+// dropped it is appended to its side's run under the current epoch (its
+// in-memory matches were already emitted by its phase-1 probe, and they
+// flush under the same epoch, so the merge skips them).
 //
 // # Merge
 //
-// After both inputs are done, each spilled partition flushes its in-memory
-// remainder (final epoch) and is drained as a plain hash join over the run:
+// After both inputs are done, each spilled partition writes its in-memory
+// remainder (final epoch) and is drained as a plain hash join over the runs:
 // the side that spilled fewer payload bytes is built, fanned out into F hash
 // sub-buckets so one build table fits the merge share (Context.mergeShare),
-// and the other side streams past it. F is capped at spillMaxFanout; a
-// budget too small for even the maximum fan-out fails the query with a
-// typed *BudgetError instead of thrashing.
+// and the other side's run streams past it. F is capped at spillMaxFanout; a
+// budget too small for even the maximum fan-out fails the query with a typed
+// *BudgetError instead of thrashing.
+//
+// A pass reads only its own side's run, and reads record headers first
+// (spill.Reader.NextKey): a record of another sub-bucket, or a probe record
+// whose key the build table lacks, is skipped without decoding its values.
+// Build tuples are decoded into a per-pass arena; a probe tuple only once it
+// has a cross-epoch match. The entries of a side fed by a routing scan index
+// the scanned table's rows, which stay resident for the whole query, so its
+// records carry the row id (spill.Record.Ref) instead of the row, and the
+// merge resolves them through the side's rowSource. Accounting is the
+// same either way: an eviction releases the tables' charged bytes, and the
+// rebuilt build table charges each tuple's MemSize, so the budget sees the
+// same state whichever form the records take.
 
 // joinEntryBytes is the fixed footprint of a joinTable entry (ticket, chain
 // link, tuple index); tupleHeaderBytes that of a header in a table's own row
@@ -74,10 +89,11 @@ type joinCore struct {
 	tables [2]joinTable // indexed by side
 	ticket uint64
 
-	bytes      int64      // accounted in-memory state bytes of this partition
-	run        *spill.Run // nil until the first eviction
-	boundaries []uint64   // ticket clock at each eviction, ascending
-	spilled    [2]int64   // cumulative spilled tuple payload bytes per side
+	bytes      int64         // accounted in-memory state bytes of this partition
+	runs       [2]*spill.Run // per side; nil until the first eviction
+	srcs       [2]*rowSource // per side fed by a routing scan: what its refs index
+	boundaries []uint64      // ticket clock at each eviction, ascending
+	spilled    [2]int64      // cumulative spilled tuple payload bytes per side
 }
 
 // memBytes is the partition's current accounted footprint.
@@ -91,24 +107,8 @@ func epochOf(boundaries []uint64, seq uint64) int {
 	return sort.Search(len(boundaries), func(i int) bool { return boundaries[i] >= seq })
 }
 
-// ensureRun lazily creates the partition's spill run.
-func (jc *joinCore) ensureRun(ctx *Context, pattern string) error {
-	if jc.run != nil {
-		return nil
-	}
-	dir, err := ctx.SpillDir()
-	if err != nil {
-		return err
-	}
-	run, err := spill.NewRun(dir, pattern)
-	if err != nil {
-		return err
-	}
-	jc.run = run
-	return nil
-}
-
-// writeTables appends both side tables to the run and resets them. The
+// writeTables appends each side table to its run and resets them. A table
+// over a routing scan's rows writes row ids, an own store the tuples. The
 // caller owns boundary bookkeeping and byte accounting.
 func (jc *joinCore) writeTables() error {
 	var rec spill.Record
@@ -121,8 +121,12 @@ func (jc *joinCore) writeTables() error {
 			for e := t.heads[id]; e != 0; {
 				ent := &t.entries[e-1]
 				rec.Seq = ent.seq
-				rec.Tuple = t.rows[ent.ref]
-				if err := jc.run.Append(&rec); err != nil {
+				if t.own {
+					rec.Ref, rec.Tuple = 0, t.rows[ent.ref]
+				} else {
+					rec.Ref, rec.Tuple = uint64(ent.ref)+1, nil
+				}
+				if err := jc.runs[s].Append(&rec); err != nil {
 					return err
 				}
 				e = ent.next
@@ -134,30 +138,26 @@ func (jc *joinCore) writeTables() error {
 	return nil
 }
 
-// evict is one bucket-discard: both side tables go to the run under a new
+// evict is one bucket-discard: both side tables go to their runs under a new
 // epoch boundary, the memory is released, and both AIP points are marked
 // state-incomplete (the in-memory state no longer summarizes the inputs).
 func (jc *joinCore) evict(ctx *Context, ops [2]*stats.OpStats, points [2]*Point) error {
-	if err := jc.ensureRun(ctx, "join"); err != nil {
-		return err
+	for s := range jc.runs {
+		if err := ctx.ensureRun(&jc.runs[s], "join", ops[0]); err != nil {
+			jc.closeRuns() // both or neither
+			return err
+		}
 	}
-	pre := jc.run.Bytes()
 	for s := range jc.tables {
 		ops[s].StateBytes.Add(-jc.tables[s].memBytes())
 	}
 	if err := jc.writeTables(); err != nil {
 		return err
 	}
-	if err := jc.run.Flush(); err != nil {
-		return err
-	}
 	jc.boundaries = append(jc.boundaries, jc.ticket)
 	ctx.account(-jc.bytes)
 	jc.bytes = 0
-	n := jc.run.Bytes() - pre
-	ctx.noteSpill(n)
-	ops[0].SpillBytes.Add(n)
-	ops[0].SpillEvents.Inc()
+	ctx.noteEviction(ops[0])
 	for _, p := range points {
 		if p != nil {
 			p.stateIncomplete.Store(true)
@@ -166,10 +166,20 @@ func (jc *joinCore) evict(ctx *Context, ops [2]*stats.OpStats, points [2]*Point)
 	return nil
 }
 
-// spillArrivals appends one scatter straight to the run under the current
-// epoch: the partition has spilled, so these post-short-circuit arrivals may
-// still match evicted other-side entries in the merge. Their in-memory
-// matches were already emitted by the caller's phase-1 probe.
+// closeRuns closes and removes the partition's runs.
+func (jc *joinCore) closeRuns() {
+	for s, run := range jc.runs {
+		if run != nil {
+			run.Close()
+			jc.runs[s] = nil
+		}
+	}
+}
+
+// spillArrivals appends one scatter straight to its side's run under the
+// current epoch: the partition has spilled, so these post-short-circuit
+// arrivals may still match evicted other-side entries in the merge. Their
+// in-memory matches were already emitted by the caller's phase-1 probe.
 func (jc *joinCore) spillArrivals(sb *scatter, base uint64) error {
 	var rec spill.Record
 	rec.Side = uint8(sb.side)
@@ -177,8 +187,12 @@ func (jc *joinCore) spillArrivals(sb *scatter, base uint64) error {
 		rec.Seq = base + uint64(i) + 1
 		rec.Hash = sb.hashes[i]
 		rec.Key = sb.key(i)
-		rec.Tuple = sb.tuple(i)
-		if err := jc.run.Append(&rec); err != nil {
+		if sb.src != nil {
+			rec.Ref = uint64(sb.rids[i]) + 1
+		} else {
+			rec.Tuple = sb.tuples[i]
+		}
+		if err := jc.runs[sb.side].Append(&rec); err != nil {
 			return err
 		}
 	}
@@ -192,23 +206,22 @@ func (jc *joinCore) spillArrivals(sb *scatter, base uint64) error {
 // mergeSpill drains a spilled partition after input-done, emitting exactly
 // the cross-epoch match pairs phase 1 could not see, gathered through g.
 // emit receives dense or selection-carrying batches ready to send downstream
-// (residual already applied) and reports false on cancellation. mergeSpill returns false when
-// the query failed or was cancelled; it closes and removes the run either
-// way. Callers pass their own compiled residual (expr.Compiled carries
-// scratch and is not concurrency-safe).
+// (residual already applied) and reports false on cancellation. mergeSpill
+// returns false when the query failed or was cancelled; it closes and
+// removes the runs either way. Callers pass their own compiled residual
+// (expr.Compiled carries scratch and is not concurrency-safe).
 func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName string, g *rowGather, resC *expr.Compiled, emit func(Batch) bool) bool {
-	if jc.run == nil {
+	if jc.runs[0] == nil {
 		return true
 	}
 	defer func() {
-		jc.run.Close()
-		jc.run = nil
+		jc.closeRuns()
+		jc.srcs = [2]*rowSource{}
 	}()
 
-	// Flush the in-memory remainder under the final epoch (no new boundary:
+	// Write the in-memory remainder under the final epoch (no new boundary:
 	// these entries share their epoch with any post-short-circuit arrivals
 	// already appended, whose phase-1 probes saw them in memory).
-	pre := jc.run.Bytes()
 	for s := range jc.tables {
 		ops[s].StateBytes.Add(-jc.tables[s].memBytes())
 	}
@@ -216,16 +229,8 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 		ctx.CancelCause(err)
 		return false
 	}
-	if err := jc.run.Flush(); err != nil {
-		ctx.CancelCause(err)
-		return false
-	}
 	ctx.account(-jc.bytes)
 	jc.bytes = 0
-	if n := jc.run.Bytes() - pre; n > 0 {
-		ctx.spillBytes.Add(n)
-		ops[0].SpillBytes.Add(n)
-	}
 
 	// Build over the side that spilled fewer payload bytes, fanned out into
 	// F hash sub-buckets sized so one rebuilt table (~2x payload, counting
@@ -246,7 +251,6 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 	}
 
 	buildIsLeft := build == 0
-	probe := 1 - build
 	outBatch := GetBatch()
 	flush := func() bool {
 		if len(outBatch.Tuples) == 0 {
@@ -272,84 +276,45 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 		PutBatch(outBatch)
 		return false
 	}
-
 	var arena rowArena
-	var rec spill.Record
+	pair := func(b, p types.Tuple) bool {
+		l, r := p, b
+		if buildIsLeft {
+			l, r = b, p
+		}
+		outBatch.Tuples = append(outBatch.Tuples, arena.gather(g, l, r))
+		return len(outBatch.Tuples) < BatchSize || flush()
+	}
+
+	var scratch types.Tuple // the probe tuple being matched
 	for f := 0; f < F; f++ {
 		if ctx.Err() != nil {
 			PutBatch(outBatch)
 			return false
 		}
-		// Pass 1: build this sub-bucket's table from the build side. The
-		// sub-bucket selector uses middle hash bits — the top bits picked the
-		// partition and the low bits index the KeyTable's slots.
 		var bt joinTable
-		rd, err := jc.run.Reader()
+		var tuples rowArena // this pass's decoded build tuples
+		err := readRun(jc.runs[build], ops[0], func(rd *spill.Reader) error {
+			return jc.buildSub(rd, build, f, F, &bt, &tuples)
+		})
 		if err != nil {
 			return fail(err)
 		}
-		for {
-			ok, err := rd.Next(&rec)
-			if err != nil {
-				rd.Close()
-				return fail(err)
-			}
-			if !ok {
-				break
-			}
-			if int(rec.Side) != build || int((rec.Hash>>32)&uint64(F-1)) != f {
-				continue
-			}
-			bt.insert(rec.Hash, rec.Key, rec.Tuple, rec.Seq)
-		}
-		rd.Close()
 		passBytes := bt.memBytes()
 		ctx.account(passBytes)
 		ops[build].StateBytes.Add(passBytes)
-
-		// Pass 2: stream the probe side past it, emitting cross-epoch pairs.
-		// Chains are walked directly (not probeID) because the epoch check
-		// needs each entry's ticket, not just a ticket ceiling.
-		rd, err = jc.run.Reader()
-		if err == nil {
-			for {
-				var ok bool
-				ok, err = rd.Next(&rec)
-				if err != nil || !ok {
-					break
-				}
-				if int(rec.Side) != probe || int((rec.Hash>>32)&uint64(F-1)) != f {
-					continue
-				}
-				pe := epochOf(jc.boundaries, rec.Seq)
-				id := bt.idx.Lookup(rec.Hash, rec.Key)
-				if id < 0 {
-					continue
-				}
-				for e := bt.heads[id]; e != 0; {
-					ent := &bt.entries[e-1]
-					if epochOf(jc.boundaries, ent.seq) != pe {
-						l, r := rec.Tuple, bt.rows[ent.ref]
-						if buildIsLeft {
-							l, r = r, l
-						}
-						outBatch.Tuples = append(outBatch.Tuples, arena.gather(g, l, r))
-						if len(outBatch.Tuples) == BatchSize && !flush() {
-							rd.Close()
-							ctx.account(-passBytes)
-							ops[build].StateBytes.Add(-passBytes)
-							return false
-						}
-					}
-					e = ent.next
-				}
-			}
-			rd.Close()
-		}
+		sent := true
+		err = readRun(jc.runs[1-build], ops[0], func(rd *spill.Reader) (err error) {
+			sent, err = jc.probeSub(rd, 1-build, f, F, &bt, &scratch, pair)
+			return err
+		})
 		ctx.account(-passBytes)
 		ops[build].StateBytes.Add(-passBytes)
 		if err != nil {
 			return fail(err)
+		}
+		if !sent {
+			return false
 		}
 	}
 	if !flush() {
@@ -357,4 +322,77 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 	}
 	PutBatch(outBatch)
 	return true
+}
+
+// buildSub rebuilds sub-bucket f of F of side s's run into bt, decoding
+// tuple records into arena.
+func (jc *joinCore) buildSub(rd *spill.Reader, s, f, F int, bt *joinTable, arena *rowArena) error {
+	var rec spill.Record
+	for {
+		ok, err := rd.NextKey(&rec)
+		if err != nil || !ok {
+			return err
+		}
+		if subBucket(rec.Hash, F) != f {
+			continue
+		}
+		t, err := jc.resolve(rd, &rec, s, arena.alloc(rd.Width()))
+		if err != nil {
+			return err
+		}
+		bt.insert(rec.Hash, rec.Key, t, rec.Seq)
+	}
+}
+
+// probeSub streams sub-bucket f of F of side s's run past bt and hands each
+// cross-epoch match to pair (build tuple, probe tuple); a probe record is
+// resolved, into *scratch, only once it has one. Chains are walked directly
+// (not probeID) because the epoch check needs each entry's ticket, not just
+// a ticket ceiling. It reports false when pair did (cancelled).
+func (jc *joinCore) probeSub(rd *spill.Reader, s, f, F int, bt *joinTable, scratch *types.Tuple, pair func(build, probe types.Tuple) bool) (bool, error) {
+	var rec spill.Record
+	for {
+		ok, err := rd.NextKey(&rec)
+		if err != nil || !ok {
+			return true, err
+		}
+		if subBucket(rec.Hash, F) != f {
+			continue
+		}
+		id := bt.idx.Lookup(rec.Hash, rec.Key)
+		if id < 0 {
+			continue
+		}
+		pe := epochOf(jc.boundaries, rec.Seq)
+		var pt types.Tuple
+		resolved := false
+		for e := bt.heads[id]; e != 0; e = bt.entries[e-1].next {
+			ent := &bt.entries[e-1]
+			if epochOf(jc.boundaries, ent.seq) == pe {
+				continue
+			}
+			if !resolved {
+				*scratch = growVals(*scratch, rd.Width())
+				if pt, err = jc.resolve(rd, &rec, s, *scratch); err != nil {
+					return false, err
+				}
+				resolved = true
+			}
+			if !pair(bt.rows[ent.ref], pt) {
+				return false, nil
+			}
+		}
+	}
+}
+
+// resolve returns the tuple of the record rd last returned on side s: a ref
+// record's row of the side's table, or the values decoded into dst.
+func (jc *joinCore) resolve(rd *spill.Reader, rec *spill.Record, s int, dst types.Tuple) (types.Tuple, error) {
+	if rec.Ref == 0 {
+		return dst, rd.DecodeTuple(dst)
+	}
+	if src := jc.srcs[s]; src != nil && rec.Ref <= uint64(len(src.rows)) {
+		return src.rows[rec.Ref-1], nil
+	}
+	return nil, fmt.Errorf("exec: spilled row ref %d has no row on join side %d", rec.Ref, s)
 }

@@ -3,6 +3,9 @@ package exec
 import (
 	"fmt"
 	"os"
+
+	"repro/internal/spill"
+	"repro/internal/stats"
 )
 
 // Memory accounting and the spill-file lifecycle for one query.
@@ -41,11 +44,52 @@ func (c *Context) SpillBytes() int64 { return c.spillBytes.Load() }
 // SpillEvents returns the number of bucket-discard evictions.
 func (c *Context) SpillEvents() int64 { return c.spillEvents.Load() }
 
-// noteSpill records one eviction (or merge write-back) of n run bytes.
-func (c *Context) noteSpill(n int64) {
-	c.spillBytes.Add(n)
+// noteEviction records one bucket-discard eviction of op.
+func (c *Context) noteEviction(op *stats.OpStats) {
 	c.spillEvents.Add(1)
+	op.SpillEvents.Inc()
 }
+
+// ensureRun creates *run, unless it exists, in the query's spill directory.
+// Every frame the run writes counts toward the query's and op's SpillBytes,
+// so they are the bytes written to every run, whichever call cut the frame.
+func (c *Context) ensureRun(run **spill.Run, pattern string, op *stats.OpStats) error {
+	if *run != nil {
+		return nil
+	}
+	dir, err := c.SpillDir()
+	if err != nil {
+		return err
+	}
+	r, err := spill.NewRun(dir, pattern)
+	if err != nil {
+		return err
+	}
+	r.OnWrite = func(n int64) {
+		c.spillBytes.Add(n)
+		op.SpillBytes.Add(n)
+	}
+	*run = r
+	return nil
+}
+
+// readRun opens a pass over run, hands it to pass, and counts the frame
+// bytes it read toward op's SpillRead.
+func readRun(run *spill.Run, op *stats.OpStats, pass func(rd *spill.Reader) error) error {
+	rd, err := run.Reader()
+	if err != nil {
+		return err
+	}
+	err = pass(rd)
+	op.SpillRead.Add(rd.Bytes())
+	rd.Close()
+	return err
+}
+
+// subBucket is the merge sub-bucket of hash h among F (a power of two): its
+// middle bits — the top bits picked the partition and the low bits index a
+// KeyTable's slots.
+func subBucket(h uint64, F int) int { return int((h >> 32) & uint64(F-1)) }
 
 // addMemParts registers n budget-accounted partitions: every stateful
 // operator (join, aggregation, distinct) declares its partition count at

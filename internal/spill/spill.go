@@ -14,11 +14,22 @@
 // nothing (readers come after the writer's Flush) and re-read any number of
 // times — the executor's merge phase makes one pass per hash sub-bucket.
 //
-// Record values are encoded kind-tagged: integer-backed kinds as zigzag
-// varints, floats as raw IEEE bits, strings length-prefixed, NULL as a bare
-// tag. The encoding is exact — a decoded Record compares equal to what was
-// appended — which is what lets capped (spilling) executions return
-// byte-identical results to unbounded ones.
+// A record is a header — side, ticket, key hash and key bytes — and a body,
+// one of: nothing (a key-only record), a Ref (row id + 1 of a row the reader
+// can resolve itself, such as a base-table row resident for the whole query,
+// written in place of the tuple), or a tuple whose values are prefixed by
+// their encoded byte length. The prefix is what makes a header-only scan
+// cheap: Reader.NextKey decodes the header and skips the values without
+// touching them, so a merge pass that rejects most records — another
+// sub-bucket, no matching key — pays neither their decode nor an allocation,
+// and decodes the survivors with DecodeTuple. Reader.Next is the full decode
+// through the same path.
+//
+// Values are encoded kind-tagged: integer-backed kinds as zigzag varints,
+// floats as raw IEEE bits, strings length-prefixed, NULL as a bare tag. The
+// encoding is exact — a decoded Record compares equal to what was appended —
+// which is what lets capped (spilling) executions return byte-identical
+// results to unbounded ones.
 //
 // Temp-file lifecycle is owned by the caller: runs are created inside a
 // caller-supplied directory (the executor uses one temp dir per query,
@@ -29,6 +40,7 @@ package spill
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -42,14 +54,19 @@ import (
 // two inputs (join build sides; the distinct operator reuses it to mark
 // already-emitted keys), Seq is the entry's partition ticket (the symmetric
 // join's arrival clock), Hash/Key are the entry's hash-table identity, and
-// Tuple is the stored row (nil for key-only records).
+// Tuple is the stored row (nil for key-only records). A non-zero Ref is
+// written in place of Tuple: row id + 1 of a row the reader resolves itself.
 type Record struct {
 	Side  uint8
 	Seq   uint64
 	Hash  uint64
 	Key   []byte
+	Ref   uint64
 	Tuple types.Tuple
 }
+
+// maxRef bounds Record.Ref: row ids are 32-bit.
+const maxRef = 1 << 32
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -69,6 +86,9 @@ type Run struct {
 	payload []byte // current frame under construction
 	bytes   int64  // total frame bytes written (header + payload)
 	records int64
+
+	// OnWrite, when set, is called with the size of every frame written.
+	OnWrite func(n int64)
 }
 
 // NewRun creates a run file inside dir (pattern names the operator for
@@ -85,6 +105,9 @@ func NewRun(dir, pattern string) (*Run, error) {
 // disk when it reaches the target size. The record's Key and Tuple are
 // copied by encoding; the caller may reuse them immediately.
 func (r *Run) Append(rec *Record) error {
+	if rec.Ref > maxRef {
+		return fmt.Errorf("spill: ref %d out of range", rec.Ref)
+	}
 	r.payload = appendRecord(r.payload, rec)
 	r.records++
 	if len(r.payload) >= frameTarget {
@@ -113,8 +136,12 @@ func (r *Run) cut() error {
 	if _, err := r.f.Write(r.payload); err != nil {
 		return fmt.Errorf("spill: write frame: %w", err)
 	}
-	r.bytes += int64(8 + len(r.payload))
+	n := int64(8 + len(r.payload))
+	r.bytes += n
 	r.payload = r.payload[:0]
+	if r.OnWrite != nil {
+		r.OnWrite(n)
+	}
 	return nil
 }
 
@@ -149,28 +176,54 @@ func (r *Run) Reader() (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: reopen run: %w", err)
 	}
-	return &Reader{br: bufio.NewReaderSize(f, 64<<10), f: f}, nil
+	return &Reader{br: bufio.NewReaderSize(f, 64<<10), f: f, remain: r.bytes}, nil
 }
 
 // Reader decodes a Run front to back in append order.
 type Reader struct {
-	br    *bufio.Reader
-	f     *os.File
-	frame []byte // current verified frame payload
-	off   int    // decode cursor into frame
+	br     *bufio.Reader
+	f      *os.File
+	hdr    [8]byte
+	remain int64  // flushed bytes not yet read: a frame may not claim more
+	read   int64  // frame bytes read so far
+	frame  []byte // current verified frame payload
+	off    int    // decode cursor into frame
+
+	// The body of the record NextKey last returned.
+	vals  []byte // its encoded values
+	width int    // their count
+	tuple bool   // whether it carries a tuple (possibly of zero values)
 }
 
 // Next decodes the next record into rec, returning false at end of run.
 // rec.Key aliases the reader's frame buffer and is valid until the next
-// Next call; rec.Tuple is freshly allocated.
+// Next call; rec.Tuple is freshly allocated (nil for a key-only or ref
+// record).
 func (rd *Reader) Next(rec *Record) (bool, error) {
+	ok, err := rd.NextKey(rec)
+	if !ok || err != nil || !rd.tuple {
+		return ok, err
+	}
+	t := make(types.Tuple, rd.width)
+	if err := rd.DecodeTuple(t); err != nil {
+		return false, err
+	}
+	rec.Tuple = t
+	return true, nil
+}
+
+// NextKey decodes the next record's header — Side, Seq, Hash, Key, Ref —
+// into rec and skips its values, returning false at end of run. rec.Tuple is
+// set to nil; until the next call, DecodeTuple decodes the skipped values.
+// rec.Key aliases the reader's frame buffer, as with Next.
+func (rd *Reader) NextKey(rec *Record) (bool, error) {
 	for rd.off >= len(rd.frame) {
 		ok, err := rd.nextFrame()
 		if err != nil || !ok {
 			return false, err
 		}
 	}
-	n, err := decodeRecord(rd.frame[rd.off:], rec)
+	n, err := rd.header(rd.frame[rd.off:], rec)
 	if err != nil {
 		return false, err
 	}
@@ -178,17 +231,27 @@ func (rd *Reader) Next(rec *Record) (bool, error) {
 	return true, nil
 }
 
-// nextFrame reads and CRC-verifies the next frame; false means clean EOF.
+// Width returns the number of values of the record NextKey last returned (0
+// for a key-only or ref record).
+func (rd *Reader) Width() int { return rd.width }
+
+// Bytes returns the frame bytes this reader has read so far.
+func (rd *Reader) Bytes() int64 { return rd.read }
+
+// nextFrame reads and CRC-verifies the next frame; false means clean EOF,
+// which is only where the flushed frames end.
 func (rd *Reader) nextFrame() (bool, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(rd.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return false, nil
-		}
-		return false, fmt.Errorf("spill: frame header: %w", err)
+	if rd.remain == 0 {
+		return false, nil
 	}
-	size := binary.LittleEndian.Uint32(hdr[0:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
+	if _, err := io.ReadFull(rd.br, rd.hdr[:]); err != nil {
+		return false, fmt.Errorf("spill: truncated run, frame header: %w", err)
+	}
+	size := binary.LittleEndian.Uint32(rd.hdr[0:])
+	want := binary.LittleEndian.Uint32(rd.hdr[4:])
+	if int64(size) > rd.remain-8 {
+		return false, fmt.Errorf("spill: frame of %d bytes overruns the run", size)
+	}
 	if cap(rd.frame) < int(size) {
 		rd.frame = make([]byte, size)
 	}
@@ -199,6 +262,8 @@ func (rd *Reader) nextFrame() (bool, error) {
 	if got := crc32.Checksum(rd.frame, castagnoli); got != want {
 		return false, fmt.Errorf("spill: frame checksum mismatch (got %08x, want %08x)", got, want)
 	}
+	rd.remain -= 8 + int64(size)
+	rd.read += 8 + int64(size)
 	rd.off = 0
 	return true, nil
 }
@@ -209,20 +274,30 @@ func (rd *Reader) Close() error { return rd.f.Close() }
 // Record encoding, inside a frame:
 //
 //	side u8 · seq uvarint · hash fixed64 · keyLen uvarint · key bytes ·
-//	ncols+1 uvarint (0 = nil tuple) · per value: kind u8 + payload
+//	ref uvarint (0 = none; else the record ends here) ·
+//	ncols+1 uvarint (0 = no tuple; else:) · valLen uvarint · values
 //
-// Value payloads: NULL none; INT/DATE/BOOL zigzag varint; FLOAT raw IEEE
-// bits fixed64; STRING uvarint length + bytes.
+// Values are valLen bytes, per value kind u8 + payload: NULL none;
+// INT/DATE/BOOL zigzag varint; FLOAT raw IEEE bits fixed64; STRING uvarint
+// length + bytes.
 func appendRecord(dst []byte, rec *Record) []byte {
 	dst = append(dst, rec.Side)
 	dst = binary.AppendUvarint(dst, rec.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, rec.Hash)
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Key)))
 	dst = append(dst, rec.Key...)
+	dst = binary.AppendUvarint(dst, rec.Ref)
+	if rec.Ref != 0 {
+		return dst
+	}
 	if rec.Tuple == nil {
 		return binary.AppendUvarint(dst, 0)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(rec.Tuple))+1)
+	// The values' length is known once they are encoded: reserve one byte,
+	// which holds it below 128, and shift the values when it takes more.
+	mark := len(dst)
+	dst = append(dst, 0)
 	for _, v := range rec.Tuple {
 		dst = append(dst, byte(v.K))
 		switch v.K {
@@ -238,81 +313,107 @@ func appendRecord(dst []byte, rec *Record) []byte {
 			panic(fmt.Sprintf("spill: unencodable kind %v", v.K))
 		}
 	}
+	vlen := len(dst) - mark - 1
+	if vlen < 0x80 {
+		dst[mark] = byte(vlen)
+		return dst
+	}
+	var lb [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(lb[:], uint64(vlen))
+	dst = append(dst, lb[1:n]...)
+	copy(dst[mark+n:], dst[mark+1:mark+1+vlen])
+	copy(dst[mark:], lb[:n])
 	return dst
 }
 
-var errCorrupt = fmt.Errorf("spill: corrupt record encoding")
+var errCorrupt = errors.New("spill: corrupt record encoding")
 
-// decodeRecord decodes one record from b (which starts at a record
-// boundary), returning the encoded length. rec.Key aliases b.
-func decodeRecord(b []byte, rec *Record) (int, error) {
-	if len(b) < 1 {
+// uvarint decodes the uvarint at b[off:], returning it and the offset past
+// it; ok is false when b holds none there.
+func uvarint(b []byte, off int) (v uint64, next int, ok bool) {
+	v, n := binary.Uvarint(b[off:])
+	return v, off + n, n > 0
+}
+
+// header decodes the header of the record b starts with into rec and notes
+// its body, returning the record's encoded length. rec.Key aliases b. A
+// tuple's value count is checked against its byte length (every value takes
+// at least a byte), so Width never exceeds the frame.
+func (rd *Reader) header(b []byte, rec *Record) (int, error) {
+	rec.Side, rec.Tuple = b[0], nil
+	rd.vals, rd.width, rd.tuple = nil, 0, false
+	seq, off, ok := uvarint(b, 1)
+	if !ok || len(b)-off < 8 {
 		return 0, errCorrupt
 	}
-	rec.Side = b[0]
-	off := 1
-	seq, n := binary.Uvarint(b[off:])
-	if n <= 0 {
-		return 0, errCorrupt
-	}
-	off += n
 	rec.Seq = seq
-	if len(b) < off+8 {
-		return 0, errCorrupt
-	}
 	rec.Hash = binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	klen, n := binary.Uvarint(b[off:])
-	if n <= 0 || len(b) < off+n+int(klen) {
+	klen, off, ok := uvarint(b, off+8)
+	if !ok || uint64(len(b)-off) < klen {
 		return 0, errCorrupt
 	}
-	off += n
 	rec.Key = b[off : off+int(klen)]
-	off += int(klen)
-	ncols, n := binary.Uvarint(b[off:])
-	if n <= 0 {
+	if rec.Ref, off, ok = uvarint(b, off+int(klen)); !ok || rec.Ref > maxRef {
 		return 0, errCorrupt
 	}
-	off += n
-	if ncols == 0 {
-		rec.Tuple = nil
+	if rec.Ref != 0 {
 		return off, nil
 	}
-	t := make(types.Tuple, ncols-1)
-	for i := range t {
-		if len(b) <= off {
-			return 0, errCorrupt
+	ncols, off, ok := uvarint(b, off)
+	if !ok {
+		return 0, errCorrupt
+	}
+	if ncols == 0 {
+		return off, nil
+	}
+	vlen, off, ok := uvarint(b, off)
+	if !ok || uint64(len(b)-off) < vlen || ncols-1 > vlen {
+		return 0, errCorrupt
+	}
+	rd.vals, rd.width, rd.tuple = b[off:off+int(vlen)], int(ncols-1), true
+	return off + int(vlen), nil
+}
+
+// DecodeTuple decodes the values of the record NextKey last returned into
+// dst, which must hold Width() values; strings are copied out of the frame.
+// The values must fill their encoded length exactly.
+func (rd *Reader) DecodeTuple(dst types.Tuple) error {
+	b, off := rd.vals, 0
+	for i := range dst[:rd.width] {
+		if off >= len(b) {
+			return errCorrupt
 		}
 		k := types.Kind(b[off])
 		off++
 		switch k {
 		case types.KindNull:
-			t[i] = types.Null()
+			dst[i] = types.Null()
 		case types.KindInt, types.KindDate, types.KindBool:
 			v, n := binary.Varint(b[off:])
 			if n <= 0 {
-				return 0, errCorrupt
+				return errCorrupt
 			}
 			off += n
-			t[i] = types.Value{K: k, I: v}
+			dst[i] = types.Value{K: k, I: v}
 		case types.KindFloat:
-			if len(b) < off+8 {
-				return 0, errCorrupt
+			if len(b)-off < 8 {
+				return errCorrupt
 			}
-			t[i] = types.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[off:])))
+			dst[i] = types.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[off:])))
 			off += 8
 		case types.KindString:
-			slen, n := binary.Uvarint(b[off:])
-			if n <= 0 || len(b) < off+n+int(slen) {
-				return 0, errCorrupt
+			slen, next, ok := uvarint(b, off)
+			if !ok || uint64(len(b)-next) < slen {
+				return errCorrupt
 			}
-			off += n
-			t[i] = types.Str(string(b[off : off+int(slen)]))
-			off += int(slen)
+			off = next + int(slen)
+			dst[i] = types.Str(string(b[next:off]))
 		default:
-			return 0, fmt.Errorf("spill: unknown value kind %d", k)
+			return fmt.Errorf("spill: unknown value kind %d", k)
 		}
 	}
-	rec.Tuple = t
-	return off, nil
+	if off != len(b) {
+		return errCorrupt
+	}
+	return nil
 }

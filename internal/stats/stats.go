@@ -84,9 +84,11 @@ type OpStats struct {
 	WastedBytes Counter // modeled bytes consumed by attempts that failed
 
 	// SpillBytes counts bytes this operator wrote to spill runs under memory
-	// pressure; SpillEvents counts its bucket-discard evictions. Partitioned
-	// two-input operators (the join) carry both on their left-side block.
+	// pressure, SpillRead the bytes its merge read back from them, and
+	// SpillEvents its bucket-discard evictions. Partitioned two-input
+	// operators (the join) carry all three on their left-side block.
 	SpillBytes  Counter
+	SpillRead   Counter
 	SpillEvents Counter
 
 	// Routed names, on a scan that routed for its consumer (hashing keys
@@ -119,6 +121,7 @@ func (o *OpStats) reset() {
 	o.Retries.reset()
 	o.WastedBytes.reset()
 	o.SpillBytes.reset()
+	o.SpillRead.reset()
 	o.SpillEvents.reset()
 	o.parts = nil
 }
@@ -384,7 +387,7 @@ func (r *Registry) Report() string {
 			if parts != "" {
 				parts += " "
 			}
-			parts += fmt.Sprintf("spills=%d spill-bytes=%dB", se, op.SpillBytes.Load())
+			parts += fmt.Sprintf("spills=%d spill-bytes=%dB spill-read=%dB", se, op.SpillBytes.Load(), op.SpillRead.Load())
 		}
 		out += fmt.Sprintf("%-40s %10d %10d %10d %12d %s\n",
 			op.Name, op.In.Load(), op.Out.Load(), op.Pruned.Load(), op.StateBytes.Peak(), parts)
