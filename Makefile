@@ -32,10 +32,13 @@ bench-smoke:
 bench:
 	bash bench/run.sh
 
-# bench-pairs: alternating parent/change pairs of one workload — the protocol
-# bench/README.md demands of a gain claim — with each side's median and
-# quartiles and the win count per end-to-end metric; see the script's header.
+# bench-pairs: alternating parent/change pairs of one workload or a
+# comma-separated list — the protocol bench/README.md demands of a gain
+# claim — with each side's median and quartiles and the win count per
+# end-to-end metric, and each side's failed/attempted totals, per workload;
+# see the script's header.
 #   make bench-pairs WORKLOAD=q17_baseline PAIRS=10 ARGS="--dataseed 777"
+#   make bench-pairs WORKLOAD=point_wire,stream_wire PAIRS=5
 WORKLOAD ?= q17_baseline
 PAIRS ?= 10
 bench-pairs:

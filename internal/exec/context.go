@@ -44,18 +44,30 @@
 //     the vectors by row id. A header is resolved only for an emitted match
 //     (then the residual), a new group's key, OnStore, a spill write, the
 //     state iterator, or an argument no vector backs.
-//   - Start order (startorder.go): under an AIP controller a wired scan
-//     holds its first chunk until every input fed only by sources at least
-//     startOrderRatio (8) times smaller is Done and the controller has
-//     attached what it built from it. A filter pays in proportion to how
+//   - Start order (startorder.go): a wired scan holds its first chunk until
+//     some inputs are Done and published (the controller, if any, has
+//     attached what it built from them). The sibling wait, under every
+//     strategy: the other input of the join the scan feeds, when its sources
+//     are at least siblingWaitRatio (4) times smaller — it then completes
+//     first, and the §VI-A short-circuit leaves the scan's side probe-only,
+//     so the big input is never buffered (on Q4A at SF 0.05 the lineitem side
+//     otherwise buffers up to all 300 k rows, 97 MB). The filter wait, under
+//     an AIP controller: every input whose sources are at least
+//     filterWaitRatio (8) times smaller. A filter pays in proportion to how
 //     early it arrives (§VI), and a scan that routes from vectors outruns
 //     its small siblings otherwise: on Q17 5–11 k lineitem rows slipped past
-//     part's filter, on Q1A a quarter of partsupp. It cannot deadlock: a
-//     scan waits only for inputs fed by strictly smaller sources, which
-//     complete on the progress of the scans below them alone (those wait
-//     only for still smaller ones): routers and workers consume what arrives
-//     without waiting for a sibling input, and a scan that ends early (an
-//     abandoned source) still completes its input.
+//     part's filter, on Q1A a quarter of partsupp. The filter wait needs the
+//     wider gap because what it buys depends on how much the filter prunes;
+//     the sibling wait buys a whole input's state. An input with no rank
+//     (SourceRows 0: a paced, delayed, fault-injected or remote source below
+//     it) never waits and is never waited on. It cannot deadlock: every wait
+//     goes from an input to one with strictly fewer source rows, and an
+//     input's publication depends only on the scans below it, whose sources
+//     are no bigger and which wait only for still smaller inputs — a
+//     well-founded order, so no cycle. Only scans wait: routers and workers
+//     consume what arrives without waiting for a sibling input, a wait ends
+//     on cancellation, and a scan that ends early (an abandoned source)
+//     still completes its input.
 //   - The root edge: a root Project of plain column references directly
 //     over such a scan is not started (StartPlan): the scan emits row-id
 //     batches (see Batch), up to scanChunkRows survivors as int32 row ids

@@ -448,6 +448,10 @@ type Point struct {
 	// RankSources, read by start order (startorder.go).
 	SourceRows int
 
+	// sibling is the other input of the join this input belongs to (nil
+	// otherwise); linked by RankSources, read by start order's sibling wait.
+	sibling *Point
+
 	// DomainDistinct estimates, per input column, the number of distinct
 	// values in the column's attribute domain (used for filter
 	// selectivity estimation); 0 means unknown.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -398,38 +399,77 @@ func (c *publishCtl) PointDone(p *Point) {
 	c.to.Bank.Attach([]int{0}, hs)
 }
 
-// startOrderPlan joins a big scan (keys i%1000, nBig rows) with a small one
-// (keys 0, 97, 194, …, nSmall rows), both wired and ranked by their row
-// counts, under a publishCtl from the small input to the big one. hold, when
-// non-nil, keeps the small side from streaming until it returns true of the
-// big input's point.
-func startOrderPlan(nSmall, nBig int, hold func(big *Point) bool) (*HashJoin, *Context) {
-	mk := func(name string, n, mul int) (*Scan, *Point) {
-		rows := make([]types.Tuple, n)
-		for i := range rows {
-			rows[i] = types.Tuple{types.Int(int64(i * mul % 1000)), types.Int(int64(i))}
-		}
-		sch := intSchema("k", "x")
-		pt := routedPoint(name, sch, []int{0})
-		pt.SourceRows, pt.Tables = n, []string{name}
-		sc := &Scan{Name: name, Table: name, Rows: rows, Sch: sch, Point: pt,
-			Vecs: &catalog.Table{Name: name, Schema: sch, Rows: rows}}
-		return sc, pt
+// soPlan builds start-order test plans: wired scans of (k, x) rows joined on
+// k, ranked as the optimizer ranks a plan (RankSources) and registered on a
+// context of P = 2.
+type soPlan struct {
+	points []*Point
+	held   []func() // rank an input behind a gated op, which RankSources does not see through
+}
+
+// scan returns a wired scan of n rows, k = i*mul % 1000 and x = i, and the
+// point it feeds.
+func (p *soPlan) scan(name string, n, mul int) (*Scan, *Point) {
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i * mul % 1000)), types.Int(int64(i))}
 	}
-	big, bigPt := mk("big", nBig, 1)
-	small, smallPt := mk("small", nSmall, 97)
+	sch := intSchema("k", "x")
+	pt := p.point(name, sch)
+	pt.Tables = []string{name}
+	return &Scan{Name: name, Table: name, Rows: rows, Sch: sch, Point: pt,
+		Vecs: &catalog.Table{Name: name, Schema: sch, Rows: rows}}, pt
+}
+
+// point returns a join input keyed on column 0.
+func (p *soPlan) point(name string, sch *types.Schema) *Point {
+	pt := routedPoint(name, sch, []int{0})
+	p.points = append(p.points, pt)
+	return pt
+}
+
+// join joins l and r on their column 0.
+func (p *soPlan) join(name string, l Op, lp *Point, r Op, rp *Point) *HashJoin {
+	j := NewHashJoin(name, l, r, []int{0}, []int{0}, AllCols(l, r), nil)
+	j.LPoint, j.RPoint = lp, rp
+	return j
+}
+
+// hold has in stream only once cond holds; pt, the input it feeds, is ranked
+// as in.
+func (p *soPlan) hold(in Op, pt *Point, cond func() bool) Op {
+	p.held = append(p.held, func() { pt.SourceRows = RankSources(in) })
+	return &gated{child: in, cond: cond}
+}
+
+// context ranks the plan under root and registers its points under ctl (nil:
+// Baseline).
+func (p *soPlan) context(root Op, ctl Controller) *Context {
+	RankSources(root)
+	for _, rank := range p.held {
+		rank()
+	}
+	ctx := NewContext(stats.NewRegistry(), ctl)
+	ctx.Parallelism = 2
+	for _, pt := range p.points {
+		ctx.Register(pt)
+	}
+	return ctx
+}
+
+// startOrderPlan joins a big scan (keys i%1000, nBig rows) with a small one
+// (keys 0, 97, 194, …, nSmall rows). hold, when non-nil, keeps the small side
+// from streaming until it returns true of the big input's point. The small
+// scan is returned unranked, so a leg can still pace it.
+func startOrderPlan(nSmall, nBig int, hold func(big *Point) bool) (*soPlan, *HashJoin, *Scan) {
+	p := &soPlan{}
+	big, bigPt := p.scan("big", nBig, 1)
+	small, smallPt := p.scan("small", nSmall, 97)
 	var right Op = small
 	if hold != nil {
-		right = &gated{child: small, cond: func() bool { return hold(bigPt) }}
+		right = p.hold(small, smallPt, func() bool { return hold(bigPt) })
 	}
-	j := NewHashJoin("j", big, right, []int{0}, []int{0}, AllCols(big, right), nil)
-	j.LPoint, j.RPoint = bigPt, smallPt
-	reg := stats.NewRegistry()
-	ctx := NewContext(reg, &publishCtl{from: smallPt, to: bigPt})
-	ctx.Parallelism = 2
-	ctx.Register(bigPt)
-	ctx.Register(smallPt)
-	return j, ctx
+	return p, p.join("j", big, bigPt, right, smallPt), small
 }
 
 // runTimed runs the plan and fails the test if it does not return in time.
@@ -455,30 +495,46 @@ func runTimed(t *testing.T, ctx *Context, root Op, limit time.Duration) ([]types
 	}
 }
 
-// TestStartOrder: under a controller a wired scan waits for the inputs fed
-// by tables at least startOrderRatio times smaller, so their filters exist
-// before its first row — which makes what it emits a function of the data,
-// not of the race; at a smaller gap it does not wait; a cancellation ends
-// the wait at once and leaks nothing; and a small source abandoned under
-// PartialOnSourceError still completes its input, so nothing hangs.
+// TestStartOrder: a wired scan holds its first chunk for its join sibling
+// when the sibling's sources are at least siblingWaitRatio times smaller
+// (under every strategy), and under a controller for every input whose
+// sources are at least filterWaitRatio times smaller. The small side then
+// completes first, so the big side stores nothing, and the filters exist
+// before the big scan's first row, which makes what it emits a function of
+// the data, not of the race. It does not wait at a smaller gap, for a sibling
+// whose own sources are as big, or for an unranked (paced) sibling; a
+// cancellation ends the wait at once and leaks nothing; a small source
+// abandoned under PartialOnSourceError still completes its input; and a scan
+// honours a filter wait and a sibling wait together.
 func TestStartOrder(t *testing.T) {
 	bigOp := func(ctx *Context) (scan, in *stats.OpStats) {
 		return findOp(ctx.Stats, "scan:big"), findOp(ctx.Stats, "join:j.left")
 	}
+	publish := func(j *HashJoin) Controller { return &publishCtl{from: j.RPoint, to: j.LPoint} }
+	waited := func(label string, ctx *Context, want ...string) {
+		t.Helper()
+		if scan, _ := bigOp(ctx); !slices.Equal(scan.WaitedFor, want) {
+			t.Fatalf("%s: big scan waited %v for %v, want %v", label, scan.Waited, scan.WaitedFor, want)
+		}
+	}
 
-	// 10 rows against 10 k: every run emits exactly the rows of the 10 keys.
+	// Under a controller, 10 rows against 10 k: the big scan waits for its
+	// sibling, whose filter then exists — every run emits exactly the rows of
+	// the 10 keys and its side stores none of them.
 	var want []string
 	for i := 0; i < 20; i++ {
-		j, ctx := startOrderPlan(10, 10_000, nil)
+		p, j, _ := startOrderPlan(10, 10_000, nil)
+		ctx := p.context(j, publish(j))
 		rows, err := runTimed(t, ctx, j, 10*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		scan, in := bigOp(ctx)
-		if scan.Out.Load() != 100 || in.PreFilter.Load() != 0 {
-			t.Fatalf("run %d: big scan emitted %d rows with %d before any filter; want the 100 rows of the 10 keys and none",
-				i, scan.Out.Load(), in.PreFilter.Load())
+		if scan.Out.Load() != 100 || in.PreFilter.Load() != 0 || in.StateRows.Load() != 0 {
+			t.Fatalf("run %d: big scan emitted %d rows with %d before any filter, its side stored %d; want the 100 rows of the 10 keys, none early, none stored",
+				i, scan.Out.Load(), in.PreFilter.Load(), in.StateRows.Load())
 		}
+		waited(fmt.Sprintf("run %d", i), ctx, "join:j.right")
 		if i == 0 {
 			want = rowStrings(rows)
 		}
@@ -488,21 +544,78 @@ func TestStartOrder(t *testing.T) {
 		t.Fatalf("%d result rows, want 100", len(want))
 	}
 
-	// 2 500 rows against 10 k is a 4× gap: the big scan must not wait. The
-	// small side streams only once the big input is done, so a wait would
-	// hang until gated's safety deadline.
-	j, ctx := startOrderPlan(2_500, 10_000, (*Point).Done)
+	// Under Baseline, 2 500 rows against 10 k is a 4× gap: the big scan waits
+	// for its sibling, which has then completed, so the §VI-A short-circuit
+	// leaves the big side probe-only: it stores and allocates nothing.
+	for i := 0; i < 5; i++ {
+		p, j, _ := startOrderPlan(2_500, 10_000, nil)
+		ctx := p.context(j, nil)
+		rows, err := runTimed(t, ctx, j, 10*time.Second)
+		scan, in := bigOp(ctx)
+		if err != nil || len(rows) != 25_000 || scan.In.Load() != 10_000 || in.StateRows.Load() != 0 || in.StateBytes.Peak() != 0 {
+			t.Fatalf("4× sibling, run %d: %d rows (want 25000), err %v; big scan read %d, its side stored %d rows, %d B at peak; want 10000 read, nothing stored",
+				i, len(rows), err, scan.In.Load(), in.StateRows.Load(), in.StateBytes.Peak())
+		}
+		waited(fmt.Sprintf("4× sibling, run %d", i), ctx, "join:j.right")
+	}
+
+	// 3 000 rows against 10 k is under 4×: the big scan must not wait. The
+	// small side streams only once the big input is done, so a wait would hang
+	// until gated's safety deadline.
+	p, j, _ := startOrderPlan(3_000, 10_000, (*Point).Done)
+	ctx := p.context(j, nil)
 	if _, err := runTimed(t, ctx, j, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if scan, in := bigOp(ctx); scan.Out.Load() != 10_000 || in.PreFilter.Load() != 10_000 {
-		t.Fatalf("4× gap: big scan emitted %d rows, %d before any filter; want all 10000 unfiltered",
-			scan.Out.Load(), in.PreFilter.Load())
+	if _, in := bigOp(ctx); in.StateRows.Load() != 10_000 {
+		t.Fatalf("under 4×: big side stored %d rows, want all 10000 (its sibling came after)", in.StateRows.Load())
+	}
+	waited("under 4×", ctx)
+
+	// The Q17 shape: the sibling joins 10 rows with a second 10 k scan, so its
+	// largest source is as big as the scan's and the big scan must not wait
+	// (held as above). The inner join's own big scan does wait for its sibling.
+	p = &soPlan{}
+	big, bigPt := p.scan("big", 10_000, 1)
+	small, smallPt := p.scan("small", 10, 97)
+	big2, big2Pt := p.scan("big2", 10_000, 1)
+	inner := p.join("i", small, smallPt, big2, big2Pt)
+	innerPt := p.point("i", inner.Schema())
+	j = p.join("j", big, bigPt, p.hold(inner, innerPt, bigPt.Done), innerPt)
+	ctx = p.context(j, nil)
+	if _, err := runTimed(t, ctx, j, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	waited("Q17 shape", ctx)
+	if w := findOp(ctx.Stats, "scan:big2").WaitedFor; !slices.Equal(w, []string{"join:i.left"}) {
+		t.Fatalf("Q17 shape: the inner big scan waited for %v, want its 10-row sibling", w)
 	}
 
-	// Cancelled while waiting: the small side never streams.
+	// A paced sibling is unranked (SourceRows 0) and never waited on, under
+	// either strategy: the big scan starts before the sibling is done (held as
+	// above).
+	for _, ctl := range []bool{false, true} {
+		p, j, small := startOrderPlan(10, 10_000, (*Point).Done)
+		small.BytesPerSec = 1 << 30
+		var c Controller
+		if ctl {
+			c = publish(j)
+		}
+		ctx := p.context(j, c)
+		if n := j.RPoint.SourceRows; n != 0 {
+			t.Fatalf("paced sibling ranked %d", n)
+		}
+		if _, err := runTimed(t, ctx, j, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		waited(fmt.Sprintf("paced sibling, controller=%v", ctl), ctx)
+	}
+
+	// Cancelled while waiting on its sibling under Baseline (the sibling never
+	// streams): the wait ends at once and leaks nothing.
 	baseline := runtime.NumGoroutine()
-	j, ctx = startOrderPlan(10, 10_000, func(*Point) bool { return false })
+	p, j, _ = startOrderPlan(10, 10_000, func(*Point) bool { return false })
+	ctx = p.context(j, nil)
 	time.AfterFunc(20*time.Millisecond, ctx.Cancel)
 	if _, err := runTimed(t, ctx, j, 5*time.Second); err == nil {
 		t.Fatal("cancelled run reported no error")
@@ -512,10 +625,10 @@ func TestStartOrder(t *testing.T) {
 	}
 	waitGoroutines(t, baseline)
 
-	// The small source abandoned: its scan ends at once and its input still
-	// completes (truncated, so nothing is published from it), which lets the
-	// big scan go.
-	j, ctx = startOrderPlan(10, 10_000, nil)
+	// The small source abandoned under Baseline: its scan ends at once and its
+	// input still completes (truncated), which releases the big scan.
+	p, j, _ = startOrderPlan(10, 10_000, nil)
+	ctx = p.context(j, nil)
 	ctx.Recovery.Mode = PartialOnSourceError
 	ctx.FailSource(&SourceError{Table: "small", Cause: errors.New("gone")})
 	rows, err := runTimed(t, ctx, j, 5*time.Second)
@@ -524,5 +637,55 @@ func TestStartOrder(t *testing.T) {
 	}
 	if scan, _ := bigOp(ctx); scan.In.Load() != 10_000 {
 		t.Fatalf("abandoned small source: big scan read %d rows, want 10000", scan.In.Load())
+	}
+
+	// A filter wait and a sibling wait on one scan: under a controller the big
+	// scan of top(j(big, sib), tiny) waits for sib (2 000 rows, a 5× gap: a
+	// sibling wait only) and for tiny (1 250 rows, an 8× gap: a filter wait;
+	// sib is too close to wait for it). Holding either back holds the big scan.
+	for _, held := range []string{"sib", "tiny"} {
+		p := &soPlan{}
+		var release atomic.Bool
+		big, bigPt := p.scan("big", 10_000, 1)
+		sib, sibPt := p.scan("sib", 2_000, 97)
+		tiny, tinyPt := p.scan("tiny", 1_250, 97)
+		var sibIn, tinyIn Op = sib, tiny
+		free := sibPt // the awaited input that is not held back
+		if held == "sib" {
+			sibIn, free = p.hold(sib, sibPt, release.Load), tinyPt
+		} else {
+			tinyIn = p.hold(tiny, tinyPt, release.Load)
+		}
+		j := p.join("j", big, bigPt, sibIn, sibPt)
+		jPt := p.point("j", j.Schema())
+		top := p.join("top", j, jPt, tinyIn, tinyPt)
+		ctx := p.context(top, &publishCtl{})
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(ctx, top)
+			done <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); !free.Done(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s held: the other awaited input never completed", held)
+			}
+		}
+		time.Sleep(20 * time.Millisecond) // time a scan that did not wait would have used
+		if n := findOp(ctx.Stats, "scan:big").In.Load(); n != 0 {
+			t.Fatalf("%s held: big scan read %d rows", held, n)
+		}
+		release.Store(true)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s held: plan still running after its release", held)
+		}
+		if scan := findOp(ctx.Stats, "scan:big"); !slices.Contains(scan.WaitedFor, "join:j.right") ||
+			!slices.Contains(scan.WaitedFor, "join:top.right") || scan.Waited < 20*time.Millisecond {
+			t.Fatalf("%s held: big scan waited %v for %v, want ≥ 20ms for join:j.right and join:top.right", held, scan.Waited, scan.WaitedFor)
+		}
 	}
 }

@@ -323,7 +323,7 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		} else {
 			defer func() { rt.done(ctx.Err() == nil) }()
 		}
-		if !ctx.awaitSmaller(s.Point) {
+		if !ctx.awaitStart(s.Point, op) {
 			return
 		}
 		w := s.newWorker(s.splitScanPred(pred))

@@ -336,9 +336,13 @@ func (sess *session) runQuery(sql string, stmt *sip.Stmt, args []sip.Value) bool
 	return sess.streamRows(rows)
 }
 
-// Tuple batches coalesce into frames of frameRows rows, cut early at about
-// frameBytes so wide rows cannot build outsized frames. Do not raise
-// frameRows: a paced source's first frame waits for that many rows.
+// Tuple batches coalesce into frames of frameRows rows, cut early once the
+// pending rows' upper bound — 11 B a value (a tag and ≤ 10 bytes) plus string
+// bytes — reaches frameBytes, so wide rows cannot build outsized frames: a
+// frame stays within frameBytes plus one row's bound. The bound overshoots
+// the encoding, so rows wider than 23 columns (23 × 11 × 256 < 64 KiB)
+// always cut before frameRows (TestFrameByteCut). Do not raise frameRows: a
+// paced source's first frame waits for that many rows.
 const frameRows, frameBytes = 256, 64 << 10
 
 // streamRows encodes the cursor's batches straight into wire frames: Schema,

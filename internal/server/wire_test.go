@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -165,6 +167,93 @@ func TestWireFraming(t *testing.T) {
 		for i, row := range kept {
 			if g := row.String(); g != keptWant[i] {
 				t.Fatalf("%s: kept row %d changed: %s, was %s", q.sql, i, g, keptWant[i])
+			}
+		}
+	}
+}
+
+// teeConn copies what the client reads into seen, so a test can split the
+// stream into frames afterwards.
+type teeConn struct {
+	net.Conn
+	seen *bytes.Buffer
+}
+
+func (c teeConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.seen.Write(p[:n])
+	return n, err
+}
+
+// TestFrameByteCut pins the byte cut of coalesced tuple frames: streamRows
+// bounds a pending row at 11 B a value plus its string bytes, so every
+// RowBatch frame of 1 000 rows of long INTs stays within frameBytes plus one
+// row's bound, and each frame but the last carries the rows that reach
+// frameBytes — fewer than frameRows once a row is wider than 23 columns.
+func TestFrameByteCut(t *testing.T) {
+	for _, width := range []int{23, 24, 30} {
+		names := make([]string, width)
+		cols := make([]types.Column, width)
+		for i := range cols {
+			names[i] = fmt.Sprint("c", i)
+			cols[i] = types.Column{Table: "w", Name: names[i], Kind: types.KindInt}
+		}
+		rows := make([]types.Tuple, 1000) // ≤ InlineMaxRows: tuple batches, coalesced
+		for i := range rows {
+			rows[i] = make(types.Tuple, width)
+			for c := range rows[i] {
+				rows[i][c] = types.Int(int64(i*width+c) << 40)
+			}
+		}
+		cat := tables.New()
+		cat.Add(&tables.Table{Name: "w", Schema: types.NewSchema(cols...), Rows: rows})
+		_, addr := startServer(t, Config{Engine: sip.NewEngine(cat)})
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen bytes.Buffer
+		c, err := NewClient(teeConn{conn, &seen}, DialConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		rs, err := c.Query(context.Background(), "SELECT "+strings.Join(names, ", ")+" FROM w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(drainAll(t, rs)); n != len(rows) {
+			t.Fatalf("width %d: %d rows, want %d", width, n, len(rows))
+		}
+		bound := 11 * width
+		want := min(frameRows, (frameBytes+bound-1)/bound)
+		if (want < frameRows) != (width > 23) {
+			t.Fatalf("width %d: %d rows a frame — the 23-column threshold moved", width, want)
+		}
+		var perFrame []int
+		for {
+			typ, payload, err := readFrame(&seen, DefaultMaxFrame)
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if typ != frameRowBatch {
+				continue
+			}
+			if size := frameHeaderLen + len(payload); size > frameBytes+bound {
+				t.Fatalf("width %d: a %d B frame, over frameBytes + one row's bound (%d B)", width, size, frameBytes+bound)
+			}
+			n, _ := binary.Uvarint(payload)
+			perFrame = append(perFrame, int(n))
+		}
+		if len(perFrame) != (len(rows)+want-1)/want {
+			t.Fatalf("width %d: frames of %v rows, want %d a frame", width, perFrame, want)
+		}
+		for _, n := range perFrame[:len(perFrame)-1] {
+			if n != want {
+				t.Fatalf("width %d: frames of %v rows, want %d a frame", width, perFrame, want)
 			}
 		}
 	}

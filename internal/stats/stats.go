@@ -96,6 +96,12 @@ type OpStats struct {
 	// partition workers), the consumer input's stats block; empty otherwise.
 	Routed string
 
+	// Waited is how long a scan held its first chunk for start order, and
+	// WaitedFor the stats blocks of the inputs it waited for; set once, by the
+	// scan's goroutine, before its first row.
+	Waited    time.Duration
+	WaitedFor []string
+
 	// Cols and Width are set on a join side: the columns it contributes to
 	// the join's emitted row out of the columns it receives (0/0 otherwise).
 	Cols, Width int
@@ -106,6 +112,7 @@ type OpStats struct {
 // reset returns the block to its zero state for reuse (registry pooling).
 func (o *OpStats) reset() {
 	o.Name, o.Class, o.Routed = "", "", ""
+	o.Waited, o.WaitedFor = 0, nil
 	o.Cols, o.Width = 0, 0
 	o.In.reset()
 	o.Out.reset()
@@ -357,6 +364,12 @@ func (r *Registry) Report() string {
 		}
 		if op.Routed != "" {
 			parts += "routed→" + op.Routed
+		}
+		if len(op.WaitedFor) > 0 {
+			if parts != "" {
+				parts += " "
+			}
+			parts += fmt.Sprintf("waited=%.2fms→%s", float64(op.Waited)/float64(time.Millisecond), strings.Join(op.WaitedFor, ","))
 		}
 		if op.Width > 0 {
 			if parts != "" {

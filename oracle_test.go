@@ -15,6 +15,8 @@ package sip
 //   - under Feed-forward, a wired scan that started after every filter it can
 //     receive was published (start order) has pruned at the source: its
 //     consumer has nothing left to prune;
+//   - every start-order wait goes to an input with strictly fewer source
+//     rows, so the waits cannot form a cycle;
 //   - after every query the engine is quiescent: the goroutine count is back
 //     where it was, no tracked state byte is left accounted, and no spill
 //     directory survives.
@@ -145,19 +147,20 @@ func TestGeneratedQueryOracle(t *testing.T) {
 	for _, seed := range seeds {
 		oraRunSeed(t, seed, spill, &reach)
 	}
-	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d",
-		reach.routed, reach.router, reach.narrowed)
-	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0) {
-		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d; the sweep must reach all three",
-			reach.routed, reach.router, reach.narrowed)
+	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d",
+		reach.routed, reach.router, reach.narrowed, reach.waited)
+	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0 || reach.waited == 0) {
+		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d; the sweep must reach all four",
+			reach.routed, reach.router, reach.narrowed, reach.waited)
 	}
 }
 
 // oraReach counts what the checked cases reached: aggregations by where their
 // fold read its input — a routing scan (by row id, from the column vectors)
-// or a router goroutine's batches — and join sides that emitted fewer columns
-// than they received.
-type oraReach struct{ routed, router, narrowed int }
+// or a router goroutine's batches — join sides that emitted fewer columns
+// than they received, and scans that waited for their join sibling (Baseline
+// runs, so no filter wait is counted).
+type oraReach struct{ routed, router, narrowed, waited int }
 
 // oraRunSeed generates one catalog and checks oraQueriesPerSeed queries over
 // it, then one of the routed fold's shape and three of the narrowing shapes,
@@ -1365,6 +1368,7 @@ func (c *oraCase) check(rng *rand.Rand) {
 			c.env.reach.routed += r.reach.routed
 			c.env.reach.router += r.reach.router
 			c.env.reach.narrowed += r.reach.narrowed
+			c.env.reach.waited += r.reach.waited
 		}
 	}
 	p1 := strat()
@@ -1458,6 +1462,7 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 		}
 	}
 	c.quiescent(label, rows, before)
+	out.reach.waited = c.startWaits(label, rows)
 	routed := map[string]bool{} // per aggregation: whether a scan routed for it
 	for _, op := range rows.ectx.Stats.Ops() {
 		if strings.HasPrefix(op.Name, "agg:") && !routed[op.Name] {
@@ -1504,16 +1509,34 @@ func (c *oraCase) quiescent(label string, rows *Rows, before int) {
 	}
 }
 
-// startOrderRatio restates exec's start-order rule: a wired scan waits for
-// every input whose sources are at least this many times smaller.
-const oraStartOrderRatio = 8
+// startWaits fails unless every start-order wait edge of the run — from an
+// input to one its wired scan holds its first chunk for — goes to an input
+// with some, and strictly fewer, source rows: the order that makes the waits
+// acyclic. It returns how many scans waited.
+func (c *oraCase) startWaits(label string, rows *Rows) int {
+	c.env.t.Helper()
+	for _, pt := range rows.ectx.Points() {
+		for _, q := range rows.ectx.StartWaits(pt) {
+			if q.SourceRows <= 0 || q.SourceRows >= pt.SourceRows {
+				c.fail(label, "start order: %s (%d source rows) waits for %s (%d source rows)",
+					pt.Name, pt.SourceRows, q.Name, q.SourceRows)
+			}
+		}
+	}
+	waited := 0
+	for _, op := range rows.ectx.Stats.Ops() {
+		if len(op.WaitedFor) > 0 {
+			waited++
+		}
+	}
+	return waited
+}
 
 // sourcePruning: a wired scan (one that probes its consumer's filters per
 // chunk) which started after every filter its consumer can receive was
-// published — every stateful input it does not feed has sources at least
-// oraStartOrderRatio times smaller, so start order held the scan back until
-// Feed-forward had attached their filters — probes against the bank its
-// consumer's router probes again, so the router must prune nothing: every
+// published — start order held it back for every stateful input it does not
+// feed, so Feed-forward had attached their filters — probes against the bank
+// its consumer's router probes again, so the router must prune nothing: every
 // pruned row was pruned at the source (received − In, the rows the scan
 // dropped on the point's behalf).
 func (c *oraCase) sourcePruning(label string, p *enginePlan, rows *Rows) {
@@ -1525,12 +1548,12 @@ func (c *oraCase) sourcePruning(label string, p *enginePlan, rows *Rows) {
 		if _, ok := wired[pt.Name]; !ok || pt.Op == nil {
 			continue
 		}
-		early := true
+		early, waits := true, rows.ectx.StartWaits(pt)
 		for _, q := range points {
 			if q == pt || slices.Contains(pt.Ancestors, q) || !q.Stateful {
 				continue
 			}
-			if q.SourceRows == 0 || q.SourceRows*oraStartOrderRatio > pt.SourceRows {
+			if !slices.Contains(waits, q) {
 				early = false
 				break
 			}
