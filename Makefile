@@ -22,10 +22,15 @@ test:
 # (BenchmarkClientStream/{count,row}: stream_wire's query with a consumer
 # that only counts and one that boxes every row; BenchmarkClientPoint:
 # point_wire's one-row lookup), enough to catch "it no longer runs" and gross
-# allocation regressions.
+# allocation regressions; and briefly the two kernels under stream_wire
+# (BenchmarkSiftVec: the scan's branch-free typed predicate at 1/50/99%
+# selectivity; BenchmarkRowBatchCodec: a RowBatch frame encoded from vectors
+# and from tuples, and validated + boxed, in ns a value).
 bench-smoke:
 	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkJoin|BenchmarkHashAggFold' -benchmem -benchtime 1x
 	$(GO) test ./internal/server -run '^$$' -bench BenchmarkClient -benchmem -benchtime 1x
+	$(GO) test ./internal/expr -run '^$$' -bench BenchmarkSiftVec -benchtime 2000x
+	$(GO) test ./internal/server -run '^$$' -bench BenchmarkRowBatchCodec -benchmem -benchtime 2000x
 
 # bench: the repo's benchmark (BENCHMARK.json): every workload, timed and
 # traced, SQL text over loopback TCP; see bench/README.md.
@@ -75,13 +80,14 @@ test-race:
 	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
 
 # fuzz: 30 s of each fuzzer — the wire protocol's payload primitives, frame
-# layer and RowBatch column-run decoder, and the spill run reader over
-# corrupted or truncated run files (go test runs one fuzz target per
-# invocation).
+# layer, RowBatch column-run decoder and fixed-width integer run codec, and
+# the spill run reader over corrupted or truncated run files (go test runs
+# one fuzz target per invocation).
 fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzPayloadReader$$' -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzRowBatchDecode$$' -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzIntRun$$' -fuzztime 30s
 	$(GO) test ./internal/spill -run '^$$' -fuzz '^FuzzSpillRun$$' -fuzztime 30s
 
 # chaos: the full fault-injection matrix (seeds × fault profiles ×

@@ -1,6 +1,10 @@
 package expr
 
-import "repro/internal/types"
+import (
+	"slices"
+
+	"repro/internal/types"
+)
 
 // ColumnVectors is a base table's typed-vector view as a scan sees it:
 // IntVec returns a column whose every row holds the same integer-backed
@@ -20,7 +24,7 @@ type VecCmp struct {
 	ci         int64
 	floats     []float64
 	cf         float64
-	lt, eq, gt bool // which three-way outcomes satisfy the operator
+	eq, dl, dg int // 1 if equal satisfies the operator; 1 where less / greater differ
 }
 
 // CompileVecCmp lowers e to a vector kernel when it is a comparison between
@@ -47,8 +51,8 @@ func CompileVecCmp(e Expr, vecs ColumnVectors) *VecCmp {
 	if !okCol || !okConst {
 		return nil
 	}
-	k := &VecCmp{}
-	k.lt, k.eq, k.gt = cmpWants(op)
+	lt, eq, gt := cmpWants(op)
+	k := &VecCmp{eq: b2i(eq), dl: b2i(lt != eq), dg: b2i(gt != eq)}
 	if ints, kind := vecs.IntVec(col.Idx); ints != nil {
 		if c.V.K != kind || (kind != types.KindInt && kind != types.KindDate) {
 			return nil
@@ -70,31 +74,43 @@ func CompileVecCmp(e Expr, vecs ColumnVectors) *VecCmp {
 // Sift narrows a selection over table rows [lo, hi): lanes are offsets from
 // lo, sel lists the live ones in ascending order (nil means all hi-lo), and
 // the lanes on which the comparison holds are appended to out, which may
-// share sel's backing array (a lane is appended only after it was read).
+// start at sel's first element (a lane is written only after it was read).
 func (k *VecCmp) Sift(lo, hi int, sel, out []int32) []int32 {
 	if k.ints != nil {
-		return siftVec(k.ints[lo:hi], k.ci, k.lt, k.eq, k.gt, sel, out)
+		return siftVec(k.ints[lo:hi], k.ci, k.eq, k.dl, k.dg, sel, out)
 	}
-	return siftVec(k.floats[lo:hi], k.cf, k.lt, k.eq, k.gt, sel, out)
+	return siftVec(k.floats[lo:hi], k.cf, k.eq, k.dl, k.dg, sel, out)
 }
 
 // siftVec decides each lane with the three-way outcome types.Compare would
 // produce — less, greater, otherwise equal (so a NaN compares equal, as it
-// does there) — tested against the operator's accepted outcomes.
-func siftVec[T int64 | float64](vec []T, c T, lt, eq, gt bool, sel, out []int32) []int32 {
+// does there) — without a branch on the data: each lane is written at out's
+// next slot, which advances by the operator's 0/1 mask for the outcome (eq,
+// flipped by dl on less and dg on greater). The write index never passes the
+// read index, so out may start at sel's first element; with room for
+// len(vec) lanes, out is not reallocated.
+func siftVec[T int64 | float64](vec []T, c T, eq, dl, dg int, sel, out []int32) []int32 {
+	n := len(out)
+	out = slices.Grow(out, len(vec))[:n+len(vec)] // a sel lane is < len(vec)
 	if sel == nil {
 		for i, v := range vec {
-			if less, more := v < c, v > c; less && lt || more && gt || !less && !more && eq {
-				out = append(out, int32(i))
-			}
+			out[n] = int32(i)
+			n += eq ^ (b2i(v < c)&dl | b2i(v > c)&dg)
 		}
-		return out
+		return out[:n]
 	}
-	for _, l := range sel {
-		v := vec[l]
-		if less, more := v < c, v > c; less && lt || more && gt || !less && !more && eq {
-			out = append(out, l)
-		}
+	for _, i := range sel {
+		v := vec[i]
+		out[n] = i
+		n += eq ^ (b2i(v < c)&dl | b2i(v > c)&dg)
 	}
-	return out
+	return out[:n]
+}
+
+// b2i is 1 for true; the compiler lowers it to a flag move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/types"
@@ -22,12 +23,13 @@ const (
 	// ProtoVersion is the newest protocol revision this package speaks.
 	// The handshake negotiates min(client max, server max); version 0 is
 	// never valid, so a client older than MinProtoVersion is refused with
-	// an error frame. Version 2 made RowBatch payloads column runs; version
-	// 3 dropped the scheduler string from the Hello.
-	ProtoVersion = 3
+	// an error frame. Version 2 made RowBatch payloads column runs, version
+	// 3 dropped the scheduler string from the Hello, and version 4 made
+	// integer runs fixed-width (frame-of-reference).
+	ProtoVersion = 4
 
 	// MinProtoVersion is the oldest revision the server still accepts.
-	MinProtoVersion = 3
+	MinProtoVersion = 4
 
 	// DefaultMaxFrame bounds a single frame's payload. Row batches are cut
 	// well below this; the bound exists so a corrupt or hostile length
@@ -293,20 +295,31 @@ func (p *payloadReader) value() types.Value {
 //
 // A RowBatch payload is the row count n, then per schema column one tag byte
 // and a run of n values: their kind and n bare values when they all share it
-// (nothing at all for NULL), or tagMixed and n tagged values. A one-row batch
-// costs what its tagged values cost; a long one saves a byte per value.
+// (nothing at all for NULL), or tagMixed and n tagged values. An integer run
+// is its minimum, then, when n > 1, a width byte w and n w-byte offsets from
+// it, so a one-row run costs what its tagged value does.
 
 const tagMixed = 0xFF
-const maxBatchRows = 1 << 24 // a NULL run carries no bytes, so the count needs its own bound
+const maxBatchRows = 1 << 24 // a NULL or constant run carries no bytes, so the count needs its own bound
 
-// appendRun encodes column col of rows (at least one) as a tag and a run.
-func appendRun(b []byte, rows []types.Tuple, col int) []byte {
+// appendRun encodes column col of rows (at least one) as a tag and a run. An
+// integer column is gathered, with its bounds, into ints (scratch, returned).
+func appendRun(b []byte, ints []int64, rows []types.Tuple, col int) ([]byte, []int64) {
 	tag := byte(rows[0][col].K)
 	for _, r := range rows[1:] {
 		if byte(r[col].K) != tag {
 			tag = tagMixed
 			break
 		}
+	}
+	if k := types.Kind(tag); k == types.KindInt || k == types.KindDate || k == types.KindBool {
+		ints = ints[:0]
+		lo, hi := rows[0][col].I, rows[0][col].I
+		for _, r := range rows {
+			ints = append(ints, r[col].I)
+			lo, hi = min(lo, r[col].I), max(hi, r[col].I)
+		}
+		return appendInts(b, k, ints, lo, hi), ints
 	}
 	b = append(b, tag)
 	for _, r := range rows {
@@ -315,17 +328,20 @@ func appendRun(b []byte, rows []types.Tuple, col int) []byte {
 		}
 		b = appendBare(b, r[col])
 	}
-	return b
+	return b, ints
 }
 
 // appendIntRun and appendFloatRun are appendRun for rows rids of a typed
 // column vector, the shape a row-id batch has.
-func appendIntRun(b []byte, k types.Kind, vec []int64, rids []int32) []byte {
-	b = append(b, byte(k))
+func appendIntRun(b []byte, ints []int64, k types.Kind, vec []int64, rids []int32) ([]byte, []int64) {
+	ints = ints[:0]
+	lo, hi := vec[rids[0]], vec[rids[0]]
 	for _, r := range rids {
-		b = appendVarint(b, vec[r])
+		v := vec[r]
+		ints = append(ints, v)
+		lo, hi = min(lo, v), max(hi, v)
 	}
-	return b
+	return appendInts(b, k, ints, lo, hi), ints
 }
 
 func appendFloatRun(b []byte, vec []float64, rids []int32) []byte {
@@ -336,47 +352,67 @@ func appendFloatRun(b []byte, vec []float64, rids []int32) []byte {
 	return b
 }
 
-// wireCol is one decoded run. The buffers are reused from frame to frame; a
-// STRING run keeps only each value's extent in the payload.
+// appendInts encodes vals (at least one, all in [lo, hi]) as a frame-of-
+// reference run of kind k. An offset, computed in uint64 so any span fits,
+// is stored as 8 bytes whose zeros past the width the next one overwrites.
+func appendInts(b []byte, k types.Kind, vals []int64, lo, hi int64) []byte {
+	b = appendVarint(append(b, byte(k)), lo)
+	if len(vals) == 1 {
+		return b
+	}
+	w := [9]int{0, 1, 2, 4, 4, 8, 8, 8, 8}[(bits.Len64(uint64(hi)-uint64(lo))+7)/8] // bytes → width
+	b = append(b, byte(w))
+	n := len(b)
+	b = slices.Grow(b, w*len(vals)+8)[:n+w*len(vals)+8]
+	for d, i := b[n:], 0; i < len(vals); d, i = d[w:], i+1 {
+		binary.LittleEndian.PutUint64(d, uint64(vals[i]-lo))
+	}
+	return b[:n+w*len(vals)]
+}
+
+// wireCol is one decoded run. A fixed-width run (integer or DECIMAL) is read
+// in place from the payload, its values w bytes apart from off; the buffers,
+// reused from frame to frame, hold the others.
 type wireCol struct {
 	tag    byte
-	ints   []int64 // INT/DATE/BOOL values; STRING: payload offset<<32 | length
-	floats []float64
+	w, off int           // w: for a variable-width run, the least a value takes
+	base   int64         // an integer run's minimum
+	ints   []int64       // STRING: payload offset<<32 | length
 	vals   []types.Value // tagMixed
 }
 
 // rowBatch decodes and validates a whole RowBatch payload into cols, one per
 // schema column, and returns the row count. A run's count is checked against
-// the bytes left before its buffer is sized: a frame allocates O(payload).
+// the bytes left before its buffer is sized: a frame allocates O(payload),
+// and a fixed-width run, valid whatever its bytes, allocates nothing.
 func (p *payloadReader) rowBatch(cols []wireCol) int {
 	n := p.length(maxBatchRows)
 	for i := range cols {
 		c := &cols[i]
-		c.tag = p.byte()
-		size := 1 // the least a value of the run takes
+		c.tag, c.w = p.byte(), 1
 		switch types.Kind(c.tag) {
-		case types.KindNull:
-			size = 0
+		case types.KindInt, types.KindDate, types.KindBool:
+			if c.w = 0; n > 0 {
+				c.base = p.varint()
+			}
+			if n > 1 {
+				if c.w = int(p.byte()); c.w > 8 || c.w&(c.w-1) != 0 {
+					p.fail()
+				}
+			}
 		case types.KindFloat:
-			size = 8
+			c.w = 8
+		case types.KindNull:
+			c.w = 0
 		}
-		if p.err != nil || n*size > len(p.buf)-p.off {
+		if p.err != nil || n*c.w > len(p.buf)-p.off {
 			p.fail()
 			return 0
 		}
+		c.off = p.off
 		switch types.Kind(c.tag) {
-		case types.KindNull:
-		case types.KindInt, types.KindDate, types.KindBool:
-			c.ints = slices.Grow(c.ints[:0], n)[:n]
-			for j := range c.ints {
-				c.ints[j] = p.varint()
-			}
-		case types.KindFloat:
-			c.floats = slices.Grow(c.floats[:0], n)[:n]
-			for j := range c.floats {
-				c.floats[j] = math.Float64frombits(binary.BigEndian.Uint64(p.buf[p.off:]))
-				p.off += 8
-			}
+		case types.KindNull, types.KindInt, types.KindDate, types.KindBool, types.KindFloat:
+			p.off += n * c.w
 		case types.KindString:
 			c.ints = slices.Grow(c.ints[:0], n)[:n]
 			for j := range c.ints {
@@ -406,9 +442,13 @@ func (c *wireCol) value(buf []byte, i int) types.Value {
 	case types.KindNull:
 		return types.Null()
 	case types.KindInt, types.KindDate, types.KindBool:
-		return types.Value{K: k, I: c.ints[i]}
+		d, at := uint64(0), buf[c.off+i*c.w:]
+		for j := c.w - 1; j >= 0; j-- {
+			d = d<<8 | uint64(at[j])
+		}
+		return types.Value{K: k, I: c.base + int64(d)}
 	case types.KindFloat:
-		return types.Float(c.floats[i])
+		return types.Float(math.Float64frombits(binary.BigEndian.Uint64(buf[c.off+8*i:])))
 	case types.KindString:
 		u := uint64(c.ints[i])
 		return types.Str(string(buf[u>>32 : u>>32+u&math.MaxUint32]))

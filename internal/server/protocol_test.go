@@ -64,32 +64,47 @@ func TestHostileLengths(t *testing.T) {
 		cols    int
 		payload []byte
 	}{
-		"varint run longer than the frame":  {1, frame(1000, byte(types.KindInt), 2, 4, 6)},
+		"integer run of n·w > bytes left":   {1, frame(1000, byte(types.KindInt), 2, 4, 6)},
+		"integer run of 8n > bytes left":    {1, frame(3, append([]byte{byte(types.KindDate), 0, 8}, make([]byte, 23)...)...)},
+		"width byte outside {0,1,2,4,8}":    {1, frame(2, byte(types.KindInt), 0, 3, 1, 2, 3, 4, 5, 6)},
+		"width byte of 16":                  {1, frame(2, append([]byte{byte(types.KindInt), 0, 16}, make([]byte, 32)...)...)},
+		"integer run without its width":     {1, frame(2, byte(types.KindBool), 0)},
 		"string run longer than the frame":  {1, frame(1000, byte(types.KindString), 1, 'a')},
 		"mixed run longer than the frame":   {1, frame(1000, tagMixed, byte(types.KindNull))},
 		"DECIMAL run of 8n > bytes left":    {1, frame(3, append([]byte{byte(types.KindFloat)}, make([]byte, 23)...)...)},
 		"unknown tag":                       {1, frame(1, 0x7e, 0)},
 		"ends before the last column":       {2, frame(1, byte(types.KindInt), 2)},
 		"ends inside a run":                 {1, frame(2, byte(types.KindString), 1, 'a', 5, 'b')},
-		"bytes past the last column":        {1, frame(1, byte(types.KindInt), 2, 0)},
+		"bytes past the last column":        {1, frame(1, byte(types.KindInt), 2, 0)}, // a one-row run has no width byte
 		"NULL run past the row-count bound": {1, frame(maxBatchRows+1, byte(types.KindNull))},
+		"constant run past the bound":       {1, frame(maxBatchRows+1, byte(types.KindInt), 2, 0)},
 	} {
 		cols := make([]wireCol, f.cols)
 		p := payloadReader{buf: f.payload}
 		if n := p.rowBatch(cols); p.err == nil || n != 0 {
 			t.Errorf("%s: accepted (%d rows)", name, n)
 		}
+		if p.off > len(p.buf) { // the next varint would slice past the end
+			t.Errorf("%s: the cursor passed the payload's end (%d > %d)", name, p.off, len(p.buf))
+		}
 		for _, c := range cols {
-			if len(c.ints)+len(c.floats)+len(c.vals) > len(f.payload) {
-				t.Errorf("%s: sized a %d-value buffer from a %d-byte frame", name, len(c.ints)+len(c.floats)+len(c.vals), len(f.payload))
+			if len(c.ints)+len(c.vals) > len(f.payload) {
+				t.Errorf("%s: sized a %d-value buffer from a %d-byte frame", name, len(c.ints)+len(c.vals), len(f.payload))
 			}
 		}
 	}
-	// A NULL run carries no bytes: the largest count is legal and free.
-	cols := make([]wireCol, 1)
-	p := payloadReader{buf: frame(maxBatchRows, byte(types.KindNull))}
-	if n := p.rowBatch(cols); p.err != nil || n != maxBatchRows || cols[0].ints != nil || cols[0].vals != nil {
-		t.Fatalf("NULL run of %d rows: n=%d err=%v", maxBatchRows, n, p.err)
+	// A NULL run and a constant (w = 0) integer run carry no bytes a row: the
+	// largest count is legal and free.
+	for _, run := range [][]byte{{byte(types.KindNull)}, {byte(types.KindDate), 0x8e, 0x01, 0}} {
+		cols := make([]wireCol, 1)
+		p := payloadReader{buf: frame(maxBatchRows, run...)}
+		if n := p.rowBatch(cols); p.err != nil || n != maxBatchRows || cols[0].ints != nil || cols[0].vals != nil {
+			t.Fatalf("run %x of %d rows: n=%d err=%v", run, maxBatchRows, n, p.err)
+		}
+		tagged := payloadReader{buf: run}
+		if got, want := cols[0].value(p.buf, maxBatchRows-1), tagged.value(); got != want {
+			t.Fatalf("run %x: last row %+v, want %+v", run, got, want)
+		}
 	}
 }
 
@@ -97,14 +112,16 @@ func TestHostileLengths(t *testing.T) {
 // the way the session does.
 func appendRowBatch(b []byte, rows []types.Tuple, width int) []byte {
 	b = appendUvarint(b, uint64(len(rows)))
+	var ints []int64
 	for col := 0; col < width; col++ {
-		b = appendRun(b, rows, col)
+		b, ints = appendRun(b, ints, rows, col)
 	}
 	return b
 }
 
 // genRows draws n rows of one column per shape: each kind alone, NULL in
-// every row, NULL in some rows, and kinds mixed.
+// every row, NULL in some rows, kinds mixed, and integer runs of a constant
+// and of a one-byte span.
 func genRows(rng *rand.Rand, n int) []types.Tuple {
 	str := func() types.Value { return types.Str(fmt.Sprintf("s%0*d", rng.Intn(12), rng.Intn(1000))) }
 	gens := []func() types.Value{
@@ -125,6 +142,8 @@ func genRows(rng *rand.Rand, n int) []types.Tuple {
 			return []func() types.Value{str, types.Null, func() types.Value { return types.Float(rng.Float64()) },
 				func() types.Value { return types.Int(-1) }}[rng.Intn(4)]()
 		},
+		func() types.Value { return types.Int(math.MinInt64) },
+		func() types.Value { return types.Date(-1 - rng.Int63n(256)) },
 	}
 	rows := make([]types.Tuple, n)
 	for i := range rows {
@@ -138,8 +157,9 @@ func genRows(rng *rand.Rand, n int) []types.Tuple {
 
 // TestRowBatchCodec: generated batches of every column shape round-trip
 // through encode, decode and boxing, at the row counts around the varint and
-// frame-cut boundaries, and never cost more than the tagged-value layout did
-// plus one byte per mixed column.
+// frame-cut boundaries. A one-row batch is its tagged values, byte for byte;
+// a longer integer run takes ≤ 12 + 8n bytes, and any other run no more than
+// its tagged values plus one byte.
 func TestRowBatchCodec(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	var cols []wireCol // reused across frames, as a cursor does
@@ -151,19 +171,27 @@ func TestRowBatchCodec(t *testing.T) {
 		}
 		buf := appendRowBatch(nil, rows, width)
 
-		tagged, mixed := len(binary.AppendUvarint(nil, uint64(n))), 0
+		tagged, mixed := binary.AppendUvarint(nil, uint64(n)), 0
 		for j := 0; j < width; j++ {
-			uniform := true
+			run, _ := appendRun(nil, nil, rows, j)
+			size, uniform := 1, true
 			for _, r := range rows {
-				tagged += len(appendValue(nil, r[j]))
+				tagged = appendValue(tagged, r[j])
+				size += len(appendValue(nil, r[j]))
 				uniform = uniform && r[j].K == rows[0][j].K
 			}
-			if !uniform {
+			switch k := rows[0][j].K; {
+			case !uniform:
 				mixed++
+			case n > 1 && (k == types.KindInt || k == types.KindDate || k == types.KindBool):
+				size = 12 + 8*n
+			}
+			if len(run) > size {
+				t.Fatalf("%d rows, column %d: a %d B run, over its %d B bound", n, j, len(run), size)
 			}
 		}
-		if len(buf) > tagged+mixed {
-			t.Fatalf("%d rows: %d bytes, tagged values took %d (+%d mixed columns)", n, len(buf), tagged, mixed)
+		if n == 1 && !bytes.Equal(buf, tagged) {
+			t.Fatalf("one-row batch %x, want its tagged values %x", buf, tagged)
 		}
 		if n >= 127 && mixed != 2 {
 			t.Fatalf("%d rows: %d mixed columns generated, want 2", n, mixed)
@@ -353,9 +381,10 @@ func FuzzPayloadReader(f *testing.F) {
 }
 
 // FuzzRowBatchDecode feeds arbitrary bytes to the RowBatch decoder under a
-// schema of 1–4 columns: it must never panic, never size a buffer beyond the
-// payload's length in values, and whatever decodes cleanly must box, and
-// round-trip through the encoder.
+// schema of 1–4 columns: it must never panic, never move its cursor past the
+// payload, never size a buffer beyond the payload's length in values — nor any buffer at all for an integer or
+// DECIMAL run, which is read in place — and whatever decodes cleanly must
+// box, and round-trip through the encoder.
 func FuzzRowBatchDecode(f *testing.F) {
 	rows := genRows(rand.New(rand.NewSource(1)), 5)
 	typed := appendRowBatch(nil, []types.Tuple{rows[0][:3], rows[1][:3]}, 3)
@@ -364,13 +393,24 @@ func FuzzRowBatchDecode(f *testing.F) {
 	f.Add(append(binary.AppendUvarint(nil, maxBatchRows), byte(types.KindNull)), uint8(1))        // NULL run
 	f.Add(typed[:len(typed)-2], uint8(3))                                                         // truncated
 	f.Add(append(binary.AppendUvarint(nil, 1<<20), typed[1:]...), uint8(3))                       // over-count
+	f.Add(append(binary.AppendUvarint(nil, maxBatchRows), byte(types.KindInt), 3, 0), uint8(1))   // constant run
+	f.Add(appendRowBatch(nil, []types.Tuple{rows[0][9:], rows[1][9:], rows[2][9:]}, 2), uint8(2)) // w = 0 and 1
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
 		cols := make([]wireCol, 1+ncols%4)
 		p := payloadReader{buf: data}
 		n := p.rowBatch(cols)
+		if p.off > len(data) {
+			t.Fatalf("the cursor passed the payload's end (%d > %d)", p.off, len(data))
+		}
 		for _, c := range cols {
-			if len(c.ints) > len(data) || len(c.floats) > len(data) || len(c.vals) > len(data) {
-				t.Fatalf("%d-byte payload sized buffers of %d/%d/%d values", len(data), len(c.ints), len(c.floats), len(c.vals))
+			if len(c.ints) > len(data) || len(c.vals) > len(data) {
+				t.Fatalf("%d-byte payload sized buffers of %d/%d values", len(data), len(c.ints), len(c.vals))
+			}
+			switch types.Kind(c.tag) {
+			case types.KindInt, types.KindDate, types.KindBool, types.KindFloat:
+				if c.ints != nil || c.vals != nil {
+					t.Fatalf("a fixed-width run (tag %d) sized a buffer", c.tag)
+				}
 			}
 		}
 		if p.err != nil || n == 0 {
@@ -399,6 +439,68 @@ func FuzzRowBatchDecode(f *testing.F) {
 	})
 }
 
+// FuzzIntRun draws integer columns — spans of 0, at the 1-, 2- and 4-byte
+// width edges, up to MinInt64…MaxInt64 — and ascending row-id subsets of
+// them. The row-id encoder and the tuple encoder must write the same bytes,
+// the bytes must decode to the picked values, and every truncation of the
+// frame must fail cleanly, its cursor inside the cut.
+func FuzzIntRun(f *testing.F) {
+	raw := bytes.Repeat([]byte{0x5a, 0xc3, 0x11, 0xe7, 0x02}, 60)
+	for _, span := range []uint64{0, 1, 255, 256, 65535, 65536, 1<<32 - 1, 1 << 32, math.MaxUint64} {
+		f.Add(int64(-7), span, raw, []byte{0xff, 0x6d}, uint8(0))
+	}
+	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), raw[:40], []byte{}, uint8(1))
+	f.Add(int64(math.MaxInt64-100), uint64(300), raw[:80], []byte{0x01}, uint8(2))
+	f.Fuzz(func(t *testing.T, base int64, span uint64, raw, pick []byte, kind uint8) {
+		k := []types.Kind{types.KindInt, types.KindDate, types.KindBool}[kind%3]
+		vec := make([]int64, 2+len(raw)/8)
+		for i := range vec {
+			var u [8]byte
+			copy(u[:], raw[min(8*i, len(raw)):])
+			off := binary.LittleEndian.Uint64(u[:])
+			if span < math.MaxUint64 {
+				off %= span + 1
+			}
+			vec[i] = base + int64(off)
+		}
+		// The extremes sit mid-column, so neither end row bounds the span.
+		vec[len(vec)/2], vec[(len(vec)-1)/2] = base, base+int64(span)
+		var rids []int32
+		var rows []types.Tuple
+		for i := range vec {
+			if len(pick) == 0 || pick[i/8%len(pick)]>>(i%8)&1 == 1 {
+				rids = append(rids, int32(i))
+				rows = append(rows, types.Tuple{{K: k, I: vec[i]}})
+			}
+		}
+		if len(rids) == 0 {
+			return
+		}
+		byRid, _ := appendIntRun(nil, nil, k, vec, rids)
+		byTuple, _ := appendRun(nil, nil, rows, 0)
+		if !bytes.Equal(byRid, byTuple) {
+			t.Fatalf("row-id run %x, tuple run %x", byRid, byTuple)
+		}
+		payload := append(binary.AppendUvarint(nil, uint64(len(rids))), byRid...)
+		cols := make([]wireCol, 1)
+		p := payloadReader{buf: payload}
+		if n := p.rowBatch(cols); p.err != nil || n != len(rids) {
+			t.Fatalf("decoded %d of %d rows, err %v", n, len(rids), p.err)
+		}
+		for i, r := range rows {
+			if got := cols[0].value(payload, i); got != r[0] {
+				t.Fatalf("row %d: %+v, want %+v", i, got, r[0])
+			}
+		}
+		for cut := range payload {
+			p := payloadReader{buf: payload[:cut]}
+			if n := p.rowBatch(cols); p.err == nil || n != 0 || p.off > cut {
+				t.Fatalf("a frame cut at byte %d of %d decoded %d rows, cursor at %d", cut, len(payload), n, p.off)
+			}
+		}
+	})
+}
+
 // FuzzReadFrame ensures a hostile stream cannot crash the frame layer or
 // defeat the size bound.
 func FuzzReadFrame(f *testing.F) {
@@ -411,5 +513,82 @@ func FuzzReadFrame(f *testing.F) {
 		if err == nil && len(payload) > 1<<16 {
 			t.Fatalf("frame type %#x exceeded bound: %d bytes", typ, len(payload))
 		}
+	})
+}
+
+// BenchmarkRowBatchCodec times one stream_wire-shaped frame — 1 024 of 2 048
+// table rows, four integer columns (an ascending key, two bounded ids, a
+// date) and two DECIMAL ones — encoded from the column vectors as a row-id
+// batch is, encoded from tuples as a coalesced batch is, and validated and
+// boxed as a client reading every row does. ns/value is per row and column.
+// The vector encode walks a 256 Ki-row table a frame at a time, so its reads
+// miss the cache as the session's do.
+func BenchmarkRowBatchCodec(b *testing.B) {
+	const table, span, rows = 1 << 18, 2048, 1024
+	rng := rand.New(rand.NewSource(7))
+	ints := make([][]int64, 4)
+	for c := range ints {
+		ints[c] = make([]int64, table)
+	}
+	floats := [][]float64{make([]float64, table), make([]float64, table)}
+	for i := 0; i < table; i++ {
+		ints[0][i], ints[1][i], ints[2][i] = int64(i/4+1), 1+rng.Int63n(10_000), 1+rng.Int63n(500)
+		ints[3][i] = 8036 + rng.Int63n(2526)
+		floats[0][i], floats[1][i] = float64(1+rng.Intn(50)), float64(rng.Intn(10_000_000))/100
+	}
+	var rids []int32
+	for i := int32(0); len(rids) < rows; i += 1 + int32(rng.Intn(2)) {
+		rids = append(rids, i)
+	}
+	tuples := make([]types.Tuple, rows)
+	for i, r := range rids {
+		tuples[i] = types.Tuple{types.Int(ints[0][r]), types.Int(ints[1][r]), types.Int(ints[2][r]),
+			types.Float(floats[0][r]), types.Float(floats[1][r]), types.Date(ints[3][r])}
+	}
+	const width = 6
+	perValue := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*width), "ns/value")
+	}
+	var buf []byte
+	var scratch []int64
+	b.Run("vectors", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := i * span % table
+			buf = appendUvarint(buf[:0], rows)
+			for c := 0; c < 3; c++ {
+				buf, scratch = appendIntRun(buf, scratch, types.KindInt, ints[c][lo:lo+span], rids)
+			}
+			buf = appendFloatRun(appendFloatRun(buf, floats[0][lo:lo+span], rids), floats[1][lo:lo+span], rids)
+			buf, scratch = appendIntRun(buf, scratch, types.KindDate, ints[3][lo:lo+span], rids)
+		}
+		perValue(b)
+	})
+	b.Run("tuples", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = appendUvarint(buf[:0], rows)
+			for c := 0; c < width; c++ {
+				buf, scratch = appendRun(buf, scratch, tuples, c)
+			}
+		}
+		perValue(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		payload := appendRowBatch(nil, tuples, width)
+		cols := make([]wireCol, width)
+		block := make(types.Tuple, width)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := payloadReader{buf: payload}
+			n := p.rowBatch(cols)
+			for r := 0; r < n; r++ {
+				for c := range cols {
+					block[c] = cols[c].value(payload, r)
+				}
+			}
+		}
+		perValue(b)
 	})
 }

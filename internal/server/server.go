@@ -26,9 +26,9 @@
 // (0x81) carrying the negotiated version min(client, server) and a banner
 // string, or Error (0x82, code "version") when the client is too old. A
 // connection that does not open with the magic is dropped without a reply.
-// This is protocol version 3, the only one either end speaks: a version 1
-// Hello (row-at-a-time RowBatch payloads) or 2 (a scheduler string before
-// the memory budget) gets the "version" error and nothing else.
+// This is protocol version 4, the only one either end speaks: a version 1
+// Hello (row-at-a-time RowBatch payloads), 2 (a scheduler string) or 3
+// (varint integer runs) gets the "version" error and nothing else.
 //
 // After the handshake the session is a sequential request/response loop —
 // at most one statement in flight per connection:
@@ -45,18 +45,20 @@
 // partial result), or a terminal Error (0x82) in place of Done if the query
 // failed mid-stream. A RowBatch payload is a uvarint row count n (at most
 // 2^24), then for each schema column one tag byte and a run of n values:
-// the types.Kind all n values share — n varints for INTEGER/DATE/BOOLEAN,
-// n × 8 bytes for DECIMAL, n strings for VARCHAR, no bytes for NULL — or
-// 0xFF and n tagged values when kinds differ (a partly-NULL column; there
-// is no NULL bitmap). Nothing may follow the last column's run. Row batches
-// are encoded straight off the engine's streaming cursor, a batch at a time
-// (sip.Rows.NextBatch): a batch of row ids over a base table — the root of a
-// plain column projection of a scan — becomes one frame of at most 1 024
-// rows whose runs are read off the table's column vectors, and tuple batches
-// coalesce into frames of 256 rows, cut early near 64 KiB, the last partial
-// frame riding with Done. A client that stops reading blocks the server's
-// conn.Write (buffered one frame deep), which stops the cursor, which
-// backpressures that query's operator pipeline — and nothing else.
+// the types.Kind all n values share — for INTEGER/DATE/BOOLEAN the varint
+// minimum, then when n > 1 a width byte w ∈ {0, 1, 2, 4, 8} and n
+// little-endian w-byte offsets from it; n × 8 bytes for DECIMAL, n strings
+// for VARCHAR, no bytes for NULL — or 0xFF and n tagged values when kinds
+// differ (a partly-NULL column; there is no NULL bitmap). Nothing may follow
+// the last column's run. Row batches are encoded straight off the engine's
+// streaming cursor, a batch at a time (sip.Rows.NextBatch): a batch of row
+// ids over a base table — the root of a plain column projection of a scan —
+// becomes one frame of at most 1 024 rows whose runs are read off the
+// table's column vectors, and tuple batches coalesce into frames of 256
+// rows, cut early near 64 KiB, the last partial frame riding with Done. A
+// client that stops reading blocks the server's conn.Write (buffered one
+// frame deep), which stops the cursor, which backpressures that query's
+// operator pipeline — and nothing else.
 //
 // Cancel (0x06) is the one out-of-band frame: a reader goroutine services
 // it while the session goroutine streams, aborting the in-flight query,

@@ -74,11 +74,12 @@ type session struct {
 	stmts  map[uint64]*sip.Stmt
 	nextID uint64
 
-	// scratch and pend amortize frame encoding across the session: row
+	// scratch, pend and ints amortize frame encoding across the session: row
 	// batches and response payloads reuse them, so the steady-state row
 	// stream does not allocate per batch.
 	scratch []byte
 	pend    []sip.Row // rows awaiting their frame
+	ints    []int64   // an integer run's values, gathered
 
 	// done closes when the session goroutine exits, releasing a read loop
 	// blocked on the request channel (drain or protocol-error exits leave
@@ -337,12 +338,13 @@ func (sess *session) runQuery(sql string, stmt *sip.Stmt, args []sip.Value) bool
 }
 
 // Tuple batches coalesce into frames of frameRows rows, cut early once the
-// pending rows' upper bound — 11 B a value (a tag and ≤ 10 bytes) plus string
-// bytes — reaches frameBytes, so wide rows cannot build outsized frames: a
-// frame stays within frameBytes plus one row's bound. The bound overshoots
-// the encoding, so rows wider than 23 columns (23 × 11 × 256 < 64 KiB)
-// always cut before frameRows (TestFrameByteCut). Do not raise frameRows: a
-// paced source's first frame waits for that many rows.
+// pending rows' upper bound — 11 B a value plus string bytes — reaches
+// frameBytes, so a frame stays within frameBytes plus one row's bound: a value
+// takes ≤ 8 B in a fixed-width run (whose slack covers its ≤ 12 B header from
+// 4 rows on, and fewer rows reach frameBytes only past 1 986 columns) or
+// ≤ 11 B in a mixed one. The bound overshoots, so rows wider than 23 columns
+// (23 × 11 × 256 < 64 KiB) always cut before frameRows (TestFrameByteCut).
+// Do not raise frameRows: a paced source's first frame waits for that many.
 const frameRows, frameBytes = 256, 64 << 10
 
 // streamRows encodes the cursor's batches straight into wire frames: Schema,
@@ -365,7 +367,7 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 
 	width := len(rows.Schema().Cols)
 	var sent int64
-	pend, pendBytes := sess.pend[:0], 0
+	pend, pendBytes, ints := sess.pend[:0], 0, sess.ints
 	// ship sends buf, the encoded batch of n rows.
 	ship := func(n int, flush bool) bool {
 		if writeFrame(sess.bw, frameRowBatch, buf) != nil || flush && sess.bw.Flush() != nil {
@@ -384,7 +386,7 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 		}
 		buf = appendUvarint(buf[:0], uint64(n))
 		for col := 0; col < width; col++ {
-			buf = appendRun(buf, pend, col)
+			buf, ints = appendRun(buf, ints, pend, col)
 		}
 		clear(pend) // a kept session must not pin the last result
 		pend, pendBytes = pend[:0], 0
@@ -400,7 +402,7 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 			buf = appendUvarint(buf[:0], uint64(len(b.Sel)))
 			for _, c := range src.Cols {
 				if vec, k := src.Vecs.IntVec(c); vec != nil {
-					buf = appendIntRun(buf, k, vec, b.Sel)
+					buf, ints = appendIntRun(buf, ints, k, vec, b.Sel)
 				} else if vec := src.Vecs.FloatVec(c); vec != nil {
 					buf = appendFloatRun(buf, vec, b.Sel)
 				} else { // a string, NULL-holding or mixed column: from the rows
@@ -409,7 +411,7 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 							pend = append(pend, src.Rows[rid])
 						}
 					}
-					buf = appendRun(buf, pend, c)
+					buf, ints = appendRun(buf, ints, pend, c)
 				}
 			}
 			clear(pend)
@@ -419,7 +421,7 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 		}
 		for _, l := range b.Live() {
 			pend = append(pend, b.Tuples[l])
-			pendBytes += 11 * len(b.Tuples[l]) // bounds the encoding: a tag and ≤ 10 bytes a value,
+			pendBytes += 11 * len(b.Tuples[l]) // bounds the encoding: ≤ 11 bytes a value,
 			for _, v := range b.Tuples[l] {    // plus the string payloads
 				pendBytes += len(v.S)
 			}
@@ -432,7 +434,7 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 	}
 	// The final partial batch rides in the same flush as Done (or Error).
 	ok = ok && shipPend(false)
-	sess.scratch, sess.pend = buf, pend[:0]
+	sess.scratch, sess.pend, sess.ints = buf, pend[:0], ints
 	if !ok {
 		sess.countOutcome(errCodeCanceled)
 		return false

@@ -302,21 +302,26 @@ func TestCountLoopAllocs(t *testing.T) {
 	}
 }
 
-// TestV1HelloRefused: versions 1 (row-at-a-time RowBatch payloads) and 2 (a
-// scheduler string in the Hello, which a v3 server would read as the memory
-// budget) are gone from both ends; a peer that offers at most either gets the
-// "version" error frame and a closed connection, never a stream.
+// TestV1HelloRefused: versions 1 (row-at-a-time RowBatch payloads), 2 (a
+// scheduler string in the Hello, which a later server would read as the
+// memory budget) and 3 (varint integer runs, which a v3 client would misread
+// as the fixed-width runs of version 4) are gone from both ends; a peer that
+// offers at most any of them gets the "version" error frame and a closed
+// connection, never a stream.
 func TestV1HelloRefused(t *testing.T) {
 	srv, addr := startServer(t, Config{})
-	for _, version := range []uint64{1, 2} {
+	for _, version := range []uint64{1, 2, 3} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
 		hello := appendUvarint([]byte(protoMagic), version)
-		hello = appendString(appendString(hello, "tenant"), "chan") // tenant, scheduler
-		hello = append(appendVarint(hello, 0), 0)                   // memory budget, failure mode
+		hello = appendString(hello, "tenant")
+		if version < 3 {
+			hello = appendString(hello, "chan") // the scheduler
+		}
+		hello = append(appendVarint(hello, 0), 0) // memory budget, failure mode
 		if err := writeFrame(conn, frameHello, hello); err != nil {
 			t.Fatal(err)
 		}
