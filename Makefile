@@ -21,7 +21,8 @@ test:
 # wire client benchmarks
 # (BenchmarkClientStream/{count,row}: stream_wire's query with a consumer
 # that only counts and one that boxes every row; BenchmarkClientPoint:
-# point_wire's one-row lookup), enough to catch "it no longer runs" and gross
+# point_wire's one-row lookup; BenchmarkPointQuery: the same lookup in
+# process, without the wire), enough to catch "it no longer runs" and gross
 # allocation regressions; and briefly the two kernels under stream_wire
 # (BenchmarkSiftVec: the scan's branch-free typed predicate at 1/50/99%
 # selectivity; BenchmarkRowBatchCodec: a RowBatch frame encoded from vectors
@@ -29,6 +30,7 @@ test:
 bench-smoke:
 	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkJoin|BenchmarkHashAggFold' -benchmem -benchtime 1x
 	$(GO) test ./internal/server -run '^$$' -bench BenchmarkClient -benchmem -benchtime 1x
+	$(GO) test . -run '^$$' -bench BenchmarkPointQuery -benchmem -benchtime 1x
 	$(GO) test ./internal/expr -run '^$$' -bench BenchmarkSiftVec -benchtime 2000x
 	$(GO) test ./internal/server -run '^$$' -bench BenchmarkRowBatchCodec -benchmem -benchtime 2000x
 

@@ -268,30 +268,24 @@ func TestChaosDifferentialFailMode(t *testing.T) {
 	}
 }
 
-// TestChaosPooledStats: the pooled per-query registry mode keeps the scalar
-// Result counters while recycling the registry itself (Result.Stats nil),
-// across sequential, concurrent, and faulty runs.
-func TestChaosPooledStats(t *testing.T) {
-	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.005})
-	plain := NewEngine(cat)
-	pooled := NewEngineWithConfig(cat, EngineConfig{PooledStats: true})
-	base := canon(mustRows(t, plain, chaosSQL, Options{}))
+// TestChaosResultCounters: the scalar Result counters survive sequential,
+// concurrent and faulty runs sharing one engine.
+func TestChaosResultCounters(t *testing.T) {
+	eng := NewEngine(GenerateTPCH(DataConfig{ScaleFactor: 0.005}))
+	base := canon(mustRows(t, eng, chaosSQL, Options{}))
 
 	check := func(res *Result) {
 		t.Helper()
-		if res.Stats != nil {
-			t.Fatal("pooled mode leaked the recycled registry via Result.Stats")
-		}
 		if res.TuplesScanned == 0 {
-			t.Fatal("pooled run lost its scalar counters")
+			t.Fatal("run lost its scalar counters")
 		}
 		got := canon(res.Rows)
 		if len(got) != len(base) {
-			t.Fatalf("pooled run returned %d rows, want %d", len(got), len(base))
+			t.Fatalf("run returned %d rows, want %d", len(got), len(base))
 		}
 	}
 	for i := 0; i < 3; i++ {
-		res, err := pooled.Query(context.Background(), chaosSQL, Options{})
+		res, err := eng.Query(context.Background(), chaosSQL, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,14 +295,13 @@ func TestChaosPooledStats(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		go func() {
 			for i := 0; i < 3; i++ {
-				res, err := pooled.Query(context.Background(), chaosSQL, Options{})
+				res, err := eng.Query(context.Background(), chaosSQL, Options{})
 				if err != nil {
 					errc <- err
 					return
 				}
-				if res.Stats != nil || res.TuplesScanned == 0 || len(res.Rows) != len(base) {
-					errc <- fmt.Errorf("bad pooled result: stats=%v scanned=%d rows=%d",
-						res.Stats, res.TuplesScanned, len(res.Rows))
+				if res.TuplesScanned == 0 || len(res.Rows) != len(base) {
+					errc <- fmt.Errorf("bad concurrent result: scanned=%d rows=%d", res.TuplesScanned, len(res.Rows))
 					return
 				}
 			}
@@ -320,8 +313,8 @@ func TestChaosPooledStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Faulty pooled run: recovery counters survive the registry recycling.
-	res, err := pooled.Query(context.Background(), chaosSQL, Options{
+	// Faulty run: the recovery counters reach the Result.
+	res, err := eng.Query(context.Background(), chaosSQL, Options{
 		RemoteTables: map[string]int{"partsupp": 1},
 		Faults:       &FaultProfile{Seed: 7, TransientRate: 0.2},
 		Retry:        fastRetry(),
@@ -331,7 +324,7 @@ func TestChaosPooledStats(t *testing.T) {
 	}
 	check(res)
 	if res.Retries == 0 {
-		t.Fatal("pooled faulty run lost its retry counter")
+		t.Fatal("faulty run lost its retry counter")
 	}
 }
 

@@ -228,12 +228,12 @@ func runServerBench(outPath string, reps int, overwrite bool) error {
 	// The adhoc path runs against its own server whose engine never caches
 	// plans — the honest per-call floor. cached and prepared share the
 	// default server, as real sessions would.
-	cachedSrv, err := startBenchServer(sip.NewEngineWithConfig(cat, sip.EngineConfig{PooledStats: true}))
+	cachedSrv, err := startBenchServer(sip.NewEngineWithConfig(cat, sip.EngineConfig{}))
 	if err != nil {
 		return err
 	}
 	defer cachedSrv.stop()
-	nocacheSrv, err := startBenchServer(sip.NewEngineWithConfig(cat, sip.EngineConfig{PooledStats: true, PlanCacheSize: -1}))
+	nocacheSrv, err := startBenchServer(sip.NewEngineWithConfig(cat, sip.EngineConfig{PlanCacheSize: -1}))
 	if err != nil {
 		return err
 	}

@@ -97,7 +97,6 @@ func main() {
 		PlanCacheSize:        *planCache,
 		MaxConcurrentQueries: *maxQueries,
 		MemBudget:            *engineMem,
-		PooledStats:          true,
 		SlowQueryThreshold:   *slowQuery,
 	})
 

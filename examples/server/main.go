@@ -28,14 +28,13 @@ func main() {
 	ctx := context.Background()
 
 	// An engine configured for serving: bounded concurrency, a shared
-	// memory pool sliced into per-query grants, pooled stats registries,
-	// and a slow-query log the /stats endpoint exposes.
+	// memory pool sliced into per-query grants, and a slow-query log the
+	// /stats endpoint exposes.
 	eng := sip.NewEngineWithConfig(
 		sip.GenerateTPCH(sip.DataConfig{ScaleFactor: 0.02}),
 		sip.EngineConfig{
 			MaxConcurrentQueries: 8,
 			MemBudget:            64 << 20,
-			PooledStats:          true,
 			SlowQueryThreshold:   time.Millisecond,
 		})
 

@@ -72,7 +72,8 @@
 //     over such a scan is not started (StartPlan): the scan emits row-id
 //     batches (see Batch), up to scanChunkRows survivors as int32 row ids
 //     over the table, and keeps the project:* stats row. A paced scan or one
-//     computed column keeps the Project.
+//     computed column keeps the Project. Every plan runs this way, whatever
+//     its size: a point lookup is one scan goroutine and its output channel.
 //   - Above the scan, predicates and projections are evaluated
 //     batch-at-a-time through the compiled kernels of internal/expr
 //     (expr.Compile): Filter narrows a batch's selection vector in place

@@ -3,6 +3,8 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -54,6 +56,52 @@ func sortedInts(rows []types.Tuple, col int) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+func intCol(idx int) expr.Expr {
+	return &expr.ColRef{Idx: idx, Col: types.Column{Kind: types.KindInt}}
+}
+
+// TestNarrowJoinMatchesNestedLoop: a join emitting a pruned subset of its
+// inputs' columns — the residual and the Project above read only those —
+// returns what a nested loop computes.
+func TestNarrowJoinMatchesNestedLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 300
+	lrows := make([]types.Tuple, n)
+	rrows := make([]types.Tuple, n)
+	for i := range lrows {
+		lrows[i] = types.Tuple{types.Int(int64(i)), types.Int(int64(rng.Intn(40))), types.Int(int64(rng.Intn(100)))}
+		rrows[i] = types.Tuple{types.Int(int64(rng.Intn(100))), types.Int(int64(-i)), types.Int(int64(rng.Intn(40)))}
+	}
+	l := &Scan{Name: "l", Rows: lrows, Sch: intSchema("id", "a", "x")}
+	r := &Scan{Name: "r", Rows: rrows, Sch: intSchema("y", "id", "a")}
+	// Emit (l.x, r.y, r.id) of (l.id, l.a, l.x, r.y, r.id, r.a); keys l.a = r.a.
+	j := NewHashJoin("j", l, r, []int{1}, []int{2}, []int{2, 3, 4}, &expr.Binary{
+		Op: expr.OpLt, L: intCol(0), R: intCol(1)})
+	plan := &Project{Child: j, Name: "p", Sch: intSchema("d", "rid"),
+		Exprs: []expr.Expr{&expr.Binary{Op: expr.OpSub, L: intCol(1), R: intCol(0)}, intCol(2)}}
+
+	var want []string
+	for _, lr := range lrows {
+		for _, rr := range rrows {
+			if lr[1].I == rr[2].I && lr[2].I < rr[0].I {
+				want = append(want, fmt.Sprint(types.Tuple{types.Int(rr[0].I - lr[2].I), rr[1]}))
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("empty reference")
+	}
+	var got []string
+	for _, row := range runOp(t, plan, nil) {
+		got = append(got, fmt.Sprint(row))
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%d rows, nested loop %d", len(got), len(want))
+	}
 }
 
 func TestScanEmitsAll(t *testing.T) {

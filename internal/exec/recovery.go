@@ -85,9 +85,9 @@ type sourceFailure struct {
 }
 
 // Spawn runs f on a tracked goroutine. Every operator goroutine of a query
-// must go through Spawn so Wait can prove quiescence: pooled stats
-// registries are recycled only after Wait, when no goroutine can still
-// touch a counter.
+// must go through Spawn so Wait can prove quiescence: the cursor reads the
+// error, removes the spill directory and finalizes the stats only after
+// Wait, when no goroutine can still touch them.
 //
 // A panic inside f is contained to the query: f's own deferred cleanup
 // (channel closes, WaitGroup decrements) runs during the unwind, then the

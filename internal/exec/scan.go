@@ -138,8 +138,10 @@ func (s *Scan) splitScanPred(pred expr.Expr) (typed []*expr.VecCmp, rest expr.Ex
 	return typed, expr.And(others...)
 }
 
+// newWorker sizes the lane scratch to a chunk of this table: a point lookup's
+// 25-row scan must not allocate a full chunk's 4 KiB.
 func (s *Scan) newWorker(typed []*expr.VecCmp, rest expr.Expr) *scanWorker {
-	w := &scanWorker{typed: typed, rest: expr.Compile(rest), sel: make([]int32, 0, scanChunkRows)}
+	w := &scanWorker{typed: typed, rest: expr.Compile(rest), sel: make([]int32, 0, min(scanChunkRows, len(s.Rows)))}
 	w.sc.vecs = s.Vecs
 	return w
 }

@@ -32,8 +32,9 @@ const (
 	MinProtoVersion = 4
 
 	// DefaultMaxFrame bounds a single frame's payload. Row batches are cut
-	// well below this; the bound exists so a corrupt or hostile length
-	// prefix cannot make either side allocate gigabytes.
+	// well below this (near 64 KiB, or ≤ 1 024 fixed-width rows); the bound
+	// exists so a corrupt or hostile length prefix cannot make either side
+	// allocate gigabytes.
 	DefaultMaxFrame = 16 << 20
 )
 

@@ -54,7 +54,8 @@
 // streaming cursor, a batch at a time (sip.Rows.NextBatch): a batch of row
 // ids over a base table — the root of a plain column projection of a scan —
 // becomes one frame of at most 1 024 rows whose runs are read off the
-// table's column vectors, and tuple batches coalesce into frames of 256
+// table's column vectors (cut near 64 KiB when a column is a string,
+// NULL-holding or mixed one), and tuple batches coalesce into frames of 256
 // rows, cut early near 64 KiB, the last partial frame riding with Done. A
 // client that stops reading blocks the server's conn.Write (buffered one
 // frame deep), which stops the cursor, which backpressures that query's

@@ -9,6 +9,8 @@ import (
 	"sync"
 
 	sip "repro"
+	"repro/internal/exec"
+	"repro/internal/types"
 )
 
 // request is one client frame awaiting the session goroutine, decoded by
@@ -338,27 +340,55 @@ func (sess *session) runQuery(sql string, stmt *sip.Stmt, args []sip.Value) bool
 }
 
 // Tuple batches coalesce into frames of frameRows rows, cut early once the
-// pending rows' upper bound — 11 B a value plus string bytes — reaches
+// pending rows' upper bound — valueBound summed over their values — reaches
 // frameBytes, so a frame stays within frameBytes plus one row's bound: a value
 // takes ≤ 8 B in a fixed-width run (whose slack covers its ≤ 12 B header from
 // 4 rows on, and fewer rows reach frameBytes only past 1 986 columns) or
 // ≤ 11 B in a mixed one. The bound overshoots, so rows wider than 23 columns
-// (23 × 11 × 256 < 64 KiB) always cut before frameRows (TestFrameByteCut).
-// Do not raise frameRows: a paced source's first frame waits for that many.
+// (23 × 11 × 256 < 64 KiB) always cut before frameRows (TestFrameByteCut). A
+// row-id batch is one frame when every column it carries has a vector
+// (≤ 1 024 rows of ≤ 8 B values); one with a string, NULL-holding or mixed
+// column is cut by the same bound. Do not raise frameRows: a paced source's
+// first frame waits for that many.
 const frameRows, frameBytes = 256, 64 << 10
 
+// valueBound bounds a value's encoding in any run: 11 B plus its string bytes.
+func valueBound(v types.Value) int { return 11 + len(v.S) }
+
+// refCut returns how many of the rows sel names the next row-id frame
+// carries: all of them when every column has a vector, else as many as reach
+// frameBytes under valueBound.
+func refCut(src *exec.RootSource, sel []int32) int {
+	for _, c := range src.Cols {
+		if vec, _ := src.Vecs.IntVec(c); vec == nil && src.Vecs.FloatVec(c) == nil {
+			size := 0
+			for n, rid := range sel {
+				for _, c := range src.Cols {
+					size += valueBound(src.Rows[rid][c])
+				}
+				if size >= frameBytes {
+					return n + 1
+				}
+			}
+			break
+		}
+	}
+	return len(sel)
+}
+
 // streamRows encodes the cursor's batches straight into wire frames: Schema,
-// row batches as they arrive, then Done or Error. A row-id batch becomes one
-// frame, its runs read off the table's column vectors; tuple batches
-// coalesce. Nothing else is materialized, and a blocked conn.Write stops the
-// NextBatch loop, backpressuring exactly this query's pipeline.
+// row batches as they arrive, then Done or Error. A row-id batch becomes a
+// frame (or, past the byte cut, a few), its runs read off the table's column
+// vectors; tuple batches coalesce. Nothing else is materialized, and a blocked
+// conn.Write stops the NextBatch loop, backpressuring exactly this query's
+// pipeline.
 func (sess *session) streamRows(rows *sip.Rows) bool {
 	srv := sess.srv
 	// The schema frame is written but not flushed: a small result ships
 	// schema, rows, and summary in one conn.Write instead of three — on a
 	// loopback serving workload the per-query syscalls are a measurable
-	// share of the round trip. Mid-stream batches still flush eagerly so a
-	// long result streams at batch granularity.
+	// share of the round trip. Mid-stream tuple batches still flush eagerly
+	// so a paced result streams at batch granularity.
 	buf := appendSchema(sess.scratch[:0], rows.Schema())
 	if writeFrame(sess.bw, frameSchema, buf) != nil {
 		sess.countOutcome(errCodeCanceled)
@@ -399,31 +429,37 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 			break
 		}
 		if src := b.Src; src != nil {
-			buf = appendUvarint(buf[:0], uint64(len(b.Sel)))
-			for _, c := range src.Cols {
-				if vec, k := src.Vecs.IntVec(c); vec != nil {
-					buf, ints = appendIntRun(buf, ints, k, vec, b.Sel)
-				} else if vec := src.Vecs.FloatVec(c); vec != nil {
-					buf = appendFloatRun(buf, vec, b.Sel)
-				} else { // a string, NULL-holding or mixed column: from the rows
-					if len(pend) == 0 { // gathered once; no tuple is pending in a row-id stream
-						for _, rid := range b.Sel {
-							pend = append(pend, src.Rows[rid])
+			for sel := b.Sel; ok && len(sel) > 0; {
+				n := refCut(src, sel)
+				buf = appendUvarint(buf[:0], uint64(n))
+				for _, c := range src.Cols {
+					if vec, k := src.Vecs.IntVec(c); vec != nil {
+						buf, ints = appendIntRun(buf, ints, k, vec, sel[:n])
+					} else if vec := src.Vecs.FloatVec(c); vec != nil {
+						buf = appendFloatRun(buf, vec, sel[:n])
+					} else { // a string, NULL-holding or mixed column: from the rows
+						if len(pend) == 0 { // gathered once; no tuple is pending in a row-id stream
+							for _, rid := range sel[:n] {
+								pend = append(pend, src.Rows[rid])
+							}
 						}
+						buf, ints = appendRun(buf, ints, pend, c)
 					}
-					buf, ints = appendRun(buf, ints, pend, c)
 				}
+				clear(pend)
+				pend = pend[:0]
+				// Not flushed: a row-id stream comes only from an unpaced local
+				// scan, the writer flushes itself as it fills, and the last
+				// frame rides with Done.
+				ok = ship(n, false)
+				sel = sel[n:]
 			}
-			clear(pend)
-			pend = pend[:0]
-			ok = ship(len(b.Sel), true)
 			continue
 		}
 		for _, l := range b.Live() {
 			pend = append(pend, b.Tuples[l])
-			pendBytes += 11 * len(b.Tuples[l]) // bounds the encoding: ≤ 11 bytes a value,
-			for _, v := range b.Tuples[l] {    // plus the string payloads
-				pendBytes += len(v.S)
+			for _, v := range b.Tuples[l] {
+				pendBytes += valueBound(v)
 			}
 			if len(pend) >= frameRows || pendBytes >= frameBytes {
 				if ok = shipPend(true); !ok {

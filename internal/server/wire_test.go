@@ -71,9 +71,9 @@ func TestWireMatchesInProcess(t *testing.T) {
 }
 
 // framingCatalog holds tables sized around the frame cuts — t<n> of n narrow
-// rows (inline plans: tuple batches, coalesced), wide of 300 rows × 1 KiB
-// strings (the byte cut), big of 5 000 rows (a row-id root) — each with an
-// INT, a DECIMAL, a STRING, a NULL-holding, an all-NULL and a mixed column.
+// rows, wide of 300 rows × 1 KiB strings (the byte cut), big of 5 000 rows —
+// each with an INT, a DECIMAL, a STRING, a NULL-holding, an all-NULL and a
+// mixed column.
 func framingCatalog() *sip.Catalog {
 	sch := types.NewSchema(
 		types.Column{Table: "t", Name: "a", Kind: types.KindInt},
@@ -106,10 +106,12 @@ func framingCatalog() *sip.Catalog {
 	return cat
 }
 
-// TestWireFraming: results of 0 to 1 025 rows, a result the 64 KiB cut
-// splits and a row-id result with string, NULL-holding and mixed columns all
-// arrive as sent, in the frames the cut rules predict; and rows kept across
-// Next, Close and the connection's next query keep their values.
+// TestWireFraming: results of 0 to 1 025 rows, results the 64 KiB cut splits
+// and row-id results with string, NULL-holding and mixed columns all arrive as
+// sent, in the frames the cut rules predict; and rows kept across Next, Close
+// and the connection's next query keep their values. A plain column projection
+// is a row-id root; a computed column (a + 0) keeps the Project, whose tuple
+// batches coalesce.
 func TestWireFraming(t *testing.T) {
 	eng := sip.NewEngine(framingCatalog())
 	srv, addr := startServer(t, Config{Engine: eng})
@@ -118,15 +120,23 @@ func TestWireFraming(t *testing.T) {
 		sql    string
 		frames int64
 	}{
+		// Row-id batches of ≤ 1 024 rows, each cut where the rows' bound
+		// (valueBound, ≈ 71 B a row here) reaches 64 KiB.
 		{"SELECT a, f, s, n, z, m FROM t0", 0},
 		{"SELECT a, f, s, n, z, m FROM t1", 1},
-		{"SELECT a, f, s, n, z, m FROM t127", 1},
-		{"SELECT a, f, s, n, z, m FROM t128", 1},
-		{"SELECT a, f, s, n, z, m FROM t256", 1},
-		{"SELECT a, f, s, n, z, m FROM t257", 2},
-		{"SELECT a, f, s, n, z, m FROM t1025", 5},
-		{"SELECT s, a FROM wide", 5},                           // 300 rows of ≈ 1 050 B: 62 to a 64 KiB frame
-		{"SELECT m, z, n, s, f, a FROM big WHERE a < 4000", 4}, // a row-id root: a frame per ≤ 1 024 survivors
+		{"SELECT a, f, s, n, z, m FROM t257", 1},
+		{"SELECT a, f, s, n, z, m FROM t1025", 3},              // 925 + 99 rows, then the 1 025th row's own batch
+		{"SELECT s, a FROM wide", 5},                           // 300 rows of ≈ 1 050 B: 63 to a 64 KiB frame
+		{"SELECT m, z, n, s, f, a FROM big WHERE a < 4000", 8}, // 4 batches of ≤ 1 024 survivors, each cut in two
+		// Tuple batches, coalesced into frames of frameRows rows.
+		{"SELECT a + 0, f, s, n, z, m FROM t0", 0},
+		{"SELECT a + 0, f, s, n, z, m FROM t1", 1},
+		{"SELECT a + 0, f, s, n, z, m FROM t127", 1},
+		{"SELECT a + 0, f, s, n, z, m FROM t128", 1},
+		{"SELECT a + 0, f, s, n, z, m FROM t256", 1},
+		{"SELECT a + 0, f, s, n, z, m FROM t257", 2},
+		{"SELECT a + 0, f, s, n, z, m FROM t1025", 5},
+		{"SELECT s, a + 0 FROM wide", 5}, // 63 rows of ≈ 1 050 B to a frame, as above
 	} {
 		want, err := eng.Query(context.Background(), q.sql, sip.Options{})
 		if err != nil {
@@ -189,7 +199,8 @@ func (c teeConn) Read(p []byte) (int, error) {
 // bounds a pending row at 11 B a value plus its string bytes, so every
 // RowBatch frame of 1 000 rows of long INTs stays within frameBytes plus one
 // row's bound, and each frame but the last carries the rows that reach
-// frameBytes — fewer than frameRows once a row is wider than 23 columns.
+// frameBytes — fewer than frameRows once a row is wider than 23 columns. The
+// first column is computed (c0 + 0), so the Project stays and emits tuples.
 func TestFrameByteCut(t *testing.T) {
 	for _, width := range []int{23, 24, 30} {
 		names := make([]string, width)
@@ -198,7 +209,7 @@ func TestFrameByteCut(t *testing.T) {
 			names[i] = fmt.Sprint("c", i)
 			cols[i] = types.Column{Table: "w", Name: names[i], Kind: types.KindInt}
 		}
-		rows := make([]types.Tuple, 1000) // ≤ InlineMaxRows: tuple batches, coalesced
+		rows := make([]types.Tuple, 1000)
 		for i := range rows {
 			rows[i] = make(types.Tuple, width)
 			for c := range rows[i] {
@@ -218,7 +229,7 @@ func TestFrameByteCut(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
-		rs, err := c.Query(context.Background(), "SELECT "+strings.Join(names, ", ")+" FROM w")
+		rs, err := c.Query(context.Background(), "SELECT c0 + 0, "+strings.Join(names[1:], ", ")+" FROM w")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,6 +265,73 @@ func TestFrameByteCut(t *testing.T) {
 		for _, n := range perFrame[:len(perFrame)-1] {
 			if n != want {
 				t.Fatalf("width %d: frames of %v rows, want %d a frame", width, perFrame, want)
+			}
+		}
+	}
+}
+
+// TestRowIDFrameByteCut: a row-id result with a string column is cut by the
+// tuple path's byte bound, so a client whose frame limit is 256 KiB reads 5 000
+// rows of 1 KiB strings (1 024 of them, 1 MiB, in one uncut batch) in frames of
+// at most frameBytes plus one row's bound. An all-fixed-width row-id batch is
+// not cut: one frame per ≤ 1 024 rows.
+func TestRowIDFrameByteCut(t *testing.T) {
+	sch := types.NewSchema(
+		types.Column{Table: "t", Name: "a", Kind: types.KindInt},
+		types.Column{Table: "t", Name: "s", Kind: types.KindString})
+	rows := make([]types.Tuple, 5000)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprintf("%01024d", i))}
+	}
+	cat := tables.New()
+	cat.Add(&tables.Table{Name: "t", Schema: sch, Rows: rows})
+	srv, addr := startServer(t, Config{Engine: sip.NewEngine(cat)})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen bytes.Buffer
+	c, err := NewClient(teeConn{conn, &seen}, DialConfig{MaxFrameBytes: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for _, q := range []struct {
+		sql    string
+		frames int64
+	}{
+		{"SELECT a, s FROM t", 83}, // 1 046 B a row: 63 rows a frame, 17 frames a 1 024-row batch, 15 for the last 904 rows
+		{"SELECT a FROM t", 5},
+	} {
+		seen.Reset()
+		before := srv.Metrics().BatchesSent.Load()
+		rs, err := c.Query(context.Background(), q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainAll(t, rs)
+		if len(got) != len(rows) {
+			t.Fatalf("%s: %d rows, want %d", q.sql, len(got), len(rows))
+		}
+		for i, row := range got {
+			if row[0].I != int64(i) || len(row) == 2 && row[1].S != rows[i][1].S {
+				t.Fatalf("%s: row %d is %v", q.sql, i, row)
+			}
+		}
+		if frames := srv.Metrics().BatchesSent.Load() - before; frames != q.frames {
+			t.Errorf("%s: %d frames, want %d", q.sql, frames, q.frames)
+		}
+		bound := valueBound(rows[len(rows)-1][0]) + valueBound(rows[len(rows)-1][1])
+		for {
+			typ, payload, err := readFrame(&seen, DefaultMaxFrame)
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if size := frameHeaderLen + len(payload); typ == frameRowBatch && size > frameBytes+bound {
+				t.Fatalf("%s: a %d B frame, over frameBytes + one row's bound (%d B)", q.sql, size, frameBytes+bound)
 			}
 		}
 	}

@@ -25,9 +25,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
 
-// reset zeroes the counter (registry pooling; no concurrent users).
-func (c *Counter) reset() { c.v.Store(0) }
-
 // Gauge tracks a current value and its high-water mark.
 type Gauge struct {
 	cur  atomic.Int64
@@ -109,30 +106,6 @@ type OpStats struct {
 	parts []PartStats // per-partition state counters; nil for unpartitioned ops
 }
 
-// reset returns the block to its zero state for reuse (registry pooling).
-func (o *OpStats) reset() {
-	o.Name, o.Class, o.Routed = "", "", ""
-	o.Waited, o.WaitedFor = 0, nil
-	o.Cols, o.Width = 0, 0
-	o.In.reset()
-	o.Out.reset()
-	o.Pruned.reset()
-	o.PreFilter.reset()
-	o.StateRows.reset()
-	o.StateBytes.cur.Store(0)
-	o.StateBytes.peak.Store(0)
-	o.FilterBytes.reset()
-	o.FilterWorking.cur.Store(0)
-	o.FilterWorking.peak.Store(0)
-	o.Attempts.reset()
-	o.Retries.reset()
-	o.WastedBytes.reset()
-	o.SpillBytes.reset()
-	o.SpillRead.reset()
-	o.SpillEvents.reset()
-	o.parts = nil
-}
-
 // SetPartitions sizes the per-partition counter blocks. Partitioned
 // operators call it once at Start, before any worker runs.
 func (o *OpStats) SetPartitions(n int) {
@@ -167,9 +140,8 @@ func (o *OpStats) PartitionSkew() (maxRows, meanRows int64) {
 
 // Registry aggregates the OpStats of one query execution.
 type Registry struct {
-	mu   sync.Mutex
-	ops  []*OpStats
-	free []*OpStats // retired blocks awaiting reuse (registry pooling)
+	mu  sync.Mutex
+	ops []*OpStats
 
 	FilterBytes        Counter // memory spent on AIP summary structures
 	FiltersMade        Counter // AIP sets constructed
@@ -189,40 +161,6 @@ type Registry struct {
 // NewRegistry creates an empty stats registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-var registryPool = sync.Pool{New: func() any { return &Registry{} }}
-
-// GetRegistry returns a pooled, zeroed registry. Pair with Release once no
-// goroutine can touch the registry or any OpStats handed out from it — the
-// engine's pooled-stats mode waits for every operator goroutine to exit
-// before releasing. Saves the per-query allocation of the registry and its
-// OpStats blocks on hot serving paths.
-func GetRegistry() *Registry { return registryPool.Get().(*Registry) }
-
-// Release resets the registry and returns it to the pool. The caller must
-// guarantee exclusive access: no operator may still hold an OpStats from it.
-func (r *Registry) Release() {
-	r.Reset()
-	registryPool.Put(r)
-}
-
-// Reset clears all counters and retires the operator blocks for reuse by
-// later NewOp calls. Callers must have exclusive access.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	for _, op := range r.ops {
-		op.reset()
-	}
-	r.free = append(r.free, r.ops...)
-	r.ops = r.ops[:0]
-	r.mu.Unlock()
-	r.FilterBytes.reset()
-	r.FiltersMade.reset()
-	r.FiltersUsed.reset()
-	r.NetworkBytes.reset()
-	r.FilterNetWork.reset()
-	r.BreakerTransitions.reset()
-}
-
 // SchedBusy reported the work-stealing pool's width and per-worker busy
 // times; like SchedMorsels it is kept, always zero, for bench/layers.go.
 func (r *Registry) SchedBusy() (workers int, busy []time.Duration) { return 0, nil }
@@ -230,18 +168,11 @@ func (r *Registry) SchedBusy() (workers int, busy []time.Duration) { return 0, n
 // NewOp registers and returns a stats block for a named operator. The
 // operator class is derived from the conventional "kind:name" form.
 func (r *Registry) NewOp(name string) *OpStats {
-	r.mu.Lock()
-	var op *OpStats
-	if n := len(r.free); n > 0 {
-		op = r.free[n-1]
-		r.free = r.free[:n-1]
-	} else {
-		op = &OpStats{}
-	}
-	op.Name = name
+	op := &OpStats{Name: name}
 	if i := strings.IndexByte(name, ':'); i > 0 {
 		op.Class = name[:i]
 	}
+	r.mu.Lock()
 	r.ops = append(r.ops, op)
 	r.mu.Unlock()
 	return op

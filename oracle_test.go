@@ -56,11 +56,11 @@ import (
 )
 
 // TestJoinNullKeysMatchNothing is the oracle's first find, as a fixed case:
-// the hash join — pipelined and inline — matched a NULL key with a NULL key,
+// the hash join matched a NULL key with a NULL key,
 // though NULL = NULL is never true. It also pins the second: a finished query
 // left its join and aggregation state accounted (Context.TrackedBytes).
 func TestJoinNullKeysMatchNothing(t *testing.T) {
-	for _, n := range []int{60, 6000} { // the inline join, the pipelined one
+	for _, n := range []int{60, 6000} { // a single-partition join, a partitioned one
 		mk := func(name string) *catalog.Table {
 			rows := make([]types.Tuple, n)
 			for i := range rows {
@@ -223,8 +223,8 @@ type oraCatalog struct {
 }
 
 // oraTableSize draws a cardinality from four classes, so sizes fall on both
-// sides of the inline threshold (exec.InlineMaxRows, 4096 scan rows) and of
-// the start-order ratio (8×) against each other.
+// sides of the join reservation floor (exec's joinFloorRows, 4096 rows) and
+// of the start-order ratio (8×) against each other.
 func oraTableSize(rng *rand.Rand, class int) int {
 	switch class {
 	case 0:

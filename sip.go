@@ -376,10 +376,8 @@ type Result struct {
 	// table, sorted by table name. Empty means the result is complete.
 	IncompleteTables []*SourceError
 
-	// Stats exposes the full per-operator registry. It is nil when the
-	// engine runs with EngineConfig.PooledStats (the registry is recycled
-	// when the cursor finishes); the scalar counters above are always
-	// populated.
+	// Stats exposes the full per-operator registry the scalar counters above
+	// are read from; never nil.
 	Stats *stats.Registry
 }
 
@@ -422,14 +420,6 @@ type EngineConfig struct {
 	// outstanding. Zero means no engine-wide governance: only per-query
 	// Options.MemBudget applies.
 	MemBudget int64
-
-	// PooledStats recycles the per-query stats registry (and its
-	// per-operator counter blocks) through a pool instead of allocating
-	// them per execution, removing a fixed per-query cost on hot serving
-	// paths. In pooled mode Result.Stats is nil — the registry is reclaimed
-	// once the cursor finishes, after every operator goroutine has exited —
-	// while the scalar Result counters are still populated.
-	PooledStats bool
 
 	// SlowQueryThreshold turns on the engine's slow-query log: every
 	// execution (ad-hoc, streamed, or prepared) whose wall time meets or
@@ -490,7 +480,6 @@ type Engine struct {
 	cache   *planCache    // nil when disabled
 	sem     chan struct{} // nil when unlimited
 	gov     *memGovernor  // nil when no engine-wide memory pool
-	pooled  bool          // recycle per-query stats registries
 	running atomic.Int64  // queries currently executing
 
 	slowThresh time.Duration // 0 = slow-query log disabled
@@ -502,7 +491,7 @@ func NewEngine(cat *Catalog) *Engine { return NewEngineWithConfig(cat, EngineCon
 
 // NewEngineWithConfig creates an engine with explicit limits.
 func NewEngineWithConfig(cat *Catalog, cfg EngineConfig) *Engine {
-	e := &Engine{cat: cat, pooled: cfg.PooledStats}
+	e := &Engine{cat: cat}
 	size := cfg.PlanCacheSize
 	if size == 0 {
 		size = DefaultPlanCacheSize

@@ -108,10 +108,6 @@ func (e *Engine) start(ctx context.Context, sql string, p *enginePlan, opts Opti
 	}
 
 	reg := stats.NewRegistry()
-	if e.pooled {
-		reg = stats.GetRegistry()
-	}
-
 	ectx := exec.NewContext(reg, nil)
 	ectx.Parallelism = opts.Parallelism
 	// Per-query cap and engine grant compose: the tighter one wins.
@@ -148,40 +144,16 @@ func (e *Engine) start(ctx context.Context, sql string, p *enginePlan, opts Opti
 	}
 	start := time.Now()
 
-	// Point-query fast path: a small, linear, stateless plan executes
-	// synchronously — no goroutines, no channels — and the cursor serves
-	// the materialized rows. Plans big enough for backpressure to matter
-	// never qualify (see exec.InlineMaxRows).
-	if inline, ok := exec.TryRunInline(ectx, inst.Root); ok {
-		ch := make(chan exec.Batch, 1)
-		if len(inline) > 0 {
-			ch <- exec.Batch{Tuples: inline}
-		}
-		close(ch)
-		return &Rows{
-			eng:       e,
-			sql:       sql,
-			sch:       p.schema,
-			out:       ch,
-			ectx:      ectx,
-			reg:       reg,
-			pooled:    e.pooled,
-			start:     start,
-			stopWatch: stopWatch,
-			release:   release,
-		}, nil
-	}
-
-	out := exec.StartPlan(ectx, inst.Root)
-
+	// Every plan runs on the operator pipeline; a point lookup is a plain
+	// projection of one scan, which StartPlan runs as that scan's goroutine
+	// alone.
 	return &Rows{
 		eng:       e,
 		sql:       sql,
 		sch:       p.schema,
-		out:       out,
+		out:       exec.StartPlan(ectx, inst.Root),
 		ectx:      ectx,
 		reg:       reg,
-		pooled:    e.pooled,
 		start:     start,
 		stopWatch: stopWatch,
 		release:   release,
@@ -241,13 +213,12 @@ var errRowsClosed = errors.New("sip: rows closed")
 // and releases the engine's admission slot; it is safe to call at any time
 // and more than once. A Rows is not safe for concurrent use.
 type Rows struct {
-	eng    *Engine
-	sql    string // source text, for the slow-query log
-	sch    *Schema
-	out    <-chan exec.Batch
-	ectx   *exec.Context
-	reg    *stats.Registry
-	pooled bool // recycle reg once the cursor finishes
+	eng  *Engine
+	sql  string // source text, for the slow-query log
+	sch  *Schema
+	out  <-chan exec.Batch
+	ectx *exec.Context
+	reg  *stats.Registry
 
 	start     time.Time
 	stopWatch func()
@@ -412,8 +383,8 @@ func (r *Rows) finish() {
 	}
 	// Quiescence first: every operator goroutine must have exited before the
 	// error is read (a panicking operator closes its output, then records the
-	// cause), before the spill directory is removed (a live merge could hold a
-	// run file) and, in pooled mode, before the registry they write is reused.
+	// cause) and before the spill directory is removed (a live merge could
+	// hold a run file).
 	r.ectx.Wait()
 	if err := r.ectx.Err(); err != nil && !errors.Is(err, errRowsClosed) {
 		r.err = err
@@ -440,10 +411,6 @@ func (r *Rows) finish() {
 		SpillEvents:            r.ectx.SpillEvents(),
 		IncompleteTables:       r.ectx.IncompleteSources(),
 		Stats:                  reg,
-	}
-	if r.pooled {
-		r.res.Stats = nil
-		reg.Release()
 	}
 }
 

@@ -88,8 +88,8 @@ func TestAlreadyCancelledContextFailsDeterministically(t *testing.T) {
 	e := testEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	// A fast inline-eligible point query must not outrun the cancellation
-	// watcher and return success from a dead context.
+	// A fast point query must not outrun the cancellation watcher and return
+	// success from a dead context.
 	for i := 0; i < 20; i++ {
 		if _, err := e.Query(ctx, `SELECT n_name FROM nation WHERE n_nationkey = 1`, Options{}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("iteration %d: err = %v, want context.Canceled", i, err)
