@@ -14,7 +14,10 @@ test:
 	$(GO) test ./...
 
 # bench-smoke: one iteration of the join and aggregation hot-path benchmarks
-# (BenchmarkHashAggFold/{routed,router}: Q17's avg(DECIMAL) GROUP BY INT over
+# (BenchmarkJoin/{Unique,Dup8x8}: the symmetric join fed by router
+# goroutines, and /{UniqueRouted,Dup8x8Routed} by scans that route for it,
+# integer key words in place of encoded bytes;
+# BenchmarkHashAggFold/{routed,router}: Q17's avg(DECIMAL) GROUP BY INT over
 # 300 k rows into 10 k groups, folded from a routing scan's vectors and from
 # a router's batches; BenchmarkJoinSpillMerge: a routed 60 k-row join side
 # spilled at a quarter of its peak and merged against two rows) and of the
@@ -65,8 +68,10 @@ microbench:
 # determinism, cancellation, the bucket-discard spill differentials,
 # source-side selection: scan-probe differentials, accounting, the 0-alloc
 # chunk path, join reservation; routing scans: routed-vs-router
-# differentials, the entry layout, the 0-alloc routing kernel, spill over
-# row-id entries, start order; the row-id root: root-vs-Project
+# differentials, routed word keys joined with router byte keys against a
+# nested loop (FLOAT/DATE/two-column keys, P=1/4, spilled), the entry
+# layout, the 0-alloc routing kernel, spill over row-id entries, start
+# order; the row-id root: root-vs-Project
 # differential, cancel / early Close / kept rows on the cursor; the typed
 # aggregation fold: the routed-vs-router fold matrix with evicting budgets,
 # the 0-alloc fold, state accounting across evictions), the

@@ -314,7 +314,7 @@ func (w *aggWorker) fold(st *aggState, sb *scatter) (groups, bytes int64) {
 	if cap(w.added) < n {
 		w.added = make([]bool, n)
 	}
-	st.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, w.added[:n])
+	sb.insert(&st.idx, ids, w.added[:n])
 	for i, added := range w.added[:n] {
 		if !added {
 			continue
@@ -680,7 +680,7 @@ func (d *Distinct) Start(ctx *Context) <-chan Batch {
 				if cap(added) < n {
 					added = make([]bool, n)
 				}
-				pt.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, added[:n])
+				sb.insert(&pt.idx, ids, added[:n])
 				fresh := GetBatch()
 				for i, t := range sb.tuples {
 					if added[i] {

@@ -137,10 +137,10 @@ func TestAggFoldZeroAllocs(t *testing.T) {
 		}
 		var kb []byte
 		for i, r := range f.rows {
-			kb = types.AppendIntKey(kb[:0], r[0].I)
 			if routed {
-				sb.addRef(int32(i), types.HashIntKey(r[0].I), kb)
+				sb.addRow(int32(i), types.HashIntKey(r[0].I), []int64{r[0].I})
 			} else {
+				kb = types.AppendIntKey(kb[:0], r[0].I)
 				sb.add(r, types.HashIntKey(r[0].I), kb)
 			}
 		}

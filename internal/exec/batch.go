@@ -155,18 +155,25 @@ type rowSource struct {
 // scatter is a pooled buffer carrying the tuples of one input batch (or scan
 // chunk) that route to one partition of a partitioned operator, together
 // with their hash-once keys so the receiving worker never re-encodes or
-// re-hashes: headers from a router, row ids into src from a routing scan.
-// Like batches, a scatter has exactly one owner: the router owns it until
-// the channel send, the partition worker owns it after receive and recycles
-// it with putScatter.
+// re-hashes: headers and canonical key bytes from a router, row ids into src
+// and key words from a routing scan. Like batches, a scatter has exactly one
+// owner: the router owns it until the channel send, the partition worker
+// owns it after receive and recycles it with putScatter.
 type scatter struct {
 	side   int           // producing input (join: 0 = left, 1 = right)
 	tuples []types.Tuple // routed tuples, in arrival order; empty when rids carries them
 	src    *rowSource    // with rids: the table they index
 	rids   []int32       // routed rows of src, in arrival order
 	hashes []uint64      // per tuple: Hash64 of its canonical key
-	offs   []int32       // offs[i]:offs[i+1] bound key i in keys; len = len(hashes)+1
-	keys   []byte        // concatenated canonical key encodings
+	// A router's keys: offs[i]:offs[i+1] bound key i's canonical encoding in
+	// keys; len(offs) = len(hashes)+1.
+	offs []int32
+	keys []byte
+	// A routing scan's keys (nk > 0): words[i*nk:(i+1)*nk] are key i's column
+	// values, all integer-backed, which encode as types.AppendIntKeys.
+	words []int64
+	nk    int
+	kbuf  []byte // key's encoding of a word key
 }
 
 var scatterPool = sync.Pool{New: func() any {
@@ -191,6 +198,7 @@ func putScatter(s *scatter) {
 	s.hashes = s.hashes[:0]
 	s.offs = s.offs[:1]
 	s.keys = s.keys[:0]
+	s.words, s.nk = s.words[:0], 0
 	scatterPool.Put(s)
 }
 
@@ -198,19 +206,19 @@ func putScatter(s *scatter) {
 // (copied, so the caller's hasher scratch can be reused immediately).
 func (s *scatter) add(t types.Tuple, h uint64, key []byte) {
 	s.tuples = append(s.tuples, t)
-	s.addKey(h, key)
-}
-
-// addRef is add for row rid of src.
-func (s *scatter) addRef(rid int32, h uint64, key []byte) {
-	s.rids = append(s.rids, rid)
-	s.addKey(h, key)
-}
-
-func (s *scatter) addKey(h uint64, key []byte) {
 	s.hashes = append(s.hashes, h)
 	s.keys = append(s.keys, key...)
 	s.offs = append(s.offs, int32(len(s.keys)))
+}
+
+// addRow appends row rid of src with its key hash and words (copied).
+func (s *scatter) addRow(rid int32, h uint64, w []int64) {
+	s.rids = append(s.rids, rid)
+	s.hashes = append(s.hashes, h)
+	for _, v := range w {
+		s.words = append(s.words, v)
+	}
+	s.nk = len(w)
 }
 
 func (s *scatter) len() int { return len(s.hashes) }
@@ -237,8 +245,34 @@ func (s *scatter) memSize() (n int64) {
 	return n
 }
 
-// key returns the canonical key bytes of tuple i.
-func (s *scatter) key(i int) []byte { return s.keys[s.offs[i]:s.offs[i+1]] }
+// key returns the canonical key bytes of tuple i; a word key is encoded into
+// the scatter's scratch, valid until the next call.
+func (s *scatter) key(i int) []byte {
+	if s.nk == 0 {
+		return s.keys[s.offs[i]:s.offs[i+1]]
+	}
+	s.kbuf = types.AppendIntKeys(s.kbuf[:0], s.words[i*s.nk:(i+1)*s.nk])
+	return s.kbuf
+}
+
+// insert resolves every key of the scatter in kt, adding the absent ones,
+// through the batch kernel of the scatter's key form.
+func (s *scatter) insert(kt *types.KeyTable, ids []int32, added []bool) {
+	if s.nk > 0 {
+		kt.InsertWords(s.hashes, s.words, s.nk, ids, added)
+	} else {
+		kt.InsertBatch(s.hashes, s.keys, s.offs, ids, added)
+	}
+}
+
+// lookup is insert without adding: an absent key's id is -1.
+func (s *scatter) lookup(kt *types.KeyTable, ids []int32) {
+	if s.nk > 0 {
+		kt.LookupWords(s.hashes, s.words, s.nk, ids)
+	} else {
+		kt.LookupBatch(s.hashes, s.keys, s.offs, ids)
+	}
+}
 
 // inputRoute is the lock-free phase of one input of a partitioned operator —
 // AIP probe, hash-once key encoding, scatter to the partition workers — and
@@ -255,9 +289,13 @@ type inputRoute struct {
 
 	side  int
 	shift uint
-	src   *rowSource // set by a routing scan: the table its row ids index
-	outs  []chan *scatter
-	bufs  []*scatter // per partition: the hashed tuples not yet delivered
+	// Set by a routing scan: the table its row ids index, and the full-table
+	// vectors of the key columns, in key order.
+	src     *rowSource
+	keyVecs [][]int64
+	words   []int64 // routeRows' scratch for a key of several columns
+	outs    []chan *scatter
+	bufs    []*scatter // per partition: the hashed tuples not yet delivered
 
 	// beforeSend/onCancel (either may be nil) bracket each delivery attempt:
 	// the join counts in-flight messages there.
@@ -312,14 +350,14 @@ func (r *inputRoute) flush(ctx *Context, min int) bool {
 
 // lanes runs the live lanes of one batch through the phase and returns those
 // it routed (out is scratch of capacity len(live)). A routing scan passes
-// rid0 ≥ 0 — tuples are rows [rid0, rid0+len) of src — and has set
-// sc.keyVecs: filters hash their own columns from the vectors, the survivors'
-// keys come from vecKeys, row ids are scattered instead of headers, and no
-// row is read unless OnStore wants it.
+// rid0 ≥ 0 — tuples are rows [rid0, rid0+len) of src — and has set keyVecs:
+// filters hash their own columns from the vectors, the survivors go out as
+// row ids with key words (routeRows), and no row is read unless OnStore
+// wants it.
 func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple, live, out []int32, rid0 int32) []int32 {
 	pt, kept, keys, scan := rt.point, live, rt.keys, rid0 >= 0
 	if scan {
-		keys = nil // filters hash their own columns; vecKeys encodes the survivors
+		keys = nil // filters hash their own columns; routeRows hashes the survivors
 	}
 	if pt != nil && pt.Bank.Len() > 0 {
 		kept = pt.Bank.ProbeBatch(tuples, keys, live, out, sc)
@@ -332,9 +370,6 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 			rt.op.PreFilter.Add(int64(len(live)))
 		}
 	}
-	if scan {
-		sc.vecKeys(len(tuples), kept)
-	}
 	if pt != nil {
 		pt.received.Add(int64(len(live)))
 	}
@@ -343,13 +378,14 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 	// summary of the input). The route's driver is the point's only OnStore
 	// caller, so it owns working-set slot 0.
 	store := rt.store && pt != nil && pt.OnStore != nil
+	if scan {
+		rt.routeRows(kept, rid0)
+	}
 	for _, l := range kept {
-		if rt.equi && !scan && tuples[l].HasNull(rt.keys) {
-			continue
-		}
-		if scan {
-			rt.buf(sc.hashes[l]).addRef(rid0+l, sc.hashes[l], sc.key(l))
-		} else {
+		if !scan {
+			if rt.equi && tuples[l].HasNull(rt.keys) {
+				continue
+			}
 			rt.route(tuples[l], sc.hashes[l], sc.key(l))
 		}
 		if store {
@@ -357,6 +393,31 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 		}
 	}
 	return kept
+}
+
+// routeRows buffers rows rid0+l (l in kept) of a routing scan's table for
+// their keys' partitions, each key as words read from keyVecs: one column is
+// hashed in registers and passed as a slice of its vector, several through
+// rt.words.
+func (rt *inputRoute) routeRows(kept []int32, rid0 int32) {
+	if len(rt.keyVecs) == 1 {
+		vec := rt.keyVecs[0]
+		for _, l := range kept {
+			rid := rid0 + l
+			h := types.HashIntKey(vec[rid])
+			rt.buf(h).addRow(rid, h, vec[rid:rid+1])
+		}
+		return
+	}
+	for _, l := range kept {
+		rid := rid0 + l
+		rt.words = rt.words[:0]
+		for _, v := range rt.keyVecs {
+			rt.words = append(rt.words, v[rid])
+		}
+		h := types.HashIntKeys(rt.words)
+		rt.buf(h).addRow(rid, h, rt.words)
+	}
 }
 
 // rowArena allocates output tuples in batch-sized blocks: one []types.Value

@@ -31,8 +31,10 @@
 //     columns, group-by column refs — all have an IntVec, the scan is the
 //     input's router (routingScan): it drives the inputRoute a router
 //     goroutine drives per batch, per chunk and from the vectors, and
-//     scatters (row id, key hash, key bytes) straight to the partition
-//     workers, at most one message per partition per chunk. Any other input
+//     scatters (row id, key hash, one int64 key word per column) straight to
+//     the partition workers, at most one message per partition per chunk;
+//     their KeyTables compare the words with the stored canonical bytes in
+//     place and append those bytes for a new key. Any other input
 //     — a DECIMAL or NULL-holding key, a computed group key, an operator
 //     below — gets dense batches of copied row headers and a router, as ever.
 //   - Who resolves a tuple, and when: a join entry is 16 pointer-free bytes

@@ -210,14 +210,15 @@ func (jt *joinTable) insert(h uint64, key []byte, t types.Tuple, seq uint64) {
 
 // insertBatch inserts a whole scatter with consecutive tickets starting at
 // baseSeq+1, resolving the key ids through the KeyTable's prefetching batch
-// kernel. ids/added are caller scratch of the scatter's length. Lanes are
-// chained in lane order, which matches the id order InsertBatch assigns, so
-// heads grows in lockstep with the dense id space. Row ids are stored as
-// they come; tuple headers go to the table's own store.
+// kernel for the scatter's key form (bytes or words). ids/added are caller
+// scratch of the scatter's length. Lanes are chained in lane order, which
+// matches the id order the kernel assigns, so heads grows in lockstep with
+// the dense id space. Row ids are stored as they come; tuple headers go to
+// the table's own store.
 func (jt *joinTable) insertBatch(sb *scatter, baseSeq uint64, ids []int32, added []bool) {
 	jt.own = sb.src == nil
 	jt.room(sb.len())
-	jt.idx.InsertBatch(sb.hashes, sb.keys, sb.offs, ids, added)
+	sb.insert(&jt.idx, ids, added)
 	if jt.own {
 		for i, t := range sb.tuples {
 			jt.link(ids[i], added[i], baseSeq+uint64(i)+1, int32(len(jt.rows)))
@@ -504,7 +505,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			// Resolve every probe key's id in one prefetching pass over the
 			// other side's table, then walk the match chains per lane; the
 			// probing tuple is resolved only when it has a match to emit.
-			otherT.idx.LookupBatch(sb.hashes, sb.keys, sb.offs, ids)
+			sb.lookup(&otherT.idx, ids)
 			for i := 0; i < n; i++ {
 				matches = otherT.probeID(ids[i], base+uint64(i)+1, matches[:0])
 				if len(matches) == 0 {

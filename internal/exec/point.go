@@ -144,10 +144,6 @@ type ProbeScratch struct {
 	vec   []int64
 	vecAt func(int32) []byte
 
-	// keyVecs, set by a scan routing for its consumer, are the full-table
-	// vectors of the operator's own key columns, in key order (see vecKeys).
-	keyVecs [][]int64
-
 	// Deferred-materialization state: while computeHashes has skipped the
 	// key-byte pass, exact summaries resolve lanes through lazyKey.
 	lazyTuples []types.Tuple
@@ -169,29 +165,6 @@ func (sc *ProbeScratch) compute(tuples []types.Tuple, cols []int, sel []int32) {
 		start := len(sc.keyBuf)
 		sc.keyBuf = tuples[i].AppendKeyCols(sc.keyBuf, cols)
 		sc.hashes[i] = types.Hash64(sc.keyBuf[start:], 0)
-		sc.starts[i] = int32(start)
-		sc.ends[i] = int32(len(sc.keyBuf))
-	}
-}
-
-// vecKeys is compute for a routing scan: the primary arrays of the listed
-// lanes are filled from table rows vecLo+lane of keyVecs, and no tuple is
-// read. A single column hashes in registers, as in computeHashes.
-func (sc *ProbeScratch) vecKeys(n int, sel []int32) {
-	sc.hashes = growU64(sc.hashes, n)
-	sc.starts = growI32(sc.starts, n)
-	sc.ends = growI32(sc.ends, n)
-	sc.keyBuf = sc.keyBuf[:0]
-	for _, i := range sel {
-		start := len(sc.keyBuf)
-		for _, kv := range sc.keyVecs {
-			sc.keyBuf = types.AppendIntKey(sc.keyBuf, kv[sc.vecLo+int(i)])
-		}
-		if len(sc.keyVecs) == 1 {
-			sc.hashes[i] = types.HashIntKey(sc.keyVecs[0][sc.vecLo+int(i)])
-		} else {
-			sc.hashes[i] = types.Hash64(sc.keyBuf[start:], 0)
-		}
 		sc.starts[i] = int32(start)
 		sc.ends[i] = int32(len(sc.keyBuf))
 	}

@@ -297,10 +297,8 @@ func TestJoinTableRefEntries(t *testing.T) {
 	sb := getScatter(0)
 	sb.src = &rowSource{rows: f.rows, sizes: sizes}
 	var want int64
-	var kb []byte
 	for rid := 5; rid < len(f.rows); rid += 3 {
-		kb = types.AppendIntKey(kb[:0], f.rows[rid][0].I)
-		sb.addRef(int32(rid), types.HashIntKey(f.rows[rid][0].I), kb)
+		sb.addRow(int32(rid), types.HashIntKey(f.rows[rid][0].I), []int64{f.rows[rid][0].I})
 		want += int64(f.rows[rid].MemSize())
 	}
 	var jt joinTable
@@ -317,8 +315,7 @@ func TestJoinTableRefEntries(t *testing.T) {
 			t.Fatalf("entry %d does not resolve to table row %d", i, sb.rids[i])
 		}
 	}
-	kb = types.AppendIntKey(kb[:0], 8)
-	if m := jt.probe(types.HashIntKey(8), kb, ^uint64(0), nil); len(m) == 0 || m[0][0].I != 8 {
+	if m := jt.probe(types.HashIntKey(8), types.AppendIntKey(nil, 8), ^uint64(0), nil); len(m) == 0 || m[0][0].I != 8 {
 		t.Fatalf("probe for key 8 returned %v", m)
 	}
 
@@ -346,7 +343,7 @@ func TestScanRouteZeroAllocs(t *testing.T) {
 	rt.src = &rowSource{rows: scan.Rows, fixed: int64(fixed), sizes: sizes}
 	w := scan.newWorker(scan.splitScanPred(j.Left.(*Filter).Pred))
 	kv, _ := scan.Vecs.IntVec(0)
-	w.sc.keyVecs = [][]int64{kv}
+	rt.keyVecs = [][]int64{kv}
 	routed := 0
 	drain := func() {
 		for _, ch := range outs {

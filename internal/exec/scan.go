@@ -346,9 +346,9 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		switch {
 		case rt != nil:
 			step = func(lo, hi int) bool { return w.route(ctx, s, op, lo, hi, rt) }
-			w.sc.keyVecs = make([][]int64, len(rt.keys))
+			rt.keyVecs = make([][]int64, len(rt.keys))
 			for i, k := range rt.keys {
-				w.sc.keyVecs[i], _ = s.Vecs.IntVec(k)
+				rt.keyVecs[i], _ = s.Vecs.IntVec(k)
 			}
 		case src != nil:
 			batch = Batch{Src: src, Sel: getSel()}

@@ -484,11 +484,9 @@ func spillPartRows(n int) (*rowSource, []types.Tuple) {
 func refScatter(src *rowSource, lo, hi int) *scatter {
 	sb := getScatter(0)
 	sb.src = src
-	var kb []byte
 	for rid := lo; rid < hi; rid++ {
 		k := src.rows[rid][0].I
-		kb = types.AppendIntKey(kb[:0], k)
-		sb.addRef(int32(rid), types.HashIntKey(k), kb)
+		sb.addRow(int32(rid), types.HashIntKey(k), []int64{k})
 	}
 	return sb
 }

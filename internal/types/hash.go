@@ -83,12 +83,23 @@ func Mix64(a, b uint64) uint64 {
 // HashIntKey returns Hash64(Int(v).AppendKey(nil), 0) computed entirely in
 // registers: the canonical integer-kind encoding is the 0x01 tag followed
 // by the big-endian payload, so the two overlapping 8-byte loads Hash64
-// would perform on those 9 bytes are byte-reversals of v. Batch key kernels
-// use it to hash single-integer keys without re-reading the bytes they just
-// encoded; TestHashIntKeyMatchesHash64 pins the equivalence.
+// would perform on those 9 bytes are byte-reversals of v. Key kernels use it
+// to hash a single-integer key from its value, never from encoded bytes;
+// TestHashIntKeyMatchesHash64 pins the equivalence.
 func HashIntKey(v int64) uint64 {
 	r := bits.ReverseBytes64(uint64(v))
 	return wymix(wyp1^9, wymix((r<<8|0x01)^wyp1, r^wyp0))
+}
+
+// HashIntKeys is HashIntKey for a key of len(w) integer-backed columns given
+// as words: Hash64 of their canonical encoding (AppendIntKeys), built on the
+// stack for up to eight columns.
+func HashIntKeys(w []int64) uint64 {
+	if len(w) == 1 {
+		return HashIntKey(w[0])
+	}
+	var buf [72]byte
+	return Hash64(AppendIntKeys(buf[:0], w), 0)
 }
 
 // Hasher computes hash-once tuple keys: one canonical encoding pass and one

@@ -2,6 +2,8 @@ package types
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -231,6 +233,134 @@ func TestKeyTableReserveKeys(t *testing.T) {
 		hash, key := h.KeyCols(Tuple{Int(int64(i)), Str(fmt.Sprintf("%04d", i))}, []int{0, 1})
 		if id := kt.Lookup(hash, key); id < 0 || string(kt.Key(id)) != string(lazy.Key(lazy.Lookup(hash, key))) {
 			t.Fatalf("key %d: id %d", i, id)
+		}
+	}
+}
+
+// TestKeyTableWordsMatchBytes: a key given as words (InsertWords,
+// LookupWords) and the same key given as canonical bytes (InsertBatch,
+// LookupBatch) are one key. For k = 1..3 columns of random values and the
+// boundary words, with true hashes and with every key under one hash, keys
+// inserted in one form are found in the other under the same ids, absent
+// keys in neither, and Key(id) is the AppendIntKey encoding. A FLOAT-tagged
+// twin of a key's payload is never a word match, in a table whose keys share
+// one length and in one whose lengths are mixed (a string key added), where
+// the word compare reads through the offsets.
+func TestKeyTableWordsMatchBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	edges := []int64{math.MinInt64, -1, 0, math.MaxInt64}
+	for k := 1; k <= 3; k++ {
+		for _, collide := range []bool{false, true} {
+			n := 3000 // several chunks of the batch kernels
+			if collide {
+				n = 400 // every probe walks one cluster
+			}
+			seen := map[string]bool{}
+			var words []int64
+			for len(seen) < n {
+				w := make([]int64, k)
+				for c := range w {
+					if rng.Intn(8) == 0 {
+						w[c] = edges[rng.Intn(len(edges))]
+					} else {
+						w[c] = rng.Int63n(1<<40) - 1<<39
+					}
+				}
+				if enc := string(AppendIntKeys(nil, w)); !seen[enc] {
+					seen[enc] = true
+					words = append(words, w...)
+				}
+			}
+			words = append(words, words...) // every key twice: lane j is key j % n
+			m := len(words) / k
+			hashes := make([]uint64, m)
+			offs := make([]int32, m+1)
+			var keys []byte
+			for j := range hashes {
+				w := words[j*k : (j+1)*k]
+				hashes[j] = HashIntKeys(w)
+				if collide {
+					hashes[j] = 0x5eed
+				}
+				keys = AppendIntKeys(keys, w)
+				offs[j+1] = int32(len(keys))
+			}
+			label := fmt.Sprintf("k=%d collide=%v", k, collide)
+			insert := func(byWords bool) *KeyTable {
+				kt := &KeyTable{}
+				ids, added := make([]int32, m), make([]bool, m)
+				if byWords {
+					kt.InsertWords(hashes, words, k, ids, added)
+				} else {
+					kt.InsertBatch(hashes, keys, offs, ids, added)
+				}
+				for j := range ids {
+					if want := int32(j % n); ids[j] != want || added[j] != (j < n) {
+						t.Fatalf("%s words=%v: lane %d got id %d added %v, want %d %v", label, byWords, j, ids[j], added[j], want, j < n)
+					}
+				}
+				for id := int32(0); int(id) < n; id++ {
+					if got, want := kt.Key(id), keys[offs[id]:offs[id+1]]; string(got) != string(want) {
+						t.Fatalf("%s words=%v: Key(%d) = %x, want %x", label, byWords, id, got, want)
+					}
+				}
+				return kt
+			}
+			for _, byWords := range []bool{true, false} {
+				kt := insert(byWords)
+				byteIDs, wordIDs := make([]int32, m), make([]int32, m)
+				kt.LookupBatch(hashes, keys, offs, byteIDs)
+				kt.LookupWords(hashes, words, k, wordIDs)
+				for j := range byteIDs {
+					if want := int32(j % n); byteIDs[j] != want || wordIDs[j] != want {
+						t.Fatalf("%s: inserted as words=%v, lane %d: byte lookup %d, word lookup %d, want %d", label, byWords, j, byteIDs[j], wordIDs[j], want)
+					}
+				}
+				// An absent key: the first one with its last word one past.
+				w := append([]int64(nil), words[:k]...)
+				w[k-1]++
+				if seen[string(AppendIntKeys(nil, w))] {
+					continue
+				}
+				h := HashIntKeys(w)
+				if collide {
+					h = 0x5eed
+				}
+				if id := kt.Lookup(h, AppendIntKeys(nil, w)); id != -1 {
+					t.Fatalf("%s: absent key found by bytes as %d", label, id)
+				}
+				if kt.LookupWords([]uint64{h}, w, k, wordIDs[:1]); wordIDs[0] != -1 {
+					t.Fatalf("%s: absent key found by words as %d", label, wordIDs[0])
+				}
+			}
+			// Key 0 stored as a FLOAT with the same payload bytes (the
+			// integer-tagged key itself absent), beside keys 1..n-1, all
+			// under the colliding hash: a word lookup of key 0 must miss,
+			// with the keys of one width and again after a string key
+			// made their lengths mixed, and a word insert must add it.
+			if !collide {
+				continue
+			}
+			kt := &KeyTable{}
+			fl := append([]byte(nil), keys[offs[0]:offs[1]]...)
+			fl[0] = 0x02
+			kt.Insert(0x5eed, fl)
+			for j := 1; j < n; j++ {
+				kt.Insert(0x5eed, keys[offs[j]:offs[j+1]])
+			}
+			ids, added := make([]int32, n), make([]bool, n)
+			for _, mixed := range []bool{false, true} {
+				if mixed {
+					kt.Insert(0x5eed, Str("x").AppendKey(nil))
+				}
+				if kt.LookupWords(hashes[:n], words[:n*k], k, ids); ids[0] != -1 || ids[1] != 1 || int(ids[n-1]) != n-1 {
+					t.Fatalf("%s mixed=%v: word lookups found %d, %d, %d; want -1 (only a FLOAT key has its payload), 1, %d",
+						label, mixed, ids[0], ids[1], ids[n-1], n-1)
+				}
+			}
+			if kt.InsertWords(hashes[:1], words[:k], k, ids, added); !added[0] || int(ids[0]) != n+1 {
+				t.Fatalf("%s: word insert beside its FLOAT twin gave id %d added %v, want a new id %d", label, ids[0], added[0], n+1)
+			}
 		}
 	}
 }

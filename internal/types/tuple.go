@@ -66,9 +66,10 @@ func (t Tuple) AppendKeyCols(dst []byte, cols []int) []byte {
 
 // AppendIntKey appends the canonical key encoding of an integer-backed
 // value (the 0x01 tag followed by the big-endian payload). It is the
-// inlinable fast path the hot key kernels share; Value.AppendKey produces
-// the identical bytes. The in-capacity case is two plain stores — batch
-// key kernels run it once per tuple, where a 9-byte append's memmove call
+// inlinable fast path every integer key encode shares — a router's, and a
+// KeyTable storing a key it was given as words; Value.AppendKey produces
+// the identical bytes. The in-capacity case is two plain stores — the key
+// kernels run it once per key, where a 9-byte append's memmove call
 // dominated the encode in profiles.
 func AppendIntKey(dst []byte, v int64) []byte {
 	n := len(dst)
@@ -79,6 +80,15 @@ func AppendIntKey(dst []byte, v int64) []byte {
 		return dst
 	}
 	return appendIntKeyGrow(dst, v)
+}
+
+// AppendIntKeys appends the canonical encoding of a key of integer-backed
+// columns given as words, one per column.
+func AppendIntKeys(dst []byte, w []int64) []byte {
+	for _, v := range w {
+		dst = AppendIntKey(dst, v)
+	}
+	return dst
 }
 
 func appendIntKeyGrow(dst []byte, v int64) []byte {
