@@ -19,7 +19,8 @@ test:
 # integer key words in place of encoded bytes;
 # BenchmarkHashAggFold/{routed,router}: Q17's avg(DECIMAL) GROUP BY INT over
 # 300 k rows into 10 k groups, folded from a routing scan's vectors and from
-# a router's batches; BenchmarkJoinSpillMerge: a routed 60 k-row join side
+# a router's batches — the routed fold and the routed join cases have dense
+# keys, so their tables resolve words through the direct index; BenchmarkJoinSpillMerge: a routed 60 k-row join side
 # spilled at a quarter of its peak and merged against two rows) and of the
 # wire client benchmarks
 # (BenchmarkClientStream/{count,row}: stream_wire's query with a consumer
@@ -75,7 +76,9 @@ microbench:
 # differential, cancel / early Close / kept rows on the cursor; the typed
 # aggregation fold: the routed-vs-router fold matrix with evicting budgets,
 # the 0-alloc fold, state accounting across evictions), the
-# catalog's column-vector cache, the spill run-file frame codec, the
+# catalog's column-vector cache and column ranges, the key table's direct
+# index (install rule and range arithmetic, the differential against a
+# hash-only twin, the 0-alloc dense kernel), the spill run-file frame codec, the
 # scalar-vs-vectorized expression differential tests, the network
 # fault/breaker tests, the blocked-filter / striped-Partial merge-exactness
 # differentials, the wire server's concurrent-session soak /
@@ -84,7 +87,7 @@ microbench:
 # leg of the generated-query oracle (SIP_ORACLE_SEEDS catalogs instead of
 # six), under the race detector.
 test-race:
-	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
+	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/types ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
 
 # fuzz: 30 s of each fuzzer — the wire protocol's payload primitives, frame
 # layer, RowBatch column-run decoder and fixed-width integer run codec, and

@@ -54,11 +54,13 @@ type Table struct {
 }
 
 // colVec is one column's lazily built typed vector; at most one of ints and
-// floats is non-nil, and both are nil for a column that has no vector.
+// floats is non-nil, and both are nil for a column that has no vector. lo and
+// hi bound ints.
 type colVec struct {
 	once   sync.Once
 	kind   types.Kind
 	ints   []int64
+	lo, hi int64
 	floats []float64
 }
 
@@ -82,8 +84,9 @@ func (t *Table) vec(col int) *colVec {
 }
 
 // build fills the vector when every row holds the same integer-backed kind
-// (INT, DATE, BOOL) or every row holds a DECIMAL; a NULL, a string, or a
-// second kind anywhere in the column leaves it without a vector.
+// (INT, DATE, BOOL), with its minimum and maximum from the same pass, or
+// every row holds a DECIMAL; a NULL, a string, or a second kind anywhere in
+// the column leaves it without a vector.
 func (v *colVec) build(rows []types.Tuple, col int) {
 	if len(rows) == 0 || col < 0 || col >= len(rows[0]) {
 		return
@@ -91,13 +94,15 @@ func (v *colVec) build(rows []types.Tuple, col int) {
 	switch k := rows[0][col].K; k {
 	case types.KindInt, types.KindDate, types.KindBool:
 		ints := make([]int64, len(rows))
+		lo, hi := rows[0][col].I, rows[0][col].I
 		for i, r := range rows {
 			if r[col].K != k {
 				return
 			}
-			ints[i] = r[col].I
+			x := r[col].I
+			ints[i], lo, hi = x, min(lo, x), max(hi, x)
 		}
-		v.kind, v.ints = k, ints
+		v.kind, v.ints, v.lo, v.hi = k, ints, lo, hi
 	case types.KindFloat:
 		floats := make([]float64, len(rows))
 		for i, r := range rows {
@@ -116,6 +121,13 @@ func (v *colVec) build(rows []types.Tuple, col int) {
 func (t *Table) IntVec(col int) ([]int64, types.Kind) {
 	v := t.vec(col)
 	return v.ints, v.kind
+}
+
+// IntRange returns the least and the greatest value of column col when it has
+// an IntVec (ok false otherwise), computed with the vector.
+func (t *Table) IntRange(col int) (lo, hi int64, ok bool) {
+	v := t.vec(col)
+	return v.lo, v.hi, v.ints != nil
 }
 
 // FloatVec is IntVec for an all-DECIMAL column.

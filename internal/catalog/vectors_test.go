@@ -112,3 +112,46 @@ func TestColumnVectorsFollowTheTable(t *testing.T) {
 		}
 	}
 }
+
+// TestIntRange: an integer vector's range is its column's least and greatest
+// value — negative values and a one-row column included — there is none
+// for a DECIMAL, string, NULL-holding or mixed column, and a table replaced
+// through Add serves the range of its new rows.
+func TestIntRange(t *testing.T) {
+	tbl := mixedTable(1000)
+	for i := range tbl.Rows {
+		tbl.Rows[i][0] = types.Int(int64(i*37%1001) - 700)
+	}
+	for col, want := range map[int]bool{0: true, 1: true, 2: false, 3: false, 4: false, 5: false, 9: false} {
+		lo, hi, ok := tbl.IntRange(col)
+		if ok != want {
+			t.Fatalf("column %d: ok = %v, want %v", col, ok, want)
+		}
+		if !ok {
+			continue
+		}
+		wlo, whi := tbl.Rows[0][col].I, tbl.Rows[0][col].I
+		for _, r := range tbl.Rows {
+			wlo, whi = min(wlo, r[col].I), max(whi, r[col].I)
+		}
+		if lo != wlo || hi != whi {
+			t.Fatalf("column %d: range [%d, %d], a scan of the rows gives [%d, %d]", col, lo, hi, wlo, whi)
+		}
+	}
+	one := &Table{Name: "one", Rows: []types.Tuple{{types.Int(-42)}}}
+	if lo, hi, ok := one.IntRange(0); !ok || lo != -42 || hi != -42 {
+		t.Fatalf("one-row column: [%d, %d] ok %v", lo, hi, ok)
+	}
+
+	c := New()
+	c.Add(mixedTable(100))
+	old, _ := c.Table("m")
+	if _, hi, _ := old.IntRange(0); hi != 99 {
+		t.Fatalf("old table's max %d", hi)
+	}
+	c.Add(mixedTable(300))
+	cur, _ := c.Table("m")
+	if lo, hi, ok := cur.IntRange(0); !ok || lo != 0 || hi != 299 {
+		t.Fatalf("replacement table serves [%d, %d] ok %v, want [0, 299]", lo, hi, ok)
+	}
+}

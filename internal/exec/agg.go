@@ -354,8 +354,11 @@ func (w *aggWorker) fold(st *aggState, sb *scatter) (groups, bytes int64) {
 // absorb folds one scatter into the partition, accounts what the state grew
 // by, and evicts under memory pressure.
 func (pt *aggPart) absorb(ctx *Context, op *stats.OpStats, w *aggWorker, sb *scatter, P int) error {
-	pre := pt.memBytes()
+	pre, direct := pt.memBytes(), pt.idx.Direct()
 	groups, bytes := w.fold(&pt.aggState, sb)
+	if !direct && pt.idx.Direct() {
+		op.Direct.Add(1)
+	}
 	putScatter(sb)
 	// Delta-based over the full footprint, so StateBytes moves by the same delta.
 	if delta := pt.memBytes() - pre; delta != 0 {

@@ -174,6 +174,10 @@ type scatter struct {
 	words []int64
 	nk    int
 	kbuf  []byte // key's encoding of a word key
+	// ranged: a one-column word key's column spans [lo, hi], which the
+	// receiving table may index directly (types.KeyTable.Range).
+	lo, hi int64
+	ranged bool
 }
 
 var scatterPool = sync.Pool{New: func() any {
@@ -198,7 +202,7 @@ func putScatter(s *scatter) {
 	s.hashes = s.hashes[:0]
 	s.offs = s.offs[:1]
 	s.keys = s.keys[:0]
-	s.words, s.nk = s.words[:0], 0
+	s.words, s.nk, s.ranged = s.words[:0], 0, false
 	scatterPool.Put(s)
 }
 
@@ -256,8 +260,12 @@ func (s *scatter) key(i int) []byte {
 }
 
 // insert resolves every key of the scatter in kt, adding the absent ones,
-// through the batch kernel of the scatter's key form.
+// through the batch kernel of the scatter's key form; a ranged key column
+// declares its range to kt.
 func (s *scatter) insert(kt *types.KeyTable, ids []int32, added []bool) {
+	if s.ranged {
+		kt.Range(s.lo, s.hi)
+	}
 	if s.nk > 0 {
 		kt.InsertWords(s.hashes, s.words, s.nk, ids, added)
 	} else {
@@ -289,10 +297,12 @@ type inputRoute struct {
 
 	side  int
 	shift uint
-	// Set by a routing scan: the table its row ids index, and the full-table
-	// vectors of the key columns, in key order.
+	// Set by a routing scan: the table its row ids index, the full-table
+	// vectors of the key columns, in key order, and a one-column key's range.
 	src     *rowSource
 	keyVecs [][]int64
+	lo, hi  int64
+	ranged  bool
 	words   []int64 // routeRows' scratch for a key of several columns
 	outs    []chan *scatter
 	bufs    []*scatter // per partition: the hashed tuples not yet delivered
@@ -314,8 +324,9 @@ func newInputRoute(side, parallelism int, outs []chan *scatter) *inputRoute {
 func (r *inputRoute) buf(h uint64) *scatter {
 	p := int(h >> r.shift)
 	if r.bufs[p] == nil {
-		r.bufs[p] = getScatter(r.side)
-		r.bufs[p].src = r.src
+		sb := getScatter(r.side)
+		sb.src, sb.lo, sb.hi, sb.ranged = r.src, r.lo, r.hi, r.ranged
+		r.bufs[p] = sb
 	}
 	return r.bufs[p]
 }

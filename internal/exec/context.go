@@ -34,7 +34,15 @@
 //     scatters (row id, key hash, one int64 key word per column) straight to
 //     the partition workers, at most one message per partition per chunk;
 //     their KeyTables compare the words with the stored canonical bytes in
-//     place and append those bytes for a new key. Any other input
+//     place and append those bytes for a new key. A one-column key also
+//     carries its column's [min, max] (catalog.Table.IntRange) to the
+//     table (KeyTable.Range), which installs a direct index over it once
+//     its 4 bytes a value cost no more than the table itself: a word then
+//     resolves with one load. Partition routing keeps the hash, and each
+//     partition's index spans the whole range. The slots stay
+//     authoritative: a byte key enters the index only as the INT-tagged
+//     encoding of an in-range word, so a router's byte keys, Key/Hash and
+//     spill records see the same table. Any other input
 //     — a DECIMAL or NULL-holding key, a computed group key, an operator
 //     below — gets dense batches of copied row headers and a router, as ever.
 //   - Who resolves a tuple, and when: a join entry is 16 pointer-free bytes

@@ -452,7 +452,11 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 				if cap(added) < n {
 					added = make([]bool, n)
 				}
+				direct := ownT.idx.Direct()
 				ownT.insertBatch(sb, base, ids, added[:n])
+				if !direct && ownT.idx.Direct() {
+					own.op.Direct.Add(1)
+				}
 				stored = int64(n)
 				storedBytes = ownT.tupBytes - preTup
 			} else if pt.runs[0] != nil {

@@ -87,10 +87,11 @@ type Scan struct {
 }
 
 // TableVectors is a base table as a scan selects and routes over it: the
-// typed column vectors, and Tuple.MemSize of each row (fixed when all rows
-// share it, else sizes[i]).
+// typed column vectors, an integer vector's [min, max], and Tuple.MemSize of
+// each row (fixed when all rows share it, else sizes[i]).
 type TableVectors interface {
 	expr.ColumnVectors
+	IntRange(col int) (lo, hi int64, ok bool)
 	RowBytes() (fixed int32, sizes []int32)
 }
 
@@ -349,6 +350,9 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 			rt.keyVecs = make([][]int64, len(rt.keys))
 			for i, k := range rt.keys {
 				rt.keyVecs[i], _ = s.Vecs.IntVec(k)
+			}
+			if len(rt.keys) == 1 {
+				rt.lo, rt.hi, rt.ranged = s.Vecs.IntRange(rt.keys[0])
 			}
 		case src != nil:
 			batch = Batch{Src: src, Sel: getSel()}

@@ -88,6 +88,11 @@ type OpStats struct {
 	SpillRead   Counter
 	SpillEvents Counter
 
+	// Direct counts the partition key tables of this input that installed a
+	// direct index over their key column's range (types.KeyTable.Range),
+	// again after each eviction that dropped one.
+	Direct Counter
+
 	// Routed names, on a scan that routed for its consumer (hashing keys
 	// from the column vectors and scattering row ids straight to the
 	// partition workers), the consumer input's stats block; empty otherwise.
@@ -332,6 +337,12 @@ func (r *Registry) Report() string {
 				parts += " "
 			}
 			parts += fmt.Sprintf("spills=%d spill-bytes=%dB spill-read=%dB", se, op.SpillBytes.Load(), op.SpillRead.Load())
+		}
+		if d := op.Direct.Load(); d > 0 {
+			if parts != "" {
+				parts += " "
+			}
+			parts += fmt.Sprintf("direct=%d", d)
 		}
 		out += fmt.Sprintf("%-40s %10d %10d %10d %12d %s\n",
 			op.Name, op.In.Load(), op.Out.Load(), op.Pruned.Load(), op.StateBytes.Peak(), parts)

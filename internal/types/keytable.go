@@ -20,6 +20,18 @@ import "encoding/binary"
 // (a table filled from words always does), key id starts at id × that
 // length, so a word compare reads neither the offsets nor the hashes.
 //
+// A table of one-column integer keys can also hold a direct index over the
+// column's [min, max] (Range): dir[w−min] is key w's id+1, 0 when absent, so
+// a word resolves with one load, no slot probe and no key compare. The index
+// sits in front of the slots, which stay authoritative: every new key is
+// entered in both, and a byte key enters dir only when it is the 9-byte
+// INT-tagged encoding of an in-range word (a FLOAT- or STRING-tagged key
+// whose payload happens to decode into range never does). The byte kernels,
+// Key, Hash, Len and spill records therefore see the same table with or
+// without it. The word kernel installs it once its 4 bytes per word of the
+// span are no more than the table's own MemSize, so a table pruned to a few
+// keys never gets one; MemSize counts it.
+//
 // The zero value is an empty, ready-to-use table. KeyTable is not
 // concurrency-safe; the executor serializes access per operator side.
 type KeyTable struct {
@@ -35,6 +47,12 @@ type KeyTable struct {
 	// width is the length of every key while all have one (with Len() > 0),
 	// else -1.
 	width int32
+
+	// The direct index (Range): lo is the domain's minimum, span its size
+	// (0: no domain declared, or one of 2^64 values), dir nil until installed.
+	lo   int64
+	span uint64
+	dir  []int32
 }
 
 // NewKeyTable returns a table pre-sized for about hint distinct keys.
@@ -101,7 +119,46 @@ func (kt *KeyTable) Hash(id int32) uint64 { return kt.hashes[id] }
 
 // MemSize approximates the table's footprint in bytes for state accounting.
 func (kt *KeyTable) MemSize() int {
-	return len(kt.slots)*4 + len(kt.hashes)*16 + len(kt.keys)
+	return len(kt.slots)*4 + len(kt.hashes)*16 + len(kt.keys) + len(kt.dir)*4
+}
+
+// Range declares [lo, hi] as the domain of the table's one-column integer
+// keys (a routing scan's key column, catalog.Table.IntRange), which lets the
+// word kernels install the direct index. The first declaration holds until
+// the table is reset to its zero value; a word outside it still resolves,
+// through the slots.
+func (kt *KeyTable) Range(lo, hi int64) {
+	if kt.span == 0 && lo <= hi {
+		kt.lo, kt.span = lo, uint64(hi)-uint64(lo)+1
+	}
+}
+
+// Direct reports whether the table has installed its direct index.
+func (kt *KeyTable) Direct() bool { return kt.dir != nil }
+
+// install reports whether word keys of one column resolve through dir,
+// installing it first when the declared span costs no more than the table
+// itself: 4 × span ≤ MemSize, compared without overflow. Keys already in the
+// table are entered as add would have.
+func (kt *KeyTable) install() bool {
+	if kt.dir != nil || kt.span == 0 || kt.span > uint64(kt.MemSize())/4 {
+		return kt.dir != nil
+	}
+	kt.dir = make([]int32, kt.span)
+	for id := range int32(len(kt.hashes)) {
+		kt.enter(kt.Key(id), id)
+	}
+	return true
+}
+
+// enter puts key id into dir when its bytes are the INT-tagged encoding of a
+// word in range.
+func (kt *KeyTable) enter(key []byte, id int32) {
+	if len(key) == 9 && key[0] == 0x01 {
+		if o := binary.BigEndian.Uint64(key[1:]) - uint64(kt.lo); o < uint64(len(kt.dir)) {
+			kt.dir[o] = id + 1
+		}
+	}
 }
 
 // Lookup returns the id of the key, or -1 when absent. It never allocates.
@@ -239,19 +296,42 @@ func (kt *KeyTable) resolve(hashes []uint64, keys []byte, offs []int32, ids []in
 
 // resolveWords is resolve for word keys. A candidate is compared with the
 // words in place (wordsEq), a one-column key at the constant stride of 9
-// bytes.
+// bytes. An inserting call installs the direct index when it pays (install);
+// with it, a one-column word in range resolves from dir alone, and a new one
+// takes the first empty slot of its probe sequence, which holds no equal key
+// (every in-range key is in dir). A word out of range takes the slot path.
 func (kt *KeyTable) resolveWords(hashes []uint64, words []int64, k int, ids []int32, added []bool) {
 	if !kt.begin(len(hashes), ids, added != nil) {
 		return
 	}
+	dense := k == 1 && (kt.dir != nil || added != nil && kt.install())
 	var home [ktChunk]uint64
 	var s0 [ktChunk]int32
 	for start := 0; start < len(hashes); start += ktChunk {
 		c := min(len(hashes)-start, ktChunk)
-		kt.warm(hashes[start:start+c], &home, &s0)
+		if !dense {
+			kt.warm(hashes[start:start+c], &home, &s0)
+		}
 		for j := 0; j < c; j++ {
 			l := start + j
 			i, s := home[j], s0[j]
+			if dense {
+				if o := uint64(words[l]) - uint64(kt.lo); o < uint64(len(kt.dir)) {
+					s = kt.dir[o]
+					if added != nil {
+						if added[l] = s == 0; s == 0 {
+							i = hashes[l] & kt.mask
+							for kt.slots[i] != 0 {
+								i = (i + 1) & kt.mask
+							}
+							s = kt.add(i, hashes[l], AppendIntKey(kt.keys, words[l])) + 1
+						}
+					}
+					ids[l] = s - 1
+					continue
+				}
+				i, s = hashes[l]&kt.mask, 0
+			}
 			if s == 0 {
 				s = kt.slots[i]
 			}
@@ -312,8 +392,8 @@ func keyEq(a, b []byte) bool {
 	return le.Uint64(a) == le.Uint64(b) && le.Uint64(a[n-8:]) == le.Uint64(b[n-8:])
 }
 
-// add gives a new key the next id in empty slot i; keys is the arena with
-// the key's bytes appended.
+// add gives a new key the next id in empty slot i, and its entry in dir;
+// keys is the arena with the key's bytes appended.
 func (kt *KeyTable) add(i, h uint64, keys []byte) int32 {
 	id := int32(len(kt.hashes))
 	switch n := int32(len(keys) - len(kt.keys)); {
@@ -321,6 +401,9 @@ func (kt *KeyTable) add(i, h uint64, keys []byte) int32 {
 		kt.width = n
 	case n != kt.width:
 		kt.width = -1
+	}
+	if kt.dir != nil {
+		kt.enter(keys[len(kt.keys):], id)
 	}
 	kt.hashes = append(kt.hashes, h)
 	kt.keys = keys

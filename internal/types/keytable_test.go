@@ -364,3 +364,241 @@ func TestKeyTableWordsMatchBytes(t *testing.T) {
 		}
 	}
 }
+
+// denseTable returns a table holding the words 0..n-1 (inserted by bytes, so
+// no range is declared yet) with slot room for one more key without a grow,
+// and its MemSize: the figure the install rule compares 4 × span with.
+func denseTable(n int) (*KeyTable, int) {
+	kt := &KeyTable{}
+	kt.Reserve(n + 1)
+	for w := int64(0); w < int64(n); w++ {
+		kt.Insert(HashIntKey(w), AppendIntKey(nil, w))
+	}
+	return kt, kt.MemSize()
+}
+
+// insertWord inserts one word through the word kernel and returns its id and
+// whether it was added.
+func insertWord(kt *KeyTable, w int64) (int32, bool) {
+	ids, added := make([]int32, 1), make([]bool, 1)
+	kt.InsertWords([]uint64{HashIntKey(w)}, []int64{w}, 1, ids, added)
+	return ids[0], added[0]
+}
+
+// lookupWord looks one word up through the word kernel.
+func lookupWord(kt *KeyTable, w int64) int32 {
+	ids := make([]int32, 1)
+	kt.LookupWords([]uint64{HashIntKey(w)}, []int64{w}, 1, ids)
+	return ids[0]
+}
+
+// TestKeyTableDirectInstall pins the install rule and the range arithmetic:
+// the direct index installs on a word insert when 4 × span ≤ MemSize — at a
+// span of exactly MemSize/4 and not one over — never for a domain of 2^64 or
+// 2^64 − 1 values (the span is computed unsigned, without overflow), and a
+// word outside the domain, below a negative minimum or at MaxInt64, resolves
+// through the slots.
+func TestKeyTableDirectInstall(t *testing.T) {
+	const n = 100
+	_, mem := denseTable(n)
+	for _, tc := range []struct {
+		name   string
+		lo, hi int64
+		want   bool
+	}{
+		{"span at MemSize/4", 0, int64(mem/4) - 1, true},
+		{"span one over", 0, int64(mem / 4), false},
+		{"negative min", -int64(mem/4) + n, n - 1, true},
+		{"whole int64", math.MinInt64, math.MaxInt64, false},
+		{"int64 but one", math.MinInt64, math.MaxInt64 - 1, false},
+		{"empty", 1, 0, false},
+	} {
+		kt, _ := denseTable(n)
+		kt.Range(tc.lo, tc.hi)
+		if id, added := insertWord(kt, 7); id != 7 || added {
+			t.Fatalf("%s: word 7 resolved to %d added %v", tc.name, id, added)
+		}
+		if kt.Direct() != tc.want {
+			t.Fatalf("%s: span [%d, %d] against MemSize %d: Direct() = %v, want %v", tc.name, tc.lo, tc.hi, mem, kt.Direct(), tc.want)
+		}
+		if tc.want && kt.MemSize() != mem+4*int(uint64(tc.hi)-uint64(tc.lo)+1) {
+			t.Fatalf("%s: MemSize %d does not count the index over %d", tc.name, kt.MemSize(), mem)
+		}
+		// Words below, above and at the ends of the domain resolve as the
+		// byte kernel (the slots alone) resolves them, before and after an
+		// insert.
+		for _, w := range []int64{tc.lo - 1, tc.lo, tc.hi, tc.hi + 1, math.MinInt64, math.MaxInt64, -1, n - 1} {
+			h, b := HashIntKey(w), AppendIntKey(nil, w)
+			want := kt.Lookup(h, b)
+			if got := lookupWord(kt, w); got != want {
+				t.Fatalf("%s: word %d resolved to %d, bytes to %d", tc.name, w, got, want)
+			}
+			id, added := insertWord(kt, w)
+			if added != (want == -1) || want != -1 && id != want {
+				t.Fatalf("%s: insert of word %d gave %d added %v; lookup had %d", tc.name, w, id, added, want)
+			}
+			if got := lookupWord(kt, w); got != id || kt.Lookup(h, b) != id {
+				t.Fatalf("%s: word %d inserted as %d, then found as %d", tc.name, w, id, got)
+			}
+		}
+	}
+	// Range is declared once; the zero value drops it with the index.
+	kt, _ := denseTable(n)
+	kt.Range(0, n-1)
+	kt.Range(0, math.MaxInt64/2)
+	if insertWord(kt, 0); !kt.Direct() || kt.MemSize() != mem+4*n {
+		t.Fatalf("the first range must hold: Direct %v, MemSize %d", kt.Direct(), kt.MemSize())
+	}
+	*kt = KeyTable{}
+	if insertWord(kt, 0); kt.Direct() {
+		t.Fatal("a table reset to its zero value kept its index")
+	}
+}
+
+// TestKeyTableDirectMatchesHash runs random operation sequences against two
+// tables, one with a declared range (which installs the direct index once it
+// pays) and a hash-only twin, and requires the same ids and added flags
+// from every call and the same Len, Key and Hash throughout: word inserts and
+// lookups in and out of range, byte inserts and lookups (one at a time and
+// batched) of INT-tagged keys and of an integral FLOAT's encoding, FLOAT- and
+// STRING-tagged keys whose payload bytes decode into the range, and resets to
+// the zero value.
+func TestKeyTableDirectMatchesHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	installed := 0
+	for seq := 0; seq < 60; seq++ {
+		span := int64(64 + rng.Intn(3000))
+		lo := []int64{0, -5000, 1 << 40, math.MaxInt64 - span + 1, math.MinInt64}[seq%5]
+		hi := lo + span - 1 // MaxInt64 for the fourth domain
+		var dense, hash KeyTable
+		dense.Range(lo, hi)
+		word := func() int64 {
+			switch rng.Intn(10) {
+			case 0:
+				return lo - 1 - rng.Int63n(100) // out of range; wraps past MinInt64
+			case 1:
+				return hi + 1 + rng.Int63n(100)
+			}
+			return lo + rng.Int63n(span)
+		}
+		// key draws one byte key: INT-tagged, an integral FLOAT, or a FLOAT-
+		// or STRING-tagged key with an in-range word's payload.
+		key := func() []byte {
+			w := word()
+			b := AppendIntKey(nil, w)
+			switch rng.Intn(5) {
+			case 1:
+				b = Float(float64(w)).AppendKey(nil) // INT-tagged where float64 holds w exactly
+			case 2:
+				b[0] = 0x02
+			case 3:
+				b[0], b[8] = 0x03, 0 // a 7-byte string's encoding
+			}
+			return b
+		}
+		check := func(op string, a, b []int32, aa, ba []bool) {
+			t.Helper()
+			for j := range a {
+				if a[j] != b[j] || aa != nil && aa[j] != ba[j] {
+					t.Fatalf("seq %d [%d, %d] %s lane %d: direct %d/%v, hash %d/%v", seq, lo, hi, op, j, a[j], aa != nil && aa[j], b[j], ba != nil && ba[j])
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			n := 1 + rng.Intn(300)
+			di, hi2 := make([]int32, n), make([]int32, n)
+			da, ha := make([]bool, n), make([]bool, n)
+			switch op := rng.Intn(20); {
+			case op < 8: // word insert / lookup
+				words, hs := make([]int64, n), make([]uint64, n)
+				for j := range words {
+					words[j] = word()
+					hs[j] = HashIntKey(words[j])
+				}
+				if op < 5 {
+					dense.InsertWords(hs, words, 1, di, da)
+					hash.InsertWords(hs, words, 1, hi2, ha)
+					check("InsertWords", di, hi2, da, ha)
+				} else {
+					dense.LookupWords(hs, words, 1, di)
+					hash.LookupWords(hs, words, 1, hi2)
+					check("LookupWords", di, hi2, nil, nil)
+				}
+			case op < 12: // byte batch insert / lookup
+				var keys []byte
+				offs := []int32{0}
+				hs := make([]uint64, n)
+				for j := range hs {
+					b := key()
+					hs[j] = Hash64(b, 0)
+					keys = append(keys, b...)
+					offs = append(offs, int32(len(keys)))
+				}
+				if op < 10 {
+					dense.InsertBatch(hs, keys, offs, di, da)
+					hash.InsertBatch(hs, keys, offs, hi2, ha)
+					check("InsertBatch", di, hi2, da, ha)
+				} else {
+					dense.LookupBatch(hs, keys, offs, di)
+					hash.LookupBatch(hs, keys, offs, hi2)
+					check("LookupBatch", di, hi2, nil, nil)
+				}
+			case op < 19: // one byte key
+				b := key()
+				h := Hash64(b, 0)
+				if op < 16 {
+					d, dadd := dense.Insert(h, b)
+					x, xadd := hash.Insert(h, b)
+					check("Insert", []int32{d}, []int32{x}, []bool{dadd}, []bool{xadd})
+				} else {
+					check("Lookup", []int32{dense.Lookup(h, b)}, []int32{hash.Lookup(h, b)}, nil, nil)
+				}
+			default:
+				if dense.Direct() {
+					installed++
+				}
+				dense, hash = KeyTable{}, KeyTable{}
+				dense.Range(lo, hi)
+			}
+			if dense.Len() != hash.Len() {
+				t.Fatalf("seq %d: Len %d, hash twin %d", seq, dense.Len(), hash.Len())
+			}
+		}
+		for id := int32(0); int(id) < dense.Len(); id++ {
+			if string(dense.Key(id)) != string(hash.Key(id)) || dense.Hash(id) != hash.Hash(id) {
+				t.Fatalf("seq %d: id %d is %x/%x, hash twin %x/%x", seq, id, dense.Key(id), dense.Hash(id), hash.Key(id), hash.Hash(id))
+			}
+		}
+		if dense.Direct() {
+			installed++
+		}
+	}
+	if installed < 20 {
+		t.Fatalf("only %d tables installed the direct index; the differential checks too little", installed)
+	}
+}
+
+// TestKeyTableDirectAllocs: once warm, the dense word kernel allocates
+// nothing, inserting present keys or looking words up.
+func TestKeyTableDirectAllocs(t *testing.T) {
+	const n = 4096
+	words, hs := make([]int64, n), make([]uint64, n)
+	for j := range words {
+		words[j] = int64(j*7%n) - 100
+		hs[j] = HashIntKey(words[j])
+	}
+	var kt KeyTable
+	kt.Range(-100, n-101)
+	ids, added := make([]int32, n), make([]bool, n)
+	kt.InsertWords(hs, words, 1, ids, added)
+	kt.InsertWords(hs, words, 1, ids, added)
+	if !kt.Direct() {
+		t.Fatal("a full dense table did not install its index")
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		kt.InsertWords(hs, words, 1, ids, added)
+		kt.LookupWords(hs, words, 1, ids)
+	}); a != 0 {
+		t.Fatalf("%.1f allocs per warm dense batch, want 0", a)
+	}
+}

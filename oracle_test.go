@@ -30,6 +30,14 @@ package sip
 // count(*) over a three-way join — and counts the join sides that emitted
 // fewer columns than they received: some must.
 //
+// Each catalog also has a twin whose key columns a and b are drawn from one
+// of the key domains of oraDomains (dense, sparse, negative minimum, a span
+// just over the direct-index threshold, MaxInt64 at the top), which answers
+// the domain shapes (oraGenDomain) and feeds the table leg (oraTableLeg); the
+// sweep counts the join and aggregate tables that installed a direct index
+// over their key's range, and the capped runs in which an aggregate
+// installed one again after an eviction: both must occur.
+//
 // A failure names the seed, the SQL and its arguments;
 // SIP_ORACLE_SEED=<seed> reruns one catalog. SIP_ORACLE_SEEDS=<n> widens the
 // sweep (make test-race runs the long leg). Bugs the oracle found are pinned
@@ -147,20 +155,23 @@ func TestGeneratedQueryOracle(t *testing.T) {
 	for _, seed := range seeds {
 		oraRunSeed(t, seed, spill, &reach)
 	}
-	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d",
-		reach.routed, reach.router, reach.narrowed, reach.waited)
-	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0 || reach.waited == 0) {
-		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d; the sweep must reach all four",
-			reach.routed, reach.router, reach.narrowed, reach.waited)
+	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d",
+		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled)
+	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0 || reach.waited == 0 ||
+		reach.direct == 0 || reach.reinstalled == 0) {
+		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d; the sweep must reach all six",
+			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled)
 	}
 }
 
 // oraReach counts what the checked cases reached: aggregations by where their
 // fold read its input — a routing scan (by row id, from the column vectors)
 // or a router goroutine's batches — join sides that emitted fewer columns
-// than they received, and scans that waited for their join sibling (Baseline
-// runs, so no filter wait is counted).
-type oraReach struct{ routed, router, narrowed, waited int }
+// than they received, scans that waited for their join sibling (Baseline
+// runs, so no filter wait is counted), partition key tables that installed
+// a direct index, and capped runs in which an aggregate table installed one
+// again after an eviction dropped it.
+type oraReach struct{ routed, router, narrowed, waited, direct, reinstalled int }
 
 // oraRunSeed generates one catalog and checks oraQueriesPerSeed queries over
 // it, then one of the routed fold's shape and three of the narrowing shapes,
@@ -187,6 +198,176 @@ func oraRunSeed(t *testing.T, seed int64, spill string, reach *oraReach) {
 		q, want := oraAnswerable(nr, func() *oraQuery { return oraGenNarrow(nr, oc, shape) })
 		check(oraQueriesPerSeed+1+shape, q, want)
 	}
+	oraRunDomain(t, seed, spill, reach)
+}
+
+// oraDomains are the key domains of the domain leg: column a's (and b's)
+// draws from [0, dom) map to dom values that are consecutive, spread a
+// million apart, consecutive across zero, spread over a span one past the
+// direct-index threshold of a table holding the whole domain, or consecutive
+// up to MaxInt64.
+var oraDomains = []string{"dense", "sparse", "negative", "over", "maxint"}
+
+// oraDomainMap returns the map of a domain kind from draws in [0, dom).
+func oraDomainMap(kind string, dom int) func(int64) int64 {
+	d := int64(dom)
+	switch kind {
+	case "sparse":
+		return func(v int64) int64 { return v*1_000_003 + 17 }
+	case "negative":
+		return func(v int64) int64 { return v - d/2 - 3 }
+	case "over":
+		// The install rule is 4 × span ≤ MemSize: the span is one past what a
+		// table of the dom keys, inserted as one batch, pays for.
+		words, hs := make([]int64, dom), make([]uint64, dom)
+		for i := range words {
+			words[i] = int64(i)
+			hs[i] = types.HashIntKey(words[i])
+		}
+		var kt types.KeyTable
+		kt.InsertWords(hs, words, 1, make([]int32, dom), make([]bool, dom))
+		span := int64(kt.MemSize()/4) + 1
+		return func(v int64) int64 { return v * (span - 1) / max(d-1, 1) }
+	case "maxint":
+		return func(v int64) int64 { return math.MaxInt64 - (d - 1) + v }
+	}
+	return func(v int64) int64 { return v }
+}
+
+// oraRunDomain checks one catalog of the domain leg: a catalog drawn from a
+// stream of its own with a and b mapped through the seed's domain, three
+// domain shapes under every property, the routed fold again at P=1 under a
+// budget that makes it evict, and the table leg.
+func oraRunDomain(t *testing.T, seed int64, spill string, reach *oraReach) {
+	rng := rand.New(rand.NewSource(seed ^ 0x0d0a1))
+	kind := oraDomains[seed%int64(len(oraDomains))]
+	oc := oraGenCatalog(rng)
+	m := oraDomainMap(kind, oc.dom)
+	for _, tbl := range oc.tables {
+		for _, r := range tbl.Rows {
+			r[oraA].I = m(r[oraA].I)
+			if !r[oraB].IsNull() {
+				r[oraB].I = m(r[oraB].I)
+			}
+		}
+	}
+	env := &oraEnv{t: t, eng: NewEngine(oc.cat), spill: spill, reach: reach}
+	for shape := 0; shape < 3; shape++ {
+		q, want := oraAnswerable(rng, func() *oraQuery { return oraGenDomain(rng, oc, shape) })
+		sql, args := q.render()
+		c := &oraCase{env: env, seed: seed, idx: 100 + shape, sql: sql + " -- " + kind, args: args, want: oraCanon(want)}
+		c.check(rng)
+		if shape != 1 {
+			continue
+		}
+		// The fold evicts under a tenth of its peak and folds on into a
+		// fresh table, which installs its index again once it pays.
+		peak := c.run("Baseline/P=1", Options{Strategy: Baseline, Parallelism: 1}, false).res.PeakMemBytes
+		label := fmt.Sprintf("Baseline/P=1/budget=%d", peak/10)
+		r := c.run(label, Options{Strategy: Baseline, Parallelism: 1, MemBudget: max(peak/10, 1)}, false)
+		var be *BudgetError
+		if !errors.As(r.err, &be) {
+			c.same(label, r, c.want)
+			reach.reinstalled += r.reach.reinstalled
+		}
+	}
+	oraTableLeg(t, seed, kind, oc.tables[0])
+}
+
+// oraGenDomain draws the shapes whose key is column a: (0) a join on a, or on
+// a against the NULL-holding b, grouped by the key; (1) the routed fold,
+// GROUP BY a over one table; (2) a join on a emitting both ids. Only exact
+// aggregates are drawn — count, min and max of the key, sum of the DECIMAL x,
+// avg of the id — since a sum of MaxInt64-scale keys in floats depends on
+// its order.
+func oraGenDomain(rng *rand.Rand, oc *oraCatalog, shape int) *oraQuery {
+	q := &oraQuery{oc: oc}
+	perm := rng.Perm(len(oc.tables))
+	q.rels = append(q.rels, oraRel{table: perm[0]})
+	if shape != 1 {
+		q.rels = append(q.rels, oraRel{table: perm[1]})
+		rk := oraA
+		if rng.Intn(3) == 0 {
+			rk = oraB
+		}
+		q.joins = append(q.joins, oraJoin{oraRef{0, oraA}, oraRef{1, rk}})
+	}
+	ref := func(rel, col int) *oraExpr { return &oraExpr{ref: &oraRef{rel, col}} }
+	if shape == 2 {
+		q.items = append(q.items, oraItem{e: ref(0, oraID)}, oraItem{e: ref(1, oraID)})
+		return q
+	}
+	q.grouped = true
+	q.group = append(q.group, oraRef{0, oraA})
+	last := len(q.rels) - 1
+	q.items = append(q.items, oraItem{e: ref(0, oraA)}, oraItem{agg: "count*"},
+		oraItem{agg: []string{"min", "max"}[rng.Intn(2)], arg: ref(last, oraA)},
+		oraItem{agg: "sum", arg: ref(last, oraX)}, oraItem{agg: "avg", arg: ref(0, oraID)})
+	return q
+}
+
+// oraTableLeg is the direct index's rule on the byte path, which no query
+// reaches: a table is filled by one input, so the table a routing scan's
+// words fill never receives a key of another tag. A table with the range of
+// tbl's column a and a hash-only twin take the same calls — column a's words
+// in routing-scan batches, then the FLOAT- and STRING-tagged twins of every
+// domain value's encoding as bytes, then the words again and column b's —
+// and must resolve every lane alike.
+func oraTableLeg(t *testing.T, seed int64, kind string, tbl *catalog.Table) {
+	lo, hi, ok := tbl.IntRange(oraA)
+	vec, _ := tbl.IntVec(oraA)
+	if !ok {
+		t.Fatalf("oracle seed %d (%s): column a has no range", seed, kind)
+	}
+	var dense, hash types.KeyTable
+	words := func(ws []int64) {
+		for start := 0; start < len(ws); start += 1024 {
+			w := ws[start:min(start+1024, len(ws))]
+			hs := make([]uint64, len(w))
+			for i, v := range w {
+				hs[i] = types.HashIntKey(v)
+			}
+			di, hi2 := make([]int32, len(w)), make([]int32, len(w))
+			da, ha := make([]bool, len(w)), make([]bool, len(w))
+			dense.Range(lo, hi)
+			dense.InsertWords(hs, w, 1, di, da)
+			hash.InsertWords(hs, w, 1, hi2, ha)
+			for i := range w {
+				if di[i] != hi2[i] || da[i] != ha[i] {
+					t.Fatalf("oracle seed %d table leg (%s, [%d, %d], direct %v): word %d is %d/%v, hash-only %d/%v",
+						seed, kind, lo, hi, dense.Direct(), w[i], di[i], da[i], hi2[i], ha[i])
+				}
+			}
+		}
+	}
+	words(vec[:len(vec)/2])
+	var keys []byte
+	offs := []int32{0}
+	var hs []uint64
+	for _, v := range vec {
+		for _, tag := range []byte{0x02, 0x03} {
+			b := types.AppendIntKey(nil, v)
+			b[0] = tag
+			keys = append(keys, b...)
+			offs = append(offs, int32(len(keys)))
+			hs = append(hs, types.Hash64(b, 0))
+		}
+	}
+	di, hi2 := make([]int32, len(hs)), make([]int32, len(hs))
+	da, ha := make([]bool, len(hs)), make([]bool, len(hs))
+	dense.InsertBatch(hs, keys, offs, di, da)
+	hash.InsertBatch(hs, keys, offs, hi2, ha)
+	if !slices.Equal(di, hi2) || !slices.Equal(da, ha) {
+		t.Fatalf("oracle seed %d table leg (%s): byte keys of other tags resolved apart", seed, kind)
+	}
+	words(vec)
+	var bs []int64
+	for _, r := range tbl.Rows {
+		if !r[oraB].IsNull() {
+			bs = append(bs, r[oraB].I)
+		}
+	}
+	words(bs)
 }
 
 // ---------------------------------------------------------------------------
@@ -1369,6 +1550,7 @@ func (c *oraCase) check(rng *rand.Rand) {
 			c.env.reach.router += r.reach.router
 			c.env.reach.narrowed += r.reach.narrowed
 			c.env.reach.waited += r.reach.waited
+			c.env.reach.direct += r.reach.direct
 		}
 	}
 	p1 := strat()
@@ -1465,6 +1647,10 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 	out.reach.waited = c.startWaits(label, rows)
 	routed := map[string]bool{} // per aggregation: whether a scan routed for it
 	for _, op := range rows.ectx.Stats.Ops() {
+		out.reach.direct += int(op.Direct.Load())
+		if strings.HasPrefix(op.Name, "agg:") && op.SpillEvents.Load() > 0 && op.Direct.Load() > 1 {
+			out.reach.reinstalled++
+		}
 		if strings.HasPrefix(op.Name, "agg:") && !routed[op.Name] {
 			routed[op.Name] = false
 		}
