@@ -67,9 +67,10 @@ microbench:
 
 # test-race: the executor's concurrency tests (partitioned join/agg
 # determinism, cancellation, the bucket-discard spill differentials,
-# source-side selection: scan-probe differentials, accounting, the 0-alloc
+# source-side selection: scan-probe differentials over unmodeled and paced +
+# delayed scans (one scan loop), accounting, the 0-alloc
 # chunk path, join reservation; routing scans: routed-vs-router
-# differentials, routed word keys joined with router byte keys against a
+# differentials (unmodeled and paced + delayed), routed word keys joined with router byte keys against a
 # nested loop (FLOAT/DATE/two-column keys, P=1/4, spilled), the entry
 # layout, the 0-alloc routing kernel, spill over row-id entries, start
 # order; the row-id root: root-vs-Project
@@ -85,7 +86,8 @@ microbench:
 # disconnect-cancellation / quota tests, the column-run codec and
 # hostile-frame tests and the wire ≡ in-process differentials, and the long
 # leg of the generated-query oracle (SIP_ORACLE_SEEDS catalogs instead of
-# six), under the race detector.
+# six; every case also runs once on delayed, paced, fault-injected sources),
+# under the race detector.
 test-race:
 	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/types ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -328,6 +329,47 @@ func TestChaosResultCounters(t *testing.T) {
 	}
 }
 
+// TestChaosPinnedRetries pins the fault sequences of delayed scans: a scan
+// draws one injected fault per read (BatchSize rows, cut at the next EveryN
+// or BurstEveryN boundary), so for a fixed seed and delay shape the retries
+// a run absorbs are a fixed number. The breaker is off and the retry budget
+// never runs out, so the count depends on nothing but the draws.
+func TestChaosPinnedRetries(t *testing.T) {
+	e := testEngine(t)
+	base := canon(mustRows(t, e, chaosSQL, Options{}))
+	shapes := []struct {
+		name  string
+		delay DelayConfig
+		bps   int64
+		want  [6]int64 // Result.Retries for seeds 1–6
+	}{
+		{"batch", DelayConfig{Initial: time.Millisecond}, 0, [6]int64{7, 5, 6, 7, 6, 9}},
+		{"every", DelayConfig{EveryN: 100, BurstEveryN: 250}, 1 << 30, [6]int64{9, 8, 9, 15, 8, 10}},
+	}
+	for _, sh := range shapes {
+		for seed := int64(1); seed <= 6; seed++ {
+			delay := sh.delay
+			res, err := e.Query(context.Background(), chaosSQL, Options{
+				DelayedTables:     []string{"supplier", "partsupp"},
+				Delay:             &delay,
+				SourceBytesPerSec: sh.bps,
+				Faults:            &FaultProfile{Seed: seed, TransientRate: 0.1, DropRate: 0.05},
+				Retry: RetryPolicy{MaxRetries: 64, AttemptTimeout: -1, BaseBackoff: time.Microsecond,
+					MaxBackoff: time.Microsecond, Jitter: -1, BreakerFailures: -1},
+			})
+			if err != nil {
+				t.Fatalf("%s/seed %d: %v", sh.name, seed, err)
+			}
+			if got := canon(res.Rows); !slices.Equal(got, base) {
+				t.Fatalf("%s/seed %d: %d rows, fault-free %d", sh.name, seed, len(got), len(base))
+			}
+			if res.Retries != sh.want[seed-1] {
+				t.Errorf("%s/seed %d: Result.Retries = %d, pinned %d", sh.name, seed, res.Retries, sh.want[seed-1])
+			}
+		}
+	}
+}
+
 // TestChaosMatrix is the full chaos sweep: seeds × fault profiles ×
 // failure modes × strategies, each run bounded by a deadline. Gated behind
 // SIP_CHAOS=1 (several minutes under -race); `make chaos` runs it.
@@ -463,7 +505,7 @@ func TestChaosSpilledThenAbandoned(t *testing.T) {
 		MemBudget:     256 << 10,
 		DelayedTables: []string{"lineitem"},
 		Delay:         &DelayConfig{Initial: time.Millisecond},
-		// Seed 20 lands the first injected fault ~20 flushes into the
+		// Seed 20 lands the first injected fault ~20 reads into the
 		// lineitem stream: a third of the probe side arrives (spilling the
 		// budget-capped join state along the way), then the source dies.
 		Faults:          &FaultProfile{Seed: 20, TransientRate: 0.05},

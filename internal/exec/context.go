@@ -14,8 +14,8 @@
 //     taken once per batch and per-operator stat counters are accumulated
 //     in goroutine-locals and flushed once per batch, so the per-tuple path
 //     has no mutex or atomic traffic.
-//   - Selection starts at the source. An unpaced, undelayed base-table Scan
-//     works in chunks of scanChunkRows (1024) table rows: it evaluates the
+//   - Selection starts at the source. A local base-table Scan works in
+//     chunks of scanChunkRows (1024) table rows: it evaluates the
 //     predicate of the Filter directly above it — column ⊕ constant
 //     conjuncts as typed kernels over the table's column vectors
 //     (expr.VecCmp over catalog.Table.IntVec/FloatVec), the rest through
@@ -23,10 +23,10 @@
 //     feeds (Scan.Point, wired by the optimizer when nothing but Filters
 //     sits in between), hashing integer keys straight from the key vector.
 //     The bank is read once per chunk, so a filter published mid-scan
-//     applies from the next chunk on. Paced, delayed and fault-injected
-//     scans select nothing (their flush sequence is the source model,
-//     Scan.runSequential), nor does a remote scan (the Ship above it prunes
-//     at the remote site and charges the link per batch).
+//     applies from the next chunk on. A paced, delayed or fault-injected
+//     scan does the same over its source model's reads (sourceModel); a
+//     remote scan selects nothing (the Ship above it prunes at the remote
+//     site and charges the link per batch).
 //   - Who routes: when the keys of the input such a scan feeds — join key
 //     columns, group-by column refs — all have an IntVec, the scan is the
 //     input's router (routingScan): it drives the inputRoute a router

@@ -103,8 +103,9 @@ func findOp(reg *stats.Registry, name string) *stats.OpStats {
 // TestScanRoutedDifferential runs a join and an aggregation fed by a scan
 // behind a Filter, once routable and once forced onto the router path, with
 // a filter over k published mid-scan (from the point's OnStore hook, so the
-// scan is provably still running), for both summary kinds, P ∈ {1, 2} and a
-// single- and a two-column key. The rows must be equal; the routed run must
+// scan is provably still running), for both summary kinds, P ∈ {1, 2}, a
+// single- and a two-column key, and an unmodeled and a paced, delayed scan
+// (modelSource). The rows must be equal; the routed run must
 // say it routed, count every row past the predicate exactly once (received,
 // and pruned or got in), hand its consumer exactly what it emitted, and —
 // the join's other side held back until the scan-fed side is done, so every
@@ -132,114 +133,119 @@ func TestScanRoutedDifferential(t *testing.T) {
 		for _, exact := range []bool{false, true} {
 			for _, p := range []int{1, 2} {
 				for _, keys := range [][]int{{0}, {0, 1}} {
-					label := fmt.Sprintf("%s exact=%v P=%d keys=%v", kind, exact, p, keys)
-					runPlan := func(routable bool, budget int64) run {
-						var r run
-						child, sc := f.scan(routable)
-						r.pt = routedPoint("l", f.sch, keys)
-						sc.Point = r.pt
-						sum := keep.summary(exact)
-						var calls atomic.Int64
-						var root Op
-						if kind == "join" {
-							r.pt.OnStore = func(_ int, tu types.Tuple) {
-								r.kept++ // slot 0 only: the scan or the router
-								r.keptSz += int64(tu.MemSize())
-								if calls.Add(1) == 1000 {
-									r.pt.Bank.Attach([]int{0}, sum)
+					for _, modeled := range []bool{false, true} {
+						label := fmt.Sprintf("%s exact=%v P=%d keys=%v modeled=%v", kind, exact, p, keys, modeled)
+						runPlan := func(routable bool, budget int64) run {
+							var r run
+							child, sc := f.scan(routable)
+							r.pt = routedPoint("l", f.sch, keys)
+							sc.Point = r.pt
+							if modeled {
+								modelSource(sc)
+							}
+							sum := keep.summary(exact)
+							var calls atomic.Int64
+							var root Op
+							if kind == "join" {
+								r.pt.OnStore = func(_ int, tu types.Tuple) {
+									r.kept++ // slot 0 only: the scan or the router
+									r.keptSz += int64(tu.MemSize())
+									if calls.Add(1) == 1000 {
+										r.pt.Bank.Attach([]int{0}, sum)
+									}
+								}
+								small := &Scan{Name: "r", Rows: f.small, Sch: intSchema("a", "b", "y")}
+								gate := &gated{child: small, cond: r.pt.Done}
+								j := NewHashJoin("j", child, gate, keys, keys, AllCols(child, gate), nil)
+								j.LPoint, j.RPoint = r.pt, routedPoint("r", small.Sch, keys)
+								root = j
+							} else {
+								r.pt.OnStore = func(int, types.Tuple) { // per new group, from the workers
+									if calls.Add(1) == 500 {
+										r.pt.Bank.Attach([]int{0}, sum)
+									}
+								}
+								gb := make([]expr.Expr, len(keys))
+								for i, k := range keys {
+									gb[i] = &expr.ColRef{Idx: k, Col: f.sch.Cols[k]}
+								}
+								h := NewHashAgg("a", child, gb, aggs, f.sch.Project(keys).Concat(types.NewSchema(aggCols...)))
+								h.Point = r.pt
+								root = h
+							}
+							r.reg = stats.NewRegistry()
+							r.ctx = NewContext(r.reg, nil)
+							r.ctx.Parallelism, r.ctx.MemBudget = p, budget
+							var err error
+							r.rows, err = Run(r.ctx, root)
+							r.ctx.Cleanup()
+							if err != nil {
+								t.Fatalf("%s routable=%v budget=%d: %v", label, routable, budget, err)
+							}
+							return r
+						}
+						want, got := runPlan(false, 0), runPlan(true, 0)
+						// A filter on an aggregation input leaves the groups it
+						// prunes with whatever they had folded by then; only the
+						// groups it keeps are comparable (and complete).
+						comparable := func(rows []types.Tuple) []string {
+							var out []types.Tuple
+							for _, r := range rows {
+								if kind == "join" || keep.keep[r[0].I] {
+									out = append(out, r)
 								}
 							}
-							small := &Scan{Name: "r", Rows: f.small, Sch: intSchema("a", "b", "y")}
-							gate := &gated{child: small, cond: r.pt.Done}
-							j := NewHashJoin("j", child, gate, keys, keys, AllCols(child, gate), nil)
-							j.LPoint, j.RPoint = r.pt, routedPoint("r", small.Sch, keys)
-							root = j
-						} else {
-							r.pt.OnStore = func(int, types.Tuple) { // per new group, from the workers
-								if calls.Add(1) == 500 {
-									r.pt.Bank.Attach([]int{0}, sum)
-								}
-							}
-							gb := make([]expr.Expr, len(keys))
-							for i, k := range keys {
-								gb[i] = &expr.ColRef{Idx: k, Col: f.sch.Cols[k]}
-							}
-							h := NewHashAgg("a", child, gb, aggs, f.sch.Project(keys).Concat(types.NewSchema(aggCols...)))
-							h.Point = r.pt
-							root = h
+							return rowStrings(out)
 						}
-						r.reg = stats.NewRegistry()
-						r.ctx = NewContext(r.reg, nil)
-						r.ctx.Parallelism, r.ctx.MemBudget = p, budget
-						var err error
-						r.rows, err = Run(r.ctx, root)
-						r.ctx.Cleanup()
-						if err != nil {
-							t.Fatalf("%s routable=%v budget=%d: %v", label, routable, budget, err)
+						if len(comparable(want.rows)) == 0 {
+							t.Fatalf("%s: router path produced no rows — test is vacuous", label)
 						}
-						return r
-					}
-					want, got := runPlan(false, 0), runPlan(true, 0)
-					// A filter on an aggregation input leaves the groups it
-					// prunes with whatever they had folded by then; only the
-					// groups it keeps are comparable (and complete).
-					comparable := func(rows []types.Tuple) []string {
-						var out []types.Tuple
-						for _, r := range rows {
-							if kind == "join" || keep.keep[r[0].I] {
-								out = append(out, r)
-							}
-						}
-						return rowStrings(out)
-					}
-					if len(comparable(want.rows)) == 0 {
-						t.Fatalf("%s: router path produced no rows — test is vacuous", label)
-					}
-					sameRows(t, label, comparable(want.rows), comparable(got.rows))
+						sameRows(t, label, comparable(want.rows), comparable(got.rows))
 
-					consumer := map[string]string{"join": "join:j.left", "agg": "agg:a"}[kind]
-					if r := findOp(want.reg, "scan:l").Routed; r != "" {
-						t.Fatalf("%s: the unvectorizable key still routed (%s)", label, r)
-					}
-					scan, op := findOp(got.reg, "scan:l"), findOp(got.reg, consumer)
-					if scan.Routed != consumer {
-						t.Fatalf("%s: scan routed for %q, want %q", label, scan.Routed, consumer)
-					}
-					if findOp(got.reg, "filter:l") != nil {
-						t.Fatalf("%s: the filter ran as its own operator", label)
-					}
-					if scan.In.Load() != n || scan.Out.Load() != op.In.Load() || scan.Out.Load() >= f.passPred/2 {
-						t.Fatalf("%s: scan read %d, emitted %d, consumer got %d; want %d read and well under the %d past the predicate emitted",
-							label, scan.In.Load(), scan.Out.Load(), op.In.Load(), n, f.passPred)
-					}
-					if r := got.pt.Received(); r != f.passPred {
-						t.Fatalf("%s: received = %d, want %d (each row once)", label, r, f.passPred)
-					}
-					if pr := op.Pruned.Load(); pr == 0 || pr+op.In.Load() != f.passPred {
-						t.Fatalf("%s: pruned %d + got in %d != %d rows past the predicate", label, pr, op.In.Load(), f.passPred)
-					}
-					if kind == "agg" && exact { // the budget leg; the summary kind does not reach eviction
-						for _, unbounded := range []run{want, got} {
-							routable := unbounded.ctx == got.ctx
-							budget := unbounded.ctx.PeakTrackedBytes() / 4
-							l := fmt.Sprintf("%s routable=%v budget=%d", label, routable, budget)
-							c := runPlan(routable, budget)
-							if c.ctx.SpillEvents() == 0 {
-								t.Fatalf("%s: no eviction (unbounded peak %d)", l, unbounded.ctx.PeakTrackedBytes())
-							}
-							sameRows(t, l, comparable(want.rows), comparable(c.rows))
+						consumer := map[string]string{"join": "join:j.left", "agg": "agg:a"}[kind]
+						if r := findOp(want.reg, "scan:l").Routed; r != "" {
+							t.Fatalf("%s: the unvectorizable key still routed (%s)", label, r)
 						}
-					}
-					if kind != "join" {
-						continue
-					}
-					var partBytes int64
-					for i := 0; i < op.Partitions(); i++ {
-						partBytes += op.Part(i).Bytes.Load()
-					}
-					if got.kept != op.In.Load() || op.StateRows.Load() != got.kept || partBytes != got.keptSz {
-						t.Fatalf("%s: %d rows got in, %d OnStore calls, %d stored; charged %d B for tuples of %d B",
-							label, op.In.Load(), got.kept, op.StateRows.Load(), partBytes, got.keptSz)
+						scan, op := findOp(got.reg, "scan:l"), findOp(got.reg, consumer)
+						if scan.Routed != consumer {
+							t.Fatalf("%s: scan routed for %q, want %q", label, scan.Routed, consumer)
+						}
+						if findOp(got.reg, "filter:l") != nil {
+							t.Fatalf("%s: the filter ran as its own operator", label)
+						}
+						if scan.In.Load() != n || scan.Out.Load() != op.In.Load() || scan.Out.Load() >= f.passPred/2 {
+							t.Fatalf("%s: scan read %d, emitted %d, consumer got %d; want %d read and well under the %d past the predicate emitted",
+								label, scan.In.Load(), scan.Out.Load(), op.In.Load(), n, f.passPred)
+						}
+						if r := got.pt.Received(); r != f.passPred {
+							t.Fatalf("%s: received = %d, want %d (each row once)", label, r, f.passPred)
+						}
+						if pr := op.Pruned.Load(); pr == 0 || pr+op.In.Load() != f.passPred {
+							t.Fatalf("%s: pruned %d + got in %d != %d rows past the predicate", label, pr, op.In.Load(), f.passPred)
+						}
+						if kind == "agg" && exact { // the budget leg; the summary kind does not reach eviction
+							for _, unbounded := range []run{want, got} {
+								routable := unbounded.ctx == got.ctx
+								budget := unbounded.ctx.PeakTrackedBytes() / 4
+								l := fmt.Sprintf("%s routable=%v budget=%d", label, routable, budget)
+								c := runPlan(routable, budget)
+								if c.ctx.SpillEvents() == 0 {
+									t.Fatalf("%s: no eviction (unbounded peak %d)", l, unbounded.ctx.PeakTrackedBytes())
+								}
+								sameRows(t, l, comparable(want.rows), comparable(c.rows))
+							}
+						}
+						if kind != "join" {
+							continue
+						}
+						var partBytes int64
+						for i := 0; i < op.Partitions(); i++ {
+							partBytes += op.Part(i).Bytes.Load()
+						}
+						if got.kept != op.In.Load() || op.StateRows.Load() != got.kept || partBytes != got.keptSz {
+							t.Fatalf("%s: %d rows got in, %d OnStore calls, %d stored; charged %d B for tuples of %d B",
+								label, op.In.Load(), got.kept, op.StateRows.Load(), partBytes, got.keptSz)
+						}
 					}
 				}
 			}

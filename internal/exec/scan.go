@@ -27,7 +27,7 @@ type DelayConfig struct {
 	BurstEveryN int
 	BurstPause  time.Duration
 
-	// Fault, when active, injects per-batch source failures (transient
+	// Fault, when active, injects per-read source failures (transient
 	// errors, stalls) drawn deterministically from the profile's seed. The
 	// Context's Recovery policy drives retries; an exhausted source fails
 	// the query or degrades it to a partial result per the FailureMode.
@@ -43,15 +43,14 @@ const scanChunkRows = 1024
 
 // Scan streams a base table.
 //
-// An unpaced, undelayed scan is the first place selection happens: per
-// scanChunkRows-row chunk it evaluates the predicate of a Filter directly
-// above it (Filter.sourceScan; typed column ⊕ constant conjuncts over the
-// table's column vectors, anything else through the row kernels), probes the
+// A scan is the first place selection happens: per scanChunkRows-row chunk
+// it evaluates the predicate of a Filter directly above it
+// (Filter.sourceScan; typed column ⊕ constant conjuncts over the table's
+// column vectors, anything else through the row kernels), probes the
 // FilterBank of the operator input it feeds (Point), and emits only the
 // surviving rows, compacted into dense batches — a chunk with no survivor
-// sends nothing. A paced, delayed or fault-injected scan (sequential) does
-// none of this: its flush boundaries model the source, so it emits every row
-// and the Filter and the consumer select as they always did.
+// sends nothing. A paced, delayed or fault-injected scan runs the same loop
+// over the reads of its source model (sourceModel) instead of whole chunks.
 type Scan struct {
 	Name  string
 	Rows  []types.Tuple
@@ -98,14 +97,10 @@ type TableVectors interface {
 // Schema returns the scan's output schema.
 func (s *Scan) Schema() *types.Schema { return s.Sch }
 
-// sequential reports whether the scan must run as a single ordered stream
-// that emits every row: pacing and delay model flush boundaries, and the
-// deterministic fault injector draws one decision per flush, so selecting at
-// the source (or range-splitting) would change the failure sequence a seed
-// reproduces and the wall time the modeled link is meant to show.
-func (s *Scan) sequential() bool {
-	return s.Delay != nil || s.BytesPerSec > 0
-}
+// modeled reports whether the scan models its source (a Delay or a
+// BytesPerSec): its timing is the model's, so start order neither ranks it
+// (RankSources) nor lets it take the row-id root (Project.rootScan).
+func (s *Scan) modeled() bool { return s.Delay != nil || s.BytesPerSec > 0 }
 
 // scanWorker is one goroutine's state for the chunk kernel: the residual
 // predicate (a Compiled carries scratch) and the lane scratch.
@@ -236,7 +231,7 @@ func scanUnder(child Op) (*Scan, expr.Expr) {
 // table int32 row ids can address. Anything else keeps the router goroutine.
 func routingScan(child Op, pt *Point, keys []int) (*Scan, expr.Expr) {
 	sc, pred := scanUnder(child)
-	if sc == nil || pt == nil || sc.Point != pt || sc.sequential() || sc.Vecs == nil ||
+	if sc == nil || pt == nil || sc.Point != pt || sc.Vecs == nil ||
 		len(keys) == 0 || len(sc.Rows) > math.MaxInt32 {
 		return nil, nil
 	}
@@ -292,9 +287,6 @@ func (w *scanWorker) refs(s *Scan, op *stats.OpStats, lo, hi int, batch *Batch, 
 // included) lives in the goroutine, so one Scan value can back many
 // concurrent executions of a prepared plan.
 func (s *Scan) Start(ctx *Context) <-chan Batch {
-	if s.sequential() {
-		return s.startSequential(ctx)
-	}
 	return s.start(ctx, nil, nil, nil)
 }
 
@@ -304,7 +296,8 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 // rt.done in place of closing a channel, or — src non-nil — the refs kernel
 // feeding the root's channel row-id batches over src. Survivors carry over
 // from chunk to chunk, so a heavily pruned scan still sends full batches (or
-// scatters).
+// scatters). A modeled scan steps through its source model's reads
+// (sourceModel.run) instead of whole chunks.
 func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSource) <-chan Batch {
 	op := ctx.Stats.NewOp("scan:" + s.Name)
 	var proj *stats.OpStats
@@ -360,16 +353,22 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		default:
 			batch = GetBatch()
 		}
-		for lo := 0; lo < len(s.Rows); lo += scanChunkRows {
-			// A pruned chunk sends nothing, so cancellation — and a sibling
-			// stream of the same table having been abandoned, which ends the
-			// input early but whole — is checked here, not only at the send.
-			if ctx.Err() != nil || partialMode && ctx.SourceAbandoned(s.Table) {
-				PutBatch(batch)
+		if s.modeled() {
+			if !s.newSourceModel(ctx, op, partialMode).run(step, rt, &batch, emit) {
 				return
 			}
-			if !step(lo, min(lo+scanChunkRows, len(s.Rows))) {
-				return
+		} else {
+			for lo := 0; lo < len(s.Rows); lo += scanChunkRows {
+				// A pruned chunk sends nothing, so cancellation — and a sibling
+				// stream of the same table having been abandoned, which ends the
+				// input early but whole — is checked here, not only at the send.
+				if ctx.Err() != nil || partialMode && ctx.SourceAbandoned(s.Table) {
+					PutBatch(batch)
+					return
+				}
+				if !step(lo, min(lo+scanChunkRows, len(s.Rows))) {
+					return
+				}
 			}
 		}
 		if rt != nil {
@@ -383,155 +382,145 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 	return out
 }
 
-// startSequential runs a paced, delayed or fault-injected source on its own
-// goroutine, feeding the output channel.
-func (s *Scan) startSequential(ctx *Context) <-chan Batch {
-	out := make(chan Batch, pipelineDepth)
-	op := ctx.Stats.NewOp("scan:" + s.Name)
-	ctx.Spawn(func() {
-		defer close(out)
-		s.runSequential(ctx, op, func(b Batch) bool { return send(ctx, out, b) })
-	})
-	return out
+// sourceModel is a modeled scan's source for one run: the §VI-B delay model
+// and BytesPerSec pacing. The scan reads BatchSize rows at a time, cut at the
+// next EveryN or BurstEveryN boundary; per read it checks for cancellation
+// and an abandoned sibling stream (partial mode), draws one injected fault,
+// runs the kernel,
+// charges the rows' Tuple.MemSize to the pacing deadline and takes the pause
+// a boundary calls for. Before any wait it hands on what it carries, so rows
+// read before a pause reach the consumer before it.
+type sourceModel struct {
+	ctx     *Context
+	s       *Scan
+	d       DelayConfig            // *s.Delay, or zero
+	inj     *network.FaultInjector // with ret, only under an active fault profile
+	ret     *retrier
+	partial bool      // PartialOnSourceError over a named table
+	bytes   int64     // Σ Tuple.MemSize of the rows read
+	start   time.Time // pacing's time zero: the end of the initial delay
 }
 
-// runSequential is the per-tuple loop of a sequential source: flush
-// boundaries, pacing and fault draws are the source model (see Scan), so a
-// seeded failure sequence reproduces identically.
-// emit delivers one batch, taking ownership, and reports false when the
-// query was cancelled. It returns on exhausted input, cancellation,
-// partial-mode abandonment, or source failure.
-func (s *Scan) runSequential(ctx *Context, op *stats.OpStats, emit func(Batch) bool) {
-	// Fault plumbing: one deterministic injector and one retry driver per
-	// run, both derived from the scan's name so (plan, seed) reproduces the
-	// same failure sequence.
-	var inj *network.FaultInjector
-	var ret *retrier
-	if s.Delay != nil && s.Delay.Fault.Active() {
-		inj = s.Delay.Fault.Injector("scan:" + s.Name)
-		ret = newRetrier(ctx, op, s.Site, "scan:"+s.Name)
+// newSourceModel returns a modeled scan's source model. The fault injector
+// and the retry driver derive from the scan's name, so (plan, seed)
+// reproduces the same failure sequence.
+func (s *Scan) newSourceModel(ctx *Context, op *stats.OpStats, partial bool) *sourceModel {
+	m := &sourceModel{ctx: ctx, s: s, partial: partial}
+	if s.Delay != nil {
+		m.d = *s.Delay
 	}
-	partialMode := ctx.Recovery.Mode == PartialOnSourceError && s.Table != ""
-	if s.Delay != nil && s.Delay.Initial > 0 {
-		select {
-		case <-time.After(s.Delay.Initial):
-		case <-ctx.Cancelled():
-			return
+	m.start = time.Now().Add(m.d.Initial) // pacing runs from the first read
+	if m.d.Fault.Active() {
+		m.inj = m.d.Fault.Injector("scan:" + s.Name)
+		m.ret = newRetrier(ctx, op, s.Site, "scan:"+s.Name)
+	}
+	return m
+}
+
+// run runs step over every read of the table; false when the scan must stop.
+// Before each wait it hands on rt's scatters, or the partial *batch to emit —
+// a row-id batch (over a RootSource) refilled as one.
+func (m *sourceModel) run(step func(lo, hi int) bool, rt *inputRoute, batch *Batch, emit func(Batch) bool) bool {
+	handOn := func() bool {
+		if rt != nil {
+			return rt.flush(m.ctx, 0)
+		}
+		if batch.Len() == 0 {
+			return true
+		}
+		src := batch.Src
+		if !emit(*batch) {
+			return false
+		}
+		if src != nil {
+			*batch = Batch{Src: src, Sel: getSel()}
+		} else {
+			*batch = GetBatch()
+		}
+		return true
+	}
+	if len(m.s.Rows) > 0 && !m.wait(m.d.Initial, handOn) {
+		return false
+	}
+	for lo, end := 0, 0; lo < len(m.s.Rows); lo = end {
+		// Cancellation, or a sibling stream of the same table abandoned,
+		// ends the scan before the next read's fault draw and pause.
+		if m.ctx.Err() != nil || m.partial && m.ctx.SourceAbandoned(m.s.Table) {
+			PutBatch(*batch)
+			return false
+		}
+		end = min(lo+BatchSize, len(m.s.Rows))
+		for _, every := range [...]int{m.d.EveryN, m.d.BurstEveryN} {
+			if every > 0 {
+				end = min(end, (lo/every+1)*every)
+			}
+		}
+		if m.ret != nil && !m.draw(handOn) || !step(lo, end) || !m.pace(lo, end, handOn) {
+			return false
+		}
+		// EveryN's pause wins where both boundaries fall.
+		pause, at := m.d.Pause, m.d.EveryN > 0 && end%m.d.EveryN == 0
+		if !at {
+			pause, at = m.d.BurstPause, m.d.BurstEveryN > 0 && end%m.d.BurstEveryN == 0
+		}
+		if at && !m.wait(pause, handOn) {
+			return false
 		}
 	}
-	batch := GetBatch()
-	count := 0
-	var cumBytes int64
-	start := time.Now()
-	// readAttempt models one read from the flaky source: it draws the
-	// injected fault decision for this attempt. A stalled read blocks on
-	// the retrier's stop channel (per-attempt timeout or cancellation).
-	readAttempt := func(stop <-chan struct{}) error {
-		switch k := inj.Next(); k {
+	return true
+}
+
+// draw is one read's injected fault decision under the recovery policy; on
+// exhaustion the earlier reads' rows go out, then the source fails.
+func (m *sourceModel) draw(handOn func() bool) bool {
+	err := m.ret.do(func(stop <-chan struct{}) error {
+		switch k := m.inj.Next(); k {
 		case network.FaultNone:
 			return nil
 		case network.FaultStall:
 			<-stop
-			return network.ErrCancelled // timeout converts this to ErrAttemptTimeout
+			return network.ErrCancelled // a timeout converts this to ErrAttemptTimeout
 		default:
 			return &network.FaultError{Kind: k}
 		}
+	})
+	if err != nil && !errors.Is(err, network.ErrCancelled) {
+		handOn()
+		m.ctx.FailSource(&SourceError{Table: m.s.Table, Site: m.s.Site, Attempts: m.ret.attempts, Cause: err})
 	}
-	// flush sends the current batch (counting output per flushed batch,
-	// so cancelled or short-circuited scans still report what they
-	// emitted) and pays any accumulated pacing debt. The final flush
-	// passes last=true to recycle instead of refilling the batch.
-	flush := func(last bool) bool {
-		if len(batch.Tuples) == 0 {
-			// Pacing debt was settled by the preceding non-empty flush
-			// (cumBytes is unchanged since), so just recycle.
-			if last {
-				PutBatch(batch)
-			}
-			return true
-		}
-		// A sibling stream of the same table may have been abandoned;
-		// stop producing rather than feed a query that gave up on us.
-		if partialMode && ctx.SourceAbandoned(s.Table) {
-			PutBatch(batch)
-			batch = Batch{}
-			return false
-		}
-		if ret != nil {
-			if err := ret.do(readAttempt); err != nil {
-				PutBatch(batch)
-				batch = Batch{}
-				if !errors.Is(err, network.ErrCancelled) {
-					ctx.FailSource(&SourceError{
-						Table: s.Table, Site: s.Site,
-						Attempts: ret.attempts, Cause: err,
-					})
-				}
-				return false
-			}
-		}
-		n := int64(len(batch.Tuples))
-		if !emit(batch) {
-			batch = Batch{}
-			return false
-		}
-		op.In.Add(n)
-		op.Out.Add(n)
-		if s.BytesPerSec > 0 {
-			// Pace against a cumulative deadline; sleeping only when
-			// the debt exceeds a couple of milliseconds keeps the rate
-			// accurate despite coarse timer granularity.
-			target := time.Duration(float64(cumBytes) / float64(s.BytesPerSec) * float64(time.Second))
-			if debt := target - time.Since(start); debt > 2*time.Millisecond {
-				select {
-				case <-time.After(debt):
-				case <-ctx.Cancelled():
-					return false
-				}
-			}
-		}
-		if last {
-			batch = Batch{}
-		} else {
-			batch = GetBatch()
-		}
+	return err == nil
+}
+
+// pace charges rows [lo, hi) to the cumulative pacing deadline and waits out
+// a debt past 2 ms, which keeps the rate accurate despite coarse timers.
+func (m *sourceModel) pace(lo, hi int, handOn func() bool) bool {
+	if m.s.BytesPerSec <= 0 {
 		return true
 	}
-	for _, t := range s.Rows {
-		batch.Tuples = append(batch.Tuples, t)
-		count++
-		if s.BytesPerSec > 0 {
-			cumBytes += int64(t.MemSize())
-		}
-		if s.Delay != nil && s.Delay.EveryN > 0 && count%s.Delay.EveryN == 0 {
-			if !flush(false) {
-				return
-			}
-			select {
-			case <-time.After(s.Delay.Pause):
-			case <-ctx.Cancelled():
-				return
-			}
-			continue
-		}
-		if s.Delay != nil && s.Delay.BurstEveryN > 0 && count%s.Delay.BurstEveryN == 0 {
-			if !flush(false) {
-				return
-			}
-			select {
-			case <-time.After(s.Delay.BurstPause):
-			case <-ctx.Cancelled():
-				return
-			}
-			continue
-		}
-		if len(batch.Tuples) == BatchSize {
-			if !flush(false) {
-				return
-			}
+	for _, t := range m.s.Rows[lo:hi] {
+		m.bytes += int64(t.MemSize())
+	}
+	target := time.Duration(float64(m.bytes) / float64(m.s.BytesPerSec) * float64(time.Second))
+	if debt := target - time.Since(m.start); debt > 2*time.Millisecond {
+		return m.wait(debt, handOn)
+	}
+	return true
+}
+
+// wait hands on what the scan carries, then sleeps d; false when the query
+// was cancelled first.
+func (m *sourceModel) wait(d time.Duration, handOn func() bool) bool {
+	if !handOn() {
+		return false
+	}
+	if d > 0 {
+		select {
+		case <-time.After(d):
+		case <-m.ctx.Cancelled():
+			return false
 		}
 	}
-	flush(true)
+	return true
 }
 
 // Filter applies a predicate by narrowing each batch's selection vector:
@@ -549,11 +538,11 @@ type Filter struct {
 func (f *Filter) Schema() *types.Schema { return f.Child.Schema() }
 
 // sourceScan returns the child scan when it can evaluate the predicate
-// itself, at the source: a local one that is not sequential. A remote scan
-// is left alone — the Ship above it charges the modeled link per batch, and
+// itself, at the source: a local one, modeled or not. A remote scan is left
+// alone — the Ship above it charges the modeled link per batch, and
 // compacting survivors would change the message (and fault-draw) sequence.
 func (f *Filter) sourceScan() *Scan {
-	if sc, ok := f.Child.(*Scan); ok && !sc.sequential() && sc.Site == 0 {
+	if sc, ok := f.Child.(*Scan); ok && sc.Site == 0 {
 		return sc
 	}
 	return nil
@@ -617,9 +606,11 @@ func (p *Project) Schema() *types.Schema { return p.Sch }
 // that selects at the source (the Filter.sourceScan test) of a vector-backed
 // table, that scan, the predicate it absorbs, and the projection as the source
 // of the row-id batches it emits in p's stead when p is the root (StartPlan).
+// A modeled scan keeps the Project: the session flushes row-id frames only
+// when full, so a paced row-id stream would sit in its writer.
 func (p *Project) rootScan() (*Scan, expr.Expr, *RootSource) {
 	sc, pred := scanUnder(p.Child)
-	if sc == nil || sc.sequential() || sc.Site != 0 || sc.Point != nil || sc.Vecs == nil || len(sc.Rows) > math.MaxInt32 {
+	if sc == nil || sc.modeled() || sc.Site != 0 || sc.Point != nil || sc.Vecs == nil || len(sc.Rows) > math.MaxInt32 {
 		return nil, nil, nil
 	}
 	src := &RootSource{Rows: sc.Rows, Vecs: sc.Vecs, Cols: make([]int, len(p.Exprs)), name: p.Name}

@@ -1,9 +1,11 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/catalog"
@@ -54,6 +56,16 @@ func (f *sourceFixture) summary(exact bool) filter.Summary {
 	return filter.Blocked{F: bf}
 }
 
+// modelSource makes sc a modeled source: a 100 µs initial delay, a µs pause
+// every 1000 rows and a longer one every 3000 (the 1000-row pause wins where
+// they meet; neither is a multiple of BatchSize, so reads are cut), paced at
+// 1 GiB/s.
+func modelSource(sc *Scan) {
+	sc.Delay = &DelayConfig{Initial: 100 * time.Microsecond, EveryN: 1000, Pause: 10 * time.Microsecond,
+		BurstEveryN: 3000, BurstPause: 50 * time.Microsecond}
+	sc.BytesPerSec = 1 << 30
+}
+
 // plan builds Filter(l.v < 20)(Scan big) ⋈ Scan small. wired hands the big
 // scan its consumer's point; vecs gives it the table's typed vectors.
 func (f *sourceFixture) plan(wired, vecs bool) (*HashJoin, *Scan) {
@@ -84,9 +96,10 @@ func (f *sourceFixture) plan(wired, vecs bool) (*HashJoin, *Scan) {
 // the point's own OnStore hook, once the router has kept 1000 tuples, so
 // the scan is provably still running (a scan can lead its router by only a
 // few batches) — and checks, for both summary kinds, P ∈ {1,2}, with and
-// without column vectors (the row fallback), that the rows equal the
-// unwired plan's and that every row is accounted exactly once: received is
-// the rows that passed the predicate, and pruned plus kept is the same.
+// without column vectors (the row fallback), unmodeled and paced + delayed
+// (modelSource), that the rows equal the unwired plan's and that every row
+// is accounted exactly once: received is the rows that passed the
+// predicate, and pruned plus kept is the same.
 func TestScanSideSelectionDifferential(t *testing.T) {
 	const n = 200_000
 	f := newSourceFixture(n)
@@ -104,50 +117,78 @@ func TestScanSideSelectionDifferential(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		for _, p := range []int{1, 2} {
 			for _, vecs := range []bool{true, false} {
-				label := fmt.Sprintf("exact=%v P=%d vecs=%v", exact, p, vecs)
-				j, scan := f.plan(true, vecs)
-				sum := f.summary(exact)
-				var kept atomic.Int64
-				j.LPoint.OnStore = func(int, types.Tuple) {
-					if kept.Add(1) == 1000 {
-						j.LPoint.Bank.Attach([]int{0}, sum)
+				for _, modeled := range []bool{false, true} {
+					label := fmt.Sprintf("exact=%v P=%d vecs=%v modeled=%v", exact, p, vecs, modeled)
+					j, scan := f.plan(true, vecs)
+					if modeled {
+						modelSource(scan)
 					}
-				}
-				got, reg, err := runParallel(j, p)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				sameRows(t, label, want, rowStrings(got))
+					sum := f.summary(exact)
+					var kept atomic.Int64
+					j.LPoint.OnStore = func(int, types.Tuple) {
+						if kept.Add(1) == 1000 {
+							j.LPoint.Bank.Attach([]int{0}, sum)
+						}
+					}
+					got, reg, err := runParallel(j, p)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameRows(t, label, want, rowStrings(got))
 
-				var scanOp, lop *stats.OpStats
-				for _, op := range reg.Ops() {
-					switch op.Name {
-					case "scan:" + scan.Name:
-						scanOp = op
-					case "join:j.left":
-						lop = op
-					case "filter:l":
-						t.Fatalf("%s: the filter ran as its own operator", label)
+					var scanOp, lop *stats.OpStats
+					for _, op := range reg.Ops() {
+						switch op.Name {
+						case "scan:" + scan.Name:
+							scanOp = op
+						case "join:j.left":
+							lop = op
+						case "filter:l":
+							t.Fatalf("%s: the filter ran as its own operator", label)
+						}
 					}
-				}
-				if scanOp.In.Load() != n {
-					t.Fatalf("%s: scan read %d rows, want %d", label, scanOp.In.Load(), n)
-				}
-				if out := scanOp.Out.Load(); out >= passPred/2 || out != lop.In.Load() {
-					t.Fatalf("%s: scan emitted %d rows (join received %d); want well under the %d that pass the predicate",
-						label, out, lop.In.Load(), passPred)
-				}
-				if r := j.LPoint.Received(); r != passPred {
-					t.Fatalf("%s: received = %d, want %d (each row once)", label, r, passPred)
-				}
-				if pr := lop.Pruned.Load(); pr+kept.Load() != passPred {
-					t.Fatalf("%s: pruned %d + kept %d != %d rows past the predicate", label, pr, kept.Load(), passPred)
-				}
-				if exact && kept.Load() > 1000+scanChunkRows*int64(p+1)+passPred/100 {
-					t.Fatalf("%s: kept %d tuples — the filter was not applied from the next chunk on", label, kept.Load())
+					if scanOp.In.Load() != n {
+						t.Fatalf("%s: scan read %d rows, want %d", label, scanOp.In.Load(), n)
+					}
+					if out := scanOp.Out.Load(); out >= passPred/2 || out != lop.In.Load() {
+						t.Fatalf("%s: scan emitted %d rows (join received %d); want well under the %d that pass the predicate",
+							label, out, lop.In.Load(), passPred)
+					}
+					if r := j.LPoint.Received(); r != passPred {
+						t.Fatalf("%s: received = %d, want %d (each row once)", label, r, passPred)
+					}
+					if pr := lop.Pruned.Load(); pr+kept.Load() != passPred {
+						t.Fatalf("%s: pruned %d + kept %d != %d rows past the predicate", label, pr, kept.Load(), passPred)
+					}
+					if exact && kept.Load() > 1000+scanChunkRows*int64(p+1)+passPred/100 {
+						t.Fatalf("%s: kept %d tuples — the filter was not applied from the next chunk on", label, kept.Load())
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestModeledScanStopsWhenAbandoned: under PartialOnSourceError a modeled
+// scan looks for its table having been given up on at every read, not once
+// per chunk: with a pause after every row, it stops within a few reads of
+// FailSource instead of pausing through the rest of a 1 024-row chunk.
+func TestModeledScanStopsWhenAbandoned(t *testing.T) {
+	rows := make([]types.Tuple, 4*scanChunkRows)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i))}
+	}
+	sc := &Scan{Name: "t", Table: "t", Rows: rows, Sch: intSchema("a"),
+		Delay: &DelayConfig{EveryN: 1, Pause: time.Millisecond}}
+	ctx := NewContext(stats.NewRegistry(), nil)
+	ctx.Recovery.Mode = PartialOnSourceError
+	out := sc.Start(ctx)
+	<-out // the first read's row, handed on before its pause
+	ctx.FailSource(&SourceError{Table: "t", Cause: errors.New("gone")})
+	for range out {
+	}
+	if n := findOp(ctx.Stats, "scan:t").In.Load(); n >= scanChunkRows/4 {
+		t.Fatalf("the scan read %d rows after its table was abandoned at row 1; want a few", n)
 	}
 }
 

@@ -51,7 +51,7 @@ func RankSources(op Op) int {
 	}
 	switch v := op.(type) {
 	case *Scan:
-		if v.sequential() || v.Site != 0 {
+		if v.modeled() || v.Site != 0 {
 			return 0
 		}
 		n := len(v.Rows)

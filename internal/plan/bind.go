@@ -32,6 +32,12 @@ func Bind(cat *catalog.Catalog, stmt *sqlparser.SelectStmt) (*Block, error) {
 	if b.numParams > blk.NumParams {
 		blk.NumParams = b.numParams
 	}
+	if blk.NumParams > 0 {
+		blk.ParamKinds = make([]types.Kind, blk.NumParams) // an unbound ordinal stays KindNull
+		for _, p := range b.params {
+			blk.ParamKinds[p.Idx] = p.Kind()
+		}
+	}
 	return blk, nil
 }
 
@@ -93,7 +99,8 @@ type binder struct {
 	cat       *catalog.Catalog
 	eq        *eqAlloc
 	nextID    int
-	numParams int // highest placeholder ordinal seen + 1
+	numParams int           // highest placeholder ordinal seen + 1
+	params    []*expr.Param // every placeholder bound, kinds inferred in place
 }
 
 // scope is the name-resolution environment: the block being bound plus its
@@ -344,7 +351,9 @@ func (b *binder) bindExpr(e sqlparser.Expr, sc *scope) (expr.Expr, error) {
 		}
 		// The kind starts unconstrained; bindBinary infers it from the
 		// expression the placeholder is compared against.
-		return &expr.Param{Idx: v.Ord}, nil
+		p := &expr.Param{Idx: v.Ord}
+		b.params = append(b.params, p)
+		return p, nil
 
 	case *sqlparser.Ident:
 		return b.resolveIdent(v, sc)
@@ -409,15 +418,30 @@ func (b *binder) bindBinary(v *sqlparser.BinaryExpr, sc *scope) (expr.Expr, erro
 	if err != nil {
 		return nil, err
 	}
-	// Coerce string literals compared against dates into date values, and
-	// infer placeholder kinds from the opposite operand.
+	l, r = typeOperands(op, l, r)
+	return &expr.Binary{Op: op, L: l, R: r}, nil
+}
+
+// typeOperands coerces string literals compared against dates into date
+// values and infers placeholder kinds from the opposite operand: in a
+// comparison, and in arithmetic with a DECIMAL operand, which is DECIMAL
+// whatever the placeholder's numeric kind (Q17's `0.2 * avg(…)`). Next to an
+// INTEGER in arithmetic a placeholder stays unconstrained.
+func typeOperands(op expr.BinOp, l, r expr.Expr) (expr.Expr, expr.Expr) {
 	if op.IsComparison() {
 		l, r = coerceDate(l, r)
 		r, l = coerceDate(r, l)
 		inferParamKind(l, r)
 		inferParamKind(r, l)
+	} else if op <= expr.OpDiv { // OpAdd … OpDiv
+		if r.Kind() == types.KindFloat {
+			inferParamKind(l, r)
+		}
+		if l.Kind() == types.KindFloat {
+			inferParamKind(r, l)
+		}
 	}
-	return &expr.Binary{Op: op, L: l, R: r}, nil
+	return l, r
 }
 
 // inferParamKind types an unconstrained `?` placeholder from the expression
@@ -577,6 +601,7 @@ func (b *binder) bindGroupedItem(e sqlparser.Expr, blk *Block, sc *scope) (expr.
 		if err != nil {
 			return nil, err
 		}
+		l, r = typeOperands(op, l, r)
 		return &expr.Binary{Op: op, L: l, R: r}, nil
 	default:
 		return b.bindExpr(e, sc)

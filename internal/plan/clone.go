@@ -8,10 +8,11 @@ import "repro/internal/types"
 // can mutate a clone without affecting the binder's output.
 func (b *Block) Clone() *Block {
 	nb := &Block{
-		Global:    cloneSchema(b.Global),
-		EqIDs:     append([]int(nil), b.EqIDs...),
-		Distinct:  b.Distinct,
-		NumParams: b.NumParams,
+		Global:     cloneSchema(b.Global),
+		EqIDs:      append([]int(nil), b.EqIDs...),
+		Distinct:   b.Distinct,
+		NumParams:  b.NumParams,
+		ParamKinds: b.ParamKinds,
 	}
 	nb.GroupBy = append(nb.GroupBy, b.GroupBy...)
 	nb.Aggs = append([]AggSpec(nil), b.Aggs...)

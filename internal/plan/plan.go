@@ -154,6 +154,9 @@ type Block struct {
 	// the root block only. Plans built from a block with parameters must
 	// have them substituted (expr.BindParams) before execution.
 	NumParams int
+	// ParamKinds is each placeholder's inferred kind (expr.Param.Kind), by
+	// ordinal; set on the root block only.
+	ParamKinds []types.Kind
 }
 
 // PostAggSchema returns the virtual schema that Output is bound against for

@@ -448,9 +448,10 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 				}
 				clear(pend)
 				pend = pend[:0]
-				// Not flushed: a row-id stream comes only from an unpaced local
-				// scan, the writer flushes itself as it fills, and the last
-				// frame rides with Done.
+				// Not flushed: a row-id stream comes only from an unmodeled
+				// local scan (Project.rootScan keeps paced and delayed scans
+				// off the row-id root), the writer flushes itself as it
+				// fills, and the last frame rides with Done.
 				ok = ship(n, false)
 				sel = sel[n:]
 			}

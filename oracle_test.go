@@ -12,6 +12,9 @@ package sip
 //   - the streaming cursor returns what the blocking drain does;
 //   - a MemBudget of a quarter of the unbounded peak returns the same rows or
 //     a typed *BudgetError, never a different answer;
+//   - modeled sources — a drawn subset of the tables delayed, every scan
+//     paced, on a coin flip seeded transient faults the retries absorb —
+//     return the reference rows (oraCase.modeled);
 //   - under Feed-forward, a wired scan that started after every filter it can
 //     receive was published (start order) has pruned at the source: its
 //     consumer has nothing left to prune;
@@ -183,7 +186,7 @@ func oraRunSeed(t *testing.T, seed int64, spill string, reach *oraReach) {
 	env := &oraEnv{t: t, eng: NewEngine(oc.cat), spill: spill, reach: reach}
 	check := func(idx int, q *oraQuery, want []types.Tuple) {
 		sql, args := q.render()
-		c := &oraCase{env: env, seed: seed, idx: idx, sql: sql, args: args, want: oraCanon(want)}
+		c := &oraCase{env: env, seed: seed, idx: idx, sql: sql, args: args, tables: q.tableNames(), want: oraCanon(want)}
 		c.check(rng)
 	}
 	for i := 0; i < oraQueriesPerSeed; i++ {
@@ -255,7 +258,7 @@ func oraRunDomain(t *testing.T, seed int64, spill string, reach *oraReach) {
 	for shape := 0; shape < 3; shape++ {
 		q, want := oraAnswerable(rng, func() *oraQuery { return oraGenDomain(rng, oc, shape) })
 		sql, args := q.render()
-		c := &oraCase{env: env, seed: seed, idx: 100 + shape, sql: sql + " -- " + kind, args: args, want: oraCanon(want)}
+		c := &oraCase{env: env, seed: seed, idx: 100 + shape, sql: sql + " -- " + kind, args: args, tables: q.tableNames(), want: oraCanon(want)}
 		c.check(rng)
 		if shape != 1 {
 			continue
@@ -559,6 +562,27 @@ type oraQuery struct {
 	group    []oraRef
 	items    []oraItem
 	distinct bool
+}
+
+// tableNames returns the base tables q reads, its subqueries' included.
+func (q *oraQuery) tableNames() []string {
+	var names []string
+	add := func(ti int) {
+		if n := q.oc.tables[ti].Name; !slices.Contains(names, n) {
+			names = append(names, n)
+		}
+	}
+	for _, r := range q.rels {
+		if r.in != nil {
+			add(r.in.table)
+		} else {
+			add(r.table)
+		}
+	}
+	if q.scalar != nil {
+		add(q.scalar.table)
+	}
+	return names
 }
 
 // kind returns a column's declared kind.
@@ -1512,12 +1536,13 @@ type oraEnv struct {
 }
 
 type oraCase struct {
-	env  *oraEnv
-	seed int64
-	idx  int
-	sql  string
-	args []types.Value
-	want []string
+	env    *oraEnv
+	seed   int64
+	idx    int
+	sql    string
+	args   []types.Value
+	tables []string // the base tables the query reads
+	want   []string
 }
 
 // oraRun is one execution's outcome.
@@ -1570,6 +1595,46 @@ func (c *oraCase) check(rng *rand.Rand) {
 			c.same(label, r, c.want)
 		}
 	}
+	c.modeled()
+}
+
+// modeled runs the case once on modeled sources: a drawn subset of its tables
+// delayed — µs pauses every 1 to 300 rows, bursts, an initial delay — every
+// scan paced at a high drawn rate, and on a coin flip a seeded transient
+// fault profile on the delayed scans with retries enough to absorb it. The
+// source model decides when rows arrive, never which. It draws from a stream
+// of the case's own, so the cases after it stay what they were.
+func (c *oraCase) modeled() {
+	c.env.t.Helper()
+	rng := rand.New(rand.NewSource(c.seed*1009 + int64(c.idx)))
+	us := func(n int) time.Duration { return time.Duration(rng.Intn(n)) * time.Microsecond }
+	var delayed []string
+	for _, t := range c.tables {
+		if rng.Intn(2) == 0 {
+			delayed = append(delayed, t)
+		}
+	}
+	d := &DelayConfig{Initial: us(100), EveryN: 1 + rng.Intn(300), Pause: us(3)}
+	if rng.Intn(2) == 0 {
+		d.BurstEveryN, d.BurstPause = 100+rng.Intn(1900), us(100)
+	}
+	opts := Options{
+		Strategy:          AllStrategies()[rng.Intn(4)],
+		Parallelism:       []int{1, 4}[rng.Intn(2)],
+		DelayedTables:     delayed,
+		Delay:             d,
+		SourceBytesPerSec: 512<<20 + rng.Int63n(4<<30),
+	}
+	faults := ""
+	if rng.Intn(2) == 0 {
+		opts.Faults = &FaultProfile{Seed: rng.Int63(), TransientRate: 0.2 * rng.Float64()}
+		opts.Retry = RetryPolicy{MaxRetries: 64, AttemptTimeout: -1, BaseBackoff: time.Microsecond,
+			MaxBackoff: time.Microsecond, Jitter: -1, BreakerFailures: -1}
+		faults = fmt.Sprintf(" faults=%+v", *opts.Faults)
+	}
+	label := fmt.Sprintf("%s/P=%d/modeled delayed=%v delay=%+v bps=%d%s",
+		opts.Strategy, opts.Parallelism, delayed, *d, opts.SourceBytesPerSec, faults)
+	c.same(label, c.run(label, opts, false), c.want)
 }
 
 // same fails unless the run succeeded with the reference rows.

@@ -3,6 +3,7 @@ package sip
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -220,5 +221,66 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if got := e.SlowQueries(); len(got) != slowLogSize {
 		t.Fatalf("ring held %d entries, want %d", len(got), slowLogSize)
+	}
+}
+
+// TestAdhocLiteralKinds: a lifted literal its parameter's inferred kind
+// cannot hold — a bare string or DECIMAL in the SELECT list, a DECIMAL times
+// an INTEGER column, a string or DECIMAL compared with an INTEGER — takes the
+// literal plan, so the cached engine reports the column kinds and returns the
+// rows the uncached one does (the labels of lifted literals are another
+// matter: they read `?`), on a cold cache and on a template another
+// literal already built; a literal that fits still shares its template.
+func TestAdhocLiteralKinds(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	ctx := context.Background()
+	ref := NewEngineWithConfig(cat, EngineConfig{PlanCacheSize: -1})
+	for _, group := range [][]string{
+		{`SELECT r_name, 'x' FROM region`, `SELECT r_name, 7 FROM region`, `SELECT r_name, 'y' FROM region`},
+		{`SELECT r_name, 2.5 FROM region`, `SELECT r_name, 2 FROM region`, `SELECT r_name, 3.5 FROM region`},
+		{`SELECT r_regionkey * 2.5 FROM region`, `SELECT r_regionkey * 2 FROM region`, `SELECT r_regionkey * 0.5 FROM region`},
+		{`SELECT r_name FROM region WHERE r_regionkey < 2.5`, `SELECT r_name FROM region WHERE r_regionkey < 3`},
+		{`SELECT n_name FROM nation WHERE n_nationkey = 'x'`, `SELECT n_name FROM nation WHERE n_nationkey = 4`},
+	} {
+		e := NewEngineWithConfig(cat, EngineConfig{})
+		for _, sql := range group {
+			want, werr := ref.Query(ctx, sql, Options{})
+			got, gerr := e.Query(ctx, sql, Options{})
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%s: cached error %v, uncached %v", sql, gerr, werr)
+			}
+			if werr != nil {
+				continue
+			}
+			kinds := func(s *Schema) (ks []string) {
+				for _, c := range s.Cols {
+					ks = append(ks, c.Kind.String())
+				}
+				return ks
+			}
+			if g, w := kinds(got.Schema), kinds(want.Schema); !slices.Equal(g, w) {
+				t.Fatalf("%s: cached column kinds %v, uncached %v", sql, g, w)
+			}
+			if g, w := canon(got.Rows), canon(want.Rows); strings.Join(g, "\n") != strings.Join(w, "\n") {
+				t.Fatalf("%s: cached rows %v, uncached %v", sql, g, w)
+			}
+		}
+	}
+
+	// Fitting literals share a template: an INTEGER where a DECIMAL is
+	// inferred, a string where a DATE is.
+	e := NewEngineWithConfig(cat, EngineConfig{})
+	for _, sql := range []string{
+		`SELECT count(*) FROM part WHERE p_retailprice > 901.5`,
+		`SELECT count(*) FROM part WHERE p_retailprice > 1200`,
+		`SELECT count(*) FROM orders WHERE o_orderdate < '1995-03-15'`,
+		`SELECT count(*) FROM orders WHERE o_orderdate < '1996-1-2'`,
+	} {
+		if _, err := e.Query(ctx, sql, Options{}); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if cs := e.PlanCacheStats(); cs.Entries != 2 || cs.Hits != 2 {
+		t.Fatalf("fitting literals should share 2 templates with 2 hits: %+v", cs)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // never prepares still pays parse/bind/optimize only once per query shape.
 //
 // Queries that cannot parameterize — caching disabled, user placeholders
-// present, no literals, or a construct where a literal is legal but a
-// parameter is not — fall back to the literal plan path unchanged.
+// present, no literals, a construct where a literal is legal but a
+// parameter is not, or a literal its parameter's inferred kind cannot hold
+// (paramFits) — fall back to the literal plan path unchanged.
 func (e *Engine) adhocPlan(sql string, opts Options) (*enginePlan, []Value, error) {
 	// The nil-Topology remote case never caches (see plan); parameterizing
 	// it would buy nothing.
@@ -39,20 +40,38 @@ func (e *Engine) adhocPlan(sql string, opts Options) (*enginePlan, []Value, erro
 		return p, nil, perr
 	}
 	key := planKey(norm, opts, e.cat.Version())
-	if p, ok := e.cache.get(key); ok && p.numParams == len(args) {
-		return p, args, nil
+	p, ok := e.cache.get(key)
+	if !ok || p.numParams != len(args) {
+		p, err = e.buildPlan(norm, opts)
+		if err != nil || p.numParams != len(args) {
+			// Either the statement is genuinely invalid — rebuild from the
+			// original text so the error points at the user's own source —
+			// or a parameter was rejected where the literal was fine; the
+			// literal plan still caches under its exact text.
+			p2, perr := e.plan(sql, opts)
+			return p2, nil, perr
+		}
+		e.cache.put(key, p)
 	}
-	p, err := e.buildPlan(norm, opts)
-	if err != nil || p.numParams != len(args) {
-		// Either the statement is genuinely invalid — rebuild from the
-		// original text so the error points at the user's own source — or
-		// a parameter was rejected where the literal was fine; the literal
-		// plan still caches under its exact text.
-		p2, perr := e.plan(sql, opts)
-		return p2, nil, perr
+	for i, a := range args {
+		if !paramFits(a, p.paramKinds[i]) {
+			p2, perr := e.plan(sql, opts)
+			return p2, nil, perr
+		}
 	}
-	e.cache.put(key, p)
 	return p, args, nil
+}
+
+// paramFits reports whether a lifted literal binds to a parameter of the
+// inferred kind want without changing what the literal plan would compute or
+// report: the same kind, an INTEGER where a DECIMAL is inferred, or a string
+// where a DATE is. Anything else — a string for a number (`SELECT r_name,
+// 'x'`), a DECIMAL for an INTEGER or an unconstrained parameter (`SELECT
+// r_regionkey * 2.5`, whose column the template types INTEGER) — takes the
+// literal plan.
+func paramFits(v Value, want types.Kind) bool {
+	return v.K == want || v.K == types.KindInt && want == types.KindFloat ||
+		v.K == types.KindString && want == types.KindDate
 }
 
 // litValues converts the normalizer's lifted literals to typed values, the

@@ -10,6 +10,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
+	"repro/internal/types"
 )
 
 // enginePlan is a compiled, reusable plan template: the output of
@@ -17,10 +18,11 @@ import (
 // options) pair. It is immutable; every execution instantiates a fresh copy
 // of the operator tree and injection points from it.
 type enginePlan struct {
-	built     *optimizer.Result
-	schema    *Schema
-	numParams int
-	topo      *network.Topology // non-nil when the plan ships remote scans
+	built      *optimizer.Result
+	schema     *Schema
+	numParams  int
+	paramKinds []types.Kind      // each placeholder's inferred kind, by ordinal
+	topo       *network.Topology // non-nil when the plan ships remote scans
 }
 
 // buildPlan runs the full front end: parse, bind, placement tagging, magic
@@ -34,7 +36,7 @@ func (e *Engine) buildPlan(sql string, opts Options) (*enginePlan, error) {
 		return nil, err
 	}
 	schema := blk.OutputSchema()
-	numParams := blk.NumParams
+	numParams, paramKinds := blk.NumParams, blk.ParamKinds
 	if opts.Strategy == Magic {
 		blk = magic.Rewrite(blk)
 	}
@@ -50,7 +52,7 @@ func (e *Engine) buildPlan(sql string, opts Options) (*enginePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &enginePlan{built: built, schema: schema, numParams: numParams, topo: topo}, nil
+	return &enginePlan{built: built, schema: schema, numParams: numParams, paramKinds: paramKinds, topo: topo}, nil
 }
 
 // plan returns the compiled template for (sql, opts), consulting the

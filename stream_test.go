@@ -458,7 +458,8 @@ func equalStrings(a, b []string) bool {
 const rowRefSQL = `SELECT l_orderkey, l_receiptdate, l_extendedprice FROM lineitem WHERE l_quantity < 24.5`
 
 // TestRowIDRootCursor: over a row-id root, Query (Collect) ≡ QueryStream ≡
-// the Project path (a paced scan); a Row kept across
+// the Project path (a paced scan, which rootScan keeps off the row-id root);
+// a Row kept across
 // Next and Close keeps its values; and a cancel or an early Close mid-stream
 // leaves no goroutine and no governor byte behind.
 func TestRowIDRootCursor(t *testing.T) {
