@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet test-race chaos fuzz bench-smoke bench bench-pairs bench-test microbench joinbench exprbench stmtbench filterbench spillbench serverbench benchdiff verify
+.PHONY: all build test vet fmt test-race chaos fuzz bench-smoke bench bench-pairs bench-test bench-vet verify
 
 all: build
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt: fail when a tracked Go file is not gofmt-clean. The list comes from
+# git so the git-ignored .bench_build/ checkouts are skipped.
+fmt:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -60,10 +65,10 @@ bench-pairs:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# microbench: the Go join microbenchmark (median-of-count comparisons belong
-# in BENCH_joins.json; see cmd/sipbench -joinbench).
-microbench:
-	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkJoin -benchmem -benchtime 5x -count 3
+# bench-vet: go vet over the benchmark runner's module, which the root
+# `go vet ./...` does not see either.
+bench-vet:
+	cd bench && $(GO) vet ./...
 
 # test-race: the executor's concurrency tests (partitioned join/agg
 # determinism, cancellation, the bucket-discard spill differentials,
@@ -110,53 +115,6 @@ fuzz:
 chaos:
 	SIP_CHAOS=1 $(GO) test -race -run TestChaos -count=1 -timeout 15m .
 
-# joinbench: append this revision's per-strategy + parallel-scaling entry
-# to the BENCH_joins.json trajectory (the recorded microbench section and
-# all previous entries are preserved).
-joinbench:
-	$(GO) run ./cmd/sipbench -joinbench
-
-# exprbench: measure the scalar-vs-vectorized filter/project expression
-# microbench and record it on the latest BENCH_joins.json entry. Run after
-# joinbench so the section lands on this PR's entry.
-exprbench:
-	$(GO) run ./cmd/sipbench -exprbench
-
-# stmtbench: measure the prepare-once/execute-many point-query microbench
-# (ad-hoc vs plan-cache vs prepared statement) and record it on the latest
-# BENCH_joins.json entry. Run after joinbench so the section lands on this
-# PR's entry.
-stmtbench:
-	$(GO) run ./cmd/sipbench -stmtbench
-
-# filterbench: measure the blocked-vs-flat Bloom filter kernels (build,
-# merge, probe rates plus the P=8 working-set bytes) and record them on the
-# latest BENCH_joins.json entry. Run after joinbench so the section lands on
-# this PR's entry.
-filterbench:
-	$(GO) run ./cmd/sipbench -filterbench
-
-# spillbench: measure the memory-budget spill benchmark (unbounded vs
-# quarter vs sixteenth cap of the measured peak) and record it on the
-# latest BENCH_joins.json entry. Run after joinbench so the section lands
-# on this PR's entry; `make benchdiff` gates the quarter-cap run (must have
-# spilled, must stay within 5× of the unbounded wall time).
-spillbench:
-	$(GO) run ./cmd/sipbench -spillbench
-
-# serverbench: measure the wire-protocol serving tier (ad-hoc vs cached vs
-# prepared execution over TCP at 1/64/512 sessions) and record it on the
-# latest BENCH_joins.json entry. Run after joinbench so the section lands on
-# this PR's entry; `make benchdiff` gates it PR-over-PR and enforces the
-# prepared ≥1.25× ad-hoc floor at 64 sessions.
-serverbench:
-	$(GO) run ./cmd/sipbench -serverbench
-
-# benchdiff: fail when the last BENCH_joins.json entry regressed >10%
-# against the previous one. Run after joinbench.
-benchdiff:
-	$(GO) run ./cmd/benchdiff
-
-# verify: the tier-1 gate (go vet, build, tests) plus a bench smoke run and
-# the benchmark runner's own tests.
-verify: vet build test bench-smoke bench-test
+# verify: the tier-1 gate (go vet, gofmt, build, tests) plus a bench smoke
+# run and the benchmark runner's own vet and tests.
+verify: vet fmt build test bench-smoke bench-vet bench-test

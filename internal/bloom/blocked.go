@@ -1,9 +1,10 @@
 // Cache-line-blocked Bloom filter.
 //
-// The flat Filter's k probes touch k random cache lines; at AIP probe rates
-// (every tuple entering every filtered operator input) the memory stalls
-// dominate the probe cost. Blocked confines each key to one 512-bit block —
-// exactly one cache line — so a probe costs one line fetch regardless of k:
+// A classic flat filter's k probes touch k random cache lines; at AIP
+// probe rates (every tuple entering every filtered operator input) the
+// memory stalls dominate the probe cost. Blocked confines each key to one
+// 512-bit block — exactly one cache line — so a probe costs one line fetch
+// regardless of k:
 //
 //   - The block is chosen by the HIGH 32 bits of the key's Hash64 via a
 //     multiply-shift range reduction, which is monotone in those bits. The
@@ -40,9 +41,9 @@ const BlockBits = 512
 
 const (
 	blockWords = BlockBits / 64
-	// blockedSalt separates the in-block bit hash from the flat filter's
-	// remix and from block selection, so the bit pattern inside a block is
-	// independent of which block was chosen.
+	// blockedSalt separates the in-block bit hash from block selection,
+	// so the bit pattern inside a block is independent of which block was
+	// chosen.
 	blockedSalt = 0x9e3779b97f4a7c15
 	// MaxBlockedK is the probe count cap: one 64-bit remix yields a 3-bit
 	// word selector plus seven independent 6-bit in-word positions.

@@ -4,9 +4,9 @@ import (
 	"testing"
 )
 
-// The benchmark population mirrors cmd/sipbench -filterbench: a
-// half-present/half-absent probe stream over 1M keys at the paper's 5%
-// budget.
+// The benchmark population: a half-present/half-absent probe stream over
+// 1M keys at the paper's 5% budget, probed through the flat oracle (test
+// code, see flat_test.go) and through Blocked's scalar and batch kernels.
 const benchN = 1 << 20
 
 func benchHashes() (present, probes []uint64) {

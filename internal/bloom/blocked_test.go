@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 )
 
 func blockedForKeys(t *testing.T, hashes []uint64) *Blocked {
@@ -317,6 +319,95 @@ func TestBlockedMarshalRoundTrip(t *testing.T) {
 	}
 	if _, err := UnmarshalBlocked([]byte("short")); err == nil {
 		t.Fatal("malformed payload accepted")
+	}
+}
+
+// TestIntersectIncompatible: filters merge only when block count, probe
+// count and seed all agree; each mismatch alone refuses.
+func TestIntersectIncompatible(t *testing.T) {
+	a := NewBlocked(1000, DefaultFPR)
+	for name, b := range map[string]*Blocked{
+		"blocks": NewBlockedWithGeometry(a.NumBits()+BlockBits, a.K(), 0),
+		"k":      NewBlockedWithGeometry(a.NumBits(), a.K()%MaxBlockedK+1, 0),
+		"seed":   NewBlockedWithGeometry(a.NumBits(), a.K(), 7),
+	} {
+		if a.Compatible(b) {
+			t.Fatalf("%s mismatch reported compatible", name)
+		}
+		if err := a.IntersectWith(b); err == nil {
+			t.Fatalf("%s mismatch: intersect should fail", name)
+		}
+	}
+	if a.Compatible(nil) {
+		t.Fatal("nil is not compatible")
+	}
+}
+
+func TestClone(t *testing.T) {
+	a := NewBlocked(100, DefaultFPR)
+	a.Add([]byte("x"))
+	before := append([]uint64(nil), a.words...)
+	b := a.Clone()
+	b.Add([]byte("y"))
+	if !b.Contains([]byte("x")) || b.Len() != 2 {
+		t.Fatal("clone must keep contents")
+	}
+	if a.Len() != 1 || !slices.Equal(a.words, before) {
+		t.Fatal("adding to the clone changed the original")
+	}
+}
+
+func TestUnmarshalMalformed(t *testing.T) {
+	if _, err := UnmarshalBlocked(nil); err == nil {
+		t.Fatal("nil payload must error")
+	}
+	if _, err := UnmarshalBlocked(make([]byte, 33)); err == nil {
+		t.Fatal("misaligned payload must error")
+	}
+	good := NewBlocked(100, DefaultFPR).Marshal()
+	for name, corrupt := range map[string]func([]byte){
+		"blocks": func(d []byte) { d[7]++ },      // word count disagrees
+		"k=0":    func(d []byte) { d[15] = 0 },   // no probe bits
+		"k>max":  func(d []byte) { d[15] = 200 }, // beyond MaxBlockedK
+	} {
+		d := append([]byte(nil), good...)
+		corrupt(d)
+		if _, err := UnmarshalBlocked(d); err == nil {
+			t.Fatalf("%s: inconsistent header accepted", name)
+		}
+	}
+}
+
+func TestSizeBytes(t *testing.T) {
+	f := NewBlocked(1000, DefaultFPR)
+	if want := int(BlockedBitsFor(1000, DefaultFPR) / 8); f.SizeBytes() != want {
+		t.Fatalf("SizeBytes = %d, want %d", f.SizeBytes(), want)
+	}
+	if got := len(f.Marshal()); got != 32+f.SizeBytes() {
+		t.Fatalf("shipped %d bytes for a %d-byte filter", got, f.SizeBytes())
+	}
+}
+
+func TestQuickIntersectionPreservesSharedKeys(t *testing.T) {
+	f := func(shared [][]byte) bool {
+		a := NewBlockedWithGeometry(4096, 3, 0)
+		b := NewBlockedWithGeometry(4096, 3, 0)
+		for _, k := range shared {
+			a.Add(k)
+			b.Add(k)
+		}
+		if err := a.IntersectWith(b); err != nil {
+			return false
+		}
+		for _, k := range shared {
+			if !a.Contains(k) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

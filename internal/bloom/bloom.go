@@ -1,170 +1,18 @@
-// Package bloom implements the Bloom filter used for AIP sets.
+// Package bloom implements the Bloom filters used for AIP sets.
 //
-// Following the paper's implementation (§VI, "our Bloom filters use one hash
-// function and are sized for a 5% false positive rate"), the default filter
-// uses a single hash function with m = n/ln(1/(1-p)) bits. Filters of the
-// same length built with the same hash seed can be merged by bitwise
+// The engine ships one layout, Blocked: a cache-line-blocked, sectorized
+// filter (blocked.go), built per producer slot through Partial (partial.go)
+// and probed a batch at a time. The paper's implementation used a flat
+// filter (§VI, "our Bloom filters use one hash function and are sized for a
+// 5% false positive rate"); that single-hash filter survives only in this
+// package's tests, as the false-positive oracle Blocked is held against.
+// Blocked filters of one geometry and hash seed merge by bitwise
 // intersection, which the Feed-Forward algorithm uses to combine AIP sets
-// over the same key (§IV-A).
+// over the same key (§IV-A), or by union.
 package bloom
-
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/types"
-)
 
 // DefaultFPR is the paper's target false-positive rate.
 const DefaultFPR = 0.05
-
-// Filter is a single-hash Bloom filter over canonical key encodings.
-type Filter struct {
-	bits  []uint64
-	nbits uint64
-	seed  uint64
-	n     int // inserted element count (approximate under merge)
-}
-
-// BitsFor returns the number of bits needed for n expected elements at
-// false-positive rate p with a single hash function: the FPR of a one-hash
-// filter with n inserts is 1-(1-1/m)^n ≈ n/m, so m = n/p.
-func BitsFor(n int, p float64) uint64 {
-	if n < 1 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = DefaultFPR
-	}
-	m := uint64(math.Ceil(float64(n) / p))
-	if m < 64 {
-		m = 64
-	}
-	return m
-}
-
-// New creates a filter sized for n expected elements at false-positive
-// rate p, using hash seed 0. Filters with equal sizing and seed are
-// intersect-compatible.
-func New(n int, p float64) *Filter {
-	return NewSeeded(n, p, 0)
-}
-
-// NewSeeded creates a filter with an explicit hash seed.
-func NewSeeded(n int, p float64, seed uint64) *Filter {
-	return NewWithBits(BitsFor(n, p), seed)
-}
-
-// NewWithBits creates a filter with an explicit bit length; filters built
-// with equal nbits and seed are intersection/union compatible.
-func NewWithBits(nbits, seed uint64) *Filter {
-	if nbits < 64 {
-		nbits = 64
-	}
-	return &Filter{
-		bits:  make([]uint64, (nbits+63)/64),
-		nbits: nbits,
-		seed:  seed,
-	}
-}
-
-// pos derives the filter's bit position from a precomputed key hash. The
-// base hash (types.Hash64 of the canonical key encoding, seed 0) is computed
-// once per tuple by the executor; filters with different seeds remix it
-// rather than rehashing the key bytes.
-func (f *Filter) pos(h uint64) uint64 {
-	return types.Mix64(h, f.seed) % f.nbits
-}
-
-// AddHash inserts a key by its precomputed hash (types.Hash64 of the
-// canonical key encoding with seed 0): the hash-once fast path used by the
-// AIP-set builders.
-func (f *Filter) AddHash(h uint64) {
-	pos := f.pos(h)
-	f.bits[pos>>6] |= 1 << (pos & 63)
-	f.n++
-}
-
-// Add inserts a key encoding into the filter.
-func (f *Filter) Add(key []byte) { f.AddHash(types.Hash64(key, 0)) }
-
-// ProbeHash reports whether a key with the given precomputed hash may be in
-// the filter: the hash-once fast path probed per tuple by the executor.
-func (f *Filter) ProbeHash(h uint64) bool {
-	pos := f.pos(h)
-	return f.bits[pos>>6]&(1<<(pos&63)) != 0
-}
-
-// Contains reports whether the key may be in the filter. False positives
-// occur at roughly the configured rate; false negatives never occur.
-func (f *Filter) Contains(key []byte) bool { return f.ProbeHash(types.Hash64(key, 0)) }
-
-// Len returns the number of insertions performed (after IntersectWith the
-// count is the minimum of the operands', an upper bound on the true size).
-func (f *Filter) Len() int { return f.n }
-
-// NumBits returns the filter's bit-array length.
-func (f *Filter) NumBits() uint64 { return f.nbits }
-
-// SizeBytes returns the memory footprint of the bit array, which is also
-// the number of bytes shipped when the filter crosses the simulated network
-// (the paper's distributed cost model charges exactly these bytes).
-func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
-
-// Compatible reports whether two filters can be merged bitwise: same
-// length and same hash seed (§IV-A: "they can be merged via bitwise
-// intersection if they are of the same length and based on the same hash
-// function").
-func (f *Filter) Compatible(other *Filter) bool {
-	return other != nil && f.nbits == other.nbits && f.seed == other.seed
-}
-
-// IntersectWith ANDs other into f, narrowing f to keys present in both.
-// It returns an error when the filters are not compatible.
-func (f *Filter) IntersectWith(other *Filter) error {
-	if !f.Compatible(other) {
-		return fmt.Errorf("bloom: cannot intersect incompatible filters (%d/%d bits, seeds %d/%d)",
-			f.nbits, other.nbits, f.seed, other.seed)
-	}
-	for i := range f.bits {
-		f.bits[i] &= other.bits[i]
-	}
-	if other.n < f.n {
-		f.n = other.n
-	}
-	return nil
-}
-
-// UnionWith ORs other into f, widening f to keys present in either. Used
-// when multiple producers contribute partitions of the same logical result.
-func (f *Filter) UnionWith(other *Filter) error {
-	if !f.Compatible(other) {
-		return fmt.Errorf("bloom: cannot union incompatible filters (%d/%d bits, seeds %d/%d)",
-			f.nbits, other.nbits, f.seed, other.seed)
-	}
-	for i := range f.bits {
-		f.bits[i] |= other.bits[i]
-	}
-	f.n += other.n
-	return nil
-}
-
-// Clone returns an independent copy of the filter.
-func (f *Filter) Clone() *Filter {
-	bits := make([]uint64, len(f.bits))
-	copy(bits, f.bits)
-	return &Filter{bits: bits, nbits: f.nbits, seed: f.seed, n: f.n}
-}
-
-// FillRatio returns the fraction of set bits, a diagnostic for observed
-// false-positive rate (FPR ≈ fill ratio for a one-hash filter).
-func (f *Filter) FillRatio() float64 {
-	var set int
-	for _, w := range f.bits {
-		set += popcount(w)
-	}
-	return float64(set) / float64(f.nbits)
-}
 
 func popcount(x uint64) int {
 	n := 0
@@ -173,39 +21,6 @@ func popcount(x uint64) int {
 		n++
 	}
 	return n
-}
-
-// Marshal serializes the filter for shipping across the simulated network.
-func (f *Filter) Marshal() []byte {
-	out := make([]byte, 0, 24+len(f.bits)*8)
-	out = appendU64(out, f.nbits)
-	out = appendU64(out, f.seed)
-	out = appendU64(out, uint64(f.n))
-	for _, w := range f.bits {
-		out = appendU64(out, w)
-	}
-	return out
-}
-
-// Unmarshal reconstructs a filter produced by Marshal.
-func Unmarshal(data []byte) (*Filter, error) {
-	if len(data) < 24 || (len(data)-24)%8 != 0 {
-		return nil, fmt.Errorf("bloom: malformed filter payload (%d bytes)", len(data))
-	}
-	f := &Filter{
-		nbits: readU64(data[0:]),
-		seed:  readU64(data[8:]),
-		n:     int(readU64(data[16:])),
-	}
-	nwords := (len(data) - 24) / 8
-	if uint64(nwords) != (f.nbits+63)/64 {
-		return nil, fmt.Errorf("bloom: payload has %d words, want %d", nwords, (f.nbits+63)/64)
-	}
-	f.bits = make([]uint64, nwords)
-	for i := range f.bits {
-		f.bits[i] = readU64(data[24+i*8:])
-	}
-	return f, nil
 }
 
 func appendU64(dst []byte, v uint64) []byte {

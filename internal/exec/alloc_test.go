@@ -29,14 +29,14 @@ func TestJoinProbeZeroAllocs(t *testing.T) {
 
 	// An AIP bank with both summary kinds attached over the key column.
 	bank := NewFilterBank()
-	bf := bloom.New(1024, 0.05)
+	bf := bloom.NewBlocked(1024, 0.05)
 	hs := filter.NewHashSet(64)
 	for i := 0; i < 1024; i++ {
 		key := types.Tuple{types.Int(int64(i))}.AppendKeyCols(nil, []int{0})
 		bf.Add(key)
 		hs.Add(key)
 	}
-	bank.Attach([]int{0}, filter.Bloom{F: bf})
+	bank.Attach([]int{0}, filter.Blocked{F: bf})
 	bank.Attach([]int{0}, hs)
 
 	probes := make([]types.Tuple, 256)
@@ -44,14 +44,15 @@ func TestJoinProbeZeroAllocs(t *testing.T) {
 		probes[i] = types.Tuple{types.Int(int64(i * 3)), types.Int(0)}
 	}
 
-	var keyHasher, bankHasher types.Hasher
+	var keyHasher types.Hasher
+	var bankBuf []byte
 	matchBuf := make([]types.Tuple, 0, 4096)
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		matchBuf = matchBuf[:0]
 		for _, tup := range probes {
 			h, key := keyHasher.KeyCols(tup, keys)
-			if !bank.ProbeHashed(tup, keys, h, key, &bankHasher) {
+			if !bank.probeHashed(tup, keys, h, key, &bankBuf) {
 				continue
 			}
 			matchBuf = jt.probe(h, key, ^uint64(0), matchBuf)

@@ -494,11 +494,11 @@ func TestFilterBankAttachReplace(t *testing.T) {
 	if b.Len() != 1 {
 		t.Fatalf("bank len = %d", b.Len())
 	}
-	keep := b.Probe(types.Tuple{types.Int(1)})
+	keep := b.probe(types.Tuple{types.Int(1)})
 	if !keep {
 		t.Fatal("member pruned")
 	}
-	keep = b.Probe(types.Tuple{types.Int(2)})
+	keep = b.probe(types.Tuple{types.Int(2)})
 	if keep {
 		t.Fatal("non-member passed")
 	}
@@ -506,7 +506,7 @@ func TestFilterBankAttachReplace(t *testing.T) {
 	if b.Len() != 1 {
 		t.Fatalf("replace changed count: %d", b.Len())
 	}
-	keep = b.Probe(types.Tuple{types.Int(2)})
+	keep = b.probe(types.Tuple{types.Int(2)})
 	if !keep {
 		t.Fatal("replacement not effective")
 	}

@@ -88,8 +88,8 @@ func BenchmarkJoin(b *testing.B) {
 // BenchmarkJoinParallel is the scaling curve of the radix-partitioned
 // join on the Unique shape: tuples/sec at P partitions. On a machine with
 // fewer cores than P the curve flattens (partitioning still pays for the
-// smaller, cache-resident per-partition tables but adds scatter overhead);
-// BENCH_joins.json records the measuring machine's core count alongside.
+// smaller, cache-resident per-partition tables but adds scatter overhead),
+// so read it next to the machine's core count.
 func BenchmarkJoinParallel(b *testing.B) {
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("Unique/P%d", p), func(b *testing.B) { benchmarkJoin(b, 1<<15, 1<<15, p, false) })

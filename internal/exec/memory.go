@@ -13,10 +13,10 @@ import (
 // Every partitioned stateful operator accounts its state bytes — KeyTable
 // footprint, buffered tuple arenas, aggregation group columns — through
 // Context.account as it grows and shrinks, unconditionally (an unbounded
-// run pays the same few atomic adds, and its measured peak is what sizing
-// tools like sipbench -spillbench derive caps from). Under a positive
-// MemBudget the operators additionally consult memPressure after each batch
-// of growth and run the bucket-discard eviction when it fires.
+// run pays the same few atomic adds, and its measured peak is what the
+// oracle's quarter-peak budgets derive from). Under a positive MemBudget
+// the operators additionally consult memPressure after each batch of
+// growth and run the bucket-discard eviction when it fires.
 
 // account adds delta (possibly negative) to the query's tracked state bytes
 // and maintains the high-water mark.

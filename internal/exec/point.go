@@ -76,39 +76,6 @@ func (b *FilterBank) Replace(cols []int, oldSum, newSum filter.Summary) {
 // Len returns the number of attached filters.
 func (b *FilterBank) Len() int { return len(*b.cur.Load()) }
 
-// Probe runs the tuple through every attached filter; false means prune.
-// It is the cold-path form of ProbeHashed (one implementation, so the two
-// cannot diverge); hot paths keep a Hasher per goroutine instead.
-func (b *FilterBank) Probe(t types.Tuple) bool {
-	return b.ProbeHashed(t, nil, 0, nil, new(types.Hasher))
-}
-
-// ProbeHashed is the hash-once fast path of Probe. keyCols, keyHash, and key
-// are the probing operator's own key columns with their canonical encoding
-// and Hash64 — AIP filters are usually attached over exactly those columns,
-// in which case the precomputed hash is reused and the summary is probed
-// without touching the key bytes again. Filters over other column sets fall
-// back to one encoding pass through scratch. Callers without a precomputed
-// key pass keyCols = nil. False means prune.
-//
-// key may alias scratch's buffer (the usual case: the caller produced it
-// with scratch.KeyCols), so foreign-column encodings append behind it via
-// KeyColsTail rather than resetting the buffer — an exact summary probed
-// after a foreign-column filter still sees the caller's key bytes intact.
-func (b *FilterBank) ProbeHashed(t types.Tuple, keyCols []int, keyHash uint64, key []byte, scratch *types.Hasher) bool {
-	filters := *b.cur.Load()
-	for i := range filters {
-		h, kb := keyHash, key
-		if keyCols == nil || !equalInts(filters[i].cols, keyCols) {
-			h, kb = scratch.KeyColsTail(t, filters[i].cols)
-		}
-		if !filters[i].sum.MayContainHash(h, kb) {
-			return false
-		}
-	}
-	return true
-}
-
 // ProbeScratch is the per-worker working state of FilterBank.ProbeBatch:
 // lane-indexed key hashes and encodings plus the reusable buffers the
 // kernel narrows selections through. All slices are reused across batches
@@ -281,9 +248,9 @@ func (sc *ProbeScratch) lazyPrimaryKeyAt() func(int32) []byte {
 	return sc.lazyAt
 }
 
-// ProbeBatch is the batch form of ProbeHashed: it runs the live lanes of a
-// batch through every attached filter and returns the surviving selection,
-// mirroring the expr kernels' Sel contract. sel lists the live lanes in
+// ProbeBatch runs the live lanes of a batch through every attached filter
+// and returns the surviving selection, mirroring the expr kernels' Sel
+// contract. sel lists the live lanes in
 // ascending order; survivors are appended to out, which the caller owns
 // and passes with length 0. out may share sel's backing array (out =
 // sel[:0]) for in-place narrowing — implementations only append behind

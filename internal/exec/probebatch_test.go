@@ -9,15 +9,43 @@ import (
 	"repro/internal/types"
 )
 
+// probeHashed is the tuple-at-a-time reference ProbeBatch is held against:
+// it runs t through every attached filter, false meaning prune. keyCols,
+// keyHash and key are the probing operator's own key columns with their
+// canonical encoding and Hash64 (keyCols = nil when there are none); a
+// filter over exactly those columns is probed with them, any other column
+// set is encoded into *buf first.
+func (b *FilterBank) probeHashed(t types.Tuple, keyCols []int, keyHash uint64, key []byte, buf *[]byte) bool {
+	filters := *b.cur.Load()
+	for i := range filters {
+		h, kb := keyHash, key
+		if keyCols == nil || !equalInts(filters[i].cols, keyCols) {
+			*buf = t.AppendKeyCols((*buf)[:0], filters[i].cols)
+			h, kb = types.Hash64(*buf, 0), *buf
+		}
+		if !filters[i].sum.MayContainHash(h, kb) {
+			return false
+		}
+	}
+	return true
+}
+
+// probe is probeHashed for a caller without a precomputed key.
+func (b *FilterBank) probe(t types.Tuple) bool {
+	var buf []byte
+	return b.probeHashed(t, nil, 0, nil, &buf)
+}
+
 // probeBatchFixture builds a bank with three summaries — a blocked filter
-// over the probing key columns, a flat filter over a different column set,
-// and an exact hash set over the key columns — so a batch probe exercises
-// the primary arrays, the alt-compute fallback, and the keyAt path at once.
+// over the probing key columns, a second blocked filter over a different
+// column set, and an exact hash set over the key columns — so a batch probe
+// exercises the primary arrays, the alt-compute fallback, and the keyAt
+// path at once.
 func probeBatchFixture(rng *rand.Rand, nPresent int) (*FilterBank, []int, []types.Tuple) {
 	keyCols := []int{0}
 	altCols := []int{1}
 	blocked := bloom.NewBlocked(nPresent, bloom.DefaultFPR)
-	flat := bloom.New(nPresent, bloom.DefaultFPR)
+	altBlocked := bloom.NewBlocked(nPresent, bloom.DefaultFPR)
 	hs := filter.NewHashSet(64)
 	var kb []byte
 	for i := 0; i < nPresent; i++ {
@@ -28,11 +56,11 @@ func probeBatchFixture(rng *rand.Rand, nPresent int) (*FilterBank, []int, []type
 		hs.AddHash(h, kb)
 		alt := types.Tuple{types.Int(int64(i * 3))}
 		kb = alt.AppendKeyCols(kb[:0], []int{0})
-		flat.AddHash(types.Hash64(kb, 0))
+		altBlocked.AddHash(types.Hash64(kb, 0))
 	}
 	bank := NewFilterBank()
 	bank.Attach(keyCols, filter.Blocked{F: blocked})
-	bank.Attach(altCols, filter.Bloom{F: flat})
+	bank.Attach(altCols, filter.Blocked{F: altBlocked})
 	bank.Attach(keyCols, hs)
 	tuples := make([]types.Tuple, 4096)
 	for i := range tuples {
@@ -50,11 +78,12 @@ func TestProbeBatchMatchesProbeHashed(t *testing.T) {
 	bank, keyCols, tuples := probeBatchFixture(rng, 2000)
 
 	var hasher types.Hasher
+	var buf []byte
 	scalar := func(sel []int32) []int32 {
 		var want []int32
 		for _, i := range sel {
 			h, key := hasher.KeyCols(tuples[i], keyCols)
-			if bank.ProbeHashed(tuples[i], keyCols, h, key, &hasher) {
+			if bank.probeHashed(tuples[i], keyCols, h, key, &buf) {
 				want = append(want, i)
 			}
 		}
@@ -152,12 +181,13 @@ func probeSiteBench() (*FilterBank, []int, []types.Tuple) {
 func BenchmarkProbeSiteScalar(b *testing.B) {
 	bank, keyCols, tuples := probeSiteBench()
 	var hasher types.Hasher
+	var buf []byte
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
 		for j := range tuples {
 			h, key := hasher.KeyCols(tuples[j], keyCols)
-			if bank.ProbeHashed(tuples[j], keyCols, h, key, &hasher) {
+			if bank.probeHashed(tuples[j], keyCols, h, key, &buf) {
 				hits++
 			}
 		}

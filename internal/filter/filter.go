@@ -41,29 +41,6 @@ type Summary interface {
 	Len() int
 }
 
-// Bloom adapts a bloom.Filter to the Summary interface.
-type Bloom struct{ F *bloom.Filter }
-
-// MayContainHash probes by precomputed key hash without touching the bytes.
-func (b Bloom) MayContainHash(hash uint64, _ []byte) bool { return b.F.ProbeHash(hash) }
-
-// MayContainHashBatch probes lane by lane; the flat filter is the scalar
-// differential oracle, so it deliberately has no batched kernel.
-func (b Bloom) MayContainHashBatch(hashes []uint64, sel []int32, out []int32, _ func(int32) []byte) []int32 {
-	for _, i := range sel {
-		if b.F.ProbeHash(hashes[i]) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SizeBytes returns the bit-array footprint.
-func (b Bloom) SizeBytes() int { return b.F.SizeBytes() }
-
-// Len returns the insertion count.
-func (b Bloom) Len() int { return b.F.Len() }
-
 // Blocked adapts a cache-line-blocked bloom.Blocked to the Summary
 // interface; batch probes go through the filter's two-pass kernel.
 type Blocked struct{ F *bloom.Blocked }

@@ -17,14 +17,18 @@ func mayContain(s Summary, key []byte) bool {
 }
 
 func TestBloomAdapter(t *testing.T) {
-	bf := bloom.New(100, 0.05)
+	bf := bloom.NewBlocked(100, 0.05)
 	bf.Add([]byte("k"))
-	var s Summary = Bloom{F: bf}
+	var s Summary = Blocked{F: bf}
 	if !mayContain(s, []byte("k")) {
 		t.Fatal("adapter lost key")
 	}
 	if s.SizeBytes() != bf.SizeBytes() || s.Len() != 1 {
 		t.Fatal("adapter metadata wrong")
+	}
+	hashes := []uint64{types.Hash64([]byte("k"), 0)}
+	if got := s.MayContainHashBatch(hashes, []int32{0}, nil, nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("batch probe kept %v, want [0]", got)
 	}
 }
 

@@ -30,16 +30,6 @@ type Config struct {
 	// transfer conditions", while still staggering completion times by
 	// relation size; set negative for unpaced).
 	SourceMBps float64
-	// Verbose adds per-operator detail to the output writer.
-	Verbose bool
-
-	// Faults optionally injects deterministic source/link failures into
-	// every measured run (robustness experiments rather than the paper's
-	// figures); Retry bounds the recovery policy applied to them, and
-	// OnSourceFailure picks fail-fast or graceful partial degradation.
-	Faults          *sip.FaultProfile
-	Retry           sip.RetryPolicy
-	OnSourceFailure sip.FailureMode
 }
 
 func (c Config) withDefaults() Config {
@@ -95,6 +85,10 @@ type Cell struct {
 	Pruned  int64
 	Filters int64
 	NetMB   float64
+
+	// Report is the last repetition's per-operator statistics table
+	// (stats.Registry.Report, what `sipquery -stats` prints).
+	Report string
 }
 
 // StrategyByName maps the figure labels to strategies.
@@ -129,11 +123,6 @@ func (r *Runner) RunCell(spec workload.Spec, strategyName string, delayed []stri
 	if r.cfg.SourceMBps > 0 {
 		opts.SourceBytesPerSec = int64(r.cfg.SourceMBps * 1e6)
 	}
-	if r.cfg.Faults != nil {
-		opts.Faults = r.cfg.Faults
-		opts.Retry = r.cfg.Retry
-		opts.OnSourceFailure = r.cfg.OnSourceFailure
-	}
 	sql := spec.SQL(eng.Catalog())
 
 	cell := Cell{Query: spec.ID, Strategy: strategyName}
@@ -154,6 +143,7 @@ func (r *Runner) RunCell(spec workload.Spec, strategyName string, delayed []stri
 		cell.Pruned = res.TuplesPruned
 		cell.Filters = res.FiltersCreated
 		cell.NetMB = float64(res.NetworkBytes) / (1 << 20)
+		cell.Report = res.Stats.Report()
 	}
 	mean, ci := meanCI95(times)
 	cell.Mean = time.Duration(mean)

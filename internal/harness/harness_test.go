@@ -80,6 +80,24 @@ func TestRunCellProducesMeasurement(t *testing.T) {
 	}
 }
 
+// TestRunCellReportsOperators pins what `sipbench -query … -v` prints:
+// the cell carries the per-operator statistics table of its last
+// repetition, naming the plan's scans.
+func TestRunCellReportsOperators(t *testing.T) {
+	spec, err := workload.ByID("Q2A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(Config{ScaleFactor: 0.01, Repetitions: 1})
+	cell, err := r.RunCell(spec, "Feed-forward", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(cell.Report, "operator") || !strings.Contains(cell.Report, "\nscan:") {
+		t.Fatalf("cell report has no scan: rows:\n%s", cell.Report)
+	}
+}
+
 func TestRunFigurePrintsSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run in -short mode")

@@ -161,15 +161,3 @@ var ErrCancelled = errors.New("network: transfer cancelled")
 // ErrBreakerOpen reports an attempt rejected by an open circuit breaker
 // without touching the link. It is retryable — the breaker may close.
 var ErrBreakerOpen = errors.New("network: circuit breaker open")
-
-// Retryable reports whether an attempt error may be retried: injected
-// faults, attempt timeouts (which surface as ErrCancelled from the per-
-// attempt stop channel — callers distinguish via their own context), and
-// breaker rejections are; a true cancellation is not.
-func Retryable(err error) bool {
-	if err == nil {
-		return false
-	}
-	var fe *FaultError
-	return errors.As(err, &fe) || errors.Is(err, ErrBreakerOpen)
-}

@@ -228,8 +228,8 @@ func (r *Registry) TotalIn() int64 {
 
 // TotalScanned sums tuples read by base-table scans (their In; Out is what
 // survived source-side selection): the query's input volume, comparable
-// across plan shapes and strategies and with the join microbench's
-// input-tuples/sec (unlike TotalIn, which shifts with operator count).
+// across plan shapes and strategies and with BenchmarkJoin's input
+// tuples/sec (unlike TotalIn, which shifts with operator count).
 func (r *Registry) TotalScanned() int64 {
 	var total int64
 	for _, op := range r.Ops() {

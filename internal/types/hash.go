@@ -127,15 +127,3 @@ func (h *Hasher) KeyCols(t Tuple, cols []int) (uint64, []byte) {
 	h.buf = t.AppendKeyCols(h.buf[:0], cols)
 	return Hash64(h.buf, 0), h.buf
 }
-
-// KeyColsTail encodes like KeyCols but appends after the buffer's current
-// contents instead of resetting it, so key slices returned by earlier
-// calls on this Hasher stay intact. Probing code uses it to encode a
-// filter's foreign column set mid-probe without clobbering the operator's
-// own precomputed key; the tail is reclaimed by the next KeyCols call.
-func (h *Hasher) KeyColsTail(t Tuple, cols []int) (uint64, []byte) {
-	start := len(h.buf)
-	h.buf = t.AppendKeyCols(h.buf, cols)
-	kb := h.buf[start:]
-	return Hash64(kb, 0), kb
-}

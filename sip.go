@@ -341,7 +341,7 @@ type Result struct {
 	TuplesProcessed int64
 	// TuplesScanned sums tuples read by base-table scans (before any
 	// source-side selection): the query's input volume, comparable across
-	// plan shapes and with the join microbench's input-tuples/sec.
+	// plan shapes and with BenchmarkJoin's input tuples/sec.
 	TuplesScanned int64
 	// NetworkBytes counts simulated network traffic.
 	NetworkBytes int64
