@@ -35,9 +35,13 @@ test:
 # allocation regressions; and briefly the two kernels under stream_wire
 # (BenchmarkSiftVec: the scan's branch-free typed predicate at 1/50/99%
 # selectivity; BenchmarkRowBatchCodec: a RowBatch frame encoded from vectors
-# and from tuples, and validated + boxed, in ns a value).
+# and from tuples, and validated + boxed, in ns a value); and the AIP probe
+# site (BenchmarkProbeSite{Scalar,Batch}: lineitem's l_partkey against Q17's
+# 16 part keys, as the class's Bloom filter and as its bitmap, from tuples and
+# from the column vector, in ns a row).
 bench-smoke:
 	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkJoin|BenchmarkHashAggFold' -benchmem -benchtime 1x
+	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkProbeSite -benchmem -benchtime 1x
 	$(GO) test ./internal/server -run '^$$' -bench BenchmarkClient -benchmem -benchtime 1x
 	$(GO) test . -run '^$$' -bench BenchmarkPointQuery -benchmem -benchtime 1x
 	$(GO) test ./internal/expr -run '^$$' -bench BenchmarkSiftVec -benchtime 2000x
@@ -91,8 +95,13 @@ bench-vet:
 # disconnect-cancellation / quota tests, the column-run codec and
 # hostile-frame tests and the wire ≡ in-process differentials, and the long
 # leg of the generated-query oracle (SIP_ORACLE_SEEDS catalogs instead of
-# six; every case also runs once on delayed, paced, fault-injected sources),
-# under the race detector.
+# six; every case also runs once on delayed, paced, fault-injected sources,
+# and once more under Feed-forward or Cost-based with bitmaps and with hash
+# sets, where each input whose filters were all bitmaps must prune exactly
+# what the hash sets pruned; in every run, each bitmap an input ends with is
+# replayed over its scan's rows through the tuple and routing-key probes),
+# the exact bitmap AIP sets (domain edges, concurrent adds, bitmap ≡ hash
+# set through every probe shape), under the race detector.
 test-race:
 	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/types ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
 

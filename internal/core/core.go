@@ -28,8 +28,10 @@ import (
 
 	"repro/internal/bloom"
 	"repro/internal/exec"
+	"repro/internal/filter"
 	"repro/internal/network"
 	"repro/internal/stats"
+	"repro/internal/types"
 )
 
 // SummaryKind selects the AIP-set representation.
@@ -40,7 +42,11 @@ const (
 	// representation the paper's implementation settled on (§V) — in the
 	// cache-line-blocked layout (bloom.Blocked): one cache line per probe,
 	// batch add/probe kernels, and size-doubling per-slot working sets merged
-	// stripe-wise at publication.
+	// stripe-wise at publication. One rule refines it: when every producer
+	// column of a class carries a known integer domain
+	// (exec.Point.StateDomains) and the union of those domains spans at most
+	// the class's Bloom bits, the class's sets are exact bitmaps over that
+	// union (filter.Bitmap) — no larger, and probed without a hash.
 	SummaryBloom SummaryKind = iota
 	// SummaryHashSet uses exact hash sets; kept for the ablation study
 	// (the paper found the precision "generally countered by its increased
@@ -130,13 +136,56 @@ type classInfo struct {
 	domain    float64    // distinct-value estimate for the attribute domain
 	bits      uint64     // shared Bloom sizing so filters intersect
 	k         uint32     // in-block probe count
+
+	// bitmap marks a class whose sets are filter.Bitmaps over [lo, hi], the
+	// union of its producers' integer domains (see SummaryBloom).
+	bitmap bool
+	lo, hi int64
+}
+
+// newBitmap returns an empty set of a bitmap class.
+func (ci *classInfo) newBitmap() *filter.Bitmap { return filter.NewBitmap(ci.lo, ci.hi) }
+
+// addValue adds one stored attribute value to a bitmap class's set. It
+// reports false for a value the bitmap cannot hold — outside its domain, or
+// not integer-backed (the class's producer columns never carry one) — after
+// which the set must not be published.
+func addValue(bm *filter.Bitmap, v types.Value) bool {
+	switch v.K {
+	case types.KindInt, types.KindDate, types.KindBool:
+		return bm.Add(v.I)
+	}
+	return false
+}
+
+// pickBitmap applies the bitmap rule to a sized class: every producer
+// column carries a known integer domain and their union spans at most
+// ci.bits values (compared as hi − lo < bits, which cannot overflow).
+func (ci *classInfo) pickBitmap() {
+	var lo, hi int64
+	for i, pr := range ci.producers {
+		if pr.col >= len(pr.point.StateDomains) || !pr.point.StateDomains[pr.col].Known {
+			return
+		}
+		d := pr.point.StateDomains[pr.col]
+		if i == 0 {
+			lo, hi = d.Lo, d.Hi
+		}
+		lo, hi = min(lo, d.Lo), max(hi, d.Hi)
+	}
+	if len(ci.producers) == 0 || uint64(hi)-uint64(lo) >= ci.bits {
+		return
+	}
+	ci.bitmap, ci.lo, ci.hi = true, lo, hi
 }
 
 // analyze computes the per-class producer/consumer sets from the
 // registered points, discarding classes without both a producer and an
 // interested (distinct) consumer — "any potential AIP sets without
-// interested parties are then eliminated" (§IV-A).
-func analyze(points []*exec.Point, fpr float64) map[int]*classInfo {
+// interested parties are then eliminated" (§IV-A). Under SummaryBloom it
+// also picks each class's summary: a bitmap where the rule allows, else
+// the blocked Bloom filter.
+func analyze(points []*exec.Point, fpr float64, kind SummaryKind) map[int]*classInfo {
 	classes := make(map[int]*classInfo)
 	get := func(id int) *classInfo {
 		ci, ok := classes[id]
@@ -201,6 +250,9 @@ func analyze(points []*exec.Point, fpr float64) map[int]*classInfo {
 		}
 		ci.bits = bloom.BlockedBitsFor(int(maxN), fpr)
 		ci.k = bloom.BlockedKFor(int(maxN), ci.bits)
+		if kind == SummaryBloom {
+			ci.pickBitmap()
+		}
 	}
 	return classes
 }

@@ -45,13 +45,13 @@ func TestAnalyzeDropsClassesWithoutInterest(t *testing.T) {
 	// Two points, different classes: no cross-interest → both dropped.
 	p1 := mkPoint("p1", 1, 10, 10)
 	p2 := mkPoint("p2", 2, 10, 10)
-	classes := analyze([]*exec.Point{p1, p2}, 0.05)
+	classes := analyze([]*exec.Point{p1, p2}, 0.05, SummaryBloom)
 	if len(classes) != 0 {
 		t.Fatalf("expected no useful classes, got %d", len(classes))
 	}
 	// Same class: both are producer+consumer of class 1 → kept.
 	p3 := mkPoint("p3", 1, 10, 10)
-	classes = analyze([]*exec.Point{p1, p3}, 0.05)
+	classes = analyze([]*exec.Point{p1, p3}, 0.05, SummaryBloom)
 	if len(classes) != 1 {
 		t.Fatalf("expected one class, got %d", len(classes))
 	}
@@ -71,7 +71,7 @@ func TestAnalyzeSelfOnlyClassDropped(t *testing.T) {
 	// A single point both producing and consuming its own class is not a
 	// sideways-passing opportunity.
 	p := mkPoint("p", 1, 10, 10)
-	if classes := analyze([]*exec.Point{p}, 0.05); len(classes) != 0 {
+	if classes := analyze([]*exec.Point{p}, 0.05, SummaryBloom); len(classes) != 0 {
 		t.Fatalf("self-only class must be dropped, got %d", len(classes))
 	}
 }
@@ -149,19 +149,7 @@ func TestFeedForwardHashSetMode(t *testing.T) {
 
 func joinFixtureWithCtl(t *testing.T, ctl exec.Controller, reg *stats.Registry) (*exec.HashJoin, *stats.Registry, []types.Tuple) {
 	t.Helper()
-	lrows := intRows(10, func(i int) int64 { return int64(i) })
-	rrows := intRows(200, func(i int) int64 { return int64(i) })
-	l := &exec.Scan{Name: "l", Rows: lrows, Sch: intSchema("k", "v")}
-	r := &exec.Scan{Name: "r", Rows: rrows, Sch: intSchema("k", "v"),
-		Delay: &exec.DelayConfig{Initial: 30 * time.Millisecond}}
-	j := exec.NewHashJoin("j", l, r, []int{0}, []int{0}, exec.AllCols(l, r), nil)
-	j.LPoint = mkPoint("j.left", 1, 200, 10)
-	j.RPoint = mkPoint("j.right", 1, 200, 200)
-	ctx := exec.NewContext(reg, ctl)
-	ctx.Register(j.LPoint)
-	ctx.Register(j.RPoint)
-	rows, _ := exec.Run(ctx, j)
-	return j, reg, rows
+	return joinFixtureWith(t, ctl, reg, func(*exec.HashJoin) {})
 }
 
 func TestCostBasedCreatesBeneficialFilter(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/exec"
 	"repro/internal/filter"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -77,7 +78,7 @@ func (c *CostBased) RegisterPoint(p *exec.Point) {
 func (c *CostBased) Begin() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.classes = analyze(c.points, c.opts.fpr())
+	c.classes = analyze(c.points, c.opts.fpr(), c.opts.Kind)
 }
 
 // Created returns how many AIP sets the manager decided to build.
@@ -229,8 +230,16 @@ func (c *CostBased) considerSet(src *exec.Point, stateCol int, ci *classInfo) {
 	c.created++
 	c.opts.Stats.FiltersMade.Inc()
 	c.opts.Stats.FilterBytes.Add(int64(sum.SizeBytes()))
+	kind := stats.FilterBloom
+	switch sum.(type) {
+	case *filter.Bitmap:
+		kind = stats.FilterBitmap
+		c.opts.Stats.FiltersBitmap.Inc()
+	case *filter.HashSet:
+		kind = stats.FilterHashSet
+	}
 	if op := src.Op; op != nil {
-		op.FilterBytes.Add(int64(sum.SizeBytes()))
+		op.AddFilter(kind, sum.SizeBytes())
 	}
 
 	// Inject, making each candidate's revised estimates permanent only once
@@ -289,12 +298,23 @@ func tentFactor(m map[*exec.Point]float64, p *exec.Point) float64 {
 
 // buildSummary scans the completed state into a summary structure. With
 // SummaryBloom the filter uses the class-wide geometry so later sets over
-// the same class could be intersected; with SummaryHashSet an exact set is
-// built (the §IV-B note about reusing an operator's hash table directly).
-// Bloom filters are fed through the batch insert kernel: the state scan
-// buffers hashes and flushes them 256 at a time so block addresses are
-// computed and warmed in bulk.
+// the same class could be intersected — or, for a bitmap class, is an exact
+// bitmap over the class's domain, unless the state holds a value it cannot
+// hold; with SummaryHashSet an exact set is built (the §IV-B note about
+// reusing an operator's hash table directly). Bloom filters are fed through
+// the batch insert kernel: the state scan buffers hashes and flushes them
+// 256 at a time so block addresses are computed and warmed in bulk.
 func (c *CostBased) buildSummary(src *exec.Point, stateCol int, ci *classInfo) filter.Summary {
+	if ci.bitmap {
+		bm, inside := ci.newBitmap(), true
+		src.IterState(func(t types.Tuple) bool {
+			inside = addValue(bm, t[stateCol])
+			return inside
+		})
+		if inside {
+			return bm
+		}
+	}
 	var buf []byte
 	if c.opts.Kind == SummaryHashSet {
 		hs := filter.NewHashSet(256)

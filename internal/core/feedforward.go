@@ -7,6 +7,7 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/exec"
 	"repro/internal/filter"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -21,8 +22,10 @@ import (
 // builds a local working copy incrementally (via the OnStore hook, called
 // when a tuple is recorded by the operator); when its input completes, the
 // working copy is published to the central AIP Registry, merged by bitwise
-// intersection with previously published Bloom sets of the same class, and
-// injected into every live interested operator.
+// intersection with previously published sets of the same class — blocked
+// Bloom filters, or exact bitmaps where the class's producers carry a small
+// enough integer domain (SummaryBloom) — and injected into every live
+// interested operator.
 type FeedForward struct {
 	opts Options
 
@@ -32,32 +35,65 @@ type FeedForward struct {
 	state   map[int]*ffClassState
 }
 
-// workingSet is one producer's incrementally built AIP set, sharded by the
-// executor's partition slots: OnStore(slot, t) feeds slot-private summaries
-// (each slot has exactly one writer goroutine, so the per-tuple path takes
-// no lock), and PointDone merges the slots — striped/replayed merge for
-// Bloom partials, bucket union for hash sets — into the published summary.
-// discarded is flipped when interest drops to zero; in-flight writers
-// observe it and stop cheaply.
+// workingSet is one producer's incrementally built AIP set. A Bloom or hash
+// set is sharded by the executor's partition slots: OnStore(slot, t) feeds
+// slot-private summaries (each slot has exactly one writer goroutine, so the
+// per-tuple path takes no lock), and PointDone merges the slots —
+// striped/replayed merge for Bloom partials, bucket union for hash sets —
+// into the published summary. A bitmap class's set is one bitmap shared by
+// the slots instead: a store sets its value's bit (test, then atomic OR)
+// without hashing, and PointDone publishes that bitmap itself. discarded is
+// flipped when interest drops to zero; in-flight writers observe it and stop
+// cheaply.
 //
 // Memory: a Bloom slot holds a bloom.Partial — a size-doubling key-hash log
 // that converts to lazily-allocated block stripes — so a producer running at
 // partition fan-out P pays for what its slots actually saw, not P
 // full-geometry copies; the exact merge into the class geometry happens
-// once, at PointDone. Hash-set slots grow only with their content. bytes
-// tracks the working memory currently allocated across slots, released from
-// the owning operator's FilterWorking gauge when the set is merged or
-// discarded.
+// once, at PointDone. Hash-set slots grow only with their content. A bitmap
+// is allocated at the first store, span/8 bytes, never more than the
+// class's Bloom filter. bytes tracks the working memory currently allocated,
+// released from the owning operator's FilterWorking gauge when the set is
+// merged, published or discarded.
 type workingSet struct {
 	class int
-	col   int    // state-schema column holding the attribute
-	bits  uint64 // Bloom geometry shared by every slot (merge-compatible)
-	k     uint32 // in-block probe count
-	exact bool   // hash-set slots instead of Bloom slots
+	col   int  // state-schema column holding the attribute
+	exact bool // hash-set slots instead of Bloom slots
+	// ci is the class: its Bloom geometry (bits, k), shared by every slot
+	// so slots merge, or its bitmap domain.
+	ci *classInfo
 
 	discarded atomic.Bool
 	bytes     atomic.Int64
 	slots     [exec.MaxPartitions]atomic.Pointer[slotSet]
+
+	// bm is a bitmap class's set (nil until the first store); outside
+	// flags a stored value the bitmap cannot hold (addValue), so the set is
+	// never published.
+	bm      atomic.Pointer[filter.Bitmap]
+	outside atomic.Bool
+}
+
+// bitmap returns the working bitmap, allocating it on first use; bytesAdded
+// reports the allocation to the one caller whose copy was installed.
+func (ws *workingSet) bitmap() (bm *filter.Bitmap, bytesAdded int) {
+	if bm = ws.bm.Load(); bm != nil {
+		return bm, 0
+	}
+	bm = ws.ci.newBitmap()
+	if !ws.bm.CompareAndSwap(nil, bm) {
+		return ws.bm.Load(), 0
+	}
+	return bm, bm.SizeBytes()
+}
+
+// storeBitmap adds t's attribute value to the working bitmap.
+func (ws *workingSet) storeBitmap(t types.Tuple) (bytesAdded int) {
+	bm, added := ws.bitmap()
+	if !addValue(bm, t[ws.col]) {
+		ws.outside.Store(true)
+	}
+	return added
 }
 
 // slotSet is one partition slot's private summary plus its key-encoding
@@ -86,7 +122,7 @@ func (ws *workingSet) slot(i int) (ss *slotSet, bytesAdded int) {
 	if ws.exact {
 		ss.hs = filter.NewHashSet(ffSlotBuckets)
 	} else {
-		ss.pb = bloom.NewPartial(ws.bits, ws.k, 0)
+		ss.pb = bloom.NewPartial(ws.ci.bits, ws.ci.k, 0)
 		bytesAdded = ss.pb.SizeBytes()
 	}
 	ws.slots[i].Store(ss)
@@ -98,6 +134,7 @@ type ffClassState struct {
 	interest int // live consumer points
 	working  map[*exec.Point]*workingSet
 	merged   *bloom.Blocked // intersection of published Bloom sets
+	mergedBm *filter.Bitmap // intersection of published bitmaps
 	// attached tracks the summary currently injected per consumer point so
 	// a stronger merge can replace it in place.
 	attached map[*exec.Point]filter.Summary
@@ -120,7 +157,7 @@ func (f *FeedForward) RegisterPoint(p *exec.Point) {
 func (f *FeedForward) Begin() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.classes = analyze(f.points, f.opts.fpr())
+	f.classes = analyze(f.points, f.opts.fpr(), f.opts.Kind)
 
 	producedBy := map[*exec.Point][]*workingSet{}
 	for id, ci := range f.classes {
@@ -143,7 +180,7 @@ func (f *FeedForward) Begin() {
 			}
 			seenProducer[pr.point] = true
 			ws := &workingSet{
-				class: id, col: pr.col, bits: ci.bits, k: ci.k,
+				class: id, col: pr.col, ci: ci,
 				exact: f.opts.Kind == SummaryHashSet,
 			}
 			st.working[pr.point] = ws
@@ -160,26 +197,33 @@ func (f *FeedForward) Begin() {
 		// the hook feeds slot-private summaries without taking any lock,
 		// and PointDone merges the slots. The key is still encoded and
 		// hashed once per (tuple, attribute), then fed to the summary by
-		// hash.
+		// hash. A bitmap class's set is shared by the slots and takes the
+		// value without hashing.
 		p := p
 		p.OnStore = func(slot int, t types.Tuple) {
 			for _, ws := range sets {
 				if ws.discarded.Load() {
 					continue
 				}
-				ss, added := ws.slot(slot)
-				ss.buf = t[ws.col].AppendKey(ss.buf[:0])
-				h := types.Hash64(ss.buf, 0)
-				if ss.pb != nil {
-					// The partial's log doubles and its stripes allocate
-					// lazily; account the growth as it happens so the
-					// working-set gauge tracks real allocation, not the
-					// full class geometry.
-					before := ss.pb.SizeBytes()
-					ss.pb.AddHash(h)
-					added += ss.pb.SizeBytes() - before
+				var added int
+				if ws.ci.bitmap {
+					added = ws.storeBitmap(t)
 				} else {
-					ss.hs.AddHash(h, ss.buf)
+					var ss *slotSet
+					ss, added = ws.slot(slot)
+					ss.buf = t[ws.col].AppendKey(ss.buf[:0])
+					h := types.Hash64(ss.buf, 0)
+					if ss.pb != nil {
+						// The partial's log doubles and its stripes
+						// allocate lazily; account the growth as it
+						// happens so the working-set gauge tracks real
+						// allocation, not the full class geometry.
+						before := ss.pb.SizeBytes()
+						ss.pb.AddHash(h)
+						added += ss.pb.SizeBytes() - before
+					} else {
+						ss.hs.AddHash(h, ss.buf)
+					}
 				}
 				if added > 0 {
 					f.opts.Stats.FilterBytes.Add(int64(added))
@@ -224,7 +268,7 @@ func (ws *workingSet) mergeSlots() (*bloom.Blocked, *filter.HashSet) {
 	}
 	// The full class geometry is allocated exactly once, here — this is the
 	// moment P striped partials become one union-compatible filter.
-	merged := bloom.NewBlockedWithGeometry(ws.bits, ws.k, 0)
+	merged := bloom.NewBlockedWithGeometry(ws.ci.bits, ws.ci.k, 0)
 	for i := range ws.slots {
 		ss := ws.slots[i].Load()
 		if ss == nil {
@@ -250,8 +294,9 @@ func (f *FeedForward) PointDone(p *exec.Point) {
 		// A truncated input (a dead source degraded to a partial result) has
 		// a working set missing tuples that never arrived; publishing it
 		// would prune rows that belong in the answer. Drop it unpublished —
-		// interest accounting below still runs.
-		if ws, ok := st.working[p]; ok && !p.StateComplete() {
+		// interest accounting below still runs. So is a bitmap that was
+		// handed a value it cannot hold.
+		if ws, ok := st.working[p]; ok && (!p.StateComplete() || ws.outside.Load()) {
 			delete(st.working, p)
 			ws.discarded.Store(true)
 			releaseWorking(p, ws)
@@ -264,18 +309,27 @@ func (f *FeedForward) PointDone(p *exec.Point) {
 			// are merged (striped merge for Bloom partials, bucket union for
 			// hash sets) into the one summary that gets published; slot
 			// writes happen-before PointDone, so the merge needs no locks.
-			bb, hs := ws.mergeSlots()
-			releaseWorking(p, ws)
-			if bb != nil {
+			// A bitmap is published as it stands.
+			if ci.bitmap {
+				bm, added := ws.bitmap() // a producer that stored nothing publishes an empty set
+				f.opts.Stats.FilterBytes.Add(int64(added))
+				releaseWorking(p, ws)
 				if op := p.Op; op != nil {
-					op.FilterBytes.Add(int64(bb.SizeBytes()))
+					op.AddFilter(stats.FilterBitmap, bm.SizeBytes())
+				}
+				f.publishBitmap(ci, st, bm)
+			} else if bb, hs := ws.mergeSlots(); bb != nil {
+				releaseWorking(p, ws)
+				if op := p.Op; op != nil {
+					op.AddFilter(stats.FilterBloom, bb.SizeBytes())
 				}
 				f.publishBloom(ci, st, bb)
 			} else {
+				releaseWorking(p, ws)
 				f.opts.Stats.FiltersMade.Inc()
 				f.opts.Stats.FilterBytes.Add(int64(hs.SizeBytes()))
 				if op := p.Op; op != nil {
-					op.FilterBytes.Add(int64(hs.SizeBytes()))
+					op.AddFilter(stats.FilterHashSet, hs.SizeBytes())
 				}
 				f.attachAll(ci, st, hs)
 			}
@@ -336,7 +390,28 @@ func (f *FeedForward) publishBloom(ci *classInfo, st *ffClassState, bb *bloom.Bl
 		st.merged = next
 		f.opts.Stats.FilterBytes.Add(int64(next.SizeBytes()))
 	}
-	newSum := filter.Blocked{F: st.merged}
+	f.inject(ci, st, filter.Blocked{F: st.merged})
+}
+
+// publishBitmap merges a completed bitmap into the registry and
+// (re-)injects the result. The new bitmap is this producer's own and not
+// yet visible to any probe, so the intersection with the class's earlier
+// sets is taken in place, word by word, and costs no allocation. Caller
+// holds f.mu.
+func (f *FeedForward) publishBitmap(ci *classInfo, st *ffClassState, bm *filter.Bitmap) {
+	f.opts.Stats.FiltersMade.Inc()
+	f.opts.Stats.FiltersBitmap.Inc()
+	if st.mergedBm != nil {
+		// Both cover the class's domain; the error cannot fire.
+		_ = bm.IntersectWith(st.mergedBm)
+	}
+	st.mergedBm = bm
+	f.inject(ci, st, bm)
+}
+
+// inject attaches the class's merged summary to every live consumer, in
+// place of the one attached before. Caller holds f.mu.
+func (f *FeedForward) inject(ci *classInfo, st *ffClassState, newSum filter.Summary) {
 	for _, co := range ci.consumers {
 		if co.point.Done() {
 			continue

@@ -21,7 +21,10 @@
 //     (expr.VecCmp over catalog.Table.IntVec/FloatVec), the rest through
 //     the row kernels — then probes the FilterBank of the operator input it
 //     feeds (Scan.Point, wired by the optimizer when nothing but Filters
-//     sits in between), hashing integer keys straight from the key vector.
+//     sits in between), hashing integer keys straight from the key vector —
+//     or, for an exact bitmap AIP set (filter.Bitmap, which the
+//     controllers build when a class's producers carry a small integer
+//     domain), testing the vector's value's bit with no hash at all.
 //     The bank is read once per chunk, so a filter published mid-scan
 //     applies from the next chunk on. A paced, delayed or fault-injected
 //     scan does the same over its source model's reads (sourceModel); a

@@ -76,6 +76,14 @@ func (b *FilterBank) Replace(cols []int, oldSum, newSum filter.Summary) {
 // Len returns the number of attached filters.
 func (b *FilterBank) Len() int { return len(*b.cur.Load()) }
 
+// Each calls fn with every attached filter's columns and summary, in probe
+// order.
+func (b *FilterBank) Each(fn func(cols []int, sum filter.Summary)) {
+	for _, a := range *b.cur.Load() {
+		fn(a.cols, a.sum)
+	}
+}
+
 // ProbeScratch is the per-worker working state of FilterBank.ProbeBatch:
 // lane-indexed key hashes and encodings plus the reusable buffers the
 // kernel narrows selections through. All slices are reused across batches
@@ -264,9 +272,9 @@ func (sc *ProbeScratch) lazyPrimaryKeyAt() func(int32) []byte {
 // shape allows it (single integer-backed column): pruned lanes never touch
 // the key buffer, and exact summaries probed mid-batch resolve lanes
 // through a transient per-lane encode. Filters over other column sets
-// encode through the alt arrays, narrowed-lanes only. The caller must
-// check Len() > 0 first; with no filters attached a probe would be a
-// pointless copy.
+// encode through the alt arrays, narrowed-lanes only. A one-column bitmap
+// computes no hash at all (probeBitmap). The caller must check Len() > 0
+// first; with no filters attached a probe would be a pointless copy.
 func (b *FilterBank) ProbeBatch(tuples []types.Tuple, keyCols []int, sel []int32, out []int32, sc *ProbeScratch) []int32 {
 	filters := *b.cur.Load()
 	if len(filters) == 0 {
@@ -279,24 +287,28 @@ func (b *FilterBank) ProbeBatch(tuples []types.Tuple, keyCols []int, sel []int32
 	live := sel
 	out = out[:0]
 	for i := range filters {
-		var hashes []uint64
-		var keyAt func(int32) []byte
-		if keyCols != nil && equalInts(filters[i].cols, keyCols) {
-			hashes = sc.hashes
-			if deferred {
-				sc.lazyTuples, sc.lazyCol = tuples, keyCols[0]
-				keyAt = sc.lazyPrimaryKeyAt()
-			} else {
-				keyAt = sc.primaryKeyAt()
-			}
-		} else {
-			keyAt = sc.altCompute(tuples, filters[i].cols, live)
-			hashes = sc.altHashes
+		if i > 0 {
+			out = out[:0] // narrow in place, behind live's read cursor
 		}
-		if i == 0 {
-			out = filters[i].sum.MayContainHashBatch(hashes, live, out, keyAt)
+		f := &filters[i]
+		if bm, ok := f.sum.(*filter.Bitmap); ok && len(f.cols) == 1 {
+			out = sc.probeBitmap(bm, tuples, f.cols[0], live, out)
 		} else {
-			out = filters[i].sum.MayContainHashBatch(hashes, out, out[:0], keyAt)
+			var hashes []uint64
+			var keyAt func(int32) []byte
+			if keyCols != nil && equalInts(f.cols, keyCols) {
+				hashes = sc.hashes
+				if deferred {
+					sc.lazyTuples, sc.lazyCol = tuples, keyCols[0]
+					keyAt = sc.lazyPrimaryKeyAt()
+				} else {
+					keyAt = sc.primaryKeyAt()
+				}
+			} else {
+				keyAt = sc.altCompute(tuples, f.cols, live)
+				hashes = sc.altHashes
+			}
+			out = f.sum.MayContainHashBatch(hashes, live, out, keyAt)
 		}
 		live = out
 		if len(out) == 0 {
@@ -306,6 +318,32 @@ func (b *FilterBank) ProbeBatch(tuples []types.Tuple, keyCols []int, sel []int32
 	if deferred {
 		sc.materialize(tuples, keyCols[0], out)
 		sc.lazyTuples = nil
+	}
+	return out
+}
+
+// probeBitmap narrows sel through a one-column bitmap without hashing: a
+// base-table scan reads the column's vector (vec[vecLo+lane]), an
+// operator-fed input the tuple's integer, and any other value goes through
+// its canonical key bytes, where a key that is not integer-tagged passes.
+func (sc *ProbeScratch) probeBitmap(bm *filter.Bitmap, tuples []types.Tuple, col int, sel, out []int32) []int32 {
+	if sc.vecs != nil {
+		if vec, _ := sc.vecs.IntVec(col); vec != nil {
+			return bm.ProbeInts(vec[sc.vecLo:sc.vecLo+len(tuples)], sel, out)
+		}
+	}
+	for _, l := range sel {
+		v := tuples[l][col]
+		var ok bool
+		if v.K == types.KindInt || v.K == types.KindDate || v.K == types.KindBool {
+			ok = bm.Contains(v.I)
+		} else {
+			sc.lazyBuf = v.AppendKey(sc.lazyBuf[:0])
+			ok = bm.MayContainKey(sc.lazyBuf)
+		}
+		if ok {
+			out = append(out, l)
+		}
 	}
 	return out
 }
@@ -320,6 +358,14 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// IntDomain is the value range [Lo, Hi] of the integer-backed base column a
+// point column carries (catalog.Table.IntRange); Known is false when the
+// column carries no such range.
+type IntDomain struct {
+	Lo, Hi int64
+	Known  bool
 }
 
 // Point is one AIP injection point: an operator input that can consume
@@ -397,6 +443,12 @@ type Point struct {
 	// selectivity estimation); 0 means unknown.
 	DomainDistinct []float64
 
+	// StateDomains gives, per column of the state schema (like
+	// StateEqIDs), the value range of the integer-backed base column it
+	// carries; the AIP controllers build a class's set as a bitmap over
+	// the union of its producers' ranges when that union is small enough.
+	StateDomains []IntDomain
+
 	// Op is the owning operator's stats block, set by the operator at Start
 	// before it starts its inputs (so every OnStore call, and a scan pruning
 	// on the point's behalf, observes it). Controllers attribute
@@ -456,6 +508,7 @@ func (p *Point) CloneForRun() *Point {
 		Ancestors:      append([]*Point(nil), p.Ancestors...),
 		EstRows:        p.EstRows,
 		DomainDistinct: append([]float64(nil), p.DomainDistinct...),
+		StateDomains:   p.StateDomains, // read-only plan metadata, shared
 	}
 }
 

@@ -2,10 +2,14 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bloom"
+	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/filter"
+	"repro/internal/tpch"
 	"repro/internal/types"
 )
 
@@ -158,61 +162,182 @@ func TestProbeBatchZeroAllocs(t *testing.T) {
 
 // Probe-site benchmarks: the tuple-at-a-time scalar site the engine ran
 // before batch probing vs the batch site it runs now, over the same bank
-// and tuple stream (single blocked filter over the probing key columns —
-// the common AIP shape).
-func probeSiteBench() (*FilterBank, []int, []types.Tuple) {
-	const n = 1 << 18
-	keyCols := []int{0}
-	var kb []byte
-	f := bloom.NewBlocked(n, bloom.DefaultFPR)
-	for i := 0; i < n; i++ {
-		kb = types.Tuple{types.Int(int64(i))}.AppendKeyCols(kb[:0], keyCols)
-		f.AddHash(types.Hash64(kb, 0))
+// and key stream — Q17's: lineitem's l_partkey probed against the 16 part
+// keys a Feed-forward run publishes, in a filter over p_partkey's domain
+// (one blocked Bloom filter sized for the class, or the bitmap the class
+// gets instead).
+type probeSite struct {
+	tab      *catalog.Table
+	keyCol   int
+	bloom    filter.Summary
+	bitmap   *filter.Bitmap
+	keyCols  []int
+	nRows    int
+	inDomain int64 // domain size, p_partkey ∈ [1, inDomain]
+}
+
+func probeSiteBench(tb testing.TB) *probeSite {
+	tb.Helper()
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.05, Seed: 2008})
+	li, err := cat.Table("lineitem")
+	if err != nil {
+		tb.Fatal(err)
 	}
-	bank := NewFilterBank()
-	bank.Attach(keyCols, filter.Blocked{F: f})
-	tuples := make([]types.Tuple, 1<<14)
-	for i := range tuples {
-		tuples[i] = types.Tuple{types.Int(int64(i * 7 % (2 * n)))}
+	part, _ := cat.Table("part")
+	ps := &probeSite{tab: li, keyCol: li.ColumnIndex("l_partkey"), nRows: len(li.Rows), inDomain: int64(len(part.Rows))}
+	ps.keyCols = []int{ps.keyCol}
+	ps.tab.IntVec(ps.keyCol)
+	bits := bloom.BlockedBitsFor(len(part.Rows), bloom.DefaultFPR)
+	f := bloom.NewBlockedWithGeometry(bits, bloom.BlockedKFor(len(part.Rows), bits), 0)
+	ps.bitmap = filter.NewBitmap(1, ps.inDomain)
+	for i := int64(0); i < 16; i++ {
+		k := 1 + i*ps.inDomain/16
+		f.AddHash(types.HashIntKey(k))
+		ps.bitmap.Add(k)
 	}
-	return bank, keyCols, tuples
+	ps.bloom = filter.Blocked{F: f}
+	return ps
 }
 
 func BenchmarkProbeSiteScalar(b *testing.B) {
-	bank, keyCols, tuples := probeSiteBench()
+	ps := probeSiteBench(b)
+	bank := NewFilterBank()
+	bank.Attach(ps.keyCols, ps.bloom)
 	var hasher types.Hasher
 	var buf []byte
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		for j := range tuples {
-			h, key := hasher.KeyCols(tuples[j], keyCols)
-			if bank.probeHashed(tuples[j], keyCols, h, key, &buf) {
+		for _, t := range ps.tab.Rows {
+			h, key := hasher.KeyCols(t, ps.keyCols)
+			if bank.probeHashed(t, ps.keyCols, h, key, &buf) {
 				hits++
 			}
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ps.nRows), "ns/row")
 	benchSink = hits
 }
 
+// BenchmarkProbeSiteBatch: the batch site in its two shapes — an
+// operator-fed input probing tuples with its own key columns hashed for
+// routing (bloom, bitmap), and a base-table scan probing on its consumer's
+// behalf from the column vector (bloom-vec, which hashes each value;
+// bitmap-vec, which reads the value's bit).
 func BenchmarkProbeSiteBatch(b *testing.B) {
-	bank, keyCols, tuples := probeSiteBench()
-	var sc ProbeScratch
-	const window = 4096
-	sel := make([]int32, window)
-	for i := range sel {
-		sel[i] = int32(i)
+	ps := probeSiteBench(b)
+	for _, tc := range []struct {
+		name string
+		sum  filter.Summary
+		vec  bool
+	}{
+		{"bloom", ps.bloom, false},
+		{"bitmap", ps.bitmap, false},
+		{"bloom-vec", ps.bloom, true},
+		{"bitmap-vec", ps.bitmap, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			bank := NewFilterBank()
+			bank.Attach(ps.keyCols, tc.sum)
+			var sc ProbeScratch
+			keyCols := ps.keyCols
+			if tc.vec {
+				sc.vecs, keyCols = ps.tab, nil
+			}
+			sel := identSel(scanChunkRows)
+			out := make([]int32, 0, scanChunkRows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < ps.nRows; lo += scanChunkRows {
+					hi := min(lo+scanChunkRows, ps.nRows)
+					sc.vecLo = lo
+					out = bank.ProbeBatch(ps.tab.Rows[lo:hi], keyCols, sel[:hi-lo], out[:0], &sc)
+					hits += len(out)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ps.nRows), "ns/row")
+			benchSink = hits
+		})
 	}
-	out := make([]int32, 0, window)
-	b.ResetTimer()
-	hits := 0
-	for i := 0; i < b.N; i++ {
-		for start := 0; start+window <= len(tuples); start += window {
-			out = bank.ProbeBatch(tuples[start:start+window], keyCols, sel, out[:0], &sc)
-			hits += len(out)
+}
+
+// TestBitmapProbeMatchesHashSet: a bitmap attached to a bank keeps exactly
+// the lanes an exact hash set of the same keys keeps, through every probe
+// shape — the column vector (a scan), the tuples' integers (an operator
+// input, with and without its own key columns hashed for routing), and the
+// key bytes of lanes that are not integers (NULL, DECIMAL, strings, which
+// pass the bitmap but must then pass the hash set too, or be NULL) — and a
+// bitmap attached over two columns passes everything.
+func TestBitmapProbeMatchesHashSet(t *testing.T) {
+	ps := probeSiteBench(t)
+	hs := filter.NewHashSet(64)
+	for v := int64(-2); v <= ps.inDomain+2; v++ {
+		if ps.bitmap.Contains(v) {
+			kb := types.AppendIntKey(nil, v)
+			hs.AddHash(types.Hash64(kb, 0), kb)
 		}
 	}
-	benchSink = hits
+	rows := ps.tab.Rows[:5000]
+	mixed := make([]types.Tuple, len(rows))
+	for i, r := range rows {
+		v := r[ps.keyCol]
+		switch i % 7 {
+		case 1:
+			v = types.Float(float64(v.I)) // integral DECIMAL: same key
+		case 2:
+			v = types.Float(float64(v.I) + 0.5)
+		case 3:
+			v = types.Null()
+		case 4:
+			v = types.Str("x")
+		}
+		mixed[i] = types.Tuple{v, r[ps.keyCol]}
+	}
+	sel := identSel(len(rows))
+	probeWith := func(sum filter.Summary, tuples []types.Tuple, cols, keyCols []int, vecs expr.ColumnVectors) []int32 {
+		bank := NewFilterBank()
+		bank.Attach(cols, sum)
+		sc := ProbeScratch{vecs: vecs}
+		return bank.ProbeBatch(tuples, keyCols, sel, nil, &sc)
+	}
+	want := probeWith(hs, rows, ps.keyCols, nil, nil)
+	if len(want) == 0 || len(want) == len(rows) {
+		t.Fatalf("fixture keeps %d of %d lanes; want some of each", len(want), len(rows))
+	}
+	for name, got := range map[string][]int32{
+		"vector":         probeWith(ps.bitmap, rows, ps.keyCols, nil, ps.tab),
+		"tuples":         probeWith(ps.bitmap, rows, ps.keyCols, nil, nil),
+		"tuples+routing": probeWith(ps.bitmap, rows, ps.keyCols, ps.keyCols, nil),
+	} {
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: bitmap kept %d lanes, hash set %d", name, len(got), len(want))
+		}
+	}
+	got, exact := probeWith(ps.bitmap, mixed, []int{0}, nil, nil), probeWith(hs, mixed, []int{0}, nil, nil)
+	var extra []int32 // lanes the bitmap keeps and the hash set does not
+	for _, l := range got {
+		if !slices.Contains(exact, l) {
+			extra = append(extra, l)
+		}
+	}
+	for _, l := range exact {
+		if !slices.Contains(got, l) {
+			t.Fatalf("mixed kinds: the bitmap pruned lane %d (%v), which the hash set keeps", l, mixed[l][0])
+		}
+	}
+	for _, l := range extra {
+		if key := mixed[l][0].AppendKey(nil); key[0] == 0x01 { // integer-tagged
+			t.Fatalf("mixed kinds: the bitmap kept lane %d (%v), an integer key the hash set prunes", l, mixed[l][0])
+		}
+	}
+	if len(extra) == 0 {
+		t.Fatal("mixed kinds: no NULL, DECIMAL or string lane passed the bitmap")
+	}
+	if got := probeWith(ps.bitmap, mixed, []int{0, 1}, nil, nil); len(got) != len(mixed) {
+		t.Fatalf("a two-column bitmap filter kept %d of %d lanes; it must pass everything", len(got), len(mixed))
+	}
 }
 
 var benchSink int

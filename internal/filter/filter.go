@@ -1,8 +1,8 @@
 // Package filter defines the summary-structure abstraction probed by
-// executor operators when an AIP filter has been injected, plus a hash-set
-// implementation. The Bloom implementation lives in internal/bloom; this
-// package keeps the executor decoupled from the AIP decision logic in
-// internal/core.
+// executor operators when an AIP filter has been injected, plus two exact
+// implementations: a hash set and a bitmap over a dense integer domain. The
+// Bloom implementation lives in internal/bloom; this package keeps the
+// executor decoupled from the AIP decision logic in internal/core.
 package filter
 
 import (
@@ -18,10 +18,15 @@ import (
 // as a semijoin preserves query answers (paper §III-B). Implementations
 // must be safe for concurrent probes.
 //
-// Probing is hash-once only: the executor computes types.Hash64 of the
-// canonical key encoding exactly once per (tuple, column set) and reuses it
-// across every summary probed for that key; there is deliberately no
-// re-encoding probe entry point.
+// Hashed summaries (Blocked, HashSet) are probed hash-once: the executor
+// computes types.Hash64 of the canonical key encoding once per (tuple,
+// column set) and reuses it across every such summary probed for that key.
+// A Bitmap over one column needs no hash: exec.FilterBank.ProbeBatch reads
+// the key's integer — from the scan's column vector, or the tuple's value —
+// and tests its bit (Bitmap.ProbeInts, Contains), and resolves any other
+// key's bytes (MayContainKey), where a key that is not integer-tagged
+// passes. Its MayContainHash* methods ignore the hash and serve other
+// shapes (a bitmap attached over several columns passes every key).
 type Summary interface {
 	// MayContainHash reports whether the key may be present. hash must be
 	// types.Hash64(key, 0), computed once by the caller.

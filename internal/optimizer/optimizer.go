@@ -97,6 +97,14 @@ type component struct {
 	points   []*exec.Point   // injection points inside this subtree
 	tables   []string        // base tables feeding this subtree
 
+	// domain maps a global col id to the value range of the integer-backed
+	// base column it carries, for columns of multi-member equivalence
+	// classes (catalog.Table.IntRange); groupDomain holds the group keys'
+	// once aggregation has replaced the schema. The AIP controllers read
+	// them from the points (exec.Point.StateDomains).
+	domain      map[int]exec.IntDomain
+	groupDomain []exec.IntDomain
+
 	// scan is the base-table scan whose rows reach this component's output
 	// unchanged in shape (nothing but Filters above it), or nil. The operator
 	// that consumes the component hands such a scan its injection point, so
@@ -129,11 +137,18 @@ func (o *builder) newPoint(name string, b *plan.Block, comp *component, stateful
 	for g, p := range comp.colmap {
 		inv[p] = g
 	}
+	var doms []exec.IntDomain
 	for p := range eq {
 		eq[p] = -1
 		if g := inv[p]; g >= 0 {
 			eq[p] = b.EqIDs[g]
 			dom[p] = comp.distinct[g]
+			if d, ok := comp.domain[g]; ok {
+				if doms == nil {
+					doms = make([]exec.IntDomain, sch.Len())
+				}
+				doms[p] = d
+			}
 		}
 	}
 	pt := &exec.Point{
@@ -147,6 +162,7 @@ func (o *builder) newPoint(name string, b *plan.Block, comp *component, stateful
 		Tables:         append([]string(nil), comp.tables...),
 		EstRows:        comp.est,
 		DomainDistinct: dom,
+		StateDomains:   doms,
 	}
 	o.points = append(o.points, pt)
 	return pt
@@ -282,7 +298,14 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 		comp.tables = []string{rel.Table.Name}
 		comp.est = float64(rel.Table.NumRows())
 		for i, c := range rel.Schema.Cols {
-			comp.distinct[rel.Offset+i] = float64(rel.Table.Distinct(c.Name))
+			g := rel.Offset + i
+			comp.distinct[g] = float64(rel.Table.Distinct(c.Name))
+			if o.classSize[b.EqIDs[g]] < 2 {
+				continue
+			}
+			if lo, hi, ok := rel.Table.IntRange(i); ok {
+				comp.setDomain(g, exec.IntDomain{Lo: lo, Hi: hi, Known: true})
+			}
 		}
 	} else {
 		sub, err := o.buildBlock(rel.Sub, name)
@@ -296,6 +319,9 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 		comp.tables = sub.tables
 		for i := 0; i < rel.Schema.Len(); i++ {
 			comp.distinct[rel.Offset+i] = subOutputDistinct(rel.Sub, i, sub)
+			if d := outputDomain(rel.Sub, i, sub); d.Known {
+				comp.setDomain(rel.Offset+i, d)
+			}
 		}
 	}
 
@@ -347,6 +373,34 @@ func subOutputDistinct(sub *plan.Block, outCol int, comp *component) float64 {
 		}
 	}
 	return comp.est
+}
+
+// setDomain records global column g's integer domain.
+func (c *component) setDomain(g int, d exec.IntDomain) {
+	if c.domain == nil {
+		c.domain = map[int]exec.IntDomain{}
+	}
+	c.domain[g] = d
+}
+
+// outputDomain returns the integer domain output column outCol of block b
+// carries: a bare reference to a column (a group key, once aggregated) with
+// a known domain in comp, b's compiled component.
+func outputDomain(b *plan.Block, outCol int, comp *component) exec.IntDomain {
+	if outCol >= len(b.Output) {
+		return exec.IntDomain{}
+	}
+	cr, ok := b.Output[outCol].E.(*expr.ColRef)
+	if !ok {
+		return exec.IntDomain{}
+	}
+	if len(b.Aggs) > 0 || len(b.GroupBy) > 0 {
+		if cr.Idx < len(comp.groupDomain) {
+			return comp.groupDomain[cr.Idx]
+		}
+		return exec.IntDomain{}
+	}
+	return comp.domain[cr.Idx]
 }
 
 // joinEstimate reports whether two components share an unused equi
@@ -534,6 +588,11 @@ func (o *builder) pruneJoin(b *plan.Block, merged, l, r *component, used []bool,
 				merged.distinct[g] = d
 			}
 		}
+		for g, d := range side.domain {
+			if _, ok := merged.colmap[g]; ok {
+				merged.setDomain(g, d)
+			}
+		}
 	}
 	return out
 }
@@ -576,10 +635,17 @@ func (o *builder) buildAgg(b *plan.Block, comp *component, prefix string) error 
 	groups := 1.0
 	stateEq := make([]int, len(groupBy))
 	groupSrcCols := map[int]bool{}
+	var groupDom []exec.IntDomain
 	for i, g := range b.GroupBy {
 		stateEq[i] = -1
 		if cr, ok := g.(*expr.ColRef); ok {
 			stateEq[i] = b.EqIDs[cr.Idx]
+			if d, ok2 := comp.domain[cr.Idx]; ok2 {
+				if groupDom == nil {
+					groupDom = make([]exec.IntDomain, len(groupBy))
+				}
+				groupDom[i] = d
+			}
 			if p, ok2 := comp.colmap[cr.Idx]; ok2 {
 				groupSrcCols[p] = true
 			}
@@ -597,6 +663,7 @@ func (o *builder) buildAgg(b *plan.Block, comp *component, prefix string) error 
 		groups = 1
 	}
 	pt.StateEqIDs = stateEq
+	pt.StateDomains = groupDom
 	for i := range stateEq {
 		pt.KeyCols = append(pt.KeyCols, i)
 	}
@@ -628,6 +695,8 @@ func (o *builder) buildAgg(b *plan.Block, comp *component, prefix string) error 
 	// globals; buildOutput binds positionally instead).
 	comp.colmap = nil
 	comp.distinct = nil
+	comp.domain = nil
+	comp.groupDomain = groupDom
 	return nil
 }
 
@@ -687,6 +756,12 @@ func (o *builder) newPointForOutput(b *plan.Block, comp *component, name string)
 	}
 	for i := range outEq {
 		pt.KeyCols = append(pt.KeyCols, i)
+		if d := outputDomain(b, i, comp); d.Known {
+			if pt.StateDomains == nil {
+				pt.StateDomains = make([]exec.IntDomain, len(outEq))
+			}
+			pt.StateDomains[i] = d
+		}
 	}
 	o.points = append(o.points, pt)
 	return pt

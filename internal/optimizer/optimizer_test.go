@@ -341,3 +341,53 @@ func TestOrderedOutputsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStateDomainsOnQ17: every producer of Q17's p_partkey class carries the
+// key columns' integer domain through its state schema — the join inputs fed
+// by base tables, the sub-block's aggregation (a GROUP BY key), and the join
+// inputs fed by the sub-block's output (a group key carried out of the
+// block) — and no column outside a class carries one.
+func TestStateDomainsOnQ17(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{ScaleFactor: 0.002})
+	blk, err := plan.BindSQL(cat, `
+		SELECT sum(l_extendedprice) / 7.0 FROM lineitem, part
+		WHERE p_partkey = l_partkey AND p_brand = 'Brand#23' AND p_container = 'MED CAN'
+		  AND l_quantity < (SELECT 0.2 * avg(l_quantity) FROM lineitem WHERE l_partkey = p_partkey)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Build(Config{}, blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, _ := cat.Table("part")
+	lo, hi, _ := part.IntRange(part.ColumnIndex("p_partkey"))
+	li, _ := cat.Table("lineitem")
+	llo, lhi, _ := li.IntRange(li.ColumnIndex("l_partkey"))
+	producers := 0
+	for _, p := range res.Points {
+		for c, d := range p.StateDomains {
+			if d.Known && p.StateEqIDs[c] < 0 {
+				t.Fatalf("%s: column %d carries a domain but belongs to no class", p.Name, c)
+			}
+		}
+		if !p.Stateful {
+			continue
+		}
+		for _, k := range p.KeyCols {
+			if p.StateEqIDs[k] < 0 {
+				continue
+			}
+			producers++
+			if k >= len(p.StateDomains) || !p.StateDomains[k].Known {
+				t.Fatalf("%s: its key column (class %d) carries no domain", p.Name, p.StateEqIDs[k])
+			}
+			if d := p.StateDomains[k]; d.Lo < min(lo, llo) || d.Hi > max(hi, lhi) || d.Lo > d.Hi {
+				t.Fatalf("%s: key domain [%d, %d] outside the key columns' [%d, %d]", p.Name, d.Lo, d.Hi, min(lo, llo), max(hi, lhi))
+			}
+		}
+	}
+	if producers < 5 { // j0 and j1's four inputs and the sub-block's aggregation
+		t.Fatalf("%d producers keyed on a class, want 5", producers)
+	}
+}

@@ -537,11 +537,12 @@ func (b *binder) bindOutputs(stmt *sqlparser.SelectStmt, blk *Block, sc *scope) 
 		if hasOuterRef(bound) {
 			return fmt.Errorf("plan: correlated select item %s is not supported", item.Expr)
 		}
-		name := item.Alias
-		if name == "" {
-			name = defaultName(item.Expr)
+		oc := OutputCol{E: bound, Name: item.Alias}
+		if oc.Name == "" {
+			oc.Name = defaultName(item.Expr)
+			oc.NameParams = labelParams(item.Expr, oc.Name)
 		}
-		blk.Output = append(blk.Output, OutputCol{E: bound, Name: name})
+		blk.Output = append(blk.Output, oc)
 	}
 	if grouped {
 		// Rewrite output expressions from Global-binding + aggRef markers
@@ -674,6 +675,73 @@ func defaultName(e sqlparser.Expr) string {
 		return id.Name
 	}
 	return strings.ReplaceAll(e.String(), " ", "")
+}
+
+// labelParams locates the placeholders in name, e's default name: it prints
+// a copy of e with every placeholder as a NUL identifier, and the offsets
+// where that copy differs from name are the placeholders' '?'s — both
+// prints are the same byte for byte elsewhere, whatever a literal, a LIKE
+// pattern or an identifier holds. nil when there are none, or when e holds
+// a subquery (its text is not walked).
+func labelParams(e sqlparser.Expr, name string) []NameParam {
+	var ords []int
+	marked, ok := markPlaceholders(e, &ords)
+	if !ok || len(ords) == 0 {
+		return nil
+	}
+	mname := defaultName(marked)
+	if len(name) != len(mname) {
+		return nil
+	}
+	params := make([]NameParam, 0, len(ords))
+	for i := range len(name) {
+		if name[i] != mname[i] {
+			if len(params) == len(ords) {
+				return nil
+			}
+			params = append(params, NameParam{At: i, Ord: ords[len(params)]})
+		}
+	}
+	if len(params) != len(ords) {
+		return nil
+	}
+	return params
+}
+
+// markPlaceholders copies e with each placeholder replaced by a NUL
+// identifier, appending their ordinals in print order to ords.
+func markPlaceholders(e sqlparser.Expr, ords *[]int) (sqlparser.Expr, bool) {
+	switch v := e.(type) {
+	case *sqlparser.Placeholder:
+		*ords = append(*ords, v.Ord)
+		return &sqlparser.Ident{Name: "\x00"}, true
+	case *sqlparser.BinaryExpr:
+		l, ok := markPlaceholders(v.L, ords)
+		if !ok {
+			return nil, false
+		}
+		r, ok := markPlaceholders(v.R, ords)
+		return &sqlparser.BinaryExpr{Op: v.Op, L: l, R: r}, ok
+	case *sqlparser.NotExpr:
+		x, ok := markPlaceholders(v.E, ords)
+		return &sqlparser.NotExpr{E: x}, ok
+	case *sqlparser.LikeExpr:
+		x, ok := markPlaceholders(v.E, ords)
+		return &sqlparser.LikeExpr{E: x, Pattern: v.Pattern, Negate: v.Negate}, ok
+	case *sqlparser.Call:
+		c := &sqlparser.Call{Name: v.Name, Star: v.Star, Args: make([]sqlparser.Expr, len(v.Args))}
+		for i, a := range v.Args {
+			x, ok := markPlaceholders(a, ords)
+			if !ok {
+				return nil, false
+			}
+			c.Args[i] = x
+		}
+		return c, true
+	case *sqlparser.SubqueryExpr:
+		return nil, false
+	}
+	return e, true
 }
 
 // ---------------------------------------------------------------------------

@@ -129,7 +129,14 @@ func (c Conjunct) String() string { return c.E.String() }
 type OutputCol struct {
 	E    expr.Expr
 	Name string
+	// NameParams locates the placeholders a default name prints as '?', so
+	// a caller that lifted literals into them can print them back.
+	NameParams []NameParam
 }
+
+// NameParam is one placeholder in a default name: the byte offset of its
+// '?' in Name and its ordinal.
+type NameParam struct{ At, Ord int }
 
 // Block is a bound, decorrelated query block.
 type Block struct {

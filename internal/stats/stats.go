@@ -48,6 +48,38 @@ func (g *Gauge) Current() int64 { return g.cur.Load() }
 // Peak returns the high-water mark.
 func (g *Gauge) Peak() int64 { return g.peak.Load() }
 
+// FilterKind names an AIP summary representation.
+type FilterKind uint32
+
+// The summary kinds, as bits of OpStats' published-summary kind set.
+const (
+	FilterBloom FilterKind = 1 << iota
+	FilterBitmap
+	FilterHashSet
+)
+
+var filterKindNames = [...]string{"bloom", "bitmap", "hashset"}
+
+// AddFilter accounts one published summary of the given kind and size built
+// from this operator's state.
+func (o *OpStats) AddFilter(kind FilterKind, bytes int) {
+	o.FilterBytes.Add(int64(bytes))
+	o.filterKinds.Or(uint32(kind))
+}
+
+// FilterKinds names the kinds of the summaries AddFilter accounted, joined
+// by '+' ("bitmap", "bloom", "bloom+bitmap"); empty when there were none.
+func (o *OpStats) FilterKinds() string {
+	k := o.filterKinds.Load()
+	var names []string
+	for i, n := range filterKindNames {
+		if k&(1<<i) != 0 {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, "+")
+}
+
 // PartStats is one partition's contribution to a partitioned operator's
 // buffered state. The totals are still folded into the owning OpStats
 // (StateRows/StateBytes); the per-partition breakdown exposes radix skew.
@@ -75,6 +107,7 @@ type OpStats struct {
 	// when the working sets are merged or discarded at PointDone.
 	FilterBytes   Counter
 	FilterWorking Gauge
+	filterKinds   atomic.Uint32 // FilterKind bits of those summaries
 
 	Attempts    Counter // remote interactions attempted (first tries + retries)
 	Retries     Counter // re-attempts after a failed remote interaction
@@ -150,6 +183,7 @@ type Registry struct {
 
 	FilterBytes        Counter // memory spent on AIP summary structures
 	FiltersMade        Counter // AIP sets constructed
+	FiltersBitmap      Counter // of which, exact bitmaps over integer domains
 	FiltersUsed        Counter // filter injections performed
 	NetworkBytes       Counter // bytes shipped across simulated links
 	FilterNetWork      Counter // of which, AIP filter payloads
@@ -330,7 +364,11 @@ func (r *Registry) Report() string {
 			if parts != "" {
 				parts += " "
 			}
-			parts += fmt.Sprintf("filter=%dB work-peak=%dB", fb, fw)
+			parts += fmt.Sprintf("filter=%dB", fb)
+			if k := op.FilterKinds(); k != "" {
+				parts += " " + k
+			}
+			parts += fmt.Sprintf(" work-peak=%dB", fw)
 		}
 		if se := op.SpillEvents.Load(); se > 0 {
 			if parts != "" {
@@ -347,8 +385,12 @@ func (r *Registry) Report() string {
 		out += fmt.Sprintf("%-40s %10d %10d %10d %12d %s\n",
 			op.Name, op.In.Load(), op.Out.Load(), op.Pruned.Load(), op.StateBytes.Peak(), parts)
 	}
-	out += fmt.Sprintf("filters: made=%d used=%d bytes=%d work-peak=%d; network bytes=%d (filters %d)\n",
-		r.FiltersMade.Load(), r.FiltersUsed.Load(), r.FilterBytes.Load(),
+	made := fmt.Sprint(r.FiltersMade.Load())
+	if n := r.FiltersBitmap.Load(); n > 0 {
+		made += fmt.Sprintf(" (bitmap %d)", n)
+	}
+	out += fmt.Sprintf("filters: made=%s used=%d bytes=%d work-peak=%d; network bytes=%d (filters %d)\n",
+		made, r.FiltersUsed.Load(), r.FilterBytes.Load(),
 		r.PeakFilterWorkingBytes(), r.NetworkBytes.Load(), r.FilterNetWork.Load())
 	if t := r.BreakerTransitions.Load() + r.TotalRetries(); t > 0 {
 		out += fmt.Sprintf("recovery: retries=%d wasted-bytes=%d breaker-transitions=%d\n",

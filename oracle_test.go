@@ -49,6 +49,7 @@ package sip
 import (
 	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -63,6 +64,8 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/exec"
+	"repro/internal/filter"
 	"repro/internal/types"
 )
 
@@ -158,12 +161,12 @@ func TestGeneratedQueryOracle(t *testing.T) {
 	for _, seed := range seeds {
 		oraRunSeed(t, seed, spill, &reach)
 	}
-	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d",
-		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled)
+	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d; bitmap-filtered inputs compared with hash sets: %d; bitmaps replayed through the tuple probes: %d",
+		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed)
 	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0 || reach.waited == 0 ||
-		reach.direct == 0 || reach.reinstalled == 0) {
-		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d; the sweep must reach all six",
-			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled)
+		reach.direct == 0 || reach.reinstalled == 0 || reach.bitmaps == 0 || reach.replayed == 0) {
+		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d, bitmap inputs compared: %d, bitmaps replayed: %d; the sweep must reach all eight",
+			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed)
 	}
 }
 
@@ -172,9 +175,13 @@ func TestGeneratedQueryOracle(t *testing.T) {
 // or a router goroutine's batches — join sides that emitted fewer columns
 // than they received, scans that waited for their join sibling (Baseline
 // runs, so no filter wait is counted), partition key tables that installed
-// a direct index, and capped runs in which an aggregate table installed one
-// again after an eviction dropped it.
-type oraReach struct{ routed, router, narrowed, waited, direct, reinstalled int }
+// a direct index, capped runs in which an aggregate table installed one
+// again after an eviction dropped it, inputs whose bitmap filters were
+// compared with the hash-set run (bitmapExact), and bitmaps replayed over
+// their scan's rows through the tuple probes (bitmapReplay).
+type oraReach struct {
+	routed, router, narrowed, waited, direct, reinstalled, bitmaps, replayed int
+}
 
 // oraRunSeed generates one catalog and checks oraQueriesPerSeed queries over
 // it, then one of the routed fold's shape and three of the narrowing shapes,
@@ -1551,6 +1558,50 @@ type oraRun struct {
 	res   *Result
 	err   error
 	reach oraReach
+	banks map[string]oraBank // by point name, see oraBanks
+}
+
+// oraBank is what one run left in the filter bank of an input a scan probes
+// for: whether start order held the scan back until every stateful input
+// it does not feed was done (so every filter was in place before its first
+// row), whether the scan's table has a vector for every filtered column (no
+// NULL, DECIMAL or string key can reach a filter), the filters, each
+// one-column filter's vector (the values the scan probed it with), and the
+// rows they pruned.
+type oraBank struct {
+	early, intOnly bool
+	cols           [][]int
+	sums           []filter.Summary
+	vecs           [][]int64
+	pruned         int64
+}
+
+// oraBanks records the banks of the inputs wired scans probe for.
+func oraBanks(p *enginePlan, rows *Rows) map[string]oraBank {
+	scans := map[string]*exec.Scan{}
+	wiredScans(p.built.Root, scans)
+	banks := map[string]oraBank{}
+	for _, pt := range rows.ectx.Points() {
+		sc := scans[pt.Name]
+		if sc == nil || sc.Vecs == nil || pt.Op == nil {
+			continue
+		}
+		b := oraBank{early: early(rows, pt), intOnly: true, pruned: pt.Op.Pruned.Load()}
+		pt.Bank.Each(func(cols []int, sum filter.Summary) {
+			var vec []int64
+			for _, c := range cols {
+				if vec, _ = sc.Vecs.IntVec(c); vec == nil {
+					b.intOnly = false
+				}
+			}
+			if len(cols) != 1 {
+				vec = nil
+			}
+			b.cols, b.sums, b.vecs = append(b.cols, cols), append(b.sums, sum), append(b.vecs, vec)
+		})
+		banks[pt.Name] = b
+	}
+	return banks
 }
 
 func (c *oraCase) fail(label, format string, a ...any) {
@@ -1583,6 +1634,7 @@ func (c *oraCase) check(rng *rand.Rand) {
 	hs := []Strategy{FeedForward, CostBased}[rng.Intn(2)]
 	label := hs.String() + "/hashset"
 	c.same(label, c.run(label, Options{Strategy: hs, Summary: SummaryHashSet, Parallelism: 4}, false), c.want)
+	c.bitmapExact([]Strategy{FeedForward, CostBased}[rng.Intn(2)])
 	st := strat()
 	label = st.String() + "/stream"
 	c.same(label, c.run(label, Options{Strategy: st, Parallelism: 4}, true), c.want)
@@ -1635,6 +1687,120 @@ func (c *oraCase) modeled() {
 	label := fmt.Sprintf("%s/P=%d/modeled delayed=%v delay=%+v bps=%d%s",
 		opts.Strategy, opts.Parallelism, delayed, *d, opts.SourceBytesPerSec, faults)
 	c.same(label, c.run(label, opts, false), c.want)
+}
+
+// bitmapExact runs the case under s at P=1 twice, with the default
+// summaries and with SummaryHashSet. A bitmap is exact like a hash set, so
+// an input whose filters were all bitmaps must have pruned exactly what the
+// hash-set run pruned there — wherever the comparison is fair: a wired
+// scan's input that got every filter before its first row in both runs,
+// whose filtered columns hold only integers, and whose bitmaps hold the
+// same values as the hash sets over the same columns (the producers stored
+// the same keys in both runs; a race between a producer and a filter it
+// receives can make them differ, without changing the answer).
+func (c *oraCase) bitmapExact(s Strategy) {
+	c.env.t.Helper()
+	label := s.String() + "/P=1"
+	bm := c.run(label, Options{Strategy: s, Parallelism: 1}, false)
+	c.same(label, bm, c.want)
+	hs := c.run(label+"/hashset", Options{Strategy: s, Summary: SummaryHashSet, Parallelism: 1}, false)
+	c.same(label+"/hashset", hs, c.want)
+	for name, b := range bm.banks {
+		h, ok := hs.banks[name]
+		if !ok || !b.early || !h.early || !b.intOnly || len(b.sums) == 0 || !sameSets(b, h) {
+			continue
+		}
+		c.env.reach.bitmaps++
+		if b.pruned != h.pruned {
+			c.fail(label, "%s: its bitmaps pruned %d rows, the same sets as hash sets %d", name, b.pruned, h.pruned)
+		}
+	}
+}
+
+// sameSets reports whether every filter of b is a one-column bitmap that
+// holds, of the values its scan probed it with, exactly those the hash sets
+// of h over the same column hold in common.
+func sameSets(b, h oraBank) bool {
+	for i, sum := range b.sums {
+		bmp, ok := sum.(*filter.Bitmap)
+		if !ok || b.vecs[i] == nil {
+			return false
+		}
+		var sets []filter.Summary
+		for j, hsum := range h.sums {
+			if slices.Equal(h.cols[j], b.cols[i]) {
+				sets = append(sets, hsum)
+			}
+		}
+		if len(sets) == 0 {
+			return false
+		}
+		seen := map[int64]bool{}
+		for _, v := range b.vecs[i] {
+			if seen[v] {
+				continue
+			}
+			seen[v] = true
+			key := types.AppendIntKey(nil, v)
+			in := true
+			for _, set := range sets {
+				in = in && set.MayContainHash(types.Hash64(key, 0), key)
+			}
+			if in != bmp.Contains(v) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// bitmapReplay probes every table row of each wired scan whose input ended
+// the run holding a one-column bitmap through that bitmap again, on the
+// paths an operator-fed input takes: from the tuples, and from the tuples
+// with the bitmap's column as the routing key (a router's shape: every lane
+// hashed for routing first). Each must keep exactly the rows the bitmap's
+// contract keeps — an integer-tagged key whose value it holds, and every
+// key that is not integer-tagged (NULL, a non-integral DECIMAL, a string).
+// It reads only the run's final banks and the table, so timing cannot move
+// it; the scan's own vector probe is what bitmapExact compares.
+func (c *oraCase) bitmapReplay(label string, p *enginePlan, rows *Rows) {
+	c.env.t.Helper()
+	scans := map[string]*exec.Scan{}
+	wiredScans(p.built.Root, scans)
+	for _, pt := range rows.ectx.Points() {
+		scan := scans[pt.Name]
+		if scan == nil || len(scan.Rows) == 0 {
+			continue
+		}
+		var ps exec.ProbeScratch
+		all := make([]int32, len(scan.Rows))
+		for i := range all {
+			all[i] = int32(i)
+		}
+		pt.Bank.Each(func(cols []int, sum filter.Summary) {
+			bmp, ok := sum.(*filter.Bitmap)
+			if !ok || len(cols) != 1 {
+				return
+			}
+			var want []int32
+			for l, r := range scan.Rows {
+				key := r[cols[0]].AppendKey(nil)
+				if len(key) != 9 || key[0] != 0x01 || bmp.Contains(int64(binary.BigEndian.Uint64(key[1:]))) {
+					want = append(want, int32(l))
+				}
+			}
+			bank := exec.NewFilterBank()
+			bank.Attach(cols, bmp)
+			for _, keyCols := range [][]int{nil, cols} {
+				got := bank.ProbeBatch(scan.Rows, keyCols, all, nil, &ps)
+				if !slices.Equal(got, want) {
+					c.fail(label, "%s: its bitmap over column %d kept %d of %d rows probed from tuples (routing keys %v), the contract %d",
+						pt.Name, cols[0], len(got), len(scan.Rows), keyCols, len(want))
+				}
+			}
+			c.env.reach.replayed++
+		})
+	}
 }
 
 // same fails unless the run succeeded with the reference rows.
@@ -1709,6 +1875,8 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 		}
 	}
 	c.quiescent(label, rows, before)
+	out.banks = oraBanks(p, rows)
+	c.bitmapReplay(label, p, rows)
 	out.reach.waited = c.startWaits(label, rows)
 	routed := map[string]bool{} // per aggregation: whether a scan routed for it
 	for _, op := range rows.ectx.Stats.Ops() {
@@ -1783,6 +1951,21 @@ func (c *oraCase) startWaits(label string, rows *Rows) int {
 	return waited
 }
 
+// early reports whether pt's wired scan started after every stateful input
+// it does not feed was done: start order held it back for each of them.
+func early(rows *Rows, pt *exec.Point) bool {
+	waits := rows.ectx.StartWaits(pt)
+	for _, q := range rows.ectx.Points() {
+		if q == pt || slices.Contains(pt.Ancestors, q) || !q.Stateful {
+			continue
+		}
+		if !slices.Contains(waits, q) {
+			return false
+		}
+	}
+	return true
+}
+
 // sourcePruning: a wired scan (one that probes its consumer's filters per
 // chunk) which started after every filter its consumer can receive was
 // published — start order held it back for every stateful input it does not
@@ -1792,30 +1975,16 @@ func (c *oraCase) startWaits(label string, rows *Rows) int {
 // dropped on the point's behalf).
 func (c *oraCase) sourcePruning(label string, p *enginePlan, rows *Rows) {
 	c.env.t.Helper()
-	wired := map[string]string{}
+	wired := map[string]*exec.Scan{}
 	wiredScans(p.built.Root, wired)
-	points := rows.ectx.Points()
-	for _, pt := range points {
-		if _, ok := wired[pt.Name]; !ok || pt.Op == nil {
-			continue
-		}
-		early, waits := true, rows.ectx.StartWaits(pt)
-		for _, q := range points {
-			if q == pt || slices.Contains(pt.Ancestors, q) || !q.Stateful {
-				continue
-			}
-			if !slices.Contains(waits, q) {
-				early = false
-				break
-			}
-		}
-		if !early {
+	for _, pt := range rows.ectx.Points() {
+		if _, ok := wired[pt.Name]; !ok || pt.Op == nil || !early(rows, pt) {
 			continue
 		}
 		atSource := pt.Received() - pt.Op.In.Load()
 		if pruned := pt.Op.Pruned.Load(); pruned != atSource {
 			c.fail(label, "%s (fed by scan:%s) pruned %d rows, only %d of them at the source, though every filter it gets was published before the scan started",
-				pt.Name, wired[pt.Name], pruned, atSource)
+				pt.Name, wired[pt.Name].Name, pruned, atSource)
 		}
 	}
 }

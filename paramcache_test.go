@@ -284,3 +284,88 @@ func TestAdhocLiteralKinds(t *testing.T) {
 		t.Fatalf("fitting literals should share 2 templates with 2 hits: %+v", cs)
 	}
 }
+
+// TestAdhocLabels: a label printed from an expression with literals reads
+// the same on the ad-hoc path (literals lifted into a cached template, so a
+// second query with other literals hits it), the literal path (cache off)
+// and the prepared path, and a placeholder the user typed stays '?'.
+func TestAdhocLabels(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	ctx := context.Background()
+	ref := NewEngineWithConfig(cat, EngineConfig{PlanCacheSize: -1})
+	labels := func(s *Schema) (ls []string) {
+		for _, c := range s.Cols {
+			ls = append(ls, c.Name)
+		}
+		return ls
+	}
+	e := NewEngineWithConfig(cat, EngineConfig{})
+	for _, tc := range []struct {
+		sqls []string // one shape, other literals
+		want []string // the first query's labels
+	}{
+		{[]string{
+			`SELECT n_regionkey, count(*) * 2 FROM nation WHERE n_nationkey < 10 GROUP BY n_regionkey`,
+			`SELECT n_regionkey, count(*) * 3 FROM nation WHERE n_nationkey < 12 GROUP BY n_regionkey`,
+		}, []string{"n_regionkey", "(count(*)*2)"}},
+		{[]string{`SELECT sum(l_extendedprice) / 7.0 FROM lineitem, part
+WHERE p_partkey = l_partkey AND p_brand = 'Brand#23' AND p_container = 'MED CAN'
+  AND l_quantity < (SELECT 0.2 * avg(l_quantity) FROM lineitem WHERE l_partkey = p_partkey)`,
+			`SELECT sum(l_extendedprice) / 8.5 FROM lineitem, part
+WHERE p_partkey = l_partkey AND p_brand = 'Brand#12' AND p_container = 'MED CAN'
+  AND l_quantity < (SELECT 0.2 * avg(l_quantity) FROM lineitem WHERE l_partkey = p_partkey)`,
+		}, []string{"(sum(l_extendedprice)/7.0)"}},
+		{[]string{
+			`SELECT r_regionkey + 1, r_name LIKE '%A?%', 0 - r_regionkey * 3 FROM region`,
+			`SELECT r_regionkey + 4, r_name LIKE '%A?%', 0 - r_regionkey * 5 FROM region`,
+		}, []string{"(r_regionkey+1)", "r_nameLIKE'%A?%'", "(0-(r_regionkey*3))"}},
+		// A NUL byte in a LIKE pattern (never lifted) and in a string
+		// literal (lifted) beside lifted literals.
+		{[]string{
+			"SELECT (r_name LIKE 'a\x00' OR r_regionkey > 1), (r_name = 'b\x00' OR r_regionkey < 2) FROM region",
+			"SELECT (r_name LIKE 'a\x00' OR r_regionkey > 3), (r_name = 'c\x00' OR r_regionkey < 4) FROM region",
+		}, []string{"(r_nameLIKE'a\x00'OR(r_regionkey>1))", "((r_name='b\x00')OR(r_regionkey<2))"}},
+	} {
+		for i, sql := range tc.sqls {
+			lit, err := ref.Query(ctx, sql, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			adhoc, err := e.Query(ctx, sql, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.Prepare(ctx, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := labels(lit.Schema)
+			if i == 0 && !slices.Equal(want, tc.want) {
+				t.Fatalf("%s: literal labels %q, want %q", sql, want, tc.want)
+			}
+			if g := labels(adhoc.Schema); !slices.Equal(g, want) {
+				t.Fatalf("%s: ad-hoc labels %q, literal %q", sql, g, want)
+			}
+			if g := labels(st.Schema()); !slices.Equal(g, want) {
+				t.Fatalf("%s: prepared labels %q, literal %q", sql, g, want)
+			}
+		}
+	}
+	if cs := e.PlanCacheStats(); cs.Hits < 3 {
+		t.Fatalf("the second query of each shape should hit its template: %+v", cs)
+	}
+	st, err := e.Prepare(ctx, `SELECT n_regionkey, count(*) * ? FROM nation GROUP BY n_regionkey`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := labels(st.Schema()); !slices.Equal(g, []string{"n_regionkey", "(count(*)*?)"}) {
+		t.Fatalf("a typed placeholder's label: %q", g)
+	}
+	st, err = e.Prepare(ctx, "SELECT (r_name = 'a\x00' OR r_regionkey > ?), (r_name LIKE 'b\x00' OR r_regionkey < ?) FROM region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := labels(st.Schema()); !slices.Equal(g, []string{"((r_name='a\x00')OR(r_regionkey>?))", "(r_nameLIKE'b\x00'OR(r_regionkey<?))"}) {
+		t.Fatalf("typed placeholders beside NUL bytes: %q", g)
+	}
+}

@@ -1,7 +1,9 @@
 package sip
 
 import (
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/sqlparser"
 	"repro/internal/types"
@@ -59,7 +61,40 @@ func (e *Engine) adhocPlan(sql string, opts Options) (*enginePlan, []Value, erro
 			return p2, nil, perr
 		}
 	}
+	if p.labelParams != nil {
+		p = p.withLabels(lits)
+	}
 	return p, args, nil
+}
+
+// withLabels returns a copy of p whose result labels print the lifted
+// literals back where the template's labels print their placeholders —
+// `(count(*)*2)`, as the literal plan labels it, not `(count(*)*?)`.
+func (p *enginePlan) withLabels(lits []sqlparser.Lit) *enginePlan {
+	cols := slices.Clone(p.schema.Cols)
+	for i, params := range p.labelParams {
+		if params == nil {
+			continue
+		}
+		var sb strings.Builder
+		name, k := cols[i].Name, 0
+		for _, np := range params {
+			sb.WriteString(name[k:np.At])
+			if l := lits[np.Ord]; l.Kind == sqlparser.LitString {
+				// The literal's StringLit text, spaces dropped like
+				// every default name's.
+				sb.WriteString(strings.ReplaceAll("'"+l.Text+"'", " ", ""))
+			} else {
+				sb.WriteString(l.Text)
+			}
+			k = np.At + 1
+		}
+		sb.WriteString(name[k:])
+		cols[i].Name = sb.String()
+	}
+	cp := *p
+	cp.schema = types.NewSchema(cols...)
+	return &cp
 }
 
 // paramFits reports whether a lifted literal binds to a parameter of the

@@ -117,12 +117,12 @@ func TestSourceSelectionDifferential(t *testing.T) {
 }
 
 // wiredScans walks a plan template and returns, for every scan that probes
-// on behalf of a consumer, the scan's name keyed by its point's name.
-func wiredScans(op exec.Op, out map[string]string) {
+// on behalf of a consumer, the scan keyed by its point's name.
+func wiredScans(op exec.Op, out map[string]*exec.Scan) {
 	switch o := op.(type) {
 	case *exec.Scan:
 		if o.Point != nil {
-			out[o.Point.Name] = o.Name
+			out[o.Point.Name] = o
 		}
 	case *exec.Filter:
 		wiredScans(o.Child, out)
@@ -159,7 +159,7 @@ func TestSourceSelectionAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wired := map[string]string{}
+	wired := map[string]*exec.Scan{}
 	wiredScans(p.built.Root, wired)
 	rows, err := eng.QueryStream(context.Background(), sql, opts)
 	if err != nil {
@@ -179,10 +179,11 @@ func TestSourceSelectionAccounting(t *testing.T) {
 	var prunedSum, droppedSum int64
 	for _, pt := range rows.ectx.Points() {
 		prunedSum += pt.Op.Pruned.Load()
-		scanName, ok := wired[pt.Name]
+		sc, ok := wired[pt.Name]
 		if !ok {
 			continue
 		}
+		scanName := sc.Name
 		scan := res.Stats.Ops()[ops["scan:"+scanName]]
 		label := fmt.Sprintf("%s <- scan:%s", pt.Name, scanName)
 		if pt.Op.In.Load() != scan.Out.Load() {
@@ -278,6 +279,39 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 			if n != outs[name] {
 				t.Fatalf("run %d: %s emitted %d rows, run 0 had %d", run, name, n, outs[name])
 			}
+		}
+	}
+}
+
+// TestQ17FeedForwardFilterReport pins what Feed-forward Q17's report says
+// about its AIP sets: p_partkey's class spans [1, |part|], so all three sets
+// (part's join input, the sub-block's aggregation, lineitem's join input)
+// are bitmaps of span/8 bytes, named as such on their operators' rows, and
+// the filters line counts 3 made, 3 of them bitmaps, 4 injections.
+func TestQ17FeedForwardFilterReport(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	part, err := cat.Table("part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := NewEngine(cat).Query(context.Background(), tableIQueries(t, cat)["Q2A"], Options{Strategy: FeedForward})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := res.Stats.Report()
+	if !strings.Contains(report, "filters: made=3 (bitmap 3) used=4 ") {
+		t.Fatalf("filters line: want made=3 (bitmap 3) used=4\n%s", report)
+	}
+	field := fmt.Sprintf("filter=%dB bitmap ", (len(part.Rows)+63)/64*8)
+	for _, op := range []string{"join:q.j0.left", "agg:q._sq1", "join:q.j1.left"} {
+		found := false
+		for _, line := range strings.Split(report, "\n") {
+			if strings.HasPrefix(line, op+" ") {
+				found = strings.Contains(line, field)
+			}
+		}
+		if !found {
+			t.Fatalf("%s: want %q on its row\n%s", op, field, report)
 		}
 	}
 }

@@ -23,6 +23,9 @@ type enginePlan struct {
 	numParams  int
 	paramKinds []types.Kind      // each placeholder's inferred kind, by ordinal
 	topo       *network.Topology // non-nil when the plan ships remote scans
+	// labelParams holds, per result column, the placeholders its label
+	// prints as '?' (plan.OutputCol.NameParams); nil when no label has one.
+	labelParams [][]plan.NameParam
 }
 
 // buildPlan runs the full front end: parse, bind, placement tagging, magic
@@ -37,6 +40,15 @@ func (e *Engine) buildPlan(sql string, opts Options) (*enginePlan, error) {
 	}
 	schema := blk.OutputSchema()
 	numParams, paramKinds := blk.NumParams, blk.ParamKinds
+	var labelParams [][]plan.NameParam
+	for i, oc := range blk.Output {
+		if oc.NameParams != nil {
+			if labelParams == nil {
+				labelParams = make([][]plan.NameParam, len(blk.Output))
+			}
+			labelParams[i] = oc.NameParams
+		}
+	}
 	if opts.Strategy == Magic {
 		blk = magic.Rewrite(blk)
 	}
@@ -52,7 +64,8 @@ func (e *Engine) buildPlan(sql string, opts Options) (*enginePlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &enginePlan{built: built, schema: schema, numParams: numParams, paramKinds: paramKinds, topo: topo}, nil
+	return &enginePlan{built: built, schema: schema, numParams: numParams, paramKinds: paramKinds, topo: topo,
+		labelParams: labelParams}, nil
 }
 
 // plan returns the compiled template for (sql, opts), consulting the
