@@ -20,8 +20,9 @@ test:
 
 # bench-smoke: one iteration of the join and aggregation hot-path benchmarks
 # (BenchmarkJoin/{Unique,Dup8x8}: the symmetric join fed by router
-# goroutines, and /{UniqueRouted,Dup8x8Routed} by scans that route for it,
-# integer key words in place of encoded bytes;
+# goroutines, tuples with their integer key words, and
+# /{UniqueRouted,Dup8x8Routed} by scans that route for it, row ids with the
+# words read from the vectors;
 # BenchmarkHashAggFold/{routed,router}: Q17's avg(DECIMAL) GROUP BY INT over
 # 300 k rows into 10 k groups, folded from a routing scan's vectors and from
 # a router's batches — the routed fold and the routed join cases have dense
@@ -38,7 +39,8 @@ test:
 # and from tuples, and validated + boxed, in ns a value); and the AIP probe
 # site (BenchmarkProbeSite{Scalar,Batch}: lineitem's l_partkey against Q17's
 # 16 part keys, as the class's Bloom filter and as its bitmap, from tuples and
-# from the column vector, in ns a row).
+# from the column vector, and a router's whole route — probe, key, scatter —
+# over a bank of both, in ns a row).
 bench-smoke:
 	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkJoin|BenchmarkHashAggFold' -benchmem -benchtime 1x
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkProbeSite -benchmem -benchtime 1x
@@ -80,8 +82,10 @@ bench-vet:
 # delayed scans (one scan loop), accounting, the 0-alloc
 # chunk path, join reservation; routing scans: routed-vs-router
 # differentials (unmodeled and paced + delayed), routed word keys joined with router byte keys against a
-# nested loop (FLOAT/DATE/two-column keys, P=1/4, spilled), the entry
-# layout, the 0-alloc routing kernel, spill over row-id entries, start
+# nested loop (FLOAT/DATE/two-column keys, P=1/4, spilled), and router words
+# with router words and with the bytes a DECIMAL batch falls back to, the entry
+# layout, the 0-alloc routing kernel and router lanes, computed GROUP BY keys,
+# the bitmaps-first probe order, spill over row-id entries, start
 # order; the row-id root: root-vs-Project
 # differential, cancel / early Close / kept rows on the cursor; the typed
 # aggregation fold: the routed-vs-router fold matrix with evicting budgets,
@@ -99,7 +103,7 @@ bench-vet:
 # and once more under Feed-forward or Cost-based with bitmaps and with hash
 # sets, where each input whose filters were all bitmaps must prune exactly
 # what the hash sets pruned; in every run, each bitmap an input ends with is
-# replayed over its scan's rows through the tuple and routing-key probes),
+# replayed over its scan's rows through the tuple probe a router runs),
 # the exact bitmap AIP sets (domain edges, concurrent adds, bitmap ≡ hash
 # set through every probe shape), under the race detector.
 test-race:

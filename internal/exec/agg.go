@@ -306,10 +306,10 @@ func (w *aggWorker) fold(st *aggState, sb *scatter) (groups, bytes int64) {
 				sb.tuples = append(sb.tuples, sb.src.rows[r])
 			}
 		}
-		w.vals[k] = growVals(w.vals[k], n)
+		w.vals[k] = resize(w.vals[k], n)
 		c.EvalBatch(sb.tuples, identSel(n), w.vals[k])
 	}
-	ids := growI32(w.ids, n)
+	ids := resize(w.ids, n)
 	w.ids = ids
 	if cap(w.added) < n {
 		w.added = make([]bool, n)
@@ -399,77 +399,17 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 		partIns[p] = parts[p].in
 	}
 
-	gcols := make([]int, len(h.GroupBy))
-	for i := range gcols {
-		gcols[i] = i
-	}
-
-	// Router: probe AIP filters, evaluate the group-by expressions
-	// batch-at-a-time through the vectorized kernels, hash each surviving
-	// tuple's group key once, and scatter. Stats are accumulated in locals
-	// and flushed once per batch. routed records a complete, uncancelled
+	// The route probes the AIP filters, keys each surviving tuple by its
+	// group-by values and scatters it. routed records a complete, uncancelled
 	// pass over the input; the finisher publishes the AIP state only then
 	// (partial state must not be presented as a completed input's summary).
 	routerDone := make(chan struct{})
 	routed := false
-	router := func(in <-chan Batch) {
-		defer close(routerDone)
-		var (
-			keyHasher types.Hasher
-			sc        ProbeScratch // batch AIP probing over the input columns
-			pr        = newInputRoute(0, P, partIns)
-			keep      []int32         // lanes surviving the AIP filters
-			gcols2    [][]types.Value // per group-by expr: lane-indexed column
-		)
-		compiled := make([]*expr.Compiled, len(h.GroupBy))
-		for i, g := range h.GroupBy {
-			compiled[i] = expr.Compile(g)
-		}
-		gcols2 = make([][]types.Value, len(compiled))
-		gvals := make(types.Tuple, len(h.GroupBy))
-		for b := range in {
-			sel := b.Live()
-			nIn := int64(len(sel))
-			var pruned int64
-			keep = keep[:0]
-			if h.Point != nil && h.Point.Bank.Len() > 0 {
-				// The routing key is the evaluated group-by tuple, not input
-				// columns, so the filters encode through the alt scratch
-				// (keyCols = nil) and the group keys are hashed below.
-				keep = h.Point.Bank.ProbeBatch(b.Tuples, nil, sel, keep, &sc)
-				pruned = nIn - int64(len(keep))
-			} else {
-				keep = append(keep, sel...)
-				if h.Point != nil && ctx.Ctl != nil {
-					op.PreFilter.Add(nIn)
-				}
-			}
-			// One vectorized pass per group-by expression over the
-			// survivors, then assemble the per-lane key from the columns.
-			for i, c := range compiled {
-				gcols2[i] = growVals(gcols2[i], len(b.Tuples))
-				c.EvalBatch(b.Tuples, keep, gcols2[i])
-			}
-			for _, l := range keep {
-				for i := range compiled {
-					gvals[i] = gcols2[i][l]
-				}
-				kh, key := keyHasher.KeyCols(gvals, gcols)
-				pr.route(b.Tuples[l], kh, key)
-			}
-			op.In.Add(nIn)
-			op.Pruned.Add(pruned)
-			if h.Point != nil {
-				h.Point.received.Add(nIn)
-			}
-			PutBatch(b)
-			if !pr.flush(ctx, 0) {
-				return
-			}
-		}
-		// A closed input channel under cancellation means the stream was
-		// truncated upstream, not that the input completed.
-		routed = ctx.Err() == nil
+	rt := newInputRoute(0, P, partIns)
+	rt.keys, rt.point, rt.op = colRefs(h.GroupBy), h.Point, op
+	rt.done = func(complete bool) {
+		routed = complete
+		close(routerDone)
 	}
 
 	// The input starts only now: a scan probing on the point's behalf
@@ -477,21 +417,21 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 	// is a plain integer-vector-backed column the scan below routes for the
 	// operator (a group key of column refs encodes like the columns
 	// themselves), and the workers fold plain vector-backed arguments from
-	// the vectors by row id.
+	// the vectors by row id. Otherwise a router drives the route, keying
+	// computed group-by expressions from their values, evaluated per batch.
 	var vecs TableVectors
-	keyCols := colRefs(h.GroupBy)
-	if sc, pred := routingScan(h.Child, h.Point, keyCols); sc != nil {
+	if sc, pred := routingScan(h.Child, h.Point, rt.keys); sc != nil {
 		vecs = sc.Vecs
-		rt := newInputRoute(0, P, partIns)
-		rt.keys, rt.point, rt.op = keyCols, h.Point, op
-		rt.done = func(complete bool) {
-			routed = complete
-			close(routerDone)
-		}
 		sc.start(ctx, pred, rt, nil)
 	} else {
+		if rt.keys == nil { // computed group-by expressions
+			rt.keys = make([]int, len(h.GroupBy))
+			for i, g := range h.GroupBy {
+				rt.keys[i], rt.exprs = i, append(rt.exprs, expr.Compile(g))
+			}
+		}
 		in := h.Child.Start(ctx)
-		ctx.Spawn(func() { router(in) })
+		ctx.Spawn(func() { rt.drive(ctx, in) })
 	}
 
 	var workerWg sync.WaitGroup
@@ -638,28 +578,13 @@ func (d *Distinct) Start(ctx *Context) <-chan Batch {
 	// over the input, gating the AIP state publication.
 	routerDone := make(chan struct{})
 	routed := false
-	ctx.Spawn(func() {
-		defer close(routerDone)
-		var sc ProbeScratch // batch key hashing + AIP probing, hash-once
-		keep := getSel()    // surviving selection when filters are attached
-		rt := newInputRoute(0, P, partIns)
-		rt.keys, rt.point, rt.op = allCols, d.Point, op
-		defer func() { putSel(keep) }()
-		for b := range in {
-			sel := b.Live()
-			rt.lanes(ctx, &sc, b.Tuples, sel, keep[:0], -1)
-			op.In.Add(int64(len(sel)))
-			PutBatch(b)
-			if !rt.flush(ctx, 0) {
-				return
-			}
-		}
-		select {
-		case <-ctx.Cancelled(): // truncated upstream, input not complete
-		default:
-			routed = true
-		}
-	})
+	rt := newInputRoute(0, P, partIns)
+	rt.keys, rt.point, rt.op = allCols, d.Point, op
+	rt.done = func(complete bool) {
+		routed = complete
+		close(routerDone)
+	}
+	ctx.Spawn(func() { rt.drive(ctx, in) })
 
 	// failed is set when a worker could not deliver its output (cancel):
 	// the seen-state is then incomplete and must not be published.
@@ -679,7 +604,7 @@ func (d *Distinct) Start(ctx *Context) <-chan Batch {
 				var stored, storedBytes int64
 				preBytes := pt.memBytes()
 				n := len(sb.tuples)
-				ids = growI32(ids, n)
+				ids = resize(ids, n)
 				if cap(added) < n {
 					added = make([]bool, n)
 				}

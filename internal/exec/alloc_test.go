@@ -7,6 +7,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/filter"
+	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -20,10 +21,9 @@ func TestJoinProbeZeroAllocs(t *testing.T) {
 
 	// A populated join table with a realistic mix of hit and miss keys.
 	var jt joinTable
-	var build types.Hasher
 	for i := 0; i < 1024; i++ {
 		tup := types.Tuple{types.Int(int64(i)), types.Int(int64(i * 2))}
-		h, key := build.KeyCols(tup, keys)
+		h, key := keyOf(tup, keys)
 		jt.insert(h, key, tup, uint64(i+1))
 	}
 
@@ -44,14 +44,14 @@ func TestJoinProbeZeroAllocs(t *testing.T) {
 		probes[i] = types.Tuple{types.Int(int64(i * 3)), types.Int(0)}
 	}
 
-	var keyHasher types.Hasher
-	var bankBuf []byte
+	var key, bankBuf []byte
 	matchBuf := make([]types.Tuple, 0, 4096)
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		matchBuf = matchBuf[:0]
 		for _, tup := range probes {
-			h, key := keyHasher.KeyCols(tup, keys)
+			key = tup.AppendKeyCols(key[:0], keys)
+			h := types.Hash64(key, 0)
 			if !bank.probeHashed(tup, keys, h, key, &bankBuf) {
 				continue
 			}
@@ -67,20 +67,25 @@ func TestJoinProbeZeroAllocs(t *testing.T) {
 	}
 }
 
+// keyOf is a key's hash and canonical bytes, as a router computes them for a
+// key that is not integer-backed.
+func keyOf(t types.Tuple, cols []int) (uint64, []byte) {
+	key := t.AppendKeyCols(nil, cols)
+	return types.Hash64(key, 0), key
+}
+
 // TestKeyTableLookupZeroAllocs pins the table probe itself.
 func TestKeyTableLookupZeroAllocs(t *testing.T) {
 	kt := types.NewKeyTable(512)
-	var h types.Hasher
 	for i := 0; i < 512; i++ {
-		hash, key := h.KeyCols(types.Tuple{types.Int(int64(i))}, []int{0})
-		kt.Insert(hash, key)
+		kt.Insert(keyOf(types.Tuple{types.Int(int64(i))}, []int{0}))
 	}
-	var probe types.Hasher
+	var key []byte
 	hits := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 1024; i++ {
-			hash, key := probe.KeyCols(types.Tuple{types.Int(int64(i))}, []int{0})
-			if kt.Lookup(hash, key) >= 0 {
+			key = types.AppendIntKey(key[:0], int64(i))
+			if kt.Lookup(types.Hash64(key, 0), key) >= 0 {
 				hits++
 			}
 		}
@@ -99,16 +104,14 @@ func TestKeyTableLookupZeroAllocs(t *testing.T) {
 // while its own table stays empty.
 func TestJoinTableShortCircuitInterplay(t *testing.T) {
 	var completed joinTable
-	var build types.Hasher
 	for i := 0; i < 100; i++ {
 		tup := types.Tuple{types.Int(int64(i % 10)), types.Int(int64(i))}
-		h, key := build.KeyCols(tup, []int{0})
+		h, key := keyOf(tup, []int{0})
 		completed.insert(h, key, tup, uint64(i+1))
 	}
 	// Probing with a later ticket sees all 10 stored duplicates per key;
 	// probing with ticket 1 sees none (nothing was stored earlier).
-	var probe types.Hasher
-	h, key := probe.KeyCols(types.Tuple{types.Int(3), types.Int(0)}, []int{0})
+	h, key := keyOf(types.Tuple{types.Int(3), types.Int(0)}, []int{0})
 	if got := len(completed.probe(h, key, ^uint64(0), nil)); got != 10 {
 		t.Fatalf("late probe saw %d matches, want 10", got)
 	}
@@ -157,5 +160,48 @@ func TestAggFoldZeroAllocs(t *testing.T) {
 			t.Fatalf("routed=%v: count(*) = %v after 12 folds", routed, got)
 		}
 		putScatter(sb)
+	}
+}
+
+// TestRouterLanesZeroAllocs: a router's lanes — the bank probe, the key of
+// every survivor and its scatter — allocate nothing per batch once warm, in
+// both key forms: integer words (an INT key with a NULL lane, which the
+// equi-join drops) and the canonical bytes a batch holding a DECIMAL key
+// falls back to, behind a bank holding a bitmap and a Bloom filter.
+func TestRouterLanesZeroAllocs(t *testing.T) {
+	bm := filter.NewBitmap(0, 4095)
+	bf := bloom.NewBlocked(2048, bloom.DefaultFPR)
+	for v := int64(0); v < 4096; v += 2 {
+		bm.Add(v)
+		bf.AddHash(types.HashIntKey(v))
+	}
+	bank := NewFilterBank()
+	bank.Attach([]int{0}, filter.Blocked{F: bf})
+	bank.Attach([]int{0}, bm)
+	ctx := NewContext(stats.NewRegistry(), nil)
+	for _, form := range []string{"words", "bytes"} {
+		tuples := make([]types.Tuple, BatchSize)
+		for i := range tuples {
+			tuples[i] = types.Tuple{types.Int(int64(i * 7 % 4096)), types.Int(int64(i))}
+		}
+		tuples[5][0] = types.Null()
+		if form == "bytes" {
+			tuples[9][0] = types.Float(18)
+		}
+		rt := testRoute(&Point{Bank: bank}, []int{0}, 4)
+		var sc ProbeScratch
+		out := make([]int32, 0, BatchSize)
+		lanes := func() {
+			rt.lanes(ctx, &sc, tuples, identSel(len(tuples)), out[:0], -1)
+			rt.recycle()
+		}
+		lanes() // warm: sizes the scratch and the scatters
+		if allocs := testing.AllocsPerRun(50, lanes); allocs != 0 {
+			t.Fatalf("%s: router lanes allocate %.1f objects per batch, want 0", form, allocs)
+		}
+		words, bytes := rt.op.WordBatches.Load(), rt.op.ByteBatches.Load()
+		if (form == "words") != (words > 0 && bytes == 0) {
+			t.Fatalf("%s: keyed %d batches as words, %d as bytes", form, words, bytes)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 
+	"repro/internal/expr"
 	"repro/internal/stats"
 	"repro/internal/types"
 )
@@ -119,29 +120,13 @@ func identSel(n int) []int32 {
 	return s
 }
 
-// growVals resizes a lane-indexed scratch vector to n lanes, reusing the
-// backing array when possible.
-func growVals(v []types.Value, n int) []types.Value {
+// resize sizes a lane-indexed scratch vector to n lanes, reusing the backing
+// array when it is large enough.
+func resize[T any](v []T, n int) []T {
 	if cap(v) >= n {
 		return v[:n]
 	}
-	return make([]types.Value, n)
-}
-
-// growU64 and growI32 are growVals for the hash and selection scratch of
-// the batch probe kernels.
-func growU64(v []uint64, n int) []uint64 {
-	if cap(v) >= n {
-		return v[:n]
-	}
-	return make([]uint64, n)
-}
-
-func growI32(v []int32, n int) []int32 {
-	if cap(v) >= n {
-		return v[:n]
-	}
-	return make([]int32, n)
+	return make([]T, n)
 }
 
 // rowSource is a base table addressed by row id, with TableVectors.RowBytes
@@ -154,23 +139,25 @@ type rowSource struct {
 
 // scatter is a pooled buffer carrying the tuples of one input batch (or scan
 // chunk) that route to one partition of a partitioned operator, together
-// with their hash-once keys so the receiving worker never re-encodes or
-// re-hashes: headers and canonical key bytes from a router, row ids into src
-// and key words from a routing scan. Like batches, a scatter has exactly one
-// owner: the router owns it until the channel send, the partition worker
-// owns it after receive and recycles it with putScatter.
+// with their keys, each hashed once by the route so the receiving worker
+// never re-encodes or re-hashes: tuple headers from a router, row ids into
+// src from a routing scan, and each key in one of two forms — words when the
+// key values are all integer-backed, canonical bytes otherwise. One scatter
+// holds one form. Like batches, a scatter has exactly one owner: the route
+// owns it until the channel send, the partition worker owns it after
+// receive and recycles it with putScatter.
 type scatter struct {
 	side   int           // producing input (join: 0 = left, 1 = right)
 	tuples []types.Tuple // routed tuples, in arrival order; empty when rids carries them
 	src    *rowSource    // with rids: the table they index
 	rids   []int32       // routed rows of src, in arrival order
 	hashes []uint64      // per tuple: Hash64 of its canonical key
-	// A router's keys: offs[i]:offs[i+1] bound key i's canonical encoding in
-	// keys; len(offs) = len(hashes)+1.
+	// Byte keys: offs[i]:offs[i+1] bound key i's canonical encoding in keys;
+	// len(offs) = len(hashes)+1.
 	offs []int32
 	keys []byte
-	// A routing scan's keys (nk > 0): words[i*nk:(i+1)*nk] are key i's column
-	// values, all integer-backed, which encode as types.AppendIntKeys.
+	// Word keys (nk > 0): words[i*nk:(i+1)*nk] are key i's column values, all
+	// integer-backed, which encode as types.AppendIntKeys.
 	words []int64
 	nk    int
 	kbuf  []byte // key's encoding of a word key
@@ -194,6 +181,12 @@ func getScatter(side int) *scatter {
 // putScatter recycles a scatter buffer; tuple references are cleared so
 // recycled buffers do not pin row memory.
 func putScatter(s *scatter) {
+	s.reset()
+	scatterPool.Put(s)
+}
+
+// reset empties the scatter, keeping its buffers.
+func (s *scatter) reset() {
 	for i := range s.tuples {
 		s.tuples[i] = nil
 	}
@@ -203,16 +196,22 @@ func putScatter(s *scatter) {
 	s.offs = s.offs[:1]
 	s.keys = s.keys[:0]
 	s.words, s.nk, s.ranged = s.words[:0], 0, false
-	scatterPool.Put(s)
 }
 
-// add appends one routed tuple with its precomputed hash and key bytes
-// (copied, so the caller's hasher scratch can be reused immediately).
+// add appends one routed tuple with its key hash and bytes (copied).
 func (s *scatter) add(t types.Tuple, h uint64, key []byte) {
 	s.tuples = append(s.tuples, t)
 	s.hashes = append(s.hashes, h)
 	s.keys = append(s.keys, key...)
 	s.offs = append(s.offs, int32(len(s.keys)))
+}
+
+// addWords appends one routed tuple with its key hash and words (copied).
+func (s *scatter) addWords(t types.Tuple, h uint64, w []int64) {
+	s.tuples = append(s.tuples, t)
+	s.hashes = append(s.hashes, h)
+	s.words = append(s.words, w...)
+	s.nk = len(w)
 }
 
 // addRow appends row rid of src with its key hash and words (copied).
@@ -223,6 +222,12 @@ func (s *scatter) addRow(rid int32, h uint64, w []int64) {
 		s.words = append(s.words, v)
 	}
 	s.nk = len(w)
+}
+
+// intBacked reports whether values of kind k are integers (INT, DATE,
+// BOOLEAN), whose canonical key encoding is types.AppendIntKey of the word.
+func intBacked(k types.Kind) bool {
+	return k == types.KindInt || k == types.KindDate || k == types.KindBool
 }
 
 func (s *scatter) len() int { return len(s.hashes) }
@@ -283,9 +288,15 @@ func (s *scatter) lookup(kt *types.KeyTable, ids []int32) {
 }
 
 // inputRoute is the lock-free phase of one input of a partitioned operator —
-// AIP probe, hash-once key encoding, scatter to the partition workers — and
-// where it reports. One per producer goroutine: a router drives it per input
-// batch, a routing scan (routingScan) per chunk, from the column vectors.
+// AIP probe, key, scatter to the partition workers — and where it reports.
+// One per producer goroutine: a routing scan (routingScan) drives it per
+// chunk, from the column vectors, and a router goroutine (drive) per input
+// batch. Both run the same order: the bank first, each filter hashing only
+// its own columns (FilterBank.ProbeBatch), then each surviving lane keyed
+// and hashed once, for its partition — a routing scan's as row ids with key
+// words read from the vectors (routeRows), a router's as tuples with key
+// words, or bytes when a batch's keys are not all integer-backed
+// (routeTuples).
 type inputRoute struct {
 	keys  []int          // the input's key columns
 	point *Point         // may be nil
@@ -294,6 +305,12 @@ type inputRoute struct {
 	// equi: the keys are a join's, and a NULL key equals nothing, so a tuple
 	// with one is dropped here (a routing scan's keys have vectors: no NULLs).
 	equi bool
+	// exprs, when set, are computed GROUP BY keys: a router evaluates them
+	// once per batch (evalKeys), and keys then index the evaluated values.
+	exprs []*expr.Compiled
+	ecol  []types.Value // one expression's lane column
+	erows []types.Value // the kept lanes' evaluated keys, a row of len(exprs) each
+	etups []types.Tuple // per lane: its row of erows
 
 	side  int
 	shift uint
@@ -303,9 +320,10 @@ type inputRoute struct {
 	keyVecs [][]int64
 	lo, hi  int64
 	ranged  bool
-	words   []int64 // routeRows' scratch for a key of several columns
+	words   []int64 // one key's words
+	kbuf    []byte  // one key's canonical bytes
 	outs    []chan *scatter
-	bufs    []*scatter // per partition: the hashed tuples not yet delivered
+	bufs    []*scatter // per partition: the keyed tuples not yet delivered
 
 	// beforeSend/onCancel (either may be nil) bracket each delivery attempt:
 	// the join counts in-flight messages there.
@@ -330,9 +348,6 @@ func (r *inputRoute) buf(h uint64) *scatter {
 	}
 	return r.bufs[p]
 }
-
-// route buffers one tuple for its key's partition.
-func (r *inputRoute) route(t types.Tuple, h uint64, key []byte) { r.buf(h).add(t, h, key) }
 
 // flush delivers the buffered scatters of at least min tuples (a routing scan
 // carries smaller ones over to its next chunk). It reports false when the
@@ -359,47 +374,55 @@ func (r *inputRoute) flush(ctx *Context, min int) bool {
 	return true
 }
 
+// drive is the router: it runs the route over every batch of in and
+// delivers each batch's scatters before taking the next, so a scatter holds
+// one key form. It reports through done as a routing scan does: complete
+// when the input ended without a cancellation truncating it.
+func (rt *inputRoute) drive(ctx *Context, in <-chan Batch) {
+	complete := false
+	defer func() { rt.done(complete) }()
+	var sc ProbeScratch
+	keep := getSel() // the lanes a batch keeps
+	defer func() { putSel(keep) }()
+	for b := range in {
+		sel := b.Live()
+		rt.lanes(ctx, &sc, b.Tuples, sel, keep[:0], -1)
+		rt.op.In.Add(int64(len(sel)))
+		PutBatch(b)
+		if !rt.flush(ctx, 0) {
+			return
+		}
+	}
+	complete = ctx.Err() == nil
+}
+
 // lanes runs the live lanes of one batch through the phase and returns those
 // it routed (out is scratch of capacity len(live)). A routing scan passes
 // rid0 ≥ 0 — tuples are rows [rid0, rid0+len) of src — and has set keyVecs:
-// filters hash their own columns from the vectors, the survivors go out as
-// row ids with key words (routeRows), and no row is read unless OnStore
-// wants it.
+// the survivors go out as row ids with key words (routeRows), and no row is
+// read unless OnStore wants it. A router passes rid0 = -1 (routeTuples).
 func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple, live, out []int32, rid0 int32) []int32 {
-	pt, kept, keys, scan := rt.point, live, rt.keys, rid0 >= 0
-	if scan {
-		keys = nil // filters hash their own columns; routeRows hashes the survivors
-	}
+	pt, kept := rt.point, live
 	if pt != nil && pt.Bank.Len() > 0 {
-		kept = pt.Bank.ProbeBatch(tuples, keys, live, out, sc)
+		kept = pt.Bank.ProbeBatch(tuples, nil, live, out, sc)
 		rt.op.Pruned.Add(int64(len(live) - len(kept)))
-	} else {
-		if !scan {
-			sc.compute(tuples, keys, live)
-		}
-		if pt != nil && ctx.Ctl != nil { // rows a filter would arrive too late for
-			rt.op.PreFilter.Add(int64(len(live)))
-		}
+	} else if pt != nil && ctx.Ctl != nil { // rows a filter would arrive too late for
+		rt.op.PreFilter.Add(int64(len(live)))
 	}
 	if pt != nil {
 		pt.received.Add(int64(len(live)))
 	}
-	// The working AIP set covers every tuple that passed the filters, whether
-	// or not a worker buffers it (Feed-Forward publishes it as a complete
-	// summary of the input). The route's driver is the point's only OnStore
-	// caller, so it owns working-set slot 0.
-	store := rt.store && pt != nil && pt.OnStore != nil
-	if scan {
+	if rid0 >= 0 {
 		rt.routeRows(kept, rid0)
+	} else {
+		kept = rt.routeTuples(tuples, kept, out)
 	}
-	for _, l := range kept {
-		if !scan {
-			if rt.equi && tuples[l].HasNull(rt.keys) {
-				continue
-			}
-			rt.route(tuples[l], sc.hashes[l], sc.key(l))
-		}
-		if store {
+	// The working AIP set covers every tuple that was routed, whether or not
+	// a worker buffers it (Feed-Forward publishes it as a complete summary of
+	// the input). The route's driver is the point's only OnStore caller, so
+	// it owns working-set slot 0.
+	if rt.store && pt != nil && pt.OnStore != nil {
+		for _, l := range kept {
 			pt.OnStore(0, tuples[l])
 		}
 	}
@@ -429,6 +452,90 @@ func (rt *inputRoute) routeRows(kept []int32, rid0 int32) {
 		h := types.HashIntKeys(rt.words)
 		rt.buf(h).addRow(rid, h, rt.words)
 	}
+}
+
+// maxWordKey is the widest key that goes out as words: types.HashIntKeys
+// encodes up to eight columns on the stack.
+const maxWordKey = 8
+
+// routeTuples buffers the kept lanes' tuples for their keys' partitions and
+// returns the lanes routed, narrowed into out when an equi-join drops a lane
+// with a NULL key. Each key is hashed once, for its partition: as words in
+// registers when every kept lane's key values are integer-backed, else —
+// for the whole batch — as canonical bytes, as is a key of no column (a
+// global aggregate) or of more than maxWordKey. HashIntKeys equals Hash64
+// of AppendIntKeys, so a key lands in the same partition in either form.
+func (rt *inputRoute) routeTuples(tuples []types.Tuple, kept, out []int32) []int32 {
+	kt := tuples // per lane: the tuple keys index
+	if rt.exprs != nil {
+		kt = rt.evalKeys(tuples, kept)
+	}
+	if rt.equi {
+		out = out[:0]
+		for _, l := range kept {
+			if !kt[l].HasNull(rt.keys) {
+				out = append(out, l)
+			}
+		}
+		kept = out
+	}
+	if len(kept) == 0 {
+		return kept
+	}
+	if wordKeys(kt, rt.keys, kept) {
+		rt.op.WordBatches.Add(1)
+		for _, l := range kept {
+			rt.words = rt.words[:0]
+			for _, c := range rt.keys {
+				rt.words = append(rt.words, kt[l][c].I)
+			}
+			h := types.HashIntKeys(rt.words)
+			rt.buf(h).addWords(tuples[l], h, rt.words)
+		}
+		return kept
+	}
+	rt.op.ByteBatches.Add(1)
+	for _, l := range kept {
+		rt.kbuf = kt[l].AppendKeyCols(rt.kbuf[:0], rt.keys)
+		h := types.Hash64(rt.kbuf, 0)
+		rt.buf(h).add(tuples[l], h, rt.kbuf)
+	}
+	return kept
+}
+
+// wordKeys reports whether the kept lanes' keys over cols go out as words:
+// one to maxWordKey columns, every value integer-backed.
+func wordKeys(kt []types.Tuple, cols []int, kept []int32) bool {
+	if len(cols) == 0 || len(cols) > maxWordKey {
+		return false
+	}
+	for _, l := range kept {
+		for _, c := range cols {
+			if !intBacked(kt[l][c].K) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// evalKeys evaluates the computed GROUP BY keys over the kept lanes, one
+// vectorized pass per expression as Project does, and returns per lane its
+// key row (read by keys = 0, 1, …), valid until the next call.
+func (rt *inputRoute) evalKeys(tuples []types.Tuple, kept []int32) []types.Tuple {
+	n, nk := len(tuples), len(rt.exprs)
+	rt.erows, rt.etups = resize(rt.erows, n*nk), resize(rt.etups, n)
+	for _, l := range kept {
+		rt.etups[l] = rt.erows[int(l)*nk : int(l+1)*nk : int(l+1)*nk]
+	}
+	rt.ecol = resize(rt.ecol, n)
+	for i, e := range rt.exprs {
+		e.EvalBatch(tuples, kept, rt.ecol)
+		for _, l := range kept {
+			rt.etups[l][i] = rt.ecol[l]
+		}
+	}
+	return rt.etups
 }
 
 // rowArena allocates output tuples in batch-sized blocks: one []types.Value

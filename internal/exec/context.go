@@ -8,7 +8,7 @@
 //
 // # Data-path design
 //
-// The engine is batch-at-a-time and hash-once:
+// The engine is batch-at-a-time, and filters before it keys:
 //
 //   - BatchSize (128) tuples move per channel send. Operator locks are
 //     taken once per batch and per-operator stat counters are accumulated
@@ -47,7 +47,10 @@
 //     encoding of an in-range word, so a router's byte keys, Key/Hash and
 //     spill records see the same table. Any other input
 //     — a DECIMAL or NULL-holding key, a computed group key, an operator
-//     below — gets dense batches of copied row headers and a router, as ever.
+//     below — gets dense batches of copied row headers and a router
+//     goroutine driving the same inputRoute (drive): the same bank probe,
+//     then each survivor's tuple header with its key as words when every
+//     key value of the batch is integer-backed, else as canonical bytes.
 //   - Who resolves a tuple, and when: a join entry is 16 pointer-free bytes
 //     {ticket, next, ref}, ref indexing the scanned table's rows for a
 //     scan-routed side and the join table's own header store otherwise; its
@@ -106,13 +109,19 @@
 //     dropped, each exactly once; PreFilter, under a controller, the rows
 //     that arrived while no filter was attached. Consumers set Point.Op
 //     before they start their inputs.
-//   - Every tuple key is canonically encoded and hashed exactly once per
-//     (tuple, column set) via types.Hasher. The resulting 64-bit hash
-//     drives the join/aggregation/distinct tables (types.KeyTable, open
-//     addressing with inline key-byte verification — no string(key)
-//     allocations), the Bloom filter fast path (bloom.AddHash /
-//     bloom.ProbeHash), and the exact hash-set summary
-//     (filter.Summary.MayContainHash).
+//   - Where a key is hashed: for probing, each attached filter hashes its
+//     own columns for the lanes the filters before it kept
+//     (FilterBank.ProbeBatch; a one-column bitmap hashes nothing, and the
+//     bank probes those first); for routing, the route hashes each
+//     surviving lane's key once (inputRoute), so a pruned lane is never
+//     keyed. An integer key hashes from its words in registers
+//     (types.HashIntKey, HashIntKeys), any other from its canonical bytes
+//     (types.Hash64), to the same value. The routing hash travels with the
+//     key to the join/aggregation/distinct tables (types.KeyTable, open
+//     addressing with inline key verification — no string(key)
+//     allocations); the probe hashes feed the Bloom filter
+//     (bloom.ProbeHashBatch) and the exact hash-set summary
+//     (filter.Summary.MayContainHashBatch).
 //   - Batch slices are pooled (GetBatch / PutBatch): a batch has exactly
 //     one owner; the consumer recycles it after use. Join and projection
 //     output rows are carved from per-batch arenas (rowArena), one backing
@@ -126,8 +135,8 @@
 // The stateful operators (HashJoin, HashAgg, Distinct) are radix
 // partitioned so a single operator saturates all cores, not one core per
 // input. A router goroutine per input (or the scan feeding it, see above)
-// performs the lock-free phase — AIP-filter probe and hash-once key
-// encoding — and routes each surviving tuple to one of P partitions by the
+// performs the lock-free phase — AIP-filter probe, then the survivors'
+// keys — and routes each surviving tuple to one of P partitions by the
 // top bits of its 64-bit key hash
 // (P = Context.Parallelism rounded down to a power of two). Tuples with
 // equal keys therefore always land in the same partition, so partitions

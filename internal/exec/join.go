@@ -15,8 +15,9 @@ import (
 // matching tuples have arrived, independent of input order or delays.
 //
 // Concurrency: the operator is radix partitioned (see the package comment).
-// One router goroutine per input performs the lock-free phase — AIP filter
-// probe and hash-once key encoding — and scatters surviving tuples to P
+// One router goroutine per input (or the scan feeding it) performs the
+// lock-free phase — AIP filter probe, then each survivor's key hashed once
+// (inputRoute) — and scatters surviving tuples to P
 // partitions by the top bits of their key hash; tuples with equal keys land
 // in the same partition. Each partition owns an independent pair of tables
 // and a ticket counter, and is driven by exactly one worker goroutine, so
@@ -374,28 +375,6 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		}
 	}
 
-	// router drives one input's route batch-at-a-time; each scattered message
-	// is counted in-flight for the completion protocol.
-	router := func(in <-chan Batch, rt *inputRoute) {
-		complete := false
-		defer func() { rt.done(complete) }()
-		var sc ProbeScratch // batch key hashing + AIP probing, hash-once
-		keep := getSel()    // surviving selection when filters are attached
-		defer func() { putSel(keep) }()
-		for b := range in {
-			sel := b.Live()
-			rt.lanes(ctx, &sc, b.Tuples, sel, keep[:0], -1)
-			rt.op.In.Add(int64(len(sel)))
-			PutBatch(b)
-			if !rt.flush(ctx, 0) {
-				return
-			}
-		}
-		// The input channel closing means either a fully consumed input or
-		// an upstream cancellation truncating the stream.
-		complete = ctx.Err() == nil
-	}
-
 	// feed starts one input: a scan that can route for it (routingScan) drives
 	// the route itself, anything else streams batches to a router goroutine.
 	// Inputs start only now: a scan that probes on a point's behalf accounts
@@ -411,7 +390,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			return
 		}
 		in := child.Start(ctx)
-		ctx.Spawn(func() { router(in, rt) })
+		ctx.Spawn(func() { rt.drive(ctx, in) })
 	}
 
 	var workerWg sync.WaitGroup
@@ -443,7 +422,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			n := sb.len()
 			base := pt.ticket
 			pt.ticket += uint64(n)
-			ids = growI32(ids, n)
+			ids = resize(ids, n)
 
 			var stored, storedBytes int64
 			preBytes := ownT.memBytes()

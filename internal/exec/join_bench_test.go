@@ -24,8 +24,9 @@ func benchJoinRows(n, nkeys int) (lrows, rrows []types.Tuple) {
 
 // benchmarkJoin runs the join over two scans. routed gives the scans column
 // vectors and wires each to its join input, so they route for the join —
-// row ids with integer key words — instead of feeding router goroutines
-// tuples whose keys are encoded to bytes.
+// row ids with integer key words read from the vectors — instead of feeding
+// router goroutines tuples, whose integer keys the routers read as words
+// from the tuples.
 func benchmarkJoin(b *testing.B, n, nkeys, parallelism int, routed bool) {
 	lrows, rrows := benchJoinRows(n, nkeys)
 	lsch, rsch := intSchema("a", "x"), intSchema("a", "y")

@@ -372,7 +372,7 @@ func (jc *joinCore) probeSub(rd *spill.Reader, s, f, F int, bt *joinTable, scrat
 				continue
 			}
 			if !resolved {
-				*scratch = growVals(*scratch, rd.Width())
+				*scratch = resize(*scratch, rd.Width())
 				if pt, err = jc.resolve(rd, &rec, s, *scratch); err != nil {
 					return false, err
 				}

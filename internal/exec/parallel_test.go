@@ -235,6 +235,59 @@ func TestAggPartitionDeterminism(t *testing.T) {
 	}
 }
 
+// TestAggComputedGroupKeys: a GROUP BY of a computed expression and a column
+// (k + 1, d), routed by a router that keys the evaluated values, at P = 1 and
+// P = 4. Most batches key as words; every fourth holds integral DECIMAL k
+// values and a NULL, so it keys as bytes, and a DECIMAL 4.0 + 1 must land in
+// the group of INT 4 + 1. Groups are compared with a reference by their
+// canonical key encoding and count.
+func TestAggComputedGroupKeys(t *testing.T) {
+	const n = 6000
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		k := types.Int(int64(i % 41))
+		if i/BatchSize%4 == 3 {
+			if k = types.Float(float64(k.I)); i%50 == 0 {
+				k = types.Null()
+			}
+		}
+		rows[i] = types.Tuple{k, types.Int(int64(i % 3))}
+	}
+	sch := intSchema("k", "d")
+	gb := []expr.Expr{
+		&expr.Binary{Op: expr.OpAdd, L: &expr.ColRef{Idx: 0, Col: sch.Cols[0]}, R: &expr.Const{V: types.Int(1)}},
+		&expr.ColRef{Idx: 1, Col: sch.Cols[1]},
+	}
+	groups := map[string]int{}
+	for _, r := range rows {
+		key := gb[0].Eval(r).AppendKey(nil)
+		groups[string(gb[1].Eval(r).AppendKey(key))]++
+	}
+	var want []string
+	for k, c := range groups {
+		want = append(want, fmt.Sprintf("%x:%d", k, c))
+	}
+	sort.Strings(want)
+	for _, p := range []int{1, 4} {
+		scan := &Scan{Name: "t", Rows: rows, Sch: sch}
+		aggs := []plan.AggSpec{{Func: plan.AggCountStar, Name: "c"}}
+		res, reg, err := runParallel(NewHashAgg("agg", scan, gb, aggs, intSchema("g", "d", "c")), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range res {
+			got = append(got, fmt.Sprintf("%x:%d", r[1].AppendKey(r[0].AppendKey(nil)), r[2].I))
+		}
+		sort.Strings(got)
+		sameRows(t, fmt.Sprintf("P=%d", p), want, got)
+		op := findOp(reg, "agg:agg")
+		if op.WordBatches.Load() == 0 || op.ByteBatches.Load() == 0 {
+			t.Fatalf("P=%d: keyed %d batches as words, %d as bytes; want both", p, op.WordBatches.Load(), op.ByteBatches.Load())
+		}
+	}
+}
+
 // TestAggGlobalEmptyPartitioned pins the SQL edge case at a multi-partition
 // fan-out: a global aggregate over empty input emits exactly one row.
 func TestAggGlobalEmptyPartitioned(t *testing.T) {

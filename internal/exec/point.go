@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,7 +47,7 @@ func (b *FilterBank) Attach(cols []int, sum filter.Summary) {
 	next := make([]attachedFilter, len(old)+1)
 	copy(next, old)
 	next[len(old)] = attachedFilter{cols: append([]int(nil), cols...), sum: sum}
-	b.cur.Store(&next)
+	b.store(next)
 }
 
 // Replace swaps out an existing summary for a strictly stronger one over
@@ -70,7 +71,24 @@ func (b *FilterBank) Replace(cols []int, oldSum, newSum filter.Summary) {
 	if !replaced {
 		next = append(next, attachedFilter{cols: append([]int(nil), cols...), sum: newSum})
 	}
+	b.store(next)
+}
+
+// store publishes next as the probe order: the one-column bitmaps ahead of
+// the hashed summaries, each group in attach order, so a mixed bank prunes
+// with the hash-free kernel before any hash is computed.
+func (b *FilterBank) store(next []attachedFilter) {
+	slices.SortStableFunc(next, func(x, y attachedFilter) int { return x.rank() - y.rank() })
 	b.cur.Store(&next)
+}
+
+// rank is the filter's place in the probe order: 0 for a one-column bitmap,
+// which probes without a hash, 1 for any other.
+func (a *attachedFilter) rank() int {
+	if _, ok := a.sum.(*filter.Bitmap); ok && len(a.cols) == 1 {
+		return 0
+	}
+	return 1
 }
 
 // Len returns the number of attached filters.
@@ -84,57 +102,76 @@ func (b *FilterBank) Each(fn func(cols []int, sum filter.Summary)) {
 	}
 }
 
-// ProbeScratch is the per-worker working state of FilterBank.ProbeBatch:
-// lane-indexed key hashes and encodings plus the reusable buffers the
-// kernel narrows selections through. All slices are reused across batches
-// (zero allocations once warm) and invalidated by the next ProbeBatch or
-// compute call on the same scratch. One scratch per goroutine, like
-// types.Hasher.
+// ProbeScratch is the per-goroutine working state of FilterBank.ProbeBatch:
+// the lane-indexed key hashes of the filter being probed, the keys they were
+// computed from, and the reusable buffers behind them. All slices are reused
+// across batches (zero allocations once warm) and invalidated by the next
+// ProbeBatch on the same scratch.
 type ProbeScratch struct {
-	// Primary arrays: the probing operator's own key columns, filled by
-	// compute. Routers read hashes/key after ProbeBatch returns, so the
-	// hash-once discipline spans probing AND routing.
 	hashes []uint64
-	starts []int32
-	ends   []int32
-	keyBuf []byte
-	keyAt  func(int32) []byte // bound once; resolves a lane in the primary arrays
 
-	// Alt arrays: filters attached over a different column set than the
-	// operator's own keys encode through these instead.
-	altHashes []uint64
-	altStarts []int32
-	altEnds   []int32
-	altKeyBuf []byte
-	altKeyAt  func(int32) []byte
+	// Byte keys: lane i's canonical encoding is keyBuf[starts[i]:ends[i]].
+	starts, ends []int32
+	keyBuf       []byte
+	byteAt       func(int32) []byte // bound once to byteKey
+
+	// Integer keys: lane i's one integer-backed key value is vec[i] — a
+	// scan's column vector, or the tuples' values gathered into ints. Exact
+	// summaries resolve its bytes through intKey, one transient encode into
+	// intBuf per lane they ask about.
+	vec    []int64
+	ints   []int64
+	intBuf []byte
+	intAt  func(int32) []byte // bound once to intKey
 
 	// Source-vector state, set by a base-table scan probing on behalf of its
 	// consumer (scanWorker.chunk): vecs is the table's typed-vector view and
 	// the batch being probed is table rows [vecLo, vecLo+len(tuples)). A
-	// filter over one integer-backed column then hashes straight from the
-	// vector and never dereferences a row; exact summaries resolve key bytes
-	// per probed lane through vecKey.
+	// filter over one integer-backed column then reads the vector and never
+	// dereferences a row.
 	vecs  expr.ColumnVectors
 	vecLo int
-	vec   []int64
-	vecAt func(int32) []byte
-
-	// Deferred-materialization state: while computeHashes has skipped the
-	// key-byte pass, exact summaries resolve lanes through lazyKey.
-	lazyTuples []types.Tuple
-	lazyCol    int
-	lazyBuf    []byte
-	lazyAt     func(int32) []byte
 }
 
-// compute fills the primary arrays for the listed lanes: one canonical
-// encoding and one Hash64 per live lane, exactly what the scalar path's
-// Hasher.KeyCols did per tuple.
-func (sc *ProbeScratch) compute(tuples []types.Tuple, cols []int, sel []int32) {
+// intVec returns the listed lanes' integers of column c, lane-indexed: the
+// scan's column vector, else the tuples' values gathered into sc.ints when
+// every one of them is integer-backed, else nil.
+func (sc *ProbeScratch) intVec(tuples []types.Tuple, c int, sel []int32) []int64 {
+	if sc.vecs != nil {
+		if vec, _ := sc.vecs.IntVec(c); vec != nil {
+			return vec[sc.vecLo : sc.vecLo+len(tuples)]
+		}
+	}
+	sc.ints = resize(sc.ints, len(tuples))
+	for _, i := range sel {
+		v := tuples[i][c]
+		if !intBacked(v.K) {
+			return nil
+		}
+		sc.ints[i] = v.I
+	}
+	return sc.ints
+}
+
+// hashCols hashes the listed lanes' keys over cols into sc.hashes and
+// returns the resolver of their canonical key bytes: a one-column key whose
+// integers vec holds (intVec) in registers, with no byte written, any other
+// key from its canonical bytes, encoded once per lane.
+func (sc *ProbeScratch) hashCols(tuples []types.Tuple, cols []int, sel []int32, vec []int64) func(int32) []byte {
 	n := len(tuples)
-	sc.hashes = growU64(sc.hashes, n)
-	sc.starts = growI32(sc.starts, n)
-	sc.ends = growI32(sc.ends, n)
+	sc.hashes = resize(sc.hashes, n)
+	if vec != nil {
+		sc.vec = vec
+		for _, i := range sel {
+			sc.hashes[i] = types.HashIntKey(vec[i])
+		}
+		if sc.intAt == nil {
+			sc.intAt = sc.intKey
+		}
+		return sc.intAt
+	}
+	sc.starts = resize(sc.starts, n)
+	sc.ends = resize(sc.ends, n)
 	sc.keyBuf = sc.keyBuf[:0]
 	for _, i := range sel {
 		start := len(sc.keyBuf)
@@ -143,146 +180,41 @@ func (sc *ProbeScratch) compute(tuples []types.Tuple, cols []int, sel []int32) {
 		sc.starts[i] = int32(start)
 		sc.ends[i] = int32(len(sc.keyBuf))
 	}
+	if sc.byteAt == nil {
+		sc.byteAt = sc.byteKey
+	}
+	return sc.byteAt
 }
 
-// computeHashes fills only the hash array, deferring key-byte
-// materialization: for a single integer-backed key column (the dominant
-// equijoin shape) each lane is one register hash (types.HashIntKey) with
-// zero byte stores, so probing writes nothing to the key buffer for lanes
-// a filter will prune anyway. Returns true when it succeeded and bytes are
-// deferred; on any other key shape it falls back to compute and returns
-// false. Mixed-kind columns restart at the first non-integer lane, so the
-// fallback cost is only paid by genuinely mixed batches.
-func (sc *ProbeScratch) computeHashes(tuples []types.Tuple, cols []int, sel []int32) bool {
-	if len(cols) != 1 {
-		sc.compute(tuples, cols, sel)
-		return false
-	}
-	c := cols[0]
-	sc.hashes = growU64(sc.hashes, len(tuples))
-	for _, i := range sel {
-		v := tuples[i][c]
-		if v.K != types.KindInt && v.K != types.KindDate && v.K != types.KindBool {
-			sc.compute(tuples, cols, sel)
-			return false
-		}
-		sc.hashes[i] = types.HashIntKey(v.I)
-	}
-	return true
-}
+func (sc *ProbeScratch) byteKey(i int32) []byte { return sc.keyBuf[sc.starts[i]:sc.ends[i]] }
 
-// materialize back-fills the key bytes computeHashes deferred, for the
-// listed (surviving) lanes only. Only called when computeHashes succeeded,
-// so every lane is integer-backed.
-func (sc *ProbeScratch) materialize(tuples []types.Tuple, c int, sel []int32) {
-	n := len(tuples)
-	sc.starts = growI32(sc.starts, n)
-	sc.ends = growI32(sc.ends, n)
-	sc.keyBuf = sc.keyBuf[:0]
-	for _, i := range sel {
-		start := len(sc.keyBuf)
-		sc.keyBuf = types.AppendIntKey(sc.keyBuf, tuples[i][c].I)
-		sc.starts[i] = int32(start)
-		sc.ends[i] = int32(len(sc.keyBuf))
-	}
-}
-
-// altCompute hashes the listed lanes' keys over cols into altHashes and
-// returns the resolver of their canonical key bytes.
-func (sc *ProbeScratch) altCompute(tuples []types.Tuple, cols []int, sel []int32) func(int32) []byte {
-	n := len(tuples)
-	sc.altHashes = growU64(sc.altHashes, n)
-	if sc.vecs != nil && len(cols) == 1 {
-		if vec, _ := sc.vecs.IntVec(cols[0]); vec != nil {
-			sc.vec = vec[sc.vecLo : sc.vecLo+n]
-			for _, i := range sel {
-				sc.altHashes[i] = types.HashIntKey(sc.vec[i])
-			}
-			if sc.vecAt == nil {
-				sc.vecAt = sc.vecKey
-			}
-			return sc.vecAt
-		}
-	}
-	sc.altStarts = growI32(sc.altStarts, n)
-	sc.altEnds = growI32(sc.altEnds, n)
-	sc.altKeyBuf = sc.altKeyBuf[:0]
-	for _, i := range sel {
-		start := len(sc.altKeyBuf)
-		sc.altKeyBuf = tuples[i].AppendKeyCols(sc.altKeyBuf, cols)
-		sc.altHashes[i] = types.Hash64(sc.altKeyBuf[start:], 0)
-		sc.altStarts[i] = int32(start)
-		sc.altEnds[i] = int32(len(sc.altKeyBuf))
-	}
-	if sc.altKeyAt == nil {
-		sc.altKeyAt = sc.altKey
-	}
-	return sc.altKeyAt
-}
-
-// vecKey is lazyKey over the source vector: one transient canonical encode
-// per lane an exact summary asks about, valid until the next call.
-func (sc *ProbeScratch) vecKey(i int32) []byte {
-	sc.lazyBuf = types.AppendIntKey(sc.lazyBuf[:0], sc.vec[i])
-	return sc.lazyBuf
-}
-
-// key returns lane i's canonical key bytes from the primary arrays; valid
-// until the next compute/ProbeBatch on this scratch.
-func (sc *ProbeScratch) key(i int32) []byte { return sc.keyBuf[sc.starts[i]:sc.ends[i]] }
-
-func (sc *ProbeScratch) primaryKeyAt() func(int32) []byte {
-	if sc.keyAt == nil {
-		sc.keyAt = sc.key
-	}
-	return sc.keyAt
-}
-
-func (sc *ProbeScratch) altKey(i int32) []byte { return sc.altKeyBuf[sc.altStarts[i]:sc.altEnds[i]] }
-
-// lazyKey encodes lane i's key on demand while key bytes are deferred
-// (computeHashes mode): exact summaries probed mid-batch still see the
-// canonical bytes, one transient lane at a time. The returned slice is
-// valid until the next lazyKey call.
-func (sc *ProbeScratch) lazyKey(i int32) []byte {
-	sc.lazyBuf = types.AppendIntKey(sc.lazyBuf[:0], sc.lazyTuples[i][sc.lazyCol].I)
-	return sc.lazyBuf
-}
-
-func (sc *ProbeScratch) lazyPrimaryKeyAt() func(int32) []byte {
-	if sc.lazyAt == nil {
-		sc.lazyAt = sc.lazyKey
-	}
-	return sc.lazyAt
+// intKey encodes lane i's integer key; valid until the next call.
+func (sc *ProbeScratch) intKey(i int32) []byte {
+	sc.intBuf = types.AppendIntKey(sc.intBuf[:0], sc.vec[i])
+	return sc.intBuf
 }
 
 // ProbeBatch runs the live lanes of a batch through every attached filter
 // and returns the surviving selection, mirroring the expr kernels' Sel
-// contract. sel lists the live lanes in
-// ascending order; survivors are appended to out, which the caller owns
-// and passes with length 0. out may share sel's backing array (out =
-// sel[:0]) for in-place narrowing — implementations only append behind
-// their read cursor — but must otherwise not overlap sel.
+// contract. sel lists the live lanes in ascending order; survivors are
+// appended to out, which the caller owns and passes with length 0. out may
+// share sel's backing array (out = sel[:0]) for in-place narrowing —
+// implementations only append behind their read cursor — but must
+// otherwise not overlap sel.
 //
-// keyCols are the operator's own key columns, or nil when it has none:
-// when non-nil the hash array is filled for every lane of sel (even ones a
-// filter later prunes), so after the call sc.hashes[i] and sc.key(i) are
-// valid for every surviving lane and the caller can route on them without
-// re-hashing. Key BYTES are materialized only for survivors when the key
-// shape allows it (single integer-backed column): pruned lanes never touch
-// the key buffer, and exact summaries probed mid-batch resolve lanes
-// through a transient per-lane encode. Filters over other column sets
-// encode through the alt arrays, narrowed-lanes only. A one-column bitmap
-// computes no hash at all (probeBitmap). The caller must check Len() > 0
-// first; with no filters attached a probe would be a pointless copy.
+// Each filter keys only its own columns, and only for the lanes the filters
+// before it kept. A one-column key comes from one of three sources: the
+// scan's column vector, the tuples' integers (both read by a bitmap as they
+// are, hashed in registers for any other summary), or — when a lane's value
+// is not integer-backed — the canonical bytes of every lane, as is a key of
+// several columns. keyCols is ignored: a caller that routes the survivors
+// keys them itself, after the filters (inputRoute), so no lane a filter
+// prunes is keyed for routing. The caller must check Len() > 0 first; with
+// no filters attached a probe would be a pointless copy.
 func (b *FilterBank) ProbeBatch(tuples []types.Tuple, keyCols []int, sel []int32, out []int32, sc *ProbeScratch) []int32 {
 	filters := *b.cur.Load()
 	if len(filters) == 0 {
 		return append(out, sel...)
-	}
-	deferred := false
-	if keyCols != nil {
-		deferred = sc.computeHashes(tuples, keyCols, sel)
 	}
 	live := sel
 	out = out[:0]
@@ -291,58 +223,19 @@ func (b *FilterBank) ProbeBatch(tuples []types.Tuple, keyCols []int, sel []int32
 			out = out[:0] // narrow in place, behind live's read cursor
 		}
 		f := &filters[i]
-		if bm, ok := f.sum.(*filter.Bitmap); ok && len(f.cols) == 1 {
-			out = sc.probeBitmap(bm, tuples, f.cols[0], live, out)
+		var vec []int64
+		if len(f.cols) == 1 {
+			vec = sc.intVec(tuples, f.cols[0], live)
+		}
+		if bm, ok := f.sum.(*filter.Bitmap); ok && vec != nil {
+			out = bm.ProbeInts(vec, live, out)
 		} else {
-			var hashes []uint64
-			var keyAt func(int32) []byte
-			if keyCols != nil && equalInts(f.cols, keyCols) {
-				hashes = sc.hashes
-				if deferred {
-					sc.lazyTuples, sc.lazyCol = tuples, keyCols[0]
-					keyAt = sc.lazyPrimaryKeyAt()
-				} else {
-					keyAt = sc.primaryKeyAt()
-				}
-			} else {
-				keyAt = sc.altCompute(tuples, f.cols, live)
-				hashes = sc.altHashes
-			}
-			out = f.sum.MayContainHashBatch(hashes, live, out, keyAt)
+			keyAt := sc.hashCols(tuples, f.cols, live, vec)
+			out = f.sum.MayContainHashBatch(sc.hashes, live, out, keyAt)
 		}
 		live = out
 		if len(out) == 0 {
 			break
-		}
-	}
-	if deferred {
-		sc.materialize(tuples, keyCols[0], out)
-		sc.lazyTuples = nil
-	}
-	return out
-}
-
-// probeBitmap narrows sel through a one-column bitmap without hashing: a
-// base-table scan reads the column's vector (vec[vecLo+lane]), an
-// operator-fed input the tuple's integer, and any other value goes through
-// its canonical key bytes, where a key that is not integer-tagged passes.
-func (sc *ProbeScratch) probeBitmap(bm *filter.Bitmap, tuples []types.Tuple, col int, sel, out []int32) []int32 {
-	if sc.vecs != nil {
-		if vec, _ := sc.vecs.IntVec(col); vec != nil {
-			return bm.ProbeInts(vec[sc.vecLo:sc.vecLo+len(tuples)], sel, out)
-		}
-	}
-	for _, l := range sel {
-		v := tuples[l][col]
-		var ok bool
-		if v.K == types.KindInt || v.K == types.KindDate || v.K == types.KindBool {
-			ok = bm.Contains(v.I)
-		} else {
-			sc.lazyBuf = v.AppendKey(sc.lazyBuf[:0])
-			ok = bm.MayContainKey(sc.lazyBuf)
-		}
-		if ok {
-			out = append(out, l)
 		}
 	}
 	return out

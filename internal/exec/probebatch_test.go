@@ -9,6 +9,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/filter"
+	"repro/internal/stats"
 	"repro/internal/tpch"
 	"repro/internal/types"
 )
@@ -43,8 +44,7 @@ func (b *FilterBank) probe(t types.Tuple) bool {
 // probeBatchFixture builds a bank with three summaries — a blocked filter
 // over the probing key columns, a second blocked filter over a different
 // column set, and an exact hash set over the key columns — so a batch probe
-// exercises the primary arrays, the alt-compute fallback, and the keyAt
-// path at once.
+// hashes two column sets and resolves key bytes through keyAt.
 func probeBatchFixture(rng *rand.Rand, nPresent int) (*FilterBank, []int, []types.Tuple) {
 	keyCols := []int{0}
 	altCols := []int{1}
@@ -81,12 +81,11 @@ func TestProbeBatchMatchesProbeHashed(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	bank, keyCols, tuples := probeBatchFixture(rng, 2000)
 
-	var hasher types.Hasher
 	var buf []byte
 	scalar := func(sel []int32) []int32 {
 		var want []int32
 		for _, i := range sel {
-			h, key := hasher.KeyCols(tuples[i], keyCols)
+			h, key := keyOf(tuples[i], keyCols)
 			if bank.probeHashed(tuples[i], keyCols, h, key, &buf) {
 				want = append(want, i)
 			}
@@ -203,14 +202,13 @@ func BenchmarkProbeSiteScalar(b *testing.B) {
 	ps := probeSiteBench(b)
 	bank := NewFilterBank()
 	bank.Attach(ps.keyCols, ps.bloom)
-	var hasher types.Hasher
-	var buf []byte
+	var key, buf []byte
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
 		for _, t := range ps.tab.Rows {
-			h, key := hasher.KeyCols(t, ps.keyCols)
-			if bank.probeHashed(t, ps.keyCols, h, key, &buf) {
+			key = t.AppendKeyCols(key[:0], ps.keyCols)
+			if bank.probeHashed(t, ps.keyCols, types.Hash64(key, 0), key, &buf) {
 				hits++
 			}
 		}
@@ -220,10 +218,12 @@ func BenchmarkProbeSiteScalar(b *testing.B) {
 }
 
 // BenchmarkProbeSiteBatch: the batch site in its two shapes — an
-// operator-fed input probing tuples with its own key columns hashed for
-// routing (bloom, bitmap), and a base-table scan probing on its consumer's
-// behalf from the column vector (bloom-vec, which hashes each value;
-// bitmap-vec, which reads the value's bit).
+// operator-fed input probing the tuples' integers (tuples/bloom hashes each
+// one in registers, tuples/bitmap reads its bit), and a base-table scan
+// probing on its consumer's behalf from the column vector (vector/bloom,
+// vector/bitmap) — and the router's whole route over the same rows (router:
+// a bank holding the bitmap and the Bloom filter, probed bitmap first, then
+// the survivors keyed as words and scattered to four partitions), ns/row.
 func BenchmarkProbeSiteBatch(b *testing.B) {
 	ps := probeSiteBench(b)
 	for _, tc := range []struct {
@@ -231,18 +231,17 @@ func BenchmarkProbeSiteBatch(b *testing.B) {
 		sum  filter.Summary
 		vec  bool
 	}{
-		{"bloom", ps.bloom, false},
-		{"bitmap", ps.bitmap, false},
-		{"bloom-vec", ps.bloom, true},
-		{"bitmap-vec", ps.bitmap, true},
+		{"tuples/bloom", ps.bloom, false},
+		{"tuples/bitmap", ps.bitmap, false},
+		{"vector/bloom", ps.bloom, true},
+		{"vector/bitmap", ps.bitmap, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			bank := NewFilterBank()
 			bank.Attach(ps.keyCols, tc.sum)
 			var sc ProbeScratch
-			keyCols := ps.keyCols
 			if tc.vec {
-				sc.vecs, keyCols = ps.tab, nil
+				sc.vecs = ps.tab
 			}
 			sel := identSel(scanChunkRows)
 			out := make([]int32, 0, scanChunkRows)
@@ -253,7 +252,7 @@ func BenchmarkProbeSiteBatch(b *testing.B) {
 				for lo := 0; lo < ps.nRows; lo += scanChunkRows {
 					hi := min(lo+scanChunkRows, ps.nRows)
 					sc.vecLo = lo
-					out = bank.ProbeBatch(ps.tab.Rows[lo:hi], keyCols, sel[:hi-lo], out[:0], &sc)
+					out = bank.ProbeBatch(ps.tab.Rows[lo:hi], nil, sel[:hi-lo], out[:0], &sc)
 					hits += len(out)
 				}
 			}
@@ -261,12 +260,51 @@ func BenchmarkProbeSiteBatch(b *testing.B) {
 			benchSink = hits
 		})
 	}
+	b.Run("router", func(b *testing.B) {
+		bank := NewFilterBank()
+		bank.Attach(ps.keyCols, ps.bloom)
+		bank.Attach(ps.keyCols, ps.bitmap)
+		rt := testRoute(&Point{Bank: bank}, ps.keyCols, 4)
+		ctx := NewContext(stats.NewRegistry(), nil)
+		var sc ProbeScratch
+		out := make([]int32, 0, BatchSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		hits := 0
+		for i := 0; i < b.N; i++ {
+			for lo := 0; lo < ps.nRows; lo += BatchSize {
+				hi := min(lo+BatchSize, ps.nRows)
+				hits += len(rt.lanes(ctx, &sc, ps.tab.Rows[lo:hi], identSel(hi-lo), out[:0], -1))
+				rt.recycle()
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ps.nRows), "ns/row")
+		benchSink = hits
+	})
+}
+
+// testRoute is a router's route for an equi-join input keyed on keys, over
+// P partitions whose scatters the caller takes back with recycle.
+func testRoute(pt *Point, keys []int, P int) *inputRoute {
+	rt := newInputRoute(0, P, make([]chan *scatter, P))
+	rt.keys, rt.point, rt.op, rt.equi = keys, pt, &stats.OpStats{}, true
+	return rt
+}
+
+// recycle empties the route's buffered scatters in place, as a delivery and
+// the worker's putScatter would, so the next batch reuses them.
+func (rt *inputRoute) recycle() {
+	for _, sb := range rt.bufs {
+		if sb != nil {
+			sb.reset()
+		}
+	}
 }
 
 // TestBitmapProbeMatchesHashSet: a bitmap attached to a bank keeps exactly
 // the lanes an exact hash set of the same keys keeps, through every probe
 // shape — the column vector (a scan), the tuples' integers (an operator
-// input, with and without its own key columns hashed for routing), and the
+// input, whose router probes before it keys anything), and the
 // key bytes of lanes that are not integers (NULL, DECIMAL, strings, which
 // pass the bitmap but must then pass the hash set too, or be NULL) — and a
 // bitmap attached over two columns passes everything.
@@ -296,26 +334,25 @@ func TestBitmapProbeMatchesHashSet(t *testing.T) {
 		mixed[i] = types.Tuple{v, r[ps.keyCol]}
 	}
 	sel := identSel(len(rows))
-	probeWith := func(sum filter.Summary, tuples []types.Tuple, cols, keyCols []int, vecs expr.ColumnVectors) []int32 {
+	probeWith := func(sum filter.Summary, tuples []types.Tuple, cols []int, vecs expr.ColumnVectors) []int32 {
 		bank := NewFilterBank()
 		bank.Attach(cols, sum)
 		sc := ProbeScratch{vecs: vecs}
-		return bank.ProbeBatch(tuples, keyCols, sel, nil, &sc)
+		return bank.ProbeBatch(tuples, nil, sel, nil, &sc)
 	}
-	want := probeWith(hs, rows, ps.keyCols, nil, nil)
+	want := probeWith(hs, rows, ps.keyCols, nil)
 	if len(want) == 0 || len(want) == len(rows) {
 		t.Fatalf("fixture keeps %d of %d lanes; want some of each", len(want), len(rows))
 	}
 	for name, got := range map[string][]int32{
-		"vector":         probeWith(ps.bitmap, rows, ps.keyCols, nil, ps.tab),
-		"tuples":         probeWith(ps.bitmap, rows, ps.keyCols, nil, nil),
-		"tuples+routing": probeWith(ps.bitmap, rows, ps.keyCols, ps.keyCols, nil),
+		"vector": probeWith(ps.bitmap, rows, ps.keyCols, ps.tab),
+		"tuples": probeWith(ps.bitmap, rows, ps.keyCols, nil),
 	} {
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: bitmap kept %d lanes, hash set %d", name, len(got), len(want))
 		}
 	}
-	got, exact := probeWith(ps.bitmap, mixed, []int{0}, nil, nil), probeWith(hs, mixed, []int{0}, nil, nil)
+	got, exact := probeWith(ps.bitmap, mixed, []int{0}, nil), probeWith(hs, mixed, []int{0}, nil)
 	var extra []int32 // lanes the bitmap keeps and the hash set does not
 	for _, l := range got {
 		if !slices.Contains(exact, l) {
@@ -335,8 +372,56 @@ func TestBitmapProbeMatchesHashSet(t *testing.T) {
 	if len(extra) == 0 {
 		t.Fatal("mixed kinds: no NULL, DECIMAL or string lane passed the bitmap")
 	}
-	if got := probeWith(ps.bitmap, mixed, []int{0, 1}, nil, nil); len(got) != len(mixed) {
+	if got := probeWith(ps.bitmap, mixed, []int{0, 1}, nil); len(got) != len(mixed) {
 		t.Fatalf("a two-column bitmap filter kept %d of %d lanes; it must pass everything", len(got), len(mixed))
+	}
+}
+
+// countingSummary is a hashed summary that records the lanes it is asked
+// about.
+type countingSummary struct {
+	filter.Summary
+	seen []int32
+}
+
+func (c *countingSummary) MayContainHashBatch(hashes []uint64, sel, out []int32, keyAt func(int32) []byte) []int32 {
+	c.seen = append(c.seen, sel...)
+	return c.Summary.MayContainHashBatch(hashes, sel, out, keyAt)
+}
+
+// TestFilterBankProbesBitmapsFirst: a bank keeps its one-column bitmaps
+// ahead of its hashed summaries, whatever the attach order, so a hashed
+// summary attached before a bitmap is asked only about the bitmap's
+// survivors — in a scan's probe and an operator input's — and the bank keeps
+// the rows it keeps with the two attached the other way round.
+func TestFilterBankProbesBitmapsFirst(t *testing.T) {
+	ps := probeSiteBench(t)
+	rows := ps.tab.Rows[:4*scanChunkRows]
+	sel := identSel(scanChunkRows)
+	for _, vecs := range []expr.ColumnVectors{ps.tab, nil} {
+		// probe returns the lanes each chunk keeps, chunk after chunk.
+		probe := func(sums ...filter.Summary) []int32 {
+			bank := NewFilterBank()
+			for _, s := range sums {
+				bank.Attach(ps.keyCols, s)
+			}
+			sc := ProbeScratch{vecs: vecs}
+			var kept []int32
+			for lo := 0; lo < len(rows); lo += scanChunkRows {
+				sc.vecLo = lo
+				kept = append(kept, bank.ProbeBatch(rows[lo:lo+scanChunkRows], nil, sel, nil, &sc)...)
+			}
+			return kept
+		}
+		passed := probe(ps.bitmap)
+		fake := &countingSummary{Summary: ps.bloom}
+		got := probe(fake, ps.bitmap)
+		if len(passed) == 0 || !slices.Equal(fake.seen, passed) {
+			t.Fatalf("vecs=%v: the hashed summary saw %d lanes, the bitmap kept %d", vecs != nil, len(fake.seen), len(passed))
+		}
+		if want := probe(ps.bitmap, &countingSummary{Summary: ps.bloom}); !slices.Equal(got, want) {
+			t.Fatalf("vecs=%v: kept %d lanes, %d with the bitmap attached first", vecs != nil, len(got), len(want))
+		}
 	}
 }
 

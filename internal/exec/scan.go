@@ -653,7 +653,7 @@ func (p *Project) Start(ctx *Context) <-chan Batch {
 			for k := 0; k < n; k++ {
 				rows = append(rows, arena.alloc(width))
 			}
-			col = growVals(col, len(b.Tuples))
+			col = resize(col, len(b.Tuples))
 			for j, c := range compiled {
 				c.EvalBatch(b.Tuples, sel, col)
 				for k, lane := range sel {

@@ -359,11 +359,10 @@ func TestAggStateAccounting(t *testing.T) {
 			t.Fatalf("%s: StateBytes %d, tracked %d; the index and %d groups hold %d", when, got, ctx.TrackedBytes(), pt.idx.Len(), want)
 		}
 	}
-	var hs types.Hasher
 	fold := func(lo, hi int) {
 		sb := getScatter(0)
 		for _, r := range f.rows[lo:hi] {
-			kh, key := hs.KeyCols(r, gb)
+			kh, key := keyOf(r, gb)
 			sb.add(r, kh, key)
 		}
 		if err := pt.absorb(ctx, op, w, sb, 1); err != nil {

@@ -3,7 +3,6 @@ package filter
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 )
 
@@ -101,8 +100,9 @@ func (b *Bitmap) IntersectWith(o *Bitmap) error {
 func (b *Bitmap) MayContainHash(_ uint64, key []byte) bool { return b.MayContainKey(key) }
 
 // MayContainHashBatch narrows sel lane by lane through keyAt's bytes; the
-// executor's bitmap paths (exec.FilterBank.ProbeBatch) read integers
-// directly and reach this only for other summaries' shapes.
+// executor (exec.FilterBank.ProbeBatch) reads integers directly and reaches
+// this only for a batch holding a value that is not integer-backed, or a
+// bitmap over several columns.
 func (b *Bitmap) MayContainHashBatch(_ []uint64, sel []int32, out []int32, keyAt func(int32) []byte) []int32 {
 	for _, i := range sel {
 		if b.MayContainKey(keyAt(i)) {
@@ -114,12 +114,3 @@ func (b *Bitmap) MayContainHashBatch(_ []uint64, sel []int32, out []int32, keyAt
 
 // SizeBytes is the bit array's footprint.
 func (b *Bitmap) SizeBytes() int { return 8 * len(b.words) }
-
-// Len counts the values present.
-func (b *Bitmap) Len() int {
-	n := 0
-	for _, w := range b.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}

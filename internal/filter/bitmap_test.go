@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"testing"
@@ -144,3 +145,12 @@ func TestBitmapConcurrentAdd(t *testing.T) {
 
 // domain returns b's [lo, hi].
 func domain(b *Bitmap) (lo, hi int64) { return b.lo, int64(uint64(b.lo) + b.n - 1) }
+
+// Len counts the values present.
+func (b *Bitmap) Len() int {
+	n := 0
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}

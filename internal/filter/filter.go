@@ -18,15 +18,17 @@ import (
 // as a semijoin preserves query answers (paper §III-B). Implementations
 // must be safe for concurrent probes.
 //
-// Hashed summaries (Blocked, HashSet) are probed hash-once: the executor
-// computes types.Hash64 of the canonical key encoding once per (tuple,
-// column set) and reuses it across every such summary probed for that key.
-// A Bitmap over one column needs no hash: exec.FilterBank.ProbeBatch reads
-// the key's integer — from the scan's column vector, or the tuple's value —
-// and tests its bit (Bitmap.ProbeInts, Contains), and resolves any other
-// key's bytes (MayContainKey), where a key that is not integer-tagged
-// passes. Its MayContainHash* methods ignore the hash and serve other
-// shapes (a bitmap attached over several columns passes every key).
+// Hashed summaries (Blocked, HashSet) are probed by a key hash the caller
+// computed: exec.FilterBank.ProbeBatch hashes each filter's own columns
+// (types.Hash64 of the canonical key encoding, which an integer key gets
+// from its word in registers) for the lanes the filters before it kept. A
+// Bitmap over one column needs no hash: ProbeBatch reads the key's integer —
+// from the scan's column vector, or the tuples' values — and tests its bit
+// (Bitmap.ProbeInts). Its MayContainHash* methods ignore the hash and serve
+// the other shapes through the key bytes (MayContainKey), where a key that
+// is not integer-tagged passes: a batch holding a value that is not
+// integer-backed, and a bitmap attached over several columns, which passes
+// every key.
 type Summary interface {
 	// MayContainHash reports whether the key may be present. hash must be
 	// types.Hash64(key, 0), computed once by the caller.
@@ -42,8 +44,6 @@ type Summary interface {
 	MayContainHashBatch(hashes []uint64, sel []int32, out []int32, keyAt func(lane int32) []byte) []int32
 	// SizeBytes is the summary's memory footprint (and shipping cost).
 	SizeBytes() int
-	// Len is the (approximate) number of distinct keys summarized.
-	Len() int
 }
 
 // Blocked adapts a cache-line-blocked bloom.Blocked to the Summary
@@ -60,9 +60,6 @@ func (b Blocked) MayContainHashBatch(hashes []uint64, sel []int32, out []int32, 
 
 // SizeBytes returns the bit-array footprint.
 func (b Blocked) SizeBytes() int { return b.F.SizeBytes() }
-
-// Len returns the insertion count.
-func (b Blocked) Len() int { return b.F.Len() }
 
 // HashSet is an exact summary backed by a hash set of key encodings. It has
 // no false positives but costs more memory and probe time than a Bloom

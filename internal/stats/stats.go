@@ -126,6 +126,11 @@ type OpStats struct {
 	// again after each eviction that dropped one.
 	Direct Counter
 
+	// WordBatches and ByteBatches count the batches a router keyed for an
+	// input of a partitioned operator as integer words and as canonical
+	// bytes (a batch holding a key value that is not integer-backed).
+	WordBatches, ByteBatches Counter
+
 	// Routed names, on a scan that routed for its consumer (hashing keys
 	// from the column vectors and scattering row ids straight to the
 	// partition workers), the consumer input's stats block; empty otherwise.

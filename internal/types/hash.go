@@ -5,11 +5,13 @@ import (
 	"math/bits"
 )
 
-// The engine hashes every tuple key exactly once: Hash64 over the canonical
-// AppendKey encoding. The resulting 64-bit value is reused by the join and
-// aggregation tables (internal/exec), the Bloom filter (bloom.AddHash /
-// bloom.ProbeHash), and the exact hash-set summary, so no consumer ever
-// re-encodes or re-hashes the key bytes.
+// A key's hash is Hash64 over its canonical AppendKey encoding, computed
+// once per use: the executor hashes a key once for its partition, and the
+// resulting 64-bit value is reused by the join and aggregation tables
+// (internal/exec), the Bloom filter (bloom.AddHash / bloom.ProbeHash), and
+// the exact hash-set summary, so no consumer re-encodes or re-hashes the key
+// bytes. A key of integer-backed columns hashes from its words
+// (HashIntKey, HashIntKeys) to the same value, with no bytes written.
 //
 // The function is a wyhash-style construction built on 64×64→128-bit
 // multiplication folds; it is fast on short keys (the common case: one or
@@ -100,30 +102,4 @@ func HashIntKeys(w []int64) uint64 {
 	}
 	var buf [72]byte
 	return Hash64(AppendIntKeys(buf[:0], w), 0)
-}
-
-// Hasher computes hash-once tuple keys: one canonical encoding pass and one
-// Hash64 per (tuple, column set). The internal buffer is reused across
-// calls, so the hot path performs zero allocations once warm. A Hasher is
-// not safe for concurrent use; operators keep one per goroutine.
-type Hasher struct {
-	buf []byte
-}
-
-// KeyCols encodes the listed columns of t and returns the key hash together
-// with the encoded bytes. The byte slice aliases the Hasher's scratch buffer
-// and is only valid until the next call; callers that retain the key must
-// copy it.
-func (h *Hasher) KeyCols(t Tuple, cols []int) (uint64, []byte) {
-	if len(cols) == 1 {
-		// Single integer-backed key column — the dominant equijoin shape:
-		// encode through the shared fast append and hash from registers,
-		// never re-reading the bytes just written.
-		if v := t[cols[0]]; v.K == KindInt || v.K == KindDate || v.K == KindBool {
-			h.buf = AppendIntKey(h.buf[:0], v.I)
-			return HashIntKey(v.I), h.buf
-		}
-	}
-	h.buf = t.AppendKeyCols(h.buf[:0], cols)
-	return Hash64(h.buf, 0), h.buf
 }

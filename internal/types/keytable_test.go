@@ -9,10 +9,9 @@ import (
 
 func TestKeyTableInsertLookup(t *testing.T) {
 	kt := NewKeyTable(8)
-	var h Hasher
 	for i := 0; i < 100; i++ {
 		tup := Tuple{Int(int64(i)), Str(fmt.Sprintf("v%d", i))}
-		hash, key := h.KeyCols(tup, []int{0, 1})
+		hash, key := keyOf(tup, []int{0, 1})
 		id, added := kt.Insert(hash, key)
 		if !added || id != int32(i) {
 			t.Fatalf("insert %d: id=%d added=%v", i, id, added)
@@ -23,7 +22,7 @@ func TestKeyTableInsertLookup(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		tup := Tuple{Int(int64(i)), Str(fmt.Sprintf("v%d", i))}
-		hash, key := h.KeyCols(tup, []int{0, 1})
+		hash, key := keyOf(tup, []int{0, 1})
 		if id := kt.Lookup(hash, key); id != int32(i) {
 			t.Fatalf("lookup %d: id=%d", i, id)
 		}
@@ -33,7 +32,7 @@ func TestKeyTableInsertLookup(t *testing.T) {
 			t.Fatalf("re-insert %d: id=%d added=%v", i, id, added)
 		}
 	}
-	hash, key := h.KeyCols(Tuple{Int(12345), Str("absent")}, []int{0, 1})
+	hash, key := keyOf(Tuple{Int(12345), Str("absent")}, []int{0, 1})
 	if id := kt.Lookup(hash, key); id != -1 {
 		t.Fatalf("absent key found: id=%d", id)
 	}
@@ -85,10 +84,9 @@ func TestKeyTableCollisions(t *testing.T) {
 // survives rehashing.
 func TestKeyTableGrow(t *testing.T) {
 	kt := NewKeyTable(0) // start at minimum capacity
-	var h Hasher
 	const n = 10000
 	for i := 0; i < n; i++ {
-		hash, key := h.KeyCols(Tuple{Int(int64(i))}, []int{0})
+		hash, key := keyOf(Tuple{Int(int64(i))}, []int{0})
 		if id, added := kt.Insert(hash, key); !added || id != int32(i) {
 			t.Fatalf("insert %d: id=%d added=%v", i, id, added)
 		}
@@ -97,7 +95,7 @@ func TestKeyTableGrow(t *testing.T) {
 		t.Fatalf("Len = %d", kt.Len())
 	}
 	for i := 0; i < n; i++ {
-		hash, key := h.KeyCols(Tuple{Int(int64(i))}, []int{0})
+		hash, key := keyOf(Tuple{Int(int64(i))}, []int{0})
 		if id := kt.Lookup(hash, key); id != int32(i) {
 			t.Fatalf("post-grow lookup %d: id=%d", i, id)
 		}
@@ -141,20 +139,33 @@ func TestHash64Deterministic(t *testing.T) {
 	}
 }
 
-// TestHasherMatchesAppendKeyCols pins the Hasher to the canonical encoding:
-// equal tuples hash equal, cross-kind numeric equality is preserved.
-func TestHasherMatchesAppendKeyCols(t *testing.T) {
-	var h Hasher
-	h1, k1 := h.KeyCols(Tuple{Int(3), Str("x")}, []int{0, 1})
-	var h2 Hasher
-	hv, k2 := h2.KeyCols(Tuple{Float(3.0), Str("x")}, []int{0, 1})
+// TestAppendKeyColsCrossKind pins the canonical key encoding across kinds:
+// INTEGER 3 and DECIMAL 3.0 encode, and so hash, identically, and a key of
+// integer-backed columns hashes from its words (HashIntKeys) as its bytes
+// do, so a key lands in the same partition in either form.
+func TestAppendKeyColsCrossKind(t *testing.T) {
+	h1, k1 := keyOf(Tuple{Int(3), Str("x")}, []int{0, 1})
+	hv, k2 := keyOf(Tuple{Float(3.0), Str("x")}, []int{0, 1})
 	if h1 != hv || string(k1) != string(k2) {
 		t.Fatal("INTEGER 3 and DECIMAL 3.0 must produce identical keys and hashes")
 	}
-	want := Hash64(Tuple{Int(3), Str("x")}.AppendKeyCols(nil, []int{0, 1}), 0)
-	if h1 != want {
-		t.Fatal("Hasher must hash the canonical AppendKeyCols encoding with seed 0")
+	for _, tup := range []Tuple{{Int(-7)}, {Float(-7)}, {Int(3), Date(19000)}, {Float(3), Date(19000), Bool(true)}} {
+		cols := make([]int, len(tup))
+		w := make([]int64, len(tup))
+		for i, v := range tup {
+			cols[i] = i
+			w[i], _ = v.AsInt()
+		}
+		if h, _ := keyOf(tup, cols); h != HashIntKeys(w) {
+			t.Fatalf("%v: HashIntKeys of its words differs from Hash64 of its bytes", tup)
+		}
 	}
+}
+
+// keyOf is a key's hash and canonical bytes, as the executor computes them.
+func keyOf(t Tuple, cols []int) (uint64, []byte) {
+	key := t.AppendKeyCols(nil, cols)
+	return Hash64(key, 0), key
 }
 
 // TestKeyTableReserve pins the pre-sizing hint: a reserved table holds the
@@ -168,9 +179,8 @@ func TestKeyTableReserve(t *testing.T) {
 	if slots < 2000 {
 		t.Fatalf("reserve(1000) sized %d slots, want >= 2000 (load factor headroom)", slots)
 	}
-	var h Hasher
 	for i := 0; i < 1000; i++ {
-		hash, key := h.KeyCols(Tuple{Int(int64(i))}, []int{0})
+		hash, key := keyOf(Tuple{Int(int64(i))}, []int{0})
 		if _, added := kt.Insert(hash, key); !added {
 			t.Fatalf("key %d not added", i)
 		}
@@ -188,7 +198,7 @@ func TestKeyTableReserve(t *testing.T) {
 		t.Fatalf("Reserve(4096) on a populated table: %d slots, %d keys", len(kt.slots), kt.Len())
 	}
 	for i := 0; i < 1000; i++ {
-		hash, key := h.KeyCols(Tuple{Int(int64(i))}, []int{0})
+		hash, key := keyOf(Tuple{Int(int64(i))}, []int{0})
 		if kt.Lookup(hash, key) < 0 {
 			t.Fatalf("key %d lost", i)
 		}
@@ -208,9 +218,8 @@ func TestKeyTableReserve(t *testing.T) {
 // does.
 func TestKeyTableReserveKeys(t *testing.T) {
 	var kt, lazy KeyTable
-	var h Hasher
 	insert := func(i int) {
-		hash, key := h.KeyCols(Tuple{Int(int64(i)), Str(fmt.Sprintf("%04d", i))}, []int{0, 1})
+		hash, key := keyOf(Tuple{Int(int64(i)), Str(fmt.Sprintf("%04d", i))}, []int{0, 1})
 		kt.Insert(hash, key)
 		lazy.Insert(hash, key)
 	}
@@ -230,7 +239,7 @@ func TestKeyTableReserveKeys(t *testing.T) {
 			kt.MemSize()-len(kt.slots)*4, lazy.MemSize()-len(lazy.slots)*4)
 	}
 	for i := 0; i < 5000; i++ {
-		hash, key := h.KeyCols(Tuple{Int(int64(i)), Str(fmt.Sprintf("%04d", i))}, []int{0, 1})
+		hash, key := keyOf(Tuple{Int(int64(i)), Str(fmt.Sprintf("%04d", i))}, []int{0, 1})
 		if id := kt.Lookup(hash, key); id < 0 || string(kt.Key(id)) != string(lazy.Key(lazy.Lookup(hash, key))) {
 			t.Fatalf("key %d: id %d", i, id)
 		}

@@ -42,7 +42,7 @@ func (t Tuple) HasNull(cols []int) bool {
 
 // Key encodes the listed column positions into a canonical hash key. It is
 // the convenience form of AppendKeyCols for cold paths; the executor's hot
-// paths use AppendKeyCols (via Hasher) to avoid the string allocation.
+// paths use AppendKeyCols to avoid the string allocation.
 func (t Tuple) Key(cols []int) string {
 	return string(t.AppendKeyCols(nil, cols))
 }

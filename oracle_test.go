@@ -161,12 +161,12 @@ func TestGeneratedQueryOracle(t *testing.T) {
 	for _, seed := range seeds {
 		oraRunSeed(t, seed, spill, &reach)
 	}
-	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d; bitmap-filtered inputs compared with hash sets: %d; bitmaps replayed through the tuple probes: %d",
-		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed)
+	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d; bitmap-filtered inputs compared with hash sets: %d; bitmaps replayed through the tuple probe: %d; router-fed join and DISTINCT inputs keyed as words: %d, as bytes: %d",
+		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes)
 	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0 || reach.waited == 0 ||
-		reach.direct == 0 || reach.reinstalled == 0 || reach.bitmaps == 0 || reach.replayed == 0) {
-		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d, bitmap inputs compared: %d, bitmaps replayed: %d; the sweep must reach all eight",
-			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed)
+		reach.direct == 0 || reach.reinstalled == 0 || reach.bitmaps == 0 || reach.replayed == 0 || reach.words == 0 || reach.bytes == 0) {
+		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d, bitmap inputs compared: %d, bitmaps replayed: %d, router inputs keyed as words: %d, as bytes: %d; the sweep must reach all ten",
+			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes)
 	}
 }
 
@@ -177,10 +177,12 @@ func TestGeneratedQueryOracle(t *testing.T) {
 // runs, so no filter wait is counted), partition key tables that installed
 // a direct index, capped runs in which an aggregate table installed one
 // again after an eviction dropped it, inputs whose bitmap filters were
-// compared with the hash-set run (bitmapExact), and bitmaps replayed over
-// their scan's rows through the tuple probes (bitmapReplay).
+// compared with the hash-set run (bitmapExact), bitmaps replayed over
+// their scan's rows through the tuple probe (bitmapReplay), and join and
+// DISTINCT inputs a router fed whose batches keyed as integer words, and
+// those where a batch fell back to canonical bytes.
 type oraReach struct {
-	routed, router, narrowed, waited, direct, reinstalled, bitmaps, replayed int
+	routed, router, narrowed, waited, direct, reinstalled, bitmaps, replayed, words, bytes int
 }
 
 // oraRunSeed generates one catalog and checks oraQueriesPerSeed queries over
@@ -1627,6 +1629,8 @@ func (c *oraCase) check(rng *rand.Rand) {
 			c.env.reach.narrowed += r.reach.narrowed
 			c.env.reach.waited += r.reach.waited
 			c.env.reach.direct += r.reach.direct
+			c.env.reach.words += r.reach.words
+			c.env.reach.bytes += r.reach.bytes
 		}
 	}
 	p1 := strat()
@@ -1756,11 +1760,10 @@ func sameSets(b, h oraBank) bool {
 
 // bitmapReplay probes every table row of each wired scan whose input ended
 // the run holding a one-column bitmap through that bitmap again, on the
-// paths an operator-fed input takes: from the tuples, and from the tuples
-// with the bitmap's column as the routing key (a router's shape: every lane
-// hashed for routing first). Each must keep exactly the rows the bitmap's
-// contract keeps — an integer-tagged key whose value it holds, and every
-// key that is not integer-tagged (NULL, a non-integral DECIMAL, a string).
+// path an operator-fed input's router takes: from the tuples, before any
+// key is computed. It must keep exactly the rows the bitmap's contract
+// keeps — an integer-tagged key whose value it holds, and every key that is
+// not integer-tagged (NULL, a non-integral DECIMAL, a string).
 // It reads only the run's final banks and the table, so timing cannot move
 // it; the scan's own vector probe is what bitmapExact compares.
 func (c *oraCase) bitmapReplay(label string, p *enginePlan, rows *Rows) {
@@ -1791,12 +1794,9 @@ func (c *oraCase) bitmapReplay(label string, p *enginePlan, rows *Rows) {
 			}
 			bank := exec.NewFilterBank()
 			bank.Attach(cols, bmp)
-			for _, keyCols := range [][]int{nil, cols} {
-				got := bank.ProbeBatch(scan.Rows, keyCols, all, nil, &ps)
-				if !slices.Equal(got, want) {
-					c.fail(label, "%s: its bitmap over column %d kept %d of %d rows probed from tuples (routing keys %v), the contract %d",
-						pt.Name, cols[0], len(got), len(scan.Rows), keyCols, len(want))
-				}
+			if got := bank.ProbeBatch(scan.Rows, nil, all, nil, &ps); !slices.Equal(got, want) {
+				c.fail(label, "%s: its bitmap over column %d kept %d of %d rows probed from tuples, the contract %d",
+					pt.Name, cols[0], len(got), len(scan.Rows), len(want))
 			}
 			c.env.reach.replayed++
 		})
@@ -1892,6 +1892,10 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 		}
 		if op.Cols < op.Width {
 			out.reach.narrowed++
+		}
+		if op.Class == "join" || op.Class == "distinct" {
+			out.reach.words += min(int(op.WordBatches.Load()), 1)
+			out.reach.bytes += min(int(op.ByteBatches.Load()), 1)
 		}
 	}
 	for _, r := range routed {
