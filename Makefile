@@ -22,7 +22,10 @@ test:
 # (BenchmarkJoin/{Unique,Dup8x8}: the symmetric join fed by router
 # goroutines, tuples with their integer key words, and
 # /{UniqueRouted,Dup8x8Routed} by scans that route for it, row ids with the
-# words read from the vectors;
+# words read from the vectors; /TwoColMissRouted: TPC-H Q5's top join in
+# shape, 300 k probe rows on a two-column integer key against 46 k stored
+# keys, almost all missing, which times the key table's multi-column chain
+# walk;
 # BenchmarkHashAggFold/{routed,router}: Q17's avg(DECIMAL) GROUP BY INT over
 # 300 k rows into 10 k groups, folded from a routing scan's vectors and from
 # a router's batches — the routed fold and the routed join cases have dense

@@ -201,6 +201,9 @@ func (f *FeedForward) Begin() {
 		// value without hashing.
 		p := p
 		p.OnStore = func(slot int, t types.Tuple) {
+			if !p.StateComplete() {
+				return // PointDone drops an incomplete input's sets unpublished
+			}
 			for _, ws := range sets {
 				if ws.discarded.Load() {
 					continue
@@ -291,11 +294,13 @@ func (f *FeedForward) PointDone(p *exec.Point) {
 		if st == nil {
 			continue
 		}
-		// A truncated input (a dead source degraded to a partial result) has
-		// a working set missing tuples that never arrived; publishing it
-		// would prune rows that belong in the answer. Drop it unpublished —
-		// interest accounting below still runs. So is a bitmap that was
-		// handed a value it cannot hold.
+		// An incomplete input — a dead source degraded to a partial result,
+		// a spilled state, or a join input that kept arriving after its
+		// sibling completed, whose OnStore stopped storing then — has a
+		// working set missing tuples; publishing it would prune rows that
+		// belong in the answer. Drop it unpublished — interest accounting
+		// below still runs. So is a bitmap that was handed a value it
+		// cannot hold.
 		if ws, ok := st.working[p]; ok && (!p.StateComplete() || ws.outside.Load()) {
 			delete(st.working, p)
 			ws.discarded.Store(true)
@@ -303,13 +308,12 @@ func (f *FeedForward) PointDone(p *exec.Point) {
 		} else if ok {
 			delete(st.working, p)
 			ws.discarded.Store(true)
-			// Working sets cover every tuple that passed the input's
-			// filters — complete summaries of the subexpression even when
-			// the join short-circuited its buffering. The partition slots
-			// are merged (striped merge for Bloom partials, bucket union for
-			// hash sets) into the one summary that gets published; slot
-			// writes happen-before PointDone, so the merge needs no locks.
-			// A bitmap is published as it stands.
+			// The working set covers every tuple that passed the input's
+			// filters: a complete summary of the subexpression. The
+			// partition slots are merged (striped merge for Bloom partials,
+			// bucket union for hash sets) into the one summary that gets
+			// published; slot writes happen-before PointDone, so the merge
+			// needs no locks. A bitmap is published as it stands.
 			if ci.bitmap {
 				bm, added := ws.bitmap() // a producer that stored nothing publishes an empty set
 				f.opts.Stats.FilterBytes.Add(int64(added))

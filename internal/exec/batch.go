@@ -2,6 +2,7 @@ package exec
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/stats"
@@ -301,7 +302,9 @@ type inputRoute struct {
 	keys  []int          // the input's key columns
 	point *Point         // may be nil
 	op    *stats.OpStats // the input's stats block
-	store bool           // routed tuples feed point.OnStore (the join's working AIP set)
+	// sibling, set for a join input, is the other input's done flag; a join
+	// input's routed tuples feed point.OnStore (the working AIP set).
+	sibling *atomic.Bool
 	// equi: the keys are a join's, and a NULL key equals nothing, so a tuple
 	// with one is dropped here (a routing scan's keys have vectors: no NULLs).
 	equi bool
@@ -417,13 +420,21 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 	} else {
 		kept = rt.routeTuples(tuples, kept, out)
 	}
-	// The working AIP set covers every tuple that was routed, whether or not
-	// a worker buffers it (Feed-Forward publishes it as a complete summary of
-	// the input). The route's driver is the point's only OnStore caller, so
-	// it owns working-set slot 0.
-	if rt.store && pt != nil && pt.OnStore != nil {
-		for _, l := range kept {
-			pt.OnStore(0, tuples[l])
+	// OnStore sees every tuple that was routed, whether or not a worker
+	// buffers it. The goroutine running the route is the point's only
+	// OnStore caller, so it owns working-set slot 0. Once the other input has
+	// completed, a worker drops these tuples (§VI-A) or spills them, and
+	// either way the point's state no longer holds the whole input: it is
+	// marked so here, before the store, which a controller can read to store
+	// nothing.
+	if rt.sibling != nil && pt != nil && len(kept) > 0 {
+		if rt.sibling.Load() {
+			pt.stateIncomplete.Store(true)
+		}
+		if pt.OnStore != nil {
+			for _, l := range kept {
+				pt.OnStore(0, tuples[l])
+			}
 		}
 	}
 	return kept

@@ -381,7 +381,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	// its pruning through Point.Op.
 	feed := func(child Op, own *joinInput) {
 		rt := newInputRoute(own.side, P, partIns)
-		rt.keys, rt.point, rt.op, rt.store, rt.equi = own.keys, own.point, own.op, true, true
+		rt.keys, rt.point, rt.op, rt.sibling, rt.equi = own.keys, own.point, own.op, &inputs[1-own.side].done, true
 		rt.beforeSend = func() { own.pending.Add(1) }
 		rt.onCancel = func() { own.pending.Add(-1) }
 		rt.done = func(complete bool) { routingDone(own, complete) }

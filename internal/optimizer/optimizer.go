@@ -16,11 +16,15 @@
 // Projection pushdown: every join emits only the columns still read above
 // it (exec.HashJoin.Out) — by a conjunct not yet applied, by its own
 // residual, by the grouping expressions and aggregate arguments, or by the
-// block's output when it does not aggregate. One more rule keeps AIP
-// unchanged: a column whose equivalence class has two or more members
-// anywhere in the query is always kept, so every injection point above the
-// join exposes exactly the join attributes it would over the unpruned row,
-// and the controllers find the same producer/consumer pairs.
+// block's output when it does not aggregate. One more rule keeps every
+// filter AIP builds: a column whose equivalence class is still open — some
+// member lies outside the join's inputs, in a relation of the block not yet
+// joined or in another block — is kept, so an injection point above the
+// join exposes the join attributes a set could still prune through. Once
+// the join brings in a class's last member, every producer of the class
+// lies below it and every tuple above already passed each producer's join,
+// so no set over the class can prune there: its columns go unless
+// something reads them.
 package optimizer
 
 import (
@@ -69,7 +73,8 @@ type builder struct {
 	points []*exec.Point
 	nextID int
 	// classSize counts the columns of each equivalence class across every
-	// block of the query (projection pushdown keeps classes of two or more).
+	// block of the query; projection pushdown keeps a class's columns while
+	// fewer than that many lie inside the join (pruneJoin).
 	classSize map[int]int
 }
 
@@ -537,9 +542,11 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 
 // pruneJoin decides the columns a join emits — those a later conjunct, the
 // join's own residuals (global-bound), the grouping, the aggregates or the
-// block's output read, and every member of a multi-column equivalence class
-// — returns them as the join's Out list in concatenated order, and renumbers
-// merged.colmap to the emitted positions (merged.distinct keeps only them).
+// block's output read, and every member of an open equivalence class, one
+// with a member outside merged (a relation of b not yet joined, or another
+// block of the query) — returns them as the join's Out list in
+// concatenated order, and renumbers merged.colmap to the emitted positions
+// (merged.distinct keeps only them).
 func (o *builder) pruneJoin(b *plan.Block, merged, l, r *component, used []bool, residuals []expr.Expr) []int {
 	var read []int
 	for ci, c := range b.Conjuncts {
@@ -568,6 +575,13 @@ func (o *builder) pruneJoin(b *plan.Block, merged, l, r *component, used []bool,
 	for _, g := range read {
 		keep[g] = true
 	}
+	inside := map[int]int{} // class id -> members among merged's relations
+	for ri := range merged.rels {
+		rel := b.Rels[ri]
+		for g := rel.Offset; g < rel.Offset+rel.Schema.Len(); g++ {
+			inside[b.EqIDs[g]]++
+		}
+	}
 	width := len(merged.colmap)
 	global := make([]int, width) // concatenated position -> global id
 	for g, p := range merged.colmap {
@@ -575,7 +589,7 @@ func (o *builder) pruneJoin(b *plan.Block, merged, l, r *component, used []bool,
 	}
 	var out []int
 	for p, g := range global {
-		if keep[g] || o.classSize[b.EqIDs[g]] >= 2 {
+		if id := b.EqIDs[g]; keep[g] || id >= 0 && inside[id] < o.classSize[id] {
 			merged.colmap[g] = len(out)
 			out = append(out, p)
 			continue

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 	"strings"
@@ -75,10 +76,13 @@ func joins(op exec.Op) []*exec.HashJoin {
 }
 
 // TestQ4AJoinWidths pins projection pushdown on TPC-H Q5: each join side's
-// emitted columns out of its input width (the cols= of -stats). The top join
-// hands the aggregation 14 columns — n_name, the two price columns and the
-// eleven join attributes, kept for AIP — of the 29 its six tables have. The
-// stats report prints the same widths.
+// emitted columns out of its input width (the cols= of -stats). A join
+// attribute is kept only while its equivalence class is open — a member
+// lies in a relation not yet joined — so the top join, which closes the
+// last classes, hands the aggregation 3 columns — n_name and the two price
+// columns — of the 29 its six tables have, and j3 hands it (o_orderkey,
+// s_suppkey, n_name) for the (orderkey, suppkey) join. The stats report
+// prints the same widths.
 func TestQ4AJoinWidths(t *testing.T) {
 	res := buildTableI(t, "Q4A")
 	var got []string
@@ -93,7 +97,7 @@ func TestQ4AJoinWidths(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s %d/%d+%d/%d", j.Name, l, nl, len(j.Out)-l, j.Right.Schema().Len()))
 	}
 	want := []string{
-		"q.j4 4/7+10/10", "q.j3 2/4+8/8", "q.j2 2/4+6/6", "q.j1 2/8+4/4", "q.j0 3/3+1/3",
+		"q.j4 2/7+1/3", "q.j3 1/4+2/3", "q.j2 1/4+2/4", "q.j1 2/8+2/2", "q.j0 2/3+0/3",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Q4A join widths:\n got %q\nwant %q", got, want)
@@ -106,8 +110,8 @@ func TestQ4AJoinWidths(t *testing.T) {
 		}
 		all += tbl.Schema.Len()
 	}
-	if w := joins(res.Root)[0].Schema().Len(); w != 14 || all != 29 {
-		t.Fatalf("Q4A's top join emits %d of %d columns, want 14 of 29", w, all)
+	if w := joins(res.Root)[0].Schema().Len(); w != 3 || all != 29 {
+		t.Fatalf("Q4A's top join emits %d of %d columns, want 3 of 29", w, all)
 	}
 
 	inst, err := res.Instantiate(nil)
@@ -122,19 +126,26 @@ func TestQ4AJoinWidths(t *testing.T) {
 	if _, err := exec.Run(ctx, inst.Root); err != nil {
 		t.Fatal(err)
 	}
-	if rep := reg.Report(); !strings.Contains(rep, "cols=4/7") || !strings.Contains(rep, "cols=10/10") {
+	if rep := reg.Report(); !strings.Contains(rep, "cols=2/7") || !strings.Contains(rep, "cols=1/3") {
 		t.Fatalf("the stats report lacks the top join's widths:\n%s", rep)
 	}
 }
 
-// TestFeedForwardFiltersUnchangedByPruning runs Q1A–Q5A under Feed-forward:
-// pruning keeps every column of a multi-member equivalence class, so the
-// controller finds the same producer/consumer pairs and builds exactly the
-// filters it built over unpruned join rows (the counts below were read
-// before joins narrowed their rows).
+// TestFeedForwardFiltersUnchangedByPruning runs Q1A–Q5A, and every other
+// Table I query whose joins the closed-class rule narrows, under
+// Feed-forward: pruning keeps every column of a class that is still open
+// above the join, and drops a closed class only where no set over it could
+// reach a live consumer, so the controller builds exactly the filters it
+// built over unpruned join rows (the counts below were read before joins
+// narrowed their rows, and again before closed classes were dropped).
 func TestFeedForwardFiltersUnchangedByPruning(t *testing.T) {
-	want := map[string]int64{"Q1A": 10, "Q2A": 3, "Q3A": 6, "Q4A": 7, "Q5A": 7}
-	for _, id := range []string{"Q1A", "Q2A", "Q3A", "Q4A", "Q5A"} {
+	want := map[string]int64{
+		"Q1A": 10, "Q2A": 3, "Q3A": 6, "Q4A": 7, "Q5A": 7,
+		"Q1B": 10, "Q1C": 10, "Q1D": 10, "Q1E": 10,
+		"Q3B": 6, "Q3C": 6, "Q3D": 6, "Q3E": 6,
+		"Q4B": 7, "Q5B": 7,
+	}
+	for _, id := range slices.Sorted(maps.Keys(want)) {
 		inst, err := buildTableI(t, id).Instantiate(nil)
 		if err != nil {
 			t.Fatal(err)

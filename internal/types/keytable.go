@@ -18,7 +18,8 @@ import "encoding/binary"
 // against the stored bytes and appended as their canonical encoding. Either
 // form finds a key the other inserted. While every key has the same length
 // (a table filled from words always does), key id starts at id × that
-// length, so a word compare reads neither the offsets nor the hashes.
+// length, so a word compare reads no offsets; a one-column one reads no hash
+// either, while a multi-column candidate is rejected by its hash first.
 //
 // A table of one-column integer keys can also hold a direct index over the
 // column's [min, max] (Range): dir[w−min] is key w's id+1, 0 when absent, so
@@ -295,11 +296,13 @@ func (kt *KeyTable) resolve(hashes []uint64, keys []byte, offs []int32, ids []in
 }
 
 // resolveWords is resolve for word keys. A candidate is compared with the
-// words in place (wordsEq), a one-column key at the constant stride of 9
-// bytes. An inserting call installs the direct index when it pays (install);
-// with it, a one-column word in range resolves from dir alone, and a new one
-// takes the first empty slot of its probe sequence, which holds no equal key
-// (every in-range key is in dir). A word out of range takes the slot path.
+// words in place, a one-column key at the constant stride of 9 bytes; a
+// multi-column candidate is compared by hash first, so a probe that misses
+// reads no key bytes of a candidate whose hash differs. An inserting call
+// installs the direct index when it pays (install); with it, a one-column
+// word in range resolves from dir alone, and a new one takes the first empty
+// slot of its probe sequence, which holds no equal key (every in-range key
+// is in dir). A word out of range takes the slot path.
 func (kt *KeyTable) resolveWords(hashes []uint64, words []int64, k int, ids []int32, added []bool) {
 	if !kt.begin(len(hashes), ids, added != nil) {
 		return
@@ -340,7 +343,7 @@ func (kt *KeyTable) resolveWords(hashes []uint64, words []int64, k int, ids []in
 					if b := kt.wordKey(s-1, 9); len(b) == 9 && b[0] == 0x01 && binary.BigEndian.Uint64(b[1:]) == uint64(words[l]) {
 						break
 					}
-				} else if wordsEq(kt.wordKey(s-1, 9*k), words[l*k:l*k+k]) {
+				} else if kt.hashes[s-1] == hashes[l] && wordsEq(kt.wordKey(s-1, 9*k), words[l*k:l*k+k]) {
 					break
 				}
 				i = (i + 1) & kt.mask
@@ -366,8 +369,9 @@ func (kt *KeyTable) wordKey(id int32, n int) []byte {
 }
 
 // wordsEq reports whether b is the canonical encoding of the words w: per
-// column the integer tag and the big-endian word. Equal bytes mean equal
-// hashes, so the word kernels never read the stored hash.
+// column the integer tag and the big-endian word. The word kernel calls it
+// for keys of two or more columns once the stored hash matches; it compares
+// a one-column candidate inline, without the hash.
 func wordsEq(b []byte, w []int64) bool {
 	if len(b) != 9*len(w) {
 		return false

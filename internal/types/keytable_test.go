@@ -611,3 +611,119 @@ func TestKeyTableDirectAllocs(t *testing.T) {
 		t.Fatalf("%.1f allocs per warm dense batch, want 0", a)
 	}
 }
+
+// TestKeyTableWordCollisions: two- and three-column word keys under
+// caller-chosen hashes that collide — every key under one hash, or eight
+// hashes for all keys — keep their identity by their words. Batches of word
+// inserts, byte inserts and single byte inserts of the same keys, in a table
+// that grows from its zero value, is re-placed by Reserve (growTo) and has
+// its per-key arrays reserved mid-fill (ReserveKeys), give each key the id a
+// map oracle assigns in first-insert order; every key is then found in both
+// forms under that id, and a key never inserted under a colliding hash is
+// found in neither.
+func TestKeyTableWordCollisions(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	policies := map[string]func(w []int64) uint64{
+		"one hash":     func([]int64) uint64 { return 0x5eed },
+		"eight hashes": func(w []int64) uint64 { return HashIntKeys(w) & 7 },
+	}
+	for k := 2; k <= 3; k++ {
+		for name, hashOf := range policies {
+			label := fmt.Sprintf("k=%d %s", k, name)
+			// 300 distinct keys over a narrow range, so keys differ in one
+			// column only as often as in all; lanes draw them with repeats.
+			var pool [][]int64
+			seen := map[string]bool{}
+			for len(pool) < 300 {
+				w := make([]int64, k)
+				for c := range w {
+					w[c] = rng.Int63n(24) - 8
+				}
+				if enc := string(AppendIntKeys(nil, w)); !seen[enc] {
+					seen[enc] = true
+					pool = append(pool, w)
+				}
+			}
+			var kt KeyTable
+			oracle := map[string]int32{}
+			check := func(form string, w []int64, id int32, added bool) {
+				t.Helper()
+				enc := string(AppendIntKeys(nil, w))
+				want, ok := oracle[enc]
+				if !ok {
+					want = int32(len(oracle))
+					oracle[enc] = want
+				}
+				if id != want || added == ok {
+					t.Fatalf("%s %s: key %v got id %d added %v, want id %d added %v", label, form, w, id, added, want, !ok)
+				}
+			}
+			for batch := 0; batch < 40; batch++ {
+				switch batch {
+				case 10:
+					kt.ReserveKeys(2 * len(pool))
+				case 20:
+					kt.Reserve(4 * len(pool)) // re-places every id by its stored hash
+				}
+				n := 1 + rng.Intn(60)
+				words := make([]int64, 0, n*k)
+				hashes := make([]uint64, n)
+				offs := make([]int32, n+1)
+				var keys []byte
+				for j := range hashes {
+					w := pool[rng.Intn(len(pool))]
+					words = append(words, w...)
+					hashes[j] = hashOf(w)
+					keys = AppendIntKeys(keys, w)
+					offs[j+1] = int32(len(keys))
+				}
+				ids, added := make([]int32, n), make([]bool, n)
+				switch form := []string{"words", "bytes", "single"}[batch%3]; form {
+				case "words":
+					kt.InsertWords(hashes, words, k, ids, added)
+				case "bytes":
+					kt.InsertBatch(hashes, keys, offs, ids, added)
+				default:
+					for j := range ids {
+						ids[j], added[j] = kt.Insert(hashes[j], keys[offs[j]:offs[j+1]])
+					}
+				}
+				for j := range ids {
+					check(fmt.Sprintf("batch %d", batch), words[j*k:(j+1)*k], ids[j], added[j])
+				}
+			}
+			if kt.Len() != len(oracle) {
+				t.Fatalf("%s: %d keys, the oracle %d", label, kt.Len(), len(oracle))
+			}
+			// Every pool key, then one absent key per pool key (its last
+			// word moved out of the drawn range) under the same hash.
+			m := 2 * len(pool)
+			words := make([]int64, 0, m*k)
+			hashes := make([]uint64, m)
+			offs := make([]int32, m+1)
+			var keys []byte
+			for j := range hashes {
+				w := append([]int64(nil), pool[j%len(pool)]...)
+				hashes[j] = hashOf(w)
+				if j >= len(pool) {
+					w[k-1] += 100
+				}
+				words = append(words, w...)
+				keys = AppendIntKeys(keys, w)
+				offs[j+1] = int32(len(keys))
+			}
+			wordIDs, byteIDs := make([]int32, m), make([]int32, m)
+			kt.LookupWords(hashes, words, k, wordIDs)
+			kt.LookupBatch(hashes, keys, offs, byteIDs)
+			for j := range wordIDs {
+				want, ok := oracle[string(keys[offs[j]:offs[j+1]])]
+				if !ok {
+					want = -1
+				}
+				if wordIDs[j] != want || byteIDs[j] != want {
+					t.Fatalf("%s: lookup of %v: words %d, bytes %d, want %d", label, words[j*k:(j+1)*k], wordIDs[j], byteIDs[j], want)
+				}
+			}
+		}
+	}
+}

@@ -287,7 +287,12 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 // about its AIP sets: p_partkey's class spans [1, |part|], so all three sets
 // (part's join input, the sub-block's aggregation, lineitem's join input)
 // are bitmaps of span/8 bytes, named as such on their operators' rows, and
-// the filters line counts 3 made, 3 of them bitmaps, 4 injections.
+// the filters line counts 3 made, 3 of them bitmaps, 4 injections. The two
+// join inputs fed by the sub-block's output arrive after their siblings
+// completed, so their state is short-circuited and any set built there
+// would be dropped unpublished: they build none, their rows show no filter
+// memory, and the query's peak working filter memory is the three
+// published bitmaps.
 func TestQ17FeedForwardFilterReport(t *testing.T) {
 	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
 	part, err := cat.Table("part")
@@ -302,16 +307,28 @@ func TestQ17FeedForwardFilterReport(t *testing.T) {
 	if !strings.Contains(report, "filters: made=3 (bitmap 3) used=4 ") {
 		t.Fatalf("filters line: want made=3 (bitmap 3) used=4\n%s", report)
 	}
-	field := fmt.Sprintf("filter=%dB bitmap ", (len(part.Rows)+63)/64*8)
-	for _, op := range []string{"join:q.j0.left", "agg:q._sq1", "join:q.j1.left"} {
-		found := false
+	bitmap := (len(part.Rows) + 63) / 64 * 8
+	field := fmt.Sprintf("filter=%dB bitmap ", bitmap)
+	row := func(op string) string {
 		for _, line := range strings.Split(report, "\n") {
 			if strings.HasPrefix(line, op+" ") {
-				found = strings.Contains(line, field)
+				return line
 			}
 		}
-		if !found {
+		t.Fatalf("no %s row\n%s", op, report)
+		return ""
+	}
+	for _, op := range []string{"join:q.j0.left", "agg:q._sq1", "join:q.j1.left"} {
+		if !strings.Contains(row(op), field) {
 			t.Fatalf("%s: want %q on its row\n%s", op, field, report)
 		}
+	}
+	for _, op := range []string{"join:q.j0.right", "join:q.j1.right"} {
+		if r := row(op); strings.Contains(r, "filter=") || strings.Contains(r, "work-peak=") {
+			t.Fatalf("%s built a working set:\n%s", op, report)
+		}
+	}
+	if res.PeakFilterWorkingBytes > int64(3*bitmap) {
+		t.Fatalf("peak working filter memory %d B, want ≤ %d (three bitmaps)\n%s", res.PeakFilterWorkingBytes, 3*bitmap, report)
 	}
 }
