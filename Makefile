@@ -43,7 +43,8 @@ test:
 # site (BenchmarkProbeSite{Scalar,Batch}: lineitem's l_partkey against Q17's
 # 16 part keys, as the class's Bloom filter and as its bitmap, from tuples and
 # from the column vector, and a router's whole route — probe, key, scatter —
-# over a bank of both, in ns a row).
+# over a bank of both, in ns a row); and planning (BenchmarkBuild: bind +
+# optimizer.Build of Q1A–Q5A, the join order's dynamic program included).
 bench-smoke:
 	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkJoin|BenchmarkHashAggFold' -benchmem -benchtime 1x
 	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkProbeSite -benchmem -benchtime 1x
@@ -51,6 +52,7 @@ bench-smoke:
 	$(GO) test . -run '^$$' -bench BenchmarkPointQuery -benchmem -benchtime 1x
 	$(GO) test ./internal/expr -run '^$$' -bench BenchmarkSiftVec -benchtime 2000x
 	$(GO) test ./internal/server -run '^$$' -bench BenchmarkRowBatchCodec -benchmem -benchtime 2000x
+	$(GO) test ./internal/optimizer -run '^$$' -bench BenchmarkBuild -benchmem -benchtime 200x
 
 # bench: the repo's benchmark (BENCHMARK.json): every workload, timed and
 # traced, SQL text over loopback TCP; see bench/README.md.

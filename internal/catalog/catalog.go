@@ -172,15 +172,24 @@ func (t *Table) IsKey(col string) bool {
 	return len(t.PrimaryKey) == 1 && strings.EqualFold(t.PrimaryKey[0], col)
 }
 
-// Distinct returns the estimated number of distinct values in the column,
-// falling back to the row count for key columns and a heuristic fraction
-// otherwise.
-func (t *Table) Distinct(col string) int64 {
+// KnownDistinct returns the column's recorded number of distinct values —
+// the generator's estimate, or the row count of a single-column key — and
+// whether there is one.
+func (t *Table) KnownDistinct(col string) (int64, bool) {
 	if d, ok := t.DistinctEst[strings.ToLower(col)]; ok {
-		return d
+		return d, true
 	}
 	if t.IsKey(col) {
-		return t.NumRows()
+		return t.NumRows(), true
+	}
+	return 0, false
+}
+
+// Distinct returns the estimated number of distinct values in the column:
+// the recorded count (KnownDistinct), else a heuristic fraction of the rows.
+func (t *Table) Distinct(col string) int64 {
+	if d, ok := t.KnownDistinct(col); ok {
+		return d
 	}
 	if n := t.NumRows(); n > 0 {
 		// Uniform fallback: assume one-tenth distinct, at least 1.
@@ -261,28 +270,4 @@ func (c *Catalog) Names() []string {
 	out := make([]string, len(c.order))
 	copy(out, c.order)
 	return out
-}
-
-// FKJoinSelectivity estimates the fraction of the cross product surviving an
-// equijoin between left.lcol and right.rcol using key/FK knowledge: when one
-// side is a key the selectivity is 1/|keyside| (each non-key row matches at
-// most one key row); otherwise 1/max(distinct(l), distinct(r)), the
-// classical System-R estimate.
-func FKJoinSelectivity(left *Table, lcol string, right *Table, rcol string) float64 {
-	switch {
-	case left.IsKey(lcol) && left.NumRows() > 0:
-		return 1.0 / float64(left.NumRows())
-	case right.IsKey(rcol) && right.NumRows() > 0:
-		return 1.0 / float64(right.NumRows())
-	default:
-		dl, dr := left.Distinct(lcol), right.Distinct(rcol)
-		d := dl
-		if dr > d {
-			d = dr
-		}
-		if d < 1 {
-			d = 1
-		}
-		return 1.0 / float64(d)
-	}
 }

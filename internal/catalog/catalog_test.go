@@ -63,9 +63,14 @@ func TestTableMetadata(t *testing.T) {
 	if tbl.Distinct("grp") != 10 {
 		t.Fatalf("recorded distinct = %d", tbl.Distinct("grp"))
 	}
-	// Fallback heuristic for unknown columns.
+	// Fallback heuristic for unknown columns, which record no count.
 	if d := tbl.Distinct("unknown"); d != 10 {
 		t.Fatalf("fallback distinct = %d, want rows/10", d)
+	}
+	for col, want := range map[string]int64{"id": 100, "GRP": 10, "unknown": 0} {
+		if d, ok := tbl.KnownDistinct(col); d != want || ok != (want > 0) {
+			t.Fatalf("KnownDistinct(%s) = %d, %v; want %d", col, d, ok, want)
+		}
 	}
 	if tbl.MemBytes() <= 0 {
 		t.Fatal("MemBytes must be positive")
@@ -77,34 +82,6 @@ func TestCompositeKeyIsNotSingleKey(t *testing.T) {
 	tbl.PrimaryKey = []string{"id", "grp"}
 	if tbl.IsKey("id") {
 		t.Fatal("part of a composite key is not unique by itself")
-	}
-}
-
-func TestFKJoinSelectivity(t *testing.T) {
-	key := sampleTable() // 100 rows, id is key
-	fact := &Table{
-		Name: "f",
-		Schema: types.NewSchema(
-			types.Column{Table: "f", Name: "tid", Kind: types.KindInt}),
-		Rows: make([]types.Tuple, 1000),
-	}
-	fact.SetDistinct("tid", 100)
-
-	// Key side: selectivity = 1/|key table|.
-	if got := FKJoinSelectivity(key, "id", fact, "tid"); got != 0.01 {
-		t.Fatalf("key selectivity = %v", got)
-	}
-	if got := FKJoinSelectivity(fact, "tid", key, "id"); got != 0.01 {
-		t.Fatalf("reversed key selectivity = %v", got)
-	}
-	// Non-key: 1/max(distincts).
-	if got := FKJoinSelectivity(fact, "tid", fact, "tid"); got != 0.01 {
-		t.Fatalf("non-key selectivity = %v", got)
-	}
-	// Empty tables must not divide by zero.
-	empty := &Table{Name: "e", Schema: key.Schema, PrimaryKey: []string{"id"}}
-	if got := FKJoinSelectivity(empty, "id", fact, "tid"); got <= 0 {
-		t.Fatalf("empty-table selectivity = %v", got)
 	}
 }
 

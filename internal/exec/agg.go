@@ -383,6 +383,7 @@ func (pt *aggPart) absorb(ctx *Context, op *stats.OpStats, w *aggWorker, sb *sca
 func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("agg:" + h.Name)
+	op.EstRows = pointEstRows(h.Point)
 	if h.Point != nil {
 		h.Point.Op = op
 	}

@@ -82,11 +82,13 @@ func AllCols(left, right Op) []int {
 // Schema returns the emitted schema.
 func (j *HashJoin) Schema() *types.Schema { return j.sch }
 
-// newOps registers the two side stats blocks, each with the width it
-// contributes to the emitted row out of the width it receives.
+// newOps registers the two side stats blocks, each with its input's
+// estimate and the width it contributes to the emitted row out of the width
+// it receives.
 func (j *HashJoin) newOps(ctx *Context) (lop, rop *stats.OpStats) {
 	lop = ctx.Stats.NewOp("join:" + j.Name + ".left")
 	rop = ctx.Stats.NewOp("join:" + j.Name + ".right")
+	lop.EstRows, rop.EstRows = pointEstRows(j.LPoint), pointEstRows(j.RPoint)
 	nl := j.Left.Schema().Len()
 	lop.Width, rop.Width = nl, j.Right.Schema().Len()
 	for _, c := range j.Out {

@@ -2,11 +2,15 @@
 //
 // Following Tukwila (§V-A), it emphasizes maximally pipelined bushy plans
 // built from pipelined hash joins and hash aggregation, and its cost
-// modeler needs no histograms: join selectivities come from cardinality
-// estimates plus key/foreign-key information, propagated assuming uniform,
-// uncorrelated attributes. Join ordering is greedy smallest-output-first
-// over the join graph, which yields the bushy shapes the paper's plans
-// exhibit (joins between intermediate results, not only left-deep chains).
+// modeler needs no histograms: estimates come from cardinalities and the
+// catalog's distinct counts, propagated assuming uniform, uncorrelated
+// attributes. Each block's join order is a dynamic program over its join
+// graph (joinorder.go): the relations are the nodes and the block-local
+// equivalence classes the edges, and it picks the bushy tree of least C_out,
+// the sum of the estimated rows of its joins, taking a cross product only
+// where a set of relations has no connected split. A join keys on every
+// class its sides share, and its estimate caps the independence assumption
+// for a composite key at each side's rows.
 //
 // The optimizer also attaches the metadata the AIP runtime needs to every
 // injection point: attribute equivalence classes, cardinality estimates,
@@ -14,22 +18,24 @@
 // services ESTIMATEBENEFIT (Fig. 4 of the paper) re-invokes at runtime.
 //
 // Projection pushdown: every join emits only the columns still read above
-// it (exec.HashJoin.Out) — by a conjunct not yet applied, by its own
-// residual, by the grouping expressions and aggregate arguments, or by the
-// block's output when it does not aggregate. One more rule keeps every
-// filter AIP builds: a column whose equivalence class is still open — some
-// member lies outside the join's inputs, in a relation of the block not yet
-// joined or in another block — is kept, so an injection point above the
-// join exposes the join attributes a set could still prune through. Once
-// the join brings in a class's last member, every producer of the class
-// lies below it and every tuple above already passed each producer's join,
-// so no set over the class can prune there: its columns go unless
-// something reads them.
+// it (exec.HashJoin.Out) — by a non-equi conjunct not yet applied, by its
+// own residual, by the grouping expressions and aggregate arguments, or by
+// the block's output when it does not aggregate — plus one member of each
+// equivalence class that is still open: some member lies outside the
+// join's inputs, in a relation of the block not yet joined (a later join
+// keys on it) or in another block (an injection point above the join
+// exposes the attribute a set could still prune through). The members a
+// join equated carry one value, so one serves. Once the join brings in a
+// class's last member, every producer of the class lies below it and every
+// tuple above already passed each producer's join, so no set over the class
+// can prune there: its columns go unless something reads them.
 package optimizer
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/expr"
@@ -59,8 +65,7 @@ type Result struct {
 
 // Build compiles a block to a physical plan.
 func Build(cfg Config, b *plan.Block) (*Result, error) {
-	o := &builder{cfg: cfg, classSize: map[int]int{}}
-	o.countClasses(b)
+	o := newBuilder(cfg, b)
 	comp, err := o.buildBlock(b, "q")
 	if err != nil {
 		return nil, err
@@ -68,14 +73,22 @@ func Build(cfg Config, b *plan.Block) (*Result, error) {
 	return &Result{Root: comp.op, Points: o.points, EstRows: comp.est}, nil
 }
 
+// newBuilder returns a builder for the query whose root block is b.
+func newBuilder(cfg Config, b *plan.Block) *builder {
+	o := &builder{cfg: cfg, classSize: map[int]int{}}
+	o.countClasses(b)
+	return o
+}
+
 type builder struct {
 	cfg    Config
 	points []*exec.Point
 	nextID int
 	// classSize counts the columns of each equivalence class across every
-	// block of the query; projection pushdown keeps a class's columns while
+	// block of the query; projection pushdown keeps a class open while
 	// fewer than that many lie inside the join (pruneJoin).
 	classSize map[int]int
+	ordered   func(*joinGraph) // when set, sees each block's join graph before its tree is built
 }
 
 // countClasses fills classSize from b and its nested blocks.
@@ -95,7 +108,8 @@ func (o *builder) countClasses(b *plan.Block) {
 // component is one connected piece of the join forest during ordering.
 type component struct {
 	op       exec.Op
-	rels     map[int]bool
+	rels     uint64          // the block's relations joined in (joinGraph sets)
+	equated  uint64          // the joinGraph classes a join in this subtree keyed on
 	colmap   map[int]int     // global col id -> position in op schema
 	est      float64         // estimated output rows
 	distinct map[int]float64 // global col id -> distinct estimate
@@ -204,33 +218,19 @@ func (o *builder) buildBlock(b *plan.Block, prefix string) (*component, error) {
 		comps = append(comps, comp)
 	}
 
-	// 2. Greedy bushy join ordering.
-	for len(comps) > 1 {
-		bi, bj := -1, -1
-		bestEst := math.Inf(1)
-		bestConnected := false
-		for i := 0; i < len(comps); i++ {
-			for j := i + 1; j < len(comps); j++ {
-				connected, est := o.joinEstimate(b, comps[i], comps[j], used)
-				if connected && !bestConnected || connected == bestConnected && est < bestEst {
-					bi, bj, bestEst, bestConnected = i, j, est, connected
-				}
-			}
-		}
-		joined, err := o.buildJoin(b, comps[bi], comps[bj], used, fmt.Sprintf("%s.j%d", prefix, o.nextID))
-		o.nextID++
-		if err != nil {
-			return nil, err
-		}
-		next := comps[:0]
-		for k, c := range comps {
-			if k != bi && k != bj {
-				next = append(next, c)
-			}
-		}
-		comps = append(next, joined)
+	// 2. Join order: the bushy tree of least C_out over the block's join
+	// graph.
+	g, err := newJoinGraph(b, comps)
+	if err != nil {
+		return nil, err
 	}
-	comp := comps[0]
+	if o.ordered != nil {
+		o.ordered(g)
+	}
+	comp, err := o.buildTree(b, g, comps, g.all(), used, prefix)
+	if err != nil {
+		return nil, err
+	}
 
 	// 3. Any conjunct not yet applied (e.g. a single-component residual
 	// discovered late) runs as a filter.
@@ -242,7 +242,7 @@ func (o *builder) buildBlock(b *plan.Block, prefix string) (*component, error) {
 		if !ok {
 			return nil, fmt.Errorf("optimizer: conjunct %s references unavailable columns", b.Conjuncts[ci].E)
 		}
-		sel := predSelectivity(b.Conjuncts[ci].E)
+		sel := predSelectivity(b, b.Conjuncts[ci].E)
 		comp.op = &exec.Filter{Child: comp.op, Pred: mapped, Name: prefix + ".resid"}
 		comp.est *= sel
 		used[ci] = true
@@ -276,7 +276,7 @@ func (o *builder) buildBlock(b *plan.Block, prefix string) (*component, error) {
 // buildRel compiles one relation reference and pushes its local predicates.
 func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, name string) (*component, error) {
 	comp := &component{
-		rels:     map[int]bool{ri: true},
+		rels:     1 << ri,
 		colmap:   make(map[int]int),
 		distinct: make(map[int]float64),
 	}
@@ -341,7 +341,7 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 			continue
 		}
 		preds = append(preds, mapped)
-		comp.est *= predSelectivity(c.E)
+		comp.est *= predSelectivity(b, c.E)
 		used[ci] = true
 	}
 	if len(preds) > 0 {
@@ -408,80 +408,59 @@ func outputDomain(b *plan.Block, outCol int, comp *component) exec.IntDomain {
 	return comp.domain[cr.Idx]
 }
 
-// joinEstimate reports whether two components share an unused equi
-// conjunct and the estimated output size of joining them.
-func (o *builder) joinEstimate(b *plan.Block, l, r *component, used []bool) (connected bool, est float64) {
-	est = l.est * r.est
-	for ci, c := range b.Conjuncts {
-		if used[ci] || !c.IsEqui {
-			continue
-		}
-		lIn := l.rels[c.LRel] && r.rels[c.RRel]
-		rIn := l.rels[c.RRel] && r.rels[c.LRel]
-		if !lIn && !rIn {
-			continue
-		}
-		connected = true
-		dl := l.distinct[c.LCol]
-		dr := r.distinct[c.RCol]
-		if rIn {
-			dl, dr = l.distinct[c.RCol], r.distinct[c.LCol]
-		}
-		d := math.Max(dl, dr)
-		if d < 1 {
-			d = 1
-		}
-		est /= d
+// buildTree builds the join tree g.best chose for the relation set s, left
+// side first, so joins are numbered bottom-up.
+func (o *builder) buildTree(b *plan.Block, g *joinGraph, comps []*component, s uint64, used []bool, prefix string) (*component, error) {
+	p := g.best(s)
+	if p.left == 0 {
+		return comps[bits.TrailingZeros64(s)], nil
 	}
-	if est < 1 {
-		est = 1
+	l, err := o.buildTree(b, g, comps, p.left, used, prefix)
+	if err != nil {
+		return nil, err
 	}
-	return connected, est
+	r, err := o.buildTree(b, g, comps, s&^p.left, used, prefix)
+	if err != nil {
+		return nil, err
+	}
+	o.nextID++
+	return o.buildJoin(b, g, l, r, p.est, used, fmt.Sprintf("%s.j%d", prefix, o.nextID-1))
 }
 
-// buildJoin combines two components with a pipelined hash join.
-func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name string) (*component, error) {
-	var lkeys, rkeys []int
-	sel := 1.0
-	// Equi conjuncts spanning exactly these two components become keys.
-	for ci, c := range b.Conjuncts {
-		if used[ci] || !c.IsEqui {
-			continue
-		}
-		var lg, rg int
-		switch {
-		case l.rels[c.LRel] && r.rels[c.RRel]:
-			lg, rg = c.LCol, c.RCol
-		case l.rels[c.RRel] && r.rels[c.LRel]:
-			lg, rg = c.RCol, c.LCol
-		default:
-			continue
-		}
-		lp, lok := l.colmap[lg]
-		rp, rok := r.colmap[rg]
-		if !lok || !rok {
-			continue
-		}
-		lkeys = append(lkeys, lp)
-		rkeys = append(rkeys, rp)
-		d := math.Max(l.distinct[lg], r.distinct[rg])
-		if d < 1 {
-			d = 1
-		}
-		sel /= d
-		used[ci] = true
-	}
-
+// buildJoin combines two components with a pipelined hash join estimated
+// at est rows. Its key equates, for every class both sides hold, each member
+// a side has not already equated: one member of a side that keyed on the
+// class before, every member of one that did not (a relation holding two
+// members of the class).
+func (o *builder) buildJoin(b *plan.Block, g *joinGraph, l, r *component, est float64, used []bool, name string) (*component, error) {
 	merged := &component{
-		rels:     map[int]bool{},
+		rels:     l.rels | r.rels,
+		equated:  l.equated | r.equated,
 		colmap:   map[int]int{},
 		distinct: map[int]float64{},
 	}
-	for ri := range l.rels {
-		merged.rels[ri] = true
-	}
-	for ri := range r.rels {
-		merged.rels[ri] = true
+	var lkeys, rkeys []int
+	for ci := range g.classes {
+		c := &g.classes[ci]
+		if c.rels&l.rels == 0 || c.rels&r.rels == 0 {
+			continue
+		}
+		lm, rm := l.members(c, ci), r.members(c, ci)
+		if len(lm) == 0 || len(rm) == 0 {
+			return nil, fmt.Errorf("optimizer: join %s lost a member of a class it keys on", name)
+		}
+		for _, rg := range rm {
+			lkeys, rkeys = append(lkeys, l.colmap[lm[0]]), append(rkeys, r.colmap[rg])
+		}
+		for _, lg := range lm[1:] {
+			lkeys, rkeys = append(lkeys, l.colmap[lg]), append(rkeys, r.colmap[rm[0]])
+		}
+		for _, cj := range c.conj {
+			if relSet(b.Conjuncts[cj].Rels)&^merged.rels == 0 {
+				used[cj] = true
+			}
+		}
+		merged.equated |= 1 << ci
 	}
 	// Concatenated positions first; pruning renumbers them below.
 	nl := l.op.Schema().Len()
@@ -491,27 +470,23 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 	for g, p := range r.colmap {
 		merged.colmap[g] = p + nl
 	}
-	merged.est = l.est * r.est * sel
+	merged.est = est
 	merged.tables = append(append([]string(nil), l.tables...), r.tables...)
-	if merged.est < 1 {
-		merged.est = 1
-	}
 
 	// Residual: remaining conjuncts fully contained in the merged set.
 	var residuals []expr.Expr
 	for ci, c := range b.Conjuncts {
-		if used[ci] || !relsSubset(c.Rels, merged.rels) {
+		if used[ci] || relSet(c.Rels)&^merged.rels != 0 {
 			continue
 		}
 		if _, ok := merged.mappingFor(expr.CollectCols(c.E, nil)); !ok {
 			continue
 		}
 		residuals = append(residuals, c.E)
-		merged.est *= predSelectivity(c.E)
 		used[ci] = true
 	}
 
-	out := o.pruneJoin(b, merged, l, r, used, residuals)
+	out := o.pruneJoin(b, g, merged, l, r, used, residuals)
 	for i, c := range residuals {
 		mapped, ok := remapGlobal(c, merged)
 		if !ok {
@@ -540,17 +515,21 @@ func (o *builder) buildJoin(b *plan.Block, l, r *component, used []bool, name st
 	return merged, nil
 }
 
-// pruneJoin decides the columns a join emits — those a later conjunct, the
-// join's own residuals (global-bound), the grouping, the aggregates or the
-// block's output read, and every member of an open equivalence class, one
-// with a member outside merged (a relation of b not yet joined, or another
-// block of the query) — returns them as the join's Out list in
-// concatenated order, and renumbers merged.colmap to the emitted positions
-// (merged.distinct keeps only them).
-func (o *builder) pruneJoin(b *plan.Block, merged, l, r *component, used []bool, residuals []expr.Expr) []int {
+// pruneJoin decides the columns a join emits — those a later non-equi
+// conjunct, the join's own residuals (global-bound), the grouping, the
+// aggregates or the block's output read, and one member of each open
+// equivalence class — returns them as the join's Out list in concatenated
+// order, and renumbers merged.colmap to the emitted positions
+// (merged.distinct keeps only them). A class is open while a block-local
+// class has a member in a relation not yet joined (a later join keys on
+// it), or a query-wide class has a member outside merged, here or in
+// another block (a set over it can still prune above). A block-local class
+// no join below has keyed on keeps every member: the later join equates
+// them.
+func (o *builder) pruneJoin(b *plan.Block, g *joinGraph, merged, l, r *component, used []bool, residuals []expr.Expr) []int {
 	var read []int
 	for ci, c := range b.Conjuncts {
-		if !used[ci] {
+		if !used[ci] && !c.IsEqui {
 			read = expr.CollectCols(c.E, read)
 		}
 	}
@@ -575,21 +554,46 @@ func (o *builder) pruneJoin(b *plan.Block, merged, l, r *component, used []bool,
 	for _, g := range read {
 		keep[g] = true
 	}
-	inside := map[int]int{} // class id -> members among merged's relations
-	for ri := range merged.rels {
-		rel := b.Rels[ri]
-		for g := rel.Offset; g < rel.Offset+rel.Schema.Len(); g++ {
-			inside[b.EqIDs[g]]++
-		}
-	}
 	width := len(merged.colmap)
 	global := make([]int, width) // concatenated position -> global id
 	for g, p := range merged.colmap {
 		global[p] = g
 	}
+	// An open class keeps its present members if no join below equated
+	// them, else one, unless a kept column already carries it.
+	carried := func(c *joinClass) bool {
+		return slices.ContainsFunc(c.members, func(m int) bool { _, ok := merged.colmap[m]; return ok && keep[m] })
+	}
+	for ci := range g.classes {
+		if c := &g.classes[ci]; c.rels&^merged.rels != 0 && (merged.equated&(1<<ci) == 0 || !carried(c)) {
+			for _, m := range merged.members(c, ci) {
+				keep[m] = true
+			}
+		}
+	}
+	inside := map[int]int{} // query-wide class id -> members among merged's relations
+	for ri := range len(b.Rels) {
+		if merged.rels&(1<<ri) != 0 {
+			rel := b.Rels[ri]
+			for g := rel.Offset; g < rel.Offset+rel.Schema.Len(); g++ {
+				inside[b.EqIDs[g]]++
+			}
+		}
+	}
+	emitted := map[int]bool{} // query-wide classes a kept column carries
+	for _, g := range global {
+		if keep[g] {
+			emitted[b.EqIDs[g]] = true
+		}
+	}
+	for _, g := range global {
+		if id := b.EqIDs[g]; id >= 0 && !emitted[id] && inside[id] < o.classSize[id] {
+			keep[g], emitted[id] = true, true
+		}
+	}
 	var out []int
 	for p, g := range global {
-		if id := b.EqIDs[g]; keep[g] || id >= 0 && inside[id] < o.classSize[id] {
+		if keep[g] {
 			merged.colmap[g] = len(out)
 			out = append(out, p)
 			continue
@@ -611,13 +615,18 @@ func (o *builder) pruneJoin(b *plan.Block, merged, l, r *component, used []bool,
 	return out
 }
 
-func relsSubset(rels []int, set map[int]bool) bool {
-	for _, r := range rels {
-		if !set[r] {
-			return false
+// members returns the columns of class c (g.classes[ci]) that comp emits,
+// ascending; only the first when a join below already keyed on c.
+func (comp *component) members(c *joinClass, ci int) []int {
+	var out []int
+	for _, m := range c.members {
+		if _, ok := comp.colmap[m]; ok {
+			if out = append(out, m); comp.equated&(1<<ci) != 0 {
+				break
+			}
 		}
 	}
-	return true
+	return out
 }
 
 // buildAgg lowers grouping and aggregation, leaving comp holding the
@@ -828,15 +837,26 @@ func clampDistinct(c *component) {
 	}
 }
 
-// predSelectivity is the histogram-free selectivity heuristic of §V-A.
-func predSelectivity(e expr.Expr) float64 {
+// predSelectivity is the histogram-free selectivity heuristic of §V-A for
+// a conjunct of b: col = const keeps 1/V(col) where the catalog records V
+// for a base column, else 0.05.
+func predSelectivity(b *plan.Block, e expr.Expr) float64 {
 	switch v := e.(type) {
 	case *expr.Binary:
 		switch v.Op {
 		case expr.OpEq:
-			// col = const: moderately selective without distinct info at
-			// this layer; the caller's distinct-aware paths refine this.
 			if isConstComparison(v) {
+				col, ok := v.L.(*expr.ColRef)
+				if !ok {
+					col, ok = v.R.(*expr.ColRef)
+				}
+				if ok {
+					if rel := b.Rels[b.RelOf(col.Idx)]; rel.IsBase() {
+						if d, ok := rel.Table.KnownDistinct(rel.Schema.Cols[col.Idx-rel.Offset].Name); ok && d > 0 {
+							return 1 / float64(d)
+						}
+					}
+				}
 				return 0.05
 			}
 			return 0.1
@@ -845,9 +865,9 @@ func predSelectivity(e expr.Expr) float64 {
 		case expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
 			return 0.33
 		case expr.OpAnd:
-			return predSelectivity(v.L) * predSelectivity(v.R)
+			return predSelectivity(b, v.L) * predSelectivity(b, v.R)
 		case expr.OpOr:
-			s := predSelectivity(v.L) + predSelectivity(v.R)
+			s := predSelectivity(b, v.L) + predSelectivity(b, v.R)
 			return math.Min(s, 1)
 		}
 	case *expr.Like:
@@ -856,7 +876,7 @@ func predSelectivity(e expr.Expr) float64 {
 		}
 		return 0.1
 	case *expr.Not:
-		return 1 - predSelectivity(v.E)
+		return 1 - predSelectivity(b, v.E)
 	}
 	return 0.25
 }

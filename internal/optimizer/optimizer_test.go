@@ -263,11 +263,11 @@ func findScan(op exec.Op) *exec.Scan {
 
 func TestPredSelectivityHeuristics(t *testing.T) {
 	blk := bind(t, `SELECT p_name FROM part WHERE p_size = 1`)
-	eq := predSelectivity(blk.Conjuncts[0].E)
+	eq := predSelectivity(blk, blk.Conjuncts[0].E)
 	blk2 := bind(t, `SELECT p_name FROM part WHERE p_size < 10`)
-	rng := predSelectivity(blk2.Conjuncts[0].E)
+	rng := predSelectivity(blk2, blk2.Conjuncts[0].E)
 	blk3 := bind(t, `SELECT p_name FROM part WHERE p_type LIKE '%TIN'`)
-	like := predSelectivity(blk3.Conjuncts[0].E)
+	like := predSelectivity(blk3, blk3.Conjuncts[0].E)
 	if !(eq < rng) {
 		t.Fatalf("equality (%v) must be more selective than range (%v)", eq, rng)
 	}
@@ -275,13 +275,13 @@ func TestPredSelectivityHeuristics(t *testing.T) {
 		t.Fatal("selectivities out of (0,1)")
 	}
 	blk4 := bind(t, `SELECT p_name FROM part WHERE p_size <> 1`)
-	if ne := predSelectivity(blk4.Conjuncts[0].E); ne <= rng {
+	if ne := predSelectivity(blk4, blk4.Conjuncts[0].E); ne <= rng {
 		t.Fatal("<> must be weakly selective")
 	}
 }
 
 func TestEstimateOrderingPrefersSelectiveJoins(t *testing.T) {
-	// The greedy planner must join region⋈nation before touching supplier:
+	// The planner must join region⋈nation before touching supplier:
 	// verify by checking the final estimate is finite and the plan runs.
 	rows, res := buildAndRun(t, `
 		SELECT s_name FROM supplier, nation, region

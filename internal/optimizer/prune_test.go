@@ -25,6 +25,18 @@ var tableI = sync.OnceValue(func() *catalog.Catalog { return tpch.Generate(tpch.
 // remote relations (Q1C, Q3C) get a topology, so their plans ship.
 func buildTableI(t *testing.T, id string) *Result {
 	t.Helper()
+	blk, cfg := bindTableI(t, id)
+	res, err := Build(cfg, blk)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return res
+}
+
+// bindTableI binds one Table I query over the SF 0.01 catalog and returns
+// the config buildTableI builds it with.
+func bindTableI(t *testing.T, id string) (*plan.Block, Config) {
+	t.Helper()
 	spec, err := workload.ByID(id)
 	if err != nil {
 		t.Fatal(err)
@@ -42,11 +54,7 @@ func buildTableI(t *testing.T, id string) *Result {
 			}
 		}
 	}
-	res, err := Build(cfg, blk)
-	if err != nil {
-		t.Fatalf("%s: %v", id, err)
-	}
-	return res
+	return blk, cfg
 }
 
 // joins lists the plan's hash joins, outermost first.
@@ -75,14 +83,16 @@ func joins(op exec.Op) []*exec.HashJoin {
 	return out
 }
 
-// TestQ4AJoinWidths pins projection pushdown on TPC-H Q5: each join side's
-// emitted columns out of its input width (the cols= of -stats). A join
-// attribute is kept only while its equivalence class is open — a member
-// lies in a relation not yet joined — so the top join, which closes the
-// last classes, hands the aggregation 3 columns — n_name and the two price
-// columns — of the 29 its six tables have, and j3 hands it (o_orderkey,
-// s_suppkey, n_name) for the (orderkey, suppkey) join. The stats report
-// prints the same widths.
+// TestQ4AJoinWidths pins projection pushdown on TPC-H Q5 at SF 0.01, whose
+// plan is (((customer ⋈ (nation ⋈ region)) ⋈ orders) ⋈ supplier) ⋈
+// lineitem: each join side's emitted columns out of its input width (the
+// cols= of -stats). A join attribute is kept only while its equivalence
+// class is open — a member lies in a relation not yet joined — and then one
+// member of the class, so the top join, which closes the last classes,
+// hands the aggregation 3 columns — n_name and the two price columns — of
+// the 29 its six tables have, and j3 hands it (o_orderkey, s_suppkey,
+// n_name) for the (orderkey, suppkey) join. The stats report prints the
+// same widths.
 func TestQ4AJoinWidths(t *testing.T) {
 	res := buildTableI(t, "Q4A")
 	var got []string
@@ -97,7 +107,7 @@ func TestQ4AJoinWidths(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s %d/%d+%d/%d", j.Name, l, nl, len(j.Out)-l, j.Right.Schema().Len()))
 	}
 	want := []string{
-		"q.j4 2/7+1/3", "q.j3 1/4+2/3", "q.j2 1/4+2/4", "q.j1 2/8+2/2", "q.j0 2/3+0/3",
+		"q.j4 1/3+2/7", "q.j3 2/3+1/8", "q.j2 2/3+1/4", "q.j1 2/4+1/2", "q.j0 2/3+0/3",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Q4A join widths:\n got %q\nwant %q", got, want)
@@ -126,8 +136,22 @@ func TestQ4AJoinWidths(t *testing.T) {
 	if _, err := exec.Run(ctx, inst.Root); err != nil {
 		t.Fatal(err)
 	}
-	if rep := reg.Report(); !strings.Contains(rep, "cols=2/7") || !strings.Contains(rep, "cols=1/3") {
+	rep := reg.Report()
+	if !strings.Contains(rep, "cols=2/7") || !strings.Contains(rep, "cols=1/3") {
 		t.Fatalf("the stats report lacks the top join's widths:\n%s", rep)
+	}
+	// Every join and aggregation input prints its estimate beside what it
+	// received, and the q-error line summarizes the join inputs.
+	for _, p := range inst.Points {
+		if !p.Stateful {
+			continue
+		}
+		if want := fmt.Sprintf(" est=%.0f ", p.EstRows); !strings.Contains(rep, want) {
+			t.Fatalf("the stats report lacks %s's%q:\n%s", p.Name, want, rep)
+		}
+	}
+	if n, _, _ := reg.JoinQError(); n != 10 || !strings.Contains(rep, "q-error: join inputs=10 median=") {
+		t.Fatalf("q-error over %d join inputs, want 10:\n%s", n, rep)
 	}
 }
 

@@ -146,6 +146,10 @@ type OpStats struct {
 	// the join's emitted row out of the columns it receives (0/0 otherwise).
 	Cols, Width int
 
+	// EstRows is the optimizer's estimate of In on a join or aggregation
+	// input (exec.Point.EstRows); 0 elsewhere.
+	EstRows float64
+
 	parts []PartStats // per-partition state counters; nil for unpartitioned ops
 }
 
@@ -325,13 +329,41 @@ func (r *Registry) TotalSpillEvents() int64 {
 	return total
 }
 
+// JoinQError summarizes how far the optimizer's estimates lie from what the
+// join inputs received: over every join input with an estimate, the median
+// and the largest q-error max(est, in) / min(est, in), each side floored at
+// one row.
+func (r *Registry) JoinQError() (n int, median, maxQ float64) {
+	var qs []float64
+	for _, op := range r.Ops() {
+		if op.Class != "join" || op.EstRows <= 0 {
+			continue
+		}
+		est, in := max(op.EstRows, 1), max(float64(op.In.Load()), 1)
+		qs = append(qs, max(est, in)/min(est, in))
+	}
+	if len(qs) == 0 {
+		return 0, 0, 0
+	}
+	sort.Float64s(qs)
+	median = qs[len(qs)/2]
+	if len(qs)%2 == 0 {
+		median = (qs[len(qs)/2-1] + median) / 2
+	}
+	return len(qs), median, qs[len(qs)-1]
+}
+
 // Report renders a per-operator table, sorted by name, for debugging and
 // the CLI's -v mode.
 func (r *Registry) Report() string {
 	ops := r.Ops()
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Name < ops[j].Name })
-	out := fmt.Sprintf("%-40s %10s %10s %10s %12s %s\n", "operator", "in", "out", "pruned", "state-peak", "partitions")
+	out := fmt.Sprintf("%-40s %10s %10s %10s %10s %12s %s\n", "operator", "in", "est", "out", "pruned", "state-peak", "partitions")
 	for _, op := range ops {
+		est := ""
+		if op.EstRows > 0 {
+			est = fmt.Sprintf("est=%.0f", op.EstRows)
+		}
 		parts := ""
 		if n := op.Partitions(); n > 0 {
 			mx, mean := op.PartitionSkew()
@@ -387,8 +419,11 @@ func (r *Registry) Report() string {
 			}
 			parts += fmt.Sprintf("direct=%d", d)
 		}
-		out += fmt.Sprintf("%-40s %10d %10d %10d %12d %s\n",
-			op.Name, op.In.Load(), op.Out.Load(), op.Pruned.Load(), op.StateBytes.Peak(), parts)
+		out += fmt.Sprintf("%-40s %10d %10s %10d %10d %12d %s\n",
+			op.Name, op.In.Load(), est, op.Out.Load(), op.Pruned.Load(), op.StateBytes.Peak(), parts)
+	}
+	if n, med, mx := r.JoinQError(); n > 0 {
+		out += fmt.Sprintf("q-error: join inputs=%d median=%.2f max=%.2f\n", n, med, mx)
 	}
 	made := fmt.Sprint(r.FiltersMade.Load())
 	if n := r.FiltersBitmap.Load(); n > 0 {

@@ -112,3 +112,40 @@ func TestWaitedReportAndReset(t *testing.T) {
 		t.Fatalf("report lacks the wait:\n%s", rep)
 	}
 }
+
+// TestJoinQError: the q-error summary covers join inputs with an estimate
+// only, floors both sides at one row, and its report line and est= column
+// print beside the counts.
+func TestJoinQError(t *testing.T) {
+	r := NewRegistry()
+	for _, c := range []struct {
+		name    string
+		est     float64
+		in      int64
+		counted bool
+	}{
+		{"join:j0.left", 100, 400, true},  // 4
+		{"join:j0.right", 50, 50, true},   // 1
+		{"join:j1.left", 0.5, 0, true},    // both floored: 1
+		{"join:j1.right", 10, 1000, true}, // 100
+		{"join:j2.left", 0, 7, false},     // no estimate
+		{"agg:a", 1, 500, false},          // not a join input
+	} {
+		op := r.NewOp(c.name)
+		op.EstRows = c.est
+		op.In.Add(c.in)
+	}
+	n, med, mx := r.JoinQError()
+	if n != 4 || med != 2.5 || mx != 100 {
+		t.Fatalf("JoinQError = %d, %v, %v; want 4, 2.5, 100", n, med, mx)
+	}
+	rep := r.Report()
+	for _, want := range []string{"q-error: join inputs=4 median=2.50 max=100.00", "est=100 ", "est=1 "} {
+		if !strings.Contains(rep, want) {
+			t.Fatalf("report missing %q:\n%s", want, rep)
+		}
+	}
+	if n, _, _ := NewRegistry().JoinQError(); n != 0 {
+		t.Fatalf("an empty registry has %d join inputs", n)
+	}
+}

@@ -3,6 +3,7 @@ package sip
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -226,29 +227,43 @@ func TestSourceSelectionAccounting(t *testing.T) {
 // scans, prunes and lets each scan emit does not depend on which goroutine
 // wins a race: five runs agree on TuplesScanned, TuplesPruned and every
 // scan's Out exactly. What the plan holds still hangs on one race the paper
-// builds in — whether the subquery's side of the outer join completes before
-// the few surviving lineitem rows arrive (§VI-A: they are then never
-// buffered, nor their table reserved) — so PeakStateBytes, the sum of the
-// operators' own high-water marks, is compared, within 1%, among the runs
-// that buffered the same number of rows. (PeakMemBytes is the query-wide
-// high-water mark, so it also hangs on when a finished operator releases its
-// state.)
+// builds in — which input of the outer join completes first (§VI-A: the
+// other's later rows are then never buffered, nor their table reserved) —
+// so the operators' own state high-water marks are compared, within 1%,
+// among the runs whose operators each buffered the same number of rows.
+// The race also decides the AIP memory beside it: the losing input may have
+// routed a row before its sibling completed, and so allocated a working
+// bitmap its set is then dropped with, unpublished. The query's summary
+// memory is therefore the published sets — the same in every run — plus
+// exactly the working memory of the inputs that published nothing.
+// (PeakMemBytes is the query-wide high-water mark, so it also hangs on when
+// a finished operator releases its state.)
 func TestQ17FeedForwardDeterminism(t *testing.T) {
 	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
 	eng := NewEngine(cat)
 	sql := tableIQueries(t, cat)["Q2A"]
 	var first *Result
 	var outs map[string]int64
-	peaks := map[int64]int64{} // rows buffered -> PeakStateBytes
+	var published int64
+	peaks := map[string]int64{} // rows each operator buffered -> the operators' state peaks
 	for run := 0; run < 5; run++ {
 		res, err := eng.Query(context.Background(), sql, Options{Strategy: FeedForward})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := map[string]int64{}
-		var stored int64
+		var stored []string
+		var pub, dropped, opPeaks int64
 		for _, op := range res.Stats.Ops() {
-			stored += op.StateRows.Load()
+			if n := op.StateRows.Load(); n > 0 {
+				stored = append(stored, fmt.Sprintf("%s=%d", op.Name, n))
+			}
+			opPeaks += op.StateBytes.Peak()
+			if fb := op.FilterBytes.Load(); fb > 0 {
+				pub += fb
+			} else {
+				dropped += op.FilterWorking.Peak()
+			}
 			if op.Class == "scan" {
 				got[op.Name] = op.Out.Load()
 				if strings.HasSuffix(op.Name, "lineitem") && op.Routed == "" {
@@ -258,18 +273,27 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 				t.Fatalf("run %d: %d rows reached %s before its filter", run, pf, op.Name)
 			}
 		}
-		if peak, ok := peaks[stored]; !ok {
-			peaks[stored] = res.PeakStateBytes
-		} else if d := res.PeakStateBytes - peak; d*100 > peak || -d*100 > peak {
-			t.Fatalf("run %d: PeakStateBytes %d, an earlier run buffering the same %d rows had %d (more than 1%% apart)",
-				run, res.PeakStateBytes, stored, peak)
+		if fb := res.Stats.FilterBytes.Load(); fb != pub+dropped || opPeaks+fb != res.PeakStateBytes {
+			t.Fatalf("run %d: summary memory %d B, want the published %d B + the dropped working sets' %d B; PeakStateBytes %d",
+				run, fb, pub, dropped, res.PeakStateBytes)
+		}
+		slices.Sort(stored)
+		key := strings.Join(stored, " ")
+		if peak, ok := peaks[key]; !ok {
+			peaks[key] = opPeaks
+		} else if d := opPeaks - peak; d*100 > peak || -d*100 > peak {
+			t.Fatalf("run %d: the operators' state peaks sum to %d B, an earlier run buffering the same rows (%s) had %d (more than 1%% apart)",
+				run, opPeaks, key, peak)
 		}
 		if run == 0 {
-			first, outs = res, got
+			first, outs, published = res, got, pub
 			if len(outs) != 3 {
 				t.Fatalf("%d scans, want lineitem twice and part: %v", len(outs), outs)
 			}
 			continue
+		}
+		if pub != published {
+			t.Fatalf("run %d: published %d B of summaries, run 0 %d B", run, pub, published)
 		}
 		if res.TuplesScanned != first.TuplesScanned || res.TuplesPruned != first.TuplesPruned {
 			t.Fatalf("run %d: scanned %d, pruned %d; run 0 had %d and %d",

@@ -74,11 +74,14 @@ func lineitemFirst(t *testing.T, eng *Engine, sql string, opts Options) ([]Row, 
 			if sc, ok := o.Left.(*exec.Scan); ok && sc.Table == "lineitem" && sc.Point == o.LPoint {
 				o.Right, held = &heldOp{Op: o.Right, until: o.LPoint}, held+1
 			}
+			if sc, ok := o.Right.(*exec.Scan); ok && sc.Table == "lineitem" && sc.Point == o.RPoint {
+				o.Left, held = &heldOp{Op: o.Left, until: o.RPoint}, held+1
+			}
 		}
 	}
 	hold(inst.Root)
 	if held != 1 {
-		t.Fatalf("%d joins with a wired lineitem scan on the left, want 1", held)
+		t.Fatalf("%d joins with a wired lineitem scan, want 1", held)
 	}
 	reg := stats.NewRegistry()
 	ectx := exec.NewContext(reg, nil)
