@@ -83,10 +83,10 @@ bench-vet:
 
 # test-race: the executor's concurrency tests (partitioned join/agg
 # determinism, cancellation, the bucket-discard spill differentials,
-# source-side selection: scan-probe differentials over unmodeled and paced +
+# source-side selection: scan-probe differentials over unmodeled and
 # delayed scans (one scan loop), accounting, the 0-alloc
 # chunk path, join reservation; routing scans: routed-vs-router
-# differentials (unmodeled and paced + delayed), routed word keys joined with router byte keys against a
+# differentials (unmodeled and delayed), routed word keys joined with router byte keys against a
 # nested loop (FLOAT/DATE/two-column keys, P=1/4, spilled), and router words
 # with router words and with the bytes a DECIMAL batch falls back to, the entry
 # layout, the 0-alloc routing kernel and router lanes, computed GROUP BY keys,
@@ -104,15 +104,18 @@ bench-vet:
 # disconnect-cancellation / quota tests, the column-run codec and
 # hostile-frame tests and the wire ≡ in-process differentials, and the long
 # leg of the generated-query oracle (SIP_ORACLE_SEEDS catalogs instead of
-# six; every case also runs once on delayed, paced, fault-injected sources,
+# six; every case also runs once on delayed, fault-injected sources,
 # and once more under Feed-forward or Cost-based with bitmaps and with hash
 # sets, where each input whose filters were all bitmaps must prune exactly
 # what the hash sets pruned; in every run, each bitmap an input ends with is
 # replayed over its scan's rows through the tuple probe a router runs),
 # the exact bitmap AIP sets (domain edges, concurrent adds, bitmap ≡ hash
-# set through every probe shape), under the race detector.
+# set through every probe shape), under the race detector; then 100 runs
+# each of Feed-forward Q17's report and determinism tests, whose outcomes
+# hang on which input of the outer join completes first.
 test-race:
 	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/types ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
+	$(GO) test -race -count=100 -run '^TestQ17FeedForward(FilterReport|Determinism)$$' .
 
 # fuzz: 30 s of each fuzzer — the wire protocol's payload primitives, frame
 # layer, RowBatch column-run decoder and fixed-width integer run codec, and

@@ -25,7 +25,6 @@ const benchScale = 0.01
 var benchRunner = harness.New(harness.Config{
 	ScaleFactor: benchScale,
 	Repetitions: 1,
-	SourceMBps:  1000,
 })
 
 // runFigure executes one full figure grid per iteration.
@@ -120,11 +119,7 @@ func BenchmarkAblationSummaryKind(b *testing.B) {
 		b.Run(kind.name, func(b *testing.B) {
 			var state float64
 			for i := 0; i < b.N; i++ {
-				res, err := e.Query(context.Background(), sql, sip.Options{
-					Strategy:          sip.FeedForward,
-					Summary:           kind.k,
-					SourceBytesPerSec: 1 << 30,
-				})
+				res, err := e.Query(context.Background(), sql, sip.Options{Strategy: sip.FeedForward, Summary: kind.k})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -144,11 +139,7 @@ func BenchmarkAblationFPR(b *testing.B) {
 		b.Run(fmt.Sprintf("fpr=%g", fpr), func(b *testing.B) {
 			var pruned int64
 			for i := 0; i < b.N; i++ {
-				res, err := e.Query(context.Background(), sql, sip.Options{
-					Strategy:          sip.FeedForward,
-					FPR:               fpr,
-					SourceBytesPerSec: 1 << 30,
-				})
+				res, err := e.Query(context.Background(), sql, sip.Options{Strategy: sip.FeedForward, FPR: fpr})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -171,11 +162,7 @@ func BenchmarkAblationCostThreshold(b *testing.B) {
 			cost.Fixed = fixed
 			var filters int64
 			for i := 0; i < b.N; i++ {
-				res, err := e.Query(context.Background(), sql, sip.Options{
-					Strategy:          sip.CostBased,
-					Cost:              &cost,
-					SourceBytesPerSec: 1 << 30,
-				})
+				res, err := e.Query(context.Background(), sql, sip.Options{Strategy: sip.CostBased, Cost: &cost})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -194,7 +181,7 @@ func BenchmarkStrategies(b *testing.B) {
 	for _, s := range sip.AllStrategies() {
 		b.Run(s.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Query(context.Background(), sql, sip.Options{Strategy: s, SourceBytesPerSec: 1 << 30}); err != nil {
+				if _, err := e.Query(context.Background(), sql, sip.Options{Strategy: s}); err != nil {
 					b.Fatal(err)
 				}
 			}

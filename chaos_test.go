@@ -330,30 +330,29 @@ func TestChaosResultCounters(t *testing.T) {
 }
 
 // TestChaosPinnedRetries pins the fault sequences of delayed scans: a scan
-// draws one injected fault per read (BatchSize rows, cut at the next EveryN
-// or BurstEveryN boundary), so for a fixed seed and delay shape the retries
-// a run absorbs are a fixed number. The breaker is off and the retry budget
-// never runs out, so the count depends on nothing but the draws.
+// draws one injected fault per read of up to scanChunkRows rows, cut at the
+// next EveryN or BurstEveryN boundary, so for a fixed seed and delay shape
+// the retries a run absorbs are a fixed number. The breaker is off and the
+// retry budget never runs out, so the count depends on nothing but the
+// draws.
 func TestChaosPinnedRetries(t *testing.T) {
 	e := testEngine(t)
 	base := canon(mustRows(t, e, chaosSQL, Options{}))
 	shapes := []struct {
 		name  string
 		delay DelayConfig
-		bps   int64
 		want  [6]int64 // Result.Retries for seeds 1–6
 	}{
-		{"batch", DelayConfig{Initial: time.Millisecond}, 0, [6]int64{7, 5, 6, 7, 6, 9}},
-		{"every", DelayConfig{EveryN: 100, BurstEveryN: 250}, 1 << 30, [6]int64{9, 8, 9, 15, 8, 10}},
+		{"batch", DelayConfig{Initial: time.Millisecond}, [6]int64{0, 2, 1, 2, 3, 1}},
+		{"every", DelayConfig{EveryN: 100, BurstEveryN: 250}, [6]int64{9, 8, 9, 15, 8, 10}},
 	}
 	for _, sh := range shapes {
 		for seed := int64(1); seed <= 6; seed++ {
 			delay := sh.delay
 			res, err := e.Query(context.Background(), chaosSQL, Options{
-				DelayedTables:     []string{"supplier", "partsupp"},
-				Delay:             &delay,
-				SourceBytesPerSec: sh.bps,
-				Faults:            &FaultProfile{Seed: seed, TransientRate: 0.1, DropRate: 0.05},
+				DelayedTables: []string{"supplier", "partsupp"},
+				Delay:         &delay,
+				Faults:        &FaultProfile{Seed: seed, TransientRate: 0.1, DropRate: 0.05},
 				Retry: RetryPolicy{MaxRetries: 64, AttemptTimeout: -1, BaseBackoff: time.Microsecond,
 					MaxBackoff: time.Microsecond, Jitter: -1, BreakerFailures: -1},
 			})

@@ -34,7 +34,6 @@ func main() {
 		sf       = flag.Float64("sf", 0.05, "TPC-H scale factor")
 		reps     = flag.Int("reps", 3, "repetitions per cell (the paper used ≥5)")
 		fpr      = flag.Float64("fpr", 0.05, "Bloom filter false-positive target")
-		mbps     = flag.Float64("src", 1000, "source stream rate in MB/s (<0 = unpaced)")
 		query    = flag.String("query", "", "run a single workload query (e.g. Q2A)")
 		strategy = flag.String("strategy", "Feed-forward", "strategy for -query")
 		verbose  = flag.Bool("v", false, "with -query: print the SQL and the last repetition's per-operator statistics")
@@ -46,7 +45,6 @@ func main() {
 		ScaleFactor: *sf,
 		Repetitions: *reps,
 		FPR:         *fpr,
-		SourceMBps:  *mbps,
 	})
 
 	switch {

@@ -35,7 +35,7 @@ func main() {
 
 	for _, delayed := range []bool{false, true} {
 		label := "fast sources"
-		opts := sip.Options{SourceBytesPerSec: 1 << 30}
+		var opts sip.Options
 		if delayed {
 			label = "PARTSUPP delayed 100ms + 5ms/1000 tuples (the paper's §VI-B model)"
 			opts.DelayedTables = []string{"partsupp"}

@@ -34,12 +34,7 @@ func main() {
 	// 3. Run it under each strategy and compare.
 	fmt.Printf("%-14s %10s %12s %9s %9s\n", "strategy", "time", "state(MB)", "filters", "pruned")
 	for _, s := range sip.AllStrategies() {
-		res, err := eng.Query(ctx, q, sip.Options{
-			Strategy: s,
-			// Pace scans like a source stream so completion times stagger
-			// (see DESIGN.md §2); drop this option for raw in-memory runs.
-			SourceBytesPerSec: 1 << 30,
-		})
+		res, err := eng.Query(ctx, q, sip.Options{Strategy: s})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -63,13 +63,15 @@ func main() {
 	}
 	fmt.Println()
 
-	// 3. A deadline cancels mid-flight: the paced scan below would take
-	// ~10s, but the 50ms budget cuts it off; every operator goroutine is
-	// reclaimed and the cursor reports context.DeadlineExceeded.
+	// 3. A deadline cancels mid-flight: the delayed lineitem scan below
+	// (the §VI-B model: 100ms before its first tuple, then 5ms every 1000)
+	// would take seconds, but the 50ms budget cuts it off; every operator
+	// goroutine is reclaimed and the cursor reports
+	// context.DeadlineExceeded.
 	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 	defer cancel()
 	rows, err = eng.QueryStream(short, `SELECT count(*) FROM lineitem, orders WHERE l_orderkey = o_orderkey`,
-		sip.Options{SourceBytesPerSec: 1 << 20}) // pace scans at 1 MB/s
+		sip.Options{DelayedTables: []string{"lineitem"}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("%-14s %10s %12s %9s %10s\n", "strategy", "time", "state(MB)", "filters", "pruned")
 	var answer string
 	for _, s := range sip.AllStrategies() {
-		res, err := eng.Query(ctx, q17, sip.Options{Strategy: s, SourceBytesPerSec: 1 << 30})
+		res, err := eng.Query(ctx, q17, sip.Options{Strategy: s})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -184,25 +184,6 @@ func TestCostParamsOption(t *testing.T) {
 	}
 }
 
-func TestSourcePacingOption(t *testing.T) {
-	e := testEngine(t)
-	const q = `SELECT count(*) FROM lineitem`
-	fast, err := e.Query(context.Background(), q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pace the whole lineitem stream to ~150ms.
-	li, _ := e.Catalog().Table("lineitem")
-	rate := li.MemBytes() * 6
-	paced, err := e.Query(context.Background(), q, Options{SourceBytesPerSec: rate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paced.Duration <= fast.Duration || paced.Duration < 100*time.Millisecond {
-		t.Fatalf("pacing ineffective: fast=%v paced=%v", fast.Duration, paced.Duration)
-	}
-}
-
 func TestParseErrorsSurface(t *testing.T) {
 	e := testEngine(t)
 	if _, err := e.Query(context.Background(), "SELEKT broken", Options{}); err == nil {

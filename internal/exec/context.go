@@ -26,9 +26,9 @@
 //     controllers build when a class's producers carry a small integer
 //     domain), testing the vector's value's bit with no hash at all.
 //     The bank is read once per chunk, so a filter published mid-scan
-//     applies from the next chunk on. A paced, delayed or fault-injected
-//     scan does the same over its source model's reads (sourceModel); a
-//     remote scan selects nothing (the Ship above it prunes at the remote
+//     applies from the next chunk on. The chunks are the reads of the
+//     scan's source model (sourceModel), which a delayed or fault-injected
+//     scan cuts at its pause boundaries; a remote scan selects nothing (the Ship above it prunes at the remote
 //     site and charges the link per batch).
 //   - Who routes: when the keys of the input such a scan feeds — join key
 //     columns, group-by column refs — all have an IntVec, the scan is the
@@ -75,7 +75,7 @@
 //     part's filter, on Q1A a quarter of partsupp. The filter wait needs the
 //     wider gap because what it buys depends on how much the filter prunes;
 //     the sibling wait buys a whole input's state. An input with no rank
-//     (SourceRows 0: a paced, delayed, fault-injected or remote source below
+//     (SourceRows 0: a delayed, fault-injected or remote source below
 //     it) never waits and is never waited on. It cannot deadlock: every wait
 //     goes from an input to one with strictly fewer source rows, and an
 //     input's publication depends only on the scans below it, whose sources
@@ -87,8 +87,8 @@
 //   - The root edge: a root Project of plain column references directly
 //     over such a scan is not started (StartPlan): the scan emits row-id
 //     batches (see Batch), up to scanChunkRows survivors as int32 row ids
-//     over the table, and keeps the project:* stats row. A paced scan or one
-//     computed column keeps the Project. Every plan runs this way, whatever
+//     over the table, and keeps the project:* stats row. A delayed scan or
+//     one computed column keeps the Project. Every plan runs this way, whatever
 //     its size: a point lookup is one scan goroutine and its output channel.
 //   - Above the scan, predicates and projections are evaluated
 //     batch-at-a-time through the compiled kernels of internal/expr

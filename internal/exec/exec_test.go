@@ -143,28 +143,6 @@ func TestScanDelay(t *testing.T) {
 	}
 }
 
-func TestScanPacing(t *testing.T) {
-	rows := make([]types.Tuple, 2000)
-	for i := range rows {
-		rows[i] = types.Tuple{types.Int(int64(i))}
-	}
-	var bytes int64
-	for _, r := range rows {
-		bytes += int64(r.MemSize())
-	}
-	rate := bytes * 10 // whole table in ~100ms
-	s := &Scan{Name: "t", Rows: rows, Sch: intSchema("a"), BytesPerSec: rate}
-	start := time.Now()
-	got := runOp(t, s, nil)
-	elapsed := time.Since(start)
-	if len(got) != 2000 {
-		t.Fatalf("paced scan lost rows")
-	}
-	if elapsed < 60*time.Millisecond || elapsed > 500*time.Millisecond {
-		t.Fatalf("pacing off target: %v (want ≈100ms)", elapsed)
-	}
-}
-
 func TestFilterAndProject(t *testing.T) {
 	rows := intRows([]int64{1, 10}, []int64{2, 20}, []int64{3, 30})
 	scan := &Scan{Name: "t", Rows: rows, Sch: intSchema("a", "b")}
@@ -455,7 +433,7 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
-// TestPacedScanDeadlineNoLeak binds a short std-context deadline to a paced
+// TestPacedScanDeadlineNoLeak binds a short std-context deadline to a delayed
 // scan feeding a partitioned aggregation: the run must surface
 // context.DeadlineExceeded and reclaim every goroutine (the sequential
 // source, the router, the partition workers, the finisher, the watcher).

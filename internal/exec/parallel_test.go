@@ -460,7 +460,7 @@ func TestAggCancelMidRoutingDoesNotPublishState(t *testing.T) {
 	for i := range rows {
 		rows[i] = types.Tuple{types.Int(int64(i)), types.Int(int64(i))}
 	}
-	// Pace the scan so cancellation reliably lands mid-stream.
+	// Delay the scan so cancellation reliably lands mid-stream.
 	scan := &Scan{Name: "t", Rows: rows, Sch: intSchema("g", "v"),
 		Delay: &DelayConfig{EveryN: 256, Pause: time.Millisecond}}
 	gb := []expr.Expr{&expr.ColRef{Idx: 0, Col: types.Column{Name: "g", Kind: types.KindInt}}}

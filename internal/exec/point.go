@@ -323,7 +323,7 @@ type Point struct {
 	EstRows float64
 
 	// SourceRows is the size of the largest source feeding this input when
-	// every scan below it is local and unpaced, else 0; filled in by
+	// every scan below it is local and undelayed, else 0; filled in by
 	// RankSources, read by start order (startorder.go).
 	SourceRows int
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -28,7 +29,7 @@ func rootRefsTable(n int, payload func(i int) types.Value, kind types.Kind) (*ty
 // TestRootRowRefDifferential: a root Project of plain column references over
 // a source-selecting scan leaves as row-id batches, and must then return the
 // rows and keep the accounting of the Project it stands in for — the Project
-// being forced back by one computed column or by a paced scan (rootScan
+// being forced back by one computed column or by a delayed scan (rootScan
 // keeps a modeled scan off the row-id root; it still selects at the source,
 // so its stats rows are the same) — over a
 // table whose every column has a vector, one with
@@ -81,8 +82,8 @@ func TestRootRowRefDifferential(t *testing.T) {
 		for _, filtered := range []bool{true, false} {
 			sch, rows := rootRefsTable(n, tb.payload, tb.kind)
 			// plan projects (v, k, p): a permutation, so Cols is exercised.
-			plan := func(computed bool, pace int64) Op {
-				var child Op = &Scan{Name: "t", Rows: rows, Sch: sch, BytesPerSec: pace,
+			plan := func(computed bool, delay *DelayConfig) Op {
+				var child Op = &Scan{Name: "t", Rows: rows, Sch: sch, Delay: delay,
 					Vecs: &catalog.Table{Name: "t", Schema: sch, Rows: rows}}
 				if filtered {
 					child = &Filter{Name: "t", Child: child, Pred: &expr.Binary{Op: expr.OpLt,
@@ -100,7 +101,7 @@ func TestRootRowRefDifferential(t *testing.T) {
 				return &Project{Name: "q", Child: child, Exprs: exprs, Sch: types.NewSchema(cols...)}
 			}
 			label := fmt.Sprintf("%s filtered=%v", name, filtered)
-			got, rowIDs, reg := run(plan(false, 0))
+			got, rowIDs, reg := run(plan(false, nil))
 			if !rowIDs {
 				t.Fatalf("%s: the root emitted no row-id batch", label)
 			}
@@ -111,8 +112,8 @@ func TestRootRowRefDifferential(t *testing.T) {
 				name string
 				root Op
 			}{
-				{"computed column", plan(true, 0)},
-				{"paced scan", plan(false, 1<<40)},
+				{"computed column", plan(true, nil)},
+				{"delayed scan", plan(false, &DelayConfig{EveryN: 4096, Pause: time.Millisecond})},
 			} {
 				want, viaIDs, wantReg := run(forced.root)
 				if viaIDs {

@@ -104,7 +104,7 @@ func findOp(reg *stats.Registry, name string) *stats.OpStats {
 // behind a Filter, once routable and once forced onto the router path, with
 // a filter over k published mid-scan (from the point's OnStore hook, so the
 // scan is provably still running), for both summary kinds, P ∈ {1, 2}, a
-// single- and a two-column key, and an unmodeled and a paced, delayed scan
+// single- and a two-column key, and an unmodeled and a delayed scan
 // (modelSource). The rows must be equal; the routed run must
 // say it routed, count every row past the predicate exactly once (received,
 // and pruned or got in), hand its consumer exactly what it emitted, and —
@@ -463,7 +463,7 @@ func (p *soPlan) context(root Op, ctl Controller) *Context {
 // startOrderPlan joins a big scan (keys i%1000, nBig rows) with a small one
 // (keys 0, 97, 194, …, nSmall rows). hold, when non-nil, keeps the small side
 // from streaming until it returns true of the big input's point. The small
-// scan is returned unranked, so a leg can still pace it.
+// scan is returned unranked, so a leg can still delay it.
 func startOrderPlan(nSmall, nBig int, hold func(big *Point) bool) (*soPlan, *HashJoin, *Scan) {
 	p := &soPlan{}
 	big, bigPt := p.scan("big", nBig, 1)
@@ -505,7 +505,7 @@ func runTimed(t *testing.T, ctx *Context, root Op, limit time.Duration) ([]types
 // completes first, so the big side stores nothing, and the filters exist
 // before the big scan's first row, which makes what it emits a function of
 // the data, not of the race. It does not wait at a smaller gap, for a sibling
-// whose own sources are as big, or for an unranked (paced) sibling; a
+// whose own sources are as big, or for an unranked (delayed) sibling; a
 // cancellation ends the wait at once and leaks nothing; a small source
 // abandoned under PartialOnSourceError still completes its input; and a scan
 // honours a filter wait and a sibling wait together.
@@ -594,24 +594,24 @@ func TestStartOrder(t *testing.T) {
 		t.Fatalf("Q17 shape: the inner big scan waited for %v, want its 10-row sibling", w)
 	}
 
-	// A paced sibling is unranked (SourceRows 0) and never waited on, under
+	// A delayed sibling is unranked (SourceRows 0) and never waited on, under
 	// either strategy: the big scan starts before the sibling is done (held as
 	// above).
 	for _, ctl := range []bool{false, true} {
 		p, j, small := startOrderPlan(10, 10_000, (*Point).Done)
-		small.BytesPerSec = 1 << 30
+		small.Delay = &DelayConfig{Initial: time.Millisecond}
 		var c Controller
 		if ctl {
 			c = publish(j)
 		}
 		ctx := p.context(j, c)
 		if n := j.RPoint.SourceRows; n != 0 {
-			t.Fatalf("paced sibling ranked %d", n)
+			t.Fatalf("delayed sibling ranked %d", n)
 		}
 		if _, err := runTimed(t, ctx, j, 5*time.Second); err != nil {
 			t.Fatal(err)
 		}
-		waited(fmt.Sprintf("paced sibling, controller=%v", ctl), ctx)
+		waited(fmt.Sprintf("delayed sibling, controller=%v", ctl), ctx)
 	}
 
 	// Cancelled while waiting on its sibling under Baseline (the sibling never

@@ -49,8 +49,8 @@ const scanChunkRows = 1024
 // column vectors, anything else through the row kernels), probes the
 // FilterBank of the operator input it feeds (Point), and emits only the
 // surviving rows, compacted into dense batches — a chunk with no survivor
-// sends nothing. A paced, delayed or fault-injected scan runs the same loop
-// over the reads of its source model (sourceModel) instead of whole chunks.
+// sends nothing. The chunks are the reads of the scan's source model
+// (sourceModel), which a delayed or fault-injected scan cuts shorter.
 type Scan struct {
 	Name  string
 	Rows  []types.Tuple
@@ -63,12 +63,6 @@ type Scan struct {
 	Table string
 	// Site is the executing node, keying the per-site circuit breaker.
 	Site int
-
-	// BytesPerSec paces the scan like a disk or source stream (the paper's
-	// non-delayed experiments "streamed data directly from disk"): large
-	// relations finish proportionally later than small ones, which is what
-	// staggers subexpression completion times. Zero means unpaced.
-	BytesPerSec int64
 
 	// Vecs is the typed-vector view of the table Rows belongs to (row i of
 	// every vector is Rows[i]); nil for synthetic scans, which select with
@@ -97,10 +91,10 @@ type TableVectors interface {
 // Schema returns the scan's output schema.
 func (s *Scan) Schema() *types.Schema { return s.Sch }
 
-// modeled reports whether the scan models its source (a Delay or a
-// BytesPerSec): its timing is the model's, so start order neither ranks it
-// (RankSources) nor lets it take the row-id root (Project.rootScan).
-func (s *Scan) modeled() bool { return s.Delay != nil || s.BytesPerSec > 0 }
+// modeled reports whether the scan models its source (a Delay): its timing
+// is the model's, so start order neither ranks it (RankSources) nor lets it
+// take the row-id root (Project.rootScan).
+func (s *Scan) modeled() bool { return s.Delay != nil }
 
 // scanWorker is one goroutine's state for the chunk kernel: the residual
 // predicate (a Compiled carries scratch) and the lane scratch.
@@ -296,8 +290,7 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 // rt.done in place of closing a channel, or — src non-nil — the refs kernel
 // feeding the root's channel row-id batches over src. Survivors carry over
 // from chunk to chunk, so a heavily pruned scan still sends full batches (or
-// scatters). A modeled scan steps through its source model's reads
-// (sourceModel.run) instead of whole chunks.
+// scatters). The chunks are the source model's reads (sourceModel.run).
 func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSource) <-chan Batch {
 	op := ctx.Stats.NewOp("scan:" + s.Name)
 	var proj *stats.OpStats
@@ -353,23 +346,18 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		default:
 			batch = GetBatch()
 		}
-		if s.modeled() {
-			if !s.newSourceModel(ctx, op, partialMode).run(step, rt, &batch, emit) {
-				return
-			}
-		} else {
-			for lo := 0; lo < len(s.Rows); lo += scanChunkRows {
-				// A pruned chunk sends nothing, so cancellation — and a sibling
-				// stream of the same table having been abandoned, which ends the
-				// input early but whole — is checked here, not only at the send.
-				if ctx.Err() != nil || partialMode && ctx.SourceAbandoned(s.Table) {
-					PutBatch(batch)
-					return
-				}
-				if !step(lo, min(lo+scanChunkRows, len(s.Rows))) {
-					return
-				}
-			}
+		// The fault injector and the retry driver derive from the scan's
+		// name, so (plan, seed) reproduces the same failure sequence.
+		m := sourceModel{ctx: ctx, s: s, partial: partialMode}
+		if s.Delay != nil {
+			m.d = *s.Delay
+		}
+		if m.d.Fault.Active() {
+			m.inj = m.d.Fault.Injector("scan:" + s.Name)
+			m.ret = newRetrier(ctx, op, s.Site, "scan:"+s.Name)
+		}
+		if !m.run(step, rt, &batch, emit) {
+			return
 		}
 		if rt != nil {
 			rt.flush(ctx, 0)
@@ -382,39 +370,20 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 	return out
 }
 
-// sourceModel is a modeled scan's source for one run: the §VI-B delay model
-// and BytesPerSec pacing. The scan reads BatchSize rows at a time, cut at the
-// next EveryN or BurstEveryN boundary; per read it checks for cancellation
-// and an abandoned sibling stream (partial mode), draws one injected fault,
-// runs the kernel,
-// charges the rows' Tuple.MemSize to the pacing deadline and takes the pause
-// a boundary calls for. Before any wait it hands on what it carries, so rows
-// read before a pause reach the consumer before it.
+// sourceModel is a scan's source for one run: the §VI-B delay model, zero
+// for an undelayed scan, which never waits. The scan reads scanChunkRows rows
+// at a time, cut at the next EveryN or BurstEveryN boundary; per read it
+// checks for cancellation and an abandoned sibling stream (partial mode),
+// draws one injected fault, runs the kernel and takes the pause a boundary
+// calls for. Before any wait it hands on what it carries, so rows read
+// before a pause reach the consumer before it.
 type sourceModel struct {
 	ctx     *Context
 	s       *Scan
 	d       DelayConfig            // *s.Delay, or zero
 	inj     *network.FaultInjector // with ret, only under an active fault profile
 	ret     *retrier
-	partial bool      // PartialOnSourceError over a named table
-	bytes   int64     // Σ Tuple.MemSize of the rows read
-	start   time.Time // pacing's time zero: the end of the initial delay
-}
-
-// newSourceModel returns a modeled scan's source model. The fault injector
-// and the retry driver derive from the scan's name, so (plan, seed)
-// reproduces the same failure sequence.
-func (s *Scan) newSourceModel(ctx *Context, op *stats.OpStats, partial bool) *sourceModel {
-	m := &sourceModel{ctx: ctx, s: s, partial: partial}
-	if s.Delay != nil {
-		m.d = *s.Delay
-	}
-	m.start = time.Now().Add(m.d.Initial) // pacing runs from the first read
-	if m.d.Fault.Active() {
-		m.inj = m.d.Fault.Injector("scan:" + s.Name)
-		m.ret = newRetrier(ctx, op, s.Site, "scan:"+s.Name)
-	}
-	return m
+	partial bool // PartialOnSourceError over a named table
 }
 
 // run runs step over every read of the table; false when the scan must stop.
@@ -443,19 +412,20 @@ func (m *sourceModel) run(step func(lo, hi int) bool, rt *inputRoute, batch *Bat
 		return false
 	}
 	for lo, end := 0, 0; lo < len(m.s.Rows); lo = end {
-		// Cancellation, or a sibling stream of the same table abandoned,
-		// ends the scan before the next read's fault draw and pause.
+		// A pruned read sends nothing, so cancellation — and a sibling
+		// stream of the same table having been abandoned, which ends the
+		// input early but whole — is checked here, not only at the send.
 		if m.ctx.Err() != nil || m.partial && m.ctx.SourceAbandoned(m.s.Table) {
 			PutBatch(*batch)
 			return false
 		}
-		end = min(lo+BatchSize, len(m.s.Rows))
+		end = min(lo+scanChunkRows, len(m.s.Rows))
 		for _, every := range [...]int{m.d.EveryN, m.d.BurstEveryN} {
 			if every > 0 {
 				end = min(end, (lo/every+1)*every)
 			}
 		}
-		if m.ret != nil && !m.draw(handOn) || !step(lo, end) || !m.pace(lo, end, handOn) {
+		if m.ret != nil && !m.draw(handOn) || !step(lo, end) {
 			return false
 		}
 		// EveryN's pause wins where both boundaries fall.
@@ -491,36 +461,21 @@ func (m *sourceModel) draw(handOn func() bool) bool {
 	return err == nil
 }
 
-// pace charges rows [lo, hi) to the cumulative pacing deadline and waits out
-// a debt past 2 ms, which keeps the rate accurate despite coarse timers.
-func (m *sourceModel) pace(lo, hi int, handOn func() bool) bool {
-	if m.s.BytesPerSec <= 0 {
+// wait hands on what the scan carries, then sleeps d > 0; false when the
+// query was cancelled first. A zero wait does nothing.
+func (m *sourceModel) wait(d time.Duration, handOn func() bool) bool {
+	if d <= 0 {
 		return true
 	}
-	for _, t := range m.s.Rows[lo:hi] {
-		m.bytes += int64(t.MemSize())
-	}
-	target := time.Duration(float64(m.bytes) / float64(m.s.BytesPerSec) * float64(time.Second))
-	if debt := target - time.Since(m.start); debt > 2*time.Millisecond {
-		return m.wait(debt, handOn)
-	}
-	return true
-}
-
-// wait hands on what the scan carries, then sleeps d; false when the query
-// was cancelled first.
-func (m *sourceModel) wait(d time.Duration, handOn func() bool) bool {
 	if !handOn() {
 		return false
 	}
-	if d > 0 {
-		select {
-		case <-time.After(d):
-		case <-m.ctx.Cancelled():
-			return false
-		}
+	select {
+	case <-time.After(d):
+		return true
+	case <-m.ctx.Cancelled():
+		return false
 	}
-	return true
 }
 
 // Filter applies a predicate by narrowing each batch's selection vector:
@@ -606,8 +561,8 @@ func (p *Project) Schema() *types.Schema { return p.Sch }
 // that selects at the source (the Filter.sourceScan test) of a vector-backed
 // table, that scan, the predicate it absorbs, and the projection as the source
 // of the row-id batches it emits in p's stead when p is the root (StartPlan).
-// A modeled scan keeps the Project: the session flushes row-id frames only
-// when full, so a paced row-id stream would sit in its writer.
+// A delayed scan keeps the Project: the session flushes row-id frames only
+// when full, so a delayed row-id stream would sit in its writer.
 func (p *Project) rootScan() (*Scan, expr.Expr, *RootSource) {
 	sc, pred := scanUnder(p.Child)
 	if sc == nil || sc.modeled() || sc.Site != 0 || sc.Point != nil || sc.Vecs == nil || len(sc.Rows) > math.MaxInt32 {

@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,14 +58,55 @@ func (f *sourceFixture) summary(exact bool) filter.Summary {
 	return filter.Blocked{F: bf}
 }
 
-// modelSource makes sc a modeled source: a 100 µs initial delay, a µs pause
+// modelSource makes sc a delayed source: a 100 µs initial delay, a µs pause
 // every 1000 rows and a longer one every 3000 (the 1000-row pause wins where
-// they meet; neither is a multiple of BatchSize, so reads are cut), paced at
-// 1 GiB/s.
+// they meet; neither is a multiple of scanChunkRows, so reads are cut).
 func modelSource(sc *Scan) {
 	sc.Delay = &DelayConfig{Initial: 100 * time.Microsecond, EveryN: 1000, Pause: 10 * time.Microsecond,
 		BurstEveryN: 3000, BurstPause: 50 * time.Microsecond}
-	sc.BytesPerSec = 1 << 30
+}
+
+// TestZeroDelayModel: an undelayed scan is a zero source model, so a scan
+// given a zero DelayConfig emits exactly the batches of one with none — the
+// same rows in the same batches, sizes included — with and without a pushed
+// predicate and column vectors.
+func TestZeroDelayModel(t *testing.T) {
+	f := newSourceFixture(10_000)
+	batches := func(delay *DelayConfig, filtered, vecs bool) []string {
+		_, l := f.plan(false, vecs)
+		l.Delay = delay
+		var root Op = l
+		if filtered {
+			root = &Filter{Name: "l", Child: l, Pred: &expr.Binary{Op: expr.OpLt,
+				L: &expr.ColRef{Idx: 1, Col: l.Sch.Cols[1]}, R: &expr.Const{V: types.Float(20)}}}
+		}
+		ctx := NewContext(stats.NewRegistry(), nil)
+		var out []string
+		for b := range root.Start(ctx) {
+			var sb strings.Builder
+			fmt.Fprintf(&sb, "%d:", b.Len())
+			for _, lane := range b.Live() {
+				sb.WriteString(b.Tuples[lane].String())
+			}
+			out = append(out, sb.String())
+			PutBatch(b)
+		}
+		ctx.Wait()
+		return out
+	}
+	for _, filtered := range []bool{false, true} {
+		for _, vecs := range []bool{false, true} {
+			label := fmt.Sprintf("filtered=%v vecs=%v", filtered, vecs)
+			want, got := batches(nil, filtered, vecs), batches(&DelayConfig{}, filtered, vecs)
+			if len(want) < 2 {
+				t.Fatalf("%s: %d batches — the test is vacuous", label, len(want))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: a zero DelayConfig emitted %d batches, want the unmodeled scan's %d, equal in rows and sizes",
+					label, len(got), len(want))
+			}
+		}
+	}
 }
 
 // plan builds Filter(l.v < 20)(Scan big) ⋈ Scan small. wired hands the big
@@ -96,7 +139,7 @@ func (f *sourceFixture) plan(wired, vecs bool) (*HashJoin, *Scan) {
 // the point's own OnStore hook, once the router has kept 1000 tuples, so
 // the scan is provably still running (a scan can lead its router by only a
 // few batches) — and checks, for both summary kinds, P ∈ {1,2}, with and
-// without column vectors (the row fallback), unmodeled and paced + delayed
+// without column vectors (the row fallback), unmodeled and delayed
 // (modelSource), that the rows equal the unwired plan's and that every row
 // is accounted exactly once: received is the rows that passed the
 // predicate, and pruned plus kept is the same.

@@ -39,7 +39,7 @@ const siblingWaitRatio = 4
 
 // RankSources fills in Point.SourceRows for every operator input under op —
 // the size of the largest source feeding it when every scan below is local
-// and unpaced, else 0 (a modeled source's duration is the model's; nothing
+// and undelayed, else 0 (a modeled source's duration is the model's; nothing
 // waits for it) — links the two inputs of every join as siblings, and returns
 // the same size for op itself. A source's size is what its scan is expected
 // to emit: the table's row count, cut to the optimizer's estimate for the

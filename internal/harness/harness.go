@@ -25,11 +25,6 @@ type Config struct {
 	Repetitions int
 	// FPR is the Bloom false-positive target (default 5%).
 	FPR float64
-	// SourceMBps paces scans like local source streams (default 1000 MB/s
-	// — fast enough that CPU dominates, as in the paper's "optimum data
-	// transfer conditions", while still staggering completion times by
-	// relation size; set negative for unpaced).
-	SourceMBps float64
 }
 
 func (c Config) withDefaults() Config {
@@ -38,9 +33,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Repetitions < 1 {
 		c.Repetitions = 1
-	}
-	if c.SourceMBps == 0 {
-		c.SourceMBps = 1000
 	}
 	return c
 }
@@ -119,9 +111,6 @@ func (r *Runner) RunCell(spec workload.Spec, strategyName string, delayed []stri
 		FPR:           r.cfg.FPR,
 		DelayedTables: delayed,
 		RemoteTables:  spec.Remote,
-	}
-	if r.cfg.SourceMBps > 0 {
-		opts.SourceBytesPerSec = int64(r.cfg.SourceMBps * 1e6)
 	}
 	sql := spec.SQL(eng.Catalog())
 

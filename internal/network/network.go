@@ -23,9 +23,6 @@ type Link struct {
 	BytesPerSec int64
 	// Latency is the fixed per-message delay.
 	Latency time.Duration
-	// Scale divides all sleep times, letting experiments compress
-	// wall-clock time uniformly; 0 or 1 means real time.
-	Scale float64
 	// Faults, when non-nil, injects per-message failures (drop, stall,
 	// transient error, mid-message cut) drawn deterministically from the
 	// profile's seed. A nil profile is a reliable link.
@@ -45,9 +42,6 @@ func (l *Link) TransferTime(n int) time.Duration {
 	d := l.Latency
 	if l.BytesPerSec > 0 {
 		d += time.Duration(float64(n) / float64(l.BytesPerSec) * float64(time.Second))
-	}
-	if l.Scale > 0 && l.Scale != 1 {
-		d = time.Duration(float64(d) / l.Scale)
 	}
 	return d
 }

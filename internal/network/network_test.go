@@ -18,11 +18,6 @@ func TestTransferTime(t *testing.T) {
 	if got := fast.TransferTime(1 << 30); got != 5*time.Millisecond {
 		t.Fatalf("latency-only TransferTime = %v", got)
 	}
-	// Scale compresses time.
-	scaled := &Link{BytesPerSec: 1000, Scale: 10}
-	if got := scaled.TransferTime(1000); got != 100*time.Millisecond {
-		t.Fatalf("scaled TransferTime = %v", got)
-	}
 }
 
 func TestTransferBlocksAndAccounts(t *testing.T) {

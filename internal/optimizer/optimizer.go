@@ -50,9 +50,6 @@ type Config struct {
 	Topology *network.Topology
 	// Delay is applied to relations tagged Delayed in the block.
 	Delay *exec.DelayConfig
-	// ScanBytesPerSec paces every base-table scan like a disk stream;
-	// zero means unpaced.
-	ScanBytesPerSec int64
 }
 
 // Result is a physical plan plus the AIP metadata the runtime consumes.
@@ -290,14 +287,13 @@ func (o *builder) buildRel(b *plan.Block, ri int, rel *plan.Rel, used []bool, na
 			delay = o.cfg.Delay
 		}
 		comp.scan = &exec.Scan{
-			Name:        name,
-			Rows:        rel.Table.Rows,
-			Sch:         rel.Schema,
-			Delay:       delay,
-			Table:       rel.Table.Name,
-			Site:        rel.Site,
-			BytesPerSec: o.cfg.ScanBytesPerSec,
-			Vecs:        rel.Table,
+			Name:  name,
+			Rows:  rel.Table.Rows,
+			Sch:   rel.Schema,
+			Delay: delay,
+			Table: rel.Table.Name,
+			Site:  rel.Site,
+			Vecs:  rel.Table,
 		}
 		comp.op = comp.scan
 		comp.tables = []string{rel.Table.Name}

@@ -198,7 +198,7 @@ var instCases = []struct {
 	{&exec.Scan{}, func(a, b exec.Op) bool {
 		x, y := a.(*exec.Scan), b.(*exec.Scan)
 		return x.Name == y.Name && x.Table == y.Table && x.Sch == y.Sch && len(x.Rows) == len(y.Rows) &&
-			x.Vecs == y.Vecs && x.Site == y.Site && x.BytesPerSec == y.BytesPerSec && (x.Point == nil) == (y.Point == nil)
+			x.Vecs == y.Vecs && x.Site == y.Site && x.Delay == y.Delay && (x.Point == nil) == (y.Point == nil)
 	}},
 	{&exec.Filter{}, func(a, b exec.Op) bool {
 		x, y := a.(*exec.Filter), b.(*exec.Filter)

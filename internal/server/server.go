@@ -93,7 +93,7 @@ type Config struct {
 	Engine *sip.Engine
 
 	// BaseOptions seeds every session's execution options (strategy,
-	// placement, pacing). The session's Hello options (memory budget,
+	// placement, delays). The session's Hello options (memory budget,
 	// failure mode) overlay it.
 	BaseOptions sip.Options
 

@@ -24,6 +24,13 @@ var (
 	testCat *sip.Catalog
 )
 
+// slowLineitem delays every lineitem scan by a pause every 1000 rows (the
+// §VI-B model's shape), so a lineitem query over catalog() streams for ≈ 30
+// pauses.
+func slowLineitem(pause time.Duration) sip.Options {
+	return sip.Options{DelayedTables: []string{"lineitem"}, Delay: &sip.DelayConfig{EveryN: 1000, Pause: pause}}
+}
+
 func catalog() *sip.Catalog {
 	catOnce.Do(func() {
 		testCat = sip.GenerateTPCH(sip.DataConfig{ScaleFactor: 0.005})
@@ -286,9 +293,9 @@ func TestTenantQuotaFairness(t *testing.T) {
 		Engine: eng,
 		// Greedy is capped at 1 concurrent query; the victim is unlimited.
 		Quotas: map[string]int{"greedy": 1},
-		// Pace scans so the greedy lineitem scan holds its slot for the
-		// whole test (lineitem at SF 0.005 is ~1 MB: minutes at 20 KB/s).
-		BaseOptions: sip.Options{SourceBytesPerSec: 20_000},
+		// Delay lineitem so the greedy scan holds its slot for the whole
+		// test (≈ 30 pauses of 1 s; Close cancels it mid-pause).
+		BaseOptions: slowLineitem(time.Second),
 	})
 
 	// Three greedy connections all start long scans. Without the quota,
@@ -356,7 +363,7 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	})
 	_, addr := startServer(t, Config{
 		Engine:      eng,
-		BaseOptions: sip.Options{SourceBytesPerSec: 20_000},
+		BaseOptions: slowLineitem(time.Second),
 	})
 	base := runtime.NumGoroutine()
 
@@ -471,7 +478,9 @@ func TestStalledClientBackpressure(t *testing.T) {
 // are refused.
 func TestGracefulShutdownDrains(t *testing.T) {
 	eng := sip.NewEngine(catalog())
-	srv, err := New(Config{Engine: eng, BaseOptions: sip.Options{SourceBytesPerSec: 500_000}})
+	// ≈ 30 pauses of 20 ms: the stream runs ≈ 0.6 s, long past the start
+	// of Shutdown.
+	srv, err := New(Config{Engine: eng, BaseOptions: slowLineitem(20 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,6 +521,16 @@ func TestGracefulShutdownDrains(t *testing.T) {
 			t.Fatal("new connections still accepted while draining")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+
+	// The drain waits for the in-flight stream, which is still running.
+	select {
+	case err := <-shutdownDone:
+		t.Fatalf("shutdown returned (%v) before the in-flight stream ended", err)
+	default:
+	}
+	if n := eng.RunningQueries(); n != 1 {
+		t.Fatalf("%d queries running once draining began, want the in-flight one", n)
 	}
 
 	// The in-flight stream survives the drain to completion.

@@ -348,7 +348,7 @@ func (sess *session) runQuery(sql string, stmt *sip.Stmt, args []sip.Value) bool
 // (23 × 11 × 256 < 64 KiB) always cut before frameRows (TestFrameByteCut). A
 // row-id batch is one frame when every column it carries has a vector
 // (≤ 1 024 rows of ≤ 8 B values); one with a string, NULL-holding or mixed
-// column is cut by the same bound. Do not raise frameRows: a paced source's
+// column is cut by the same bound. Do not raise frameRows: a delayed source's
 // first frame waits for that many.
 const frameRows, frameBytes = 256, 64 << 10
 
@@ -388,7 +388,7 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 	// schema, rows, and summary in one conn.Write instead of three — on a
 	// loopback serving workload the per-query syscalls are a measurable
 	// share of the round trip. Mid-stream tuple batches still flush eagerly
-	// so a paced result streams at batch granularity.
+	// so a delayed result streams at batch granularity.
 	buf := appendSchema(sess.scratch[:0], rows.Schema())
 	if writeFrame(sess.bw, frameSchema, buf) != nil {
 		sess.countOutcome(errCodeCanceled)
@@ -449,8 +449,8 @@ func (sess *session) streamRows(rows *sip.Rows) bool {
 				clear(pend)
 				pend = pend[:0]
 				// Not flushed: a row-id stream comes only from an unmodeled
-				// local scan (Project.rootScan keeps paced and delayed scans
-				// off the row-id root), the writer flushes itself as it
+				// local scan (Project.rootScan keeps delayed scans off the
+				// row-id root), the writer flushes itself as it
 				// fills, and the last frame rides with Done.
 				ok = ship(n, false)
 				sel = sel[n:]

@@ -12,8 +12,8 @@ package sip
 //   - the streaming cursor returns what the blocking drain does;
 //   - a MemBudget of a quarter of the unbounded peak returns the same rows or
 //     a typed *BudgetError, never a different answer;
-//   - modeled sources — a drawn subset of the tables delayed, every scan
-//     paced, on a coin flip seeded transient faults the retries absorb —
+//   - modeled sources — a drawn subset of the tables delayed, the rest
+//     unmodeled, on a coin flip seeded transient faults the retries absorb —
 //     return the reference rows (oraCase.modeled);
 //   - under Feed-forward, a wired scan that started after every filter it can
 //     receive was published (start order) has pruned at the source: its
@@ -161,12 +161,12 @@ func TestGeneratedQueryOracle(t *testing.T) {
 	for _, seed := range seeds {
 		oraRunSeed(t, seed, spill, &reach)
 	}
-	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d; bitmap-filtered inputs compared with hash sets: %d; bitmaps replayed through the tuple probe: %d; router-fed join and DISTINCT inputs keyed as words: %d, as bytes: %d",
-		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes)
+	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d; bitmap-filtered inputs compared with hash sets: %d; bitmaps replayed through the tuple probe: %d; router-fed join and DISTINCT inputs keyed as words: %d, as bytes: %d; modeled runs mixing delayed and unmodeled tables: %d",
+		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes, reach.mixed)
 	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0 || reach.waited == 0 ||
-		reach.direct == 0 || reach.reinstalled == 0 || reach.bitmaps == 0 || reach.replayed == 0 || reach.words == 0 || reach.bytes == 0) {
-		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d, bitmap inputs compared: %d, bitmaps replayed: %d, router inputs keyed as words: %d, as bytes: %d; the sweep must reach all ten",
-			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes)
+		reach.direct == 0 || reach.reinstalled == 0 || reach.bitmaps == 0 || reach.replayed == 0 || reach.words == 0 || reach.bytes == 0 || reach.mixed == 0) {
+		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d, bitmap inputs compared: %d, bitmaps replayed: %d, router inputs keyed as words: %d, as bytes: %d, mixed modeled runs: %d; the sweep must reach all eleven",
+			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes, reach.mixed)
 	}
 }
 
@@ -179,10 +179,11 @@ func TestGeneratedQueryOracle(t *testing.T) {
 // again after an eviction dropped it, inputs whose bitmap filters were
 // compared with the hash-set run (bitmapExact), bitmaps replayed over
 // their scan's rows through the tuple probe (bitmapReplay), and join and
-// DISTINCT inputs a router fed whose batches keyed as integer words, and
-// those where a batch fell back to canonical bytes.
+// DISTINCT inputs a router fed whose batches keyed as integer words, those
+// where a batch fell back to canonical bytes, and modeled runs that delayed
+// some of their tables and left others unmodeled.
 type oraReach struct {
-	routed, router, narrowed, waited, direct, reinstalled, bitmaps, replayed, words, bytes int
+	routed, router, narrowed, waited, direct, reinstalled, bitmaps, replayed, words, bytes, mixed int
 }
 
 // oraRunSeed generates one catalog and checks oraQueriesPerSeed queries over
@@ -1655,11 +1656,13 @@ func (c *oraCase) check(rng *rand.Rand) {
 }
 
 // modeled runs the case once on modeled sources: a drawn subset of its tables
-// delayed — µs pauses every 1 to 300 rows, bursts, an initial delay — every
-// scan paced at a high drawn rate, and on a coin flip a seeded transient
-// fault profile on the delayed scans with retries enough to absorb it. The
-// source model decides when rows arrive, never which. It draws from a stream
-// of the case's own, so the cases after it stay what they were.
+// delayed — µs pauses every 1 to 300 rows, bursts, an initial delay — and on
+// a coin flip a seeded transient fault profile on the delayed scans with
+// retries enough to absorb it. The other tables run unmodeled, so one query
+// can mix delayed scans with start-ordered, row-id-root ones; such runs are
+// counted. The source model decides when rows arrive, never which. It draws
+// from a stream of the case's own, so the cases after it stay what they
+// were.
 func (c *oraCase) modeled() {
 	c.env.t.Helper()
 	rng := rand.New(rand.NewSource(c.seed*1009 + int64(c.idx)))
@@ -1675,11 +1678,13 @@ func (c *oraCase) modeled() {
 		d.BurstEveryN, d.BurstPause = 100+rng.Intn(1900), us(100)
 	}
 	opts := Options{
-		Strategy:          AllStrategies()[rng.Intn(4)],
-		Parallelism:       []int{1, 4}[rng.Intn(2)],
-		DelayedTables:     delayed,
-		Delay:             d,
-		SourceBytesPerSec: 512<<20 + rng.Int63n(4<<30),
+		Strategy:      AllStrategies()[rng.Intn(4)],
+		Parallelism:   []int{1, 4}[rng.Intn(2)],
+		DelayedTables: delayed,
+		Delay:         d,
+	}
+	if len(delayed) > 0 && len(delayed) < len(c.tables) {
+		c.env.reach.mixed++
 	}
 	faults := ""
 	if rng.Intn(2) == 0 {
@@ -1688,8 +1693,8 @@ func (c *oraCase) modeled() {
 			MaxBackoff: time.Microsecond, Jitter: -1, BreakerFailures: -1}
 		faults = fmt.Sprintf(" faults=%+v", *opts.Faults)
 	}
-	label := fmt.Sprintf("%s/P=%d/modeled delayed=%v delay=%+v bps=%d%s",
-		opts.Strategy, opts.Parallelism, delayed, *d, opts.SourceBytesPerSec, faults)
+	label := fmt.Sprintf("%s/P=%d/modeled delayed=%v delay=%+v%s",
+		opts.Strategy, opts.Parallelism, delayed, *d, faults)
 	c.same(label, c.run(label, opts, false), c.want)
 }
 

@@ -250,11 +250,6 @@ type Options struct {
 	// Cost overrides the Cost-Based manager's model constants.
 	Cost *core.CostParams
 
-	// SourceBytesPerSec paces every base-table scan like a disk or source
-	// stream, staggering subexpression completion the way the paper's
-	// disk-streamed experiments did. Zero leaves scans unpaced.
-	SourceBytesPerSec int64
-
 	// Faults injects deterministic failures into the unreliable parts of
 	// the query: the default topology's links (when Topology is nil) and
 	// the scans of DelayedTables (unless Delay.Fault is already set). An

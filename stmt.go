@@ -56,11 +56,7 @@ func (e *Engine) buildPlan(sql string, opts Options) (*enginePlan, error) {
 	if len(opts.RemoteTables) > 0 {
 		topo = opts.topology()
 	}
-	built, err := optimizer.Build(optimizer.Config{
-		Topology:        topo,
-		Delay:           opts.delay(),
-		ScanBytesPerSec: opts.SourceBytesPerSec,
-	}, blk)
+	built, err := optimizer.Build(optimizer.Config{Topology: topo, Delay: opts.delay()}, blk)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +94,7 @@ func (e *Engine) plan(sql string, opts Options) (*enginePlan, error) {
 }
 
 // planKey fingerprints the option fields that change the compiled plan
-// (placement, rewrite, pacing); the runtime-only knobs (FPR, summary kind,
+// (placement, rewrite); the runtime-only knobs (FPR, summary kind,
 // parallelism, cost-model constants, memory budget) are deliberately excluded
 // so they share one cached plan. The catalog version is part of the key: a
 // compiled plan snapshots table row slices and statistics at build time, so
@@ -141,8 +137,6 @@ func planKey(sql string, opts Options, catVersion int64) string {
 		// reach the cache; see plan).
 		fmt.Fprintf(&sb, "@%p", opts.Topology)
 	}
-	sb.WriteByte(0)
-	fmt.Fprintf(&sb, "%d", opts.SourceBytesPerSec)
 	sb.WriteByte(0)
 	fmt.Fprintf(&sb, "cat%d", catVersion)
 	return sb.String()
@@ -219,7 +213,7 @@ func (e *Engine) Prepare(ctx context.Context, sql string) (*Stmt, error) {
 }
 
 // PrepareWithOptions compiles sql once under the given options. The
-// plan-shaping options (Strategy, placement, pacing) are fixed at prepare
+// plan-shaping options (Strategy, placement) are fixed at prepare
 // time; runtime options (FPR, Summary, Parallelism, Cost, MemBudget)
 // are re-read from the captured Options at every execution.
 //

@@ -14,10 +14,11 @@ import (
 	"time"
 )
 
-// slowOpts paces every scan to ~100 KB/s so a lineitem-sized query runs
-// for tens of seconds — long enough to cancel mid-flight deterministically.
+// slowOpts delays lineitem by a 1 s pause every 1000 rows, so a
+// lineitem-sized query runs for tens of seconds — long enough to cancel
+// mid-flight deterministically — after its first 1000 rows arrive at once.
 func slowOpts() Options {
-	return Options{SourceBytesPerSec: 100_000}
+	return Options{DelayedTables: []string{"lineitem"}, Delay: &DelayConfig{EveryN: 1000, Pause: time.Second}}
 }
 
 const bigScanSQL = `SELECT l_orderkey, l_extendedprice FROM lineitem`
@@ -452,13 +453,13 @@ func equalStrings(a, b []string) bool {
 }
 
 // rowRefSQL's root is a plain column projection of a filtered lineitem scan,
-// so (unpaced) the root delivers row-id batches: ≈ 14 of them at this scale,
+// so (undelayed) the root delivers row-id batches: ≈ 14 of them at this scale,
 // against a root edge four deep, so a cursor that stops reading holds the
 // scan mid-stream.
 const rowRefSQL = `SELECT l_orderkey, l_receiptdate, l_extendedprice FROM lineitem WHERE l_quantity < 24.5`
 
 // TestRowIDRootCursor: over a row-id root, Query (Collect) ≡ QueryStream ≡
-// the Project path (a paced scan, which rootScan keeps off the row-id root);
+// the Project path (a delayed scan, which rootScan keeps off the row-id root);
 // a Row kept across
 // Next and Close keeps its values; and a cancel or an early Close mid-stream
 // leaves no goroutine and no governor byte behind.
@@ -481,12 +482,13 @@ func TestRowIDRootCursor(t *testing.T) {
 	if len(want) < 4*1024 {
 		t.Fatalf("only %d rows: the stream would not outlast the root edge", len(want))
 	}
-	paced, err := e.Query(ctx, rowRefSQL, Options{SourceBytesPerSec: 1 << 40})
+	delayed, err := e.Query(ctx, rowRefSQL, Options{DelayedTables: []string{"lineitem"},
+		Delay: &DelayConfig{EveryN: 4096, Pause: time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := canon(paced.Rows); !equalStrings(got, want) {
-		t.Fatal("the Project path (a paced scan) returned other rows than the row-id root")
+	if got := canon(delayed.Rows); !equalStrings(got, want) {
+		t.Fatal("the Project path (a delayed scan) returned other rows than the row-id root")
 	}
 
 	base := runtime.NumGoroutine()
