@@ -42,12 +42,15 @@ test:
 # and from tuples, and validated + boxed, in ns a value); and the AIP probe
 # site (BenchmarkProbeSite{Scalar,Batch}: lineitem's l_partkey against Q17's
 # 16 part keys, as the class's Bloom filter and as its bitmap, from tuples and
-# from the column vector, and a router's whole route — probe, key, scatter —
-# over a bank of both, in ns a row); and planning (BenchmarkBuild: bind +
+# from the column vector — the bitmap lane by lane and, over a whole chunk, as
+# a run — and a router's whole route — probe, key, scatter — over a bank of
+# both, in ns a row); the scan's string predicates (BenchmarkScanSift: part's
+# p_brand = and p_name LIKE at SF 0.05 on the typed kernel over dictionary
+# codes and on the row kernel, in ns a row); and planning (BenchmarkBuild: bind +
 # optimizer.Build of Q1A–Q5A, the join order's dynamic program included).
 bench-smoke:
 	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkJoin|BenchmarkHashAggFold' -benchmem -benchtime 1x
-	$(GO) test ./internal/exec -run '^$$' -bench BenchmarkProbeSite -benchmem -benchtime 1x
+	$(GO) test ./internal/exec -run '^$$' -bench 'BenchmarkProbeSite|BenchmarkScanSift' -benchmem -benchtime 1x
 	$(GO) test ./internal/server -run '^$$' -bench BenchmarkClient -benchmem -benchtime 1x
 	$(GO) test . -run '^$$' -bench BenchmarkPointQuery -benchmem -benchtime 1x
 	$(GO) test ./internal/expr -run '^$$' -bench BenchmarkSiftVec -benchtime 2000x

@@ -26,14 +26,15 @@ type ForeignKey struct {
 //
 // Rows is the row store and the only authoritative copy of the data. The
 // numeric columns additionally have a typed-vector sidecar (IntVec,
-// FloatVec) that base-table scans select over, and the table a row-size
-// sidecar (RowBytes) for operators that buffer row ids. Each sidecar is built
-// from Rows on its first use, cached on the Table, and dies with it — replacing
-// a table through Catalog.Add therefore serves fresh sidecars, and a dropped
-// catalog pins nothing. Rows must be complete before the first query and
-// must not be mutated in place afterwards (that was already unsupported:
-// compiled plans snapshot the slice); a sidecar built earlier would go stale.
-// A Table must not be copied by value once used.
+// FloatVec) and the string columns dictionary codes (StrCodes) that
+// base-table scans select over, and the table a row-size sidecar (RowBytes)
+// for operators that buffer row ids. Each sidecar is built from Rows on its
+// first use, cached on the Table, and dies with it — replacing a table
+// through Catalog.Add therefore serves fresh sidecars, and a dropped catalog
+// pins nothing. Rows must be complete before the first query and must not be
+// mutated in place afterwards (that was already unsupported: compiled plans
+// snapshot the slice); a sidecar built earlier would go stale. A Table must
+// not be copied by value once used.
 type Table struct {
 	Name        string
 	Schema      *types.Schema
@@ -45,52 +46,55 @@ type Table struct {
 	// Populated by the generator; consulted by the cost modeler.
 	DistinctEst map[string]int64
 
-	vecMu sync.Mutex
-	vecs  map[int]*colVec
+	vecsOnce sync.Once
+	vecs     []colVec // one slot per column, sized once
 
 	sizeOnce sync.Once
 	rowFixed int32
 	rowSizes []int32
 }
 
-// colVec is one column's lazily built typed vector; at most one of ints and
-// floats is non-nil, and both are nil for a column that has no vector. lo and
-// hi bound ints.
+// colVec is one column's lazily built sidecar: at most one of ints, floats
+// and codes is non-nil, and all are nil for a column that has none. lo and hi
+// bound ints. codes[i] is row i's index into dict; code 0 is reserved for
+// NULL (dict[0] is a placeholder), so a kernel that decides codes can make
+// NULL fail every predicate.
 type colVec struct {
 	once   sync.Once
 	kind   types.Kind
 	ints   []int64
 	lo, hi int64
 	floats []float64
+	codes  []int32
+	dict   []string
 }
 
-// vec returns the column's vector, building it on first use. The mutex only
-// guards the map; the build runs under the column's own Once, so concurrent
-// first uses of one column build it once and different columns build in
-// parallel.
+// noVec is the sidecar of a column the table does not have.
+var noVec colVec
+
+// vec returns the column's sidecar, building it on first use. The slots are
+// allocated once per table, one per column of the first row, so a lookup is
+// an index; each column builds under its own Once, so concurrent first uses
+// of one column build it once and different columns build in parallel.
 func (t *Table) vec(col int) *colVec {
-	t.vecMu.Lock()
-	v := t.vecs[col]
-	if v == nil {
-		if t.vecs == nil {
-			t.vecs = make(map[int]*colVec)
+	t.vecsOnce.Do(func() {
+		if len(t.Rows) > 0 {
+			t.vecs = make([]colVec, len(t.Rows[0]))
 		}
-		v = &colVec{}
-		t.vecs[col] = v
+	})
+	if col < 0 || col >= len(t.vecs) {
+		return &noVec
 	}
-	t.vecMu.Unlock()
+	v := &t.vecs[col]
 	v.once.Do(func() { v.build(t.Rows, col) })
 	return v
 }
 
-// build fills the vector when every row holds the same integer-backed kind
-// (INT, DATE, BOOL), with its minimum and maximum from the same pass, or
-// every row holds a DECIMAL; a NULL, a string, or a second kind anywhere in
-// the column leaves it without a vector.
+// build fills the sidecar in one pass over the column: a vector when every
+// row holds the same integer-backed kind (INT, DATE, BOOL), with its minimum
+// and maximum, or every row a DECIMAL; dictionary codes when every row holds
+// a string or NULL. A second kind anywhere in the column leaves it without.
 func (v *colVec) build(rows []types.Tuple, col int) {
-	if len(rows) == 0 || col < 0 || col >= len(rows[0]) {
-		return
-	}
 	switch k := rows[0][col].K; k {
 	case types.KindInt, types.KindDate, types.KindBool:
 		ints := make([]int64, len(rows))
@@ -112,6 +116,24 @@ func (v *colVec) build(rows []types.Tuple, col int) {
 			floats[i] = r[col].F
 		}
 		v.kind, v.floats = k, floats
+	case types.KindString, types.KindNull:
+		codes, dict := make([]int32, len(rows)), []string{""}
+		ids := make(map[string]int32)
+		for i, r := range rows {
+			switch x := r[col]; x.K {
+			case types.KindString:
+				c, ok := ids[x.S]
+				if !ok {
+					c = int32(len(dict))
+					ids[x.S], dict = c, append(dict, x.S)
+				}
+				codes[i] = c
+			case types.KindNull: // code 0
+			default:
+				return
+			}
+		}
+		v.codes, v.dict = codes, dict
 	}
 }
 
@@ -132,6 +154,15 @@ func (t *Table) IntRange(col int) (lo, hi int64, ok bool) {
 
 // FloatVec is IntVec for an all-DECIMAL column.
 func (t *Table) FloatVec(col int) []float64 { return t.vec(col).floats }
+
+// StrCodes returns column col's dictionary codes when every row holds a
+// string or NULL (nil otherwise): codes[i] is row i's index into dict, 0 for
+// NULL, and dict's strings are distinct. Both slices are shared and
+// read-only.
+func (t *Table) StrCodes(col int) (codes []int32, dict []string) {
+	v := t.vec(col)
+	return v.codes, v.dict
+}
 
 // RowBytes reports Tuple.MemSize of every row without reading it: fixed > 0
 // when all rows share that size — a schema constant, for a schema with no

@@ -155,3 +155,75 @@ func TestIntRange(t *testing.T) {
 		t.Fatalf("replacement table serves [%d, %d] ok %v, want [0, 299]", lo, hi, ok)
 	}
 }
+
+// TestStrCodes: a column of strings and NULLs gets dictionary codes — each
+// distinct string one code, in order of first appearance, NULL code 0, a
+// leading NULL included — that decode back to the rows; a numeric column, a
+// NULL-holding INT column, a column mixing a string with an INT and a column
+// out of range get none; and one column's codes are built once, shared by
+// every caller, whichever accessor asked first.
+func TestStrCodes(t *testing.T) {
+	rows := make([]types.Tuple, 500)
+	for i := range rows {
+		s := types.Str([]string{"b", "a", "", "ab"}[i%4])
+		rows[i] = types.Tuple{s, s, types.Int(int64(i)), s}
+		if i%7 == 0 {
+			rows[i][1] = types.Null()
+		}
+	}
+	rows[0][1] = types.Null()
+	rows[250][3] = types.Int(1)
+	tbl := &Table{Name: "s", Rows: rows}
+	for _, col := range []int{0, 1} {
+		codes, dict := tbl.StrCodes(col)
+		if len(codes) != len(rows) || dict[0] != "" {
+			t.Fatalf("column %d: %d codes, dict %q", col, len(codes), dict)
+		}
+		seen := map[string]bool{}
+		for _, s := range dict[1:] {
+			if seen[s] {
+				t.Fatalf("column %d: %q has two codes in %q", col, s, dict)
+			}
+			seen[s] = true
+		}
+		for i, c := range codes {
+			if v := rows[i][col]; v.IsNull() != (c == 0) || !v.IsNull() && dict[c] != v.S {
+				t.Fatalf("column %d row %d: code %d (%q) for %v", col, i, c, dict[c], v)
+			}
+		}
+		if v, _ := tbl.IntVec(col); v != nil || tbl.FloatVec(col) != nil {
+			t.Fatalf("column %d: a string column has no numeric vector", col)
+		}
+	}
+	if _, dict := tbl.StrCodes(0); len(dict) != 5 || dict[1] != "b" || dict[2] != "a" {
+		t.Fatalf("codes follow first appearance: dict %q", dict)
+	}
+	for _, col := range []int{2, 3, 4, -1} {
+		if codes, _ := tbl.StrCodes(col); codes != nil {
+			t.Fatalf("column %d (INT / mixed / out of range) must have no codes", col)
+		}
+	}
+	if codes, _ := mixedTable(10).StrCodes(4); codes != nil {
+		t.Fatal("an INT column holding a NULL must have no codes")
+	}
+	var wg sync.WaitGroup
+	first := make([]*int32, 16)
+	fresh := &Table{Name: "s", Rows: rows}
+	for g := range first {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				fresh.IntVec(0)
+			}
+			codes, _ := fresh.StrCodes(0)
+			first[g] = &codes[0]
+		}()
+	}
+	wg.Wait()
+	for g, p := range first {
+		if p != first[0] {
+			t.Fatalf("goroutine %d got its own codes", g)
+		}
+	}
+}

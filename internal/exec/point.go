@@ -131,6 +131,8 @@ type ProbeScratch struct {
 	// dereferences a row.
 	vecs  expr.ColumnVectors
 	vecLo int
+
+	runs int // bitmap probes that read every lane as a run (Bitmap.ProbeRun)
 }
 
 // intVec returns the listed lanes' integers of column c, lane-indexed: the
@@ -209,8 +211,10 @@ func (sc *ProbeScratch) intKey(i int32) []byte {
 // is not integer-backed — the canonical bytes of every lane, as is a key of
 // several columns. keyCols is ignored: a caller that routes the survivors
 // keys them itself, after the filters (inputRoute), so no lane a filter
-// prunes is keyed for routing. The caller must check Len() > 0 first; with
-// no filters attached a probe would be a pointless copy.
+// prunes is keyed for routing. A bitmap that sees every lane of the batch
+// probes them as a run (Bitmap.ProbeRun), reading no selection. The caller
+// must check Len() > 0 first; with no filters attached a probe would be a
+// pointless copy.
 func (b *FilterBank) ProbeBatch(tuples []types.Tuple, keyCols []int, sel []int32, out []int32, sc *ProbeScratch) []int32 {
 	filters := *b.cur.Load()
 	if len(filters) == 0 {
@@ -227,7 +231,10 @@ func (b *FilterBank) ProbeBatch(tuples []types.Tuple, keyCols []int, sel []int32
 		if len(f.cols) == 1 {
 			vec = sc.intVec(tuples, f.cols[0], live)
 		}
-		if bm, ok := f.sum.(*filter.Bitmap); ok && vec != nil {
+		if bm, ok := f.sum.(*filter.Bitmap); ok && vec != nil && len(live) == len(tuples) {
+			sc.runs++
+			out = bm.ProbeRun(vec[:len(tuples)], out)
+		} else if ok && vec != nil {
 			out = bm.ProbeInts(vec, live, out)
 		} else {
 			keyAt := sc.hashCols(tuples, f.cols, live, vec)

@@ -221,20 +221,25 @@ func BenchmarkProbeSiteScalar(b *testing.B) {
 // operator-fed input probing the tuples' integers (tuples/bloom hashes each
 // one in registers, tuples/bitmap reads its bit), and a base-table scan
 // probing on its consumer's behalf from the column vector (vector/bloom,
-// vector/bitmap) — and the router's whole route over the same rows (router:
-// a bank holding the bitmap and the Bloom filter, probed bitmap first, then
-// the survivors keyed as words and scattered to four partitions), ns/row.
+// vector/bitmap) — over every lane of each chunk but its first, so the
+// bitmap walks the selection lane by lane; vector/bitmap-run probes every
+// lane, the identity selection a scan hands on when its predicates kept the
+// whole chunk, which the bitmap reads as a run (Bitmap.ProbeRun); and the
+// router's whole route over the same rows (router: a bank holding the bitmap
+// and the Bloom filter, probed bitmap first, then the survivors keyed as
+// words and scattered to four partitions), ns/row.
 func BenchmarkProbeSiteBatch(b *testing.B) {
 	ps := probeSiteBench(b)
 	for _, tc := range []struct {
-		name string
-		sum  filter.Summary
-		vec  bool
+		name     string
+		sum      filter.Summary
+		vec, run bool
 	}{
-		{"tuples/bloom", ps.bloom, false},
-		{"tuples/bitmap", ps.bitmap, false},
-		{"vector/bloom", ps.bloom, true},
-		{"vector/bitmap", ps.bitmap, true},
+		{"tuples/bloom", ps.bloom, false, false},
+		{"tuples/bitmap", ps.bitmap, false, false},
+		{"vector/bloom", ps.bloom, true, false},
+		{"vector/bitmap", ps.bitmap, true, false},
+		{"vector/bitmap-run", ps.bitmap, true, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			bank := NewFilterBank()
@@ -243,7 +248,10 @@ func BenchmarkProbeSiteBatch(b *testing.B) {
 			if tc.vec {
 				sc.vecs = ps.tab
 			}
-			sel := identSel(scanChunkRows)
+			sel, skip := identSel(scanChunkRows), 1
+			if tc.run {
+				skip = 0
+			}
 			out := make([]int32, 0, scanChunkRows)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -252,9 +260,12 @@ func BenchmarkProbeSiteBatch(b *testing.B) {
 				for lo := 0; lo < ps.nRows; lo += scanChunkRows {
 					hi := min(lo+scanChunkRows, ps.nRows)
 					sc.vecLo = lo
-					out = bank.ProbeBatch(ps.tab.Rows[lo:hi], nil, sel[:hi-lo], out[:0], &sc)
+					out = bank.ProbeBatch(ps.tab.Rows[lo:hi], nil, sel[skip:hi-lo], out[:0], &sc)
 					hits += len(out)
 				}
+			}
+			if tc.run != (sc.runs > 0) {
+				b.Fatalf("%d of the probes ran as runs", sc.runs)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ps.nRows), "ns/row")
 			benchSink = hits
@@ -426,3 +437,58 @@ func TestFilterBankProbesBitmapsFirst(t *testing.T) {
 }
 
 var benchSink int
+
+// BenchmarkScanSift: a part scan's pushed string predicate at SF 0.05 — Q17's
+// p_brand = 'Brand#34' (25 distinct strings) and Q5A's p_name LIKE '%black%'
+// (one distinct string a row) — sifted chunk by chunk on the typed kernel
+// over dictionary codes (typed: a fresh worker every pass, so each code is
+// decided again, as each query's scan decides it) and on the row kernel (row:
+// Compiled.EvalBool over the rows), ns/row.
+func BenchmarkScanSift(b *testing.B) {
+	part, err := tpch.Generate(tpch.Config{ScaleFactor: 0.05, Seed: 2008}).Table("part")
+	if err != nil {
+		b.Fatal(err)
+	}
+	col := func(name string) *expr.ColRef {
+		i := part.ColumnIndex(name)
+		part.StrCodes(i) // build the lazy sidecar outside the timed loop
+		return &expr.ColRef{Idx: i, Col: part.Schema.Cols[i]}
+	}
+	scan := &Scan{Name: "part", Rows: part.Rows, Sch: part.Schema, Vecs: part}
+	n := len(part.Rows)
+	for _, tc := range []struct {
+		name string
+		pred expr.Expr
+	}{
+		{"eq", &expr.Binary{Op: expr.OpEq, L: col("p_brand"), R: &expr.Const{V: types.Str("Brand#34")}}},
+		{"like", &expr.Like{E: col("p_name"), Pattern: "%black%"}},
+	} {
+		b.Run(tc.name+"/typed", func(b *testing.B) {
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				w := scan.newWorker(tc.pred)
+				if w.coded != 1 || w.rest != nil {
+					b.Fatalf("%s did not compile to one kernel over codes", tc.pred)
+				}
+				for lo := 0; lo < n; lo += scanChunkRows {
+					hits += len(w.sift(scan, lo, min(lo+scanChunkRows, n)))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			benchSink = hits
+		})
+		b.Run(tc.name+"/row", func(b *testing.B) {
+			pred := expr.Compile(tc.pred)
+			out := make([]int32, 0, scanChunkRows)
+			hits := 0
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < n; lo += scanChunkRows {
+					hi := min(lo+scanChunkRows, n)
+					hits += len(pred.EvalBool(part.Rows[lo:hi], identSel(hi-lo), out))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			benchSink = hits
+		})
+	}
+}

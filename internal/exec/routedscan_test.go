@@ -347,7 +347,7 @@ func TestScanRouteZeroAllocs(t *testing.T) {
 	rt.keys, rt.point, rt.op = j.LKeys, j.LPoint, reg.NewOp("join:j.left")
 	fixed, sizes := scan.Vecs.RowBytes()
 	rt.src = &rowSource{rows: scan.Rows, fixed: int64(fixed), sizes: sizes}
-	w := scan.newWorker(scan.splitScanPred(j.Left.(*Filter).Pred))
+	w := scan.newWorker(j.Left.(*Filter).Pred)
 	kv, _ := scan.Vecs.IntVec(0)
 	rt.keyVecs = [][]int64{kv}
 	routed := 0

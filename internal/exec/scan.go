@@ -96,28 +96,31 @@ func (s *Scan) Schema() *types.Schema { return s.Sch }
 // take the row-id root (Project.rootScan).
 func (s *Scan) modeled() bool { return s.Delay != nil }
 
-// scanWorker is one goroutine's state for the chunk kernel: the residual
-// predicate (a Compiled carries scratch) and the lane scratch.
+// scanWorker is one goroutine's state for the chunk kernel: the typed and
+// the residual predicates (both may carry scratch) and the lane scratch.
 type scanWorker struct {
-	typed []*expr.VecCmp // conjuncts with a vector kernel; stateless, shared
+	typed []*expr.VecCmp // conjuncts with a vector kernel
 	rest  *expr.Compiled // the other conjuncts, on the row kernels; may be nil
 	sel   []int32        // chunk-lane selection scratch
 	sc    ProbeScratch
+
+	coded, conjuncts int // typed conjuncts over dictionary codes; all of pred's
 }
 
 // splitScanPred separates pred's conjuncts into those with a typed vector
-// kernel over s.Vecs and the rest. A conjunct that is not boolean-kinded
-// keeps the whole predicate on the row kernels: AND passes such an operand
-// where a lone predicate drops it, so regrouping conjuncts around it could
-// change the answer.
-func (s *Scan) splitScanPred(pred expr.Expr) (typed []*expr.VecCmp, rest expr.Expr) {
+// kernel over s.Vecs and the rest, and counts them all. A conjunct that is
+// not boolean-kinded keeps the whole predicate on the row kernels: AND passes
+// such an operand where a lone predicate drops it, so regrouping conjuncts
+// around it could change the answer.
+func (s *Scan) splitScanPred(pred expr.Expr) (typed []*expr.VecCmp, rest expr.Expr, n int) {
+	conj := expr.SplitConjuncts(pred)
 	if s.Vecs == nil {
-		return nil, pred
+		return nil, pred, len(conj)
 	}
 	var others []expr.Expr
-	for _, c := range expr.SplitConjuncts(pred) {
+	for _, c := range conj {
 		if c.Kind() != types.KindBool {
-			return nil, pred
+			return nil, pred, len(conj)
 		}
 		if k := expr.CompileVecCmp(c, s.Vecs); k != nil {
 			typed = append(typed, k)
@@ -125,13 +128,20 @@ func (s *Scan) splitScanPred(pred expr.Expr) (typed []*expr.VecCmp, rest expr.Ex
 			others = append(others, c)
 		}
 	}
-	return typed, expr.And(others...)
+	return typed, expr.And(others...), len(conj)
 }
 
-// newWorker sizes the lane scratch to a chunk of this table: a point lookup's
-// 25-row scan must not allocate a full chunk's 4 KiB.
-func (s *Scan) newWorker(typed []*expr.VecCmp, rest expr.Expr) *scanWorker {
-	w := &scanWorker{typed: typed, rest: expr.Compile(rest), sel: make([]int32, 0, min(scanChunkRows, len(s.Rows)))}
+// newWorker compiles pred for one scan goroutine and sizes the lane scratch
+// to a chunk of this table: a point lookup's 25-row scan must not allocate a
+// full chunk's 4 KiB.
+func (s *Scan) newWorker(pred expr.Expr) *scanWorker {
+	typed, rest, n := s.splitScanPred(pred)
+	w := &scanWorker{typed: typed, rest: expr.Compile(rest), sel: make([]int32, 0, min(scanChunkRows, len(s.Rows))), conjuncts: n}
+	for _, k := range typed {
+		if k.Coded() {
+			w.coded++
+		}
+	}
 	w.sc.vecs = s.Vecs
 	return w
 }
@@ -315,7 +325,9 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		if !ctx.awaitStart(s.Point, op) {
 			return
 		}
-		w := s.newWorker(s.splitScanPred(pred))
+		w := s.newWorker(pred)
+		op.Typed, op.Coded, op.Conjuncts = len(w.typed), w.coded, w.conjuncts
+		defer func() { op.RunProbes.Add(int64(w.sc.runs)) }()
 		emit := func(b Batch) bool {
 			n := int64(b.Len())
 			if !send(ctx, out, b) {

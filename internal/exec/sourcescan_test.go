@@ -244,7 +244,7 @@ func TestScanChunkZeroAllocs(t *testing.T) {
 	j.LPoint.Bank.Attach([]int{0}, f.summary(false))
 	j.LPoint.Op = stats.NewRegistry().NewOp("join:j.left")
 	op := stats.NewRegistry().NewOp("scan:l")
-	w := scan.newWorker(scan.splitScanPred(j.Left.(*Filter).Pred))
+	w := scan.newWorker(j.Left.(*Filter).Pred)
 	if len(w.typed) != 1 || w.rest != nil {
 		t.Fatalf("predicate split into %d typed kernels, rest %v; want one typed kernel", len(w.typed), w.rest)
 	}

@@ -134,3 +134,60 @@ func BenchmarkSiftVec(b *testing.B) {
 		})
 	}
 }
+
+// TestVecCmpStringsMatchEvalBool: a string comparison or [NOT] LIKE compiled
+// over dictionary codes keeps exactly the lanes Compiled.EvalBool keeps, under
+// all six operators (either operand order) and LIKE patterns with %, _, a
+// prefix, a suffix, an infix, the empty pattern and the empty string, against
+// constants in and absent from the dictionary, over a column with NULLs and
+// one without, with no selection, sparse ones and out aliasing sel — on a
+// fresh kernel and on one that decided its codes in earlier calls.
+func TestVecCmpStringsMatchEvalBool(t *testing.T) {
+	r := rand.New(rand.NewSource(0xD1C7))
+	words := []string{"", "a", "ab", "abc", "b", "ba", "MED CAN", "MED BOX", "Brand#34", "Brand#3", "x_y", "50%"}
+	const n = 2000
+	table := make([]types.Tuple, n)
+	for i := range table {
+		v := types.Str(words[r.Intn(len(words))])
+		nv := v
+		if r.Intn(6) == 0 {
+			nv = types.Null()
+		}
+		table[i] = types.Tuple{v, nv}
+	}
+	vecs := rowVectors(table)
+	consts := append([]string{"absent", "A", "abd", "Brand#35", "zz"}, words...) // absent ones first
+	patterns := []string{"", "%", "_", "__", "a%", "%a", "%b%", "a_", "_b%", "MED%", "%CAN", "%D C%", "Brand#3_", "%#%", "x_y", "%\x25", "a%b%c", "%%"}
+	var cases []Expr
+	for col := 0; col < 2; col++ {
+		ref := &ColRef{Idx: col, Col: types.Column{Name: "s", Kind: types.KindString}}
+		for _, op := range []BinOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe} {
+			for _, c := range consts {
+				k := &Const{V: types.Str(c)}
+				cases = append(cases, &Binary{Op: op, L: ref, R: k}, &Binary{Op: op, L: k, R: ref})
+			}
+		}
+		for _, p := range patterns {
+			cases = append(cases, &Like{E: ref, Pattern: p}, &Like{E: ref, Pattern: p, Negate: true})
+		}
+	}
+	for _, e := range cases {
+		k := CompileVecCmp(e, vecs)
+		if k == nil || !k.Coded() {
+			t.Fatalf("%s did not compile to a kernel over codes", e)
+		}
+		ref := Compile(e)
+		for _, w := range [][2]int{{0, 0}, {0, 7}, {5, 133}, {1024, 2000}, {0, n}} {
+			lo, hi := w[0], w[1]
+			ident := selVariants(r, hi-lo)[0]
+			checkSel(t, e, "dense", ref.EvalBool(table[lo:hi], ident, nil), k.Sift(lo, hi, nil, nil))
+			for _, sel := range selVariants(r, hi-lo) {
+				sel = append([]int32{}, sel...)
+				want := ref.EvalBool(table[lo:hi], sel, nil)
+				checkSel(t, e, "fresh", want, k.Sift(lo, hi, sel, nil))
+				inPlace := append([]int32{}, sel...)
+				checkSel(t, e, "in-place", want, k.Sift(lo, hi, inPlace, inPlace[:0]))
+			}
+		}
+	}
+}

@@ -293,7 +293,8 @@ func TestCompileNil(t *testing.T) {
 
 // rowVectors is the test's ColumnVectors over a row batch, with the
 // catalog's rule: a vector exists only when every row holds the same
-// integer-backed kind, or every row a DECIMAL.
+// integer-backed kind, or every row a DECIMAL, and dictionary codes only
+// when every row holds a string or NULL.
 type rowVectors []types.Tuple
 
 func (rv rowVectors) kindOf(col int) types.Kind {
@@ -332,10 +333,32 @@ func (rv rowVectors) FloatVec(col int) []float64 {
 	return v
 }
 
+func (rv rowVectors) StrCodes(col int) ([]int32, []string) {
+	if len(rv) == 0 {
+		return nil, nil
+	}
+	codes, dict, ids := make([]int32, len(rv)), []string{""}, map[string]int32{}
+	for i, r := range rv {
+		switch v := r[col]; v.K {
+		case types.KindNull:
+		case types.KindString:
+			c, ok := ids[v.S]
+			if !ok {
+				c = int32(len(dict))
+				ids[v.S], dict = c, append(dict, v.S)
+			}
+			codes[i] = c
+		default:
+			return nil, nil
+		}
+	}
+	return codes, dict
+}
+
 // TestVecCmpMatchesEvalBool is the typed kernels' acceptance property:
-// over random column ⊕ constant comparisons (either operand order, every
-// constant kind including NULL and cross-kind numerics, NaN and ±Inf in the
-// data), a compiled VecCmp keeps exactly the lanes Compiled.EvalBool keeps,
+// over random numeric column ⊕ constant comparisons (either operand order,
+// every constant kind including NULL and cross-kind numerics, NaN and ±Inf in
+// the data; strings are TestVecCmpStringsMatchEvalBool's), a compiled VecCmp keeps exactly the lanes Compiled.EvalBool keeps,
 // for every chunk window and selection shape, fresh and in place — and it
 // declines to compile whenever the column has no vector.
 func TestVecCmpMatchesEvalBool(t *testing.T) {
@@ -422,9 +445,12 @@ func TestVecCmpMatchesEvalBool(t *testing.T) {
 		&Binary{Op: OpLt, L: &ColRef{Idx: 0}, R: &ColRef{Idx: 1}},                    // col ⊕ col
 		&Binary{Op: OpAdd, L: &ColRef{Idx: 0}, R: &Const{V: types.Int(1)}},           // arithmetic
 		&Binary{Op: OpLt, L: &ColRef{Idx: 0}, R: &Const{V: types.Float(1.5)}},        // INT column, DECIMAL constant
-		&Binary{Op: OpEq, L: &ColRef{Idx: 3}, R: &Const{V: types.Str("a")}},          // strings
+		&Binary{Op: OpEq, L: &ColRef{Idx: 0}, R: &Const{V: types.Str("a")}},          // INT column, string constant
+		&Binary{Op: OpEq, L: &ColRef{Idx: 3}, R: &Const{V: types.Int(1)}},            // string column, INT constant
 		&Binary{Op: OpEq, L: &ColRef{Idx: 2}, R: &Const{V: types.Null()}},            // NULL constant
-		&Like{E: &ColRef{Idx: 3}, Pattern: "a%"},                                     // not a comparison
+		&Binary{Op: OpEq, L: &ColRef{Idx: 3}, R: &Const{V: types.Null()}},            // NULL constant, string column
+		&Like{E: &ColRef{Idx: 0}, Pattern: "a%"},                                     // LIKE over a column without codes
+		&Like{E: &Year{E: &ColRef{Idx: 4}}, Pattern: "1%"},                           // LIKE over a computed operand
 		&Binary{Op: OpLt, L: &Const{V: types.Int(1)}, R: &Const{V: types.Int(2)}},    // no column
 		&Binary{Op: OpLt, L: &Year{E: &ColRef{Idx: 4}}, R: &Const{V: types.Int(99)}}, // computed operand
 	} {

@@ -3,6 +3,7 @@ package filter
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -82,6 +83,57 @@ func (b *Bitmap) ProbeInts(vec []int64, sel, out []int32) []int32 {
 		}
 	}
 	return out
+}
+
+// ProbeRun is ProbeInts over every lane of vec: the lanes whose value is
+// present are appended to out (which may be an identity selection's [:0]).
+// It reads no selection and steps four lanes at a time, testing their bits
+// without a branch: the one branch per step is on the OR of the four bits,
+// so a run the bitmap rejects almost whole — a selective filter's usual
+// case — writes nothing. A step holding a value outside the domain takes
+// the lanes one by one.
+func (b *Bitmap) ProbeRun(vec []int64, out []int32) []int32 {
+	lo, n, words := uint64(b.lo), b.n, b.words
+	k := len(out)
+	out = slices.Grow(out, len(vec))[:k+len(vec)]
+	l := 0
+	for ; l+4 <= len(vec); l += 4 {
+		q := vec[l : l+4 : l+4]
+		i0, i1, i2, i3 := uint64(q[0])-lo, uint64(q[1])-lo, uint64(q[2])-lo, uint64(q[3])-lo
+		if max(i0, i1, i2, i3) >= n {
+			k = b.probeLanes(q, l, out, k)
+			continue
+		}
+		b0 := b2i(words[i0>>6]&(1<<(i0&63)) != 0)
+		b1 := b2i(words[i1>>6]&(1<<(i1&63)) != 0)
+		b2 := b2i(words[i2>>6]&(1<<(i2&63)) != 0)
+		b3 := b2i(words[i3>>6]&(1<<(i3&63)) != 0)
+		if b0|b1|b2|b3 == 0 {
+			continue
+		}
+		for j, bit := range [4]int{b0, b1, b2, b3} {
+			out[k] = int32(l + j)
+			k += bit
+		}
+	}
+	return out[:b.probeLanes(vec[l:], l, out, k)]
+}
+
+// probeLanes is ProbeRun lane by lane, vec[0] being lane first.
+func (b *Bitmap) probeLanes(vec []int64, first int, out []int32, k int) int {
+	for j, v := range vec {
+		out[k] = int32(first + j)
+		k += b2i(b.Contains(v))
+	}
+	return k
+}
+
+// b2i is 1 for true; the compiler lowers it to a flag move, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // IntersectWith keeps only the values present in both bitmaps, word by

@@ -3,6 +3,7 @@ package filter
 import (
 	"math"
 	"math/bits"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -153,4 +154,46 @@ func (b *Bitmap) Len() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
+}
+
+// TestBitmapProbeRunMatchesProbeInts: the run kernel keeps exactly what
+// ProbeInts keeps under the identity selection, over domains with a last
+// partial word, a negative one and a full last word, for runs of every length
+// 0–7 and lengths that are no multiple of 4, holding values below lo, above
+// hi, at lo and at hi, the int64 limits and in-domain misses — into a fresh
+// out and into out aliasing the selection's [:0].
+func TestBitmapProbeRunMatchesProbeInts(t *testing.T) {
+	r := rand.New(rand.NewSource(0x6B17))
+	for _, d := range []struct{ lo, hi int64 }{{1, 100}, {-300, -41}, {0, 127}, {5, 5}, {math.MaxInt64 - 70, math.MaxInt64}} {
+		b := NewBitmap(d.lo, d.hi)
+		for v := d.lo; ; v++ {
+			if r.Intn(3) == 0 || v == d.hi {
+				b.Add(v)
+			}
+			if v == d.hi {
+				break
+			}
+		}
+		pool := []int64{d.lo, d.hi, d.lo - 1, d.hi + 1, math.MinInt64, math.MaxInt64, 0, -1}
+		for i := 0; i < 16; i++ {
+			pool = append(pool, d.lo+int64(r.Intn(int(d.hi-d.lo)+1)))
+		}
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 9, 13, 64, 1023} {
+			vec := make([]int64, n)
+			for i := range vec {
+				vec[i] = pool[r.Intn(len(pool))]
+			}
+			sel := make([]int32, n)
+			for i := range sel {
+				sel[i] = int32(i)
+			}
+			want := b.ProbeInts(vec, sel, nil)
+			if got := b.ProbeRun(vec, nil); !slices.Equal(got, want) {
+				t.Fatalf("[%d, %d] n=%d: ProbeRun kept %v, ProbeInts %v", d.lo, d.hi, n, got, want)
+			}
+			if got := b.ProbeRun(vec, sel[:0]); !slices.Equal(got, want) {
+				t.Fatalf("[%d, %d] n=%d: ProbeRun into sel[:0] kept %v, ProbeInts %v", d.lo, d.hi, n, got, want)
+			}
+		}
+	}
 }

@@ -142,6 +142,16 @@ type OpStats struct {
 	Waited    time.Duration
 	WaitedFor []string
 
+	// Typed counts, on a scan that evaluates pushed conjuncts, those that ran
+	// on a typed column kernel, Coded those of them over dictionary codes,
+	// and Conjuncts all of them; set once, by the scan's goroutine, before
+	// its first row.
+	Typed, Coded, Conjuncts int
+
+	// RunProbes counts the chunks a scan probed its consumer's bitmap over
+	// as a run: every lane live, so the probe read no selection.
+	RunProbes Counter
+
 	// Cols and Width are set on a join side: the columns it contributes to
 	// the join's emitted row out of the columns it receives (0/0 otherwise).
 	Cols, Width int
@@ -377,6 +387,12 @@ func (r *Registry) Report() string {
 				parts += " "
 			}
 			parts += fmt.Sprintf("waited=%.2fms→%s", float64(op.Waited)/float64(time.Millisecond), strings.Join(op.WaitedFor, ","))
+		}
+		if op.Conjuncts > 0 {
+			if parts != "" {
+				parts += " "
+			}
+			parts += fmt.Sprintf("typed=%d/%d", op.Typed, op.Conjuncts)
 		}
 		if op.Width > 0 {
 			if parts != "" {

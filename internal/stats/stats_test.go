@@ -113,6 +113,19 @@ func TestWaitedReportAndReset(t *testing.T) {
 	}
 }
 
+// TestTypedReport: a scan's row counts its pushed conjuncts that ran typed;
+// a scan with none pushed prints no count.
+func TestTypedReport(t *testing.T) {
+	r := NewRegistry()
+	op := r.NewOp("scan:part")
+	op.Typed, op.Coded, op.Conjuncts = 1, 1, 2
+	r.NewOp("scan:lineitem")
+	rep := r.Report()
+	if !strings.Contains(rep, "typed=1/2") || strings.Count(rep, "typed=") != 1 {
+		t.Fatalf("report must print typed=1/2 on scan:part only:\n%s", rep)
+	}
+}
+
 // TestJoinQError: the q-error summary covers join inputs with an estimate
 // only, floors both sides at one row, and its report line and est= column
 // print beside the counts.

@@ -20,6 +20,10 @@ package sip
 //     consumer has nothing left to prune;
 //   - every start-order wait goes to an input with strictly fewer source
 //     rows, so the waits cannot form a cycle;
+//   - string filters, drawn as comparisons and as [NOT] LIKE patterns, run on
+//     the scans' dictionary codes and return the reference rows; the sweep
+//     counts the conjuncts sifted on codes and the bitmap probes a scan ran
+//     over a whole chunk as a run: both must occur;
 //   - after every query the engine is quiescent: the goroutine count is back
 //     where it was, no tracked state byte is left accounted, and no spill
 //     directory survives.
@@ -55,6 +59,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"regexp"
 	"runtime"
 	"slices"
 	"sort"
@@ -161,12 +166,13 @@ func TestGeneratedQueryOracle(t *testing.T) {
 	for _, seed := range seeds {
 		oraRunSeed(t, seed, spill, &reach)
 	}
-	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d; bitmap-filtered inputs compared with hash sets: %d; bitmaps replayed through the tuple probe: %d; router-fed join and DISTINCT inputs keyed as words: %d, as bytes: %d; modeled runs mixing delayed and unmodeled tables: %d",
-		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes, reach.mixed)
+	t.Logf("aggregations folded from a routing scan: %d, from a router: %d; narrowed join sides: %d; scans that waited for their join sibling: %d; tables that installed a direct index: %d, again after an eviction: %d; bitmap-filtered inputs compared with hash sets: %d; bitmaps replayed through the tuple probe: %d; router-fed join and DISTINCT inputs keyed as words: %d, as bytes: %d; modeled runs mixing delayed and unmodeled tables: %d; conjuncts sifted on dictionary codes: %d; bitmap probes run over a whole chunk: %d",
+		reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes, reach.mixed, reach.coded, reach.runs)
 	if len(seeds) > 1 && (reach.routed == 0 || reach.router == 0 || reach.narrowed == 0 || reach.waited == 0 ||
-		reach.direct == 0 || reach.reinstalled == 0 || reach.bitmaps == 0 || reach.replayed == 0 || reach.words == 0 || reach.bytes == 0 || reach.mixed == 0) {
-		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d, bitmap inputs compared: %d, bitmaps replayed: %d, router inputs keyed as words: %d, as bytes: %d, mixed modeled runs: %d; the sweep must reach all eleven",
-			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes, reach.mixed)
+		reach.direct == 0 || reach.reinstalled == 0 || reach.bitmaps == 0 || reach.replayed == 0 || reach.words == 0 || reach.bytes == 0 || reach.mixed == 0 ||
+		reach.coded == 0 || reach.runs == 0) {
+		t.Fatalf("aggregations folded from a routing scan: %d, from a router: %d, narrowed join sides: %d, sibling waits: %d, direct indexes: %d, reinstalled after an eviction: %d, bitmap inputs compared: %d, bitmaps replayed: %d, router inputs keyed as words: %d, as bytes: %d, mixed modeled runs: %d, dictionary-coded conjuncts: %d, run-mode bitmap probes: %d; the sweep must reach all thirteen",
+			reach.routed, reach.router, reach.narrowed, reach.waited, reach.direct, reach.reinstalled, reach.bitmaps, reach.replayed, reach.words, reach.bytes, reach.mixed, reach.coded, reach.runs)
 	}
 }
 
@@ -180,10 +186,13 @@ func TestGeneratedQueryOracle(t *testing.T) {
 // compared with the hash-set run (bitmapExact), bitmaps replayed over
 // their scan's rows through the tuple probe (bitmapReplay), and join and
 // DISTINCT inputs a router fed whose batches keyed as integer words, those
-// where a batch fell back to canonical bytes, and modeled runs that delayed
-// some of their tables and left others unmodeled.
+// where a batch fell back to canonical bytes, modeled runs that delayed
+// some of their tables and left others unmodeled, pushed conjuncts a scan
+// sifted on dictionary codes (Baseline runs), and chunks a scan probed its
+// consumer's bitmap over as a run (every strategy).
 type oraReach struct {
 	routed, router, narrowed, waited, direct, reinstalled, bitmaps, replayed, words, bytes, mixed int
+	coded, runs                                                                                   int
 }
 
 // oraRunSeed generates one catalog and checks oraQueriesPerSeed queries over
@@ -894,6 +903,12 @@ func (q *oraQuery) cmpOn(rng *rand.Rand, col oraRef, tbl *catalog.Table, c int) 
 		if r < 5 {
 			return oraCmp{col, op, oraConst{v: types.Null()}}
 		}
+		if r < 30 { // [NOT] LIKE a pattern cut from the value, picked by r
+			pat := [...]string{v.S, v.S[:2] + "%", "%" + v.S[len(v.S)-1:], "%" + v.S[1:3] + "%",
+				"s_" + v.S[2:], "%", "", "%_" + v.S[len(v.S)-1:]}[r%8]
+			op = [...]string{"LIKE", "NOT LIKE"}[r/8%2]
+			return oraCmp{col, op, oraConst{types.Str(pat), "'" + pat + "'"}}
+		}
 		return oraCmp{col, op, oraConst{v, "'" + v.S + "'"}}
 	}
 }
@@ -1149,6 +1164,24 @@ func oraCompare(a, b types.Value) (int, bool) {
 	return 0, true
 }
 
+// oraLike matches s against a LIKE pattern by a regular expression: % is
+// any run of bytes, _ any one byte, everything else itself.
+func oraLike(s, pat string) bool {
+	var re strings.Builder
+	re.WriteString("(?s)^")
+	for i := 0; i < len(pat); i++ {
+		switch pat[i] {
+		case '%':
+			re.WriteString(".*")
+		case '_':
+			re.WriteString(".")
+		default:
+			re.WriteString(regexp.QuoteMeta(pat[i : i+1]))
+		}
+	}
+	return regexp.MustCompile(re.String() + "$").MatchString(s)
+}
+
 func oraFloat(v types.Value) float64 {
 	if v.K == types.KindFloat {
 		return v.F
@@ -1156,8 +1189,12 @@ func oraFloat(v types.Value) float64 {
 	return float64(v.I)
 }
 
-// oraHolds applies a comparison operator: false when either side is NULL.
+// oraHolds applies a comparison operator, or [NOT] LIKE the pattern b:
+// false when either side is NULL.
 func oraHolds(op string, a, b types.Value) bool {
+	if op == "LIKE" || op == "NOT LIKE" {
+		return a.K != types.KindNull && oraLike(a.S, b.S) == (op == "LIKE")
+	}
 	c, ok := oraCompare(a, b)
 	if !ok {
 		return false
@@ -1632,7 +1669,9 @@ func (c *oraCase) check(rng *rand.Rand) {
 			c.env.reach.direct += r.reach.direct
 			c.env.reach.words += r.reach.words
 			c.env.reach.bytes += r.reach.bytes
+			c.env.reach.coded += r.reach.coded
 		}
+		c.env.reach.runs += r.reach.runs
 	}
 	p1 := strat()
 	c.same(p1.String()+"/P=1", c.run(p1.String()+"/P=1", Options{Strategy: p1, Parallelism: 1}, false), c.want)
@@ -1898,6 +1937,8 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 		if op.Cols < op.Width {
 			out.reach.narrowed++
 		}
+		out.reach.coded += op.Coded
+		out.reach.runs += int(op.RunProbes.Load())
 		if op.Class == "join" || op.Class == "distinct" {
 			out.reach.words += min(int(op.WordBatches.Load()), 1)
 			out.reach.bytes += min(int(op.ByteBatches.Load()), 1)

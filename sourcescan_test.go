@@ -392,3 +392,34 @@ func TestQ17FeedForwardFilterReport(t *testing.T) {
 		t.Fatalf("peak working filter memory %d B, want ≤ %d (%d bitmaps)\n%s", res.PeakFilterWorkingBytes, sets*bitmap, sets, report)
 	}
 }
+
+// TestPushedConjunctsRunTyped: every conjunct a Table I query pushes to a
+// base-table scan — the string comparisons and LIKEs included — runs on a
+// typed kernel under all four strategies (a scan's -stats row reads
+// typed=n/n), and the string ones on dictionary codes: Q17's part scan sifts
+// p_brand = and p_container = over codes.
+func TestPushedConjunctsRunTyped(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	eng := NewEngine(cat)
+	for id, sql := range tableIQueries(t, cat) {
+		coded := 0
+		for _, s := range AllStrategies() {
+			res, err := eng.Query(context.Background(), sql, Options{Strategy: s})
+			if err != nil {
+				t.Fatalf("%s %s: %v", id, s, err)
+			}
+			for _, op := range res.Stats.Ops() {
+				if op.Typed != op.Conjuncts {
+					t.Fatalf("%s %s: %s ran %d of %d pushed conjuncts typed:\n%s", id, s, op.Name, op.Typed, op.Conjuncts, res.Stats.Report())
+				}
+				coded += op.Coded
+				if id == "Q2A" && op.Name == "scan:q.part" && (op.Coded != 2 || !strings.Contains(res.Stats.Report(), "typed=2/2")) {
+					t.Fatalf("%s %s: part's scan sifted %d conjuncts on codes:\n%s", id, s, op.Coded, res.Stats.Report())
+				}
+			}
+		}
+		if coded == 0 {
+			t.Fatalf("%s: no conjunct sifted on dictionary codes", id)
+		}
+	}
+}
