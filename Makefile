@@ -102,8 +102,9 @@ bench-vet:
 # index (install rule and range arithmetic, the differential against a
 # hash-only twin, the 0-alloc dense kernel), the spill run-file frame codec, the
 # scalar-vs-vectorized expression differential tests, the network
-# fault/breaker tests, the blocked-filter / striped-Partial merge-exactness
-# differentials, the wire server's concurrent-session soak /
+# fault/breaker tests, the concurrent-writer exactness differentials (one
+# blocked filter built by several goroutines; a Feed-forward working set
+# shared by a partitioned HashAgg's or Distinct's workers), the wire server's concurrent-session soak /
 # disconnect-cancellation / quota tests, the column-run codec and
 # hostile-frame tests and the wire ≡ in-process differentials, and the long
 # leg of the generated-query oracle (SIP_ORACLE_SEEDS catalogs instead of

@@ -9,8 +9,9 @@
 //   - The block is chosen by the HIGH 32 bits of the key's Hash64 via a
 //     multiply-shift range reduction, which is monotone in those bits. The
 //     executor's radix partitioning uses the same high bits, so one
-//     partition's keys land in one contiguous stripe of blocks — Partial
-//     exploits this to build per-slot working sets stripe by stripe.
+//     partition's keys land in one contiguous stripe of blocks, and
+//     partition workers adding to one shared filter mostly write disjoint
+//     cache lines.
 //   - Within the block the layout is SECTORIZED: one remixed 64-bit hash
 //     picks a single 64-bit word of the block (3 bits) and k bit positions
 //     inside that word (6-bit chunks), so a probe is one load and one mask
@@ -23,7 +24,7 @@
 // helpers inflate the classic m = n·ln(1/p)/ln²2 optimum by a constant
 // density relief; see BlockedBitsFor.
 //
-// Two filters are merge-compatible when they share (nblocks, k, seed);
+// Two filters can be intersected when they share (nblocks, k, seed);
 // geometry helpers round bit budgets up to whole blocks so equal budgets
 // always negotiate equal geometry.
 package bloom
@@ -31,6 +32,7 @@ package bloom
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/types"
 )
@@ -108,7 +110,6 @@ type Blocked struct {
 	nblocks uint64
 	k       uint32
 	seed    uint64
-	n       int // inserted element count (approximate under merge)
 
 	// sink keeps the batch kernels' warming loads observable so the
 	// compiler cannot delete them.
@@ -125,7 +126,7 @@ func NewBlocked(n int, p float64) *Blocked {
 // NewBlockedWithGeometry creates a blocked filter with an explicit
 // geometry. nbits is rounded up to a whole number of blocks (minimum one);
 // k is clamped to [1, MaxBlockedK]. Filters built with equal (nbits, k,
-// seed) are intersection/union compatible.
+// seed) are intersection compatible.
 func NewBlockedWithGeometry(nbits uint64, k uint32, seed uint64) *Blocked {
 	if nbits < BlockBits {
 		nbits = BlockBits
@@ -159,9 +160,8 @@ func (f *Blocked) bitHash(h uint64) uint64 {
 
 // blockedMask decodes a remixed bit hash into the key's in-block word
 // offset (the low 3 bits) and the mask of its k bits within that word
-// (6-bit chunks of the remaining hash). Every representation of a key —
-// direct insertion, batch insertion, Partial stripes — funnels through
-// this one derivation, which is what makes striped merge bit-exact.
+// (6-bit chunks of the remaining hash). Scalar and batch insertion and
+// probing all funnel through this one derivation, so they agree bit for bit.
 func blockedMask(g uint64, k uint32) (word uint64, mask uint64) {
 	word = g & (blockWords - 1)
 	g >>= 3
@@ -183,17 +183,14 @@ func mask4(g uint64) uint64 {
 }
 
 // AddHash inserts a key by its precomputed hash (types.Hash64 of the
-// canonical key encoding with seed 0).
+// canonical key encoding with seed 0). It is safe for concurrent use (test,
+// then atomic OR), so several partition workers can build one filter;
+// probes read the words plainly and must happen after the last AddHash.
 func (f *Blocked) AddHash(h uint64) {
-	f.setHash(h)
-	f.n++
-}
-
-// setHash sets the key's bits without counting an insertion; Partial's
-// merge replays through it and accounts insertions separately.
-func (f *Blocked) setHash(h uint64) {
 	w, mask := blockedMask(f.bitHash(h), f.k)
-	f.words[f.blockBase(h)+w] |= mask
+	if p := &f.words[f.blockBase(h)+w]; atomic.LoadUint64(p)&mask != mask {
+		atomic.OrUint64(p, mask)
+	}
 }
 
 // Add inserts a key encoding.
@@ -220,7 +217,8 @@ func (f *Blocked) Contains(key []byte) bool { return f.ProbeHash(types.Hash64(ke
 // hash and touches the word (warming the line for the coming
 // read-modify-write), the second ORs in the masks — the independent loads
 // of pass one overlap in the memory system instead of serializing behind
-// each insert.
+// each insert. Unlike AddHash it writes plainly: one goroutine builds the
+// filter.
 func (f *Blocked) AddHashBatch(hashes []uint64) {
 	var idx [batchChunk]uint64
 	var mk [batchChunk]uint64
@@ -253,7 +251,6 @@ func (f *Blocked) AddHashBatch(hashes []uint64) {
 		for j := 0; j < c; j++ {
 			f.words[idx[j]] |= mk[j]
 		}
-		f.n += c
 		hashes = hashes[c:]
 	}
 }
@@ -300,10 +297,6 @@ func (f *Blocked) ProbeHashBatch(hashes []uint64, sel []int32, out []int32) []in
 	return out
 }
 
-// Len returns the number of insertions performed (after IntersectWith the
-// count is the minimum of the operands', an upper bound on the true size).
-func (f *Blocked) Len() int { return f.n }
-
 // NumBits returns the filter's total bit length (always whole blocks).
 func (f *Blocked) NumBits() uint64 { return f.nblocks * BlockBits }
 
@@ -328,72 +321,5 @@ func (f *Blocked) IntersectWith(other *Blocked) error {
 	for i := range f.words {
 		f.words[i] &= other.words[i]
 	}
-	if other.n < f.n {
-		f.n = other.n
-	}
 	return nil
-}
-
-// UnionWith ORs other into f, widening f to keys present in either.
-func (f *Blocked) UnionWith(other *Blocked) error {
-	if !f.Compatible(other) {
-		return fmt.Errorf("bloom: cannot union incompatible blocked filters (%d/%d blocks, k %d/%d, seeds %d/%d)",
-			f.nblocks, other.nblocks, f.k, other.k, f.seed, other.seed)
-	}
-	for i := range f.words {
-		f.words[i] |= other.words[i]
-	}
-	f.n += other.n
-	return nil
-}
-
-// Clone returns an independent copy of the filter.
-func (f *Blocked) Clone() *Blocked {
-	words := make([]uint64, len(f.words))
-	copy(words, f.words)
-	return &Blocked{words: words, nblocks: f.nblocks, k: f.k, seed: f.seed, n: f.n}
-}
-
-// FillRatio returns the fraction of set bits.
-func (f *Blocked) FillRatio() float64 {
-	var set int
-	for _, w := range f.words {
-		set += popcount(w)
-	}
-	return float64(set) / float64(f.nblocks*BlockBits)
-}
-
-// Marshal serializes the filter for shipping across the simulated network.
-func (f *Blocked) Marshal() []byte {
-	out := make([]byte, 0, 32+len(f.words)*8)
-	out = appendU64(out, f.nblocks)
-	out = appendU64(out, uint64(f.k))
-	out = appendU64(out, f.seed)
-	out = appendU64(out, uint64(f.n))
-	for _, w := range f.words {
-		out = appendU64(out, w)
-	}
-	return out
-}
-
-// UnmarshalBlocked reconstructs a filter produced by (*Blocked).Marshal.
-func UnmarshalBlocked(data []byte) (*Blocked, error) {
-	if len(data) < 32 || (len(data)-32)%8 != 0 {
-		return nil, fmt.Errorf("bloom: malformed blocked filter payload (%d bytes)", len(data))
-	}
-	f := &Blocked{
-		nblocks: readU64(data[0:]),
-		k:       uint32(readU64(data[8:])),
-		seed:    readU64(data[16:]),
-		n:       int(readU64(data[24:])),
-	}
-	nwords := (len(data) - 32) / 8
-	if f.nblocks == 0 || f.k == 0 || f.k > MaxBlockedK || uint64(nwords) != f.nblocks*blockWords {
-		return nil, fmt.Errorf("bloom: blocked payload has %d words for %d blocks (k=%d)", nwords, f.nblocks, f.k)
-	}
-	f.words = make([]uint64, nwords)
-	for i := range f.words {
-		f.words[i] = readU64(data[32+i*8:])
-	}
-	return f, nil
 }

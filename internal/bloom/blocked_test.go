@@ -1,10 +1,10 @@
 package bloom
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -192,7 +192,7 @@ func TestAddHashBatchMatchesScalar(t *testing.T) {
 			a.AddHash(h)
 		}
 		b.AddHashBatch(hashes)
-		if !bytes.Equal(a.Marshal(), b.Marshal()) {
+		if !slices.Equal(a.words, b.words) {
 			t.Fatalf("n=%d: batch insertion diverged from scalar", n)
 		}
 	}
@@ -257,7 +257,7 @@ func TestBlockedGeometryEdges(t *testing.T) {
 	}
 }
 
-func TestBlockedIntersectUnion(t *testing.T) {
+func TestBlockedIntersect(t *testing.T) {
 	n := 5000
 	a := NewBlocked(n, DefaultFPR)
 	b := NewBlockedWithGeometry(a.NumBits(), a.K(), 0)
@@ -274,51 +274,24 @@ func TestBlockedIntersectUnion(t *testing.T) {
 			b.AddHash(h)
 		}
 	}
-	inter := a.Clone()
-	if err := inter.IntersectWith(b); err != nil {
+	before := slices.Clone(a.words)
+	if err := a.IntersectWith(b); err != nil {
 		t.Fatal(err)
 	}
 	for _, h := range shared {
-		if !inter.ProbeHash(h) {
+		if !a.ProbeHash(h) {
 			t.Fatal("intersection lost a shared key")
 		}
 	}
-	uni := a.Clone()
-	if err := uni.UnionWith(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if !uni.ProbeHash(splitmix64(uint64(i))) {
-			t.Fatalf("union lost key %d", i)
+	for i, w := range a.words {
+		if w != before[i]&b.words[i] {
+			t.Fatalf("word %d: %#x, want %#x & %#x", i, w, before[i], b.words[i])
 		}
 	}
 	// Incompatible geometries refuse to merge.
 	other := NewBlockedWithGeometry(a.NumBits()+BlockBits, a.K(), 0)
-	if err := a.Clone().IntersectWith(other); err == nil {
+	if err := a.IntersectWith(other); err == nil {
 		t.Fatal("intersect across geometries should fail")
-	}
-	if err := a.Clone().UnionWith(other); err == nil {
-		t.Fatal("union across geometries should fail")
-	}
-}
-
-func TestBlockedMarshalRoundTrip(t *testing.T) {
-	f := NewBlocked(1000, DefaultFPR)
-	for i := 0; i < 1000; i++ {
-		f.AddHash(splitmix64(uint64(i)))
-	}
-	g, err := UnmarshalBlocked(f.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(f.Marshal(), g.Marshal()) {
-		t.Fatal("round trip diverged")
-	}
-	if g.Len() != f.Len() || g.K() != f.K() || g.NumBits() != f.NumBits() {
-		t.Fatal("round trip lost metadata")
-	}
-	if _, err := UnmarshalBlocked([]byte("short")); err == nil {
-		t.Fatal("malformed payload accepted")
 	}
 }
 
@@ -343,48 +316,10 @@ func TestIntersectIncompatible(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	a := NewBlocked(100, DefaultFPR)
-	a.Add([]byte("x"))
-	before := append([]uint64(nil), a.words...)
-	b := a.Clone()
-	b.Add([]byte("y"))
-	if !b.Contains([]byte("x")) || b.Len() != 2 {
-		t.Fatal("clone must keep contents")
-	}
-	if a.Len() != 1 || !slices.Equal(a.words, before) {
-		t.Fatal("adding to the clone changed the original")
-	}
-}
-
-func TestUnmarshalMalformed(t *testing.T) {
-	if _, err := UnmarshalBlocked(nil); err == nil {
-		t.Fatal("nil payload must error")
-	}
-	if _, err := UnmarshalBlocked(make([]byte, 33)); err == nil {
-		t.Fatal("misaligned payload must error")
-	}
-	good := NewBlocked(100, DefaultFPR).Marshal()
-	for name, corrupt := range map[string]func([]byte){
-		"blocks": func(d []byte) { d[7]++ },      // word count disagrees
-		"k=0":    func(d []byte) { d[15] = 0 },   // no probe bits
-		"k>max":  func(d []byte) { d[15] = 200 }, // beyond MaxBlockedK
-	} {
-		d := append([]byte(nil), good...)
-		corrupt(d)
-		if _, err := UnmarshalBlocked(d); err == nil {
-			t.Fatalf("%s: inconsistent header accepted", name)
-		}
-	}
-}
-
 func TestSizeBytes(t *testing.T) {
 	f := NewBlocked(1000, DefaultFPR)
 	if want := int(BlockedBitsFor(1000, DefaultFPR) / 8); f.SizeBytes() != want {
 		t.Fatalf("SizeBytes = %d, want %d", f.SizeBytes(), want)
-	}
-	if got := len(f.Marshal()); got != 32+f.SizeBytes() {
-		t.Fatalf("shipped %d bytes for a %d-byte filter", got, f.SizeBytes())
 	}
 }
 
@@ -411,106 +346,38 @@ func TestQuickIntersectionPreservesSharedKeys(t *testing.T) {
 	}
 }
 
-// TestPartialMergeExactness: merging per-slot Partials — in both the
-// hash-log stage and the striped stage — must produce bit-for-bit the
-// filter that direct insertion builds, with slots routed by the hash's top
-// bits exactly as the executor's radix partitioning routes tuples.
-func TestPartialMergeExactness(t *testing.T) {
+// TestBlockedConcurrentAddHash: P writers adding to one filter at once —
+// each the keys whose hash's top bits route them to its slot, as the
+// executor's radix partitioning routes tuples, plus a share of keys every
+// writer adds — must leave bit for bit the filter that one-by-one insertion
+// builds.
+func TestBlockedConcurrentAddHash(t *testing.T) {
 	for _, n := range []int{0, 10, 500, 5_000, 200_000} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			nbits := BlockedBitsFor(n, DefaultFPR)
 			k := BlockedKFor(n, nbits)
 			direct := NewBlockedWithGeometry(nbits, k, 0)
-			const P = 8
-			slots := make([]*Partial, P)
-			for i := range slots {
-				slots[i] = NewPartial(nbits, k, 0)
-			}
 			for i := 0; i < n; i++ {
-				h := splitmix64(uint64(i))
-				direct.AddHash(h)
-				slots[h>>61].AddHash(h)
+				direct.AddHash(splitmix64(uint64(i)))
 			}
-			merged := NewBlockedWithGeometry(nbits, k, 0)
-			var ws int
-			for _, s := range slots {
-				ws += s.SizeBytes()
-				if err := s.MergeInto(merged); err != nil {
-					t.Fatal(err)
-				}
+			const P = 8
+			shared := NewBlockedWithGeometry(nbits, k, 0)
+			var wg sync.WaitGroup
+			for slot := uint64(0); slot < P; slot++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if h := splitmix64(uint64(i)); h>>61 == slot || i%16 == 0 {
+							shared.AddHash(h)
+						}
+					}
+				}()
 			}
-			if !bytes.Equal(direct.Marshal(), merged.Marshal()) {
-				t.Fatal("striped merge diverged from direct insertion")
-			}
-			if merged.Len() != direct.Len() {
-				t.Fatalf("merged count %d, direct %d", merged.Len(), direct.Len())
-			}
-			// The working-set claim: striped slots must cost well under
-			// P full-geometry copies once the population is partitioned.
-			if n >= 5_000 {
-				full := P * int(nbits) / 8
-				if ws >= full/2 {
-					t.Fatalf("P=%d working set %d bytes, full copies %d: striping bought <2x", P, ws, full)
-				}
+			wg.Wait()
+			if !slices.Equal(direct.words, shared.words) {
+				t.Fatal("concurrent insertion diverged from one-by-one insertion")
 			}
 		})
-	}
-}
-
-// TestPartialLogDoubling drives one slot through the size-doubling log
-// stage into stripe conversion and checks bytes accounting at each step.
-func TestPartialLogDoubling(t *testing.T) {
-	n := 300_000
-	nbits := BlockedBitsFor(n, DefaultFPR)
-	k := BlockedKFor(n, nbits)
-	p := NewPartial(nbits, k, 0)
-	if p.SizeBytes() != partialLogInit*8 {
-		t.Fatalf("initial working set %d bytes, want %d", p.SizeBytes(), partialLogInit*8)
-	}
-	last := p.SizeBytes()
-	grew := 0
-	for i := 0; i < n; i++ {
-		p.AddHash(splitmix64(uint64(i)))
-		if s := p.SizeBytes(); s != last {
-			grew++
-			last = s
-		}
-	}
-	if grew == 0 {
-		t.Fatal("working set never grew")
-	}
-	if p.Len() != n {
-		t.Fatalf("Len = %d, want %d", p.Len(), n)
-	}
-	// One slot holding the full population converts to stripes; its
-	// footprint must stay bounded by the full geometry plus slack.
-	if p.SizeBytes() > int(nbits)/8+int(nbits)/32 {
-		t.Fatalf("converted slot costs %d bytes, full geometry is %d", p.SizeBytes(), nbits/8)
-	}
-	// Duplicate-heavy inserts must not grow the log (it is a set).
-	q := NewPartial(nbits, k, 0)
-	for i := 0; i < 10_000; i++ {
-		q.AddHash(splitmix64(uint64(i % 8)))
-	}
-	if q.SizeBytes() != partialLogInit*8 {
-		t.Fatalf("duplicates grew the log to %d bytes", q.SizeBytes())
-	}
-	if q.Len() != 10_000 {
-		t.Fatalf("insert count %d, want 10000 (duplicates included)", q.Len())
-	}
-	// The zero hash collides with the log's empty sentinel; it must still
-	// be stored and merged exactly.
-	z := NewPartial(nbits, k, 0)
-	z.AddHash(0)
-	dst := NewBlockedWithGeometry(nbits, k, 0)
-	if err := z.MergeInto(dst); err != nil {
-		t.Fatal(err)
-	}
-	if !dst.ProbeHash(0) {
-		t.Fatal("zero hash lost in log stage")
-	}
-	// Geometry mismatch is refused.
-	if err := z.MergeInto(NewBlockedWithGeometry(nbits+BlockBits, k, 0)); err == nil {
-		t.Fatal("merge into mismatched geometry should fail")
 	}
 }

@@ -161,8 +161,8 @@ func TestFeedForwardBitmapOutsideDomain(t *testing.T) {
 			ff.RegisterPoint(p)
 		}
 		ff.Begin()
-		p1.OnStore(0, types.Tuple{types.Int(1), types.Int(0)})
-		p1.OnStore(1, types.Tuple{bad, types.Int(0)})
+		p1.OnStore(types.Tuple{types.Int(1), types.Int(0)})
+		p1.OnStore(types.Tuple{bad, types.Int(0)})
 		markDone(p1)
 		ff.PointDone(p1)
 		if reg.FiltersMade.Load() != 0 || p2.Bank.Len() != 0 {

@@ -217,7 +217,7 @@ func TestFeedForwardInterestDiscard(t *testing.T) {
 	if p1.OnStore == nil || p2.OnStore == nil {
 		t.Fatal("working-set hooks not installed")
 	}
-	p1.OnStore(0, types.Tuple{types.Int(1), types.Int(0)})
+	p1.OnStore(types.Tuple{types.Int(1), types.Int(0)})
 	markDone(p1)
 	ff.PointDone(p1)
 	markDone(p2)

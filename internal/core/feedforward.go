@@ -19,13 +19,13 @@ import (
 // candidate AIP set per produced attribute and interest in the sets of
 // every transitively-equated attribute produced elsewhere; candidates
 // without interested parties are dropped. During execution each operator
-// builds a local working copy incrementally (via the OnStore hook, called
-// when a tuple is recorded by the operator); when its input completes, the
-// working copy is published to the central AIP Registry, merged by bitwise
-// intersection with previously published sets of the same class — blocked
-// Bloom filters, or exact bitmaps where the class's producers carry a small
-// enough integer domain (SummaryBloom) — and injected into every live
-// interested operator.
+// builds one working copy of each set incrementally (via the OnStore hook,
+// called when a tuple is recorded by the operator); when its input
+// completes, the working copy is published to the central AIP Registry as
+// it stands, merged by bitwise intersection with previously published sets
+// of the same class — blocked Bloom filters, or exact bitmaps where the
+// class's producers carry a small enough integer domain (SummaryBloom) —
+// and injected into every live interested operator.
 type FeedForward struct {
 	opts Options
 
@@ -35,106 +35,83 @@ type FeedForward struct {
 	state   map[int]*ffClassState
 }
 
-// workingSet is one producer's incrementally built AIP set. A Bloom or hash
-// set is sharded by the executor's partition slots: OnStore(slot, t) feeds
-// slot-private summaries (each slot has exactly one writer goroutine, so the
-// per-tuple path takes no lock), and PointDone merges the slots —
-// striped/replayed merge for Bloom partials, bucket union for hash sets —
-// into the published summary. A bitmap class's set is one bitmap shared by
-// the slots instead: a store sets its value's bit (test, then atomic OR)
-// without hashing, and PointDone publishes that bitmap itself. discarded is
-// flipped when interest drops to zero; in-flight writers observe it and stop
-// cheaply.
+// workingSet is one producer's AIP set for one class, built as the producer
+// stores tuples: one summary of the class's kind — a blocked Bloom filter in
+// the class geometry, a bitmap over the class domain, or under
+// SummaryHashSet a hash set — allocated at the first store. Every partition
+// worker of the producer writes into it at once: a Bloom filter or bitmap
+// takes a key with a test and then an atomic OR, a hash set under its own
+// lock. PointDone publishes it as it stands. discarded is flipped when
+// interest drops to zero; in-flight writers observe it and stop cheaply.
 //
-// Memory: a Bloom slot holds a bloom.Partial — a size-doubling key-hash log
-// that converts to lazily-allocated block stripes — so a producer running at
-// partition fan-out P pays for what its slots actually saw, not P
-// full-geometry copies; the exact merge into the class geometry happens
-// once, at PointDone. Hash-set slots grow only with their content. A bitmap
-// is allocated at the first store, span/8 bytes, never more than the
-// class's Bloom filter. bytes tracks the working memory currently allocated,
-// released from the owning operator's FilterWorking gauge when the set is
-// merged, published or discarded.
+// Memory: the summary is charged to FilterBytes and to the owning
+// operator's FilterWorking gauge once, when allocated (a hash set's
+// allocation is empty; it is charged by its final size at publication).
+// bytes is that charge, released from the gauge when the set is published
+// or dropped.
 type workingSet struct {
-	class int
 	col   int  // state-schema column holding the attribute
-	exact bool // hash-set slots instead of Bloom slots
-	// ci is the class: its Bloom geometry (bits, k), shared by every slot
-	// so slots merge, or its bitmap domain.
+	exact bool // a hash set instead of a Bloom filter
+	// ci is the class: its Bloom geometry (bits, k), shared by the class's
+	// sets so they intersect, or its bitmap domain.
 	ci *classInfo
 
 	discarded atomic.Bool
 	bytes     atomic.Int64
-	slots     [exec.MaxPartitions]atomic.Pointer[slotSet]
-
-	// bm is a bitmap class's set (nil until the first store); outside
-	// flags a stored value the bitmap cannot hold (addValue), so the set is
-	// never published.
-	bm      atomic.Pointer[filter.Bitmap]
+	// sum is the summary, nil until the first store; outside flags a
+	// stored value a bitmap cannot hold (addValue), so the set is never
+	// published.
+	sum     atomic.Pointer[filter.Summary]
 	outside atomic.Bool
 }
 
-// bitmap returns the working bitmap, allocating it on first use; bytesAdded
-// reports the allocation to the one caller whose copy was installed.
-func (ws *workingSet) bitmap() (bm *filter.Bitmap, bytesAdded int) {
-	if bm = ws.bm.Load(); bm != nil {
-		return bm, 0
+// summary returns the working set's summary, allocating it on first use;
+// bytesAdded reports the allocation to the one caller whose copy was
+// installed.
+func (ws *workingSet) summary() (s filter.Summary, bytesAdded int) {
+	if p := ws.sum.Load(); p != nil {
+		return *p, 0
 	}
-	bm = ws.ci.newBitmap()
-	if !ws.bm.CompareAndSwap(nil, bm) {
-		return ws.bm.Load(), 0
+	switch {
+	case ws.ci.bitmap:
+		s = ws.ci.newBitmap()
+	case ws.exact:
+		s = filter.NewHashSet(256)
+	default:
+		s = filter.Blocked{F: bloom.NewBlockedWithGeometry(ws.ci.bits, ws.ci.k, 0)}
 	}
-	return bm, bm.SizeBytes()
+	if !ws.sum.CompareAndSwap(nil, &s) {
+		return *ws.sum.Load(), 0
+	}
+	return s, s.SizeBytes()
 }
 
-// storeBitmap adds t's attribute value to the working bitmap.
-func (ws *workingSet) storeBitmap(t types.Tuple) (bytesAdded int) {
-	bm, added := ws.bitmap()
-	if !addValue(bm, t[ws.col]) {
-		ws.outside.Store(true)
+// store adds t's attribute value to the working set: a bitmap takes the
+// value without hashing, a hashed summary the key's hash.
+func (ws *workingSet) store(t types.Tuple) (bytesAdded int) {
+	s, added := ws.summary()
+	if bm, ok := s.(*filter.Bitmap); ok {
+		if !addValue(bm, t[ws.col]) {
+			ws.outside.Store(true)
+		}
+		return added
+	}
+	var scratch [32]byte
+	key := t[ws.col].AppendKey(scratch[:0])
+	h := types.Hash64(key, 0)
+	if hs, ok := s.(*filter.HashSet); ok {
+		hs.AddHash(h, key)
+	} else {
+		s.(filter.Blocked).F.AddHash(h)
 	}
 	return added
-}
-
-// slotSet is one partition slot's private summary plus its key-encoding
-// scratch. Only the owning partition goroutine touches it before the merge;
-// the atomic slot pointer publishes it to the merger (every OnStore call
-// happens-before PointDone). Exactly one of pb/hs is set, per the working
-// set's summary kind.
-type slotSet struct {
-	pb  *bloom.Partial
-	hs  *filter.HashSet
-	buf []byte
-}
-
-// ffSlotBuckets is the bucket count of per-slot hash-set summaries; slots
-// of one working set share it so they merge bucket-wise.
-const ffSlotBuckets = 256
-
-// slot returns the slot's summary, allocating it on first use by the
-// owning goroutine. bytesAdded reports fresh Bloom allocations so the
-// caller can account summary memory.
-func (ws *workingSet) slot(i int) (ss *slotSet, bytesAdded int) {
-	if ss = ws.slots[i].Load(); ss != nil {
-		return ss, 0
-	}
-	ss = &slotSet{}
-	if ws.exact {
-		ss.hs = filter.NewHashSet(ffSlotBuckets)
-	} else {
-		ss.pb = bloom.NewPartial(ws.ci.bits, ws.ci.k, 0)
-		bytesAdded = ss.pb.SizeBytes()
-	}
-	ws.slots[i].Store(ss)
-	return ss, bytesAdded
 }
 
 // ffClassState is the AIP Registry entry for one attribute class.
 type ffClassState struct {
 	interest int // live consumer points
 	working  map[*exec.Point]*workingSet
-	merged   *bloom.Blocked // intersection of published Bloom sets
-	mergedBm *filter.Bitmap // intersection of published bitmaps
+	merged   filter.Summary // intersection of the published Bloom filters or bitmaps
 	// attached tracks the summary currently injected per consumer point so
 	// a stronger merge can replace it in place.
 	attached map[*exec.Point]filter.Summary
@@ -179,10 +156,7 @@ func (f *FeedForward) Begin() {
 				continue
 			}
 			seenProducer[pr.point] = true
-			ws := &workingSet{
-				class: id, col: pr.col, ci: ci,
-				exact: f.opts.Kind == SummaryHashSet,
-			}
+			ws := &workingSet{col: pr.col, ci: ci, exact: f.opts.Kind == SummaryHashSet}
 			st.working[pr.point] = ws
 			producedBy[pr.point] = append(producedBy[pr.point], ws)
 		}
@@ -190,17 +164,12 @@ func (f *FeedForward) Begin() {
 
 	for p, sets := range producedBy {
 		sets := sets
-		// The partitioned executor invokes OnStore from several partition
-		// workers of the same point concurrently (HashAgg and Distinct call
-		// it once per new group/tuple from every worker), but each call
-		// carries its partition slot, and a slot has exactly one writer:
-		// the hook feeds slot-private summaries without taking any lock,
-		// and PointDone merges the slots. The key is still encoded and
-		// hashed once per (tuple, attribute), then fed to the summary by
-		// hash. A bitmap class's set is shared by the slots and takes the
-		// value without hashing.
+		// A partitioned HashAgg or Distinct calls OnStore from all of its
+		// partition workers at once; they share each working set, whose
+		// summary takes concurrent adds. The key is encoded and hashed once
+		// per (tuple, attribute); a bitmap takes the value without hashing.
 		p := p
-		p.OnStore = func(slot int, t types.Tuple) {
+		p.OnStore = func(t types.Tuple) {
 			if !p.StateComplete() {
 				return // PointDone drops an incomplete input's sets unpublished
 			}
@@ -208,27 +177,7 @@ func (f *FeedForward) Begin() {
 				if ws.discarded.Load() {
 					continue
 				}
-				var added int
-				if ws.ci.bitmap {
-					added = ws.storeBitmap(t)
-				} else {
-					var ss *slotSet
-					ss, added = ws.slot(slot)
-					ss.buf = t[ws.col].AppendKey(ss.buf[:0])
-					h := types.Hash64(ss.buf, 0)
-					if ss.pb != nil {
-						// The partial's log doubles and its stripes
-						// allocate lazily; account the growth as it
-						// happens so the working-set gauge tracks real
-						// allocation, not the full class geometry.
-						before := ss.pb.SizeBytes()
-						ss.pb.AddHash(h)
-						added += ss.pb.SizeBytes() - before
-					} else {
-						ss.hs.AddHash(h, ss.buf)
-					}
-				}
-				if added > 0 {
+				if added := ws.store(t); added > 0 {
 					f.opts.Stats.FilterBytes.Add(int64(added))
 					ws.bytes.Add(int64(added))
 					if op := p.Op; op != nil {
@@ -238,49 +187,6 @@ func (f *FeedForward) Begin() {
 			}
 		}
 	}
-}
-
-// mergeSlots folds a retired working set's partition slots into one
-// summary: stripe/replay merge of Bloom partials into one full-geometry
-// blocked filter, bucket union for hash-set slots. A producer that stored
-// nothing still yields an empty summary — a completed empty input
-// legitimately prunes everything downstream. Exactly one return value is
-// non-nil.
-func (ws *workingSet) mergeSlots() (*bloom.Blocked, *filter.HashSet) {
-	if ws.exact {
-		var merged *filter.HashSet
-		for i := range ws.slots {
-			ss := ws.slots[i].Load()
-			if ss == nil {
-				continue
-			}
-			if merged == nil {
-				merged = ss.hs
-				continue
-			}
-			// Same bucket count by construction; the error path is a
-			// safety net and keeps the slot's keys by swapping roles.
-			if err := merged.MergeFrom(ss.hs); err != nil {
-				merged = ss.hs
-			}
-		}
-		if merged == nil {
-			merged = filter.NewHashSet(ffSlotBuckets)
-		}
-		return nil, merged
-	}
-	// The full class geometry is allocated exactly once, here — this is the
-	// moment P striped partials become one union-compatible filter.
-	merged := bloom.NewBlockedWithGeometry(ws.ci.bits, ws.ci.k, 0)
-	for i := range ws.slots {
-		ss := ws.slots[i].Load()
-		if ss == nil {
-			continue
-		}
-		// Same geometry by construction; the error cannot fire.
-		_ = ss.pb.MergeInto(merged)
-	}
-	return merged, nil
 }
 
 // PointDone publishes the completed input's working sets, injects them into
@@ -294,56 +200,32 @@ func (f *FeedForward) PointDone(p *exec.Point) {
 		if st == nil {
 			continue
 		}
-		// An incomplete input — a dead source degraded to a partial result,
-		// a spilled state, or a join input that kept arriving after its
-		// sibling completed, whose OnStore stopped storing then — has a
-		// working set missing tuples; publishing it would prune rows that
-		// belong in the answer. Drop it unpublished — interest accounting
-		// below still runs. So is a bitmap that was handed a value it
-		// cannot hold.
-		if ws, ok := st.working[p]; ok && (!p.StateComplete() || ws.outside.Load()) {
+		if ws, ok := st.working[p]; ok {
 			delete(st.working, p)
 			ws.discarded.Store(true)
-			releaseWorking(p, ws)
-		} else if ok {
-			delete(st.working, p)
-			ws.discarded.Store(true)
-			// The working set covers every tuple that passed the input's
-			// filters: a complete summary of the subexpression. The
-			// partition slots are merged (striped merge for Bloom partials,
-			// bucket union for hash sets) into the one summary that gets
-			// published; slot writes happen-before PointDone, so the merge
-			// needs no locks. A bitmap is published as it stands.
-			if ci.bitmap {
-				bm, added := ws.bitmap() // a producer that stored nothing publishes an empty set
+			// An incomplete input — a dead source degraded to a partial
+			// result, a spilled state, or a join input that kept arriving
+			// after its sibling completed, whose OnStore stopped storing
+			// then — has a working set missing tuples; publishing it would
+			// prune rows that belong in the answer. It is dropped
+			// unpublished, and so is a bitmap that was handed a value it
+			// cannot hold. Otherwise the working set covers every tuple that
+			// passed the input's filters: a complete summary of the
+			// subexpression, published as it stands (every store
+			// happens-before PointDone). A producer that stored nothing
+			// publishes an empty set.
+			if p.StateComplete() && !ws.outside.Load() {
+				sum, added := ws.summary()
 				f.opts.Stats.FilterBytes.Add(int64(added))
-				releaseWorking(p, ws)
-				if op := p.Op; op != nil {
-					op.AddFilter(stats.FilterBitmap, bm.SizeBytes())
-				}
-				f.publishBitmap(ci, st, bm)
-			} else if bb, hs := ws.mergeSlots(); bb != nil {
-				releaseWorking(p, ws)
-				if op := p.Op; op != nil {
-					op.AddFilter(stats.FilterBloom, bb.SizeBytes())
-				}
-				f.publishBloom(ci, st, bb)
-			} else {
-				releaseWorking(p, ws)
-				f.opts.Stats.FiltersMade.Inc()
-				f.opts.Stats.FilterBytes.Add(int64(hs.SizeBytes()))
-				if op := p.Op; op != nil {
-					op.AddFilter(stats.FilterHashSet, hs.SizeBytes())
-				}
-				f.attachAll(ci, st, hs)
+				f.publish(p, ci, st, sum)
 			}
+			releaseWorking(p, ws)
 		}
 		if consumes(ci, p) {
 			st.interest--
 			if st.interest <= 0 {
 				// Nobody left to prune with these sets: discard them.
-				// In-flight partition writers observe the flag and stop;
-				// their slots are dropped with the working set.
+				// In-flight partition writers observe the flag and stop.
 				for q, ws := range st.working {
 					ws.discarded.Store(true)
 					delete(st.working, q)
@@ -355,8 +237,8 @@ func (f *FeedForward) PointDone(p *exec.Point) {
 }
 
 // releaseWorking returns a retired working set's bytes to the owning
-// operator's in-progress gauge: the slot memory is dead after a merge or
-// discard (the published summary is accounted separately via FilterBytes).
+// operator's in-progress gauge once the set is published or dropped (a
+// published summary is accounted to the operator by AddFilter).
 func releaseWorking(p *exec.Point, ws *workingSet) {
 	if op := p.Op; op != nil {
 		if n := ws.bytes.Load(); n > 0 {
@@ -374,43 +256,41 @@ func consumes(ci *classInfo, p *exec.Point) bool {
 	return false
 }
 
-// publishBloom merges a completed Bloom working set into the registry and
-// (re-)injects the merged summary into live consumers. The full-geometry
-// filter was allocated by mergeSlots, so its bytes are charged here. Caller
-// holds f.mu.
-func (f *FeedForward) publishBloom(ci *classInfo, st *ffClassState, bb *bloom.Blocked) {
+// publish merges p's completed working set into the registry and
+// (re-)injects the result. A Bloom filter or bitmap is this producer's own
+// and not yet visible to any probe, so its intersection with the class's
+// earlier sets is taken in place, word by word, and costs no allocation;
+// both cover the class's geometry or domain, so the intersection cannot
+// fail. A hash set is attached beside the earlier ones and charged here by
+// its final size. Caller holds f.mu.
+func (f *FeedForward) publish(p *exec.Point, ci *classInfo, st *ffClassState, sum filter.Summary) {
 	f.opts.Stats.FiltersMade.Inc()
-	f.opts.Stats.FilterBytes.Add(int64(bb.SizeBytes()))
-	if st.merged == nil {
-		st.merged = bb
-	} else {
-		next := st.merged.Clone()
-		if err := next.IntersectWith(bb); err != nil {
-			// Incompatible geometry (cannot happen with class-wide
-			// sizing, kept as a safety net): attach separately.
-			f.attachAll(ci, st, filter.Blocked{F: bb})
-			return
+	var kind stats.FilterKind
+	switch s := sum.(type) {
+	case *filter.Bitmap:
+		kind = stats.FilterBitmap
+		f.opts.Stats.FiltersBitmap.Inc()
+		if prev, ok := st.merged.(*filter.Bitmap); ok {
+			_ = s.IntersectWith(prev)
 		}
-		st.merged = next
-		f.opts.Stats.FilterBytes.Add(int64(next.SizeBytes()))
+	case filter.Blocked:
+		kind = stats.FilterBloom
+		if prev, ok := st.merged.(filter.Blocked); ok {
+			_ = s.F.IntersectWith(prev.F)
+		}
+	case *filter.HashSet:
+		f.opts.Stats.FilterBytes.Add(int64(s.SizeBytes()))
+		if op := p.Op; op != nil {
+			op.AddFilter(stats.FilterHashSet, s.SizeBytes())
+		}
+		f.attachAll(ci, st, s)
+		return
 	}
-	f.inject(ci, st, filter.Blocked{F: st.merged})
-}
-
-// publishBitmap merges a completed bitmap into the registry and
-// (re-)injects the result. The new bitmap is this producer's own and not
-// yet visible to any probe, so the intersection with the class's earlier
-// sets is taken in place, word by word, and costs no allocation. Caller
-// holds f.mu.
-func (f *FeedForward) publishBitmap(ci *classInfo, st *ffClassState, bm *filter.Bitmap) {
-	f.opts.Stats.FiltersMade.Inc()
-	f.opts.Stats.FiltersBitmap.Inc()
-	if st.mergedBm != nil {
-		// Both cover the class's domain; the error cannot fire.
-		_ = bm.IntersectWith(st.mergedBm)
+	if op := p.Op; op != nil {
+		op.AddFilter(kind, sum.SizeBytes())
 	}
-	st.mergedBm = bm
-	f.inject(ci, st, bm)
+	st.merged = sum
+	f.inject(ci, st, sum)
 }
 
 // inject attaches the class's merged summary to every live consumer, in

@@ -327,7 +327,7 @@ func (w *aggWorker) fold(st *aggState, sb *scatter) (groups, bytes int64) {
 		groups++
 		bytes += st.charge(key)
 		if pt := w.h.Point; pt != nil && pt.OnStore != nil {
-			pt.OnStore(w.pidx, key)
+			pt.OnStore(key)
 		}
 	}
 	st.grow()
@@ -620,7 +620,7 @@ func (d *Distinct) Start(ctx *Context) <-chan Batch {
 						stored++
 						storedBytes += int64(t.MemSize())
 						if d.Point != nil && d.Point.OnStore != nil {
-							d.Point.OnStore(pidx, t)
+							d.Point.OnStore(t)
 						}
 						// A spilled partition defers: this may duplicate an
 						// evicted key, so the finalize replay decides.

@@ -422,7 +422,7 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 	}
 	// OnStore sees every tuple that was routed, whether or not a worker
 	// buffers it. The goroutine running the route is the point's only
-	// OnStore caller, so it owns working-set slot 0. Once the other input has
+	// OnStore caller. Once the other input has
 	// completed, a worker drops these tuples (§VI-A) or spills them, and
 	// either way the point's state no longer holds the whole input: it is
 	// marked so here, before the store, which a controller can read to store
@@ -433,7 +433,7 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 		}
 		if pt.OnStore != nil {
 			for _, l := range kept {
-				pt.OnStore(0, tuples[l])
+				pt.OnStore(tuples[l])
 			}
 		}
 	}

@@ -644,7 +644,7 @@ func TestJoinOnStoreCoversShortCircuitedTuples(t *testing.T) {
 	lp = j.LPoint
 	var rSeen int64
 	j.RPoint = &Point{Name: "r", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}
-	j.RPoint.OnStore = func(int, types.Tuple) { rSeen++ }
+	j.RPoint.OnStore = func(types.Tuple) { rSeen++ }
 	runOp(t, j, nil)
 	if rSeen != 1000 {
 		t.Fatalf("OnStore saw %d of 1000 tuples", rSeen)

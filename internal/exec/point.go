@@ -369,16 +369,11 @@ type Point struct {
 
 	// OnStore, when set by a controller, is invoked for every tuple the
 	// operator buffers into its state (Feed-Forward builds its working
-	// AIP sets here). It must be set before execution begins.
-	//
-	// slot identifies the calling goroutine's partition: partitioned
-	// operators pass their partition index, single-goroutine callers (the
-	// join router) pass 0, and slot is always < MaxPartitions. Calls with
-	// the same slot are serialized by the owning goroutine, while calls
-	// with different slots may run concurrently — implementations can
-	// therefore keep lock-free per-slot working state and merge it when
-	// the point completes (all OnStore calls happen-before PointDone).
-	OnStore func(slot int, t types.Tuple)
+	// AIP sets here). It must be set before execution begins. A join
+	// input's one caller is its route; a partitioned HashAgg or Distinct
+	// calls it from every partition worker at once, so it must be safe for
+	// concurrent use. Every call happens-before the point's PointDone.
+	OnStore func(t types.Tuple)
 
 	// state gives controllers access to the operator's buffered tuples
 	// once the input is done (Cost-Based scans it to build AIP sets).

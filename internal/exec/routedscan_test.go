@@ -147,7 +147,7 @@ func TestScanRoutedDifferential(t *testing.T) {
 							var calls atomic.Int64
 							var root Op
 							if kind == "join" {
-								r.pt.OnStore = func(_ int, tu types.Tuple) {
+								r.pt.OnStore = func(tu types.Tuple) {
 									r.kept++ // slot 0 only: the scan or the router
 									r.keptSz += int64(tu.MemSize())
 									if calls.Add(1) == 1000 {
@@ -160,7 +160,7 @@ func TestScanRoutedDifferential(t *testing.T) {
 								j.LPoint, j.RPoint = r.pt, routedPoint("r", small.Sch, keys)
 								root = j
 							} else {
-								r.pt.OnStore = func(int, types.Tuple) { // per new group, from the workers
+								r.pt.OnStore = func(types.Tuple) { // per new group, from the workers
 									if calls.Add(1) == 500 {
 										r.pt.Bank.Attach([]int{0}, sum)
 									}

@@ -168,7 +168,7 @@ func TestScanSideSelectionDifferential(t *testing.T) {
 					}
 					sum := f.summary(exact)
 					var kept atomic.Int64
-					j.LPoint.OnStore = func(int, types.Tuple) {
+					j.LPoint.OnStore = func(types.Tuple) {
 						if kept.Add(1) == 1000 {
 							j.LPoint.Bank.Attach([]int{0}, sum)
 						}

@@ -6,7 +6,6 @@
 package filter
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/bloom"
@@ -65,17 +64,14 @@ func (b Blocked) SizeBytes() int { return b.F.SizeBytes() }
 // no false positives but costs more memory and probe time than a Bloom
 // filter; the paper found Bloom superior in nearly all cases (§V), and this
 // implementation exists for the ablation benchmarks and for the Cost-based
-// algorithm's direct reuse of operator hash tables.
-//
-// Memory overflow is handled per the paper: buckets may be discarded, and a
-// probe that lands in a discarded bucket passes (never a false negative).
+// algorithm's direct reuse of operator hash tables. It is safe for
+// concurrent adds and probes: one lock guards the buckets.
 type HashSet struct {
-	mu        sync.RWMutex
-	buckets   []map[string]struct{}
-	discarded []bool
-	nbuckets  uint64
-	size      int
-	bytes     int
+	mu       sync.RWMutex
+	buckets  []map[string]struct{}
+	nbuckets uint64
+	size     int
+	bytes    int
 }
 
 // NewHashSet creates a hash-set summary with the given bucket count
@@ -85,9 +81,8 @@ func NewHashSet(nbuckets int) *HashSet {
 		nbuckets = 1
 	}
 	h := &HashSet{
-		buckets:   make([]map[string]struct{}, nbuckets),
-		discarded: make([]bool, nbuckets),
-		nbuckets:  uint64(nbuckets),
+		buckets:  make([]map[string]struct{}, nbuckets),
+		nbuckets: uint64(nbuckets),
 	}
 	for i := range h.buckets {
 		h.buckets[i] = make(map[string]struct{})
@@ -96,15 +91,11 @@ func NewHashSet(nbuckets int) *HashSet {
 }
 
 // AddHash inserts a key encoding by its precomputed hash (types.Hash64 of
-// key with seed 0). Adding to a discarded bucket is a no-op (the bucket
-// already passes everything).
+// key with seed 0).
 func (h *HashSet) AddHash(hash uint64, key []byte) {
 	b := hash % h.nbuckets
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.discarded[b] {
-		return
-	}
 	s := string(key)
 	if _, ok := h.buckets[b][s]; !ok {
 		h.buckets[b][s] = struct{}{}
@@ -122,12 +113,7 @@ func (h *HashSet) MayContainHashBatch(hashes []uint64, sel []int32, out []int32,
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	for _, i := range sel {
-		b := hashes[i] % h.nbuckets
-		if h.discarded[b] {
-			out = append(out, i)
-			continue
-		}
-		if _, ok := h.buckets[b][string(keyAt(i))]; ok {
+		if _, ok := h.buckets[hashes[i]%h.nbuckets][string(keyAt(i))]; ok {
 			out = append(out, i)
 		}
 	}
@@ -137,81 +123,10 @@ func (h *HashSet) MayContainHashBatch(hashes []uint64, sel []int32, out []int32,
 // MayContainHash reports membership by precomputed hash; bucket selection
 // reuses the hash, so only the final exact comparison reads the key bytes.
 func (h *HashSet) MayContainHash(hash uint64, key []byte) bool {
-	b := hash % h.nbuckets
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	if h.discarded[b] {
-		return true
-	}
-	_, ok := h.buckets[b][string(key)]
+	_, ok := h.buckets[hash%h.nbuckets][string(key)]
 	return ok
-}
-
-// MergeFrom unions other's keys into h (bucket-wise, so a discarded bucket
-// on either side stays discarded and keeps passing everything). Both sets
-// must have the same bucket count — the Feed-Forward controller merges the
-// per-partition working sets of one producer, which it sizes identically.
-func (h *HashSet) MergeFrom(other *HashSet) error {
-	if h.nbuckets != other.nbuckets {
-		return fmt.Errorf("filter: cannot merge hash sets with %d and %d buckets", h.nbuckets, other.nbuckets)
-	}
-	other.mu.RLock()
-	defer other.mu.RUnlock()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for i := range other.buckets {
-		if other.discarded[i] {
-			if !h.discarded[i] {
-				for k := range h.buckets[i] {
-					h.size--
-					h.bytes -= len(k) + 16
-				}
-				h.buckets[i] = nil
-				h.discarded[i] = true
-			}
-			continue
-		}
-		if h.discarded[i] {
-			continue
-		}
-		for k := range other.buckets[i] {
-			if _, ok := h.buckets[i][k]; !ok {
-				h.buckets[i][k] = struct{}{}
-				h.size++
-				h.bytes += len(k) + 16
-			}
-		}
-	}
-	return nil
-}
-
-// DiscardBucket drops one bucket's contents to relieve memory pressure;
-// probes to that bucket subsequently pass unconditionally (§V).
-func (h *HashSet) DiscardBucket(i int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if i < 0 || i >= len(h.buckets) || h.discarded[i] {
-		return
-	}
-	for k := range h.buckets[i] {
-		h.size--
-		h.bytes -= len(k) + 16
-	}
-	h.buckets[i] = nil
-	h.discarded[i] = true
-}
-
-// DiscardedBuckets returns how many buckets have been dropped.
-func (h *HashSet) DiscardedBuckets() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	n := 0
-	for _, d := range h.discarded {
-		if d {
-			n++
-		}
-	}
-	return n
 }
 
 // SizeBytes returns the approximate footprint of the retained keys.

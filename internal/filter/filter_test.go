@@ -62,59 +62,6 @@ func TestHashSetDuplicates(t *testing.T) {
 	}
 }
 
-// TestHashSetBucketDiscard verifies the paper's memory-overflow behavior
-// (§V): a discarded bucket passes everything (never a false negative), and
-// retained buckets keep exact membership.
-func TestHashSetBucketDiscard(t *testing.T) {
-	h := NewHashSet(8)
-	keys := make([][]byte, 200)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("key-%d", i))
-		h.Add(keys[i])
-	}
-	before := h.SizeBytes()
-	h.DiscardBucket(3)
-	if h.DiscardedBuckets() != 1 {
-		t.Fatal("bucket not discarded")
-	}
-	if h.SizeBytes() >= before {
-		t.Fatal("discard must free memory")
-	}
-	// No false negatives ever.
-	for _, k := range keys {
-		if !mayContain(h, k) {
-			t.Fatalf("false negative after discard for %s", k)
-		}
-	}
-	// Probes landing in the discarded bucket pass; at least one absent key
-	// that hashes there must pass, while absent keys in live buckets fail.
-	passes, fails := 0, 0
-	for i := 0; i < 1000; i++ {
-		if mayContain(h, []byte(fmt.Sprintf("absent-%d", i))) {
-			passes++
-		} else {
-			fails++
-		}
-	}
-	if passes == 0 {
-		t.Fatal("discarded bucket should pass unknown keys")
-	}
-	if fails == 0 {
-		t.Fatal("live buckets should still reject unknown keys")
-	}
-	// Idempotent / bounds-safe.
-	h.DiscardBucket(3)
-	h.DiscardBucket(-1)
-	h.DiscardBucket(999)
-	if h.DiscardedBuckets() != 1 {
-		t.Fatal("discard bookkeeping wrong")
-	}
-	// Adding to a discarded bucket is a no-op but must not panic.
-	for i := 0; i < 50; i++ {
-		h.Add([]byte(fmt.Sprintf("more-%d", i)))
-	}
-}
-
 func TestHashSetConcurrency(t *testing.T) {
 	h := NewHashSet(32)
 	var wg sync.WaitGroup
@@ -146,12 +93,11 @@ func TestHashSetMinimumBuckets(t *testing.T) {
 }
 
 func TestQuickHashSetNeverFalseNegative(t *testing.T) {
-	f := func(keys [][]byte, discard uint8) bool {
+	f := func(keys [][]byte) bool {
 		h := NewHashSet(8)
 		for _, k := range keys {
 			h.Add(k)
 		}
-		h.DiscardBucket(int(discard % 8))
 		for _, k := range keys {
 			if !mayContain(h, k) {
 				return false

@@ -104,7 +104,7 @@ type OpStats struct {
 	// FilterBytes counts bytes of published AIP summaries built from this
 	// operator's state; FilterWorking tracks the in-progress working-set
 	// bytes while those summaries are being built (current/peak), released
-	// when the working sets are merged or discarded at PointDone.
+	// when the working sets are published or dropped at PointDone.
 	FilterBytes   Counter
 	FilterWorking Gauge
 	filterKinds   atomic.Uint32 // FilterKind bits of those summaries
@@ -257,7 +257,7 @@ func (r *Registry) PeakStateBytes() int64 {
 
 // PeakFilterWorkingBytes totals the per-operator high-water marks of
 // in-progress AIP working-set memory: the transient cost of building
-// summaries, the quantity the striped per-slot working sets shrink.
+// summaries before they are published.
 func (r *Registry) PeakFilterWorkingBytes() int64 {
 	var total int64
 	for _, op := range r.Ops() {

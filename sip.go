@@ -341,11 +341,11 @@ type Result struct {
 	// NetworkBytes counts simulated network traffic.
 	NetworkBytes int64
 
-	// FilterBytes is the total memory allocated to AIP summaries (published
-	// filters plus working-set growth); PeakFilterWorkingBytes is the
-	// high-water mark of in-progress (not yet published) working sets summed
-	// across operators — the quantity the striped per-slot working sets are
-	// designed to shrink.
+	// FilterBytes is the total memory allocated to AIP summaries: each
+	// Feed-forward working set once, when allocated (it is published as it
+	// stands), plus each summary built at publication; PeakFilterWorkingBytes
+	// is the high-water mark of in-progress (not yet published) working sets
+	// summed across operators.
 	FilterBytes            int64
 	PeakFilterWorkingBytes int64
 

@@ -253,18 +253,12 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pub, opPeaks := summaryMemory(t, run, res)
 		got := map[string]int64{}
 		var stored []string
-		var pub, dropped, opPeaks int64
 		for _, op := range res.Stats.Ops() {
 			if n := op.StateRows.Load(); n > 0 {
 				stored = append(stored, fmt.Sprintf("%s=%d", op.Name, n))
-			}
-			opPeaks += op.StateBytes.Peak()
-			if fb := op.FilterBytes.Load(); fb > 0 {
-				pub += fb
-			} else {
-				dropped += op.FilterWorking.Peak()
 			}
 			if op.Class == "scan" {
 				got[op.Name] = op.Out.Load()
@@ -274,10 +268,6 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 			} else if pf := op.PreFilter.Load(); pf > 0 && (op.Name == "join:q.j1.left" || op.Name == "agg:q._sq1") {
 				t.Fatalf("run %d: %d rows reached %s before its filter", run, pf, op.Name)
 			}
-		}
-		if fb := res.Stats.FilterBytes.Load(); fb != pub+dropped || opPeaks+fb != res.PeakStateBytes {
-			t.Fatalf("run %d: summary memory %d B, want the published %d B + the dropped working sets' %d B; PeakStateBytes %d",
-				run, fb, pub, dropped, res.PeakStateBytes)
 		}
 		slices.Sort(stored)
 		key := strings.Join(stored, " ")
@@ -304,6 +294,52 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 			if n != outs[name] {
 				t.Fatalf("run %d: %s emitted %d rows, run 0 had %d", run, name, n, outs[name])
 			}
+		}
+	}
+}
+
+// summaryMemory checks a run's AIP summary memory against its operators: the
+// query's FilterBytes must be exactly pub, the bytes of the summaries the
+// operators published, plus the working memory of the operators that
+// published none — each working set is charged once, when allocated, and
+// published as it stands — and PeakStateBytes the operators' state peaks,
+// opPeaks, plus FilterBytes.
+func summaryMemory(t *testing.T, run int, res *Result) (pub, opPeaks int64) {
+	t.Helper()
+	var dropped int64
+	for _, op := range res.Stats.Ops() {
+		opPeaks += op.StateBytes.Peak()
+		if fb := op.FilterBytes.Load(); fb > 0 {
+			pub += fb
+		} else {
+			dropped += op.FilterWorking.Peak()
+		}
+	}
+	if fb := res.Stats.FilterBytes.Load(); fb != pub+dropped || opPeaks+fb != res.PeakStateBytes {
+		t.Fatalf("run %d: summary memory %d B, want the published %d B + the dropped working sets' %d B; PeakStateBytes %d",
+			run, fb, pub, dropped, res.PeakStateBytes)
+	}
+	return pub, opPeaks
+}
+
+// TestTableIFeedForwardSummaryMemory holds the summary-memory identity of
+// summaryMemory on Table I queries whose classes include a Bloom filter
+// (Q4A's and Q5A's top aggregation) beside bitmaps: a Bloom working set is
+// charged once, like a bitmap, with no merged copy or clone at publication.
+func TestTableIFeedForwardSummaryMemory(t *testing.T) {
+	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
+	eng := NewEngine(cat)
+	qs := tableIQueries(t, cat)
+	for _, id := range []string{"Q4A", "Q5A"} {
+		for run := 0; run < 3; run++ {
+			res, err := eng.Query(context.Background(), qs[id], Options{Strategy: FeedForward})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if made, bm := res.Stats.FiltersMade.Load(), res.Stats.FiltersBitmap.Load(); made == bm {
+				t.Fatalf("%s run %d: made %d filters, all bitmaps; want a Bloom filter", id, run, made)
+			}
+			summaryMemory(t, run, res)
 		}
 	}
 }
