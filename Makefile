@@ -85,7 +85,10 @@ bench-vet:
 	cd bench && $(GO) vet ./...
 
 # test-race: the executor's concurrency tests (partitioned join/agg
-# determinism, cancellation, the bucket-discard spill differentials,
+# determinism, cancellation — the partitioned operators' contract: HashJoin,
+# HashAgg and Distinct cut short after their k-th input batch at P = 1 and 4,
+# unbounded and evicting, release every accounted byte and publish no
+# truncated input —, the bucket-discard spill differentials,
 # source-side selection: scan-probe differentials over unmodeled and
 # delayed scans (one scan loop), accounting, the 0-alloc
 # chunk path, join reservation; routing scans: routed-vs-router

@@ -125,18 +125,9 @@ func main() {
 		return
 	}
 
-	var strat sip.Strategy
-	switch *strategy {
-	case "Baseline":
-		strat = sip.Baseline
-	case "Magic":
-		strat = sip.Magic
-	case "Feed-forward":
-		strat = sip.FeedForward
-	case "Cost-based":
-		strat = sip.CostBased
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	strat, err := sip.ParseStrategy(*strategy)
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := sip.Options{Strategy: strat, MemBudget: *memBudget,

@@ -56,18 +56,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var strat sip.Strategy
-	switch *strategy {
-	case "Baseline":
-		strat = sip.Baseline
-	case "Magic":
-		strat = sip.Magic
-	case "Feed-forward":
-		strat = sip.FeedForward
-	case "Cost-based":
-		strat = sip.CostBased
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	strat, err := sip.ParseStrategy(*strategy)
+	if err != nil {
+		fatal(err)
 	}
 
 	quotas := map[string]int{}

@@ -228,6 +228,21 @@ func TestStrategyNames(t *testing.T) {
 	}
 }
 
+// TestParseStrategy: ParseStrategy inverts String for every strategy and
+// rejects any other name.
+func TestParseStrategy(t *testing.T) {
+	for _, s := range AllStrategies() {
+		if got, err := ParseStrategy(s.String()); err != nil || got != s {
+			t.Fatalf("ParseStrategy(%q) = %v, %v", s.String(), got, err)
+		}
+	}
+	for _, name := range []string{"", "feed-forward", "Cost-Based", "Magic "} {
+		if _, err := ParseStrategy(name); err == nil {
+			t.Fatalf("ParseStrategy(%q) accepted it", name)
+		}
+	}
+}
+
 func TestStatsExposed(t *testing.T) {
 	e := testEngine(t)
 	res, err := e.Query(context.Background(), `SELECT count(*) FROM nation`, Options{})

@@ -25,6 +25,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/bloom"
 	"repro/internal/exec"
@@ -41,8 +42,8 @@ const (
 	// SummaryBloom uses Bloom filters sized for Options.FPR — the
 	// representation the paper's implementation settled on (§V) — in the
 	// cache-line-blocked layout (bloom.Blocked): one cache line per probe,
-	// batch add/probe kernels, and size-doubling per-slot working sets merged
-	// stripe-wise at publication. One rule refines it: when every producer
+	// and one filter in the class geometry per producer, which every
+	// partition worker adds to at once. One rule refines it: when every producer
 	// column of a class carries a known integer domain
 	// (exec.Point.StateDomains) and the union of those domains spans at most
 	// the class's Bloom bits, the class's sets are exact bitmaps over that
@@ -146,16 +147,96 @@ type classInfo struct {
 // newBitmap returns an empty set of a bitmap class.
 func (ci *classInfo) newBitmap() *filter.Bitmap { return filter.NewBitmap(ci.lo, ci.hi) }
 
-// addValue adds one stored attribute value to a bitmap class's set. It
-// reports false for a value the bitmap cannot hold — outside its domain, or
-// not integer-backed (the class's producer columns never carry one) — after
-// which the set must not be published.
-func addValue(bm *filter.Bitmap, v types.Value) bool {
-	switch v.K {
-	case types.KindInt, types.KindDate, types.KindBool:
-		return bm.Add(v.I)
+// newSet returns an empty AIP set of the class, whichever controller builds
+// it: a bitmap over the class domain when bitmap is set (ci.bitmap, unless
+// the state holds a value outside it), under SummaryHashSet an exact hash
+// set, else a blocked Bloom filter in the class geometry, so that the
+// class's filters intersect.
+func (ci *classInfo) newSet(kind SummaryKind, bitmap bool) filter.Summary {
+	switch {
+	case bitmap:
+		return ci.newBitmap()
+	case kind == SummaryHashSet:
+		return filter.NewHashSet(256)
 	}
-	return false
+	return filter.Blocked{F: bloom.NewBlockedWithGeometry(ci.bits, ci.k, 0)}
+}
+
+// addToSet adds one stored attribute value to an AIP set, safely beside
+// concurrent adds: a bitmap takes the value without hashing, a hashed
+// summary its key's hash. It reports false for a value a bitmap cannot hold
+// — outside its domain, or not integer-backed (the class's producer columns
+// never carry one) — after which the set must not be published.
+func addToSet(s filter.Summary, v types.Value) bool {
+	if bm, ok := s.(*filter.Bitmap); ok {
+		switch v.K {
+		case types.KindInt, types.KindDate, types.KindBool:
+			return bm.Add(v.I)
+		}
+		return false
+	}
+	var scratch [32]byte
+	key := v.AppendKey(scratch[:0])
+	h := types.Hash64(key, 0)
+	if hs, ok := s.(*filter.HashSet); ok {
+		hs.AddHash(h, key)
+	} else {
+		s.(filter.Blocked).F.AddHash(h)
+	}
+	return true
+}
+
+// made accounts one AIP set published from op's state (op may be nil): it
+// counts the set (and a bitmap among the bitmaps), charges FilterBytes its
+// size less what building it already charged, and charges op's filter
+// memory by kind.
+func (o Options) made(op *stats.OpStats, s filter.Summary, charged int64) {
+	o.Stats.FiltersMade.Inc()
+	n := s.SizeBytes()
+	o.Stats.FilterBytes.Add(int64(n) - charged)
+	kind := stats.FilterBloom
+	switch s.(type) {
+	case *filter.Bitmap:
+		kind = stats.FilterBitmap
+		o.Stats.FiltersBitmap.Inc()
+	case *filter.HashSet:
+		kind = stats.FilterHashSet
+	}
+	if op != nil {
+		op.AddFilter(kind, n)
+	}
+}
+
+// attach injects sum into consumer co's bank from a producer at site from:
+// in place of the summary prev returns, or — prev nil or returning nil — as
+// a first attachment, counted in FiltersUsed. A consumer at another site is
+// shipped sum first (shipFilter), with mu, which the caller holds, released
+// across the transfer, so prev is read after it; the shipment counts
+// NetworkBytes and FilterNetWork, and a failed one attaches nothing and
+// reports false.
+func (o Options) attach(mu *sync.Mutex, from int, co classUse, sum filter.Summary, prev func() filter.Summary) bool {
+	if link := o.linkFor(from, co.point.Site); link != nil {
+		n := sum.SizeBytes()
+		mu.Unlock()
+		err := o.shipFilter(link, co.point.Site, n)
+		mu.Lock()
+		if err != nil {
+			return false
+		}
+		o.Stats.NetworkBytes.Add(int64(n))
+		o.Stats.FilterNetWork.Add(int64(n))
+	}
+	var old filter.Summary
+	if prev != nil {
+		old = prev()
+	}
+	if old == nil {
+		co.point.Bank.Attach([]int{co.col}, sum)
+		o.Stats.FiltersUsed.Inc()
+	} else {
+		co.point.Bank.Replace([]int{co.col}, old, sum)
+	}
+	return true
 }
 
 // pickBitmap applies the bitmap rule to a sized class: every producer

@@ -223,7 +223,6 @@ func TestFeedForwardInterestDiscard(t *testing.T) {
 	markDone(p2)
 	ff.PointDone(p2)
 	// Interest is now zero; state must be cleaned up without panics.
-	ff.End()
 }
 
 // markDone flips a point to done via its public surface: completing a

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/exec"
 	"repro/internal/filter"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -228,59 +227,32 @@ func (c *CostBased) considerSet(src *exec.Point, stateCol int, ci *classInfo) {
 		return
 	}
 	c.created++
-	c.opts.Stats.FiltersMade.Inc()
-	c.opts.Stats.FilterBytes.Add(int64(sum.SizeBytes()))
-	kind := stats.FilterBloom
-	switch sum.(type) {
-	case *filter.Bitmap:
-		kind = stats.FilterBitmap
-		c.opts.Stats.FiltersBitmap.Inc()
-	case *filter.HashSet:
-		kind = stats.FilterHashSet
-	}
-	if op := src.Op; op != nil {
-		op.AddFilter(kind, sum.SizeBytes())
-	}
+	c.opts.made(src.Op, sum, 0)
 
 	// Inject, making each candidate's revised estimates permanent only once
-	// its filter is actually in place: a filter whose shipment failed (dead
-	// remote site, recovery exhausted) is neither attached nor allowed to
+	// its filter is actually in place: a filter whose shipment to a remote
+	// site failed (recovery exhausted) is neither attached nor allowed to
 	// discount the estimates other decisions will read.
 	for _, a := range accepted {
-		if link := c.opts.linkFor(src.Site, a.point.Site); link != nil {
-			// Shipping the filter costs real (simulated) time and bytes —
-			// and may fail; the shipment runs under the engine's recovery
-			// policy when the hook is installed.
-			n := sum.SizeBytes()
-			c.mu.Unlock()
-			err := c.opts.shipFilter(link, a.point.Site, n)
-			c.mu.Lock()
-			if err != nil {
-				c.shipFailed++
-				continue
+		prev := func() filter.Summary {
+			if prev := c.attached[a.point][ci.id]; prev != nil {
+				return prev.sum
 			}
-			c.opts.Stats.NetworkBytes.Add(int64(n))
-			c.opts.Stats.FilterNetWork.Add(int64(n))
+			return nil
 		}
-		prev := c.attached[a.point][ci.id]
-		if prev != nil {
-			a.point.Bank.Replace([]int{a.col}, prev.sum, sum)
-		} else {
-			a.point.Bank.Attach([]int{a.col}, sum)
+		if !c.opts.attach(&c.mu, src.Site, classUse{a.point, a.col}, sum, prev) {
+			c.shipFailed++
+			continue
 		}
 		if c.attached[a.point] == nil {
 			c.attached[a.point] = map[int]*cbAttached{}
 		}
 		c.attached[a.point][ci.id] = &cbAttached{sum: sum, size: int(setSize)}
-		c.opts.Stats.FiltersUsed.Inc()
 		for _, p := range a.anc {
 			c.discount[p] = c.factor(p) * a.sigma
 		}
 	}
 }
-
-// End is a no-op for the Cost-Based manager.
-func (c *CostBased) End() {}
 
 func (c *CostBased) factor(p *exec.Point) float64 {
 	if f, ok := c.discount[p]; ok {
@@ -296,48 +268,25 @@ func tentFactor(m map[*exec.Point]float64, p *exec.Point) float64 {
 	return 1
 }
 
-// buildSummary scans the completed state into a summary structure. With
-// SummaryBloom the filter uses the class-wide geometry so later sets over
-// the same class could be intersected — or, for a bitmap class, is an exact
-// bitmap over the class's domain, unless the state holds a value it cannot
-// hold; with SummaryHashSet an exact set is built (the §IV-B note about
-// reusing an operator's hash table directly). Bloom filters are fed through
-// the batch insert kernel: the state scan buffers hashes and flushes them
-// 256 at a time so block addresses are computed and warmed in bulk.
+// buildSummary scans the completed state into an AIP set of the class, the
+// one Feed-forward builds (classInfo.newSet): with SummaryBloom a filter in
+// the class-wide geometry, so that sets over the class intersect, or for a
+// bitmap class an exact bitmap over its domain, unless the state holds a
+// value it cannot hold; with SummaryHashSet an exact set (the §IV-B note
+// about reusing an operator's hash table directly).
 func (c *CostBased) buildSummary(src *exec.Point, stateCol int, ci *classInfo) filter.Summary {
-	if ci.bitmap {
-		bm, inside := ci.newBitmap(), true
+	fill := func(sum filter.Summary) bool {
+		ok := true
 		src.IterState(func(t types.Tuple) bool {
-			inside = addValue(bm, t[stateCol])
-			return inside
+			ok = addToSet(sum, t[stateCol])
+			return ok
 		})
-		if inside {
-			return bm
-		}
+		return ok
 	}
-	var buf []byte
-	if c.opts.Kind == SummaryHashSet {
-		hs := filter.NewHashSet(256)
-		src.IterState(func(t types.Tuple) bool {
-			buf = buf[:0]
-			buf = t[stateCol].AppendKey(buf)
-			hs.AddHash(types.Hash64(buf, 0), buf)
-			return true
-		})
-		return hs
+	sum := ci.newSet(c.opts.Kind, ci.bitmap)
+	if !fill(sum) {
+		sum = ci.newSet(c.opts.Kind, false)
+		fill(sum)
 	}
-	bb := bloom.NewBlockedWithGeometry(ci.bits, ci.k, 0)
-	hashes := make([]uint64, 0, 256)
-	src.IterState(func(t types.Tuple) bool {
-		buf = buf[:0]
-		buf = t[stateCol].AppendKey(buf)
-		hashes = append(hashes, types.Hash64(buf, 0))
-		if len(hashes) == cap(hashes) {
-			bb.AddHashBatch(hashes)
-			hashes = hashes[:0]
-		}
-		return true
-	})
-	bb.AddHashBatch(hashes)
-	return filter.Blocked{F: bb}
+	return sum
 }

@@ -4,10 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/bloom"
 	"repro/internal/exec"
 	"repro/internal/filter"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -50,8 +48,8 @@ type FeedForward struct {
 // bytes is that charge, released from the gauge when the set is published
 // or dropped.
 type workingSet struct {
-	col   int  // state-schema column holding the attribute
-	exact bool // a hash set instead of a Bloom filter
+	col  int         // state-schema column holding the attribute
+	kind SummaryKind // Options.Kind
 	// ci is the class: its Bloom geometry (bits, k), shared by the class's
 	// sets so they intersect, or its bitmap domain.
 	ci *classInfo
@@ -59,50 +57,31 @@ type workingSet struct {
 	discarded atomic.Bool
 	bytes     atomic.Int64
 	// sum is the summary, nil until the first store; outside flags a
-	// stored value a bitmap cannot hold (addValue), so the set is never
+	// stored value a bitmap cannot hold (addToSet), so the set is never
 	// published.
 	sum     atomic.Pointer[filter.Summary]
 	outside atomic.Bool
 }
 
-// summary returns the working set's summary, allocating it on first use;
-// bytesAdded reports the allocation to the one caller whose copy was
-// installed.
+// summary returns the working set's summary, allocating it on first use
+// (classInfo.newSet); bytesAdded reports the allocation to the one caller
+// whose copy was installed.
 func (ws *workingSet) summary() (s filter.Summary, bytesAdded int) {
 	if p := ws.sum.Load(); p != nil {
 		return *p, 0
 	}
-	switch {
-	case ws.ci.bitmap:
-		s = ws.ci.newBitmap()
-	case ws.exact:
-		s = filter.NewHashSet(256)
-	default:
-		s = filter.Blocked{F: bloom.NewBlockedWithGeometry(ws.ci.bits, ws.ci.k, 0)}
-	}
+	s = ws.ci.newSet(ws.kind, ws.ci.bitmap)
 	if !ws.sum.CompareAndSwap(nil, &s) {
 		return *ws.sum.Load(), 0
 	}
 	return s, s.SizeBytes()
 }
 
-// store adds t's attribute value to the working set: a bitmap takes the
-// value without hashing, a hashed summary the key's hash.
+// store adds t's attribute value to the working set (addToSet).
 func (ws *workingSet) store(t types.Tuple) (bytesAdded int) {
 	s, added := ws.summary()
-	if bm, ok := s.(*filter.Bitmap); ok {
-		if !addValue(bm, t[ws.col]) {
-			ws.outside.Store(true)
-		}
-		return added
-	}
-	var scratch [32]byte
-	key := t[ws.col].AppendKey(scratch[:0])
-	h := types.Hash64(key, 0)
-	if hs, ok := s.(*filter.HashSet); ok {
-		hs.AddHash(h, key)
-	} else {
-		s.(filter.Blocked).F.AddHash(h)
+	if !addToSet(s, t[ws.col]) {
+		ws.outside.Store(true)
 	}
 	return added
 }
@@ -156,7 +135,7 @@ func (f *FeedForward) Begin() {
 				continue
 			}
 			seenProducer[pr.point] = true
-			ws := &workingSet{col: pr.col, ci: ci, exact: f.opts.Kind == SummaryHashSet}
+			ws := &workingSet{col: pr.col, ci: ci, kind: f.opts.Kind}
 			st.working[pr.point] = ws
 			producedBy[pr.point] = append(producedBy[pr.point], ws)
 		}
@@ -215,9 +194,8 @@ func (f *FeedForward) PointDone(p *exec.Point) {
 			// happens-before PointDone). A producer that stored nothing
 			// publishes an empty set.
 			if p.StateComplete() && !ws.outside.Load() {
-				sum, added := ws.summary()
-				f.opts.Stats.FilterBytes.Add(int64(added))
-				f.publish(p, ci, st, sum)
+				sum, _ := ws.summary()
+				f.publish(p, ci, st, sum, ws.bytes.Load())
 			}
 			releaseWorking(p, ws)
 		}
@@ -257,72 +235,42 @@ func consumes(ci *classInfo, p *exec.Point) bool {
 }
 
 // publish merges p's completed working set into the registry and
-// (re-)injects the result. A Bloom filter or bitmap is this producer's own
-// and not yet visible to any probe, so its intersection with the class's
-// earlier sets is taken in place, word by word, and costs no allocation;
-// both cover the class's geometry or domain, so the intersection cannot
-// fail. A hash set is attached beside the earlier ones and charged here by
-// its final size. Caller holds f.mu.
-func (f *FeedForward) publish(p *exec.Point, ci *classInfo, st *ffClassState, sum filter.Summary) {
-	f.opts.Stats.FiltersMade.Inc()
-	var kind stats.FilterKind
+// (re-)injects the result; charged is what the working set already charged
+// to FilterBytes. A Bloom filter or bitmap is this producer's own and not
+// yet visible to any probe, so its intersection with the class's earlier
+// sets is taken in place, word by word, and costs no allocation; both cover
+// the class's geometry or domain, so the intersection cannot fail. It then
+// replaces the class's set at every live consumer. A hash set is attached
+// beside the earlier ones, once per consumer. Caller holds f.mu, which a
+// shipment to a remote consumer releases (Options.attach).
+func (f *FeedForward) publish(p *exec.Point, ci *classInfo, st *ffClassState, sum filter.Summary, charged int64) {
+	f.opts.made(p.Op, sum, charged)
 	switch s := sum.(type) {
 	case *filter.Bitmap:
-		kind = stats.FilterBitmap
-		f.opts.Stats.FiltersBitmap.Inc()
 		if prev, ok := st.merged.(*filter.Bitmap); ok {
 			_ = s.IntersectWith(prev)
 		}
 	case filter.Blocked:
-		kind = stats.FilterBloom
 		if prev, ok := st.merged.(filter.Blocked); ok {
 			_ = s.F.IntersectWith(prev.F)
 		}
 	case *filter.HashSet:
-		f.opts.Stats.FilterBytes.Add(int64(s.SizeBytes()))
-		if op := p.Op; op != nil {
-			op.AddFilter(stats.FilterHashSet, s.SizeBytes())
+		seen := map[*exec.Point]bool{}
+		for _, co := range ci.consumers {
+			if !co.point.Done() && !seen[co.point] {
+				seen[co.point] = true
+				f.opts.attach(&f.mu, p.Site, co, s, nil)
+			}
 		}
-		f.attachAll(ci, st, s)
 		return
 	}
-	if op := p.Op; op != nil {
-		op.AddFilter(kind, sum.SizeBytes())
-	}
 	st.merged = sum
-	f.inject(ci, st, sum)
-}
-
-// inject attaches the class's merged summary to every live consumer, in
-// place of the one attached before. Caller holds f.mu.
-func (f *FeedForward) inject(ci *classInfo, st *ffClassState, newSum filter.Summary) {
 	for _, co := range ci.consumers {
 		if co.point.Done() {
 			continue
 		}
-		old := st.attached[co.point]
-		if old == nil {
-			co.point.Bank.Attach([]int{co.col}, newSum)
-			f.opts.Stats.FiltersUsed.Inc()
-		} else {
-			co.point.Bank.Replace([]int{co.col}, old, newSum)
+		if f.opts.attach(&f.mu, p.Site, co, sum, func() filter.Summary { return st.attached[co.point] }) {
+			st.attached[co.point] = sum
 		}
-		st.attached[co.point] = newSum
 	}
 }
-
-// attachAll injects a summary into every live consumer of the class.
-func (f *FeedForward) attachAll(ci *classInfo, st *ffClassState, sum filter.Summary) {
-	seen := map[*exec.Point]bool{}
-	for _, co := range ci.consumers {
-		if co.point.Done() || seen[co.point] {
-			continue
-		}
-		seen[co.point] = true
-		co.point.Bank.Attach([]int{co.col}, sum)
-		f.opts.Stats.FiltersUsed.Inc()
-	}
-}
-
-// End is a no-op for Feed-Forward.
-func (f *FeedForward) End() {}

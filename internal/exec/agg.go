@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/expr"
@@ -255,7 +253,6 @@ func colRefs(es []expr.Expr) []int {
 // goroutine. The embedded aggCore carries the state and the bucket-discard
 // spill state (aggspill.go).
 type aggPart struct {
-	in chan *scatter
 	aggCore
 }
 
@@ -311,10 +308,8 @@ func (w *aggWorker) fold(st *aggState, sb *scatter) (groups, bytes int64) {
 	}
 	ids := resize(w.ids, n)
 	w.ids = ids
-	if cap(w.added) < n {
-		w.added = make([]bool, n)
-	}
-	sb.insert(&st.idx, ids, w.added[:n])
+	w.added = resize(w.added, n)
+	sb.insert(&st.idx, ids, w.added)
 	for i, added := range w.added[:n] {
 		if !added {
 			continue
@@ -361,113 +356,60 @@ func (pt *aggPart) absorb(ctx *Context, op *stats.OpStats, w *aggWorker, sb *sca
 	}
 	putScatter(sb)
 	// Delta-based over the full footprint, so StateBytes moves by the same delta.
-	if delta := pt.memBytes() - pre; delta != 0 {
-		ctx.account(delta)
-		op.StateBytes.Add(delta)
-		pt.bytes += delta
-	}
-	op.StateRows.Add(groups)
-	pp := op.Part(w.pidx)
-	pp.Rows.Add(groups)
-	pp.Bytes.Add(bytes)
-	if w.h.Point != nil {
-		w.h.Point.stored.Add(groups)
-	}
-	if ctx.memPressure(pt.bytes, P) {
+	if pt.stored(ctx, op, w.h.Point, w.pidx, P, pt.memBytes()-pre, groups, bytes) {
 		return pt.evict(ctx, op, w.h.Point)
 	}
 	return nil
 }
 
-// Start launches the router and the per-partition fold workers.
+// Start sizes the operator, starts its input (routed by its scan or a
+// router goroutine) and the per-partition fold workers.
 func (h *HashAgg) Start(ctx *Context) <-chan Batch {
-	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("agg:" + h.Name)
 	op.EstRows = pointEstRows(h.Point)
 	if h.Point != nil {
 		h.Point.Op = op
 	}
-	P := ctx.partitions()
-	P = clampPartitions(P, pointEstRows(h.Point))
-	ctx.addMemParts(P)
-	op.SetPartitions(P)
-
-	parts := make([]*aggPart, P)
-	partIns := make([]chan *scatter, P)
+	pr := newPartitioned(ctx, op.EstRows, op)
+	parts := make([]*aggPart, pr.P)
 	for p := range parts {
-		parts[p] = &aggPart{in: make(chan *scatter, pipelineDepth),
-			aggCore: aggCore{aggState: newAggState(len(h.GroupBy), h.Aggs)}}
-		partIns[p] = parts[p].in
+		parts[p] = &aggPart{aggCore{aggState: newAggState(len(h.GroupBy), h.Aggs)}}
+		pr.mems[p] = &parts[p].partMem
 	}
 
 	// The route probes the AIP filters, keys each surviving tuple by its
-	// group-by values and scatters it. routed records a complete, uncancelled
-	// pass over the input; the finisher publishes the AIP state only then
-	// (partial state must not be presented as a completed input's summary).
-	routerDone := make(chan struct{})
-	routed := false
-	rt := newInputRoute(0, P, partIns)
-	rt.keys, rt.point, rt.op = colRefs(h.GroupBy), h.Point, op
-	rt.done = func(complete bool) {
-		routed = complete
-		close(routerDone)
-	}
-
-	// The input starts only now: a scan probing on the point's behalf
-	// accounts its pruning through Point.Op. When every group-by expression
-	// is a plain integer-vector-backed column the scan below routes for the
+	// group-by values and scatters it. When every group-by expression is a
+	// plain integer-vector-backed column the scan below routes for the
 	// operator (a group key of column refs encodes like the columns
 	// themselves), and the workers fold plain vector-backed arguments from
 	// the vectors by row id. Otherwise a router drives the route, keying
 	// computed group-by expressions from their values, evaluated per batch.
-	var vecs TableVectors
-	if sc, pred := routingScan(h.Child, h.Point, rt.keys); sc != nil {
-		vecs = sc.Vecs
-		sc.start(ctx, pred, rt, nil)
-	} else {
-		if rt.keys == nil { // computed group-by expressions
-			rt.keys = make([]int, len(h.GroupBy))
-			for i, g := range h.GroupBy {
-				rt.keys[i], rt.exprs = i, append(rt.exprs, expr.Compile(g))
+	rt := pr.route(0, op, h.Point, colRefs(h.GroupBy))
+	if rt.keys == nil { // computed group-by expressions
+		rt.keys = make([]int, len(h.GroupBy))
+		for i, g := range h.GroupBy {
+			rt.keys[i], rt.exprs = i, append(rt.exprs, expr.Compile(g))
+		}
+	}
+	vecs := pr.feed(h.Child, rt, nil)
+	pr.work(func(p int, in <-chan *scatter) bool {
+		pt, w := parts[p], h.newWorker(p, vecs)
+		for sb := range in {
+			if err := pt.absorb(ctx, op, w, sb, pr.P); err != nil {
+				ctx.CancelCause(err)
+				return false
 			}
 		}
-		in := h.Child.Start(ctx)
-		ctx.Spawn(func() { rt.drive(ctx, in) })
-	}
+		return true
+	})
 
-	var workerWg sync.WaitGroup
-	workerWg.Add(P)
-	for p, pt := range parts {
-		w := h.newWorker(p, vecs)
-		ctx.Spawn(func() {
-			defer workerWg.Done()
-			for sb := range pt.in {
-				if err := pt.absorb(ctx, op, w, sb, P); err != nil {
-					ctx.CancelCause(err)
-					return
-				}
-			}
-		})
-	}
-
-	// Finisher: close the partition channels once routing ends, wait for the
-	// folds, publish the AIP state, and emit the result rows.
-	ctx.Spawn(func() {
-		defer close(out)
-		<-routerDone
-		for _, pt := range parts {
-			close(pt.in)
-		}
-		workerWg.Wait()
-		defer func() {
-			for _, pt := range parts {
-				ctx.account(-pt.bytes) // the groups die with the operator
-			}
-		}()
-		if !routed { // cancelled mid-routing: state is partial, don't publish
+	// Once every fold is done: publish the AIP state and emit the result
+	// rows — only for an input routed and folded in full (partial state must
+	// not be presented as a completed input's summary).
+	pr.finish(func() {
+		if pr.partial.Load() {
 			return
 		}
-
 		total := 0
 		anySpilled := false
 		for _, pt := range parts {
@@ -485,45 +427,26 @@ func (h *HashAgg) Start(ctx *Context) <-chan Batch {
 			parts[0].idx.Insert(0, nil)
 			parts[0].grow()
 		}
-
-		if h.Point != nil {
-			h.Point.setStateIter(func(emit func(types.Tuple) bool) {
-				for _, pt := range parts {
-					for g := 0; g < pt.idx.Len(); g++ {
-						if !emit(pt.key(g)) {
-							return
-						}
+		ctx.publish(h.Point, func(emit func(types.Tuple) bool) {
+			for _, pt := range parts {
+				for g := 0; g < pt.idx.Len(); g++ {
+					if !emit(pt.key(g)) {
+						return
 					}
 				}
-			})
-			h.Point.done.Store(true)
-			ctx.pointDone(h.Point)
-		}
-
-		// Out is counted per delivered batch at the send site (mirroring the
-		// scan fix), so cancelled queries report exactly what was delivered.
-		emit := func(b Batch) bool {
-			n := int64(b.Len())
-			if !send(ctx, out, b) {
-				return false
 			}
-			op.Out.Add(n)
-			return true
-		}
+		})
+
 		var arena rowArena
 		batch := GetBatch()
 		for _, pt := range parts {
-			if !pt.finish(ctx, op, &arena, &batch, emit) {
+			if !pt.finish(ctx, op, &arena, &batch, pr.emit) {
 				return
 			}
 		}
-		if batch.Len() == 0 {
-			PutBatch(batch)
-		} else {
-			emit(batch)
-		}
+		pr.emit(batch)
 	})
-	return out
+	return pr.out
 }
 
 // Distinct is the pipelined duplicate eliminator: the first occurrence of a
@@ -541,175 +464,100 @@ type Distinct struct {
 // Schema returns the child schema.
 func (d *Distinct) Schema() *types.Schema { return d.Child.Schema() }
 
-// distinctPart is one partition of the seen-set, owned by its worker. The
-// embedded distinctCore carries the seen-set and the bucket-discard spill
-// state (aggspill.go).
-type distinctPart struct {
-	in chan *scatter
-	distinctCore
-}
-
-// Start launches the router and the per-partition dedup workers.
+// Start sizes the operator, starts its input (through a router goroutine:
+// the optimizer puts a Project under every Distinct) and the per-partition
+// dedup workers.
 func (d *Distinct) Start(ctx *Context) <-chan Batch {
-	in := d.Child.Start(ctx)
-	out := make(chan Batch, pipelineDepth)
 	op := ctx.Stats.NewOp("distinct:" + d.Name)
 	if d.Point != nil {
 		d.Point.Op = op
 	}
-
-	P := ctx.partitions()
-	P = clampPartitions(P, pointEstRows(d.Point))
-	ctx.addMemParts(P)
-	op.SetPartitions(P)
-
+	pr := newPartitioned(ctx, pointEstRows(d.Point), op)
+	// Each partition of the seen-set is owned by its worker; the
+	// distinctCore carries the bucket-discard spill state (aggspill.go).
+	parts := make([]*distinctCore, pr.P)
+	for p := range parts {
+		parts[p] = &distinctCore{}
+		pr.mems[p] = &parts[p].partMem
+	}
 	allCols := make([]int, d.Child.Schema().Len())
 	for i := range allCols {
 		allCols[i] = i
 	}
+	pr.feed(d.Child, pr.route(0, op, d.Point, allCols), nil)
 
-	parts := make([]*distinctPart, P)
-	partIns := make([]chan *scatter, P)
-	for p := range parts {
-		parts[p] = &distinctPart{in: make(chan *scatter, pipelineDepth)}
-		partIns[p] = parts[p].in
-	}
-
-	// routed mirrors HashAgg: set only after a complete, uncancelled pass
-	// over the input, gating the AIP state publication.
-	routerDone := make(chan struct{})
-	routed := false
-	rt := newInputRoute(0, P, partIns)
-	rt.keys, rt.point, rt.op = allCols, d.Point, op
-	rt.done = func(complete bool) {
-		routed = complete
-		close(routerDone)
-	}
-	ctx.Spawn(func() { rt.drive(ctx, in) })
-
-	// failed is set when a worker could not deliver its output (cancel):
-	// the seen-state is then incomplete and must not be published.
-	var failed atomic.Bool
-	var workerWg sync.WaitGroup
-	workerWg.Add(P)
-	for p := 0; p < P; p++ {
-		pidx := p
-		ctx.Spawn(func() {
-			defer workerWg.Done()
-			pt := parts[pidx]
-			var (
-				ids   []int32
-				added []bool
-			)
-			for sb := range pt.in {
-				var stored, storedBytes int64
-				preBytes := pt.memBytes()
-				n := len(sb.tuples)
-				ids = resize(ids, n)
-				if cap(added) < n {
-					added = make([]bool, n)
+	pr.work(func(p int, in <-chan *scatter) bool {
+		pt := parts[p]
+		var (
+			ids   []int32
+			added []bool
+		)
+		for sb := range in {
+			var stored, storedBytes int64
+			preBytes := pt.memBytes()
+			n := sb.len()
+			ids = resize(ids, n)
+			added = resize(added, n)
+			sb.insert(&pt.idx, ids, added)
+			fresh := GetBatch()
+			for i := range n {
+				if !added[i] {
+					continue
 				}
-				sb.insert(&pt.idx, ids, added[:n])
-				fresh := GetBatch()
-				for i, t := range sb.tuples {
-					if added[i] {
-						// Clone the retained tuple: distinct keeps a sparse
-						// subset of its input forever, and retaining
-						// arena-backed rows directly would pin their blocks.
-						pt.seen = append(pt.seen, t.Clone())
-						stored++
-						storedBytes += int64(t.MemSize())
-						if d.Point != nil && d.Point.OnStore != nil {
-							d.Point.OnStore(t)
-						}
-						// A spilled partition defers: this may duplicate an
-						// evicted key, so the finalize replay decides.
-						if !pt.deferred {
-							fresh.Tuples = append(fresh.Tuples, t)
-						}
-					}
+				// Clone the retained tuple: distinct keeps a sparse subset
+				// of its input forever, and retaining arena-backed rows
+				// directly would pin their blocks.
+				t := sb.tuple(i)
+				pt.seen = append(pt.seen, t.Clone())
+				stored++
+				storedBytes += int64(t.MemSize())
+				if d.Point != nil && d.Point.OnStore != nil {
+					d.Point.OnStore(t)
 				}
-				pt.tupBytes += storedBytes
-				if delta := pt.memBytes() - preBytes; delta != 0 {
-					ctx.account(delta)
-					op.StateBytes.Add(delta)
-					pt.bytes += delta
+				// A spilled partition defers: this may duplicate an evicted
+				// key, so the finalize replay decides.
+				if !pt.deferred {
+					fresh.Tuples = append(fresh.Tuples, t)
 				}
-				op.StateRows.Add(stored)
-				pp := op.Part(pidx)
-				pp.Rows.Add(stored)
-				pp.Bytes.Add(storedBytes)
-				if d.Point != nil {
-					d.Point.stored.Add(stored)
-				}
-				// Out per flushed batch at the send site.
-				if len(fresh.Tuples) == 0 {
-					PutBatch(fresh)
-				} else {
-					n := int64(len(fresh.Tuples))
-					if !send(ctx, out, fresh) {
-						failed.Store(true)
-						return
-					}
-					op.Out.Add(n)
-				}
-				if ctx.memPressure(pt.bytes, P) {
-					if err := pt.evict(ctx, op, d.Point); err != nil {
-						ctx.CancelCause(err)
-						failed.Store(true)
-						return
-					}
-				}
-				putScatter(sb)
 			}
-		})
-	}
-
-	ctx.Spawn(func() {
-		defer close(out)
-		<-routerDone
-		for _, pt := range parts {
-			close(pt.in)
-		}
-		workerWg.Wait()
-		defer func() {
-			for _, pt := range parts {
-				ctx.account(-pt.bytes) // the seen-set dies with the operator
+			pt.tupBytes += storedBytes
+			evict := pt.stored(ctx, op, d.Point, p, pr.P, pt.memBytes()-preBytes, stored, storedBytes)
+			if !pr.emit(fresh) {
+				return false
 			}
-		}()
-		if !routed || failed.Load() { // cancelled: seen-state is partial
-			return
-		}
-		// Merge phase: spilled partitions replay their runs and emit the
-		// deferred pending tuples whose keys were never claimed.
-		for _, pt := range parts {
-			if pt.run == nil {
-				continue
-			}
-			if !pt.mergeSpill(ctx, op, func(b Batch) bool {
-				n := int64(b.Len())
-				if !send(ctx, out, b) {
+			if evict {
+				if err := pt.evict(ctx, op, d.Point); err != nil {
+					ctx.CancelCause(err)
 					return false
 				}
-				op.Out.Add(n)
-				return true
-			}) {
+			}
+			putScatter(sb)
+		}
+		return true
+	})
+
+	// Once every worker is done, and only for an input routed and
+	// deduplicated in full (else the seen-state is partial): spilled
+	// partitions replay their runs and emit the deferred pending tuples
+	// whose keys were never claimed, then the state is published.
+	pr.finish(func() {
+		if pr.partial.Load() {
+			return
+		}
+		for _, pt := range parts {
+			if !pt.mergeSpill(ctx, op, pr.emit) {
 				return
 			}
 		}
-		if d.Point != nil {
-			d.Point.setStateIter(func(emit func(types.Tuple) bool) {
-				for _, pt := range parts {
-					for _, t := range pt.seen {
-						if !emit(t) {
-							return
-						}
+		ctx.publish(d.Point, func(emit func(types.Tuple) bool) {
+			for _, pt := range parts {
+				for _, t := range pt.seen {
+					if !emit(t) {
+						return
 					}
 				}
-			})
-			d.Point.done.Store(true)
-			ctx.pointDone(d.Point)
-		}
+			}
+		})
 	})
-	return out
+	return pr.out
 }

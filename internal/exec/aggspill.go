@@ -80,14 +80,15 @@ func (c *aggCol) merge(g int32, r []types.Value) {
 // state.
 type aggCore struct {
 	aggState
-	bytes   int64      // accounted footprint of this partition
+	partMem
 	run     *spill.Run // nil until the first eviction
 	spilled int64      // cumulative charge of the spilled groups
 }
 
-// writeGroups appends every group to the run as one record and empties the
-// state. Group g's record carries the KeyTable's hash and key bytes for id g.
-func (ac *aggCore) writeGroups() error {
+// writeGroups appends every group to the run as one record, gives the
+// state's footprint back to op's StateBytes and empties the state. Group g's
+// record carries the KeyTable's hash and key bytes for id g.
+func (ac *aggCore) writeGroups(op *stats.OpStats) error {
 	var rec spill.Record
 	for g := 0; g < ac.idx.Len(); g++ {
 		rec.Tuple = append(rec.Tuple[:0], ac.key(g)...)
@@ -100,6 +101,7 @@ func (ac *aggCore) writeGroups() error {
 		}
 		ac.spilled += ac.charge(ac.key(g))
 	}
+	op.StateBytes.Add(-ac.memBytes())
 	ac.reset()
 	return nil
 }
@@ -109,16 +111,10 @@ func (ac *aggCore) evict(ctx *Context, op *stats.OpStats, point *Point) error {
 	if err := ctx.ensureRun(&ac.run, "agg", op); err != nil {
 		return err
 	}
-	if err := ac.writeGroups(); err != nil {
+	if err := ac.writeGroups(op); err != nil {
 		return err
 	}
-	ctx.account(-ac.bytes)
-	op.StateBytes.Add(-ac.bytes)
-	ac.bytes = 0
-	ctx.noteEviction(op)
-	if point != nil {
-		point.stateIncomplete.Store(true)
-	}
+	ac.evicted(ctx, op, point)
 	return nil
 }
 
@@ -141,26 +137,16 @@ func (ac *aggCore) finish(ctx *Context, op *stats.OpStats, arena *rowArena, batc
 		return false
 	}
 
-	if err := ac.writeGroups(); err != nil {
+	if err := ac.writeGroups(op); err != nil {
 		return fail(err)
 	}
-	ctx.account(-ac.bytes)
-	op.StateBytes.Add(-ac.bytes)
-	ac.bytes = 0
+	ac.release(ctx)
 
 	// ac.spilled counts every snapshot of a group, so when evicted groups
 	// re-accumulate it overstates the merged size: F is a sizing hint, not
 	// a gate. The build pass enforces the budget on the actual merged state
 	// and fails typed when even the maximum fan-out cannot fit one pass.
-	share := ctx.mergeShare()
-	F := 1
-	for F < spillMaxFanout && 2*ac.spilled/int64(F) > share {
-		F <<= 1
-	}
-	var passLimit int64
-	if ctx.MemBudget > 0 {
-		passLimit = 2 * share
-	}
+	F, passLimit, _ := ctx.mergeFanout(ac.spilled)
 
 	width := ac.gw + len(ac.cols)*aggRecWidth
 	t := make(types.Tuple, width) // the record being merged; its values are copied
@@ -171,12 +157,9 @@ func (ac *aggCore) finish(ctx *Context, op *stats.OpStats, arena *rowArena, batc
 		err := readRun(ac.run, op, func(rd *spill.Reader) error {
 			var rec spill.Record
 			for {
-				ok, err := rd.NextKey(&rec)
+				ok, err := nextIn(rd, &rec, f, F)
 				if err != nil || !ok {
 					return err
-				}
-				if subBucket(rec.Hash, F) != f {
-					continue
 				}
 				if rd.Width() != width {
 					return fmt.Errorf("exec: spilled group of %d values, want %d", rd.Width(), width)
@@ -202,12 +185,9 @@ func (ac *aggCore) finish(ctx *Context, op *stats.OpStats, arena *rowArena, batc
 		if err != nil {
 			return fail(err)
 		}
-		passBytes := ac.memBytes()
-		ctx.account(passBytes)
-		op.StateBytes.Add(passBytes)
+		unpass := ctx.chargePass(op, ac.memBytes())
 		ok := ac.emitRows(arena, batch, emit)
-		ctx.account(-passBytes)
-		op.StateBytes.Add(-passBytes)
+		unpass()
 		ac.reset()
 		if !ok {
 			return false
@@ -222,8 +202,8 @@ type distinctCore struct {
 	idx  types.KeyTable
 	seen []types.Tuple
 
-	tupBytes int64      // retained tuple payload bytes
-	bytes    int64      // accounted footprint of this partition
+	tupBytes int64 // retained tuple payload bytes
+	partMem
 	run      *spill.Run // nil until the first eviction
 	spilled  int64      // cumulative spilled key bytes (sizes finalize passes)
 	deferred bool       // true once evicted: fresh firsts buffer, not forward
@@ -234,11 +214,12 @@ func (dc *distinctCore) memBytes() int64 {
 	return int64(dc.idx.MemSize()) + dc.tupBytes + int64(cap(dc.seen))*24
 }
 
-// writeSeen appends the in-memory state to the run and resets it. The first
-// eviction writes key-only claims (side 1: already forwarded); every later
-// write carries the buffered pending tuples (side 0: not yet forwarded).
-// Dense KeyTable ids align with the seen slice.
-func (dc *distinctCore) writeSeen() error {
+// writeSeen appends the in-memory state to the run, gives its footprint back
+// to op's StateBytes and resets it. The first eviction writes key-only
+// claims (side 1: already forwarded); every later write carries the buffered
+// pending tuples (side 0: not yet forwarded). Dense KeyTable ids align with
+// the seen slice.
+func (dc *distinctCore) writeSeen(op *stats.OpStats) error {
 	var rec spill.Record
 	claimed := !dc.deferred
 	for id := int32(0); id < int32(dc.idx.Len()); id++ {
@@ -256,6 +237,7 @@ func (dc *distinctCore) writeSeen() error {
 		}
 		dc.spilled += int64(len(rec.Key)) + 48
 	}
+	op.StateBytes.Add(-dc.memBytes())
 	dc.idx = types.KeyTable{}
 	dc.seen = nil
 	dc.tupBytes = 0
@@ -268,16 +250,10 @@ func (dc *distinctCore) evict(ctx *Context, op *stats.OpStats, point *Point) err
 	if err := ctx.ensureRun(&dc.run, "distinct", op); err != nil {
 		return err
 	}
-	if err := dc.writeSeen(); err != nil {
+	if err := dc.writeSeen(op); err != nil {
 		return err
 	}
-	ctx.account(-dc.bytes)
-	op.StateBytes.Add(-dc.bytes)
-	dc.bytes = 0
-	ctx.noteEviction(op)
-	if point != nil {
-		point.stateIncomplete.Store(true)
-	}
+	dc.evicted(ctx, op, point)
 	return nil
 }
 
@@ -285,8 +261,9 @@ func (dc *distinctCore) evict(ctx *Context, op *stats.OpStats, point *Point) err
 // pending remainder joins the run, then F sub-bucket passes replay the run
 // in write order — the first record to claim a key wins, and only a winning
 // pending (side 0) record emits its tuple. Each pass holds only a KeyTable
-// of the sub-bucket's keys. Returns false when the query failed or was
-// cancelled; the run is closed and removed either way.
+// of the sub-bucket's keys; emit takes every batch, the last possibly
+// empty. Returns false when the query failed or was cancelled; the run is
+// closed and removed either way.
 func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Batch) bool) bool {
 	if dc.run == nil {
 		return true
@@ -296,27 +273,17 @@ func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Ba
 		dc.run = nil
 	}()
 
-	if err := dc.writeSeen(); err != nil {
+	if err := dc.writeSeen(op); err != nil {
 		ctx.CancelCause(err)
 		return false
 	}
-	ctx.account(-dc.bytes)
-	op.StateBytes.Add(-dc.bytes)
-	dc.bytes = 0
+	dc.release(ctx)
 
 	// dc.spilled re-counts a key each time it is re-claimed or re-buffered
 	// after an eviction, so it overstates the deduped size: F is a sizing
 	// hint, not a gate. The replay pass enforces the budget on the actual
 	// per-sub-bucket key table and fails typed when it cannot fit.
-	share := ctx.mergeShare()
-	F := 1
-	for F < spillMaxFanout && 2*dc.spilled/int64(F) > share {
-		F <<= 1
-	}
-	var passLimit int64
-	if ctx.MemBudget > 0 {
-		passLimit = 2 * share
-	}
+	F, passLimit, _ := ctx.mergeFanout(dc.spilled)
 
 	outBatch := GetBatch()
 	for f := 0; f < F; f++ {
@@ -329,12 +296,9 @@ func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Ba
 		err := readRun(dc.run, op, func(rd *spill.Reader) error {
 			var rec spill.Record
 			for {
-				ok, err := rd.NextKey(&rec)
+				ok, err := nextIn(rd, &rec, f, F)
 				if err != nil || !ok {
 					return err
-				}
-				if subBucket(rec.Hash, F) != f {
-					continue
 				}
 				_, added := idx.Insert(rec.Hash, rec.Key)
 				if added && passLimit > 0 && int64(idx.MemSize()) > passLimit {
@@ -366,17 +330,8 @@ func (dc *distinctCore) mergeSpill(ctx *Context, op *stats.OpStats, emit func(Ba
 			return false
 		}
 		// The pass table peaks once per sub-bucket; charge it at its final
-		// size so the high-water mark reflects the pass.
-		passBytes := int64(idx.MemSize())
-		ctx.account(passBytes)
-		ctx.account(-passBytes)
+		// size so the query's high-water mark reflects the pass.
+		ctx.chargePass(nil, int64(idx.MemSize()))()
 	}
-	if len(outBatch.Tuples) > 0 {
-		if !emit(outBatch) {
-			return false
-		}
-	} else {
-		PutBatch(outBatch)
-	}
-	return true
+	return emit(outBatch)
 }

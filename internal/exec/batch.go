@@ -328,9 +328,9 @@ type inputRoute struct {
 	outs    []chan *scatter
 	bufs    []*scatter // per partition: the keyed tuples not yet delivered
 
-	// beforeSend/onCancel (either may be nil) bracket each delivery attempt:
-	// the join counts in-flight messages there.
-	beforeSend, onCancel func()
+	// inflight, when set (a join input's pending count), counts every
+	// scatter delivered and not yet processed by its worker.
+	inflight *atomic.Int64
 	// done is called once when routing ends; complete is false when the
 	// query was cancelled before the input was consumed in full.
 	done func(complete bool)
@@ -361,14 +361,14 @@ func (r *inputRoute) flush(ctx *Context, min int) bool {
 			continue
 		}
 		r.bufs[p] = nil
-		if r.beforeSend != nil {
-			r.beforeSend()
+		if r.inflight != nil {
+			r.inflight.Add(1)
 		}
 		select {
 		case r.outs[p] <- sb:
 		case <-ctx.Cancelled():
-			if r.onCancel != nil {
-				r.onCancel()
+			if r.inflight != nil {
+				r.inflight.Add(-1)
 			}
 			putScatter(sb)
 			return false
@@ -570,11 +570,7 @@ type rowArena struct {
 // alloc returns a zeroed row of width w.
 func (a *rowArena) alloc(w int) types.Tuple {
 	if cap(a.buf)-len(a.buf) < w {
-		n := BatchSize * w
-		if n < w {
-			n = w
-		}
-		a.buf = make([]types.Value, 0, n)
+		a.buf = make([]types.Value, 0, BatchSize*w)
 	}
 	start := len(a.buf)
 	a.buf = a.buf[:start+w]

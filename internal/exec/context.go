@@ -142,6 +142,16 @@
 // equal keys therefore always land in the same partition, so partitions
 // are independent sub-problems.
 //
+// The three share one runtime, partitioned (partition.go): it sizes the
+// operator, feeds each input (routing scan or router), runs the P workers,
+// closes the partitions after the last input's route, accounts each
+// partition's state and its evictions (partMem), publishes an input's state
+// (Context.publish), sizes every spill merge (Context.mergeFanout), and
+// releases what is left when the operator ends. Each operator keeps only
+// its algorithm: the join its tickets, short-circuit, per-input completion
+// and epoch merge; the aggregation its fold and emission; Distinct its
+// first-occurrence emission and its claimed/pending spill discipline.
+//
 // Each partition's state (a pair of joinTables for the join, a KeyTable with
 // group columns for agg, with seen tuples for distinct) is owned by exactly
 // one worker goroutine, which serializes all inserts and probes for that
@@ -164,6 +174,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/spill"
 	"repro/internal/stats"
 	"repro/internal/types"
 )
@@ -245,8 +256,6 @@ type Controller interface {
 	// PointDone is called when an input has consumed all of its data; for
 	// stateful points the buffered state is final at this moment.
 	PointDone(p *Point)
-	// End is called after the query completes.
-	End()
 }
 
 // MaxPartitions caps the partition fan-out of parallel operators; beyond
@@ -292,7 +301,8 @@ type Context struct {
 	spillEvents atomic.Int64 // bucket-discard evictions
 
 	spillMu  sync.Mutex
-	spillDir string // lazily created per-query temp dir for spill runs
+	spillDir string       // lazily created per-query temp dir for spill runs
+	runs     []*spill.Run // every run created in it, closed by Cleanup
 
 	mu     sync.Mutex
 	points []*Point
@@ -461,14 +471,21 @@ func (c *Context) pointDone(p *Point) {
 	}
 }
 
-// send delivers a batch unless the query was cancelled; it reports whether
-// the send happened.
-func send(ctx *Context, out chan<- Batch, b Batch) bool {
-	if b.Len() == 0 {
+// send delivers a batch unless the query was cancelled, and then adds its
+// rows to every counter in counts (an operator's Out: cancelled queries
+// report exactly the tuples that were delivered); it reports whether the
+// send happened. An empty batch is recycled instead.
+func send(ctx *Context, out chan<- Batch, b Batch, counts ...*stats.Counter) bool {
+	n := int64(b.Len())
+	if n == 0 {
+		PutBatch(b)
 		return true
 	}
 	select {
 	case out <- b:
+		for _, c := range counts {
+			c.Add(n)
+		}
 		return true
 	case <-ctx.Cancelled():
 		return false
@@ -506,9 +523,6 @@ func Run(ctx *Context, root Op) ([]types.Tuple, error) {
 	}
 	rows := Collect(StartPlan(ctx, root))
 	ctx.Wait() // a panicking operator closes its output before Spawn records the cause
-	if ctx.Ctl != nil {
-		ctx.Ctl.End()
-	}
 	return rows, ctx.Err()
 }
 

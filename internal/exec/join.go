@@ -267,138 +267,126 @@ type joinInput struct {
 	point *Point
 	op    *stats.OpStats
 
-	// pending is 1 (the router's hold, released when the input channel
-	// closes) plus the number of scattered messages not yet fully processed
-	// by a worker. It reaches 0 exactly once, after the input's last probe.
+	// pending is 1 (the route's hold, released only when the route consumed
+	// its whole input without being cancelled) plus the number of scattered
+	// messages not yet fully processed by a worker. It reaches 0 at most
+	// once, after the last probe of a fully routed input.
 	pending atomic.Int64
-	// routed is set when the router consumed its whole input without being
-	// cancelled; completion runs only for fully routed inputs.
-	routed atomic.Bool
 	// done is set by the completion step: nothing of this side will ever
 	// probe again, so the other side may stop buffering (§VI-A).
 	done atomic.Bool
 }
 
-// joinPart is one radix partition. Its tables, ticket counter, and spill
-// state (the embedded joinCore) are owned exclusively by the worker
-// goroutine draining in; single-owner processing replaces the per-side lock
-// of the pre-partitioned engine.
-type joinPart struct {
-	in chan *scatter
-	joinCore
+// joinOut gathers a join's output rows into batches and sends each, once
+// full or flushed, after the residual (resC, may be nil): one EvalBool per
+// batch instead of one Eval per row, the survivors marked by a selection.
+type joinOut struct {
+	b    Batch
+	resC *expr.Compiled
+	send func(Batch) bool
 }
 
-// Start launches one router goroutine per input and one worker per
-// partition; workers emit their own matches, so the operator behaves like
-// Tukwila's multithreaded join with the output thread folded in.
+// add appends one output row, sending the batch when it is full; false when
+// a send failed (cancelled).
+func (o *joinOut) add(row types.Tuple) bool {
+	o.b.Tuples = append(o.b.Tuples, row)
+	return len(o.b.Tuples) < BatchSize || o.flush()
+}
+
+// flush sends the rows gathered so far that pass the residual.
+func (o *joinOut) flush() bool {
+	if len(o.b.Tuples) == 0 {
+		return true
+	}
+	b := o.b
+	o.b = GetBatch()
+	if o.resC != nil {
+		b.Sel = o.resC.EvalBool(b.Tuples, identSel(len(b.Tuples)), getSel())
+		if len(b.Sel) == 0 {
+			PutBatch(b)
+			return true
+		}
+	}
+	return o.send(b)
+}
+
+// Start sizes the operator, starts one worker per partition and then the
+// inputs (each routed by its scan or a router goroutine); workers emit their
+// own matches, so the operator behaves like Tukwila's multithreaded join with
+// the output thread folded in.
 func (j *HashJoin) Start(ctx *Context) <-chan Batch {
-	out := make(chan Batch, pipelineDepth)
-
-	P := ctx.partitions()
-	P = clampPartitions(P, pointEstRows(j.LPoint)+pointEstRows(j.RPoint))
-	ctx.addMemParts(P)
-
 	lop, rop := j.newOps(ctx)
-	lop.SetPartitions(P)
-	rop.SetPartitions(P)
-
+	pr := newPartitioned(ctx, lop.EstRows+rop.EstRows, lop, rop)
+	ops, points := [2]*stats.OpStats{lop, rop}, [2]*Point{j.LPoint, j.RPoint}
 	inputs := [2]*joinInput{
 		{side: 0, keys: j.LKeys, point: j.LPoint, op: lop},
 		{side: 1, keys: j.RKeys, point: j.RPoint, op: rop},
 	}
-	inputs[0].pending.Store(1)
-	inputs[1].pending.Store(1)
 	for _, in := range inputs {
+		in.pending.Store(1)
 		if in.point != nil {
 			in.point.Op = in.op
 		}
 	}
-	ops := [2]*stats.OpStats{lop, rop}
-	parts := make([]*joinPart, P)
-	partIns := make([]chan *scatter, P)
+	// Each partition's tables, ticket counter and spill state are owned by
+	// the worker draining its channel.
+	parts := make([]*joinCore, pr.P)
 	for p := range parts {
-		parts[p] = &joinPart{in: make(chan *scatter, pipelineDepth)}
-		partIns[p] = parts[p].in
+		parts[p] = &joinCore{}
+		pr.mems[p] = &parts[p].partMem
 		for s, in := range inputs {
 			if in.point != nil {
-				parts[p].tables[s].reserve(int(in.point.EstRows)/P, joinKeyHint(in.point, in.keys, P))
+				parts[p].tables[s].reserve(int(in.point.EstRows)/pr.P, joinKeyHint(in.point, in.keys, pr.P))
 			}
 		}
 	}
 
-	// finish marks one input complete: no insert follows (all happened before
-	// the pending counter reached zero), but an eviction still may, so the
-	// AIP state iterator and evictions exclude each other through stateMu.
+	// release drops one pending reference and, when the input's routing
+	// finished and its last scattered message is drained, completes it and
+	// publishes its state. No insert follows (all happened before the
+	// counter reached zero), but an eviction still may, so the AIP state
+	// iterator and evictions exclude each other through stateMu.
 	var stateMu sync.RWMutex
-	finish := func(own *joinInput) {
-		own.done.Store(true)
-		if own.point != nil {
-			side := own.side
-			own.point.setStateIter(func(emit func(types.Tuple) bool) {
-				stateMu.RLock()
-				defer stateMu.RUnlock()
-				for _, pt := range parts {
-					for i := range pt.tables[side].entries {
-						if !emit(pt.tables[side].tuple(i)) {
-							return
-						}
-					}
-				}
-			})
-			own.point.done.Store(true)
-			ctx.pointDone(own.point)
-		}
-	}
-
-	// release drops one pending reference and runs completion when the
-	// input's routing finished and its last scattered message is drained.
 	release := func(own *joinInput) {
-		if own.pending.Add(-1) == 0 && own.routed.Load() {
-			finish(own)
-		}
-	}
-
-	var routers atomic.Int32
-	routers.Store(2)
-
-	// routingDone ends one input's lock-free phase, whoever drove it. Only an
-	// input consumed in full, not truncated by a cancellation, may publish
-	// its state: its hold is released, and completion runs here or on
-	// whichever worker drains the last message.
-	routingDone := func(own *joinInput, complete bool) {
-		if complete {
-			own.routed.Store(true)
-			release(own)
-		}
-		if routers.Add(-1) == 0 {
-			for _, pt := range parts {
-				close(pt.in)
-			}
-		}
-	}
-
-	// feed starts one input: a scan that can route for it (routingScan) drives
-	// the route itself, anything else streams batches to a router goroutine.
-	// Inputs start only now: a scan that probes on a point's behalf accounts
-	// its pruning through Point.Op.
-	feed := func(child Op, own *joinInput) {
-		rt := newInputRoute(own.side, P, partIns)
-		rt.keys, rt.point, rt.op, rt.sibling, rt.equi = own.keys, own.point, own.op, &inputs[1-own.side].done, true
-		rt.beforeSend = func() { own.pending.Add(1) }
-		rt.onCancel = func() { own.pending.Add(-1) }
-		rt.done = func(complete bool) { routingDone(own, complete) }
-		if sc, pred := routingScan(child, own.point, own.keys); sc != nil {
-			sc.start(ctx, pred, rt, nil)
+		if own.pending.Add(-1) != 0 {
 			return
 		}
-		in := child.Start(ctx)
-		ctx.Spawn(func() { rt.drive(ctx, in) })
+		own.done.Store(true)
+		ctx.publish(own.point, func(emit func(types.Tuple) bool) {
+			stateMu.RLock()
+			defer stateMu.RUnlock()
+			for _, pt := range parts {
+				t := &pt.tables[own.side]
+				for i := range t.entries {
+					if !emit(t.tuple(i)) {
+						return
+					}
+				}
+			}
+		})
 	}
 
-	var workerWg sync.WaitGroup
-	workerWg.Add(P)
+	// feed starts one input. Only an input consumed in full, not truncated
+	// by a cancellation, may publish its state: when its route ends so, its
+	// hold is released, and completion runs there or on whichever worker
+	// drains the last message.
+	feed := func(child Op, own *joinInput) {
+		rt := pr.route(own.side, own.op, own.point, own.keys)
+		rt.sibling, rt.equi, rt.inflight = &inputs[1-own.side].done, true, &own.pending
+		pr.feed(child, rt, func(complete bool) {
+			if complete {
+				release(own)
+			}
+		})
+	}
 
-	// worker owns one partition. For each scattered message it inserts the
+	// A probing input's matches are counted on its Out.
+	var sends [2]func(Batch) bool
+	for s, in := range inputs {
+		sends[s] = func(b Batch) bool { return send(ctx, pr.out, b, &in.op.Out) }
+	}
+
+	// The worker owns one partition. For each scattered message it inserts the
 	// batch into the sending side's table (unless the other input already
 	// completed: short-circuit) with fresh tickets, probes the other side's
 	// table, and gathers earlier-ticket matches' Out columns into arena-backed
@@ -407,17 +395,17 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	// a selection vector; rejected rows stay dead in their arena block
 	// until the batch is recycled downstream. Each worker compiles its own
 	// residual (Compiled carries scratch and is not goroutine-safe).
-	worker := func(pidx int) {
-		defer workerWg.Done()
-		pt := parts[pidx]
+	pr.work(func(p int, in <-chan *scatter) bool {
+		pt := parts[p]
 		var (
 			matches []types.Tuple
 			arena   rowArena
-			resC    = expr.Compile(j.Residual)
 			ids     []int32 // batch kernel scratch: key ids per scatter lane
 			added   []bool
 		)
-		for sb := range pt.in {
+		out := joinOut{b: GetBatch(), resC: expr.Compile(j.Residual)}
+		defer func() { PutBatch(out.b) }()
+		for sb := range in {
 			own, other := inputs[sb.side], inputs[1-sb.side]
 			ownT, otherT := &pt.tables[sb.side], &pt.tables[1-sb.side]
 			pt.srcs[sb.side] = sb.src // what a spilled ref record of this side indexes
@@ -428,68 +416,35 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 
 			var stored, storedBytes int64
 			preBytes := ownT.memBytes()
-			preTup := ownT.tupBytes
 			if !other.done.Load() {
-				if cap(added) < n {
-					added = make([]bool, n)
-				}
+				added = resize(added, n)
 				direct := ownT.idx.Direct()
-				ownT.insertBatch(sb, base, ids, added[:n])
+				preTup := ownT.tupBytes
+				ownT.insertBatch(sb, base, ids, added)
 				if !direct && ownT.idx.Direct() {
 					own.op.Direct.Add(1)
 				}
-				stored = int64(n)
-				storedBytes = ownT.tupBytes - preTup
+				stored, storedBytes = int64(n), ownT.tupBytes-preTup
 			} else if pt.runs[0] != nil {
 				// The partition has spilled: evicted other-side entries may
 				// still match these arrivals, so instead of the plain §VI-A
 				// drop they go to the run under the current epoch.
 				if err := pt.spillArrivals(sb, base); err != nil {
 					ctx.CancelCause(err)
-					return
+					return false
 				}
 			} else if own.point != nil {
 				// The buffered state no longer reflects the full input;
 				// Cost-Based AIP must not build a set from it.
 				own.point.stateIncomplete.Store(true)
 			}
-			if delta := ownT.memBytes() - preBytes; delta != 0 {
-				ctx.account(delta)
-				own.op.StateBytes.Add(delta)
-				pt.bytes += delta
-			}
+			evict := pt.stored(ctx, own.op, own.point, p, pr.P, ownT.memBytes()-preBytes, stored, storedBytes)
 
-			// Probe the other side's partition table and emit. Out is
-			// counted per flushed batch at the send site, so cancelled
-			// queries report exactly the tuples that were delivered.
-			outBatch := GetBatch()
-			// emit runs the residual over the accumulated candidate rows
-			// (one EvalBool per batch instead of one Eval per row) and
-			// sends the surviving selection.
-			emit := func() bool {
-				if len(outBatch.Tuples) == 0 {
-					return true
-				}
-				if resC != nil {
-					outBatch.Sel = resC.EvalBool(outBatch.Tuples, identSel(len(outBatch.Tuples)), getSel())
-					if len(outBatch.Sel) == 0 {
-						PutBatch(outBatch)
-						outBatch = GetBatch()
-						return true
-					}
-				}
-				n := int64(outBatch.Len())
-				if !send(ctx, out, outBatch) {
-					return false
-				}
-				own.op.Out.Add(n)
-				outBatch = GetBatch()
-				return true
-			}
-			ownIsLeft := sb.side == 0
-			// Resolve every probe key's id in one prefetching pass over the
-			// other side's table, then walk the match chains per lane; the
-			// probing tuple is resolved only when it has a match to emit.
+			// Probe the other side's partition table and emit: resolve every
+			// probe key's id in one prefetching pass over the other side's
+			// table, then walk the match chains per lane; the probing tuple
+			// is resolved only when it has a match to emit.
+			out.send = sends[sb.side]
 			sb.lookup(&otherT.idx, ids)
 			for i := 0; i < n; i++ {
 				matches = otherT.probeID(ids[i], base+uint64(i)+1, matches[:0])
@@ -499,63 +454,43 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 				t := sb.tuple(i)
 				for _, m := range matches {
 					l, r := m, t
-					if ownIsLeft {
+					if sb.side == 0 {
 						l, r = t, m
 					}
-					outBatch.Tuples = append(outBatch.Tuples, arena.gather(&j.gather, l, r))
-					if len(outBatch.Tuples) == BatchSize {
-						if !emit() {
-							return
-						}
+					if !out.add(arena.gather(&j.gather, l, r)) {
+						return false
 					}
 				}
 			}
-			if !emit() {
-				return
+			if !out.flush() {
+				return false
 			}
-			PutBatch(outBatch)
 
-			// Pressure check runs after the probe: evicting first would wipe
+			// The eviction runs after the probe: evicting first would wipe
 			// the co-resident matches this batch is entitled to emit (the
 			// merge skips same-epoch pairs, so they would be lost for good).
-			if ctx.memPressure(pt.bytes, P) {
+			if evict {
 				stateMu.Lock()
-				err := pt.evict(ctx, ops, [2]*Point{j.LPoint, j.RPoint})
+				err := pt.evict(ctx, ops, points)
 				stateMu.Unlock()
 				if err != nil {
 					ctx.CancelCause(err)
-					return
+					return false
 				}
-			}
-
-			// Batch-grained stats flush, folded into the side totals and the
-			// per-partition skew counters. StateBytes was already moved by
-			// the accounting delta above.
-			own.op.StateRows.Add(stored)
-			pp := own.op.Part(pidx)
-			pp.Rows.Add(stored)
-			pp.Bytes.Add(storedBytes)
-			if own.point != nil {
-				own.point.stored.Add(stored)
 			}
 			putScatter(sb)
 			release(own)
 		}
-	}
-
-	for p := 0; p < P; p++ {
-		p := p
-		ctx.Spawn(func() { worker(p) })
-	}
+		return true
+	})
 	feed(j.Left, inputs[0])
 	feed(j.Right, inputs[1])
-	ctx.Spawn(func() {
-		defer close(out) // also when a merge panics: the query fails, not hangs
-		workerWg.Wait()
-		// Merge phase: spilled partitions re-scan their runs and emit the
-		// cross-epoch matches phase 1 could not see. Sequential, so at most
-		// one merge table occupies the merge share at a time; merged rows
-		// are attributed to the left op like the spill counters.
+
+	// Merge phase: spilled partitions re-scan their runs and emit the
+	// cross-epoch matches phase 1 could not see. Sequential, so at most one
+	// merge table occupies the merge share at a time; merged rows are
+	// attributed to the left op like the spill counters.
+	pr.finish(func() {
 		var resC *expr.Compiled
 		for _, pt := range parts {
 			if pt.runs[0] == nil {
@@ -564,20 +499,10 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			if resC == nil {
 				resC = expr.Compile(j.Residual)
 			}
-			if !pt.mergeSpill(ctx, ops, lop.Name, &j.gather, resC, func(b Batch) bool {
-				n := int64(b.Len())
-				if !send(ctx, out, b) {
-					return false
-				}
-				lop.Out.Add(n)
-				return true
-			}) {
-				break
+			if !pt.mergeSpill(ctx, ops, lop.Name, &j.gather, resC, pr.emit) {
+				return
 			}
 		}
-		for _, pt := range parts {
-			ctx.account(-pt.bytes) // the tables die with the operator
-		}
 	})
-	return out
+	return pr.out
 }

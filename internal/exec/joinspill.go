@@ -43,7 +43,7 @@ import (
 // After both inputs are done, each spilled partition writes its in-memory
 // remainder (final epoch) and is drained as a plain hash join over the runs:
 // the side that spilled fewer payload bytes is built, fanned out into F hash
-// sub-buckets so one build table fits the merge share (Context.mergeShare),
+// sub-buckets so one build table fits the merge share (Context.mergeFanout),
 // and the other side's run streams past it. F is capped at spillMaxFanout; a
 // budget too small for even the maximum fan-out fails the query with a typed
 // *BudgetError instead of thrashing.
@@ -86,10 +86,10 @@ func (jt *joinTable) memBytes() int64 {
 // joinCore is the partition-local join state: the two side tables, the
 // arrival-ticket clock, and the bucket-discard spill state.
 type joinCore struct {
-	tables [2]joinTable // indexed by side
-	ticket uint64
+	tables  [2]joinTable // indexed by side
+	ticket  uint64
+	partMem // both tables' accounted bytes
 
-	bytes      int64         // accounted in-memory state bytes of this partition
 	runs       [2]*spill.Run // per side; nil until the first eviction
 	srcs       [2]*rowSource // per side fed by a routing scan: what its refs index
 	boundaries []uint64      // ticket clock at each eviction, ascending
@@ -107,13 +107,15 @@ func epochOf(boundaries []uint64, seq uint64) int {
 	return sort.Search(len(boundaries), func(i int) bool { return boundaries[i] >= seq })
 }
 
-// writeTables appends each side table to its run and resets them. A table
-// over a routing scan's rows writes row ids, an own store the tuples. The
-// caller owns boundary bookkeeping and byte accounting.
-func (jc *joinCore) writeTables() error {
+// writeTables appends each side table to its run, gives its footprint back
+// to the side's StateBytes and resets it. A table over a routing scan's rows
+// writes row ids, an own store the tuples. The caller owns boundary
+// bookkeeping and the partition's bytes.
+func (jc *joinCore) writeTables(ops [2]*stats.OpStats) error {
 	var rec spill.Record
 	for s := range jc.tables {
 		t := &jc.tables[s]
+		ops[s].StateBytes.Add(-t.memBytes())
 		rec.Side = uint8(s)
 		for id := int32(0); id < int32(t.idx.Len()); id++ {
 			rec.Hash = t.idx.Hash(id)
@@ -148,21 +150,11 @@ func (jc *joinCore) evict(ctx *Context, ops [2]*stats.OpStats, points [2]*Point)
 			return err
 		}
 	}
-	for s := range jc.tables {
-		ops[s].StateBytes.Add(-jc.tables[s].memBytes())
-	}
-	if err := jc.writeTables(); err != nil {
+	if err := jc.writeTables(ops); err != nil {
 		return err
 	}
 	jc.boundaries = append(jc.boundaries, jc.ticket)
-	ctx.account(-jc.bytes)
-	jc.bytes = 0
-	ctx.noteEviction(ops[0])
-	for _, p := range points {
-		if p != nil {
-			p.stateIncomplete.Store(true)
-		}
-	}
+	jc.evicted(ctx, ops[0], points[:]...)
 	return nil
 }
 
@@ -222,15 +214,11 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 	// Write the in-memory remainder under the final epoch (no new boundary:
 	// these entries share their epoch with any post-short-circuit arrivals
 	// already appended, whose phase-1 probes saw them in memory).
-	for s := range jc.tables {
-		ops[s].StateBytes.Add(-jc.tables[s].memBytes())
-	}
-	if err := jc.writeTables(); err != nil {
+	if err := jc.writeTables(ops); err != nil {
 		ctx.CancelCause(err)
 		return false
 	}
-	ctx.account(-jc.bytes)
-	jc.bytes = 0
+	jc.release(ctx)
 
 	// Build over the side that spilled fewer payload bytes, fanned out into
 	// F hash sub-buckets sized so one rebuilt table (~2x payload, counting
@@ -239,57 +227,30 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 	if jc.spilled[1] < jc.spilled[0] {
 		build = 1
 	}
-	share := ctx.mergeShare()
-	F := 1
-	for F < spillMaxFanout && 2*jc.spilled[build]/int64(F) > share {
-		F <<= 1
-	}
-	if 2*jc.spilled[build]/int64(F) > share {
+	F, _, fits := ctx.mergeFanout(jc.spilled[build])
+	if !fits {
 		need := jc.spilled[build]/8 + 1 // budget/4/64*2 >= spilled ⇒ budget >= spilled/8
 		ctx.CancelCause(&BudgetError{Op: opName, Budget: ctx.MemBudget, Need: need})
 		return false
 	}
 
-	buildIsLeft := build == 0
-	outBatch := GetBatch()
-	flush := func() bool {
-		if len(outBatch.Tuples) == 0 {
-			return true
-		}
-		if resC != nil {
-			outBatch.Sel = resC.EvalBool(outBatch.Tuples, identSel(len(outBatch.Tuples)), getSel())
-			if len(outBatch.Sel) == 0 {
-				PutBatch(outBatch)
-				outBatch = GetBatch()
-				return true
-			}
-		}
-		if !emit(outBatch) {
-			outBatch = Batch{}
-			return false
-		}
-		outBatch = GetBatch()
-		return true
-	}
+	out := joinOut{b: GetBatch(), resC: resC, send: emit}
+	defer func() { PutBatch(out.b) }()
 	fail := func(err error) bool {
 		ctx.CancelCause(err)
-		PutBatch(outBatch)
 		return false
 	}
 	var arena rowArena
 	pair := func(b, p types.Tuple) bool {
-		l, r := p, b
-		if buildIsLeft {
-			l, r = b, p
+		if build == 0 {
+			return out.add(arena.gather(g, b, p))
 		}
-		outBatch.Tuples = append(outBatch.Tuples, arena.gather(g, l, r))
-		return len(outBatch.Tuples) < BatchSize || flush()
+		return out.add(arena.gather(g, p, b))
 	}
 
 	var scratch types.Tuple // the probe tuple being matched
 	for f := 0; f < F; f++ {
 		if ctx.Err() != nil {
-			PutBatch(outBatch)
 			return false
 		}
 		var bt joinTable
@@ -300,16 +261,13 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 		if err != nil {
 			return fail(err)
 		}
-		passBytes := bt.memBytes()
-		ctx.account(passBytes)
-		ops[build].StateBytes.Add(passBytes)
+		unpass := ctx.chargePass(ops[build], bt.memBytes())
 		sent := true
 		err = readRun(jc.runs[1-build], ops[0], func(rd *spill.Reader) (err error) {
 			sent, err = jc.probeSub(rd, 1-build, f, F, &bt, &scratch, pair)
 			return err
 		})
-		ctx.account(-passBytes)
-		ops[build].StateBytes.Add(-passBytes)
+		unpass()
 		if err != nil {
 			return fail(err)
 		}
@@ -317,11 +275,7 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 			return false
 		}
 	}
-	if !flush() {
-		return false
-	}
-	PutBatch(outBatch)
-	return true
+	return out.flush()
 }
 
 // buildSub rebuilds sub-bucket f of F of side s's run into bt, decoding
@@ -329,12 +283,9 @@ func (jc *joinCore) mergeSpill(ctx *Context, ops [2]*stats.OpStats, opName strin
 func (jc *joinCore) buildSub(rd *spill.Reader, s, f, F int, bt *joinTable, arena *rowArena) error {
 	var rec spill.Record
 	for {
-		ok, err := rd.NextKey(&rec)
+		ok, err := nextIn(rd, &rec, f, F)
 		if err != nil || !ok {
 			return err
-		}
-		if subBucket(rec.Hash, F) != f {
-			continue
 		}
 		t, err := jc.resolve(rd, &rec, s, arena.alloc(rd.Width()))
 		if err != nil {
@@ -352,12 +303,9 @@ func (jc *joinCore) buildSub(rd *spill.Reader, s, f, F int, bt *joinTable, arena
 func (jc *joinCore) probeSub(rd *spill.Reader, s, f, F int, bt *joinTable, scratch *types.Tuple, pair func(build, probe types.Tuple) bool) (bool, error) {
 	var rec spill.Record
 	for {
-		ok, err := rd.NextKey(&rec)
+		ok, err := nextIn(rd, &rec, f, F)
 		if err != nil || !ok {
 			return true, err
-		}
-		if subBucket(rec.Hash, F) != f {
-			continue
 		}
 		id := bt.idx.Lookup(rec.Hash, rec.Key)
 		if id < 0 {

@@ -44,12 +44,6 @@ func (c *Context) SpillBytes() int64 { return c.spillBytes.Load() }
 // SpillEvents returns the number of bucket-discard evictions.
 func (c *Context) SpillEvents() int64 { return c.spillEvents.Load() }
 
-// noteEviction records one bucket-discard eviction of op.
-func (c *Context) noteEviction(op *stats.OpStats) {
-	c.spillEvents.Add(1)
-	op.SpillEvents.Inc()
-}
-
 // ensureRun creates *run, unless it exists, in the query's spill directory.
 // Every frame the run writes counts toward the query's and op's SpillBytes,
 // so they are the bytes written to every run, whichever call cut the frame.
@@ -69,6 +63,9 @@ func (c *Context) ensureRun(run **spill.Run, pattern string, op *stats.OpStats) 
 		c.spillBytes.Add(n)
 		op.SpillBytes.Add(n)
 	}
+	c.spillMu.Lock()
+	c.runs = append(c.runs, r)
+	c.spillMu.Unlock()
 	*run = r
 	return nil
 }
@@ -86,10 +83,17 @@ func readRun(run *spill.Run, op *stats.OpStats, pass func(rd *spill.Reader) erro
 	return err
 }
 
-// subBucket is the merge sub-bucket of hash h among F (a power of two): its
-// middle bits — the top bits picked the partition and the low bits index a
-// KeyTable's slots.
-func subBucket(h uint64, F int) int { return int((h >> 32) & uint64(F-1)) }
+// nextIn reads record headers from rd into rec up to the next one of merge
+// sub-bucket f of F (a power of two), which its hash's middle bits pick —
+// the top bits picked the partition and the low bits index a KeyTable's
+// slots; false at the end of the run.
+func nextIn(rd *spill.Reader, rec *spill.Record, f, F int) (bool, error) {
+	for {
+		if ok, err := rd.NextKey(rec); err != nil || !ok || int((rec.Hash>>32)&uint64(F-1)) == f {
+			return ok, err
+		}
+	}
+}
 
 // addMemParts registers n budget-accounted partitions: every stateful
 // operator (join, aggregation, distinct) declares its partition count at
@@ -117,20 +121,6 @@ func (c *Context) memPressure(partBytes int64, parts int) bool {
 	return partBytes >= floor
 }
 
-// mergeShare is the per-pass state allowance of a spill merge: budget/4,
-// leaving room for the partitions still buffering plus the merge table
-// itself.
-func (c *Context) mergeShare() int64 {
-	if c.MemBudget <= 0 {
-		return 1 << 62
-	}
-	s := c.MemBudget / 4
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // SpillDir returns the query's spill directory, creating it on first use.
 func (c *Context) SpillDir() (string, error) {
 	c.spillMu.Lock()
@@ -145,14 +135,18 @@ func (c *Context) SpillDir() (string, error) {
 	return c.spillDir, nil
 }
 
-// Cleanup removes the query's spill directory and everything in it. Call
-// after every operator goroutine has exited; safe to call when nothing
-// spilled, and more than once.
+// Cleanup closes every spill run still open — an operator cut short by a
+// cancellation never merged its runs — and removes the query's spill
+// directory and everything in it. Call after every operator goroutine has
+// exited; safe to call when nothing spilled, and more than once.
 func (c *Context) Cleanup() {
 	c.spillMu.Lock()
-	dir := c.spillDir
-	c.spillDir = ""
+	dir, runs := c.spillDir, c.runs
+	c.spillDir, c.runs = "", nil
 	c.spillMu.Unlock()
+	for _, r := range runs {
+		r.Close()
+	}
 	if dir != "" {
 		os.RemoveAll(dir)
 	}

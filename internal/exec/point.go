@@ -308,8 +308,9 @@ type Point struct {
 	// every carried column would cost far more than it prunes.
 	KeyCols []int
 
-	// Site is the executing node (0 = master). Filters attached to a
-	// remote point must be shipped; the harness models that cost.
+	// Site is the executing node (0 = master). A filter built at another
+	// site crosses the link before it is attached here: the AIP controllers
+	// ship it over the query's topology and count its bytes.
 	Site int
 
 	// Tables lists the base tables feeding this input. When a source is

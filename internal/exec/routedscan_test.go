@@ -387,7 +387,6 @@ type publishCtl struct {
 
 func (c *publishCtl) RegisterPoint(*Point) {}
 func (c *publishCtl) Begin()               {}
-func (c *publishCtl) End()                 {}
 func (c *publishCtl) PointDone(p *Point) {
 	if p != c.from || !p.StateComplete() {
 		return

@@ -329,16 +329,10 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		op.Typed, op.Coded, op.Conjuncts = len(w.typed), w.coded, w.conjuncts
 		defer func() { op.RunProbes.Add(int64(w.sc.runs)) }()
 		emit := func(b Batch) bool {
-			n := int64(b.Len())
-			if !send(ctx, out, b) {
-				return false
-			}
-			op.Out.Add(n)
 			if proj != nil {
-				proj.In.Add(n)
-				proj.Out.Add(n)
+				return send(ctx, out, b, &op.Out, &proj.In, &proj.Out)
 			}
-			return true
+			return send(ctx, out, b, &op.Out)
 		}
 		var batch Batch
 		step := func(lo, hi int) bool { return w.chunk(s, op, lo, hi, &batch, emit) }
@@ -368,15 +362,8 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 			m.inj = m.d.Fault.Injector("scan:" + s.Name)
 			m.ret = newRetrier(ctx, op, s.Site, "scan:"+s.Name)
 		}
-		if !m.run(step, rt, &batch, emit) {
-			return
-		}
-		if rt != nil {
-			rt.flush(ctx, 0)
-		} else if batch.Len() == 0 {
-			PutBatch(batch)
-		} else {
-			emit(batch)
+		if m.run(step, rt, &batch, emit) {
+			PutBatch(batch) // what run handed on last left it empty
 		}
 	})
 	return out
@@ -399,8 +386,8 @@ type sourceModel struct {
 }
 
 // run runs step over every read of the table; false when the scan must stop.
-// Before each wait it hands on rt's scatters, or the partial *batch to emit —
-// a row-id batch (over a RootSource) refilled as one.
+// Before each wait, and at the end, it hands on rt's scatters, or the partial
+// *batch to emit — a row-id batch (over a RootSource) refilled as one.
 func (m *sourceModel) run(step func(lo, hi int) bool, rt *inputRoute, batch *Batch, emit func(Batch) bool) bool {
 	handOn := func() bool {
 		if rt != nil {
@@ -449,7 +436,7 @@ func (m *sourceModel) run(step func(lo, hi int) bool, rt *inputRoute, batch *Bat
 			return false
 		}
 	}
-	return true
+	return handOn()
 }
 
 // draw is one read's injected fault decision under the recovery policy; on
@@ -544,11 +531,9 @@ func (f *Filter) Start(ctx *Context) <-chan Batch {
 				PutBatch(b)
 				continue
 			}
-			n := int64(len(sel))
-			if !send(ctx, out, b) {
+			if !send(ctx, out, b, &op.Out) {
 				return
 			}
-			op.Out.Add(n)
 		}
 	})
 	return out
@@ -630,10 +615,9 @@ func (p *Project) Start(ctx *Context) <-chan Batch {
 			res := GetBatch()
 			res.Tuples = append(res.Tuples, rows...)
 			PutBatch(b)
-			if !send(ctx, out, res) {
+			if !send(ctx, out, res, &op.Out) {
 				return
 			}
-			op.Out.Add(int64(n))
 		}
 	})
 	return out

@@ -125,16 +125,11 @@ func (s *Ship) Start(ctx *Context) <-chan Batch {
 				PutBatch(b)
 				continue
 			}
-			n := int64(len(kept))
-			if !send(ctx, out, b) {
+			if !send(ctx, out, b, &op.Out) {
 				return
 			}
-			op.Out.Add(n)
 		}
-		if s.Point != nil {
-			s.Point.done.Store(true)
-			ctx.pointDone(s.Point)
-		}
+		ctx.publish(s.Point, nil)
 	})
 	return out
 }

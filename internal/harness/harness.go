@@ -83,25 +83,9 @@ type Cell struct {
 	Report string
 }
 
-// StrategyByName maps the figure labels to strategies.
-func StrategyByName(name string) (sip.Strategy, error) {
-	switch name {
-	case "Baseline":
-		return sip.Baseline, nil
-	case "Magic":
-		return sip.Magic, nil
-	case "Feed-forward":
-		return sip.FeedForward, nil
-	case "Cost-based":
-		return sip.CostBased, nil
-	default:
-		return 0, fmt.Errorf("harness: unknown strategy %q", name)
-	}
-}
-
 // RunCell measures one query under one strategy.
 func (r *Runner) RunCell(spec workload.Spec, strategyName string, delayed []string) (Cell, error) {
-	strat, err := StrategyByName(strategyName)
+	strat, err := sip.ParseStrategy(strategyName)
 	if err != nil {
 		return Cell{}, err
 	}

@@ -113,6 +113,16 @@ var strategyNames = map[Strategy]string{
 // String returns the display name used in the paper's figures.
 func (s Strategy) String() string { return strategyNames[s] }
 
+// ParseStrategy returns the strategy whose display name (String) is name.
+func ParseStrategy(name string) (Strategy, error) {
+	for s, n := range strategyNames {
+		if n == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("sip: unknown strategy %q", name)
+}
+
 // AllStrategies lists every strategy in figure order.
 func AllStrategies() []Strategy { return []Strategy{Baseline, Magic, FeedForward, CostBased} }
 

@@ -372,9 +372,6 @@ func (r *Rows) finish() {
 	for b := range r.out {
 		exec.PutBatch(b)
 	}
-	if r.ectx.Ctl != nil {
-		r.ectx.Ctl.End()
-	}
 	dur := time.Since(r.start)
 	r.stopWatch()
 	r.release()
