@@ -290,14 +290,14 @@ func (s *scatter) lookup(kt *types.KeyTable, ids []int32) {
 
 // inputRoute is the lock-free phase of one input of a partitioned operator —
 // AIP probe, key, scatter to the partition workers — and where it reports.
-// One per producer goroutine: a routing scan (routingScan) drives it per
-// chunk, from the column vectors, and a router goroutine (drive) per input
-// batch. Both run the same order: the bank first, each filter hashing only
-// its own columns (FilterBank.ProbeBatch), then each surviving lane keyed
-// and hashed once, for its partition — a routing scan's as row ids with key
-// words read from the vectors (routeRows), a router's as tuples with key
-// words, or bytes when a batch's keys are not all integer-backed
-// (routeTuples).
+// One per producer goroutine: a routing scan's chunk workers (routingScan)
+// each drive a fork per chunk, from the column vectors, and a router
+// goroutine (drive) per input batch. Both run the same order: the bank
+// first, each filter hashing only its own columns (FilterBank.ProbeBatch),
+// then each surviving lane keyed and hashed once, for its partition — a
+// routing scan's as row ids with key words read from the vectors
+// (routeRows), a router's as tuples with key words, or bytes when a batch's
+// keys are not all integer-backed (routeTuples).
 type inputRoute struct {
 	keys  []int          // the input's key columns
 	point *Point         // may be nil
@@ -334,6 +334,13 @@ type inputRoute struct {
 	// done is called once when routing ends; complete is false when the
 	// query was cancelled before the input was consumed in full.
 	done func(complete bool)
+	// atSource, set by a join, makes a producer's probe at the source (take
+	// and end), for a routing scan whose sibling completed before its first
+	// chunk: take looks partition p's scatter up in the sibling's table and
+	// emits the matches, false (sb goes to p's worker) when p has spilled.
+	atSource func() (take func(p int, sb *scatter) bool, end func() bool)
+	take     func(p int, sb *scatter) bool
+	end      func() bool
 }
 
 func newInputRoute(side, parallelism int, outs []chan *scatter) *inputRoute {
@@ -352,15 +359,35 @@ func (r *inputRoute) buf(h uint64) *scatter {
 	return r.bufs[p]
 }
 
+// fork returns the route for one more producer goroutine of the input, with
+// its own buffers and scratch, and its own probe at the source if probe.
+func (r *inputRoute) fork(probe bool) *inputRoute {
+	f := *r
+	f.bufs, f.words, f.kbuf = make([]*scatter, len(r.outs)), nil, nil
+	if probe {
+		f.take, f.end = r.atSource()
+	}
+	return &f
+}
+
 // flush delivers the buffered scatters of at least min tuples (a routing scan
-// carries smaller ones over to its next chunk). It reports false when the
-// query was cancelled mid-delivery; the undelivered buffer is recycled.
+// carries smaller ones over to its next chunk) — to the probe at the source
+// when it takes them — and with min 0 sends what that probe holds. It
+// reports false when the query was cancelled mid-delivery; the undelivered
+// buffer is recycled.
 func (r *inputRoute) flush(ctx *Context, min int) bool {
 	for p, sb := range r.bufs {
 		if sb == nil || sb.len() < min {
 			continue
 		}
 		r.bufs[p] = nil
+		if r.take != nil && r.take(p, sb) {
+			putScatter(sb)
+			if ctx.Err() != nil {
+				return false
+			}
+			continue
+		}
 		if r.inflight != nil {
 			r.inflight.Add(1)
 		}
@@ -374,7 +401,7 @@ func (r *inputRoute) flush(ctx *Context, min int) bool {
 			return false
 		}
 	}
-	return true
+	return min > 0 || r.end == nil || r.end()
 }
 
 // drive is the router: it runs the route over every batch of in and
@@ -420,18 +447,15 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 	} else {
 		kept = rt.routeTuples(tuples, kept, out)
 	}
-	// OnStore sees every tuple that was routed, whether or not a worker
-	// buffers it. The goroutine running the route is the point's only
-	// OnStore caller. Once the other input has
-	// completed, a worker drops these tuples (§VI-A) or spills them, and
-	// either way the point's state no longer holds the whole input: it is
-	// marked so here, before the store, which a controller can read to store
-	// nothing.
+	// OnStore sees every tuple routed while the other input has not
+	// completed, from each goroutine running the route. Once it has, these
+	// tuples are dropped (§VI-A), spilled or probed at the source, so the
+	// point's state no longer holds the whole input: it is marked so here,
+	// and OnStore is not called, so no working set is built to be dropped.
 	if rt.sibling != nil && pt != nil && len(kept) > 0 {
 		if rt.sibling.Load() {
 			pt.stateIncomplete.Store(true)
-		}
-		if pt.OnStore != nil {
+		} else if pt.OnStore != nil {
 			for _, l := range kept {
 				pt.OnStore(tuples[l])
 			}

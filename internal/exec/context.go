@@ -61,29 +61,15 @@
 //     (then the residual), a new group's key, OnStore, a spill write, the
 //     state iterator, or an argument no vector backs.
 //   - Start order (startorder.go): a wired scan holds its first chunk until
-//     some inputs are Done and published (the controller, if any, has
-//     attached what it built from them). The sibling wait, under every
-//     strategy: the other input of the join the scan feeds, when its sources
-//     are at least siblingWaitRatio (4) times smaller — it then completes
-//     first, and the §VI-A short-circuit leaves the scan's side probe-only,
-//     so the big input is never buffered (on Q4A at SF 0.05 the lineitem side
-//     otherwise buffers up to all 300 k rows, 97 MB). The filter wait, under
-//     an AIP controller: every input whose sources are at least
-//     filterWaitRatio (8) times smaller. A filter pays in proportion to how
-//     early it arrives (§VI), and a scan that routes from vectors outruns
-//     its small siblings otherwise: on Q17 5–11 k lineitem rows slipped past
-//     part's filter, on Q1A a quarter of partsupp. The filter wait needs the
-//     wider gap because what it buys depends on how much the filter prunes;
-//     the sibling wait buys a whole input's state. An input with no rank
-//     (SourceRows 0: a delayed, fault-injected or remote source below
-//     it) never waits and is never waited on. It cannot deadlock: every wait
-//     goes from an input to one with strictly fewer source rows, and an
-//     input's publication depends only on the scans below it, whose sources
-//     are no bigger and which wait only for still smaller inputs — a
-//     well-founded order, so no cycle. Only scans wait: routers and workers
-//     consume what arrives without waiting for a sibling input, a wait ends
-//     on cancellation, and a scan that ends early (an abandoned source)
-//     still completes its input.
+//     the inputs its run's wait graph names are Done and published — its
+//     join sibling when that input's estimated output is ≥ 4× smaller (the
+//     §VI-A short-circuit then leaves the scan's side probe-only: on Q17 the
+//     outer lineitem side otherwise buffers all 300 k rows at SF 0.05, 78 MB),
+//     and under a controller every input whose largest source is ≥ 8×
+//     smaller (its filter then prunes from the first row). Deadlock freedom
+//     is the graph's acyclicity, checked as it is built. Routing scans win
+//     back the lost overlap with chunk workers (Scan.fanRoute), and probe a
+//     completed sibling's tables themselves (HashJoin: at the source).
 //   - The root edge: a root Project of plain column references directly
 //     over such a scan is not started (StartPlan): the scan emits row-id
 //     batches (see Batch), up to scanChunkRows survivors as int32 row ids
@@ -134,8 +120,8 @@
 //
 // The stateful operators (HashJoin, HashAgg, Distinct) are radix
 // partitioned so a single operator saturates all cores, not one core per
-// input. A router goroutine per input (or the scan feeding it, see above)
-// performs the lock-free phase — AIP-filter probe, then the survivors'
+// input. A router goroutine per input (or the scan feeding it, with its
+// chunk workers, see above) performs the lock-free phase — AIP-filter probe, then the survivors'
 // keys — and routes each surviving tuple to one of P partitions by the
 // top bits of its 64-bit key hash
 // (P = Context.Parallelism rounded down to a power of two). Tuples with
@@ -307,6 +293,7 @@ type Context struct {
 	mu     sync.Mutex
 	points []*Point
 	nextID int
+	waits  *waitGraph // the run's start order, built by StartPlan
 
 	wg sync.WaitGroup // goroutines started via Spawn
 
@@ -500,10 +487,14 @@ type Op interface {
 	Start(ctx *Context) <-chan Batch
 }
 
-// StartPlan launches a plan and returns the root output channel. A root
+// StartPlan builds the run's wait graph (startorder.go) over the registered
+// points, then launches the plan and returns the root output channel. A root
 // Project.rootScan accepts is not started: the scan emits row-id batches, the
 // consumer projects.
 func StartPlan(ctx *Context, root Op) <-chan Batch {
+	if ctx.nextID > 0 { // a plan without points has no waits
+		ctx.waits = newWaitGraph(ctx, root)
+	}
 	if p, ok := root.(*Project); ok {
 		if sc, pred, src := p.rootScan(); sc != nil {
 			return sc.start(ctx, pred, nil, src)

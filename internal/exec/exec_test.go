@@ -623,9 +623,11 @@ func TestManyKeysStress(t *testing.T) {
 	}
 }
 
-func TestJoinOnStoreCoversShortCircuitedTuples(t *testing.T) {
-	// Even when buffering stops, OnStore must see every passing tuple so
-	// Feed-Forward working sets stay complete.
+// TestJoinOnStoreSkipsShortCircuitedTuples: tuples that arrive after the
+// other input completed are never buffered (§VI-A), so the route marks the
+// input's state incomplete and hands OnStore none of them: a working set
+// built from them would be dropped unpublished.
+func TestJoinOnStoreSkipsShortCircuitedTuples(t *testing.T) {
 	small := intRows([]int64{1, 0})
 	big := make([]types.Tuple, 1000)
 	for i := range big {
@@ -641,9 +643,11 @@ func TestJoinOnStoreCoversShortCircuitedTuples(t *testing.T) {
 	var rSeen int64
 	j.RPoint = &Point{Name: "r", Bank: NewFilterBank(), Stateful: true, KeyCols: []int{0}, EqIDs: []int{0, -1}, StateEqIDs: []int{0, -1}, DomainDistinct: []float64{0, 0}}
 	j.RPoint.OnStore = func(types.Tuple) { rSeen++ }
-	runOp(t, j, nil)
-	if rSeen != 1000 {
-		t.Fatalf("OnStore saw %d of 1000 tuples", rSeen)
+	if got := runOp(t, j, nil); len(got) != 1 {
+		t.Fatalf("%d rows, want 1", len(got))
+	}
+	if rSeen != 0 || j.RPoint.StateComplete() {
+		t.Fatalf("OnStore saw %d of 1000 short-circuited tuples, state complete=%v; want none, and incomplete", rSeen, j.RPoint.StateComplete())
 	}
 	if j.RPoint.StoredRows() != 0 {
 		t.Fatalf("expected short-circuit, stored %d", j.RPoint.StoredRows())

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -36,6 +37,9 @@ import (
 // in §VI-A: once one input completes — its router has finished and every
 // scattered message has been drained, i.e. its last probe has happened —
 // the other side stops buffering, since nothing will ever probe its table.
+// When that happened before a routing scan's first chunk (start order makes
+// it so), the scan probes at the source: its chunk workers look their rows
+// up in the finished tables and emit the matches themselves.
 //
 // A join emits only the columns listed in Out (projection pushdown: the
 // optimizer keeps those read above the join), so a deep plan carries a narrow
@@ -281,9 +285,34 @@ type joinInput struct {
 // full or flushed, after the residual (resC, may be nil): one EvalBool per
 // batch instead of one Eval per row, the survivors marked by a selection.
 type joinOut struct {
-	b    Batch
-	resC *expr.Compiled
-	send func(Batch) bool
+	b       Batch
+	resC    *expr.Compiled
+	send    func(Batch) bool
+	g       *rowGather
+	arena   rowArena
+	matches []types.Tuple
+}
+
+// probe emits the matches of scatter sb in table t, whose key ids the caller
+// resolved into ids: lane i pairs with the stored tuples of ticket below
+// base+i+1, resolved only when it has one. False when a send failed.
+func (o *joinOut) probe(t *joinTable, sb *scatter, ids []int32, base uint64) bool {
+	for i, id := range ids {
+		if o.matches = t.probeID(id, base+uint64(i)+1, o.matches[:0]); len(o.matches) == 0 {
+			continue
+		}
+		tu := sb.tuple(i)
+		for _, m := range o.matches {
+			l, r := m, tu
+			if sb.side == 0 {
+				l, r = tu, m
+			}
+			if !o.add(o.arena.gather(o.g, l, r)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // add appends one output row, sending the batch when it is full; false when
@@ -366,6 +395,48 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 		})
 	}
 
+	// A probing input's matches are counted on its Out.
+	var sends [2]func(Batch) bool
+	for s, in := range inputs {
+		sends[s] = func(b Batch) bool { return send(ctx, pr.out, b, &in.op.Out) }
+	}
+
+	// The probe at the source (inputRoute.atSource), for one chunk worker of
+	// a routing scan of own: no worker hop, no ticket — nothing of own is
+	// stored, so each match is found once, here. A spilled partition gets the
+	// scatter as before, to merge it with its run; one that has not spilled
+	// never will (only its worker evicts, and it receives nothing more).
+	// A small sibling table is mostly missed: its hash tags skip most lookups.
+	atSource := func(own *joinInput) (func(p int, sb *scatter) bool, func() bool) {
+		var ids []int32
+		tags := make([]*[16]uint64, len(parts))
+		out := joinOut{b: GetBatch(), resC: expr.Compile(j.Residual), send: sends[own.side], g: &j.gather}
+		return func(p int, sb *scatter) bool {
+			t := &parts[p].tables[1-own.side]
+			stateMu.RLock()
+			spilled := parts[p].runs[0] != nil
+			if ids = resize(ids, sb.len()); !spilled && t.idx.Len() > 64 {
+				sb.lookup(&t.idx, ids)
+			} else if !spilled {
+				if tags[p] == nil {
+					tg := t.idx.HashTags()
+					tags[p] = &tg
+				}
+				for i, h := range sb.hashes {
+					if ids[i] = -1; tags[p][h>>6&15]>>(h&63)&1 != 0 {
+						t.idx.LookupWords(sb.hashes[i:i+1], sb.words[i*sb.nk:(i+1)*sb.nk], sb.nk, ids[i:i+1])
+					}
+				}
+			}
+			stateMu.RUnlock()
+			if !spilled {
+				own.op.AtSource.Add(int64(sb.len()))
+				out.probe(t, sb, ids, math.MaxUint64/2) // every stored ticket is below it
+			}
+			return !spilled
+		}, out.flush
+	}
+
 	// feed starts one input. Only an input consumed in full, not truncated
 	// by a cancellation, may publish its state: when its route ends so, its
 	// hold is released, and completion runs there or on whichever worker
@@ -373,17 +444,12 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	feed := func(child Op, own *joinInput) {
 		rt := pr.route(own.side, own.op, own.point, own.keys)
 		rt.sibling, rt.equi, rt.inflight = &inputs[1-own.side].done, true, &own.pending
+		rt.atSource = func() (func(int, *scatter) bool, func() bool) { return atSource(own) }
 		pr.feed(child, rt, func(complete bool) {
 			if complete {
 				release(own)
 			}
 		})
-	}
-
-	// A probing input's matches are counted on its Out.
-	var sends [2]func(Batch) bool
-	for s, in := range inputs {
-		sends[s] = func(b Batch) bool { return send(ctx, pr.out, b, &in.op.Out) }
 	}
 
 	// The worker owns one partition. For each scattered message it inserts the
@@ -398,12 +464,10 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 	pr.work(func(p int, in <-chan *scatter) bool {
 		pt := parts[p]
 		var (
-			matches []types.Tuple
-			arena   rowArena
-			ids     []int32 // batch kernel scratch: key ids per scatter lane
-			added   []bool
+			ids   []int32 // batch kernel scratch: key ids per scatter lane
+			added []bool
 		)
-		out := joinOut{b: GetBatch(), resC: expr.Compile(j.Residual)}
+		out := joinOut{b: GetBatch(), resC: expr.Compile(j.Residual), g: &j.gather}
 		defer func() { PutBatch(out.b) }()
 		for sb := range in {
 			own, other := inputs[sb.side], inputs[1-sb.side]
@@ -446,23 +510,7 @@ func (j *HashJoin) Start(ctx *Context) <-chan Batch {
 			// is resolved only when it has a match to emit.
 			out.send = sends[sb.side]
 			sb.lookup(&otherT.idx, ids)
-			for i := 0; i < n; i++ {
-				matches = otherT.probeID(ids[i], base+uint64(i)+1, matches[:0])
-				if len(matches) == 0 {
-					continue
-				}
-				t := sb.tuple(i)
-				for _, m := range matches {
-					l, r := m, t
-					if sb.side == 0 {
-						l, r = t, m
-					}
-					if !out.add(arena.gather(&j.gather, l, r)) {
-						return false
-					}
-				}
-			}
-			if !out.flush() {
+			if !out.probe(otherT, sb, ids, base) || !out.flush() {
 				return false
 			}
 

@@ -35,7 +35,7 @@ func benchmarkJoin(b *testing.B, n, nkeys, parallelism int, routed bool) {
 // of feeding router goroutines tuples, whose integer keys the routers read
 // as words from the tuples. The inputs are ranked as the optimizer ranks a
 // plan (RankSources), so a routed scan at least 4× larger than the other
-// waits for it, as in a query.
+// waits for it and probes at the source, as in a query.
 func benchmarkJoinRows(b *testing.B, lrows, rrows []types.Tuple, k, nkeys, parallelism int, routed bool) {
 	lsch, rsch := intSchema("a", "x"), intSchema("a", "y")
 	keys := []int{0, 1}[:k]

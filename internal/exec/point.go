@@ -332,11 +332,12 @@ type Point struct {
 
 	// SourceRows is the size of the largest source feeding this input when
 	// every scan below it is local and undelayed, else 0; filled in by
-	// RankSources, read by start order (startorder.go).
+	// RankSources, read by start order's filter waits (startorder.go).
 	SourceRows int
 
 	// sibling is the other input of the join this input belongs to (nil
-	// otherwise); linked by RankSources, read by start order's sibling wait.
+	// otherwise); linked by RankSources, read by start order's sibling
+	// edges, which rank it on EstRows.
 	sibling *Point
 
 	// DomainDistinct estimates, per input column, the number of distinct
@@ -371,9 +372,12 @@ type Point struct {
 	// OnStore, when set by a controller, is invoked for every tuple the
 	// operator buffers into its state (Feed-Forward builds its working
 	// AIP sets here). It must be set before execution begins. A join
-	// input's one caller is its route; a partitioned HashAgg or Distinct
-	// calls it from every partition worker at once, so it must be safe for
-	// concurrent use. Every call happens-before the point's PointDone.
+	// input's callers are its route's goroutines — the router, or every
+	// chunk worker of the routing scan — until the other input completes,
+	// after which it is not called; a partitioned HashAgg or Distinct calls
+	// it from every partition worker. Either way calls come at once, so it
+	// must be safe for concurrent use. Every call happens-before the point's
+	// PointDone.
 	OnStore func(t types.Tuple)
 
 	// state gives controllers access to the operator's buffered tuples

@@ -144,12 +144,12 @@ func TestScanRoutedDifferential(t *testing.T) {
 								modelSource(sc)
 							}
 							sum := keep.summary(exact)
-							var calls atomic.Int64
+							var calls, kept, keptSz atomic.Int64
 							var root Op
 							if kind == "join" {
 								r.pt.OnStore = func(tu types.Tuple) {
-									r.kept++ // slot 0 only: the scan or the router
-									r.keptSz += int64(tu.MemSize())
+									kept.Add(1) // from every chunk worker of the scan, or the router
+									keptSz.Add(int64(tu.MemSize()))
 									if calls.Add(1) == 1000 {
 										r.pt.Bank.Attach([]int{0}, sum)
 									}
@@ -178,6 +178,7 @@ func TestScanRoutedDifferential(t *testing.T) {
 							r.ctx.Parallelism, r.ctx.MemBudget = p, budget
 							var err error
 							r.rows, err = Run(r.ctx, root)
+							r.kept, r.keptSz = kept.Load(), keptSz.Load()
 							r.ctx.Cleanup()
 							if err != nil {
 								t.Fatalf("%s routable=%v budget=%d: %v", label, routable, budget, err)
@@ -498,13 +499,15 @@ func runTimed(t *testing.T, ctx *Context, root Op, limit time.Duration) ([]types
 }
 
 // TestStartOrder: a wired scan holds its first chunk for its join sibling
-// when the sibling's sources are at least siblingWaitRatio times smaller
-// (under every strategy), and under a controller for every input whose
+// when the sibling's estimated output is at least siblingWaitRatio times
+// smaller (under every strategy; these points carry no estimate, so their
+// source sizes stand in), and under a controller for every input whose
 // sources are at least filterWaitRatio times smaller. The small side then
 // completes first, so the big side stores nothing, and the filters exist
 // before the big scan's first row, which makes what it emits a function of
-// the data, not of the race. It does not wait at a smaller gap, for a sibling
-// whose own sources are as big, or for an unranked (delayed) sibling; a
+// the data, not of the race. It does not wait at a smaller gap or for an
+// unranked (delayed) sibling, and it does wait, in the Q17 shape, for a
+// sibling whose sources are as big but whose estimated output is small; a
 // cancellation ends the wait at once and leaks nothing; a small source
 // abandoned under PartialOnSourceError still completes its input; and a scan
 // honours a filter wait and a sibling wait together.
@@ -574,23 +577,31 @@ func TestStartOrder(t *testing.T) {
 	}
 	waited("under 4×", ctx)
 
-	// The Q17 shape: the sibling joins 10 rows with a second 10 k scan, so its
-	// largest source is as big as the scan's and the big scan must not wait
-	// (held as above). The inner join's own big scan does wait for its sibling.
+	// The Q17 shape: the sibling joins 10 rows with a second 10 k scan. Its
+	// largest source is as big as the scan's, but its estimated output is 10
+	// rows, so the big scan waits for it, and the inner join's own big scan
+	// waits for its 10-row sibling: the two 10 k scans run one after the
+	// other, and neither big side stores a row.
 	p = &soPlan{}
 	big, bigPt := p.scan("big", 10_000, 1)
 	small, smallPt := p.scan("small", 10, 97)
 	big2, big2Pt := p.scan("big2", 10_000, 1)
 	inner := p.join("i", small, smallPt, big2, big2Pt)
 	innerPt := p.point("i", inner.Schema())
-	j = p.join("j", big, bigPt, p.hold(inner, innerPt, bigPt.Done), innerPt)
+	innerPt.EstRows = 10
+	j = p.join("j", big, bigPt, inner, innerPt)
 	ctx = p.context(j, nil)
 	if _, err := runTimed(t, ctx, j, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waited("Q17 shape", ctx)
+	waited("Q17 shape", ctx, "join:j.right")
 	if w := findOp(ctx.Stats, "scan:big2").WaitedFor; !slices.Equal(w, []string{"join:i.left"}) {
 		t.Fatalf("Q17 shape: the inner big scan waited for %v, want its 10-row sibling", w)
+	}
+	for _, in := range []string{"join:j.left", "join:i.right"} {
+		if n := findOp(ctx.Stats, in).StateRows.Load(); n != 0 {
+			t.Fatalf("Q17 shape: %s stored %d rows, want none", in, n)
+		}
 	}
 
 	// A delayed sibling is unranked (SourceRows 0) and never waited on, under
@@ -690,4 +701,145 @@ func TestStartOrder(t *testing.T) {
 			t.Fatalf("%s held: big scan waited %v for %v, want ≥ 20ms for join:j.right and join:top.right", held, scan.Waited, scan.WaitedFor)
 		}
 	}
+}
+
+// TestProbeAtSourceDifferential: a routing scan whose join sibling completed
+// before its first chunk (start order's sibling edge) probes the sibling's
+// finished tables from its chunk workers. Its rows equal the routed path's —
+// the same plan unranked, with the small side held until the big one is
+// done, so the big side is stored and the small side probes — at P = 1 and
+// 4, with a residual, and with the small side's heavy partition spilled
+// under a budget, whose share of the big side goes to that partition's
+// worker while the rest is probed at the source. The big side stores
+// nothing.
+func TestProbeAtSourceDifferential(t *testing.T) {
+	// The small side: 3 000 rows of key 0 (one partition) and 400 over other
+	// keys — 400 or 40 of them, tables the probe looks up in batches and
+	// small ones it skips most lookups in by their hash tags — so a budget of
+	// half its state evicts only the key-0 partition.
+	var smallRows []types.Tuple
+	run := func(atSource bool, P int, residual bool, budget int64) ([]string, *Context) {
+		p := &soPlan{}
+		big, bigPt := p.scan("big", 20_000, 1)
+		small, smallPt := p.scan("small", 0, 1)
+		small.Rows = smallRows
+		small.Vecs = &catalog.Table{Name: "small", Schema: small.Sch, Rows: smallRows}
+		var right Op = small
+		if !atSource {
+			right = &gated{child: small, cond: bigPt.Done}
+		}
+		j := p.join("j", big, bigPt, right, smallPt)
+		if residual { // big.x > small.x
+			sch := j.Schema()
+			j.Residual = &expr.Binary{Op: expr.OpGt, L: &expr.ColRef{Idx: 1, Col: sch.Cols[1]}, R: &expr.ColRef{Idx: 3, Col: sch.Cols[3]}}
+		}
+		ctx := p.context(j, nil)
+		ctx.Parallelism, ctx.MemBudget = P, budget
+		if !atSource {
+			bigPt.SourceRows = 0 // no wait: the held small side would hang it
+		}
+		rows, err := runTimed(t, ctx, j, 20*time.Second)
+		ctx.Cleanup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rowStrings(rows), ctx
+	}
+	for _, keys := range []int{400, 40} {
+		smallRows = make([]types.Tuple, 3_400)
+		for i := range smallRows {
+			k := 0
+			if i >= 3_000 {
+				k = 1 + i%keys
+			}
+			smallRows[i] = types.Tuple{types.Int(int64(k)), types.Int(int64(i))}
+		}
+		for _, P := range []int{1, 4} {
+			for _, residual := range []bool{false, true} {
+				label := fmt.Sprintf("keys=%d P=%d residual=%v", keys, P, residual)
+				want, routed := run(false, P, residual, 0)
+				if len(want) == 0 || findOp(routed.Stats, "join:j.left").StateRows.Load() == 0 {
+					t.Fatalf("%s: the routed path returned %d rows and stored no big row — vacuous", label, len(want))
+				}
+				got, ctx := run(true, P, residual, 0)
+				sameRows(t, label, want, got)
+				left := findOp(ctx.Stats, "join:j.left")
+				if n := left.AtSource.Load(); n != 20_000 || left.StateRows.Load() != 0 {
+					t.Fatalf("%s: %d rows probed at the source, %d stored; want all 20000, none", label, n, left.StateRows.Load())
+				}
+				budget := ctx.PeakTrackedBytes() / 2
+				got, ctx = run(true, P, residual, budget)
+				sameRows(t, label+" spilled", want, got)
+				left = findOp(ctx.Stats, "join:j.left")
+				if ctx.SpillEvents() == 0 || left.StateRows.Load() != 0 {
+					t.Fatalf("%s spilled: %d evictions, big side stored %d; want some, none", label, ctx.SpillEvents(), left.StateRows.Load())
+				}
+				if n := left.AtSource.Load(); P == 4 && (n == 0 || n == 20_000) {
+					t.Fatalf("%s spilled: %d of 20000 rows probed at the source; want the unspilled partitions' share", label, n)
+				}
+			}
+		}
+	}
+}
+
+// TestFanRoute: an unmodeled routing scan runs min(GOMAXPROCS, chunks) chunk
+// workers that claim chunks from one counter, each with its own route.
+// Whatever their interleaving, the aggregation they route for folds every
+// row once — its groups equal the router path's — the scan reads every row
+// once and the consumer receives what the scan emitted. A cancellation while
+// they run ends every worker: the input publishes nothing, no state stays
+// accounted, and no goroutine is left.
+func TestFanRoute(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 60_000
+	f := newRoutedFixture(n)
+	sch := f.sch
+	mk := func(routable bool) (*HashAgg, *Point, *Scan) {
+		child, sc := f.scan(routable)
+		pt := routedPoint("a", sch, []int{0})
+		sc.Point = pt
+		aggs := []plan.AggSpec{{Func: plan.AggCountStar}, {Func: plan.AggSum, Arg: &expr.ColRef{Idx: 1, Col: sch.Cols[1]}}}
+		h := NewHashAgg("a", child, []expr.Expr{&expr.ColRef{Idx: 0, Col: sch.Cols[0]}}, aggs,
+			types.NewSchema(sch.Cols[0], types.Column{Name: "n", Kind: types.KindInt}, types.Column{Name: "s", Kind: types.KindInt}))
+		h.Point = pt
+		return h, pt, sc
+	}
+	for _, P := range []int{1, 4} {
+		h, _, _ := mk(false)
+		want, _, err := runParallel(h, P)
+		if err != nil || len(want) < 100 {
+			t.Fatalf("P=%d router path: %d groups, err %v", P, len(want), err)
+		}
+		for i := 0; i < 5; i++ {
+			h, pt, _ := mk(true)
+			got, reg, err := runParallel(h, P)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("P=%d run %d", P, i), rowStrings(want), rowStrings(got))
+			scan, op := findOp(reg, "scan:l"), findOp(reg, "agg:a")
+			if scan.Routed != "agg:a" || scan.In.Load() != n || scan.Out.Load() != op.In.Load() || pt.Received() != f.passPred {
+				t.Fatalf("P=%d run %d: scan routed for %q, read %d, emitted %d; agg got %d, received %d; want %d read, %d received",
+					P, i, scan.Routed, scan.In.Load(), scan.Out.Load(), op.In.Load(), pt.Received(), n, f.passPred)
+			}
+		}
+	}
+
+	baseline := runtime.NumGoroutine()
+	h, pt, _ := mk(true)
+	ctx := NewContext(stats.NewRegistry(), nil)
+	ctx.Parallelism = 4
+	var groups atomic.Int64
+	pt.OnStore = func(types.Tuple) { // per new group, from the workers
+		if groups.Add(1) == 200 {
+			ctx.Cancel()
+		}
+	}
+	if _, err := runTimed(t, ctx, h, 10*time.Second); err == nil {
+		t.Fatal("cancelled run reported no error")
+	}
+	if pt.Done() || ctx.TrackedBytes() != 0 {
+		t.Fatalf("cancelled run: input done=%v, %d B still accounted", pt.Done(), ctx.TrackedBytes())
+	}
+	waitGoroutines(t, baseline)
 }

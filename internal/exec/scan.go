@@ -3,6 +3,9 @@ package exec
 import (
 	"errors"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/expr"
@@ -294,13 +297,16 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 	return s.start(ctx, nil, nil, nil)
 }
 
-// start runs the scan over the whole table on one goroutine, with pred (the
-// Filter above, or nil) evaluated at the source: the chunk kernel feeding an
-// output channel, or — rt non-nil — the route kernel as rt's router, with
-// rt.done in place of closing a channel, or — src non-nil — the refs kernel
-// feeding the root's channel row-id batches over src. Survivors carry over
-// from chunk to chunk, so a heavily pruned scan still sends full batches (or
-// scatters). The chunks are the source model's reads (sourceModel.run).
+// start runs the scan over the whole table, with pred (the Filter above, or
+// nil) evaluated at the source: the chunk kernel feeding an output channel,
+// or — rt non-nil — the route kernel as rt's router, with rt.done in place of
+// closing a channel, or — src non-nil — the refs kernel feeding the root's
+// channel row-id batches over src. Survivors carry over from chunk to chunk,
+// so a heavily pruned scan still sends full batches (or scatters). The chunks
+// are the source model's reads (sourceModel.run), on one goroutine, except
+// for a routing scan of an unmodeled source outside partial mode, whose
+// chunk workers claim them (fanRoute). A routing scan whose join sibling has
+// completed by then probes at the source (inputRoute.atSource).
 func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSource) <-chan Batch {
 	op := ctx.Stats.NewOp("scan:" + s.Name)
 	var proj *stats.OpStats
@@ -338,7 +344,6 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		step := func(lo, hi int) bool { return w.chunk(s, op, lo, hi, &batch, emit) }
 		switch {
 		case rt != nil:
-			step = func(lo, hi int) bool { return w.route(ctx, s, op, lo, hi, rt) }
 			rt.keyVecs = make([][]int64, len(rt.keys))
 			for i, k := range rt.keys {
 				rt.keyVecs[i], _ = s.Vecs.IntVec(k)
@@ -346,6 +351,15 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 			if len(rt.keys) == 1 {
 				rt.lo, rt.hi, rt.ranged = s.Vecs.IntRange(rt.keys[0])
 			}
+			probe := rt.atSource != nil && rt.sibling.Load()
+			if s.Delay == nil && !partialMode {
+				s.fanRoute(ctx, w, pred, rt, op, probe)
+				return
+			}
+			if probe {
+				rt.take, rt.end = rt.atSource()
+			}
+			step = func(lo, hi int) bool { return w.route(ctx, s, op, lo, hi, rt) }
 		case src != nil:
 			batch = Batch{Src: src, Sel: getSel()}
 			step = func(lo, hi int) bool { return w.refs(s, op, lo, hi, &batch, emit) }
@@ -367,6 +381,42 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		}
 	})
 	return out
+}
+
+// fanRoute is the read loop of a routing scan over an unmodeled source:
+// morsel-style, the scan's worker w and up to GOMAXPROCS−1 more, never more
+// than there are chunks, claim chunks from one counter, each with its own
+// scratch and route (inputRoute.fork; probe: with its own probe at the
+// source). It returns once the last worker has handed on what it carries,
+// so the route's done fires once, after all of them.
+func (s *Scan) fanRoute(ctx *Context, w *scanWorker, pred expr.Expr, rt *inputRoute, op *stats.OpStats, probe bool) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	run := func(w *scanWorker) {
+		defer wg.Done()
+		r := rt.fork(probe)
+		for {
+			lo := int(next.Add(1)-1) * scanChunkRows
+			if lo >= len(s.Rows) {
+				r.flush(ctx, 0)
+				return
+			}
+			if ctx.Err() != nil || !w.route(ctx, s, op, lo, min(lo+scanChunkRows, len(s.Rows)), r) {
+				return
+			}
+		}
+	}
+	n := max(1, min(runtime.GOMAXPROCS(0), (len(s.Rows)+scanChunkRows-1)/scanChunkRows))
+	wg.Add(n)
+	for range n - 1 {
+		ctx.Spawn(func() {
+			w := s.newWorker(pred)
+			defer func() { op.RunProbes.Add(int64(w.sc.runs)) }()
+			run(w)
+		})
+	}
+	run(w)
+	wg.Wait()
 }
 
 // sourceModel is a scan's source for one run: the §VI-B delay model, zero

@@ -136,8 +136,8 @@ func (f *sourceFixture) plan(wired, vecs bool) (*HashJoin, *Scan) {
 }
 
 // TestScanSideSelectionDifferential publishes the filter mid-scan — from
-// the point's own OnStore hook, once the router has kept 1000 tuples, so
-// the scan is provably still running (a scan can lead its router by only a
+// the point's own OnStore hook, once the router has kept 1000 tuples (the
+// join's other side streams only after), so the scan is provably still running (a scan can lead its router by only a
 // few batches) — and checks, for both summary kinds, P ∈ {1,2}, with and
 // without column vectors (the row fallback), unmodeled and delayed
 // (modelSource), that the rows equal the unwired plan's and that every row
@@ -173,6 +173,9 @@ func TestScanSideSelectionDifferential(t *testing.T) {
 							j.LPoint.Bank.Attach([]int{0}, sum)
 						}
 					}
+					// The small side streams once the big one is done: a route
+					// whose sibling completed calls no OnStore.
+					j.Right = &gated{child: j.Right, cond: j.LPoint.Done}
 					got, reg, err := runParallel(j, p)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)

@@ -1,24 +1,41 @@
 package exec
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/stats"
 )
 
-// Start order: a wired scan holds its first chunk for two kinds of input.
+// Start order: a wired scan (Scan.Point) of a local, undelayed source holds
+// its first chunk until some inputs have been published: Done, and the
+// controller, if any, has attached what it built from them. Which ones, the
+// run's wait graph over its points decides, built once by StartPlan. An edge
+// p → q says p publishes only after q does:
 //
-//   - The sibling wait (every strategy): the other input of the join the scan
-//     feeds, when its sources are at least siblingWaitRatio times smaller, so
-//     it completes first and the §VI-A short-circuit leaves the scan's side
-//     probe-only: the big input is never buffered.
-//   - The filter wait (under an AIP controller): every input whose sources are
-//     at least filterWaitRatio times smaller than the scan's own, so the
-//     filters built from them exist before the scan's first row.
+//   - Data edges: an input publishes only after every input below it, since
+//     its operator's output ends only after theirs.
+//   - Filter edges (under an AIP controller): the scan feeding p waits for
+//     every input whose largest source (Point.SourceRows) is at least
+//     filterWaitRatio times smaller than p's, so their filters exist before
+//     its first row.
+//   - Sibling edges (every strategy): the scan feeding p waits for the other
+//     input of p's join when its estimated output (Point.EstRows) is at least
+//     siblingWaitRatio times smaller than p's. The sibling then completes
+//     first, and the §VI-A short-circuit leaves p probe-only: it stores
+//     nothing, and its scan probes the sibling's tables itself (HashJoin).
 //
-// Every wait goes to an input with strictly fewer source rows, which is why
-// the waits cannot form a cycle; the package comment has the argument.
+// Data edges go in first, then filter edges, then sibling edges in benefit
+// order (the waiting input's estimated rows, largest first); an edge that
+// would close a cycle is refused, and recorded with the cycle. A wait can
+// only fail to end on a cycle of such edges, so the graph's acyclicity is the
+// deadlock-freedom argument. Only scans wait, a wait ends on cancellation,
+// and a scan that ends early (an abandoned source) still completes its
+// input. An input with a delayed, fault-injected or remote source below it
+// (SourceRows 0) never waits and is never waited on.
 
 // filterWaitRatio is the size gap at which a scan waits for a filter's
 // producer: the wait costs at most an eighth of the scan's volume, and a
@@ -26,15 +43,10 @@ import (
 // may prune little.
 const filterWaitRatio = 8
 
-// siblingWaitRatio is the size gap at which a scan waits for its join
-// sibling. It is lower than filterWaitRatio because the wait buys the scan's
-// whole side, which then stores nothing, not whatever a filter prunes. It
-// must reach TPC-H Q9 (Q5A), whose partsupp side is 7.5× smaller than
-// lineitem's. Siblings of equal rank deliberately do not wait: ranked on
-// estimated output instead, Q17's outer lineitem scan would wait for j1.right,
-// which cut Baseline Q17's peak state from 78.7 to 0.9 MB but cost 27% of its
-// queries a second, and 26% under Feed-forward — the two 300 k-row lineitem
-// scans then run one after the other on two cores.
+// siblingWaitRatio is the gap in estimated output at which a scan waits for
+// its join sibling: lower than filterWaitRatio, because the wait buys the
+// scan's whole side, and wide enough to absorb estimates off by less. The
+// overlap the wait loses, the scan's chunk workers win back (Scan.fanRoute).
 const siblingWaitRatio = 4
 
 // RankSources fills in Point.SourceRows for every operator input under op —
@@ -85,37 +97,158 @@ func RankSources(op Op) int {
 	return 0
 }
 
-// StartWaits returns the inputs the wired scan feeding pt holds its first
-// chunk for: under a controller every registered input with sources at least
-// filterWaitRatio times smaller than pt's, and pt's join sibling when its
-// sources are at least siblingWaitRatio times smaller. Each has SourceRows > 0
-// and strictly below pt's.
-func (c *Context) StartWaits(pt *Point) []*Point {
-	if pt == nil || pt.SourceRows == 0 {
+// WaitEdge is one edge of a run's wait graph: From publishes only after To
+// has. Kind is "data", "filter" or "sibling"; Why gives the ranks that chose
+// a wait, and for a refused one the cycle it would have closed.
+type WaitEdge struct {
+	From, To *Point
+	Kind     string
+	Why      string
+	Refused  bool
+}
+
+func (e WaitEdge) String() string {
+	if e.Refused {
+		return fmt.Sprintf("refused:%s→%s(%s)", e.Kind, e.To.Name, e.Why)
+	}
+	return fmt.Sprintf("%s→%s(%s)", e.Kind, e.To.Name, e.Why)
+}
+
+// waitGraph is a run's start order (see above): every edge considered, and
+// the accepted ones by From.
+type waitGraph struct {
+	edges []WaitEdge
+	after map[*Point][]*Point
+}
+
+// newWaitGraph builds the wait graph of the plan under root over the points
+// registered on c (ranked by RankSources).
+func newWaitGraph(c *Context, root Op) *waitGraph {
+	g := &waitGraph{after: map[*Point][]*Point{}}
+	var wired []*Point
+	var walk func(op Op) []*Point // the inputs right below op
+	input := func(pt *Point, child Op) []*Point {
+		below := walk(child)
+		if pt == nil {
+			return below
+		}
+		for _, d := range below {
+			g.add(pt, d, "data", "")
+		}
+		return []*Point{pt}
+	}
+	walk = func(op Op) []*Point {
+		switch v := op.(type) {
+		case *Scan:
+			if v.Point != nil && v.Point.SourceRows > 0 {
+				wired = append(wired, v.Point)
+			}
+		case *Filter:
+			return walk(v.Child)
+		case *Project:
+			return walk(v.Child)
+		case *Ship:
+			return input(v.Point, v.Child)
+		case *HashAgg:
+			return input(v.Point, v.Child)
+		case *Distinct:
+			return input(v.Point, v.Child)
+		case *HashJoin:
+			return append(input(v.LPoint, v.Left), input(v.RPoint, v.Right)...)
+		}
 		return nil
 	}
-	smaller := func(q *Point, ratio int) bool {
-		return q != nil && q.SourceRows > 0 && q.SourceRows*ratio <= pt.SourceRows
-	}
-	var ws []*Point
-	if c.Ctl != nil {
+	walk(root)
+	for _, p := range wired {
 		for _, q := range c.Points() {
-			if smaller(q, filterWaitRatio) {
-				ws = append(ws, q)
+			if c.Ctl != nil && q.SourceRows > 0 && q.SourceRows*filterWaitRatio <= p.SourceRows {
+				g.add(p, q, "filter", fmt.Sprintf("src %d≤%d/%d", q.SourceRows, p.SourceRows, filterWaitRatio))
 			}
 		}
 	}
-	if s := pt.sibling; smaller(s, siblingWaitRatio) && !slices.Contains(ws, s) {
-		ws = append(ws, s)
+	est := func(p *Point) float64 {
+		if p.EstRows > 0 {
+			return p.EstRows
+		}
+		return float64(p.SourceRows)
 	}
-	return ws
+	sib := slices.DeleteFunc(wired, func(p *Point) bool {
+		s := p.sibling
+		return s == nil || s.SourceRows == 0 || est(s)*siblingWaitRatio > est(p) || slices.Contains(g.after[p], s)
+	})
+	slices.SortStableFunc(sib, func(a, b *Point) int { // larger estimate first
+		return cmp.Or(cmp.Compare(est(b), est(a)), cmp.Compare(a.ID, b.ID))
+	})
+	for _, p := range sib {
+		g.add(p, p.sibling, "sibling", fmt.Sprintf("est %.0f≤%.0f/%d", est(p.sibling), est(p), siblingWaitRatio))
+	}
+	return g
 }
 
-// awaitStart blocks the wired scan feeding pt until every input StartWaits
-// names has been published, and records the wait on the scan's op; false when
-// the query was cancelled first.
+// add records the edge p → q, refused when q already publishes only after p:
+// it would close that cycle.
+func (g *waitGraph) add(p, q *Point, kind, why string) {
+	e := WaitEdge{From: p, To: q, Kind: kind, Why: why}
+	if cyc := g.path(q, p, map[*Point]bool{}); cyc != nil {
+		e.Why, e.Refused = why+"; cycle "+p.Name+"→"+strings.Join(cyc, "→"), true
+	} else {
+		g.after[p] = append(g.after[p], q)
+	}
+	g.edges = append(g.edges, e)
+}
+
+// path returns the names along a path of accepted edges from a to b, both
+// included, or nil.
+func (g *waitGraph) path(a, b *Point, seen map[*Point]bool) []string {
+	if a == b {
+		return []string{a.Name}
+	}
+	if seen[a] {
+		return nil
+	}
+	seen[a] = true
+	for _, x := range g.after[a] {
+		if p := g.path(x, b, seen); p != nil {
+			return append([]string{a.Name}, p...)
+		}
+	}
+	return nil
+}
+
+// WaitGraph returns the run's wait graph (built by StartPlan): every data
+// edge, every accepted wait, and every refused wait. Nil before the plan
+// started.
+func (c *Context) WaitGraph() (data, waits, refused []WaitEdge) {
+	if c.waits == nil {
+		return nil, nil, nil
+	}
+	for _, e := range c.waits.edges {
+		switch {
+		case e.Refused:
+			refused = append(refused, e)
+		case e.Kind == "data":
+			data = append(data, e)
+		default:
+			waits = append(waits, e)
+		}
+	}
+	return data, waits, refused
+}
+
+// awaitStart blocks the wired scan feeding pt until every input its accepted
+// waits name has been published, and records pt's edges and the wait on the
+// scan's op; false when the query was cancelled first.
 func (c *Context) awaitStart(pt *Point, op *stats.OpStats) bool {
-	ws := c.StartWaits(pt)
+	var ws []*Point
+	_, waits, refused := c.WaitGraph()
+	for _, e := range append(waits, refused...) {
+		if e.From == pt {
+			op.Waits = append(op.Waits, e.String())
+			if !e.Refused {
+				ws = append(ws, e.To)
+			}
+		}
+	}
 	if len(ws) == 0 {
 		return true
 	}

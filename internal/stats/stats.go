@@ -131,6 +131,11 @@ type OpStats struct {
 	// bytes (a batch holding a key value that is not integer-backed).
 	WordBatches, ByteBatches Counter
 
+	// AtSource counts, on a join input, the rows its routing scan probed at
+	// the source: looked up in the sibling's finished tables by the scan's
+	// chunk workers, never sent to a partition worker.
+	AtSource Counter
+
 	// Routed names, on a scan that routed for its consumer (hashing keys
 	// from the column vectors and scattering row ids straight to the
 	// partition workers), the consumer input's stats block; empty otherwise.
@@ -141,6 +146,12 @@ type OpStats struct {
 	// scan's goroutine, before its first row.
 	Waited    time.Duration
 	WaitedFor []string
+
+	// Waits lists, on a wired scan, the run's wait-graph edges out of the
+	// input it feeds: each accepted wait with its kind and the ranks that
+	// chose it, then each refused one with the cycle it would have closed.
+	// Set once, by the scan's goroutine, before its first row.
+	Waits []string
 
 	// Typed counts, on a scan that evaluates pushed conjuncts, those that ran
 	// on a typed column kernel, Coded those of them over dictionary codes,
@@ -388,6 +399,12 @@ func (r *Registry) Report() string {
 			}
 			parts += fmt.Sprintf("waited=%.2fms→%s", float64(op.Waited)/float64(time.Millisecond), strings.Join(op.WaitedFor, ","))
 		}
+		if len(op.Waits) > 0 {
+			if parts != "" {
+				parts += " "
+			}
+			parts += "waits=[" + strings.Join(op.Waits, " ") + "]"
+		}
 		if op.Conjuncts > 0 {
 			if parts != "" {
 				parts += " "
@@ -399,6 +416,12 @@ func (r *Registry) Report() string {
 				parts += " "
 			}
 			parts += fmt.Sprintf("cols=%d/%d", op.Cols, op.Width)
+		}
+		if n := op.AtSource.Load(); n > 0 {
+			if parts != "" {
+				parts += " "
+			}
+			parts += fmt.Sprintf("at-source=%d", n)
 		}
 		if pf := op.PreFilter.Load(); pf > 0 {
 			if parts != "" {

@@ -123,6 +123,16 @@ func (kt *KeyTable) MemSize() int {
 	return len(kt.slots)*4 + len(kt.hashes)*16 + len(kt.keys) + len(kt.dir)*4
 }
 
+// HashTags returns a 1024-bit set of the low ten bits of every stored key's
+// hash. A key whose bit is clear is absent, so a caller about to look up
+// mostly absent keys in a small table can skip most lookups.
+func (kt *KeyTable) HashTags() (tags [16]uint64) {
+	for _, h := range kt.hashes {
+		tags[h>>6&15] |= 1 << (h & 63)
+	}
+	return tags
+}
+
 // Range declares [lo, hi] as the domain of the table's one-column integer
 // keys (a routing scan's key column, catalog.Table.IntRange), which lets the
 // word kernels install the direct index. The first declaration holds until

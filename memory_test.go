@@ -3,6 +3,8 @@ package sip
 import (
 	"context"
 	"errors"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -249,5 +251,46 @@ func TestPlanCacheInvalidatedByCatalogChange(t *testing.T) {
 	}
 	if h := eng.PlanCacheStats().Hits; h != 1 {
 		t.Fatalf("cache hits after replace = %d, want 1 (key must include catalog version)", h)
+	}
+}
+
+// unavoidableSpillSQL groups lineitem by its order key after joining orders.
+// Start order holds the lineitem scan until orders has completed, so the
+// join stores no lineitem row — but it must store every orders row, and the
+// aggregation one group per order: state the wait graph cannot avoid.
+const unavoidableSpillSQL = `SELECT l_orderkey, count(*), sum(l_quantity)
+	FROM lineitem, orders WHERE l_orderkey = o_orderkey GROUP BY l_orderkey`
+
+// TestSpillEvictsUnderStartOrder: under a budget of a quarter of the
+// unbounded peak, both a join partition and an aggregation partition of
+// unavoidableSpillSQL evict, under Baseline and Feed-forward, and the rows
+// equal the unbounded run's.
+func TestSpillEvictsUnderStartOrder(t *testing.T) {
+	eng := spillEngine(t)
+	ctx := context.Background()
+	for _, strat := range []Strategy{Baseline, FeedForward} {
+		base, err := eng.Query(ctx, unavoidableSpillSQL, Options{Strategy: strat, Parallelism: 4})
+		if err != nil || base.SpillEvents != 0 {
+			t.Fatalf("%s unbounded: err %v, %d evictions", strat, err, base.SpillEvents)
+		}
+		budget := base.PeakMemBytes / 4
+		res, err := eng.Query(ctx, unavoidableSpillSQL, Options{Strategy: strat, MemBudget: budget, Parallelism: 4})
+		if err != nil {
+			t.Fatalf("%s budget %d: %v", strat, budget, err)
+		}
+		if got, want := canon(res.Rows), canon(base.Rows); !slices.Equal(got, want) {
+			t.Fatalf("%s budget %d: %d rows differ from the unbounded run's %d", strat, budget, len(got), len(want))
+		}
+		evicted := map[string]int64{}
+		for _, op := range res.Stats.Ops() {
+			evicted[op.Class] += op.SpillEvents.Load()
+			if strings.HasSuffix(op.Name, ".lineitem") && len(op.WaitedFor) != 1 {
+				t.Fatalf("%s: %s waited for %v, want orders' join input", strat, op.Name, op.WaitedFor)
+			}
+		}
+		if evicted["join"] == 0 || evicted["agg"] == 0 {
+			t.Fatalf("%s budget %d (unbounded peak %d): evictions by class %v, want a join and an aggregation partition",
+				strat, budget, base.PeakMemBytes, evicted)
+		}
 	}
 }

@@ -1879,6 +1879,10 @@ func oraDiff(got, want []string) string {
 		len(extra), extra[:min(len(extra), 5)], len(missing), missing[:min(len(missing), 5)])
 }
 
+// oraDeadline is how long one run of a generated case may take: the
+// catalogs are a few thousand rows, so only a hang comes near it.
+const oraDeadline = 60 * time.Second
+
 // run executes the case once — the blocking drain (what Query does) or the
 // streaming cursor — and checks the per-query properties: quiescence, and
 // source-side pruning under Feed-forward.
@@ -1904,6 +1908,9 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 	if err != nil {
 		c.fail(label, "start: %v", err)
 	}
+	// A run that does not finish in time is cancelled — which ends any
+	// start-order wait — and fails with its wait graph.
+	hung := time.AfterFunc(oraDeadline, rows.ectx.Cancel)
 	var out oraRun
 	if stream {
 		var got []Row
@@ -1917,6 +1924,9 @@ func (c *oraCase) run(label string, opts Options, stream bool) oraRun {
 		if out.err == nil {
 			out.rows = oraCanon(out.res.Rows)
 		}
+	}
+	if !hung.Stop() {
+		c.fail(label, "still running after %v; wait graph:\n%s", oraDeadline, waitGraphText(rows.ectx))
 	}
 	c.quiescent(label, rows, before)
 	out.banks = oraBanks(p, rows)
@@ -1978,19 +1988,15 @@ func (c *oraCase) quiescent(label string, rows *Rows, before int) {
 	}
 }
 
-// startWaits fails unless every start-order wait edge of the run — from an
-// input to one its wired scan holds its first chunk for — goes to an input
-// with some, and strictly fewer, source rows: the order that makes the waits
-// acyclic. It returns how many scans waited.
+// startWaits fails unless the run's wait graph — its data edges plus every
+// wait a wired scan held its first chunk for — is acyclic: a wait that closes
+// a cycle never ends, so acyclicity is start order's deadlock freedom. It
+// returns how many scans waited.
 func (c *oraCase) startWaits(label string, rows *Rows) int {
 	c.env.t.Helper()
-	for _, pt := range rows.ectx.Points() {
-		for _, q := range rows.ectx.StartWaits(pt) {
-			if q.SourceRows <= 0 || q.SourceRows >= pt.SourceRows {
-				c.fail(label, "start order: %s (%d source rows) waits for %s (%d source rows)",
-					pt.Name, pt.SourceRows, q.Name, q.SourceRows)
-			}
-		}
+	data, waits, _ := rows.ectx.WaitGraph()
+	if cyc := waitCycle(append(data, waits...)); cyc != "" {
+		c.fail(label, "start order: the wait graph has the cycle %s\n%s", cyc, waitGraphText(rows.ectx))
 	}
 	waited := 0
 	for _, op := range rows.ectx.Stats.Ops() {
@@ -2001,10 +2007,77 @@ func (c *oraCase) startWaits(label string, rows *Rows) int {
 	return waited
 }
 
+// waitCycle returns a cycle of edges (From publishes only after To), as
+// point names joined by arrows, or "" when there is none.
+func waitCycle(edges []exec.WaitEdge) string {
+	after := map[*exec.Point][]*exec.Point{}
+	for _, e := range edges {
+		after[e.From] = append(after[e.From], e.To)
+	}
+	const (
+		open = 1
+		done = 2
+	)
+	state := map[*exec.Point]int{}
+	var stack []*exec.Point
+	var visit func(p *exec.Point) string
+	visit = func(p *exec.Point) string {
+		switch state[p] {
+		case open:
+			i := slices.Index(stack, p)
+			names := []string{}
+			for _, q := range append(stack[i:], p) {
+				names = append(names, q.Name)
+			}
+			return strings.Join(names, "→")
+		case done:
+			return ""
+		}
+		state[p] = open
+		stack = append(stack, p)
+		for _, q := range after[p] {
+			if cyc := visit(q); cyc != "" {
+				return cyc
+			}
+		}
+		stack = stack[:len(stack)-1]
+		state[p] = done
+		return ""
+	}
+	for _, e := range edges {
+		if cyc := visit(e.From); cyc != "" {
+			return cyc
+		}
+	}
+	return ""
+}
+
+// waitGraphText prints a run's wait graph, one edge a line: data edges, the
+// accepted waits and the refused ones.
+func waitGraphText(ectx *exec.Context) string {
+	data, waits, refused := ectx.WaitGraph()
+	var b strings.Builder
+	for _, set := range []struct {
+		name  string
+		edges []exec.WaitEdge
+	}{{"data", data}, {"wait", waits}, {"refused", refused}} {
+		for _, e := range set.edges {
+			fmt.Fprintf(&b, "  %s %s → %s %s\n", set.name, e.From.Name, e.To.Name, e.Why)
+		}
+	}
+	return b.String()
+}
+
 // early reports whether pt's wired scan started after every stateful input
 // it does not feed was done: start order held it back for each of them.
 func early(rows *Rows, pt *exec.Point) bool {
-	waits := rows.ectx.StartWaits(pt)
+	var waits []*exec.Point
+	_, edges, _ := rows.ectx.WaitGraph()
+	for _, e := range edges {
+		if e.From == pt {
+			waits = append(waits, e.To)
+		}
+	}
 	for _, q := range rows.ectx.Points() {
 		if q == pt || slices.Contains(pt.Ancestors, q) || !q.Stateful {
 			continue
