@@ -121,13 +121,14 @@ bench-vet:
 # under the race detector, of start order (the wait graph's waits,
 # cancellation and abandoned sources; Table I under all four strategies with
 # a deadline and an acyclic graph; the sibling wait's state), the parallel
-# routing scan (chunk workers folding every row once, and cancelled while
-# they run) and the probe at the source against the routed path (P = 1 and
+# routing scan (chunk workers folding every row once, cancelled while they
+# run, and racing their OnStore calls against the join sibling completing)
+# and the probe at the source against the routed path (P = 1 and
 # 4, with a residual, with one partition spilled); then 100 runs each of
 # Feed-forward Q17's report and determinism tests, which pin its one outcome.
 test-race:
 	SIP_ORACLE_SEEDS=30 $(GO) test -race -timeout 30m ./internal/exec ./internal/catalog ./internal/types ./internal/spill ./internal/core ./internal/expr ./internal/network ./internal/bloom ./internal/filter ./internal/server .
-	$(GO) test -race -count=20 -run '^(TestStartOrder|TestFanRoute|TestProbeAtSourceDifferential)$$' ./internal/exec
+	$(GO) test -race -count=20 -run '^(TestStartOrder|TestFanRoute|TestProbeAtSourceDifferential|TestScanSiblingCompletesMidScan)$$' ./internal/exec
 	$(GO) test -race -count=20 -run '^(TestTableIWaitGraph|TestTableISiblingWait)$$' .
 	$(GO) test -race -count=100 -run '^TestQ17FeedForward(FilterReport|Determinism)$$' .
 

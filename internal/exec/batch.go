@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/expr"
 	"repro/internal/stats"
@@ -288,6 +289,21 @@ func (s *scatter) lookup(kt *types.KeyTable, ids []int32) {
 	}
 }
 
+// lookupTagged is lookup in a table whose hash tags are tags
+// (KeyTable.HashTags; nil: none): a word lane whose tag bit is clear is
+// absent without a probe, and the rest are looked up one at a time.
+func (s *scatter) lookupTagged(kt *types.KeyTable, tags *[16]uint64, ids []int32) {
+	if tags == nil || s.nk == 0 {
+		s.lookup(kt, ids)
+		return
+	}
+	for i, h := range s.hashes {
+		if ids[i] = -1; tags[h>>6&15]>>(h&63)&1 != 0 {
+			kt.LookupWords(s.hashes[i:i+1], s.words[i*s.nk:(i+1)*s.nk], s.nk, ids[i:i+1])
+		}
+	}
+}
+
 // inputRoute is the lock-free phase of one input of a partitioned operator —
 // AIP probe, key, scatter to the partition workers — and where it reports.
 // One per producer goroutine: a routing scan's chunk workers (routingScan)
@@ -334,13 +350,31 @@ type inputRoute struct {
 	// done is called once when routing ends; complete is false when the
 	// query was cancelled before the input was consumed in full.
 	done func(complete bool)
-	// atSource, set by a join, makes a producer's probe at the source (take
-	// and end), for a routing scan whose sibling completed before its first
-	// chunk: take looks partition p's scatter up in the sibling's table and
-	// emits the matches, false (sb goes to p's worker) when p has spilled.
-	atSource func() (take func(p int, sb *scatter) bool, end func() bool)
-	take     func(p int, sb *scatter) bool
-	end      func() bool
+	// source, set by a join, is the template of its probe at the source;
+	// probe is this producer's copy once it has held for the sibling.
+	source, probe *sourceProbe
+	// await, set by a routing scan with a sibling wait (awaitStart), is that
+	// sibling: hold keeps every delivery back until it has published, and
+	// held is how long that took.
+	await *Point
+	held  time.Duration
+}
+
+// hold blocks until the awaited sibling has published, then probes at the
+// source; false when the query was cancelled first. Nothing of the input
+// was delivered before, so its side stores nothing.
+func (r *inputRoute) hold(ctx *Context) bool {
+	start := time.Now()
+	select {
+	case <-r.await.published:
+	case <-ctx.cancel:
+		return false
+	}
+	r.await, r.held = nil, time.Since(start)
+	if r.source != nil {
+		r.probe = r.source.fork()
+	}
+	return true
 }
 
 func newInputRoute(side, parallelism int, outs []chan *scatter) *inputRoute {
@@ -360,28 +394,29 @@ func (r *inputRoute) buf(h uint64) *scatter {
 }
 
 // fork returns the route for one more producer goroutine of the input, with
-// its own buffers and scratch, and its own probe at the source if probe.
-func (r *inputRoute) fork(probe bool) *inputRoute {
+// its own buffers and scratch.
+func (r *inputRoute) fork() *inputRoute {
 	f := *r
 	f.bufs, f.words, f.kbuf = make([]*scatter, len(r.outs)), nil, nil
-	if probe {
-		f.take, f.end = r.atSource()
-	}
 	return &f
 }
 
 // flush delivers the buffered scatters of at least min tuples (a routing scan
 // carries smaller ones over to its next chunk) — to the probe at the source
-// when it takes them — and with min 0 sends what that probe holds. It
-// reports false when the query was cancelled mid-delivery; the undelivered
-// buffer is recycled.
+// when it takes them — and with min 0 sends what that probe holds. Awaiting
+// a sibling, it holds first; with min 0 even when it has nothing to deliver,
+// so the input completes after the sibling. It reports false when the query
+// was cancelled mid-delivery; the undelivered buffer is recycled.
 func (r *inputRoute) flush(ctx *Context, min int) bool {
 	for p, sb := range r.bufs {
 		if sb == nil || sb.len() < min {
 			continue
 		}
+		if r.await != nil && !r.hold(ctx) {
+			return false
+		}
 		r.bufs[p] = nil
-		if r.take != nil && r.take(p, sb) {
+		if r.probe != nil && r.probe.take(p, sb) {
 			putScatter(sb)
 			if ctx.Err() != nil {
 				return false
@@ -401,7 +436,10 @@ func (r *inputRoute) flush(ctx *Context, min int) bool {
 			return false
 		}
 	}
-	return min > 0 || r.end == nil || r.end()
+	if min == 0 && r.await != nil && !r.hold(ctx) {
+		return false
+	}
+	return min > 0 || r.probe == nil || r.probe.out.flush()
 }
 
 // drive is the router: it runs the route over every batch of in and
@@ -448,12 +486,13 @@ func (rt *inputRoute) lanes(ctx *Context, sc *ProbeScratch, tuples []types.Tuple
 		kept = rt.routeTuples(tuples, kept, out)
 	}
 	// OnStore sees every tuple routed while the other input has not
-	// completed, from each goroutine running the route. Once it has, these
-	// tuples are dropped (§VI-A), spilled or probed at the source, so the
-	// point's state no longer holds the whole input: it is marked so here,
-	// and OnStore is not called, so no working set is built to be dropped.
+	// completed, from each goroutine running the route. Once it has (or the
+	// route holds for it), these tuples are dropped (§VI-A), spilled or
+	// probed at the source, so the point's state no longer holds the whole
+	// input: it is marked so here, and OnStore is not called, so no working
+	// set is built to be dropped.
 	if rt.sibling != nil && pt != nil && len(kept) > 0 {
-		if rt.sibling.Load() {
+		if rt.await != nil || rt.sibling.Load() {
 			pt.stateIncomplete.Store(true)
 		} else if pt.OnStore != nil {
 			for _, l := range kept {

@@ -67,9 +67,11 @@
 //     outer lineitem side otherwise buffers all 300 k rows at SF 0.05, 78 MB),
 //     and under a controller every input whose largest source is ≥ 8×
 //     smaller (its filter then prunes from the first row). Deadlock freedom
-//     is the graph's acyclicity, checked as it is built. Routing scans win
-//     back the lost overlap with chunk workers (Scan.fanRoute), and probe a
-//     completed sibling's tables themselves (HashJoin: at the source).
+//     is the graph's acyclicity, checked as it is built. A routing scan
+//     holds only its deliveries for its sibling, filtering its chunks
+//     meanwhile (inputRoute.hold), claims chunks with several workers
+//     (Scan.fanRoute), and probes the completed sibling's tables itself
+//     (sourceProbe).
 //   - The root edge: a root Project of plain column references directly
 //     over such a scan is not started (StartPlan): the scan emits row-id
 //     batches (see Batch), up to scanChunkRows survivors as int32 row ids
@@ -493,7 +495,7 @@ type Op interface {
 // consumer projects.
 func StartPlan(ctx *Context, root Op) <-chan Batch {
 	if ctx.nextID > 0 { // a plan without points has no waits
-		ctx.waits = newWaitGraph(ctx, root)
+		ctx.waits = newWaitGraph(ctx)
 	}
 	if p, ok := root.(*Project); ok {
 		if sc, pred, src := p.rootScan(); sc != nil {

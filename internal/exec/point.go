@@ -339,6 +339,11 @@ type Point struct {
 	// otherwise); linked by RankSources, read by start order's sibling
 	// edges, which rank it on EstRows.
 	sibling *Point
+	// below lists the inputs right under this one, whose outputs its
+	// operator's input is made of: start order's data edges. scanned says a
+	// scan is wired to it (Scan.Point). Both are recorded by RankSources.
+	below   []*Point
+	scanned bool
 
 	// DomainDistinct estimates, per input column, the number of distinct
 	// values in the column's attribute domain (used for filter
@@ -374,7 +379,8 @@ type Point struct {
 	// AIP sets here). It must be set before execution begins. A join
 	// input's callers are its route's goroutines — the router, or every
 	// chunk worker of the routing scan — until the other input completes,
-	// after which it is not called; a partitioned HashAgg or Distinct calls
+	// after which it is not called (nor while a routing scan holds its
+	// deliveries for that input); a partitioned HashAgg or Distinct calls
 	// it from every partition worker. Either way calls come at once, so it
 	// must be safe for concurrent use. Every call happens-before the point's
 	// PointDone.

@@ -625,7 +625,9 @@ func TestStartOrder(t *testing.T) {
 	}
 
 	// Cancelled while waiting on its sibling under Baseline (the sibling never
-	// streams): the wait ends at once and leaks nothing.
+	// streams): the wait ends at once and leaks nothing. The routing scan
+	// reads chunks while it waits, but its route delivers none of their rows,
+	// so its side stores nothing.
 	baseline := runtime.NumGoroutine()
 	p, j, _ = startOrderPlan(10, 10_000, func(*Point) bool { return false })
 	ctx = p.context(j, nil)
@@ -633,8 +635,9 @@ func TestStartOrder(t *testing.T) {
 	if _, err := runTimed(t, ctx, j, 5*time.Second); err == nil {
 		t.Fatal("cancelled run reported no error")
 	}
-	if scan, _ := bigOp(ctx); scan.In.Load() != 0 {
-		t.Fatalf("big scan read %d rows while it should have been waiting", scan.In.Load())
+	if scan, in := bigOp(ctx); scan.In.Load() == 0 || in.StateRows.Load() != 0 || in.StateBytes.Peak() != 0 {
+		t.Fatalf("big scan read %d rows and its side stored %d (%d B at peak) while it should have been holding; want some read, none stored",
+			scan.In.Load(), in.StateRows.Load(), in.StateBytes.Peak())
 	}
 	waitGoroutines(t, baseline)
 
@@ -655,7 +658,9 @@ func TestStartOrder(t *testing.T) {
 	// A filter wait and a sibling wait on one scan: under a controller the big
 	// scan of top(j(big, sib), tiny) waits for sib (2 000 rows, a 5× gap: a
 	// sibling wait only) and for tiny (1 250 rows, an 8× gap: a filter wait;
-	// sib is too close to wait for it). Holding either back holds the big scan.
+	// sib is too close to wait for it). Holding tiny back holds the big scan;
+	// holding sib back holds its route's deliveries, so the big side stores
+	// nothing.
 	for _, held := range []string{"sib", "tiny"} {
 		p := &soPlan{}
 		var release atomic.Bool
@@ -684,8 +689,11 @@ func TestStartOrder(t *testing.T) {
 			}
 		}
 		time.Sleep(20 * time.Millisecond) // time a scan that did not wait would have used
-		if n := findOp(ctx.Stats, "scan:big").In.Load(); n != 0 {
+		if n := findOp(ctx.Stats, "scan:big").In.Load(); n != 0 && held == "tiny" {
 			t.Fatalf("%s held: big scan read %d rows", held, n)
+		}
+		if n := findOp(ctx.Stats, "join:j.left").StateRows.Load(); n != 0 {
+			t.Fatalf("%s held: big side stored %d rows", held, n)
 		}
 		release.Store(true)
 		select {

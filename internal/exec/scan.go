@@ -305,8 +305,9 @@ func (s *Scan) Start(ctx *Context) <-chan Batch {
 // so a heavily pruned scan still sends full batches (or scatters). The chunks
 // are the source model's reads (sourceModel.run), on one goroutine, except
 // for a routing scan of an unmodeled source outside partial mode, whose
-// chunk workers claim them (fanRoute). A routing scan whose join sibling has
-// completed by then probes at the source (inputRoute.atSource).
+// chunk workers claim them (fanRoute). A routing scan that waits for its join
+// sibling holds its deliveries instead of its first chunk, then probes at the
+// source (inputRoute.hold).
 func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSource) <-chan Batch {
 	op := ctx.Stats.NewOp("scan:" + s.Name)
 	var proj *stats.OpStats
@@ -328,7 +329,8 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 		} else {
 			defer func() { rt.done(ctx.Err() == nil) }()
 		}
-		if !ctx.awaitStart(s.Point, op) {
+		ok, sibling := ctx.awaitStart(s.Point, op, rt != nil)
+		if !ok {
 			return
 		}
 		w := s.newWorker(pred)
@@ -351,14 +353,12 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 			if len(rt.keys) == 1 {
 				rt.lo, rt.hi, rt.ranged = s.Vecs.IntRange(rt.keys[0])
 			}
-			probe := rt.atSource != nil && rt.sibling.Load()
+			rt.await = sibling
 			if s.Delay == nil && !partialMode {
-				s.fanRoute(ctx, w, pred, rt, op, probe)
+				s.fanRoute(ctx, w, pred, rt, op)
 				return
 			}
-			if probe {
-				rt.take, rt.end = rt.atSource()
-			}
+			defer func() { op.Waited += rt.held }()
 			step = func(lo, hi int) bool { return w.route(ctx, s, op, lo, hi, rt) }
 		case src != nil:
 			batch = Batch{Src: src, Sel: getSel()}
@@ -386,15 +386,18 @@ func (s *Scan) start(ctx *Context, pred expr.Expr, rt *inputRoute, src *RootSour
 // fanRoute is the read loop of a routing scan over an unmodeled source:
 // morsel-style, the scan's worker w and up to GOMAXPROCS−1 more, never more
 // than there are chunks, claim chunks from one counter, each with its own
-// scratch and route (inputRoute.fork; probe: with its own probe at the
-// source). It returns once the last worker has handed on what it carries,
-// so the route's done fires once, after all of them.
-func (s *Scan) fanRoute(ctx *Context, w *scanWorker, pred expr.Expr, rt *inputRoute, op *stats.OpStats, probe bool) {
+// scratch and route (inputRoute.fork). It returns once the last worker has
+// handed on what it carries, so the route's done fires once, after all of
+// them.
+func (s *Scan) fanRoute(ctx *Context, w *scanWorker, pred expr.Expr, rt *inputRoute, op *stats.OpStats) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	run := func(w *scanWorker) {
+	n := max(1, min(runtime.GOMAXPROCS(0), (len(s.Rows)+scanChunkRows-1)/scanChunkRows))
+	routes := make([]*inputRoute, n)
+	run := func(i int, w *scanWorker) {
 		defer wg.Done()
-		r := rt.fork(probe)
+		r := rt.fork()
+		routes[i] = r
 		for {
 			lo := int(next.Add(1)-1) * scanChunkRows
 			if lo >= len(s.Rows) {
@@ -406,17 +409,21 @@ func (s *Scan) fanRoute(ctx *Context, w *scanWorker, pred expr.Expr, rt *inputRo
 			}
 		}
 	}
-	n := max(1, min(runtime.GOMAXPROCS(0), (len(s.Rows)+scanChunkRows-1)/scanChunkRows))
 	wg.Add(n)
-	for range n - 1 {
+	for i := range n - 1 {
 		ctx.Spawn(func() {
 			w := s.newWorker(pred)
 			defer func() { op.RunProbes.Add(int64(w.sc.runs)) }()
-			run(w)
+			run(i+1, w)
 		})
 	}
-	run(w)
+	run(0, w)
 	wg.Wait()
+	var held time.Duration // the workers hold for one sibling: the longest
+	for _, r := range routes {
+		held = max(held, r.held)
+	}
+	op.Waited += held
 }
 
 // sourceModel is a scan's source for one run: the §VI-B delay model, zero

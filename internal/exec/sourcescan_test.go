@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -211,6 +212,59 @@ func TestScanSideSelectionDifferential(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestScanSiblingCompletesMidScan: the join's small side streams once the
+// big side's routing scan has stored 1000 rows, and each chunk worker that
+// stores a row after that waits in OnStore until the small side has
+// completed, so the sibling completes while the scan is mid-scan with every
+// chunk worker (GOMAXPROCS 4) inside its route. The rows equal the unwired
+// plan's; the big side's OnStore saw only part of its input, its point's
+// state is incomplete, and a controller publishing only complete state
+// publishes no set from it.
+func TestScanSiblingCompletesMidScan(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 200_000
+	f := newSourceFixture(n)
+	base, _ := f.plan(false, false)
+	want := rowStrings(runOp(t, base, nil))
+	passPred := int64(0)
+	for _, r := range f.big {
+		if r[1].F < 20 {
+			passPred++
+		}
+	}
+	for _, p := range []int{1, 2} {
+		label := fmt.Sprintf("P=%d", p)
+		j, scan := f.plan(true, true)
+		var kept atomic.Int64
+		j.LPoint.OnStore = func(types.Tuple) {
+			if kept.Add(1) <= 1000 {
+				return
+			}
+			for deadline := time.Now().Add(10 * time.Second); !j.RPoint.Done() && time.Now().Before(deadline); {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+		j.Right = &gated{child: j.Right, cond: func() bool { return kept.Load() >= 1000 }}
+		ctx := NewContext(stats.NewRegistry(), &publishCtl{from: j.LPoint, to: j.RPoint})
+		ctx.Parallelism = p
+		got, err := Run(ctx, j)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		sameRows(t, label, want, rowStrings(got))
+		if in := findOp(ctx.Stats, "scan:"+scan.Name).In.Load(); in != n || j.LPoint.Received() != passPred {
+			t.Fatalf("%s: scan read %d rows and its point received %d; want %d and %d", label, in, j.LPoint.Received(), n, passPred)
+		}
+		if k := kept.Load(); k <= 1000 || k >= passPred {
+			t.Fatalf("%s: OnStore saw %d of %d rows; want more than 1000 (the workers raced the completion) and not all", label, k, passPred)
+		}
+		if j.LPoint.StateComplete() || j.RPoint.Bank.Len() != 0 {
+			t.Fatalf("%s: big side's state complete=%v, %d sets published from it; want incomplete and none",
+				label, j.LPoint.StateComplete(), j.RPoint.Bank.Len())
 		}
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // Start order: a wired scan (Scan.Point) of a local, undelayed source holds
-// its first chunk until some inputs have been published: Done, and the
-// controller, if any, has attached what it built from them. Which ones, the
+// its first chunk (or, for a sibling, a routing scan its first delivery)
+// until some inputs have been published: Done, and the controller, if any,
+// has attached what it built from them. Which ones, the
 // run's wait graph over its points decides, built once by StartPlan. An edge
 // p → q says p publishes only after q does:
 //
@@ -27,6 +28,8 @@ import (
 //     siblingWaitRatio times smaller than p's. The sibling then completes
 //     first, and the §VI-A short-circuit leaves p probe-only: it stores
 //     nothing, and its scan probes the sibling's tables itself (HashJoin).
+//     A routing scan reads and filters its chunks meanwhile, so the wait
+//     costs no overlap (inputRoute.hold).
 //
 // Data edges go in first, then filter edges, then sibling edges in benefit
 // order (the waiting input's estimated rows, largest first); an edge that
@@ -45,56 +48,73 @@ const filterWaitRatio = 8
 
 // siblingWaitRatio is the gap in estimated output at which a scan waits for
 // its join sibling: lower than filterWaitRatio, because the wait buys the
-// scan's whole side, and wide enough to absorb estimates off by less. The
-// overlap the wait loses, the scan's chunk workers win back (Scan.fanRoute).
+// scan's whole side, and wide enough to absorb estimates off by less.
 const siblingWaitRatio = 4
 
 // RankSources fills in Point.SourceRows for every operator input under op —
 // the size of the largest source feeding it when every scan below is local
 // and undelayed, else 0 (a modeled source's duration is the model's; nothing
-// waits for it) — links the two inputs of every join as siblings, and returns
-// the same size for op itself. A source's size is what its scan is expected
-// to emit: the table's row count, cut to the optimizer's estimate for the
-// input it is wired to (the pushed predicate): a selective scan of a big
-// table is a cheap source of a strong filter.
+// waits for it) — links the two inputs of every join as siblings, records
+// each input's data edges and whether a scan feeds it, and returns the same
+// size for op itself. A source's size is what its scan is expected to emit:
+// the table's row count, cut to the optimizer's estimate for the input it is
+// wired to (the pushed predicate): a selective scan of a big table is a cheap
+// source of a strong filter.
 func RankSources(op Op) int {
-	rank := func(pt *Point, child Op) int {
-		n := RankSources(child)
-		if pt != nil {
-			pt.SourceRows = n
+	n, _ := rankSources(op)
+	return n
+}
+
+// rankSources is RankSources, also returning the inputs right below op.
+func rankSources(op Op) (int, []*Point) {
+	input := func(pt *Point, child Op) (int, []*Point) {
+		n, below := rankSources(child)
+		if pt == nil {
+			return n, below
 		}
-		return n
+		pt.SourceRows, pt.below = n, below
+		return n, []*Point{pt}
 	}
 	switch v := op.(type) {
 	case *Scan:
+		if v.Point != nil {
+			v.Point.scanned = true
+		}
 		if v.modeled() || v.Site != 0 {
-			return 0
+			return 0, nil
 		}
 		n := len(v.Rows)
 		if v.Point != nil && v.Point.EstRows > 0 {
 			n = min(n, int(v.Point.EstRows))
 		}
-		return max(n, 1)
+		return max(n, 1), nil
 	case *Filter:
-		return RankSources(v.Child)
+		return rankSources(v.Child)
 	case *Project:
-		return RankSources(v.Child)
+		return rankSources(v.Child)
 	case *HashAgg:
-		return rank(v.Point, v.Child)
+		return input(v.Point, v.Child)
 	case *Distinct:
-		return rank(v.Point, v.Child)
+		return input(v.Point, v.Child)
 	case *HashJoin:
-		l, r := rank(v.LPoint, v.Left), rank(v.RPoint, v.Right)
+		l, lb := input(v.LPoint, v.Left)
+		r, rb := input(v.RPoint, v.Right)
 		if v.LPoint != nil && v.RPoint != nil {
 			v.LPoint.sibling, v.RPoint.sibling = v.RPoint, v.LPoint
 		}
 		if l > 0 && r > 0 {
-			return max(l, r)
+			return max(l, r), append(lb, rb...)
 		}
+		return 0, append(lb, rb...)
 	case *Ship:
-		RankSources(v.Child)
+		_, below := rankSources(v.Child)
+		if v.Point == nil {
+			return 0, below
+		}
+		v.Point.below = below
+		return 0, []*Point{v.Point}
 	}
-	return 0
+	return 0, nil
 }
 
 // WaitEdge is one edge of a run's wait graph: From publishes only after To
@@ -121,46 +141,22 @@ type waitGraph struct {
 	after map[*Point][]*Point
 }
 
-// newWaitGraph builds the wait graph of the plan under root over the points
-// registered on c (ranked by RankSources).
-func newWaitGraph(c *Context, root Op) *waitGraph {
+// newWaitGraph builds the wait graph of the points registered on c, ranked
+// and linked by RankSources.
+func newWaitGraph(c *Context) *waitGraph {
 	g := &waitGraph{after: map[*Point][]*Point{}}
+	points := c.Points()
 	var wired []*Point
-	var walk func(op Op) []*Point // the inputs right below op
-	input := func(pt *Point, child Op) []*Point {
-		below := walk(child)
-		if pt == nil {
-			return below
+	for _, p := range points {
+		for _, d := range p.below {
+			g.add(p, d, "data", "")
 		}
-		for _, d := range below {
-			g.add(pt, d, "data", "")
+		if p.scanned && p.SourceRows > 0 {
+			wired = append(wired, p)
 		}
-		return []*Point{pt}
 	}
-	walk = func(op Op) []*Point {
-		switch v := op.(type) {
-		case *Scan:
-			if v.Point != nil && v.Point.SourceRows > 0 {
-				wired = append(wired, v.Point)
-			}
-		case *Filter:
-			return walk(v.Child)
-		case *Project:
-			return walk(v.Child)
-		case *Ship:
-			return input(v.Point, v.Child)
-		case *HashAgg:
-			return input(v.Point, v.Child)
-		case *Distinct:
-			return input(v.Point, v.Child)
-		case *HashJoin:
-			return append(input(v.LPoint, v.Left), input(v.RPoint, v.Right)...)
-		}
-		return nil
-	}
-	walk(root)
 	for _, p := range wired {
-		for _, q := range c.Points() {
+		for _, q := range points {
 			if c.Ctl != nil && q.SourceRows > 0 && q.SourceRows*filterWaitRatio <= p.SourceRows {
 				g.add(p, q, "filter", fmt.Sprintf("src %d≤%d/%d", q.SourceRows, p.SourceRows, filterWaitRatio))
 			}
@@ -237,27 +233,37 @@ func (c *Context) WaitGraph() (data, waits, refused []WaitEdge) {
 
 // awaitStart blocks the wired scan feeding pt until every input its accepted
 // waits name has been published, and records pt's edges and the wait on the
-// scan's op; false when the query was cancelled first.
-func (c *Context) awaitStart(pt *Point, op *stats.OpStats) bool {
+// scan's op; false when the query was cancelled first. A routing scan
+// (route) does not block for its sibling wait: it returns the sibling, for
+// its route to hold deliveries until it has published (inputRoute.hold), so
+// the scan filters its chunks meanwhile.
+func (c *Context) awaitStart(pt *Point, op *stats.OpStats, route bool) (ok bool, sibling *Point) {
 	var ws []*Point
 	_, waits, refused := c.WaitGraph()
 	for _, e := range append(waits, refused...) {
-		if e.From == pt {
-			op.Waits = append(op.Waits, e.String())
-			if !e.Refused {
-				ws = append(ws, e.To)
-			}
+		if e.From != pt {
+			continue
+		}
+		op.Waits = append(op.Waits, e.String())
+		if !e.Refused {
+			ws = append(ws, e.To)
+		}
+		if !e.Refused && route && e.Kind == "sibling" {
+			sibling = e.To
 		}
 	}
 	if len(ws) == 0 {
-		return true
+		return true, nil
 	}
 	start := time.Now()
 	for _, q := range ws {
+		if q == sibling {
+			continue
+		}
 		select {
 		case <-q.published:
 		case <-c.cancel:
-			return false
+			return false, nil
 		}
 	}
 	op.Waited = time.Since(start)
@@ -265,5 +271,5 @@ func (c *Context) awaitStart(pt *Point, op *stats.OpStats) bool {
 	for i, q := range ws {
 		op.WaitedFor[i] = q.Op.Name // set before q's operator started its inputs, so before publication
 	}
-	return true
+	return true, sibling
 }

@@ -30,8 +30,9 @@ import "encoding/binary"
 // whose payload happens to decode into range never does). The byte kernels,
 // Key, Hash, Len and spill records therefore see the same table with or
 // without it. The word kernel installs it once its 4 bytes per word of the
-// span are no more than the table's own MemSize, so a table pruned to a few
-// keys never gets one; MemSize counts it.
+// span are no more than the table's own MemSize, with slots for the batch
+// being inserted, so a table pruned to a few keys never gets one; MemSize
+// counts it.
 //
 // The zero value is an empty, ready-to-use table. KeyTable is not
 // concurrency-safe; the executor serializes access per operator side.
@@ -149,11 +150,19 @@ func (kt *KeyTable) Direct() bool { return kt.dir != nil }
 
 // install reports whether word keys of one column resolve through dir,
 // installing it first when the declared span costs no more than the table
-// itself: 4 × span ≤ MemSize, compared without overflow. Keys already in the
-// table are entered as add would have.
-func (kt *KeyTable) install() bool {
-	if kt.dir != nil || kt.span == 0 || kt.span > uint64(kt.MemSize())/4 {
+// itself with slots for n more keys (an inserting batch's lanes): 4 × span ≤
+// MemSize, compared without overflow. Keys already in the table are entered
+// as add would have.
+func (kt *KeyTable) install(n int) bool {
+	if kt.dir != nil || kt.span == 0 {
 		return kt.dir != nil
+	}
+	slots := max(16, len(kt.slots))
+	for (len(kt.hashes)+n)*4 >= slots*3 {
+		slots <<= 1
+	}
+	if kt.span > uint64(kt.MemSize()+4*(slots-len(kt.slots)))/4 {
+		return false
 	}
 	kt.dir = make([]int32, kt.span)
 	for id := range int32(len(kt.hashes)) {
@@ -194,13 +203,14 @@ func (kt *KeyTable) Lookup(h uint64, key []byte) int32 {
 // whether a new id was created. The key bytes are copied into the arena, so
 // callers may reuse their buffer immediately.
 func (kt *KeyTable) Insert(h uint64, key []byte) (id int32, added bool) {
-	if len(kt.hashes)*4 >= len(kt.slots)*3 { // load factor 3/4, also 0-cap init
+	if len(kt.slots) == 0 {
 		kt.grow()
 	}
 	i := h & kt.mask
 	for {
 		s := kt.slots[i]
 		if s == 0 {
+			i, _ = kt.room(i, h)
 			return kt.add(i, h, append(kt.keys, key...)), true
 		}
 		if cand := s - 1; kt.hashes[cand] == h && keyEq(kt.Key(cand), key) {
@@ -219,7 +229,8 @@ const ktChunk = 128
 // lanes: every lane's home slot is computed and loaded, so the loads overlap
 // in the memory system and the line is warm for the second pass, which
 // finishes each probe from the cached slot value.
-func (kt *KeyTable) warm(hashes []uint64, home *[ktChunk]uint64, s0 *[ktChunk]int32) {
+func (kt *KeyTable) warm(hashes []uint64, home []uint64, s0 []int32) {
+	home, s0 = home[:len(hashes)], s0[:len(hashes)]
 	for j, h := range hashes {
 		i := h & kt.mask
 		home[j] = i
@@ -254,15 +265,11 @@ func (kt *KeyTable) InsertWords(hashes []uint64, words []int64, k int, ids []int
 	kt.resolveWords(hashes, words, k, ids, added)
 }
 
-// begin readies a batch kernel's slots: an insert grows the slot array once
-// up front for the worst case, so no rehash happens mid-batch and the warm
-// loads stay valid (a slot's value is write-once, 0 → id+1, so a nonzero
-// warm read is trusted while a zero one is re-read: an earlier lane of the
-// same batch may have claimed the slot since). A lookup in a table without
-// slots resolves every lane to -1 and reports false.
+// begin readies a batch kernel's slots: an insert into a table without slots
+// gets the first ones, a lookup resolves every lane to -1 and reports false.
 func (kt *KeyTable) begin(n int, ids []int32, insert bool) bool {
 	if insert {
-		for (len(kt.hashes)+n)*4 >= len(kt.slots)*3 {
+		if len(kt.slots) == 0 {
 			kt.grow()
 		}
 	} else if len(kt.slots) == 0 {
@@ -272,6 +279,25 @@ func (kt *KeyTable) begin(n int, ids []int32, insert bool) bool {
 		return false
 	}
 	return true
+}
+
+// room readies the table for one more key, about to be added in empty slot
+// i for hash h: at the load factor (3/4) the slot array doubles and i is
+// found again. The slots therefore grow with the keys actually added, so a
+// table's size does not depend on how its keys were grouped into batches.
+// grew reports a doubling, after which a batch kernel warms the rest of its
+// chunk again (a warm read is trusted when nonzero: a slot's value is
+// write-once, 0 → id+1, so only a zero one is re-read).
+func (kt *KeyTable) room(i, h uint64) (_ uint64, grew bool) {
+	if len(kt.hashes)*4 < len(kt.slots)*3 {
+		return i, false
+	}
+	kt.grow()
+	i = h & kt.mask
+	for kt.slots[i] != 0 {
+		i = (i + 1) & kt.mask
+	}
+	return i, true
 }
 
 // resolve is the byte kernels' body: each lane's id, an absent key added
@@ -285,7 +311,7 @@ func (kt *KeyTable) resolve(hashes []uint64, keys []byte, offs []int32, ids []in
 	var s0 [ktChunk]int32
 	for start := 0; start < len(hashes); start += ktChunk {
 		c := min(len(hashes)-start, ktChunk)
-		kt.warm(hashes[start:start+c], &home, &s0)
+		kt.warm(hashes[start:start+c], home[:], s0[:])
 		for j := 0; j < c; j++ {
 			l := start + j
 			i, s, h, key := home[j], s0[j], hashes[l], keys[offs[l]:offs[l+1]]
@@ -297,6 +323,10 @@ func (kt *KeyTable) resolve(hashes []uint64, keys []byte, offs []int32, ids []in
 			}
 			if added != nil {
 				if added[l] = s == 0; s == 0 {
+					var grew bool
+					if i, grew = kt.room(i, h); grew {
+						kt.warm(hashes[l+1:start+c], home[j+1:], s0[j+1:])
+					}
 					s = kt.add(i, h, append(kt.keys, key...)) + 1
 				}
 			}
@@ -317,13 +347,13 @@ func (kt *KeyTable) resolveWords(hashes []uint64, words []int64, k int, ids []in
 	if !kt.begin(len(hashes), ids, added != nil) {
 		return
 	}
-	dense := k == 1 && (kt.dir != nil || added != nil && kt.install())
+	dense := k == 1 && (kt.dir != nil || added != nil && kt.install(len(hashes)))
 	var home [ktChunk]uint64
 	var s0 [ktChunk]int32
 	for start := 0; start < len(hashes); start += ktChunk {
 		c := min(len(hashes)-start, ktChunk)
 		if !dense {
-			kt.warm(hashes[start:start+c], &home, &s0)
+			kt.warm(hashes[start:start+c], home[:], s0[:])
 		}
 		for j := 0; j < c; j++ {
 			l := start + j
@@ -337,6 +367,7 @@ func (kt *KeyTable) resolveWords(hashes []uint64, words []int64, k int, ids []in
 							for kt.slots[i] != 0 {
 								i = (i + 1) & kt.mask
 							}
+							i, _ = kt.room(i, hashes[l]) // a dense chunk reads no warm loads
 							s = kt.add(i, hashes[l], AppendIntKey(kt.keys, words[l])) + 1
 						}
 					}
@@ -360,6 +391,10 @@ func (kt *KeyTable) resolveWords(hashes []uint64, words []int64, k int, ids []in
 			}
 			if added != nil {
 				if added[l] = s == 0; s == 0 {
+					var grew bool
+					if i, grew = kt.room(i, hashes[l]); grew && !dense {
+						kt.warm(hashes[l+1:start+c], home[j+1:], s0[j+1:])
+					}
 					s = kt.add(i, hashes[l], AppendIntKeys(kt.keys, words[l*k:l*k+k])) + 1
 				}
 			}

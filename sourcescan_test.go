@@ -229,9 +229,9 @@ func TestSourceSelectionAccounting(t *testing.T) {
 // every operator buffers the same rows, and the same summaries are made and
 // published. j1.right always completes first, so j1.left stores nothing and
 // builds no working set (its route calls no OnStore once the sibling is
-// done). State bytes are not compared: a key table's slot array is sized per
-// delivered scatter, and the routing scans' chunk workers group rows into
-// scatters as they race.
+// done). The operators' state peaks agree too: a key table grows with the
+// keys it holds, not with how the routing scans' chunk workers, racing,
+// grouped them into scatters.
 func TestQ17FeedForwardDeterminism(t *testing.T) {
 	cat := GenerateTPCH(DataConfig{ScaleFactor: 0.01})
 	eng := NewEngine(cat)
@@ -239,13 +239,13 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 	var first *Result
 	var outs map[string]int64
 	var firstStored string
-	var firstPub int64
+	var firstPub, firstPeaks int64
 	for run := 0; run < 20; run++ {
 		res, err := eng.Query(context.Background(), sql, Options{Strategy: FeedForward})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub, _ := summaryMemory(t, run, res)
+		pub, opPeaks := summaryMemory(t, run, res)
 		got := map[string]int64{}
 		var stored []string
 		for _, op := range res.Stats.Ops() {
@@ -271,7 +271,7 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 		slices.Sort(stored)
 		key := strings.Join(stored, " ")
 		if run == 0 {
-			first, outs, firstStored, firstPub = res, got, key, pub
+			first, outs, firstStored, firstPub, firstPeaks = res, got, key, pub, opPeaks
 			if len(outs) != 3 {
 				t.Fatalf("%d scans, want lineitem twice and part: %v", len(outs), outs)
 			}
@@ -280,6 +280,9 @@ func TestQ17FeedForwardDeterminism(t *testing.T) {
 		if key != firstStored || pub != firstPub || res.Stats.FilterBytes.Load() != first.Stats.FilterBytes.Load() {
 			t.Fatalf("run %d: buffered %s and published %d of %d B of summaries; run 0 buffered %s and published %d of %d B",
 				run, key, pub, res.Stats.FilterBytes.Load(), firstStored, firstPub, first.Stats.FilterBytes.Load())
+		}
+		if opPeaks != firstPeaks {
+			t.Fatalf("run %d: the operators' state peaks sum to %d B, run 0's to %d B", run, opPeaks, firstPeaks)
 		}
 		if m, m0 := res.Stats.FiltersMade.Load(), first.Stats.FiltersMade.Load(); m != m0 || res.PeakFilterWorkingBytes != first.PeakFilterWorkingBytes {
 			t.Fatalf("run %d: made %d filters, working peak %d B; run 0 made %d, %d B", run, m, res.PeakFilterWorkingBytes, m0, first.PeakFilterWorkingBytes)
